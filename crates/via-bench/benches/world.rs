@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use std::hint::black_box;
 use via_model::options::RelayOption;
 use via_model::time::SimTime;
-use via_netsim::{World, WorldConfig};
+use via_netsim::{CandidateScratch, World, WorldConfig};
 
 fn bench_generation(c: &mut Criterion) {
     let mut g = c.benchmark_group("world_generate");
@@ -63,18 +63,37 @@ fn bench_sampling(c: &mut Criterion) {
             )
         })
     });
-
-    c.bench_function("candidate_options", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 1) % n_ases;
-            world.candidate_options(
-                via_model::AsId(i),
-                via_model::AsId(black_box((i * 13 + 1) % n_ases)),
-            )
-        })
-    });
 }
 
-criterion_group!(benches, bench_generation, bench_sampling);
+/// Candidate enumeration at the engine's own call shape (reused scratch and
+/// output buffer). `paper` is the one to watch: its 30-relay fleet is what
+/// the replay benchmark runs, and the cost the 6-relay `tiny` world hides.
+fn bench_candidates(c: &mut Criterion) {
+    let mut g = c.benchmark_group("candidate_options");
+    for (label, cfg) in [
+        ("tiny", WorldConfig::tiny()),
+        ("paper", WorldConfig::paper_scale()),
+    ] {
+        let world = World::generate(&cfg, 7);
+        let n_ases = world.ases.len() as u32;
+        let mut scratch = CandidateScratch::default();
+        let mut options = Vec::new();
+        g.bench_function(label, |b| {
+            let mut i = 0u32;
+            b.iter(|| {
+                i = (i + 1) % n_ases;
+                world.candidate_options_into(
+                    via_model::AsId(i),
+                    via_model::AsId(black_box((i * 13 + 1) % n_ases)),
+                    &mut scratch,
+                    &mut options,
+                );
+                options.len()
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_generation, bench_sampling, bench_candidates);
 criterion_main!(benches);

@@ -17,9 +17,11 @@
 //!    deliberately wide SEM so priors lose to any data-backed estimate in
 //!    the top-k pruning.
 
+use std::sync::Arc;
 use via_model::ids::RelayId;
 use via_model::metrics::{Metric, PathMetrics};
 use via_model::options::RelayOption;
+use via_model::table::Table;
 use via_model::time::Window;
 use via_netsim::GeoPoint;
 
@@ -166,41 +168,58 @@ impl Default for PredictorConfig {
 }
 
 /// Geography the controller knows: one representative position per spatial
-/// key and per relay. Built once per world by the replay engine / testbed.
+/// key and per relay, reduced at construction to the fiber-bound RTT of
+/// every key↔relay and relay↔relay leg. Built once per world by the replay
+/// engine / server / testbed; cloning shares the tables.
 #[derive(Debug, Clone)]
 pub struct GeoPrior {
+    tables: Arc<GeoTables>,
+}
+
+#[derive(Debug)]
+struct GeoTables {
+    /// Per-key positions, for the one leg that is not tabulated (`Direct`:
+    /// a key×key table would be quadratic in the key count).
     key_pos: Vec<GeoPoint>,
-    relay_pos: Vec<GeoPoint>,
+    /// `key_relay_ms[(k, r)]` = `min_rtt_ms` between key `k` and relay `r`;
+    /// `min_rtt_ms` is bit-symmetric, so one orientation serves both.
+    key_relay_ms: Table<f64>,
+    /// `relay_ms[(i, j)]` = `min_rtt_ms` from relay `i` to relay `j`.
+    relay_ms: Table<f64>,
 }
 
 impl GeoPrior {
     /// Builds a prior from per-key and per-relay positions (indexable by key
     /// value / relay id).
     pub fn new(key_pos: Vec<GeoPoint>, relay_pos: Vec<GeoPoint>) -> Self {
-        Self { key_pos, relay_pos }
+        let n = relay_pos.len();
+        let key_relay_ms = Table::from_fn(key_pos.len(), n, |k, r| {
+            key_pos[k].min_rtt_ms(&relay_pos[r])
+        });
+        let relay_ms = Table::from_fn(n, n, |i, j| relay_pos[i].min_rtt_ms(&relay_pos[j]));
+        Self {
+            tables: Arc::new(GeoTables {
+                key_pos,
+                key_relay_ms,
+                relay_ms,
+            }),
+        }
     }
 
-    fn pos_of_key(&self, key: u32) -> Option<&GeoPoint> {
-        self.key_pos.get(key as usize)
-    }
-
-    /// Prior fiber-bound RTT of an option, ms.
+    /// Prior fiber-bound RTT of an option, ms; `None` if a key or relay is
+    /// outside the geography this prior was built from.
     fn path_rtt_floor(&self, a: u32, b: u32, option: RelayOption) -> Option<f64> {
-        let pa = self.pos_of_key(a)?;
-        let pb = self.pos_of_key(b)?;
+        let t = &*self.tables;
+        let (a, b) = (a as usize, b as usize);
+        let leg = |key: usize, r: RelayId| t.key_relay_ms.get(key, r.index()).copied();
         Some(match option.canonical() {
-            RelayOption::Direct => pa.min_rtt_ms(pb),
-            RelayOption::Bounce(r) => {
-                let pr = self.relay_pos.get(r.index())?;
-                pa.min_rtt_ms(pr) + pr.min_rtt_ms(pb)
-            }
+            RelayOption::Direct => t.key_pos.get(a)?.min_rtt_ms(t.key_pos.get(b)?),
+            RelayOption::Bounce(r) => leg(a, r)? + leg(b, r)?,
             RelayOption::Transit(r1, r2) => {
-                let p1 = self.relay_pos.get(r1.index())?;
-                let p2 = self.relay_pos.get(r2.index())?;
                 // Orient for the shorter on-ramps, like the managed network.
-                let fwd = pa.min_rtt_ms(p1) + p2.min_rtt_ms(pb);
-                let rev = pa.min_rtt_ms(p2) + p1.min_rtt_ms(pb);
-                fwd.min(rev) + p1.min_rtt_ms(p2)
+                let fwd = leg(a, r1)? + leg(b, r2)?;
+                let rev = leg(a, r2)? + leg(b, r1)?;
+                fwd.min(rev) + *t.relay_ms.get(r1.index(), r2.index())?
             }
         })
     }
@@ -386,6 +405,96 @@ mod tests {
 
     fn bb() -> Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync> {
         Box::new(|_, _| PathMetrics::new(80.0, 0.01, 0.4))
+    }
+
+    /// `path_rtt_floor` as it was before the tables: haversine per leg.
+    fn path_rtt_floor_trig(
+        key_pos: &[GeoPoint],
+        relay_pos: &[GeoPoint],
+        a: u32,
+        b: u32,
+        option: RelayOption,
+    ) -> Option<f64> {
+        let pa = key_pos.get(a as usize)?;
+        let pb = key_pos.get(b as usize)?;
+        Some(match option.canonical() {
+            RelayOption::Direct => pa.min_rtt_ms(pb),
+            RelayOption::Bounce(r) => {
+                let pr = relay_pos.get(r.index())?;
+                pa.min_rtt_ms(pr) + pr.min_rtt_ms(pb)
+            }
+            RelayOption::Transit(r1, r2) => {
+                let p1 = relay_pos.get(r1.index())?;
+                let p2 = relay_pos.get(r2.index())?;
+                let fwd = pa.min_rtt_ms(p1) + p2.min_rtt_ms(pb);
+                let rev = pa.min_rtt_ms(p2) + p1.min_rtt_ms(pb);
+                fwd.min(rev) + p1.min_rtt_ms(p2)
+            }
+        })
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "hundreds of thousands of haversines")]
+    fn tabulated_rtt_floor_is_bit_identical_to_trig_for_every_candidate() {
+        let world = via_netsim::World::generate(&via_netsim::WorldConfig::paper_scale(), 7);
+        let key_pos: Vec<GeoPoint> = world.ases.iter().map(|a| a.pos).collect();
+        let relay_pos: Vec<GeoPoint> = world.relays.iter().map(|r| r.pos).collect();
+        let prior = GeoPrior::new(key_pos.clone(), relay_pos.clone());
+        let mut scratch = via_netsim::CandidateScratch::default();
+        let mut options = Vec::new();
+        let mut checked = 0u64;
+        for a in &world.ases {
+            for b in &world.ases {
+                world.candidate_options_into(a.id, b.id, &mut scratch, &mut options);
+                for &opt in &options {
+                    let table = prior.path_rtt_floor(a.id.0, b.id.0, opt);
+                    let trig = path_rtt_floor_trig(&key_pos, &relay_pos, a.id.0, b.id.0, opt);
+                    assert_eq!(
+                        table.map(f64::to_bits),
+                        trig.map(f64::to_bits),
+                        "{} -> {} over {opt}",
+                        a.id,
+                        b.id
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 500_000, "only {checked} options checked");
+    }
+
+    #[test]
+    fn rtt_floor_is_none_outside_the_geography() {
+        let p = prior(); // 3 keys, 2 relays
+        let (r0, r1, r_out) = (RelayId(0), RelayId(1), RelayId(2));
+        assert!(p.path_rtt_floor(0, 1, RelayOption::Direct).is_some());
+        assert!(p.path_rtt_floor(0, 1, RelayOption::Bounce(r1)).is_some());
+        assert!(p
+            .path_rtt_floor(0, 1, RelayOption::Transit(r0, r1))
+            .is_some());
+        for (a, b) in [(3, 0), (0, 3), (u32::MAX, u32::MAX)] {
+            for opt in [
+                RelayOption::Direct,
+                RelayOption::Bounce(r0),
+                RelayOption::Transit(r0, r1),
+            ] {
+                assert_eq!(p.path_rtt_floor(a, b, opt), None, "keys ({a}, {b}) {opt}");
+            }
+        }
+        // Relay 2 of a 2-relay fleet: under raw stride math (key 0, relay 2)
+        // is (key 1, relay 0) — it must be rejected, not aliased.
+        for opt in [
+            RelayOption::Bounce(r_out),
+            RelayOption::Transit(r0, r_out),
+            RelayOption::Bounce(RelayId(u32::MAX)),
+        ] {
+            assert_eq!(p.path_rtt_floor(0, 1, opt), None, "{opt}");
+        }
+        // The prediction still answers, from the 250 ms fallback.
+        let cold = Predictor::cold(p, bb(), PredictorConfig::default());
+        let pred = cold.predict(0, 1, RelayOption::Bounce(r_out));
+        assert_eq!(pred.source, PredictionSource::Prior);
+        assert!((pred.mean(Metric::Rtt) - 250.0).abs() < 1e-6);
     }
 
     #[test]

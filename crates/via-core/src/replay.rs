@@ -35,6 +35,7 @@ use via_model::ids::{AsId, RelayId};
 use via_model::metrics::{Metric, PathMetrics, Thresholds};
 use via_model::options::RelayOption;
 use via_model::seed;
+use via_model::table::Table;
 use via_model::time::{SimTime, Window, WindowLen};
 use via_netsim::World;
 use via_obs::{MetricSink, MetricsSnapshot, Stopwatch};
@@ -699,7 +700,7 @@ struct EngineState {
     /// Built once per run: the controller's static knowledge (geography and
     /// inter-relay metrics) does not change across windows.
     prior: GeoPrior,
-    backbone_table: std::sync::Arc<Vec<PathMetrics>>,
+    backbone_table: std::sync::Arc<Table<PathMetrics>>,
 }
 
 /// The replay simulator.
@@ -758,25 +759,12 @@ impl<'a> ReplaySim<'a> {
         &self.cfg
     }
 
-    /// Candidate options for an AS pair, honoring the relay-fleet
-    /// restriction and the transit toggle. Allocating form for cold paths
-    /// (budget gate pass, oracle, active probes); the per-call hot path uses
-    /// [`ReplaySim::candidates_into`] with worker-local scratch instead.
-    fn candidates_for(&self, src: AsId, dst: AsId) -> Vec<RelayOption> {
-        let mut scratch = Scratch::default();
-        self.candidates_for_into(src, dst, &mut scratch);
-        std::mem::take(&mut scratch.cand)
-    }
-
-    /// Candidate options for a call.
-    fn candidates(&self, call: &CallRecord) -> Vec<RelayOption> {
-        self.candidates_for(call.src_as, call.dst_as)
-    }
-
-    /// Fills `scratch.cand` with the candidate options for an AS pair
-    /// without allocating (beyond the buffers' first growth). Content and
-    /// order are identical to [`ReplaySim::candidates_for`].
-    fn candidates_for_into(&self, src: AsId, dst: AsId, scratch: &mut Scratch) {
+    /// Fills `scratch.cand` with the candidate options for an AS pair,
+    /// honoring the relay-fleet restriction and the transit toggle, without
+    /// allocating (beyond the buffers' first growth). The one enumerator:
+    /// every consumer — shard arms, gate pass, oracle, warm pass, active
+    /// probes — reads `scratch.cand` after calling this.
+    fn candidates_into(&self, src: AsId, dst: AsId, scratch: &mut Scratch) {
         self.world
             .candidate_options_into(src, dst, &mut scratch.topo, &mut scratch.cand);
         let opts = &mut scratch.cand;
@@ -789,11 +777,6 @@ impl<'a> ReplaySim<'a> {
                 opts.push(RelayOption::Direct);
             }
         }
-    }
-
-    /// Fills `scratch.cand` with a call's candidate options.
-    fn candidates_into(&self, call: &CallRecord, scratch: &mut Scratch) {
-        self.candidates_for_into(call.src_as, call.dst_as, scratch);
     }
 
     /// The pre-replay warm pass: enumerates every segment reachable from the
@@ -819,7 +802,7 @@ impl<'a> ReplaySim<'a> {
         let mut segs: Vec<via_netsim::Segment> = Vec::new();
         let mut scratch = Scratch::default();
         for &(src, dst) in &pairs {
-            self.candidates_for_into(src, dst, &mut scratch);
+            self.candidates_into(src, dst, &mut scratch);
             for &opt in &scratch.cand {
                 let path = self.world.perf().segments_of(src, dst, opt);
                 for &seg in path.segments() {
@@ -925,7 +908,7 @@ impl<'a> ReplaySim<'a> {
     ) -> RelayOption {
         let t_eval = window.start() + window.len.secs() / 2;
         let mut best = (f64::INFINITY, RelayOption::Direct);
-        self.candidates_into(call, scratch);
+        self.candidates_into(call.src_as, call.dst_as, scratch);
         for &opt in &scratch.cand {
             let m = self.world.perf().option_mean_scratch(
                 call.src_as,
@@ -1176,9 +1159,13 @@ impl<'a> ReplaySim<'a> {
             // calls into the training window, and refit.
             if self.cfg.active_probes_per_window > 0 {
                 if let (Some(pred), Some(prev)) = (predictor.as_ref(), window.prev()) {
+                    let scratch = &mut worker_slots[0].scratch;
                     let mut demand_list: Vec<(u32, u32, Vec<RelayOption>)> = demands
                         .iter()
-                        .map(|(kp, &(sa, sb))| (kp.lo, kp.hi, self.candidates_for(sa, sb)))
+                        .map(|(kp, &(sa, sb))| {
+                            self.candidates_into(sa, sb, scratch);
+                            (kp.lo, kp.hi, scratch.cand.clone())
+                        })
                         .collect();
                     demand_list.sort_by_key(|d| (d.0, d.1));
                     let plan = crate::active::plan_probes(
@@ -1287,23 +1274,28 @@ impl<'a> ReplaySim<'a> {
         } else {
             {
                 predictor.as_ref().map(|pred| {
-                    let built: Vec<Option<PairState>> =
-                        crate::par::par_map(workers, &groups, |_, g| {
-                            g.calls.first().map(|&i| {
+                    // One contiguous chunk of groups per worker, each built
+                    // through that worker's own scratch; a state is a pure
+                    // function of (predictor, group), so the chunking never
+                    // shows in the result.
+                    let chunk = groups.len().div_ceil(workers).max(1);
+                    let tasks: Vec<&mut [PairGroup]> = groups.chunks_mut(chunk).collect();
+                    crate::par::par_run_with(workers, tasks, worker_slots, |chunk, slot| {
+                        for g in chunk {
+                            if let Some(&i) = g.calls.first() {
                                 let call = &batch[i];
-                                Self::build_pair_state(
-                                    pred,
-                                    g.ka,
-                                    g.kb,
-                                    &self.candidates(call),
-                                    kind,
-                                    objective,
-                                )
-                            })
-                        });
+                                let scratch = &mut slot.scratch;
+                                self.candidates_into(call.src_as, call.dst_as, scratch);
+                                g.state = Some(Self::build_pair_state_in(
+                                    pred, g.ka, g.kb, scratch, kind, objective,
+                                ));
+                            }
+                        }
+                    });
                     let mut flags = Vec::with_capacity(batch.len());
                     for &slot in &slot_of_call {
-                        let benefit = built[slot]
+                        let benefit = groups[slot]
+                            .state
                             .as_ref()
                             .map_or(0.0, |st| st.direct_mean - st.best_mean);
                         let gated_direct = match kind {
@@ -1347,9 +1339,6 @@ impl<'a> ReplaySim<'a> {
                             }
                         };
                         flags.push(gated_direct);
-                    }
-                    for (g, st) in groups.iter_mut().zip(built) {
-                        g.state = st;
                     }
                     flags
                 })
@@ -1596,7 +1585,7 @@ impl<'a> ReplaySim<'a> {
                     StrategyKind::PredictionOnly => match predictor {
                         None => RelayOption::Direct,
                         Some(pred) => *pred_memo.get_or_insert_with(|| {
-                            self.candidates_into(call, scratch);
+                            self.candidates_into(call.src_as, call.dst_as, scratch);
                             let mut best = (f64::INFINITY, RelayOption::Direct);
                             for &opt in &scratch.cand {
                                 let p = pred.predict(g.ka, g.kb, opt);
@@ -1610,7 +1599,7 @@ impl<'a> ReplaySim<'a> {
                     },
                     StrategyKind::ExplorationOnly => {
                         if state.is_none() {
-                            self.candidates_into(call, scratch);
+                            self.candidates_into(call.src_as, call.dst_as, scratch);
                         }
                         let st = state.get_or_insert_with(|| {
                             let mut bandit = UcbBandit::new(scratch.cand.clone(), 1.0);
@@ -1647,7 +1636,7 @@ impl<'a> ReplaySim<'a> {
                                 out.contacts += 1;
                                 hot.inc(ids.cache_misses, 1);
                                 if state.is_none() {
-                                    self.candidates_into(call, scratch);
+                                    self.candidates_into(call.src_as, call.dst_as, scratch);
                                 }
                                 let st = state.get_or_insert_with(|| {
                                     Self::build_pair_state_in(
@@ -1669,16 +1658,11 @@ impl<'a> ReplaySim<'a> {
                             // setup traffic by k; `race_probes` tracks that
                             // overhead.
                             if state.is_none() {
-                                self.candidates_into(call, scratch);
+                                self.candidates_into(call.src_as, call.dst_as, scratch);
                             }
                             let st = state.get_or_insert_with(|| {
-                                Self::build_pair_state(
-                                    pred,
-                                    g.ka,
-                                    g.kb,
-                                    &scratch.cand,
-                                    kind,
-                                    objective,
+                                Self::build_pair_state_in(
+                                    pred, g.ka, g.kb, scratch, kind, objective,
                                 )
                             });
                             scratch.staged.clear();
@@ -1705,16 +1689,11 @@ impl<'a> ReplaySim<'a> {
                         None => RelayOption::Direct,
                         Some(pred) => {
                             if state.is_none() {
-                                self.candidates_into(call, scratch);
+                                self.candidates_into(call.src_as, call.dst_as, scratch);
                             }
                             let st = state.get_or_insert_with(|| {
-                                Self::build_pair_state(
-                                    pred,
-                                    g.ka,
-                                    g.kb,
-                                    &scratch.cand,
-                                    kind,
-                                    objective,
+                                Self::build_pair_state_in(
+                                    pred, g.ka, g.kb, scratch, kind, objective,
                                 )
                             });
                             // Budget verdicts were computed in the sequential
@@ -1728,7 +1707,7 @@ impl<'a> ReplaySim<'a> {
                                     // Stage 4b: general exploration over all
                                     // options.
                                     hot.inc(ids.explore_epsilon, 1);
-                                    self.candidates_into(call, scratch);
+                                    self.candidates_into(call.src_as, call.dst_as, scratch);
                                     scratch.cand[rng.random_range(0..scratch.cand.len())]
                                 } else {
                                     // Stage 4a: UCB over the pruned top-k.
@@ -1750,16 +1729,11 @@ impl<'a> ReplaySim<'a> {
                             // commits to a set of up to k paths. At k = 1
                             // every step below degenerates to Via exactly.
                             if state.is_none() {
-                                self.candidates_into(call, scratch);
+                                self.candidates_into(call.src_as, call.dst_as, scratch);
                             }
                             let st = state.get_or_insert_with(|| {
-                                Self::build_pair_state(
-                                    pred,
-                                    g.ka,
-                                    g.kb,
-                                    &scratch.cand,
-                                    kind,
-                                    objective,
+                                Self::build_pair_state_in(
+                                    pred, g.ka, g.kb, scratch, kind, objective,
                                 )
                             });
                             scratch.set.clear();
@@ -1774,7 +1748,7 @@ impl<'a> ReplaySim<'a> {
                                     // the bandit's set choice so the explore
                                     // draw count matches Via's.
                                     hot.inc(ids.explore_epsilon, 1);
-                                    self.candidates_into(call, scratch);
+                                    self.candidates_into(call.src_as, call.dst_as, scratch);
                                     let primary =
                                         scratch.cand[rng.random_range(0..scratch.cand.len())];
                                     scratch.set.push(primary);
@@ -1955,25 +1929,10 @@ impl<'a> ReplaySim<'a> {
         out
     }
 
-    /// Stage 3 of Algorithm 1: score candidates, prune to top-k, and build
-    /// the bandit with the normalizer `w`.
-    fn build_pair_state(
-        pred: &Predictor,
-        ka: u32,
-        kb: u32,
-        candidates: &[RelayOption],
-        kind: StrategyKind,
-        objective: Metric,
-    ) -> PairState {
-        let mut scratch = Scratch::default();
-        scratch.cand.extend_from_slice(candidates);
-        Self::build_pair_state_in(pred, ka, kb, &mut scratch, kind, objective)
-    }
-
-    /// Scratch-buffered form of [`Self::build_pair_state`] for the shard
-    /// hot path: the candidate scores and the top-k selection live in
-    /// reusable buffers (reading the candidates from `scratch.cand`), so a
-    /// lazily built pair state allocates nothing beyond the state itself.
+    /// Stage 3 of Algorithm 1: score the candidates in `scratch.cand`, prune
+    /// to top-k, and build the bandit with the normalizer `w`. Scores and the
+    /// top-k selection live in `scratch`'s reusable buffers, so building a
+    /// pair state allocates nothing beyond the state itself.
     fn build_pair_state_in(
         pred: &Predictor,
         ka: u32,
@@ -2032,23 +1991,21 @@ impl<'a> ReplaySim<'a> {
 
     /// The controller's static knowledge of inter-relay performance (§3.2),
     /// computed once per run.
-    fn backbone_table(&self) -> std::sync::Arc<Vec<PathMetrics>> {
-        let n = self.world.relays.len();
-        let mut table = vec![PathMetrics::ZERO; n * n];
-        for (i, ri) in (0..n).zip(0u32..) {
-            for (j, rj) in (0..n).zip(0u32..) {
-                table[i * n + j] = self.world.perf().backbone_metrics(RelayId(ri), RelayId(rj));
-            }
-        }
-        std::sync::Arc::new(table)
+    fn backbone_table(&self) -> std::sync::Arc<Table<PathMetrics>> {
+        let relays = &self.world.relays;
+        std::sync::Arc::new(Table::from_fn(relays.len(), relays.len(), |i, j| {
+            self.world
+                .perf()
+                .backbone_metrics(relays[i].id, relays[j].id)
+        }))
     }
 
     /// Wraps the shared backbone table as the closure the predictor expects.
     fn backbone_fn_from(
-        table: std::sync::Arc<Vec<PathMetrics>>,
+        table: std::sync::Arc<Table<PathMetrics>>,
     ) -> Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync> {
-        let n = (table.len() as f64).sqrt() as usize;
-        Box::new(move |a: RelayId, b: RelayId| table[a.index() * n + b.index()])
+        debug_assert_eq!(table.rows(), table.cols());
+        Box::new(move |a: RelayId, b: RelayId| table[(a.index(), b.index())])
     }
 }
 

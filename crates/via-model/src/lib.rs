@@ -19,6 +19,8 @@
 //!   relay-selection algorithm: online mean/variance (Welford), percentiles,
 //!   CDFs, Pearson correlation, equal-width binning, and the P² streaming
 //!   quantile estimator that backs budget-aware relaying.
+//! * [`table`] — a dense row-major [`table::Table`] that carries its stride,
+//!   for static geometry and backbone tables read on the per-call path.
 //! * [`seed`] — deterministic sub-seed derivation so that every component of
 //!   the simulation draws from an independent, reproducible random stream.
 //!
@@ -33,9 +35,11 @@ pub mod metrics;
 pub mod options;
 pub mod seed;
 pub mod stats;
+pub mod table;
 pub mod time;
 
 pub use ids::{AsId, AsPair, CallId, ClientId, CountryId, RelayId};
 pub use metrics::{Metric, PathMetrics, Thresholds};
 pub use options::RelayOption;
+pub use table::Table;
 pub use time::{SimTime, Window, WindowLen};

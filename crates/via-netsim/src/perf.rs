@@ -26,6 +26,7 @@ use via_model::ids::{AsId, RelayId};
 use via_model::metrics::PathMetrics;
 use via_model::options::RelayOption;
 use via_model::seed;
+use via_model::table::Table;
 use via_model::time::SimTime;
 
 use crate::config::{PerfKnobs, WorldConfig};
@@ -86,10 +87,12 @@ pub struct PerfModel {
     direct: Box<[OnceLock<SegState>]>,
     /// Dense AS→relay attach-leg slots (`a * n_relays + r`).
     relay_wan: Box<[OnceLock<SegState>]>,
-    /// Dense AS↔relay great-circle distances (`as * n_relays + relay`),
-    /// precomputed so transit-orientation picks on the scoring hot path are
-    /// table loads instead of four haversines per query.
-    as_relay_km: Box<[f64]>,
+    /// AS↔relay great-circle distances, `(as, relay)`: precomputed so
+    /// transit-orientation picks on the scoring hot path and the world's
+    /// candidate enumeration are table loads instead of haversines per query.
+    /// One orientation serves both directions — `distance_km` is
+    /// bit-symmetric (pinned by a test in `topology.rs`).
+    as_relay_km: Table<f64>,
     /// Per-call RTT noise (`lognormal_mean` at mean 1.0), prebuilt from the
     /// knobs; `None` when the sigma knob is degenerate (noise factor 1.0).
     rtt_noise: Option<LogNormal<f64>>,
@@ -117,10 +120,9 @@ impl PerfModel {
     ) -> Self {
         let n_ases = ases.len();
         let n_relays = relays.len();
-        let as_relay_km = ases
-            .iter()
-            .flat_map(|a| relays.iter().map(|r| a.pos.distance_km(&r.pos)))
-            .collect();
+        let as_relay_km = Table::from_fn(n_ases, n_relays, |a, r| {
+            ases[a].pos.distance_km(&relays[r].pos)
+        });
         let rtt_noise = unit_lognormal(config.perf.call_rtt_sigma);
         let jitter_noise = unit_lognormal(config.perf.call_jitter_sigma);
         Self {
@@ -139,6 +141,11 @@ impl PerfModel {
             jitter_noise,
             builds: AtomicU64::new(0),
         }
+    }
+
+    /// Great-circle distance from every AS (row) to every relay (column), km.
+    pub(crate) fn as_relay_km(&self) -> &Table<f64> {
+        &self.as_relay_km
     }
 
     /// Number of ASes the model knows about.
@@ -523,8 +530,7 @@ impl PerfModel {
                 // Pick the orientation with the shorter on-ramps: the managed
                 // network routes sensibly. Distances come from the precomputed
                 // AS↔relay table (same haversine values, no trig per query).
-                let n = self.relay_pos.len();
-                let d = |a: AsId, r: RelayId| self.as_relay_km[a.index() * n + r.index()];
+                let d = |a: AsId, r: RelayId| self.as_relay_km[(a.index(), r.index())];
                 let d_fwd = d(src, r1) + d(dst, r2);
                 let d_rev = d(src, r2) + d(dst, r1);
                 let (rin, rout) = if d_fwd <= d_rev { (r1, r2) } else { (r2, r1) };

@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 use via_model::ids::{AsId, CountryId, RelayId};
 use via_model::options::RelayOption;
 use via_model::seed;
+use via_model::table::Table;
 
 use crate::catalog;
 use crate::config::WorldConfig;
@@ -71,6 +72,43 @@ pub struct World {
     /// Relay fleet.
     pub relays: Vec<Relay>,
     perf: PerfModel,
+    geometry: Geometry,
+}
+
+/// Relay-side geometry, computed once in [`World::generate`]; together with
+/// the performance model's AS×relay distance table it makes candidate
+/// enumeration table reads and two small sorts — no trigonometry per (pair,
+/// window). Positions are fixed at generation: nothing moves an AS or a relay
+/// afterwards.
+#[derive(Debug)]
+struct Geometry {
+    /// `relay_km[(i, j)]` = distance from relay `i` to relay `j`.
+    relay_km: Table<f64>,
+    /// Per AS, every relay ranked by distance from it (ties by relay id).
+    /// A per-AS ranking depends on one endpoint only, so it can be shared by
+    /// every pair the AS takes part in; the bounce ranking orders by the
+    /// *sum* over both endpoints and has to be formed per pair.
+    nearest: Table<RelayId>,
+}
+
+impl Geometry {
+    fn new(as_relay_km: &Table<f64>, relays: &[Relay]) -> Geometry {
+        let relay_km = Table::from_fn(relays.len(), relays.len(), |i, j| {
+            relays[i].pos.distance_km(&relays[j].pos)
+        });
+        let n_ases = as_relay_km.rows();
+        let mut ranked: Vec<RelayId> = Vec::with_capacity(n_ases * relays.len());
+        for a in 0..n_ases {
+            let km = as_relay_km.row(a);
+            let start = ranked.len();
+            ranked.extend(relays.iter().map(|r| r.id));
+            ranked[start..].sort_by(|x, y| km[x.index()].total_cmp(&km[y.index()]));
+        }
+        Geometry {
+            relay_km,
+            nearest: Table::from_cells(n_ases, relays.len(), ranked),
+        }
+    }
 }
 
 impl World {
@@ -146,6 +184,7 @@ impl World {
             .collect();
 
         let perf = PerfModel::new(world_seed, config.clone(), &ases, &relays);
+        let geometry = Geometry::new(perf.as_relay_km(), &relays);
 
         World {
             config: config.clone(),
@@ -154,6 +193,7 @@ impl World {
             ases,
             relays,
             perf,
+            geometry,
         }
     }
 
@@ -201,16 +241,20 @@ impl World {
         scratch: &mut CandidateScratch,
         out: &mut Vec<RelayOption>,
     ) {
-        let src_pos = self.ases[src.index()].pos;
-        let dst_pos = self.ases[dst.index()].pos;
+        let geo = &self.geometry;
+        let as_relay_km = self.perf.as_relay_km();
+        let src_km = as_relay_km.row(src.index());
+        let dst_km = as_relay_km.row(dst.index());
 
         // Rank relays by bounce detour distance.
         let by_detour = &mut scratch.by_detour;
         by_detour.clear();
-        by_detour.extend(self.relays.iter().map(|r| {
-            let d = src_pos.distance_km(&r.pos) + r.pos.distance_km(&dst_pos);
-            (d, r.id)
-        }));
+        by_detour.extend(
+            self.relays
+                .iter()
+                .zip(src_km.iter().zip(dst_km))
+                .map(|(r, (d_src, d_dst))| (d_src + d_dst, r.id)),
+        );
         by_detour.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         out.clear();
@@ -221,36 +265,19 @@ impl World {
 
         // Transit: ingress relays near the source, egress relays near the
         // destination, ranked by total stitched distance.
-        let near_src = &mut scratch.near_src;
-        near_src.clear();
-        near_src.extend(
-            self.relays
-                .iter()
-                .map(|r| (src_pos.distance_km(&r.pos), r.id)),
-        );
-        near_src.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let near_dst = &mut scratch.near_dst;
-        near_dst.clear();
-        near_dst.extend(
-            self.relays
-                .iter()
-                .map(|r| (dst_pos.distance_km(&r.pos), r.id)),
-        );
-        near_dst.sort_by(|a, b| a.0.total_cmp(&b.0));
-
         let k = self.config.transit_candidates.max(1);
-        let take = (k as f64).sqrt().ceil() as usize + 1;
+        let take = ((k as f64).sqrt().ceil() as usize + 1).min(self.relays.len());
+        let near_src = &geo.nearest.row(src.index())[..take];
+        let near_dst = &geo.nearest.row(dst.index())[..take];
         let transits = &mut scratch.transits;
         transits.clear();
-        for &(d_in, r_in) in near_src.iter().take(take) {
-            for &(d_out, r_out) in near_dst.iter().take(take) {
+        for &r_in in near_src {
+            for &r_out in near_dst {
                 if r_in == r_out {
                     continue;
                 }
-                let bb = self.relays[r_in.index()]
-                    .pos
-                    .distance_km(&self.relays[r_out.index()].pos);
-                let total = d_in + bb + d_out;
+                let bb = geo.relay_km[(r_in.index(), r_out.index())];
+                let total = src_km[r_in.index()] + bb + dst_km[r_out.index()];
                 transits.push((total, RelayOption::Transit(r_in, r_out).canonical()));
             }
         }
@@ -272,8 +299,6 @@ impl World {
 #[derive(Debug, Default)]
 pub struct CandidateScratch {
     by_detour: Vec<(f64, RelayId)>,
-    near_src: Vec<(f64, RelayId)>,
-    near_dst: Vec<(f64, RelayId)>,
     transits: Vec<(f64, RelayOption)>,
 }
 
@@ -294,6 +319,154 @@ mod tests {
 
     fn world() -> World {
         World::generate(&WorldConfig::tiny(), 42)
+    }
+
+    /// The enumerator as it was before the geometry tables: haversine trig
+    /// for every leg, three fresh rankings per pair. Kept as the reference
+    /// the table-backed [`World::candidate_options_into`] must reproduce.
+    fn candidate_options_trig(w: &World, src: AsId, dst: AsId) -> Vec<RelayOption> {
+        let src_pos = w.ases[src.index()].pos;
+        let dst_pos = w.ases[dst.index()].pos;
+
+        let mut by_detour: Vec<(f64, RelayId)> = w
+            .relays
+            .iter()
+            .map(|r| {
+                let d = src_pos.distance_km(&r.pos) + r.pos.distance_km(&dst_pos);
+                (d, r.id)
+            })
+            .collect();
+        by_detour.sort_by(|a, b| a.0.total_cmp(&b.0));
+
+        let mut out = vec![RelayOption::Direct];
+        for &(_, r) in by_detour.iter().take(w.config.bounce_candidates) {
+            out.push(RelayOption::Bounce(r));
+        }
+
+        let rank_from = |pos: GeoPoint| {
+            let mut near: Vec<(f64, RelayId)> = w
+                .relays
+                .iter()
+                .map(|r| (pos.distance_km(&r.pos), r.id))
+                .collect();
+            near.sort_by(|a, b| a.0.total_cmp(&b.0));
+            near
+        };
+        let near_src = rank_from(src_pos);
+        let near_dst = rank_from(dst_pos);
+
+        let k = w.config.transit_candidates.max(1);
+        let take = (k as f64).sqrt().ceil() as usize + 1;
+        let mut transits = Vec::new();
+        for &(d_in, r_in) in near_src.iter().take(take) {
+            for &(d_out, r_out) in near_dst.iter().take(take) {
+                if r_in == r_out {
+                    continue;
+                }
+                let bb = w.relays[r_in.index()]
+                    .pos
+                    .distance_km(&w.relays[r_out.index()].pos);
+                let total = d_in + bb + d_out;
+                transits.push((total, RelayOption::Transit(r_in, r_out).canonical()));
+            }
+        }
+        transits.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for &(_, t) in &transits {
+            if out.len() >= 1 + w.config.bounce_candidates + w.config.transit_candidates {
+                break;
+            }
+            if !out.contains(&t) {
+                out.push(t);
+            }
+        }
+        out
+    }
+
+    /// Asserts table-backed == trig enumeration for every ordered AS pair.
+    fn assert_tables_match_trig(w: &World) {
+        let mut scratch = CandidateScratch::default();
+        let mut got = Vec::new();
+        for a in &w.ases {
+            for b in &w.ases {
+                w.candidate_options_into(a.id, b.id, &mut scratch, &mut got);
+                assert_eq!(
+                    got,
+                    candidate_options_trig(w, a.id, b.id),
+                    "pair {} -> {} ({} relays, bounce {}, transit {})",
+                    a.id,
+                    b.id,
+                    w.relays.len(),
+                    w.config.bounce_candidates,
+                    w.config.transit_candidates,
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "tens of thousands of enumerations")]
+    fn table_enumeration_equals_trig_enumeration_for_every_pair() {
+        for cfg in [
+            WorldConfig::tiny(),
+            WorldConfig::small(),
+            WorldConfig::paper_scale(),
+        ] {
+            for seed in [7, 42] {
+                assert_tables_match_trig(&World::generate(&cfg, seed));
+            }
+        }
+    }
+
+    #[test]
+    fn table_enumeration_equals_trig_at_degenerate_candidate_counts() {
+        // 0 and 1 exercise the empty / single-entry prefixes; 40 exceeds the
+        // small world's 12 relays, so every prefix is clamped to the fleet.
+        for bounce in [0, 1, 40] {
+            for transit in [0, 1, 40] {
+                let cfg = WorldConfig {
+                    bounce_candidates: bounce,
+                    transit_candidates: transit,
+                    ..WorldConfig::small()
+                };
+                assert_tables_match_trig(&World::generate(&cfg, 42));
+            }
+        }
+    }
+
+    #[test]
+    fn table_enumeration_is_right_for_any_relay_prefix() {
+        // The AS×relay tables are strided by the relay count; two fleets of
+        // different size over the same ASes catch a stride mix-up.
+        for n_relays in [2, 30] {
+            let cfg = WorldConfig {
+                n_relays,
+                ..WorldConfig::small()
+            };
+            let w = World::generate(&cfg, 42);
+            assert_eq!(w.relays.len(), n_relays);
+            assert_tables_match_trig(&w);
+        }
+    }
+
+    #[test]
+    fn distance_is_bit_symmetric_over_the_catalog() {
+        // One AS×relay table serves both orientations (AS→relay on the way
+        // in, relay→AS on the way out), which is only sound if haversine is
+        // symmetric to the last bit. If this ever fails, store both
+        // orientations instead of weakening the test.
+        for seed in [7, 42] {
+            let w = World::generate(&WorldConfig::paper_scale(), seed);
+            let relay_pos = || w.relays.iter().map(|r| r.pos);
+            for r in relay_pos() {
+                for p in w.ases.iter().map(|a| a.pos).chain(relay_pos()) {
+                    assert_eq!(
+                        p.distance_km(&r).to_bits(),
+                        r.distance_km(&p).to_bits(),
+                        "{p:?} <-> {r:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
