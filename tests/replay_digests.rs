@@ -7,9 +7,10 @@
 //! the geographic prior all discriminate — and compares each run's
 //! order-sensitive [`ReplayAggregate`] digest with a constant.
 //!
-//! The constants were captured from the commit *before* candidate enumeration
-//! and the geographic prior moved onto precomputed geometry tables; that
-//! change, and any later one to the selection pipeline's cost, must keep them.
+//! Each constant was captured from the commit *before* the change it guards
+//! (precomputed geometry tables for the first four rows, the shared decision
+//! core for the rest); any later change to the selection pipeline's cost or
+//! structure must keep them.
 //! A digest covers every call's index, option and realized metric bits in
 //! trace order, so one flipped tie-break anywhere in the run changes it.
 //!
@@ -25,14 +26,40 @@ use via::trace::{TraceConfig, TraceGenerator};
 
 const SEED: u64 = 1313;
 
-/// `(strategy, digest at the parent commit)`.
-const PINNED: [(StrategyKind, u64); 4] = [
-    (StrategyKind::Via, 0x3bb3_5473_2074_b5dc),
-    (
+/// One pinned run: the strategy, its outcome digest, and the two overhead
+/// counters the §7 wrappers move (`controller_contacts` equals the call count
+/// and `race_probes` is zero for every other strategy).
+struct Pin {
+    kind: StrategyKind,
+    digest: u64,
+    controller_contacts: u64,
+    race_probes: u64,
+}
+
+const CALLS: u64 = 6_000;
+
+const fn pin(kind: StrategyKind, digest: u64) -> Pin {
+    Pin {
+        kind,
+        digest,
+        controller_contacts: CALLS,
+        race_probes: 0,
+    }
+}
+
+const VIA_DIGEST: u64 = 0x3bb3_5473_2074_b5dc;
+
+/// Every `StrategyKind` variant, with the values read at the parent commit.
+/// The first four rows predate the decision-core refactor; the rest were
+/// captured at the commit before it, which is what licenses deleting the
+/// per-strategy arms.
+const PINNED: [Pin; 14] = [
+    pin(StrategyKind::Via, VIA_DIGEST),
+    pin(
         StrategyKind::ViaBudgeted { budget: 0.3 },
         0x23f5_22b0_2a1f_5680,
     ),
-    (
+    pin(
         StrategyKind::Multipath {
             k: 2,
             mode: MultipathMode::Duplicate,
@@ -40,7 +67,45 @@ const PINNED: [(StrategyKind, u64); 4] = [
         },
         0xa372_128e_e43d_0428,
     ),
-    (StrategyKind::PredictionOnly, 0x1f52_3542_0a9e_4ad8),
+    pin(StrategyKind::PredictionOnly, 0x1f52_3542_0a9e_4ad8),
+    pin(StrategyKind::Default, 0x0561_64be_68f9_c2c8),
+    pin(StrategyKind::Oracle, 0x3c45_a7be_3b13_3c97),
+    pin(StrategyKind::ExplorationOnly, 0x331e_b043_a158_38c3),
+    pin(
+        StrategyKind::ViaBudgetUnaware { budget: 0.3 },
+        0x43af_5f45_a728_0e09,
+    ),
+    pin(StrategyKind::ViaFixedTopK { k: 2 }, 0x5e8b_94a9_5479_716c),
+    pin(StrategyKind::ViaRawReward, 0x941b_c7af_5205_f8df),
+    Pin {
+        kind: StrategyKind::ViaCached { ttl_hours: 6 },
+        digest: 0xc886_4119_1af2_5d96,
+        controller_contacts: 3_327,
+        race_probes: 0,
+    },
+    Pin {
+        kind: StrategyKind::HybridRacing { k: 3 },
+        digest: 0xad5f_2acc_b42d_8932,
+        controller_contacts: CALLS,
+        race_probes: 17_874,
+    },
+    // A one-path duplicate set at budget 1.0 is Via.
+    pin(
+        StrategyKind::Multipath {
+            k: 1,
+            mode: MultipathMode::Duplicate,
+            budget: 1.0,
+        },
+        VIA_DIGEST,
+    ),
+    pin(
+        StrategyKind::Multipath {
+            k: 2,
+            mode: MultipathMode::Stripe,
+            budget: 1.0,
+        },
+        0xe6ef_d846_3688_fbed,
+    ),
 ];
 
 #[test]
@@ -53,8 +118,15 @@ fn small_world_digests_match_pinned_constants() {
         ..TraceConfig::default()
     };
     let trace = TraceGenerator::new(&world, trace_cfg, SEED).generate();
+    assert_eq!(trace.len() as u64, CALLS);
 
-    for (kind, pinned) in PINNED {
+    for Pin {
+        kind,
+        digest: pinned,
+        controller_contacts,
+        race_probes,
+    } in PINNED
+    {
         for workers in [1usize, 2] {
             let cfg = ReplayConfig {
                 workers,
@@ -65,7 +137,12 @@ fn small_world_digests_match_pinned_constants() {
                 .run_stream(TraceRecords::new(&trace), kind)
                 .expect("in-memory stream");
             for (driver, out) in [("materialized", &materialized), ("streamed", &streamed)] {
-                assert_eq!(out.aggregate.calls, trace.len() as u64);
+                assert_eq!(out.aggregate.calls, CALLS);
+                assert_eq!(
+                    (out.controller_contacts, out.race_probes),
+                    (controller_contacts, race_probes),
+                    "{kind} {driver} at {workers} workers: contacts / race probes"
+                );
                 assert_eq!(
                     out.aggregate.digest, pinned,
                     "{kind} {driver} at {workers} workers: digest {:#018x}",
