@@ -321,6 +321,18 @@ fn cmd_analyze(rest: &[String]) -> CliResult {
     Ok(())
 }
 
+/// A relaying budget is a fraction in (0, 1]; `BudgetGate::new` asserts it,
+/// so the flag is checked here, where it is parsed.
+fn parse_budget(budget: f64) -> Result<f64, String> {
+    if budget > 0.0 && budget <= 1.0 {
+        Ok(budget)
+    } else {
+        Err(format!(
+            "--budget must be a fraction in (0, 1], got {budget}"
+        ))
+    }
+}
+
 fn parse_strategy(name: &str, budget: f64, k: usize, mode: &str) -> Result<StrategyKind, String> {
     Ok(match name {
         "default" => StrategyKind::Default,
@@ -328,7 +340,9 @@ fn parse_strategy(name: &str, budget: f64, k: usize, mode: &str) -> Result<Strat
         "prediction" => StrategyKind::PredictionOnly,
         "exploration" => StrategyKind::ExplorationOnly,
         "via" => StrategyKind::Via,
-        "budgeted" => StrategyKind::ViaBudgeted { budget },
+        "budgeted" => StrategyKind::ViaBudgeted {
+            budget: parse_budget(budget)?,
+        },
         "racing" => StrategyKind::HybridRacing { k: 3 },
         "multipath" => {
             if k == 0 {
@@ -337,7 +351,7 @@ fn parse_strategy(name: &str, budget: f64, k: usize, mode: &str) -> Result<Strat
             StrategyKind::Multipath {
                 k,
                 mode: parse_multipath_mode(mode)?,
-                budget,
+                budget: parse_budget(budget)?,
             }
         }
         other => return Err(format!("unknown strategy '{other}'")),
@@ -556,7 +570,12 @@ fn build_server(flags: &Flags) -> Result<BuiltServer, Box<dyn std::error::Error>
         objective: parse_objective(flags.str_or("objective", "rtt"))?,
         window: WindowLen::hours(flags.u64_or("window-hours", 1)?.max(1)),
         epsilon: flags.f64_or("epsilon", 0.05)?,
-        budget: (budget > 0.0).then_some(budget),
+        // 0 (the default) means "no gate".
+        budget: if budget == 0.0 {
+            None
+        } else {
+            Some(parse_budget(budget)?)
+        },
         shards: usize::try_from(flags.u64_or("shards", 8)?)?,
         start: via_model::time::SimTime::ZERO,
         ..via_server::ServerConfig::default()
@@ -755,6 +774,16 @@ mod tests {
         assert!(parse_strategy("multipath", 1.0, 0, "dup").is_err());
         assert!(parse_strategy("multipath", 1.0, 2, "fanout").is_err());
         assert!(parse_strategy("bogus", 0.3, 2, "dup").is_err());
+        // A budget outside (0, 1] is a typed error, not a gate assertion.
+        for bad in [0.0, 1.5, -0.1, f64::NAN] {
+            for name in ["budgeted", "multipath"] {
+                let err = parse_strategy(name, bad, 2, "dup").unwrap_err();
+                assert!(err.contains("--budget"), "{name} {bad}: {err}");
+            }
+            // Strategies that carry no gate ignore the flag.
+            assert!(parse_strategy("via", bad, 2, "dup").is_ok());
+        }
+        assert!(parse_strategy("budgeted", 1.0, 2, "dup").is_ok());
     }
 
     #[test]

@@ -112,20 +112,22 @@ impl UcbBandit {
         self.arms.iter().map(|a| a.option)
     }
 
-    /// Picks the arm with the minimal lower-confidence cost index. Unplayed
-    /// arms take priority (UCB1 plays every arm once before comparing).
-    /// Returns `None` only when the bandit has no arms.
-    pub fn choose(&self) -> Option<RelayOption> {
-        if self.arms.is_empty() {
-            return None;
-        }
-        if let Some(unplayed) = self.arms.iter().find(|a| a.n == 0) {
-            return Some(unplayed.option);
-        }
+    /// The arm-ranking pass shared by [`UcbBandit::choose`] and
+    /// [`UcbBandit::choose_set`]: among the arms not in `taken`, the first
+    /// still-unplayed arm wins (UCB1 plays every arm once before comparing),
+    /// otherwise the strict-minimum lower-confidence cost index with
+    /// first-wins tie-breaking.
+    fn next_arm(&self, taken: &[RelayOption]) -> Option<RelayOption> {
         let t = (self.total + 1) as f64;
+        let norm = if self.normalize { self.w } else { 1.0 };
         let mut best: Option<(f64, RelayOption)> = None;
         for arm in &self.arms {
-            let norm = if self.normalize { self.w } else { 1.0 };
+            if taken.contains(&arm.option) {
+                continue;
+            }
+            if arm.n == 0 {
+                return Some(arm.option);
+            }
             let mean_cost = arm.cost_sum / (norm * arm.n as f64);
             let bonus = (self.exploration_coef * t.ln() / arm.n as f64).sqrt();
             let index = mean_cost - bonus;
@@ -136,48 +138,26 @@ impl UcbBandit {
         best.map(|(_, o)| o)
     }
 
+    /// Picks the arm with the minimal lower-confidence cost index — the
+    /// first element of [`UcbBandit::choose_set`]. Returns `None` only when
+    /// the bandit has no arms.
+    pub fn choose(&self) -> Option<RelayOption> {
+        self.next_arm(&[])
+    }
+
     /// Combinatorial (CUCB-style) extension of [`UcbBandit::choose`]: fills
     /// `out` with up to `k` distinct arms, best lower-confidence index
     /// first. Under a cardinality-only constraint the optimal super-arm is
     /// exactly the k best per-arm indices, so the set shares the same
     /// per-path confidence intervals as the single-path bandit — no
     /// per-subset statistics are kept, and semi-bandit feedback (one
-    /// `update` per played path) keeps the arms honest.
-    ///
-    /// Selection order is deterministic: each pass prefers the first
-    /// still-unplayed arm (UCB1's play-every-arm-once sweep), then the
-    /// strict-minimum index with first-wins tie-breaking — so `k = 1`
-    /// reproduces `choose()` exactly, and `out[0]` is always what
-    /// `choose()` would have returned.
+    /// `update` per played path) keeps the arms honest. Selection order is
+    /// deterministic, and `out[0]` is what `choose()` returns.
     pub fn choose_set(&self, k: usize, out: &mut Vec<RelayOption>) {
         out.clear();
-        let want = k.min(self.arms.len());
-        let t = (self.total + 1) as f64;
-        let norm = if self.normalize { self.w } else { 1.0 };
-        while out.len() < want {
-            let mut best: Option<(f64, RelayOption)> = None;
-            let mut picked_unplayed = false;
-            for arm in &self.arms {
-                if out.contains(&arm.option) {
-                    continue;
-                }
-                if arm.n == 0 {
-                    out.push(arm.option);
-                    picked_unplayed = true;
-                    break;
-                }
-                let mean_cost = arm.cost_sum / (norm * arm.n as f64);
-                let bonus = (self.exploration_coef * t.ln() / arm.n as f64).sqrt();
-                let index = mean_cost - bonus;
-                if best.is_none_or(|(b, _)| index < b) {
-                    best = Some((index, arm.option));
-                }
-            }
-            if picked_unplayed {
-                continue;
-            }
-            match best {
-                Some((_, o)) => out.push(o),
+        while out.len() < k.min(self.arms.len()) {
+            match self.next_arm(out) {
+                Some(o) => out.push(o),
                 None => break,
             }
         }
@@ -439,14 +419,21 @@ mod tests {
 
     #[test]
     fn choose_set_of_one_matches_choose() {
-        let mut b = UcbBandit::with_priors(opts(4).into_iter().map(|o| (o, 80.0)), 100.0, 3);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut set = Vec::new();
-        for _ in 0..200 {
-            b.choose_set(1, &mut set);
-            assert_eq!(set.as_slice(), &[b.choose().unwrap()]);
-            let o = set[0];
-            b.update(o, rng.random_range(40.0..120.0));
+        let warm = || UcbBandit::with_priors(opts(4).into_iter().map(|o| (o, 80.0)), 100.0, 3);
+        // Warm and normalized (the Via row), a cold start (the unplayed-arm
+        // sweep), and raw rewards (the Figure 15 ablation row).
+        let cold = UcbBandit::new(opts(4), 100.0);
+        let mut raw = warm();
+        raw.normalize = false;
+        for mut b in [warm(), cold, raw] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut set = Vec::new();
+            for _ in 0..200 {
+                b.choose_set(1, &mut set);
+                assert_eq!(set.as_slice(), &[b.choose().unwrap()]);
+                let o = set[0];
+                b.update(o, rng.random_range(40.0..120.0));
+            }
         }
     }
 

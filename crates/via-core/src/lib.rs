@@ -11,13 +11,17 @@
 //!   never observed.
 //! * [`predictor`] — `Pred` of Algorithm 1: empirical → tomography →
 //!   geographic prior, each with mean and 95 % confidence bounds.
-//! * [`online`] — the live controller's training loop: per-report
-//!   incremental refit that publishes predictors bit-identical to the batch
-//!   barrier fit, plus snapshot/restore for graceful restarts.
+//! * [`online`] — the live controller's report half: a per-report
+//!   incremental accumulator whose rollover publishes predictors
+//!   bit-identical to the batch barrier fit, plus snapshot/restore cells for
+//!   graceful restarts.
 //! * [`topk`] — Algorithm 2: the minimal confidence-interval closure that
 //!   provably contains every plausibly-best option.
 //! * [`bandit`] — Algorithm 3: UCB1 modified with outlier-robust
 //!   normalization, in cost-minimization form.
+//! * [`selector`] — the decision core: a [`StrategyKind`] resolved into a
+//!   `Plan`, and the per-(pair, window) `PairArms` (build / decide / learn)
+//!   that replay, the live server and the testbed evaluator all drive.
 //! * [`budget`] — §4.6: streaming-percentile budget gate, with weighted
 //!   costs so duplicated multipath traffic is charged honestly.
 //! * [`multipath`] — `PathSet`: the ordered, canonical set-of-paths
@@ -29,8 +33,8 @@
 //! * [`coords`] — Vivaldi network coordinates (the paper's related-work
 //!   reference 18), for the
 //!   prediction-accuracy comparison in `ext_vivaldi`.
-//! * [`strategy`] / [`replay`] — the oracle, strawman baselines, VIA and its
-//!   ablations, replayed chronologically with common random numbers.
+//! * [`strategy`] / [`replay`] — the strategy names, and their chronological
+//!   replay with common random numbers.
 //!
 //! ```
 //! use via_core::replay::{ReplayConfig, ReplaySim};
@@ -60,6 +64,7 @@ pub mod par;
 pub mod placement;
 pub mod predictor;
 pub mod replay;
+pub mod selector;
 pub mod strategy;
 pub mod tomography;
 pub mod topk;
@@ -70,9 +75,10 @@ pub use budget::BudgetGate;
 pub use coords::{Coord, Vivaldi, VivaldiConfig};
 pub use history::{CallHistory, KeyPair, MetricStats};
 pub use multipath::PathSet;
-pub use online::{BackboneFn, CellSnapshot, OnlineRefit, RefitSnapshot};
+pub use online::{BackboneFn, CellSnapshot, LiveWindow, RefitSnapshot};
 pub use placement::{plan_placement, Demand, Placement};
 pub use predictor::{fit_cell, GeoPrior, Prediction, PredictionSource, Predictor, PredictorConfig};
 pub use replay::{CallOutcome, Outcome, ReplayConfig, ReplaySim, ReplayStats, SpatialGranularity};
+pub use selector::{ArmsScratch, Decision, PairArms, Plan};
 pub use strategy::{MultipathMode, StrategyKind};
 pub use topk::{top_k, top_k_into, ScoredOption};

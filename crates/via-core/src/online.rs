@@ -1,24 +1,28 @@
-//! Incremental predictor refit: the live controller's training loop.
+//! Incremental predictor refit: the report half of the live controller.
 //!
 //! The batch replay engine refits at the window barrier — it stops, walks
 //! every cell of the previous window, and fits a fresh [`Predictor`]. A
 //! long-running controller cannot stall its select path behind that
-//! whole-window pass, so this module keeps the per-cell Welford sufficient
-//! statistics *live*: every call report updates exactly one cell's
-//! accumulator and re-derives that one cell's [`Prediction`] — O(1) work per
-//! report. At window rollover the already-finished cell map is published
-//! together with a fresh tomography solve (the only remaining whole-window
-//! computation, which runs off the select path while the previous predictor
-//! keeps serving).
+//! whole-window pass, so a [`LiveWindow`] keeps the per-cell Welford
+//! sufficient statistics *live*: every call report updates exactly one
+//! cell's accumulator and re-derives that one cell's [`Prediction`] — O(1)
+//! work per report. At window rollover the already-finished cell maps are
+//! drained and [`publish`]ed together with a fresh tomography solve (the only
+//! remaining whole-window computation, which runs off the select path while
+//! the previous predictor keeps serving).
+//!
+//! A controller may hold one `LiveWindow` or one per pair shard: cells are
+//! keyed by pair, so shard maps are disjoint and draining them into one
+//! history and one cell map is the same union either way.
 //!
 //! **Byte-identity with the batch path.** Both paths feed each cell's final
 //! Welford statistics through the same `fit_cell` function, and Welford
 //! accumulation depends only on the per-cell push sequence — which is the
 //! report sequence either way. Tomography is fitted from the identical
-//! [`CallHistory`] by the identical deterministic solve. A predictor rolled
-//! out of [`OnlineRefit`] therefore returns bit-for-bit the same
-//! [`Prediction`]s as [`Predictor::fit`] over the same recorded window — the
-//! regression tests in this module pin that down to `f64::to_bits`.
+//! [`CallHistory`] by the identical deterministic solve. A published
+//! predictor therefore returns bit-for-bit the same [`Prediction`]s as
+//! [`Predictor::fit`] over the same recorded window — the regression tests in
+//! this module pin that down to `f64::to_bits`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,191 +40,118 @@ use crate::tomography::Tomography;
 /// predictor holds a handle to the same table instead of cloning it.
 pub type BackboneFn = Arc<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync>;
 
-/// Online, per-report predictor training state.
-///
-/// Owns the accumulating window's history and a cell map of predictions that
-/// is kept current on every [`OnlineRefit::record`]. [`OnlineRefit::roll`]
-/// publishes a [`Predictor`] trained on the window that just closed —
-/// exactly what the batch engine fits at its barrier, minus the O(cells)
-/// refit pass.
-pub struct OnlineRefit {
-    cfg: PredictorConfig,
-    prior: GeoPrior,
-    backbone: BackboneFn,
-    /// Window whose reports are currently accumulating.
-    current: Window,
-    /// Full per-cell statistics (tomography's training set).
+/// The boxed form of a [`BackboneFn`] the predictor constructors take.
+pub fn boxed(bb: &BackboneFn) -> Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync> {
+    let bb = Arc::clone(bb);
+    Box::new(move |a, b| bb(a, b))
+}
+
+/// The accumulating window's training state: the full per-cell statistics
+/// (tomography's training set), the live per-cell empirical predictions
+/// re-derived per touch so rollover publishes without a window scan, and the
+/// reports folded in since the last drain (the "refit lag" a batch
+/// controller would still owe at its next barrier).
+#[derive(Debug, Default)]
+pub struct LiveWindow {
     history: CallHistory,
-    /// Live per-cell empirical predictions over `current`'s statistics,
-    /// re-derived per touch so rollover publishes without a window scan.
     cells: HashMap<(KeyPair, RelayOption), Prediction>,
-    /// Reports folded in since the last [`OnlineRefit::roll`].
     pending: u64,
 }
 
-impl std::fmt::Debug for OnlineRefit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OnlineRefit")
-            .field("current", &self.current)
-            .field("cells", &self.cells.len())
-            .field("pending", &self.pending)
-            .finish()
-    }
-}
-
-impl OnlineRefit {
-    /// Starts the training loop at `start` with an empty history.
-    pub fn new(start: Window, prior: GeoPrior, backbone: BackboneFn, cfg: PredictorConfig) -> Self {
-        Self {
-            cfg,
-            prior,
-            backbone,
-            current: start,
-            history: CallHistory::new(),
-            cells: HashMap::new(),
-            pending: 0,
-        }
-    }
-
-    /// Window currently accumulating reports.
-    pub fn window(&self) -> Window {
-        self.current
-    }
-
-    /// Reports folded in since the last rollover (the "refit lag" a batch
-    /// controller would still owe at its next barrier).
+impl LiveWindow {
+    /// Reports folded in since the last [`LiveWindow::drain_into`].
     pub fn pending(&self) -> u64 {
         self.pending
     }
 
-    /// Number of live empirical cells in the accumulating window.
-    pub fn cells_len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Folds one call report into the accumulating window: one Welford push
-    /// plus one single-cell fit — O(1), no window scan.
-    pub fn record(&mut self, pair: KeyPair, option: RelayOption, m: &PathMetrics) {
+    /// Folds one call report into `window`: one Welford push plus one
+    /// single-cell fit — O(1), no window scan.
+    pub fn record(
+        &mut self,
+        window: Window,
+        pair: KeyPair,
+        option: RelayOption,
+        m: &PathMetrics,
+        cfg: &PredictorConfig,
+    ) {
         let option = option.canonical();
-        self.history.record(self.current, pair, option, m);
+        self.history.record(window, pair, option, m);
         self.pending += 1;
-        if let Some(stats) = self.history.cell(self.current, pair, option) {
-            if let Some(pred) = fit_cell(stats, &self.cfg) {
+        if let Some(stats) = self.history.cell(window, pair, option) {
+            if let Some(pred) = fit_cell(stats, cfg) {
                 self.cells.insert((pair, option), pred);
             }
         }
     }
 
-    /// Closes the accumulating window and advances to `next`, publishing the
-    /// predictor the batch engine would fit at the same barrier: trained on
-    /// `next.prev()` (prior-only cold predictor when there is none). The
-    /// cell map ships as-is; only tomography — inherently a whole-window
-    /// solve — is computed here.
-    ///
-    /// `next.index` must be greater than the current window's; reports for
-    /// `next` must arrive after the roll.
-    pub fn roll(&mut self, next: Window) -> Predictor {
-        assert!(
-            next.index > self.current.index,
-            "window rollover must move forward: {} -> {}",
-            self.current.index,
-            next.index
-        );
-        let training = next
-            .prev()
-            .unwrap_or_else(|| unreachable!("next.index > current.index >= 0 implies a prev"));
-        let published = if training == self.current {
-            // The common case: the closing window is the training window and
-            // its cell map is already fitted.
-            let tomography = Tomography::fit(
-                &self.history,
-                training,
-                self.backbone_box().as_ref(),
-                &self.cfg.tomography,
-            );
-            Predictor::from_parts(
-                self.cfg,
-                training,
-                self.cells.clone(),
-                tomography,
-                self.prior.clone(),
-                self.backbone_box(),
-            )
-        } else {
-            // Idle gap: the window preceding `next` saw no traffic (or the
-            // clock jumped). Fit on whatever the history holds for it —
-            // normally nothing, yielding the same empty-window predictor the
-            // batch engine produces.
-            Predictor::fit(
-                &self.history,
-                training,
-                self.prior.clone(),
-                self.backbone_box(),
-                self.cfg,
-            )
-        };
-        self.current = next;
-        self.cells.clear();
-        self.pending = 0;
-        // Same memory bound as the batch engine: only the training window
-        // (and newer) stays resident.
-        self.history.prune_before(next.index.saturating_sub(1));
-        published
+    /// Closes the window: moves the statistics into `history` and the fitted
+    /// cells into `cells`, leaving this accumulator empty. Returns the
+    /// reports it had pending.
+    pub fn drain_into(
+        &mut self,
+        history: &mut CallHistory,
+        cells: &mut HashMap<(KeyPair, RelayOption), Prediction>,
+    ) -> u64 {
+        history.merge(std::mem::take(&mut self.history));
+        cells.extend(self.cells.drain());
+        std::mem::take(&mut self.pending)
     }
 
-    /// The prior-only predictor served before the first rollover — the
-    /// batch engine's cold-start behaviour.
-    pub fn cold_predictor(&self) -> Predictor {
-        Predictor::cold(self.prior.clone(), self.backbone_box(), self.cfg)
+    /// Appends `window`'s cells to `out` (unsorted; [`RefitSnapshot::new`]
+    /// puts them in canonical order).
+    pub fn snapshot_cells(&self, window: Window, out: &mut Vec<CellSnapshot>) {
+        snapshot_cells(&self.history, window, out);
     }
 
-    /// Serializable image of the accumulating state (graceful restart).
-    pub fn snapshot(&self) -> RefitSnapshot {
-        let mut cells: Vec<CellSnapshot> = self
-            .history
-            .window_cells(self.current)
+    /// Reinstalls one snapshotted cell of `window` and refits it, so the
+    /// restored state publishes the same predictions the snapshotting
+    /// instance would have.
+    pub fn restore_cell(&mut self, window: Window, cell: CellSnapshot, cfg: &PredictorConfig) {
+        let option = cell.option.canonical();
+        if let Some(pred) = fit_cell(&cell.stats, cfg) {
+            self.cells.insert((cell.pair, option), pred);
+        }
+        self.pending += cell.stats.count();
+        self.history
+            .insert_cell(window, cell.pair, option, cell.stats);
+    }
+}
+
+/// Appends every cell `history` holds for `window` to `out`.
+pub fn snapshot_cells(history: &CallHistory, window: Window, out: &mut Vec<CellSnapshot>) {
+    out.extend(
+        history
+            .window_cells(window)
             .map(|(&(pair, option), stats)| CellSnapshot {
                 pair,
                 option,
                 stats: stats.clone(),
-            })
-            .collect();
-        // Hash-map iteration order must not leak into the snapshot bytes
-        // (restores and byte-compares depend on a canonical order).
-        cells.sort_by_key(|c| (c.pair, c.option));
-        RefitSnapshot {
-            window: self.current,
-            pending: self.pending,
-            cells,
-        }
-    }
+            }),
+    );
+}
 
-    /// Rebuilds the training loop from a [`RefitSnapshot`]: every cell's
-    /// statistics are reinstalled and refitted, so the restored state
-    /// publishes the same predictions the snapshotting instance would have.
-    pub fn restore(
-        snap: RefitSnapshot,
-        prior: GeoPrior,
-        backbone: BackboneFn,
-        cfg: PredictorConfig,
-    ) -> Self {
-        let mut refit = Self::new(snap.window, prior, backbone, cfg);
-        refit.pending = snap.pending;
-        for cell in snap.cells {
-            let option = cell.option.canonical();
-            if let Some(pred) = fit_cell(&cell.stats, &refit.cfg) {
-                refit.cells.insert((cell.pair, option), pred);
-            }
-            refit
-                .history
-                .insert_cell(snap.window, cell.pair, option, cell.stats);
-        }
-        refit
-    }
-
-    fn backbone_box(&self) -> Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync> {
-        let bb = Arc::clone(&self.backbone);
-        Box::new(move |a, b| bb(a, b))
+/// The rollover publish: the predictor the batch engine would fit at the
+/// same barrier, trained on `training` (the window before the one that
+/// opens). When `training` is the window that just closed — the common case
+/// — `cells` is already its fitted cell map and ships as-is; only
+/// tomography, inherently a whole-window solve, is computed here. Across an
+/// idle gap (the window preceding the next saw no traffic, or the clock
+/// jumped) it fits on whatever `history` holds for `training` — normally
+/// nothing, yielding the batch engine's empty-window predictor.
+pub fn publish(
+    training: Window,
+    closing: Window,
+    history: &CallHistory,
+    cells: HashMap<(KeyPair, RelayOption), Prediction>,
+    prior: GeoPrior,
+    backbone: &BackboneFn,
+    cfg: PredictorConfig,
+) -> Predictor {
+    if training == closing {
+        let tomography = Tomography::fit(history, training, backbone.as_ref(), &cfg.tomography);
+        Predictor::from_parts(cfg, training, cells, tomography, prior, boxed(backbone))
+    } else {
+        Predictor::fit(history, training, prior, boxed(backbone), cfg)
     }
 }
 
@@ -235,16 +166,29 @@ pub struct CellSnapshot {
     pub stats: MetricStats,
 }
 
-/// Serializable image of an [`OnlineRefit`]'s accumulating window, in
-/// canonical cell order.
+/// Serializable image of one window's cells, in canonical cell order.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct RefitSnapshot {
-    /// Window that was accumulating when the snapshot was taken.
+    /// Window the cells belong to.
     pub window: Window,
     /// Reports folded in since the last rollover.
     pub pending: u64,
-    /// Every cell of the accumulating window, sorted by (pair, option).
+    /// Every cell of the window, sorted by (pair, option).
     pub cells: Vec<CellSnapshot>,
+}
+
+impl RefitSnapshot {
+    /// Sorts `cells` into canonical order: hash-map iteration order must not
+    /// leak into the snapshot bytes (restores and byte-compares depend on
+    /// it).
+    pub fn new(window: Window, pending: u64, mut cells: Vec<CellSnapshot>) -> RefitSnapshot {
+        cells.sort_by_key(|c| (c.pair, c.option));
+        RefitSnapshot {
+            window,
+            pending,
+            cells,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -277,11 +221,6 @@ mod tests {
             let d = (a.0 as f64 - b.0 as f64).abs();
             PathMetrics::new(20.0 + 10.0 * d, 0.05, 1.0)
         })
-    }
-
-    fn backbone_box() -> Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync> {
-        let bb = backbone();
-        Box::new(move |a, b| bb(a, b))
     }
 
     /// A deterministic synthetic report stream over a handful of pairs and
@@ -342,6 +281,33 @@ mod tests {
         }
     }
 
+    fn snapshot(live: &LiveWindow, window: Window) -> RefitSnapshot {
+        let mut cells = Vec::new();
+        live.snapshot_cells(window, &mut cells);
+        RefitSnapshot::new(window, live.pending(), cells)
+    }
+
+    /// Drains `lives` (one accumulator, or one per shard) and publishes the
+    /// predictor for the window after `closing`.
+    fn roll(lives: &mut [LiveWindow], closing: Window, next: Window) -> Predictor {
+        let mut history = CallHistory::new();
+        let mut cells = HashMap::new();
+        for live in lives.iter_mut() {
+            live.drain_into(&mut history, &mut cells);
+            assert_eq!(live.pending(), 0);
+        }
+        let training = next.prev().unwrap();
+        publish(
+            training,
+            closing,
+            &history,
+            cells,
+            prior(),
+            &backbone(),
+            PredictorConfig::default(),
+        )
+    }
+
     #[test]
     fn incremental_roll_matches_batch_fit_bit_for_bit() {
         let cfg = PredictorConfig::default();
@@ -352,32 +318,34 @@ mod tests {
         for (pair, option, m) in &stream {
             history.record(w(0), *pair, *option, m);
         }
-        let batch = Predictor::fit(&history, w(0), prior(), backbone_box(), cfg);
+        let batch = Predictor::fit(&history, w(0), prior(), boxed(&backbone()), cfg);
 
-        // Incremental: one record() per report, publish at the rollover.
-        let mut online = OnlineRefit::new(w(0), prior(), backbone(), cfg);
-        for (pair, option, m) in &stream {
-            online.record(*pair, *option, m);
+        // Incremental: one record() per report, publish at the rollover —
+        // through one accumulator, and sharded by pair across two.
+        for shards in [1usize, 2] {
+            let mut lives: Vec<LiveWindow> = (0..shards).map(|_| LiveWindow::default()).collect();
+            for (pair, option, m) in &stream {
+                lives[(pair.lo + pair.hi) as usize % shards].record(w(0), *pair, *option, m, &cfg);
+            }
+            assert_eq!(lives.iter().map(LiveWindow::pending).sum::<u64>(), 400);
+            let rolled = roll(&mut lives, w(0), w(1));
+            assert_eq!(batch.empirical_cells(), rolled.empirical_cells());
+            assert_eq!(batch.tomography_segments(), rolled.tomography_segments());
+            assert_bit_identical(&batch, &rolled);
         }
-        assert_eq!(online.pending(), 400);
-        let rolled = online.roll(w(1));
-        assert_eq!(online.pending(), 0);
-        assert_eq!(batch.empirical_cells(), rolled.empirical_cells());
-        assert_eq!(batch.tomography_segments(), rolled.tomography_segments());
-        assert_bit_identical(&batch, &rolled);
     }
 
     #[test]
     fn rolling_over_an_idle_gap_matches_an_empty_batch_window() {
         let cfg = PredictorConfig::default();
-        let mut online = OnlineRefit::new(w(0), prior(), backbone(), cfg);
+        let mut live = LiveWindow::default();
         for (pair, option, m) in reports(7, 50) {
-            online.record(pair, option, &m);
+            live.record(w(0), pair, option, &m, &cfg);
         }
         // Jump from window 0 straight to window 3: training window 2 is
         // empty, exactly like a batch fit over a quiet window.
-        let rolled = online.roll(w(3));
-        let batch = Predictor::fit(&CallHistory::new(), w(2), prior(), backbone_box(), cfg);
+        let rolled = roll(std::slice::from_mut(&mut live), w(0), w(3));
+        let batch = Predictor::fit(&CallHistory::new(), w(2), prior(), boxed(&backbone()), cfg);
         assert_eq!(rolled.empirical_cells(), 0);
         assert_bit_identical(&batch, &rolled);
     }
@@ -385,39 +353,54 @@ mod tests {
     #[test]
     fn snapshot_restore_round_trips_the_accumulating_window() {
         let cfg = PredictorConfig::default();
-        let stream = reports(99, 250);
-        let mut online = OnlineRefit::new(w(4), prior(), backbone(), cfg);
-        for (pair, option, m) in &stream {
-            online.record(*pair, *option, m);
+        let mut live = LiveWindow::default();
+        for (pair, option, m) in &reports(99, 250) {
+            live.record(w(4), *pair, *option, m, &cfg);
         }
 
-        let snap = online.snapshot();
-        let bytes = serde_json::to_vec(&snap).unwrap();
+        let bytes = serde_json::to_vec(&snapshot(&live, w(4))).unwrap();
         let decoded: RefitSnapshot = serde_json::from_slice(&bytes).unwrap();
-        let mut restored = OnlineRefit::restore(decoded, prior(), backbone(), cfg);
-        assert_eq!(restored.window(), w(4));
-        assert_eq!(restored.pending(), online.pending());
-        assert_eq!(restored.cells_len(), online.cells_len());
+        assert_eq!(decoded.window, w(4));
+        let mut restored = LiveWindow::default();
+        for cell in decoded.cells {
+            restored.restore_cell(w(4), cell, &cfg);
+        }
+        assert_eq!(restored.pending(), live.pending());
 
         // Snapshot bytes are canonical: re-snapshotting the restored state
         // reproduces them exactly.
-        assert_eq!(serde_json::to_vec(&restored.snapshot()).unwrap(), bytes);
+        assert_eq!(
+            serde_json::to_vec(&snapshot(&restored, w(4))).unwrap(),
+            bytes
+        );
 
-        let a = online.roll(w(5));
-        let b = restored.roll(w(5));
+        let a = roll(std::slice::from_mut(&mut live), w(4), w(5));
+        let b = roll(std::slice::from_mut(&mut restored), w(4), w(5));
+        assert_eq!(a.empirical_cells(), b.empirical_cells());
         assert_bit_identical(&a, &b);
     }
 
     #[test]
     fn record_canonicalizes_options_like_the_history() {
         let cfg = PredictorConfig::default();
-        let mut online = OnlineRefit::new(w(0), prior(), backbone(), cfg);
+        let mut live = LiveWindow::default();
         let pair = KeyPair::new(0, 1);
         let m = PathMetrics::new(80.0, 0.5, 3.0);
-        online.record(pair, RelayOption::Transit(RelayId(1), RelayId(0)), &m);
-        online.record(pair, RelayOption::Transit(RelayId(0), RelayId(1)), &m);
-        assert_eq!(online.cells_len(), 1);
-        let snap = online.snapshot();
+        live.record(
+            w(0),
+            pair,
+            RelayOption::Transit(RelayId(1), RelayId(0)),
+            &m,
+            &cfg,
+        );
+        live.record(
+            w(0),
+            pair,
+            RelayOption::Transit(RelayId(0), RelayId(1)),
+            &m,
+            &cfg,
+        );
+        let snap = snapshot(&live, w(0));
         assert_eq!(snap.cells.len(), 1);
         assert_eq!(snap.cells[0].stats.count(), 2);
     }

@@ -94,8 +94,8 @@ fn idx(m: Metric) -> usize {
 /// The single-cell empirical fit applied to every observed cell.
 ///
 /// Shared by the whole-window [`Predictor::fit`] and the per-report
-/// incremental path ([`crate::online::OnlineRefit`], and the live
-/// controller's sharded variant in `via-server`): all feed a cell's Welford
+/// incremental path ([`crate::online::LiveWindow`], one per shard of the
+/// live controller in `via-server`): both feed a cell's Welford
 /// sufficient statistics through this exact function, which is what makes
 /// batch and incremental refits produce bit-identical predictions from
 /// identical statistics.
@@ -286,8 +286,7 @@ impl Predictor {
 
     /// Assembles a predictor from an externally maintained empirical cell
     /// map plus a fitted tomography model — the publish step of the
-    /// incremental-refit path ([`crate::online::OnlineRefit`] and the
-    /// sharded live controller in `via-server`). `fit` is exactly
+    /// incremental-refit path ([`crate::online::publish`]). `fit` is exactly
     /// `from_parts` applied to the cells it computes itself; callers must
     /// pass cells produced by [`fit_cell`] over the same history for the
     /// bit-identity guarantee to hold.

@@ -43,12 +43,11 @@ use via_quality::PnrReport;
 use via_trace::stream::{RecordSource, StreamError, WindowBatch, WindowStream};
 use via_trace::{CallRecord, Trace};
 
-use crate::bandit::UcbBandit;
 use crate::budget::BudgetGate;
 use crate::history::{CallHistory, KeyPair};
 use crate::predictor::{GeoPrior, Predictor, PredictorConfig};
+use crate::selector::{ArmsScratch, Explore, Gate, PairArms, Plan, Source};
 use crate::strategy::{MultipathMode, StrategyKind};
-use crate::topk::{top_k_into, ScoredOption};
 
 /// Spatial granularity at which selection decisions are keyed (Figure 17a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -511,19 +510,6 @@ impl Outcome {
     }
 }
 
-/// Per-(pair, window) VIA state: the pruned candidates and their bandit.
-struct PairState {
-    bandit: UcbBandit,
-    /// Predicted mean of the best option (for budget benefit computation).
-    best_mean: f64,
-    /// Predicted mean of the direct path.
-    direct_mean: f64,
-    /// Confidence-interval widths (`upper - lower`) of the selected arms,
-    /// recorded once per (pair, window) into the obs layer. Empty when the
-    /// state was built without a predictor.
-    ci_widths: Vec<f64>,
-}
-
 /// One decision key's work within a window: its calls (batch-relative
 /// indices, in order) plus the state handed to whichever shard owns the
 /// pair.
@@ -535,8 +521,8 @@ struct PairGroup {
     kb: u32,
     /// Batch-relative indices of the pair's calls this window, ascending.
     calls: Vec<usize>,
-    /// Pre-built state (budget strategies build eagerly for the gate pass).
-    state: Option<PairState>,
+    /// Pre-built arms (gated plans build eagerly for the gate pass).
+    state: Option<PairArms>,
     /// Incoming §7 decision-cache entry, if any.
     cached: Option<(RelayOption, SimTime)>,
 }
@@ -567,15 +553,10 @@ struct Scratch {
     cand: Vec<RelayOption>,
     /// Ranking buffers for the world's candidate enumeration.
     topo: via_netsim::CandidateScratch,
-    /// Staging for option subsets (racing set, exploration draw).
-    staged: Vec<RelayOption>,
-    /// Scored candidates of the pair state under construction.
-    scored: Vec<ScoredOption>,
-    /// Sort permutation for `top_k_into`.
-    order: Vec<usize>,
-    /// Top-k selection output.
-    selected: Vec<ScoredOption>,
-    /// Multipath decision: the selected path set, primary first.
+    /// Scoring and top-k buffers for the pair arms under construction.
+    arms: ArmsScratch,
+    /// The decided path set, primary first (one element for single-path
+    /// plans).
     set: Vec<RelayOption>,
     /// Per-path CRN realizations of the current multipath set.
     set_specs: Vec<PathSpec>,
@@ -657,6 +638,48 @@ impl WorkerSlot {
     }
 }
 
+/// The run's relaying-budget gate: global sequential state, walked once per
+/// window in trace order.
+#[allow(clippy::large_enum_variant)] // one per run, never moved
+enum GateState {
+    Open,
+    Percentile {
+        gate: BudgetGate,
+        cost: u64,
+    },
+    /// First come, first served under a hard cap.
+    Fcfs {
+        budget: f64,
+        relayed: u64,
+        total: u64,
+    },
+}
+
+impl GateState {
+    /// The verdict for the next call in trace order, given its predicted
+    /// benefit.
+    fn admit(&mut self, benefit: f64) -> bool {
+        match self {
+            GateState::Open => true,
+            GateState::Percentile { gate, cost } => {
+                let admitted = gate.admit_cost(benefit, *cost);
+                gate.validate();
+                admitted
+            }
+            GateState::Fcfs {
+                budget,
+                relayed,
+                total,
+            } => {
+                *total += 1;
+                let admitted = benefit > 0.0 && (*relayed as f64 / *total as f64) < *budget;
+                *relayed += u64::from(admitted);
+                admitted
+            }
+        }
+    }
+}
+
 /// All mutable engine state that survives across window barriers: built by
 /// `engine_start`, advanced by `engine_window` once per control window, and
 /// folded into an [`Outcome`] by `engine_finish`. The materialized
@@ -672,10 +695,9 @@ struct EngineState {
     pred_cfg: PredictorConfig,
     history: CallHistory,
     predictor: Option<Predictor>,
-    budget_gate: Option<BudgetGate>,
-    /// FCFS counters for the budget-unaware variant.
-    fcfs_relayed: u64,
-    fcfs_total: u64,
+    /// The strategy, resolved once per run.
+    plan: Plan,
+    gate: GateState,
     /// §7 client-side decision cache: pair → (option, expiry). Persists
     /// across windows; shards read a snapshot and return their writes.
     decision_cache: HashMap<KeyPair, (RelayOption, SimTime)>,
@@ -759,15 +781,19 @@ impl<'a> ReplaySim<'a> {
         &self.cfg
     }
 
-    /// Fills `scratch.cand` with the candidate options for an AS pair,
-    /// honoring the relay-fleet restriction and the transit toggle, without
-    /// allocating (beyond the buffers' first growth). The one enumerator:
-    /// every consumer — shard arms, gate pass, oracle, warm pass, active
-    /// probes — reads `scratch.cand` after calling this.
-    fn candidates_into(&self, src: AsId, dst: AsId, scratch: &mut Scratch) {
-        self.world
-            .candidate_options_into(src, dst, &mut scratch.topo, &mut scratch.cand);
-        let opts = &mut scratch.cand;
+    /// Fills `opts` with the candidate options for an AS pair, honoring the
+    /// relay-fleet restriction and the transit toggle, without allocating
+    /// (beyond the buffers' first growth). The one enumerator: every consumer
+    /// — shard loop, gate pass, oracle, warm pass, active probes — reads
+    /// `opts` after calling this.
+    fn candidates_into(
+        &self,
+        src: AsId,
+        dst: AsId,
+        topo: &mut via_netsim::CandidateScratch,
+        opts: &mut Vec<RelayOption>,
+    ) {
+        self.world.candidate_options_into(src, dst, topo, opts);
         if !self.cfg.allow_transit {
             opts.retain(|o| !o.is_transit());
         }
@@ -802,7 +828,7 @@ impl<'a> ReplaySim<'a> {
         let mut segs: Vec<via_netsim::Segment> = Vec::new();
         let mut scratch = Scratch::default();
         for &(src, dst) in &pairs {
-            self.candidates_into(src, dst, &mut scratch);
+            self.candidates_into(src, dst, &mut scratch.topo, &mut scratch.cand);
             for &opt in &scratch.cand {
                 let path = self.world.perf().segments_of(src, dst, opt);
                 for &seg in path.segments() {
@@ -895,29 +921,20 @@ impl<'a> ReplaySim<'a> {
         ))
     }
 
-    /// Ground-truth best option for the oracle, per (pair, window). The
-    /// candidate scan shares segment means through `sample` — one (pair,
-    /// window) evaluation touches each distinct segment once instead of per
-    /// option.
-    fn oracle_choice(
+    /// The call's candidate with the least `cost` (first wins ties; the
+    /// direct path when none is finite) — the per-(pair, window) decision of
+    /// the oracle and of the prediction-only strawman.
+    fn cheapest(
         &self,
         call: &CallRecord,
-        window: Window,
         scratch: &mut Scratch,
-        sample: &mut via_netsim::SampleScratch,
+        mut cost: impl FnMut(RelayOption) -> f64,
     ) -> RelayOption {
-        let t_eval = window.start() + window.len.secs() / 2;
+        let Scratch { topo, cand, .. } = scratch;
+        self.candidates_into(call.src_as, call.dst_as, topo, cand);
         let mut best = (f64::INFINITY, RelayOption::Direct);
-        self.candidates_into(call.src_as, call.dst_as, scratch);
-        for &opt in &scratch.cand {
-            let m = self.world.perf().option_mean_scratch(
-                call.src_as,
-                call.dst_as,
-                opt,
-                t_eval,
-                sample,
-            );
-            let v = m[self.cfg.objective];
+        for &opt in cand.iter() {
+            let v = cost(opt);
             if v < best.0 {
                 best = (v, opt);
             }
@@ -936,13 +953,18 @@ impl<'a> ReplaySim<'a> {
         let mut pred_cfg = self.cfg.predictor;
         pred_cfg.workers = workers;
         pred_cfg.tomography.workers = workers;
-        let budget_gate = match kind {
-            StrategyKind::ViaBudgeted { budget } => Some(BudgetGate::new(budget)),
-            // An unbudgeted multipath run (budget = 1.0) carries no gate at
-            // all, so its window pass — and its metrics snapshot — stays
-            // byte-identical to plain Via at k = 1.
-            StrategyKind::Multipath { budget, .. } if budget < 1.0 => Some(BudgetGate::new(budget)),
-            _ => None,
+        let plan = Plan::from(kind);
+        let gate = match plan.gate {
+            Gate::None => GateState::Open,
+            Gate::Percentile { budget, cost } => GateState::Percentile {
+                gate: BudgetGate::new(budget),
+                cost,
+            },
+            Gate::Fcfs { budget } => GateState::Fcfs {
+                budget,
+                relayed: 0,
+                total: 0,
+            },
         };
         let stats = ReplayStats {
             workers,
@@ -964,9 +986,8 @@ impl<'a> ReplaySim<'a> {
             pred_cfg,
             history: CallHistory::new(),
             predictor: None,
-            budget_gate,
-            fcfs_relayed: 0,
-            fcfs_total: 0,
+            plan,
+            gate,
             decision_cache: HashMap::new(),
             controller_contacts: 0,
             race_probes: 0,
@@ -1014,7 +1035,7 @@ impl<'a> ReplaySim<'a> {
             while end < n && self.cfg.window.window_of(records[end].t) == window {
                 end += 1;
             }
-            self.engine_window(&mut st, kind, window, &records[start..end]);
+            self.engine_window(&mut st, window, &records[start..end]);
             start = end;
         }
         self.engine_finish(st, kind)
@@ -1073,7 +1094,7 @@ impl<'a> ReplaySim<'a> {
             for item in rx {
                 match item {
                     Ok(batch) => {
-                        self.engine_window(&mut st, kind, batch.window, &batch.records);
+                        self.engine_window(&mut st, batch.window, &batch.records);
                         let _ = recycle_tx.send(batch);
                     }
                     Err(e) => {
@@ -1100,22 +1121,15 @@ impl<'a> ReplaySim<'a> {
     /// calls in chronological order; every index inside is batch-relative, so
     /// the caller may hand over a slice of a materialized trace or a streamed
     /// batch interchangeably.
-    fn engine_window(
-        &self,
-        st: &mut EngineState,
-        kind: StrategyKind,
-        window: Window,
-        batch: &[CallRecord],
-    ) {
+    fn engine_window(&self, st: &mut EngineState, window: Window, batch: &[CallRecord]) {
         let EngineState {
             obs,
             workers,
             pred_cfg,
             history,
             predictor,
-            budget_gate,
-            fcfs_relayed,
-            fcfs_total,
+            plan,
+            gate,
             decision_cache,
             controller_contacts,
             race_probes,
@@ -1132,12 +1146,13 @@ impl<'a> ReplaySim<'a> {
         } = st;
         let workers = *workers;
         let pred_cfg = *pred_cfg;
+        let plan: &Plan = plan;
         let hot_ids: &HotIds = hot_ids;
         let objective = self.cfg.objective;
         stats.windows += 1;
         let t_window = Stopwatch::started();
 
-        if kind.uses_history() {
+        if plan.learns() {
             let t_fit = Stopwatch::started();
             let fits_before = stats.predictor_fits;
             let fit_predictor = |history: &CallHistory| {
@@ -1163,7 +1178,7 @@ impl<'a> ReplaySim<'a> {
                     let mut demand_list: Vec<(u32, u32, Vec<RelayOption>)> = demands
                         .iter()
                         .map(|(kp, &(sa, sb))| {
-                            self.candidates_into(sa, sb, scratch);
+                            self.candidates_into(sa, sb, &mut scratch.topo, &mut scratch.cand);
                             (kp.lo, kp.hi, scratch.cand.clone())
                         })
                         .collect();
@@ -1265,83 +1280,39 @@ impl<'a> ReplaySim<'a> {
         // in parallel, the gate walks the window in trace order once,
         // and the per-call verdicts ride into the shards as plain flags.
         let t_gate = Stopwatch::started();
-        let wants_gate = matches!(
-            kind,
-            StrategyKind::ViaBudgeted { .. } | StrategyKind::ViaBudgetUnaware { .. }
-        ) || matches!(kind, StrategyKind::Multipath { budget, .. } if budget < 1.0);
-        let gated: Option<Vec<bool>> = if !wants_gate {
-            None
-        } else {
-            {
-                predictor.as_ref().map(|pred| {
-                    // One contiguous chunk of groups per worker, each built
-                    // through that worker's own scratch; a state is a pure
-                    // function of (predictor, group), so the chunking never
-                    // shows in the result.
-                    let chunk = groups.len().div_ceil(workers).max(1);
-                    let tasks: Vec<&mut [PairGroup]> = groups.chunks_mut(chunk).collect();
-                    crate::par::par_run_with(workers, tasks, worker_slots, |chunk, slot| {
-                        for g in chunk {
-                            if let Some(&i) = g.calls.first() {
-                                let call = &batch[i];
-                                let scratch = &mut slot.scratch;
-                                self.candidates_into(call.src_as, call.dst_as, scratch);
-                                g.state = Some(Self::build_pair_state_in(
-                                    pred, g.ka, g.kb, scratch, kind, objective,
-                                ));
-                            }
+        let gated: Option<Vec<bool>> = match (&mut *gate, predictor.as_ref()) {
+            (GateState::Open, _) | (_, None) => None,
+            (gate, Some(pred)) => {
+                // One contiguous chunk of groups per worker, each built
+                // through that worker's own scratch; a pair's arms are a pure
+                // function of (predictor, group), so the chunking never
+                // shows in the result.
+                let chunk = groups.len().div_ceil(workers).max(1);
+                let tasks: Vec<&mut [PairGroup]> = groups.chunks_mut(chunk).collect();
+                crate::par::par_run_with(workers, tasks, worker_slots, |chunk, slot| {
+                    for g in chunk {
+                        if let Some(&i) = g.calls.first() {
+                            let call = &batch[i];
+                            let Scratch {
+                                topo, cand, arms, ..
+                            } = &mut slot.scratch;
+                            self.candidates_into(call.src_as, call.dst_as, topo, cand);
+                            g.state = Some(PairArms::build(
+                                plan,
+                                |o| pred.predict(g.ka, g.kb, o),
+                                cand,
+                                objective,
+                                arms,
+                            ));
                         }
-                    });
-                    let mut flags = Vec::with_capacity(batch.len());
-                    for &slot in &slot_of_call {
-                        let benefit = groups[slot]
-                            .state
-                            .as_ref()
-                            .map_or(0.0, |st| st.direct_mean - st.best_mean);
-                        let gated_direct = match kind {
-                            StrategyKind::ViaBudgeted { .. } => {
-                                budget_gate.as_mut().is_some_and(|gate| {
-                                    let admitted = gate.admit(benefit);
-                                    gate.validate();
-                                    !admitted
-                                })
-                            }
-                            StrategyKind::Multipath { k, mode, .. } => {
-                                budget_gate.as_mut().is_some_and(|gate| {
-                                    // Duplicated traffic is charged honestly
-                                    // (§4.6 extended): a relayed duplicate
-                                    // call sends every packet down k paths,
-                                    // so it costs k× against the cap;
-                                    // striping splits one stream at 1×.
-                                    let cost = match mode {
-                                        MultipathMode::Duplicate => k.max(1) as u64,
-                                        MultipathMode::Stripe => 1,
-                                    };
-                                    let admitted = gate.admit_cost(benefit, cost);
-                                    gate.validate();
-                                    !admitted
-                                })
-                            }
-                            _ => {
-                                // ViaBudgetUnaware: FCFS under a hard cap.
-                                let budget = match kind {
-                                    StrategyKind::ViaBudgetUnaware { budget } => budget,
-                                    _ => 0.0,
-                                };
-                                *fcfs_total += 1;
-                                let frac = *fcfs_relayed as f64 / (*fcfs_total).max(1) as f64;
-                                if benefit > 0.0 && frac < budget {
-                                    *fcfs_relayed += 1;
-                                    false
-                                } else {
-                                    true
-                                }
-                            }
-                        };
-                        flags.push(gated_direct);
                     }
-                    flags
-                })
+                });
+                let mut flags = Vec::with_capacity(batch.len());
+                for &slot in &slot_of_call {
+                    let benefit = groups[slot].state.as_ref().map_or(0.0, PairArms::benefit);
+                    flags.push(!gate.admit(benefit));
+                }
+                Some(flags)
             }
         };
         stats.gate_ms += t_gate.elapsed_ms();
@@ -1390,7 +1361,7 @@ impl<'a> ReplaySim<'a> {
         let shard_results: Vec<ShardResult> =
             crate::par::par_run_with(workers, tasks, worker_slots, |task, slot| {
                 self.process_shard(
-                    kind, window, pred_ref, gated_ref, batch, task, hot_ids, slot,
+                    plan, window, pred_ref, gated_ref, batch, task, hot_ids, slot,
                 )
             });
         stats.shard_ms += t_shard.elapsed_ms();
@@ -1410,7 +1381,7 @@ impl<'a> ReplaySim<'a> {
             for (i, co) in res.outcomes {
                 window_out[i] = Some(co);
             }
-            if kind.uses_history() {
+            if plan.learns() {
                 history.merge(res.history);
                 for (p, ex) in res.demands {
                     demands.entry(p).or_insert(ex);
@@ -1463,6 +1434,7 @@ impl<'a> ReplaySim<'a> {
         let EngineState {
             t_run,
             obs,
+            plan,
             mut stats,
             outcomes,
             aggregate,
@@ -1480,7 +1452,7 @@ impl<'a> ReplaySim<'a> {
         Outcome {
             strategy: kind.name(),
             objective: self.cfg.objective,
-            controller_contacts: if matches!(kind, StrategyKind::ViaCached { .. }) {
+            controller_contacts: if plan.cache_ttl_secs.is_some() {
                 controller_contacts
             } else {
                 aggregate.calls
@@ -1503,7 +1475,7 @@ impl<'a> ReplaySim<'a> {
     #[allow(clippy::too_many_arguments)] // internal fork–join entry point
     fn process_shard(
         &self,
-        kind: StrategyKind,
+        plan: &Plan,
         window: Window,
         predictor: Option<&Predictor>,
         gated: Option<&[bool]>,
@@ -1513,7 +1485,7 @@ impl<'a> ReplaySim<'a> {
         slot: &mut WorkerSlot,
     ) -> ShardResult {
         let objective = self.cfg.objective;
-        let track = kind.uses_history();
+        let track = plan.learns();
         // The MOS-delta histogram needs an extra direct-path realization per
         // relayed call; that cost is only paid when metrics are collected.
         // Everything else records unconditionally into the slot-indexed hot
@@ -1544,23 +1516,20 @@ impl<'a> ReplaySim<'a> {
             let mut state = g.state.take();
             let mut cached = g.cached;
             let mut cache_dirty = false;
-            // One oracle decision per (pair, window) — keyed by the same
-            // granularity KeyPair as every learning strategy. (Keying by raw
-            // AS pair would hand the oracle finer spatial resolution than
-            // the Figure 17a granularity sweep grants the contenders.)
-            let mut oracle_memo: Option<RelayOption> = None;
+            // The oracle and the prediction-only strawman decide once per
+            // (pair, window), from the pair's exemplar call: ground truth
+            // and predictions are both constant between refit barriers, and
+            // the memo is keyed by the same granularity KeyPair as every
+            // learning strategy. (Keying the oracle by raw AS pair would hand
+            // it finer spatial resolution than the Figure 17a granularity
+            // sweep grants the contenders.)
+            let mut memo: Option<RelayOption> = None;
             // Direct-path day parts for the MOS-delta baseline, captured on
             // the first relayed call and reused across the group (same pair,
             // and windows stay within a day in every stock config). Coarse
             // pair granularities can mix AS endpoints inside one group, so
             // reuse is guarded by `covers` — a mismatch just recaptures.
             let mut direct_parts: Option<via_netsim::PathDayParts> = None;
-            // One prediction resolve per (pair, window): predictions are
-            // constant between refit barriers, so the prediction-only
-            // strategy decides once per decision key from the pair's
-            // exemplar call — the same per-(pair, window) decision model the
-            // oracle memo and the Via bandit arms already use.
-            let mut pred_memo: Option<RelayOption> = None;
             if track {
                 if let Some(&first) = g.calls.first() {
                     let c = &records[first];
@@ -1570,206 +1539,121 @@ impl<'a> ReplaySim<'a> {
 
             for &i in &g.calls {
                 let call = &records[i];
-                let option = match kind {
-                    StrategyKind::Default => RelayOption::Direct,
-                    StrategyKind::Oracle => {
-                        if oracle_memo.is_none() {
-                            oracle_memo = Some(self.oracle_choice(call, window, scratch, sample));
-                            hot.inc(ids.oracle_evals, 1);
-                        }
-                        oracle_memo.unwrap_or(RelayOption::Direct)
-                    }
-                    // `uses_history()` guarantees a predictor for the arms
+                let option = match plan.source {
+                    Source::Direct => RelayOption::Direct,
+                    // The candidate scan shares segment means through
+                    // `sample`, so one evaluation touches each distinct
+                    // segment once instead of once per option.
+                    Source::Oracle => *memo.get_or_insert_with(|| {
+                        hot.inc(ids.oracle_evals, 1);
+                        let t_eval = window.start() + window.len.secs() / 2;
+                        let (src, dst) = (call.src_as, call.dst_as);
+                        self.cheapest(call, scratch, |opt| {
+                            self.world
+                                .perf()
+                                .option_mean_scratch(src, dst, opt, t_eval, sample)[objective]
+                        })
+                    }),
+                    // `learns()` guarantees a predictor for the two sources
                     // below; a defensive `None` (cold controller) falls back
                     // to the direct path instead of panicking.
-                    StrategyKind::PredictionOnly => match predictor {
+                    Source::BestPrediction => match predictor {
                         None => RelayOption::Direct,
-                        Some(pred) => *pred_memo.get_or_insert_with(|| {
-                            self.candidates_into(call.src_as, call.dst_as, scratch);
-                            let mut best = (f64::INFINITY, RelayOption::Direct);
-                            for &opt in &scratch.cand {
-                                let p = pred.predict(g.ka, g.kb, opt);
-                                let v = p.mean(objective);
-                                if v < best.0 {
-                                    best = (v, opt);
-                                }
-                            }
-                            best.1
+                        Some(pred) => *memo.get_or_insert_with(|| {
+                            self.cheapest(call, scratch, |opt| {
+                                pred.predict(g.ka, g.kb, opt).mean(objective)
+                            })
                         }),
                     },
-                    StrategyKind::ExplorationOnly => {
-                        if state.is_none() {
-                            self.candidates_into(call.src_as, call.dst_as, scratch);
+                    Source::Arms => match (cached, predictor) {
+                        // §7 decision cache: the client reuses a cached
+                        // controller decision until it expires; only misses
+                        // consult the selection stack. (Entries exist only
+                        // under a caching plan.)
+                        (Some((opt, expires)), _) if call.t < expires => {
+                            hot.inc(ids.cache_hits, 1);
+                            opt
                         }
-                        let st = state.get_or_insert_with(|| {
-                            let mut bandit = UcbBandit::new(scratch.cand.clone(), 1.0);
-                            bandit.normalize = false;
-                            PairState {
-                                bandit,
-                                best_mean: 0.0,
-                                direct_mean: 0.0,
-                                ci_widths: Vec::new(),
-                            }
-                        });
-                        let mut rng = self.call_rng(call);
-                        if rng.random::<f64>() < 0.1 {
-                            hot.inc(ids.explore_epsilon, 1);
-                            scratch.staged.clear();
-                            scratch.staged.extend(st.bandit.options());
-                            scratch.staged[rng.random_range(0..scratch.staged.len())]
-                        } else {
-                            hot.inc(ids.bandit_pulls, 1);
-                            st.bandit.choose().unwrap_or(RelayOption::Direct)
-                        }
-                    }
-                    StrategyKind::ViaCached { ttl_hours } => {
-                        // §7: the client reuses a cached controller decision
-                        // until it expires; only cache misses consult the
-                        // selection stack.
-                        match (cached, predictor) {
-                            (Some((opt, expires)), _) if call.t < expires => {
-                                hot.inc(ids.cache_hits, 1);
-                                opt
-                            }
-                            (_, None) => RelayOption::Direct,
-                            (_, Some(pred)) => {
-                                out.contacts += 1;
-                                hot.inc(ids.cache_misses, 1);
-                                if state.is_none() {
-                                    self.candidates_into(call.src_as, call.dst_as, scratch);
-                                }
-                                let st = state.get_or_insert_with(|| {
-                                    Self::build_pair_state_in(
-                                        pred, g.ka, g.kb, scratch, kind, objective,
-                                    )
-                                });
-                                let opt = st.bandit.choose().unwrap_or(RelayOption::Direct);
-                                cached = Some((opt, call.t + ttl_hours * 3_600));
-                                cache_dirty = true;
-                                opt
-                            }
-                        }
-                    }
-                    StrategyKind::HybridRacing { k } => match predictor {
-                        None => RelayOption::Direct,
-                        Some(pred) => {
-                            // §7: race the top-k pruned options in parallel at
-                            // call setup and keep the best. The race multiplies
-                            // setup traffic by k; `race_probes` tracks that
-                            // overhead.
-                            if state.is_none() {
-                                self.candidates_into(call.src_as, call.dst_as, scratch);
-                            }
-                            let st = state.get_or_insert_with(|| {
-                                Self::build_pair_state_in(
-                                    pred, g.ka, g.kb, scratch, kind, objective,
-                                )
-                            });
-                            scratch.staged.clear();
-                            scratch.staged.extend(st.bandit.options().take(k.max(1)));
-                            out.race_probes += scratch.staged.len() as u64;
-                            hot.inc(ids.race_probes, scratch.staged.len() as u64);
-                            // Realize each racer once, then compare (realize is
-                            // deterministic per (call, option), so this is both
-                            // the cheap and the correct form).
-                            scratch
-                                .staged
-                                .iter()
-                                .map(|&o| (self.realize_with(call, o, sample)[objective], o))
-                                .min_by(|a, b| a.0.total_cmp(&b.0))
-                                .map(|(_, o)| o)
-                                .unwrap_or(RelayOption::Direct)
-                        }
-                    },
-                    StrategyKind::Via
-                    | StrategyKind::ViaBudgeted { .. }
-                    | StrategyKind::ViaBudgetUnaware { .. }
-                    | StrategyKind::ViaFixedTopK { .. }
-                    | StrategyKind::ViaRawReward => match predictor {
-                        None => RelayOption::Direct,
-                        Some(pred) => {
-                            if state.is_none() {
-                                self.candidates_into(call.src_as, call.dst_as, scratch);
-                            }
-                            let st = state.get_or_insert_with(|| {
-                                Self::build_pair_state_in(
-                                    pred, g.ka, g.kb, scratch, kind, objective,
-                                )
-                            });
-                            // Budget verdicts were computed in the sequential
-                            // gate pass; they arrive as per-call flags.
-                            let gated_direct = gated.is_some_and(|flags| flags[i]);
-                            if gated_direct {
-                                RelayOption::Direct
-                            } else {
-                                let mut rng = self.call_rng(call);
-                                if rng.random::<f64>() < self.cfg.epsilon {
-                                    // Stage 4b: general exploration over all
-                                    // options.
-                                    hot.inc(ids.explore_epsilon, 1);
-                                    self.candidates_into(call.src_as, call.dst_as, scratch);
-                                    scratch.cand[rng.random_range(0..scratch.cand.len())]
-                                } else {
-                                    // Stage 4a: UCB over the pruned top-k.
-                                    hot.inc(ids.bandit_pulls, 1);
-                                    st.bandit.choose().unwrap_or(RelayOption::Direct)
-                                }
-                            }
-                        }
-                    },
-                    StrategyKind::Multipath { k, .. } => match predictor {
-                        None => {
+                        (_, None) => {
                             scratch.set.clear();
                             RelayOption::Direct
                         }
-                        Some(pred) => {
-                            // Identical decision skeleton to the Via arm —
-                            // same state build, same gate flag, same RNG
-                            // draw order — except the combinatorial bandit
-                            // commits to a set of up to k paths. At k = 1
-                            // every step below degenerates to Via exactly.
+                        (_, Some(pred)) => {
+                            let Scratch {
+                                topo,
+                                cand,
+                                arms,
+                                set,
+                                ..
+                            } = &mut *scratch;
+                            if plan.cache_ttl_secs.is_some() {
+                                out.contacts += 1;
+                                hot.inc(ids.cache_misses, 1);
+                            }
                             if state.is_none() {
-                                self.candidates_into(call.src_as, call.dst_as, scratch);
+                                self.candidates_into(call.src_as, call.dst_as, topo, cand);
                             }
                             let st = state.get_or_insert_with(|| {
-                                Self::build_pair_state_in(
-                                    pred, g.ka, g.kb, scratch, kind, objective,
+                                PairArms::build(
+                                    plan,
+                                    |o| pred.predict(g.ka, g.kb, o),
+                                    cand,
+                                    objective,
+                                    arms,
                                 )
                             });
-                            scratch.set.clear();
-                            let gated_direct = gated.is_some_and(|flags| flags[i]);
-                            if gated_direct {
-                                RelayOption::Direct
+                            let option = if let Some(width) = plan.race {
+                                // §7 hybrid racing: race the leading arms in
+                                // parallel at call setup and keep the best.
+                                // The race multiplies setup traffic by its
+                                // width; `race_probes` tracks that overhead.
+                                // Realize is deterministic per (call,
+                                // option), so realizing each racer once and
+                                // comparing is both the cheap and the
+                                // correct form.
+                                let mut probes = 0u64;
+                                let best = st
+                                    .options()
+                                    .take(width)
+                                    .map(|o| {
+                                        probes += 1;
+                                        (self.realize_with(call, o, sample)[objective], o)
+                                    })
+                                    .min_by(|a, b| a.0.total_cmp(&b.0));
+                                out.race_probes += probes;
+                                hot.inc(ids.race_probes, probes);
+                                best.map_or(RelayOption::Direct, |(_, o)| o)
                             } else {
-                                let mut rng = self.call_rng(call);
-                                if rng.random::<f64>() < self.cfg.epsilon {
-                                    // General exploration picks the primary
-                                    // uniformly; redundancy still comes from
-                                    // the bandit's set choice so the explore
-                                    // draw count matches Via's.
-                                    hot.inc(ids.explore_epsilon, 1);
-                                    self.candidates_into(call.src_as, call.dst_as, scratch);
-                                    let primary =
-                                        scratch.cand[rng.random_range(0..scratch.cand.len())];
-                                    scratch.set.push(primary);
-                                    if k > 1 {
-                                        st.bandit.choose_set(k, &mut scratch.staged);
-                                        for &o in &scratch.staged {
-                                            if scratch.set.len() >= k.max(1) {
-                                                break;
-                                            }
-                                            if !scratch.set.contains(&o) {
-                                                scratch.set.push(o);
-                                            }
-                                        }
-                                    }
-                                    primary
-                                } else {
-                                    hot.inc(ids.bandit_pulls, 1);
-                                    st.bandit.choose_set(k.max(1), &mut scratch.set);
-                                    scratch.set.first().copied().unwrap_or(RelayOption::Direct)
+                                // Budget verdicts were computed in the
+                                // sequential gate pass; they arrive as
+                                // per-call flags. General exploration
+                                // re-enumerates the call's own candidates.
+                                let d = st.decide(
+                                    plan,
+                                    gated.is_some_and(|flags| flags[i]),
+                                    self.cfg.epsilon,
+                                    || self.call_rng(call),
+                                    || {
+                                        self.candidates_into(call.src_as, call.dst_as, topo, cand);
+                                        cand
+                                    },
+                                    set,
+                                );
+                                if !d.gated && plan.explore != Explore::Off {
+                                    let id = if d.explored {
+                                        ids.explore_epsilon
+                                    } else {
+                                        ids.bandit_pulls
+                                    };
+                                    hot.inc(id, 1);
                                 }
+                                d.option
+                            };
+                            if let Some(ttl) = plan.cache_ttl_secs {
+                                cached = Some((option, call.t + ttl));
+                                cache_dirty = true;
                             }
+                            option
                         }
                     },
                 };
@@ -1777,7 +1661,7 @@ impl<'a> ReplaySim<'a> {
                 // The paired realize returns the chosen metrics bit-identical
                 // to `realize_with` plus a CRN direct baseline from the same
                 // draws, so enabling metrics cannot change call outcomes.
-                let multi = matches!(kind, StrategyKind::Multipath { .. }) && scratch.set.len() > 1;
+                let multi = scratch.set.len() > 1;
                 let (metrics, direct) = if multi {
                     // Multipath: realize every path in the set under its own
                     // CRN stream, then merge receiver-side. The per-path
@@ -1791,12 +1675,9 @@ impl<'a> ReplaySim<'a> {
                         scratch.set_metrics.push(m);
                         scratch.set_specs.push(PathSpec::alive(m, o.stable_code()));
                     }
-                    let mmode = match kind {
-                        StrategyKind::Multipath {
-                            mode: MultipathMode::Stripe,
-                            ..
-                        } => MergeMode::Stripe,
-                        _ => MergeMode::Duplicate,
+                    let mmode = match plan.merge {
+                        MultipathMode::Stripe => MergeMode::Stripe,
+                        MultipathMode::Duplicate => MergeMode::Duplicate,
                     };
                     // The merge stream is keyed by the call and the set's
                     // composition (the XOR fold is order-invariant), on a
@@ -1867,36 +1748,30 @@ impl<'a> ReplaySim<'a> {
                     );
                 }
                 // Regret proxy vs the predictor's best arm; only meaningful
-                // for states scored by a real predictor (best_mean > 0 — the
-                // exploration-only dummy is 0).
-                if let Some(st) = state.as_ref() {
-                    if st.best_mean > 0.0 && st.best_mean.is_finite() {
-                        hot.observe(ids.regret, (metrics[objective] - st.best_mean).max(0.0));
+                // for arms scored by a real predictor (best mean > 0 —
+                // unscored arms report 0).
+                if let Some(best) = state.as_ref().map(PairArms::best_mean) {
+                    if best > 0.0 && best.is_finite() {
+                        hot.observe(ids.regret, (metrics[objective] - best).max(0.0));
                     }
                 }
 
                 if track {
-                    if multi {
-                        // Semi-bandit feedback (CUCB): every played path feeds
-                        // its own realization back to its own arm and to the
-                        // shared history, not the merged stream's triple.
-                        for idx in 0..scratch.set.len() {
-                            let o = scratch.set[idx];
-                            let m = scratch.set_metrics[idx];
-                            out.history.record(window, g.pair, o, &m);
-                            if let Some(st) = state.as_mut() {
-                                st.bandit.update(o, m[objective]);
-                            }
-                        }
+                    // Semi-bandit feedback (CUCB): every played path feeds
+                    // its own realization back to its own arm and to the
+                    // shared history, not the merged stream's triple.
+                    let mut feed = |o: RelayOption, m: &PathMetrics| {
+                        out.history.record(window, g.pair, o, m);
                         if let Some(st) = state.as_mut() {
-                            st.bandit.validate();
+                            st.learn(o, m[objective]);
+                        }
+                    };
+                    if multi {
+                        for (&o, m) in scratch.set.iter().zip(&scratch.set_metrics) {
+                            feed(o, m);
                         }
                     } else {
-                        out.history.record(window, g.pair, option, &metrics);
-                        if let Some(st) = state.as_mut() {
-                            st.bandit.update(option, metrics[objective]);
-                            st.bandit.validate();
-                        }
+                        feed(option, &metrics);
                     }
                 }
 
@@ -1915,7 +1790,7 @@ impl<'a> ReplaySim<'a> {
             // was built (eagerly by the gate pass or lazily above), so the
             // stream is identical however the groups were sharded.
             if let Some(st) = state.as_ref() {
-                for &w in &st.ci_widths {
+                for &w in st.ci_widths() {
                     hot.observe(ids.ci_width, w);
                 }
             }
@@ -1927,66 +1802,6 @@ impl<'a> ReplaySim<'a> {
             }
         }
         out
-    }
-
-    /// Stage 3 of Algorithm 1: score the candidates in `scratch.cand`, prune
-    /// to top-k, and build the bandit with the normalizer `w`. Scores and the
-    /// top-k selection live in `scratch`'s reusable buffers, so building a
-    /// pair state allocates nothing beyond the state itself.
-    fn build_pair_state_in(
-        pred: &Predictor,
-        ka: u32,
-        kb: u32,
-        scratch: &mut Scratch,
-        kind: StrategyKind,
-        objective: Metric,
-    ) -> PairState {
-        let Scratch {
-            cand,
-            scored,
-            order,
-            selected,
-            ..
-        } = scratch;
-        scored.clear();
-        scored.extend(
-            cand.iter().map(|&opt| {
-                ScoredOption::from_prediction(opt, &pred.predict(ka, kb, opt), objective)
-            }),
-        );
-
-        let direct_mean = scored
-            .iter()
-            .find(|s| s.option == RelayOption::Direct)
-            .map_or(f64::INFINITY, |s| s.mean);
-
-        match kind {
-            StrategyKind::ViaFixedTopK { k } => {
-                selected.clear();
-                selected.extend_from_slice(scored);
-                selected.sort_by(|a, b| a.mean.total_cmp(&b.mean));
-                selected.truncate(k.max(1));
-            }
-            _ => top_k_into(scored, order, selected),
-        }
-
-        let best_mean = selected.first().map_or(direct_mean, |s| s.mean);
-        // Algorithm 3 line 3: w = mean of the top-k upper bounds. Arms are
-        // warm-started from their predicted means (3 virtual samples) so the
-        // bandit exploits predictions immediately instead of sweeping every
-        // arm once.
-        let w = selected.iter().map(|s| s.upper).sum::<f64>() / selected.len().max(1) as f64;
-        let mut bandit = UcbBandit::with_priors(selected.iter().map(|s| (s.option, s.mean)), w, 3);
-        if matches!(kind, StrategyKind::ViaRawReward) {
-            bandit.normalize = false;
-        }
-        bandit.validate();
-        PairState {
-            bandit,
-            best_mean,
-            direct_mean,
-            ci_widths: selected.iter().map(|s| s.upper - s.lower).collect(),
-        }
     }
 
     /// The controller's static knowledge of inter-relay performance (§3.2),

@@ -1,0 +1,697 @@
+//! The decision core of §4, written once: a resolved strategy [`Plan`] and
+//! the per-(pair, window) [`PairArms`] it parameterizes.
+//!
+//! The paper's algorithm is one short pipeline — score the candidates with
+//! the predictor, prune them to the top-k closure (Algorithm 2), let a
+//! modified UCB1 with an ε escape hatch pick among them (Algorithm 3), and
+//! gate the result on a relaying budget (§4.6). Every [`StrategyKind`] but
+//! `Default`, `Oracle` and `PredictionOnly` is a setting of that pipeline, so
+//! the variants
+//! resolve to rows of one table ([`Plan`]) and the replay engine, the live
+//! server and the testbed evaluator all drive the same three calls:
+//! [`PairArms::build`], [`PairArms::decide`], [`PairArms::learn`].
+//!
+//! The table itself — one row per strategy, one column per field — is the
+//! `From<StrategyKind>` impl below, rendered in DESIGN.md §3.
+//!
+//! `Multipath { k: 1, budget: 1.0, .. }` and `Via` resolve to *equal* plans:
+//! a one-path set is the singlepath decision by construction.
+//!
+//! What stays with the caller: the RNG (each driver derives its per-call
+//! stream under its own label), the budget gate (global sequential state),
+//! the §7 decision cache and the setup race (both need the driver's clock and
+//! realizations).
+
+use rand::Rng;
+use via_model::metrics::Metric;
+use via_model::options::RelayOption;
+
+use crate::bandit::UcbBandit;
+use crate::predictor::Prediction;
+use crate::strategy::{MultipathMode, StrategyKind};
+use crate::topk::{top_k_into, ScoredOption};
+
+/// Where a call's decision comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// Always the direct path.
+    Direct,
+    /// Ground-truth best option per (pair, window).
+    Oracle,
+    /// Best predicted mean per (pair, window), never explored.
+    BestPrediction,
+    /// The prune → bandit → ε pipeline over a [`PairArms`].
+    Arms,
+}
+
+/// How the candidates become arms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Prune {
+    /// No prediction consulted: every candidate is an arm, started cold.
+    All,
+    /// Algorithm 2's confidence-interval closure, arms warm-started from
+    /// their predicted means.
+    CiClosure,
+    /// The `k` best predicted means, warm-started likewise.
+    FixedK(usize),
+}
+
+/// The ε general-exploration stage.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Explore {
+    /// No ε stage: the §7 client-side wrappers (decision cache, setup race)
+    /// consult the arms directly, and their consultations are not counted as
+    /// bandit pulls.
+    Off,
+    /// The caller's configured ε; the explore pick is uniform over the call's
+    /// full candidate set (Algorithm 3's escape hatch).
+    Candidates,
+    /// A fixed ε; the explore pick is uniform over the arm list.
+    Arms {
+        /// Exploration probability.
+        epsilon: f64,
+    },
+}
+
+/// The relaying-budget gate a run carries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Gate {
+    /// Ungated.
+    None,
+    /// §4.6: relay only benefits in the top `budget` percentile; an admitted
+    /// call charges `cost` traffic units.
+    Percentile {
+        /// Maximum fraction of traffic relayed.
+        budget: f64,
+        /// Units one admitted call charges (k for duplicated multipath).
+        cost: u64,
+    },
+    /// First come, first served under a hard cap (the Figure 16 strawman).
+    Fcfs {
+        /// Maximum fraction of calls relayed.
+        budget: f64,
+    },
+}
+
+/// A [`StrategyKind`] resolved into the settings of the one decision
+/// pipeline. Built only by `From<StrategyKind>`, so the set of selectable
+/// behaviours is exactly the set of strategy variants (DESIGN.md §3 tabulates
+/// what each one sets).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Plan {
+    pub(crate) source: Source,
+    pub(crate) prune: Prune,
+    pub(crate) normalize: bool,
+    pub(crate) explore: Explore,
+    /// Paths per call (`≥ 1`).
+    pub(crate) paths: usize,
+    /// How a multi-path set is merged at the receiver.
+    pub(crate) merge: MultipathMode,
+    pub(crate) gate: Gate,
+    /// §7 decision cache: how long a client reuses a decision, seconds.
+    pub(crate) cache_ttl_secs: Option<u64>,
+    /// §7 hybrid racing: how many leading arms race at call setup.
+    pub(crate) race: Option<usize>,
+}
+
+impl Plan {
+    /// True for plans that learn from the calls they carry (and therefore
+    /// feed the history store and need a predictor).
+    pub(crate) fn learns(&self) -> bool {
+        !matches!(self.source, Source::Direct | Source::Oracle)
+    }
+}
+
+impl From<StrategyKind> for Plan {
+    /// The table: every row is the `Via` row with the named fields changed.
+    fn from(kind: StrategyKind) -> Plan {
+        let mut p = Plan {
+            source: Source::Arms,
+            prune: Prune::CiClosure,
+            normalize: true,
+            explore: Explore::Candidates,
+            paths: 1,
+            merge: MultipathMode::Duplicate,
+            gate: Gate::None,
+            cache_ttl_secs: None,
+            race: None,
+        };
+        match kind {
+            StrategyKind::Via => {}
+            StrategyKind::Default => p.source = Source::Direct,
+            StrategyKind::Oracle => p.source = Source::Oracle,
+            StrategyKind::PredictionOnly => p.source = Source::BestPrediction,
+            StrategyKind::ExplorationOnly => {
+                p.prune = Prune::All;
+                p.normalize = false;
+                p.explore = Explore::Arms { epsilon: 0.1 };
+            }
+            StrategyKind::ViaBudgeted { budget } => p.gate = Gate::Percentile { budget, cost: 1 },
+            StrategyKind::ViaBudgetUnaware { budget } => p.gate = Gate::Fcfs { budget },
+            StrategyKind::ViaFixedTopK { k } => p.prune = Prune::FixedK(k.max(1)),
+            StrategyKind::ViaRawReward => p.normalize = false,
+            StrategyKind::ViaCached { ttl_hours } => {
+                p.explore = Explore::Off;
+                p.cache_ttl_secs = Some(ttl_hours * 3_600);
+            }
+            StrategyKind::HybridRacing { k } => {
+                p.explore = Explore::Off;
+                p.race = Some(k.max(1));
+            }
+            StrategyKind::Multipath { k, mode, budget } => {
+                p.paths = k.max(1);
+                // A one-path set has nothing to merge.
+                if p.paths > 1 {
+                    p.merge = mode;
+                }
+                // Unbudgeted multipath carries no gate at all, so at k = 1
+                // its window pass is plain Via's. Duplicated traffic is
+                // charged honestly (§4.6 extended): every packet rides k
+                // relay paths, so an admitted call costs k×; striping splits
+                // one stream at 1×.
+                if budget < 1.0 {
+                    let cost = match mode {
+                        MultipathMode::Duplicate => p.paths as u64,
+                        MultipathMode::Stripe => 1,
+                    };
+                    p.gate = Gate::Percentile { budget, cost };
+                }
+            }
+        }
+        p
+    }
+}
+
+/// Reusable buffers for [`PairArms::build`]: candidate scores, the top-k
+/// sort permutation and the selection. One per worker (replay) or shard
+/// (server), so building a pair's arms allocates nothing but the arms.
+#[derive(Debug, Default)]
+pub struct ArmsScratch {
+    scored: Vec<ScoredOption>,
+    order: Vec<usize>,
+    selected: Vec<ScoredOption>,
+}
+
+/// One decision.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decision {
+    /// The primary option (the whole decision for single-path plans).
+    pub option: RelayOption,
+    /// True when the ε stage picked a uniform random option.
+    pub explored: bool,
+    /// True when the caller's budget gate forced the direct path.
+    pub gated: bool,
+}
+
+/// Per-(pair, window) selection state: the pruned candidates and their
+/// bandit (stage 3–4 of Algorithm 1).
+#[derive(Debug)]
+pub struct PairArms {
+    bandit: UcbBandit,
+    /// Predicted mean of the best arm.
+    best_mean: f64,
+    /// Predicted mean of the direct path.
+    direct_mean: f64,
+    /// Confidence-interval widths (`upper − lower`) of the selected arms,
+    /// for the obs layer; empty for unscored arms.
+    ci_widths: Vec<f64>,
+}
+
+impl PairArms {
+    /// Stage 3 of Algorithm 1: score `candidates` with `predict`, prune them
+    /// as `plan` says, and build the bandit with the normalizer `w`
+    /// (Algorithm 3 line 3: the mean of the kept upper bounds). Arms are
+    /// warm-started from their predicted means (3 virtual samples) so the
+    /// bandit exploits predictions immediately instead of sweeping every arm
+    /// once. Allocates the arm list and the CI widths, nothing else.
+    pub fn build(
+        plan: &Plan,
+        predict: impl Fn(RelayOption) -> Prediction,
+        candidates: &[RelayOption],
+        objective: Metric,
+        scratch: &mut ArmsScratch,
+    ) -> PairArms {
+        if plan.prune == Prune::All {
+            let mut bandit = UcbBandit::new(candidates.iter().copied(), 1.0);
+            bandit.normalize = plan.normalize;
+            return PairArms {
+                bandit,
+                best_mean: 0.0,
+                direct_mean: 0.0,
+                ci_widths: Vec::new(),
+            };
+        }
+        let ArmsScratch {
+            scored,
+            order,
+            selected,
+        } = scratch;
+        scored.clear();
+        scored.extend(
+            candidates
+                .iter()
+                .map(|&opt| ScoredOption::from_prediction(opt, &predict(opt), objective)),
+        );
+        let direct_mean = scored
+            .iter()
+            .find(|s| s.option == RelayOption::Direct)
+            .map_or(f64::INFINITY, |s| s.mean);
+        if let Prune::FixedK(k) = plan.prune {
+            selected.clear();
+            selected.extend_from_slice(scored);
+            selected.sort_by(|a, b| a.mean.total_cmp(&b.mean));
+            selected.truncate(k);
+        } else {
+            top_k_into(scored, order, selected);
+        }
+        let best_mean = selected.first().map_or(direct_mean, |s| s.mean);
+        let w = selected.iter().map(|s| s.upper).sum::<f64>() / selected.len().max(1) as f64;
+        let mut bandit = UcbBandit::with_priors(selected.iter().map(|s| (s.option, s.mean)), w, 3);
+        bandit.normalize = plan.normalize;
+        bandit.validate();
+        PairArms {
+            bandit,
+            best_mean,
+            direct_mean,
+            ci_widths: selected.iter().map(|s| s.upper - s.lower).collect(),
+        }
+    }
+
+    /// Predicted benefit of relaying this pair: direct cost minus best cost,
+    /// in objective units (what the §4.6 gate ranks). Fixed per (pair,
+    /// window) — it never depends on how the bandit evolves.
+    pub fn benefit(&self) -> f64 {
+        self.direct_mean - self.best_mean
+    }
+
+    /// Predicted mean of the best arm (zero for unscored arms).
+    pub(crate) fn best_mean(&self) -> f64 {
+        self.best_mean
+    }
+
+    /// CI widths of the selected arms.
+    pub(crate) fn ci_widths(&self) -> &[f64] {
+        &self.ci_widths
+    }
+
+    /// The arms, best predicted mean first.
+    pub(crate) fn options(&self) -> impl Iterator<Item = RelayOption> + '_ {
+        self.bandit.options()
+    }
+
+    /// Stage 4 of Algorithm 1 for one call: fills `out` with the path set,
+    /// primary first, and returns the decision. A `gated` call goes direct
+    /// with an empty set. Otherwise one ε draw decides between general
+    /// exploration (a uniform pick as `plan` says; redundancy still comes
+    /// from the bandit so the draw count never depends on `k`) and the
+    /// bandit's `choose_set(k)` — `Via` is the `k = 1` row of the same code.
+    ///
+    /// `rng` and `candidates` are lazy: the per-call RNG is built only for
+    /// admitted calls of plans with an ε stage, and the candidate set is
+    /// enumerated only when the explore fires.
+    pub fn decide<'c, R: Rng>(
+        &self,
+        plan: &Plan,
+        gated: bool,
+        epsilon: f64,
+        rng: impl FnOnce() -> R,
+        candidates: impl FnOnce() -> &'c [RelayOption],
+        out: &mut Vec<RelayOption>,
+    ) -> Decision {
+        out.clear();
+        if gated {
+            return Decision {
+                option: RelayOption::Direct,
+                explored: false,
+                gated: true,
+            };
+        }
+        let (epsilon, over_candidates) = match plan.explore {
+            Explore::Off => (0.0, false),
+            Explore::Candidates => (epsilon, true),
+            Explore::Arms { epsilon } => (epsilon, false),
+        };
+        let mut explore = None;
+        if epsilon > 0.0 {
+            let mut rng = rng();
+            if rng.random::<f64>() < epsilon {
+                explore = Some(if over_candidates {
+                    let pool = candidates();
+                    pool[rng.random_range(0..pool.len())]
+                } else {
+                    let at = rng.random_range(0..self.bandit.len());
+                    self.bandit.options().nth(at).unwrap_or(RelayOption::Direct)
+                });
+            }
+        }
+        self.bandit.choose_set(plan.paths, out);
+        if let Some(pick) = explore {
+            out.retain(|&o| o != pick);
+            out.insert(0, pick);
+            out.truncate(plan.paths);
+        }
+        Decision {
+            option: out.first().copied().unwrap_or(RelayOption::Direct),
+            explored: explore.is_some(),
+            gated: false,
+        }
+    }
+
+    /// Feeds one played path's realized cost back to its arm. Costs for
+    /// options outside the arm set (ε picks) are ignored here — they reach
+    /// the next window through the history instead.
+    pub fn learn(&mut self, option: RelayOption, cost: f64) {
+        self.bandit.update(option, cost);
+        self.bandit.validate();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use via_model::ids::RelayId;
+
+    #[test]
+    fn every_strategy_resolves_to_its_documented_row() {
+        let via = Plan::from(StrategyKind::Via);
+        assert_eq!(
+            via,
+            Plan {
+                source: Source::Arms,
+                prune: Prune::CiClosure,
+                normalize: true,
+                explore: Explore::Candidates,
+                paths: 1,
+                merge: MultipathMode::Duplicate,
+                gate: Gate::None,
+                cache_ttl_secs: None,
+                race: None,
+            }
+        );
+        let dup = MultipathMode::Duplicate;
+        let stripe = MultipathMode::Stripe;
+        let multipath = |k, mode, budget| Plan::from(StrategyKind::Multipath { k, mode, budget });
+        // (strategy, the Via row with exactly these fields changed).
+        let table = [
+            (
+                StrategyKind::Default,
+                Plan {
+                    source: Source::Direct,
+                    ..via
+                },
+            ),
+            (
+                StrategyKind::Oracle,
+                Plan {
+                    source: Source::Oracle,
+                    ..via
+                },
+            ),
+            (
+                StrategyKind::PredictionOnly,
+                Plan {
+                    source: Source::BestPrediction,
+                    ..via
+                },
+            ),
+            (
+                StrategyKind::ExplorationOnly,
+                Plan {
+                    prune: Prune::All,
+                    normalize: false,
+                    explore: Explore::Arms { epsilon: 0.1 },
+                    ..via
+                },
+            ),
+            (
+                StrategyKind::ViaBudgeted { budget: 0.3 },
+                Plan {
+                    gate: Gate::Percentile {
+                        budget: 0.3,
+                        cost: 1,
+                    },
+                    ..via
+                },
+            ),
+            (
+                StrategyKind::ViaBudgetUnaware { budget: 0.3 },
+                Plan {
+                    gate: Gate::Fcfs { budget: 0.3 },
+                    ..via
+                },
+            ),
+            (
+                StrategyKind::ViaFixedTopK { k: 2 },
+                Plan {
+                    prune: Prune::FixedK(2),
+                    ..via
+                },
+            ),
+            (
+                StrategyKind::ViaRawReward,
+                Plan {
+                    normalize: false,
+                    ..via
+                },
+            ),
+            (
+                StrategyKind::ViaCached { ttl_hours: 6 },
+                Plan {
+                    explore: Explore::Off,
+                    cache_ttl_secs: Some(6 * 3_600),
+                    ..via
+                },
+            ),
+            (
+                StrategyKind::HybridRacing { k: 3 },
+                Plan {
+                    explore: Explore::Off,
+                    race: Some(3),
+                    ..via
+                },
+            ),
+            (
+                StrategyKind::Multipath {
+                    k: 2,
+                    mode: stripe,
+                    budget: 1.0,
+                },
+                Plan {
+                    paths: 2,
+                    merge: stripe,
+                    ..via
+                },
+            ),
+            (
+                StrategyKind::Multipath {
+                    k: 3,
+                    mode: dup,
+                    budget: 0.3,
+                },
+                Plan {
+                    paths: 3,
+                    gate: Gate::Percentile {
+                        budget: 0.3,
+                        cost: 3,
+                    },
+                    ..via
+                },
+            ),
+            (
+                StrategyKind::Multipath {
+                    k: 3,
+                    mode: stripe,
+                    budget: 0.3,
+                },
+                Plan {
+                    paths: 3,
+                    merge: stripe,
+                    gate: Gate::Percentile {
+                        budget: 0.3,
+                        cost: 1,
+                    },
+                    ..via
+                },
+            ),
+        ];
+        for (kind, row) in table {
+            assert_eq!(Plan::from(kind), row, "{kind}");
+            // Only the two fixed sources never learn (and so never feed the
+            // history store).
+            let fixed = matches!(kind, StrategyKind::Default | StrategyKind::Oracle);
+            assert_eq!(row.learns(), !fixed, "{kind}");
+        }
+        // k = 1 ≡ Via by construction: an unbudgeted one-path set, in either
+        // mode (and the degenerate k = 0), *is* the Via plan.
+        for mode in [dup, stripe] {
+            assert_eq!(multipath(1, mode, 1.0), via);
+            assert_eq!(multipath(0, mode, 1.0), via);
+        }
+        assert_eq!(
+            Plan::from(StrategyKind::ViaFixedTopK { k: 0 }).prune,
+            Prune::FixedK(1)
+        );
+    }
+
+    fn bounce(i: u32) -> RelayOption {
+        RelayOption::Bounce(RelayId(i))
+    }
+
+    /// Relay `i` predicted at `60 + 20·i` ms with a CI wide enough that
+    /// neighbours overlap; the direct path at 400 ms.
+    fn predict(o: RelayOption) -> Prediction {
+        use crate::tomography::{linearize, linearize_sem};
+        let mean = match o {
+            RelayOption::Bounce(r) => 60.0 + 20.0 * f64::from(r.0),
+            _ => 400.0,
+        };
+        let mut lin_mean = [0.0; 3];
+        let mut lin_sem = [0.0; 3];
+        for (i, &m) in Metric::ALL.iter().enumerate() {
+            lin_mean[i] = linearize(m, mean);
+            lin_sem[i] = linearize_sem(m, mean, 8.0);
+        }
+        Prediction::from_linear(
+            lin_mean,
+            lin_sem,
+            crate::predictor::PredictionSource::Empirical(10),
+        )
+    }
+
+    fn candidates() -> Vec<RelayOption> {
+        let mut c = vec![RelayOption::Direct];
+        c.extend((0..4).map(bounce));
+        c
+    }
+
+    fn build(kind: StrategyKind) -> (Plan, PairArms) {
+        let plan = Plan::from(kind);
+        let arms = PairArms::build(
+            &plan,
+            predict,
+            &candidates(),
+            Metric::Rtt,
+            &mut ArmsScratch::default(),
+        );
+        (plan, arms)
+    }
+
+    #[test]
+    fn build_prunes_as_the_plan_says() {
+        let (_, via) = build(StrategyKind::Via);
+        let kept: Vec<_> = via.options().collect();
+        assert_eq!(kept.first(), Some(&bounce(0)), "best predicted mean leads");
+        assert!(!kept.contains(&RelayOption::Direct), "400 ms is pruned");
+        assert_eq!(via.ci_widths().len(), kept.len());
+        assert!((via.benefit() - 340.0).abs() < 1e-6);
+
+        let (_, top2) = build(StrategyKind::ViaFixedTopK { k: 2 });
+        assert_eq!(top2.options().collect::<Vec<_>>(), [bounce(0), bounce(1)]);
+
+        let (_, all) = build(StrategyKind::ExplorationOnly);
+        assert_eq!(all.options().collect::<Vec<_>>(), candidates());
+        assert_eq!(all.best_mean(), 0.0);
+        assert!(all.ci_widths().is_empty());
+    }
+
+    #[test]
+    fn decide_gates_explores_and_fills_the_set() {
+        let cands = candidates();
+        let rng = || StdRng::seed_from_u64(5);
+        let mut set = Vec::new();
+
+        let (plan, arms) = build(StrategyKind::Via);
+        let d = arms.decide(&plan, true, 1.0, rng, || &cands[..], &mut set);
+        assert!(d.gated && !d.explored && d.option == RelayOption::Direct);
+        assert!(set.is_empty());
+
+        // ε = 0 never builds the RNG or touches the candidates.
+        let d = arms.decide(
+            &plan,
+            false,
+            0.0,
+            || -> StdRng { unreachable!("no ε stage at ε = 0") },
+            || unreachable!("no explore at ε = 0"),
+            &mut set,
+        );
+        assert_eq!((d.option, d.explored, d.gated), (bounce(0), false, false));
+        assert_eq!(set, [bounce(0)]);
+
+        // ε = 1 always explores over the full candidate set.
+        let d = arms.decide(&plan, false, 1.0, rng, || &cands[..], &mut set);
+        assert!(d.explored && cands.contains(&d.option));
+        assert_eq!(set, [d.option]);
+
+        // A k-path plan keeps the explore pick as primary and fills the rest
+        // of the set from the bandit, without duplicates.
+        let (plan, arms) = build(StrategyKind::Multipath {
+            k: 2,
+            mode: MultipathMode::Duplicate,
+            budget: 1.0,
+        });
+        let d = arms.decide(&plan, false, 1.0, rng, || &cands[..], &mut set);
+        assert!(d.explored);
+        assert_eq!(set.len(), 2);
+        assert_eq!(set[0], d.option);
+        assert_ne!(set[0], set[1]);
+        let d = arms.decide(&plan, false, 0.0, rng, || &cands[..], &mut set);
+        assert_eq!(set, [bounce(0), bounce(1)]);
+        assert_eq!(d.option, bounce(0));
+
+        // The §7 wrappers carry no ε stage at all.
+        let (plan, arms) = build(StrategyKind::ViaCached { ttl_hours: 1 });
+        let d = arms.decide(
+            &plan,
+            false,
+            1.0,
+            || -> StdRng { unreachable!("cached plans never explore") },
+            || unreachable!("cached plans never explore"),
+            &mut set,
+        );
+        assert_eq!((d.option, d.explored), (bounce(0), false));
+
+        // The ε-greedy strawman ignores the caller's ε and explores over its
+        // own arms.
+        let (plan, arms) = build(StrategyKind::ExplorationOnly);
+        let explored = (0..200u64)
+            .filter(|&i| {
+                arms.decide(
+                    &plan,
+                    false,
+                    0.0,
+                    || StdRng::seed_from_u64(i),
+                    || unreachable!("the explore pool is the arm list"),
+                    &mut set,
+                )
+                .explored
+            })
+            .count();
+        assert!((5..=40).contains(&explored), "ε = 0.1 fired {explored}/200");
+    }
+
+    #[test]
+    fn learn_moves_the_bandit_off_a_bad_arm() {
+        let (plan, mut arms) = build(StrategyKind::Via);
+        let mut set = Vec::new();
+        let mut pick = |arms: &PairArms| {
+            arms.decide(
+                &plan,
+                false,
+                0.0,
+                || StdRng::seed_from_u64(0),
+                || &[],
+                &mut set,
+            )
+            .option
+        };
+        assert_eq!(pick(&arms), bounce(0));
+        for _ in 0..20 {
+            arms.learn(bounce(0), 400.0);
+        }
+        assert_ne!(pick(&arms), bounce(0));
+        // ε picks outside the arm set are ignored.
+        arms.learn(RelayOption::Direct, 1.0);
+    }
+}

@@ -1,5 +1,6 @@
 //! Relay-selection strategies: VIA, its ablations, the oracle, and the
-//! strawman baselines of §4.2 / §5.2.
+//! strawman baselines of §4.2 / §5.2 — as names. What each one *does* is its
+//! row of [`crate::selector::Plan`].
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -114,12 +115,6 @@ impl StrategyKind {
             }
         }
     }
-
-    /// True for the strategies that learn from observed calls (and therefore
-    /// feed the history store).
-    pub fn uses_history(&self) -> bool {
-        !matches!(self, StrategyKind::Default | StrategyKind::Oracle)
-    }
 }
 
 impl fmt::Display for StrategyKind {
@@ -166,20 +161,6 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), kinds.len());
-    }
-
-    #[test]
-    fn history_usage_classification() {
-        assert!(!StrategyKind::Default.uses_history());
-        assert!(!StrategyKind::Oracle.uses_history());
-        assert!(StrategyKind::Via.uses_history());
-        assert!(StrategyKind::ExplorationOnly.uses_history());
-        assert!(StrategyKind::Multipath {
-            k: 2,
-            mode: MultipathMode::Duplicate,
-            budget: 1.0,
-        }
-        .uses_history());
     }
 
     #[test]

@@ -11,38 +11,34 @@
 //! * **Published predictor** — an [`EpochPtr`] holding the immutable
 //!   [`Predictor`] trained on the last closed window. The select path loads
 //!   it wait-free in practice; rollover publishes a replacement.
-//! * **Shards** — per-pair mutable state (accumulating [`CallHistory`],
-//!   live [`fit_cell`] predictions, per-pair bandits, a selection-latency
-//!   histogram), partitioned by spatial key pair so concurrent selects for
-//!   different pairs never contend.
-//! * **Roll state** — the once-per-window merge: shard histories and cell
-//!   maps are drained (disjoint by construction — each pair lives in
-//!   exactly one shard), tomography is solved over the merged history, and
-//!   [`Predictor::from_parts`] publishes without re-walking the cells.
+//! * **Shards** — per-pair mutable state (a [`LiveWindow`] accumulating
+//!   reports, per-pair [`PairArms`], a selection-latency histogram),
+//!   partitioned by spatial key pair so concurrent selects for different
+//!   pairs never contend.
+//! * **Roll state** — the once-per-window merge: shard accumulators are
+//!   drained (disjoint by construction — each pair lives in exactly one
+//!   shard) and [`publish`]ed without re-walking the cells.
 //!
-//! **Byte-identity with the batch path.** Every report feeds its cell's
-//! Welford accumulator and re-derives that one cell through the same
-//! [`fit_cell`] the batch fit uses; rollover unions the disjoint shard cell
-//! maps, which is exactly the cell map `Predictor::fit` would compute from
-//! the merged history. The regression tests in `tests/server_determinism.rs`
-//! pin selections against a reference loop built on `Predictor::fit`.
+//! The decision itself is `via_core::selector`'s: `select` and `report` call
+//! the same `PairArms::{build, decide, learn}` the replay engine does, under
+//! the `Via` plan. The budget gate and the per-call RNG stay here. The
+//! regression tests in `tests/server_determinism.rs` pin selections against
+//! a reference loop built on `Predictor::fit`.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use via_core::budget::BudgetGate;
 use via_core::history::{CallHistory, KeyPair};
-use via_core::online::{BackboneFn, CellSnapshot, RefitSnapshot};
-use via_core::predictor::{fit_cell, GeoPrior, Prediction, Predictor, PredictorConfig};
-use via_core::tomography::Tomography;
-use via_core::topk::{top_k_into, ScoredOption};
-use via_core::UcbBandit;
+use via_core::online::{boxed, publish, snapshot_cells, BackboneFn, LiveWindow, RefitSnapshot};
+use via_core::predictor::{GeoPrior, Predictor, PredictorConfig};
+use via_core::selector::{ArmsScratch, PairArms, Plan};
+use via_core::strategy::StrategyKind;
 use via_model::metrics::{Metric, PathMetrics};
 use via_model::options::RelayOption;
 use via_model::seed::{self, splitmix64};
@@ -102,32 +98,20 @@ pub struct Selection {
     pub window: u64,
 }
 
-/// Per-pair selection state for one window: the mirror of the replay
-/// engine's lazily built pair state.
-#[derive(Debug)]
-struct PairEntry {
-    /// Window index this entry was built for; stale entries are rebuilt
-    /// from the freshly published predictor.
-    window: u64,
-    bandit: UcbBandit,
-    best_mean: f64,
-    direct_mean: f64,
-}
-
 /// One pair shard: every mutable per-call structure for the pairs hashed
 /// here. Locked per select/report; different pairs in different shards
 /// proceed concurrently.
 struct Shard {
     /// Window index the shard's live state belongs to.
     window: u64,
-    /// Accumulating history (current window only; drained at rollover).
-    history: CallHistory,
-    /// Live per-cell predictions over the accumulating history.
-    cells: HashMap<(KeyPair, RelayOption), Prediction>,
-    /// Per-pair bandit state for the current window.
-    pairs: HashMap<KeyPair, PairEntry>,
-    /// Reports absorbed since the last rollover.
-    pending: u64,
+    /// Reports accumulating for the current window (drained at rollover).
+    live: LiveWindow,
+    /// Per-pair arms for the current window: built lazily from the published
+    /// predictor, cleared (under this shard's lock) whenever `window` moves.
+    pairs: HashMap<KeyPair, PairArms>,
+    /// Arm-building buffers and the decided path set, reused across selects.
+    scratch: ArmsScratch,
+    set: Vec<RelayOption>,
     /// Wall-clock select latency, microseconds (nondeterministic; only the
     /// observability snapshot carries it).
     latency: via_obs::Histogram,
@@ -137,10 +121,10 @@ impl Shard {
     fn new(window: u64) -> Shard {
         Shard {
             window,
-            history: CallHistory::new(),
-            cells: HashMap::new(),
+            live: LiveWindow::default(),
             pairs: HashMap::new(),
-            pending: 0,
+            scratch: ArmsScratch::default(),
+            set: Vec::new(),
             latency: via_obs::Histogram::new(via_obs::LATENCY_US),
         }
     }
@@ -165,8 +149,8 @@ struct RollState {
 /// `trained` carries the per-cell statistics of the window behind the live
 /// predictor; restore refits it with [`Predictor::fit`], which is
 /// bit-identical to the incremental publish over the same statistics.
-/// `current` is the accumulating window in the same canonical cell order
-/// [`via_core::OnlineRefit`] snapshots use. Per-pair bandit arms are *not*
+/// `current` is the accumulating window in the same canonical cell order.
+/// Per-pair bandit arms are *not*
 /// carried: they rebuild lazily from the restored predictor's predictions
 /// (a prediction-warm-started bandit, exactly what the batch engine builds
 /// at a pair's first call in a window), trading the closed-over-restart
@@ -186,6 +170,9 @@ pub struct SelectionSnapshot {
 /// generator, and the tests all drive.
 pub struct Controller {
     cfg: ServerConfig,
+    /// The decision pipeline's settings: the live plane runs plain `Via`
+    /// (its budget gate is the controller's own).
+    plan: Plan,
     prior: GeoPrior,
     backbone: BackboneFn,
     predictor: EpochPtr<Predictor>,
@@ -197,6 +184,7 @@ pub struct Controller {
     sessions: Mutex<SessionTable>,
     selections: AtomicU64,
     reports: AtomicU64,
+    reports_rejected: AtomicU64,
     gated: AtomicU64,
     explored: AtomicU64,
     rolls: AtomicU64,
@@ -226,13 +214,14 @@ impl Controller {
                 &CallHistory::new(),
                 training,
                 prior.clone(),
-                box_backbone(&backbone),
+                boxed(&backbone),
                 cfg.predictor,
             ),
-            None => Predictor::cold(prior.clone(), box_backbone(&backbone), cfg.predictor),
+            None => Predictor::cold(prior.clone(), boxed(&backbone), cfg.predictor),
         };
         let n_shards = cfg.shards.max(1);
         Controller {
+            plan: Plan::from(StrategyKind::Via),
             prior,
             backbone,
             predictor: EpochPtr::new(Arc::new(initial)),
@@ -249,6 +238,7 @@ impl Controller {
             sessions: Mutex::new(SessionTable::new()),
             selections: AtomicU64::new(0),
             reports: AtomicU64::new(0),
+            reports_rejected: AtomicU64::new(0),
             gated: AtomicU64::new(0),
             explored: AtomicU64::new(0),
             rolls: AtomicU64::new(0),
@@ -282,7 +272,7 @@ impl Controller {
                 &hist,
                 trained.window,
                 ctrl.prior.clone(),
-                box_backbone(&ctrl.backbone),
+                boxed(&ctrl.backbone),
                 ctrl.cfg.predictor,
             );
             ctrl.predictor.publish(Arc::new(refitted));
@@ -296,18 +286,9 @@ impl Controller {
             lock(shard).window = current.index;
         }
         for cell in snap.current.cells {
-            let option = cell.option.canonical();
-            let mut shard = lock(&ctrl.shards[ctrl.shard_of(cell.pair)]);
-            if let Some(pred) = fit_cell(&cell.stats, &ctrl.cfg.predictor) {
-                shard.cells.insert((cell.pair, option), pred);
-            }
-            shard
-                .history
-                .insert_cell(current, cell.pair, option, cell.stats);
-        }
-        for shard in &ctrl.shards {
-            let mut shard = lock(shard);
-            shard.pending = shard.history.window_calls(current);
+            lock(&ctrl.shards[ctrl.shard_of(cell.pair)])
+                .live
+                .restore_cell(current, cell, &ctrl.cfg.predictor);
         }
         *lock(&ctrl.gate) = snap.gate;
         ctrl
@@ -340,44 +321,6 @@ impl Controller {
         }
     }
 
-    /// Mirror of the replay engine's lazily built pair state (the `Via`
-    /// strategy arm): score every candidate against the published
-    /// predictor, prune with the top-k CI closure, and warm-start a
-    /// normalized UCB bandit from the predicted means.
-    fn build_pair_entry(
-        pred: &Predictor,
-        pair: KeyPair,
-        candidates: &[RelayOption],
-        window: u64,
-        objective: Metric,
-    ) -> PairEntry {
-        let scored: Vec<ScoredOption> = candidates
-            .iter()
-            .map(|&opt| {
-                ScoredOption::from_prediction(opt, &pred.predict(pair.lo, pair.hi, opt), objective)
-            })
-            .collect();
-        let direct_mean = scored
-            .iter()
-            .find(|s| s.option == RelayOption::Direct)
-            .map_or(f64::INFINITY, |s| s.mean);
-        let mut order = Vec::new();
-        let mut selected = Vec::new();
-        top_k_into(&scored, &mut order, &mut selected);
-        let best_mean = selected.first().map_or(direct_mean, |s| s.mean);
-        // Algorithm 3 line 3: normalize by the mean top-k upper bound; arms
-        // warm-start from predicted means (3 virtual samples).
-        let w = selected.iter().map(|s| s.upper).sum::<f64>() / selected.len().max(1) as f64;
-        let bandit = UcbBandit::with_priors(selected.iter().map(|s| (s.option, s.mean)), w, 3);
-        bandit.validate();
-        PairEntry {
-            window,
-            bandit,
-            best_mean,
-            direct_mean,
-        }
-    }
-
     /// Decides the relay option for one call. `call_id` seeds the
     /// ε-exploration RNG, so identical request streams select identically.
     pub fn select(
@@ -403,24 +346,27 @@ impl Controller {
         let pred = self.predictor.load();
         let pair = KeyPair::new(src_key, dst_key);
         let mut shard = lock(&self.shards[self.shard_of(pair)]);
-        let wi = shard.window;
-        let objective = self.cfg.objective;
-        let entry = match shard.pairs.entry(pair) {
-            Entry::Occupied(mut o) => {
-                if o.get().window != wi {
-                    *o.get_mut() = Self::build_pair_entry(&pred, pair, candidates, wi, objective);
-                }
-                o.into_mut()
-            }
-            Entry::Vacant(v) => v.insert(Self::build_pair_entry(
-                &pred, pair, candidates, wi, objective,
-            )),
-        };
-        // Budget gate (§4.6): benefit = predicted direct cost minus best
-        // predicted cost. A non-finite benefit (no direct candidate, or a
+        let Shard {
+            window: wi,
+            pairs,
+            scratch,
+            set,
+            ..
+        } = &mut *shard;
+        let wi = *wi;
+        let arms = pairs.entry(pair).or_insert_with(|| {
+            PairArms::build(
+                &self.plan,
+                |o| pred.predict(pair.lo, pair.hi, o),
+                candidates,
+                self.cfg.objective,
+                scratch,
+            )
+        });
+        // Budget gate (§4.6). A non-finite benefit (no direct candidate, or a
         // prior-only ∞ direct mean) bypasses the gate — such calls must
         // relay regardless and must not poison the percentile estimator.
-        let benefit = entry.direct_mean - entry.best_mean;
+        let benefit = arms.benefit();
         let mut admitted = true;
         if benefit.is_finite() {
             let mut gate = lock(&self.gate);
@@ -429,35 +375,33 @@ impl Controller {
                 g.validate();
             }
         }
-        let mut explored = false;
-        let option = if admitted {
-            let mut rng = StdRng::seed_from_u64(seed::derive_indexed(
-                self.cfg.seed,
-                "server.select",
-                call_id,
-            ));
-            if self.cfg.epsilon > 0.0 && rng.random::<f64>() < self.cfg.epsilon {
-                explored = true;
-                candidates[rng.random_range(0..candidates.len())]
-            } else {
-                entry.bandit.choose().unwrap_or(RelayOption::Direct)
-            }
-        } else {
-            RelayOption::Direct
-        };
+        let decision = arms.decide(
+            &self.plan,
+            !admitted,
+            self.cfg.epsilon,
+            || {
+                StdRng::seed_from_u64(seed::derive_indexed(
+                    self.cfg.seed,
+                    "server.select",
+                    call_id,
+                ))
+            },
+            || candidates,
+            set,
+        );
         let micros = started.elapsed().as_secs_f64() * 1e6;
         shard.latency.record(micros);
         self.selections.fetch_add(1, Ordering::Relaxed);
-        if explored {
+        if decision.explored {
             self.explored.fetch_add(1, Ordering::Relaxed);
         }
         if !admitted {
             self.gated.fetch_add(1, Ordering::Relaxed);
         }
         Selection {
-            option,
+            option: decision.option,
             admitted,
-            explored,
+            explored: decision.explored,
             window: wi,
         }
     }
@@ -481,23 +425,20 @@ impl Controller {
             index: shard.window,
             len: self.cfg.window,
         };
-        shard.history.record(window, pair, option, metrics);
-        shard.pending += 1;
-        let fitted = shard
-            .history
-            .cell(window, pair, option)
-            .and_then(|stats| fit_cell(stats, &self.cfg.predictor));
-        if let Some(pred) = fitted {
-            shard.cells.insert((pair, option), pred);
-        }
-        if let Some(entry) = shard.pairs.get_mut(&pair) {
-            if entry.window == window.index {
-                entry.bandit.update(option, metrics[self.cfg.objective]);
-                entry.bandit.validate();
-            }
+        shard
+            .live
+            .record(window, pair, option, metrics, &self.cfg.predictor);
+        if let Some(arms) = shard.pairs.get_mut(&pair) {
+            arms.learn(option, metrics[self.cfg.objective]);
         }
         self.reports.fetch_add(1, Ordering::Relaxed);
         window.index
+    }
+
+    /// Counts a report the socket plane refused before it reached
+    /// [`Controller::report`] (out-of-range or non-finite metrics).
+    pub fn count_rejected_report(&self) {
+        self.reports_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Rolls forward when `w` is ahead of the accumulating window.
@@ -526,47 +467,23 @@ impl Controller {
             return; // unreachable: next.index > cur >= 0
         };
         let mut merged = CallHistory::new();
-        let mut cells: HashMap<(KeyPair, RelayOption), Prediction> = HashMap::new();
+        let mut cells = HashMap::new();
         let mut refit_lag = 0u64;
         for shard in &self.shards {
             let mut shard = lock(shard);
-            merged.merge(std::mem::take(&mut shard.history));
-            cells.extend(shard.cells.drain());
+            refit_lag += shard.live.drain_into(&mut merged, &mut cells);
             shard.pairs.clear();
-            refit_lag += shard.pending;
-            shard.pending = 0;
             shard.window = next.index;
         }
-        let published = if training == current_window {
-            // Common case: the window that just closed is the training
-            // window, and its cell map is already fitted — publish it with a
-            // fresh tomography solve, no per-cell pass.
-            let tomography = Tomography::fit(
-                &merged,
-                training,
-                self.backbone.as_ref(),
-                &self.cfg.predictor.tomography,
-            );
-            Predictor::from_parts(
-                self.cfg.predictor,
-                training,
-                cells,
-                tomography,
-                self.prior.clone(),
-                box_backbone(&self.backbone),
-            )
-        } else {
-            // Idle gap: the window preceding `next` saw no traffic. Fit on
-            // whatever the history holds for it (normally nothing) — the
-            // batch engine's empty-window behaviour.
-            Predictor::fit(
-                &merged,
-                training,
-                self.prior.clone(),
-                box_backbone(&self.backbone),
-                self.cfg.predictor,
-            )
-        };
+        let published = publish(
+            training,
+            current_window,
+            &merged,
+            cells,
+            self.prior.clone(),
+            &self.backbone,
+            self.cfg.predictor,
+        );
         let empirical = published.empirical_cells() as u64;
         let segments = published.tomography_segments() as u64;
         self.predictor.publish(Arc::new(published));
@@ -592,46 +509,20 @@ impl Controller {
     pub fn selection_snapshot(&self) -> SelectionSnapshot {
         let roll = lock(&self.roll);
         let current = self.current_window();
-        let mut cells: Vec<CellSnapshot> = Vec::new();
+        let mut cells = Vec::new();
         let mut pending = 0;
         for shard in &self.shards {
             let shard = lock(shard);
-            cells.extend(
-                shard
-                    .history
-                    .window_cells(current)
-                    .map(|(&(pair, option), stats)| CellSnapshot {
-                        pair,
-                        option,
-                        stats: stats.clone(),
-                    }),
-            );
-            pending += shard.pending;
+            shard.live.snapshot_cells(current, &mut cells);
+            pending += shard.live.pending();
         }
-        cells.sort_by_key(|c| (c.pair, c.option));
         let trained = roll.trained_window.map(|tw| {
-            let mut cells: Vec<CellSnapshot> = roll
-                .trained
-                .window_cells(tw)
-                .map(|(&(pair, option), stats)| CellSnapshot {
-                    pair,
-                    option,
-                    stats: stats.clone(),
-                })
-                .collect();
-            cells.sort_by_key(|c| (c.pair, c.option));
-            RefitSnapshot {
-                window: tw,
-                pending: 0,
-                cells,
-            }
+            let mut cells = Vec::new();
+            snapshot_cells(&roll.trained, tw, &mut cells);
+            RefitSnapshot::new(tw, 0, cells)
         });
         SelectionSnapshot {
-            current: RefitSnapshot {
-                window: current,
-                pending,
-                cells,
-            },
+            current: RefitSnapshot::new(current, pending, cells),
             trained,
             gate: lock(&self.gate).clone(),
         }
@@ -654,6 +545,10 @@ impl Controller {
             self.selections.load(Ordering::Relaxed),
         );
         sink.inc("server_reports_total", self.reports.load(Ordering::Relaxed));
+        sink.inc(
+            "server_reports_rejected_total",
+            self.reports_rejected.load(Ordering::Relaxed),
+        );
         sink.inc("server_gated_total", self.gated.load(Ordering::Relaxed));
         sink.inc(
             "server_explored_total",
@@ -661,7 +556,7 @@ impl Controller {
         );
         sink.inc("server_rolls_total", self.rolls.load(Ordering::Relaxed));
         sink.inc("server_window_index", self.window.load(Ordering::Acquire));
-        let pending: u64 = self.shards.iter().map(|s| lock(s).pending).sum();
+        let pending: u64 = self.shards.iter().map(|s| lock(s).live.pending()).sum();
         sink.inc("server_refit_pending_reports", pending);
         if let Some(g) = lock(&self.gate).as_ref() {
             sink.inc("server_gate_calls_total", g.total());
@@ -728,13 +623,4 @@ impl Controller {
     pub fn live_sessions(&self) -> usize {
         lock(&self.sessions).live_count()
     }
-}
-
-/// Wraps the shared backbone closure in the boxed form `via-core`'s
-/// predictor constructors take.
-fn box_backbone(
-    bb: &BackboneFn,
-) -> Box<dyn Fn(via_model::ids::RelayId, via_model::ids::RelayId) -> PathMetrics + Send + Sync> {
-    let bb = Arc::clone(bb);
-    Box::new(move |a, b| bb(a, b))
 }

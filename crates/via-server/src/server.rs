@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use via_model::metrics::PathMetrics;
 use via_testbed::protocol::{accept_deadline, FrameConn, FrameError};
 
 use crate::controller::Controller;
@@ -24,6 +25,11 @@ use crate::wire::{ErrorKind, Request, Response};
 /// How long the accept loop and handler reads block before re-checking the
 /// shutdown flag.
 const POLL: Duration = Duration::from_millis(100);
+
+/// Sanity ceiling on a reported RTT or jitter, milliseconds: a minute is far
+/// beyond anything a call can measure, and small enough that no stream of
+/// reports can overflow an accumulator.
+const MAX_REPORTED_MS: f64 = 60_000.0;
 
 /// A running server: accept-loop thread plus shutdown plumbing.
 #[derive(Debug)]
@@ -199,6 +205,28 @@ fn check_session(controller: &Controller, mine: u64, claimed: u64) -> Result<(),
     }
 }
 
+/// A remote report's metrics are unvalidated network input (`PathMetrics`
+/// deserializes field by field, and JSON `null` reads as NaN): anything
+/// non-finite, negative or beyond physical range is refused before it can
+/// reach a Welford cell or a bandit arm, and counted.
+fn check_metrics(controller: &Controller, m: &PathMetrics) -> Result<(), Response> {
+    let in_range = (0.0..=MAX_REPORTED_MS).contains(&m.rtt_ms)
+        && (0.0..=100.0).contains(&m.loss_pct)
+        && (0.0..=MAX_REPORTED_MS).contains(&m.jitter_ms);
+    if in_range {
+        Ok(())
+    } else {
+        controller.count_rejected_report();
+        Err(Response::Error {
+            kind: ErrorKind::BadRequest,
+            detail: format!(
+                "report metrics out of range: rtt {} ms, loss {} %, jitter {} ms",
+                m.rtt_ms, m.loss_pct, m.jitter_ms
+            ),
+        })
+    }
+}
+
 fn dispatch(
     controller: &Controller,
     my_session: u64,
@@ -236,7 +264,9 @@ fn dispatch(
             dst_key,
             option,
             metrics,
-        } => match check_session(controller, my_session, session) {
+        } => match check_session(controller, my_session, session)
+            .and_then(|()| check_metrics(controller, &metrics))
+        {
             Err(e) => e,
             Ok(()) => Response::Reported {
                 window: controller.report(t, src_key, dst_key, option, &metrics),

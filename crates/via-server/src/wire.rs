@@ -70,8 +70,9 @@ pub enum ErrorKind {
     UnknownSession,
     /// No session id could be allocated.
     SessionExhausted,
-    /// The request was structurally invalid (e.g. `Hello` on an open
-    /// session, or a non-`Hello` first frame).
+    /// The request was invalid: structurally (e.g. `Hello` on an open
+    /// session, or a non-`Hello` first frame) or in content (report metrics
+    /// that are non-finite, negative or out of range).
     BadRequest,
 }
 

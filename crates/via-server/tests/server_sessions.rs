@@ -144,3 +144,73 @@ fn client_shutdown_request_stops_the_server() {
                    // New connections now fail the handshake (refused or reset mid-Hello).
     assert!(Client::connect(addr, Duration::from_millis(500)).is_err());
 }
+
+#[test]
+fn out_of_range_report_metrics_are_rejected_before_any_state_is_touched() {
+    let handle = serve(controller()).unwrap();
+    let ctrl = Arc::clone(handle.controller());
+    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    let option = RelayOption::Bounce(RelayId(0));
+    let good = PathMetrics::new(80.0, 0.5, 3.0);
+    // The selected pair holds live arms, so a bad cost would reach them.
+    client
+        .select(0, SimTime::ZERO, 0, 1, &[RelayOption::Direct, option])
+        .unwrap();
+    client.report(SimTime::ZERO, 0, 1, option, good).unwrap();
+    let before = ctrl.selection_snapshot_json();
+
+    // NaN travels as JSON `null`; the rest are plain JSON numbers.
+    let hostile = [
+        PathMetrics {
+            rtt_ms: f64::NAN,
+            ..good
+        },
+        PathMetrics {
+            rtt_ms: -1.0,
+            ..good
+        },
+        PathMetrics {
+            loss_pct: 101.0,
+            ..good
+        },
+        PathMetrics {
+            jitter_ms: 1e308,
+            ..good
+        },
+        PathMetrics {
+            rtt_ms: 1e308,
+            ..good
+        },
+    ];
+    for bad in hostile {
+        let err = client.report(SimTime::ZERO, 0, 1, option, bad).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ClientError::Remote {
+                    kind: ErrorKind::BadRequest,
+                    ..
+                }
+            ),
+            "{bad:?} must be a typed BadRequest, got {err:?}"
+        );
+    }
+    assert_eq!(
+        ctrl.selection_snapshot_json(),
+        before,
+        "a rejected report must not touch the selection state"
+    );
+    let snap = ctrl.metrics_snapshot();
+    assert_eq!(
+        snap.counter("server_reports_rejected_total"),
+        hostile.len() as u64
+    );
+    assert_eq!(snap.counter("server_reports_total"), 1);
+
+    // The session survives the rejections.
+    client.report(SimTime::ZERO, 0, 1, option, good).unwrap();
+    client
+        .select(1, SimTime::ZERO, 0, 1, &[RelayOption::Direct, option])
+        .unwrap();
+    handle.stop();
+}

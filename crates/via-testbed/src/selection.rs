@@ -2,16 +2,20 @@
 //! the controlled experiment of §5.5 and Figure 18.
 //!
 //! Back-to-back sweeps give ground truth: in every round each pair measured
-//! *every* relay option. VIA's heuristic is then evaluated per round: it sees
-//! only prior rounds' data (means + SEMs → top-k pruning) and its own past
-//! picks (bandit state), chooses one relay, and is scored by the
+//! *every* relay option. VIA's heuristic — the same `via_core::selector`
+//! pipeline the replay engine and the live server run, under the `Via` plan
+//! with ε = 0 — is then evaluated per round: it sees only prior rounds' data
+//! (means + SEMs → top-k pruning, prediction-warm-started arms) and its own
+//! past picks (bandit feedback), chooses one relay, and is scored by the
 //! *sub-optimality* of that relay's measured performance within the round:
 //! `(perf_VIA − perf_best) / perf_best`.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use via_core::bandit::UcbBandit;
-use via_core::topk::{top_k, ScoredOption};
+use via_core::selector::{ArmsScratch, PairArms, Plan};
+use via_core::strategy::StrategyKind;
 use via_core::Prediction;
 use via_core::PredictionSource;
 use via_model::ids::RelayId;
@@ -58,6 +62,9 @@ pub fn evaluate_via_selection(reports: &[ReportRecord], objective: Metric) -> Fi
     let mut suboptimality = Vec::new();
     let mut best_picks = 0usize;
     let mut decisions = 0usize;
+    let plan = Plan::from(StrategyKind::Via);
+    let mut scratch = ArmsScratch::default();
+    let mut set = Vec::new();
 
     // Deterministic iteration order.
     let mut pairs: Vec<_> = table.into_iter().collect();
@@ -77,28 +84,43 @@ pub fn evaluate_via_selection(reports: &[ReportRecord], objective: Metric) -> Fi
         for (round_idx, (_, values)) in rounds.iter().enumerate() {
             if round_idx > 0 && values.len() >= 2 {
                 // Build predictions from history.
-                let mut scored = Vec::new();
                 let mut known: Vec<_> = stats.iter().collect();
                 known.sort_by_key(|(r, _)| **r);
-                for (&relay, s) in known {
-                    let Some(mean) = s.mean() else { continue };
-                    let sem = s.sem().unwrap_or(mean.abs() * 0.5).max(1e-9);
-                    let pred = prediction_from(mean, sem, s.count());
-                    scored.push(ScoredOption::from_prediction(
-                        RelayOption::Bounce(RelayId(u32::from(relay))),
-                        &pred,
+                let (candidates, predicted): (Vec<RelayOption>, Vec<Prediction>) = known
+                    .into_iter()
+                    .filter_map(|(&relay, s)| {
+                        let mean = s.mean()?;
+                        let sem = s.sem().unwrap_or(mean.abs() * 0.5).max(1e-9);
+                        Some((
+                            RelayOption::Bounce(RelayId(u32::from(relay))),
+                            prediction_from(mean, sem, s.count()),
+                        ))
+                    })
+                    .unzip();
+                if !candidates.is_empty() {
+                    // `build` asks only about the candidates it is handed.
+                    let at = |o| candidates.iter().position(|&c| c == o).unwrap_or(0);
+                    let mut arms = PairArms::build(
+                        &plan,
+                        |o| predicted[at(o)],
+                        &candidates,
                         objective,
-                    ));
-                }
-                if !scored.is_empty() {
-                    let selected = top_k(&scored);
-                    let w = selected.iter().map(|s| s.upper).sum::<f64>()
-                        / selected.len().max(1) as f64;
-                    let mut bandit = UcbBandit::new(selected.iter().map(|s| s.option), w);
+                        &mut scratch,
+                    );
                     for &(opt, value) in &pick_history {
-                        bandit.update(opt, value);
+                        arms.learn(opt, value);
                     }
-                    if let Some(RelayOption::Bounce(rid)) = bandit.choose() {
+                    // ε = 0: the controlled experiment scores the exploit
+                    // step, so the RNG is never built.
+                    let decision = arms.decide(
+                        &plan,
+                        false,
+                        0.0,
+                        || StdRng::seed_from_u64(0),
+                        || &candidates[..],
+                        &mut set,
+                    );
+                    if let RelayOption::Bounce(rid) = decision.option {
                         let pick = rid.0 as RelayIndex;
                         if let Some(&via_value) = values.get(&pick) {
                             let best = values.values().fold(f64::INFINITY, |acc, &v| acc.min(v));

@@ -17,6 +17,7 @@
 //! | [`core`]    | `via-core`    | tomography predictor, top-k pruning, modified UCB1, budget gate, strategies, replay |
 //! | [`obs`]     | `via-obs`     | deterministic metrics/tracing: counters, fixed-bucket histograms, span events |
 //! | [`testbed`] | `via-testbed` | real TCP/UDP deployment prototype (§5.5) |
+//! | [`server`]  | `via-server`  | live controller: select/report plane with incremental refit |
 //!
 //! ## Quickstart
 //!
@@ -41,5 +42,6 @@ pub use via_model as model;
 pub use via_netsim as netsim;
 pub use via_obs as obs;
 pub use via_quality as quality;
+pub use via_server as server;
 pub use via_testbed as testbed;
 pub use via_trace as trace;
