@@ -883,7 +883,7 @@ fn server_under_test() -> (
 ///
 /// Phase 1 (in-process, the acceptance surface): a single driver issuing
 /// selects with one report per four selects, spanning a window rollover, so
-/// the measured rate includes incremental refits and one full predictor
+/// the measured rate includes the reports and one rollover refit and
 /// publish. Throughput is wall-clock; percentiles come from the
 /// controller's own select-latency histogram.
 ///

@@ -11,9 +11,8 @@
 //!   never observed.
 //! * [`predictor`] — `Pred` of Algorithm 1: empirical → tomography →
 //!   geographic prior, each with mean and 95 % confidence bounds.
-//! * [`online`] — the live controller's report half: a per-report
-//!   incremental accumulator whose rollover publishes predictors
-//!   bit-identical to the batch barrier fit, plus snapshot/restore cells for
+//! * [`online`] — the window roll: the one refit rule replay's barrier and
+//!   the live controller's rollover both call, plus the snapshot cells for
 //!   graceful restarts.
 //! * [`topk`] — Algorithm 2: the minimal confidence-interval closure that
 //!   provably contains every plausibly-best option.
@@ -75,9 +74,9 @@ pub use budget::BudgetGate;
 pub use coords::{Coord, Vivaldi, VivaldiConfig};
 pub use history::{CallHistory, KeyPair, MetricStats};
 pub use multipath::PathSet;
-pub use online::{BackboneFn, CellSnapshot, LiveWindow, RefitSnapshot};
+pub use online::{BackboneFn, CellSnapshot, RefitSnapshot};
 pub use placement::{plan_placement, Demand, Placement};
-pub use predictor::{fit_cell, GeoPrior, Prediction, PredictionSource, Predictor, PredictorConfig};
+pub use predictor::{GeoPrior, Prediction, PredictionSource, Predictor, PredictorConfig};
 pub use replay::{CallOutcome, Outcome, ReplayConfig, ReplaySim, ReplayStats, SpatialGranularity};
 pub use selector::{ArmsScratch, Decision, PairArms, Plan};
 pub use strategy::{MultipathMode, StrategyKind};

@@ -1,30 +1,20 @@
-//! Incremental predictor refit: the report half of the live controller.
+//! The window roll: the one refit rule, and the snapshot image of a window.
 //!
-//! The batch replay engine refits at the window barrier — it stops, walks
-//! every cell of the previous window, and fits a fresh [`Predictor`]. A
-//! long-running controller cannot stall its select path behind that
-//! whole-window pass, so a [`LiveWindow`] keeps the per-cell Welford
-//! sufficient statistics *live*: every call report updates exactly one
-//! cell's accumulator and re-derives that one cell's [`Prediction`] — O(1)
-//! work per report. At window rollover the already-finished cell maps are
-//! drained and [`publish`]ed together with a fresh tomography solve (the only
-//! remaining whole-window computation, which runs off the select path while
-//! the previous predictor keeps serving).
+//! The controller refreshes its predictions once per control period `T`
+//! (Algorithm 1 stages 1–2, §4.3): when a window opens, one whole-window
+//! [`Predictor::fit`] over the window before it. [`refit`] is that rule,
+//! written once. The batch replay engine calls it at its window barrier; the
+//! live controller (`via-server`) calls it at start-up, at every rollover —
+//! after draining its shard histories into one — and on restore. Between
+//! rollovers a call report is one Welford push into a plain [`CallHistory`];
+//! nothing is fitted per report.
 //!
-//! A controller may hold one `LiveWindow` or one per pair shard: cells are
-//! keyed by pair, so shard maps are disjoint and draining them into one
-//! history and one cell map is the same union either way.
-//!
-//! **Byte-identity with the batch path.** Both paths feed each cell's final
-//! Welford statistics through the same `fit_cell` function, and Welford
-//! accumulation depends only on the per-cell push sequence — which is the
-//! report sequence either way. Tomography is fitted from the identical
-//! [`CallHistory`] by the identical deterministic solve. A published
-//! predictor therefore returns bit-for-bit the same [`Prediction`]s as
-//! [`Predictor::fit`] over the same recorded window — the regression tests in
-//! this module pin that down to `f64::to_bits`.
+//! Shard histories are keyed by pair, so they are disjoint and
+//! [`CallHistory::merge`]-ing them is the same union in any order; per-cell
+//! Welford statistics depend only on that cell's push sequence, which is the
+//! report sequence. The live plane's predictor is therefore the replay
+//! engine's by construction: same function, same statistics.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use via_model::ids::RelayId;
@@ -33,91 +23,33 @@ use via_model::options::RelayOption;
 use via_model::time::Window;
 
 use crate::history::{CallHistory, KeyPair, MetricStats};
-use crate::predictor::{fit_cell, GeoPrior, Prediction, Predictor, PredictorConfig};
-use crate::tomography::Tomography;
+use crate::predictor::{GeoPrior, Predictor, PredictorConfig};
 
-/// Shared inter-relay backbone metrics closure. `Arc` so every published
+/// Shared inter-relay backbone metrics closure. `Arc` so every refitted
 /// predictor holds a handle to the same table instead of cloning it.
 pub type BackboneFn = Arc<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync>;
 
-/// The boxed form of a [`BackboneFn`] the predictor constructors take.
-pub fn boxed(bb: &BackboneFn) -> Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync> {
-    let bb = Arc::clone(bb);
-    Box::new(move |a, b| bb(a, b))
-}
-
-/// The accumulating window's training state: the full per-cell statistics
-/// (tomography's training set), the live per-cell empirical predictions
-/// re-derived per touch so rollover publishes without a window scan, and the
-/// reports folded in since the last drain (the "refit lag" a batch
-/// controller would still owe at its next barrier).
-#[derive(Debug, Default)]
-pub struct LiveWindow {
-    history: CallHistory,
-    cells: HashMap<(KeyPair, RelayOption), Prediction>,
-    pending: u64,
-}
-
-impl LiveWindow {
-    /// Reports folded in since the last [`LiveWindow::drain_into`].
-    pub fn pending(&self) -> u64 {
-        self.pending
-    }
-
-    /// Folds one call report into `window`: one Welford push plus one
-    /// single-cell fit — O(1), no window scan.
-    pub fn record(
-        &mut self,
-        window: Window,
-        pair: KeyPair,
-        option: RelayOption,
-        m: &PathMetrics,
-        cfg: &PredictorConfig,
-    ) {
-        let option = option.canonical();
-        self.history.record(window, pair, option, m);
-        self.pending += 1;
-        if let Some(stats) = self.history.cell(window, pair, option) {
-            if let Some(pred) = fit_cell(stats, cfg) {
-                self.cells.insert((pair, option), pred);
-            }
-        }
-    }
-
-    /// Closes the window: moves the statistics into `history` and the fitted
-    /// cells into `cells`, leaving this accumulator empty. Returns the
-    /// reports it had pending.
-    pub fn drain_into(
-        &mut self,
-        history: &mut CallHistory,
-        cells: &mut HashMap<(KeyPair, RelayOption), Prediction>,
-    ) -> u64 {
-        history.merge(std::mem::take(&mut self.history));
-        cells.extend(self.cells.drain());
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Appends `window`'s cells to `out` (unsorted; [`RefitSnapshot::new`]
-    /// puts them in canonical order).
-    pub fn snapshot_cells(&self, window: Window, out: &mut Vec<CellSnapshot>) {
-        snapshot_cells(&self.history, window, out);
-    }
-
-    /// Reinstalls one snapshotted cell of `window` and refits it, so the
-    /// restored state publishes the same predictions the snapshotting
-    /// instance would have.
-    pub fn restore_cell(&mut self, window: Window, cell: CellSnapshot, cfg: &PredictorConfig) {
-        let option = cell.option.canonical();
-        if let Some(pred) = fit_cell(&cell.stats, cfg) {
-            self.cells.insert((cell.pair, option), pred);
-        }
-        self.pending += cell.stats.count();
-        self.history
-            .insert_cell(window, cell.pair, option, cell.stats);
+/// The predictor that serves `opening`: trained on whatever `history` holds
+/// for the window before it — nothing, across an idle gap or a clock jump,
+/// which yields the empty-window predictor — or the prior-only cold
+/// predictor when `opening` is window 0 and has no predecessor.
+pub fn refit(
+    history: &CallHistory,
+    opening: Window,
+    prior: GeoPrior,
+    backbone: &BackboneFn,
+    cfg: PredictorConfig,
+) -> Predictor {
+    let bb = Arc::clone(backbone);
+    let backbone = Box::new(move |a, b| bb(a, b));
+    match opening.prev() {
+        Some(training) => Predictor::fit(history, training, prior, backbone, cfg),
+        None => Predictor::cold(prior, backbone, cfg),
     }
 }
 
-/// Appends every cell `history` holds for `window` to `out`.
+/// Appends every cell `history` holds for `window` to `out` (unsorted;
+/// [`RefitSnapshot::new`] puts them in canonical order).
 pub fn snapshot_cells(history: &CallHistory, window: Window, out: &mut Vec<CellSnapshot>) {
     out.extend(
         history
@@ -128,31 +60,6 @@ pub fn snapshot_cells(history: &CallHistory, window: Window, out: &mut Vec<CellS
                 stats: stats.clone(),
             }),
     );
-}
-
-/// The rollover publish: the predictor the batch engine would fit at the
-/// same barrier, trained on `training` (the window before the one that
-/// opens). When `training` is the window that just closed — the common case
-/// — `cells` is already its fitted cell map and ships as-is; only
-/// tomography, inherently a whole-window solve, is computed here. Across an
-/// idle gap (the window preceding the next saw no traffic, or the clock
-/// jumped) it fits on whatever `history` holds for `training` — normally
-/// nothing, yielding the batch engine's empty-window predictor.
-pub fn publish(
-    training: Window,
-    closing: Window,
-    history: &CallHistory,
-    cells: HashMap<(KeyPair, RelayOption), Prediction>,
-    prior: GeoPrior,
-    backbone: &BackboneFn,
-    cfg: PredictorConfig,
-) -> Predictor {
-    if training == closing {
-        let tomography = Tomography::fit(history, training, backbone.as_ref(), &cfg.tomography);
-        Predictor::from_parts(cfg, training, cells, tomography, prior, boxed(backbone))
-    } else {
-        Predictor::fit(history, training, prior, boxed(backbone), cfg)
-    }
 }
 
 /// One history cell in a [`RefitSnapshot`].
@@ -194,6 +101,7 @@ impl RefitSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::PredictionSource;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use via_model::metrics::Metric;
@@ -216,11 +124,23 @@ mod tests {
         GeoPrior::new(keys, relays)
     }
 
+    fn backbone_metrics(a: RelayId, b: RelayId) -> PathMetrics {
+        let d = (a.0 as f64 - b.0 as f64).abs();
+        PathMetrics::new(20.0 + 10.0 * d, 0.05, 1.0)
+    }
+
     fn backbone() -> BackboneFn {
-        Arc::new(|a: RelayId, b: RelayId| {
-            let d = (a.0 as f64 - b.0 as f64).abs();
-            PathMetrics::new(20.0 + 10.0 * d, 0.05, 1.0)
-        })
+        Arc::new(backbone_metrics)
+    }
+
+    fn roll(history: &CallHistory, opening: Window) -> Predictor {
+        refit(
+            history,
+            opening,
+            prior(),
+            &backbone(),
+            PredictorConfig::default(),
+        )
     }
 
     /// A deterministic synthetic report stream over a handful of pairs and
@@ -247,7 +167,27 @@ mod tests {
             .collect()
     }
 
+    /// `stream` recorded into `window` of `shards` pair-sharded histories,
+    /// then drained into one — the live controller's rollover merge.
+    fn drained(
+        stream: &[(KeyPair, RelayOption, PathMetrics)],
+        window: Window,
+        shards: usize,
+    ) -> CallHistory {
+        let mut parts: Vec<CallHistory> = (0..shards).map(|_| CallHistory::new()).collect();
+        for (pair, option, m) in stream {
+            parts[(pair.lo + pair.hi) as usize % shards].record(window, *pair, *option, m);
+        }
+        let mut merged = CallHistory::new();
+        for part in parts {
+            merged.merge(part);
+        }
+        merged
+    }
+
     fn assert_bit_identical(a: &Predictor, b: &Predictor) {
+        assert_eq!(a.empirical_cells(), b.empirical_cells());
+        assert_eq!(a.tomography_segments(), b.tomography_segments());
         for ka in 0..3u32 {
             for kb in 0..3u32 {
                 for option in [
@@ -281,126 +221,81 @@ mod tests {
         }
     }
 
-    fn snapshot(live: &LiveWindow, window: Window) -> RefitSnapshot {
+    fn snapshot(history: &CallHistory, window: Window) -> RefitSnapshot {
         let mut cells = Vec::new();
-        live.snapshot_cells(window, &mut cells);
-        RefitSnapshot::new(window, live.pending(), cells)
-    }
-
-    /// Drains `lives` (one accumulator, or one per shard) and publishes the
-    /// predictor for the window after `closing`.
-    fn roll(lives: &mut [LiveWindow], closing: Window, next: Window) -> Predictor {
-        let mut history = CallHistory::new();
-        let mut cells = HashMap::new();
-        for live in lives.iter_mut() {
-            live.drain_into(&mut history, &mut cells);
-            assert_eq!(live.pending(), 0);
-        }
-        let training = next.prev().unwrap();
-        publish(
-            training,
-            closing,
-            &history,
-            cells,
-            prior(),
-            &backbone(),
-            PredictorConfig::default(),
-        )
+        snapshot_cells(history, window, &mut cells);
+        RefitSnapshot::new(window, history.window_calls(window), cells)
     }
 
     #[test]
-    fn incremental_roll_matches_batch_fit_bit_for_bit() {
-        let cfg = PredictorConfig::default();
-        let stream = reports(0xA11CE, 400);
-
-        // Batch: record everything into window 0, fit at the barrier.
-        let mut history = CallHistory::new();
-        for (pair, option, m) in &stream {
-            history.record(w(0), *pair, *option, m);
-        }
-        let batch = Predictor::fit(&history, w(0), prior(), boxed(&backbone()), cfg);
-
-        // Incremental: one record() per report, publish at the rollover —
-        // through one accumulator, and sharded by pair across two.
+    fn rolling_over_an_idle_gap_trains_on_the_empty_window() {
+        let stream = reports(7, 50);
+        let whole = drained(&stream, w(0), 1);
         for shards in [1usize, 2] {
-            let mut lives: Vec<LiveWindow> = (0..shards).map(|_| LiveWindow::default()).collect();
-            for (pair, option, m) in &stream {
-                lives[(pair.lo + pair.hi) as usize % shards].record(w(0), *pair, *option, m, &cfg);
-            }
-            assert_eq!(lives.iter().map(LiveWindow::pending).sum::<u64>(), 400);
-            let rolled = roll(&mut lives, w(0), w(1));
-            assert_eq!(batch.empirical_cells(), rolled.empirical_cells());
-            assert_eq!(batch.tomography_segments(), rolled.tomography_segments());
-            assert_bit_identical(&batch, &rolled);
+            let merged = drained(&stream, w(0), shards);
+            // The next window trains on what was drained, however it was
+            // sharded.
+            let next = roll(&merged, w(1));
+            assert!(next.empirical_cells() > 0);
+            assert_bit_identical(&next, &roll(&whole, w(1)));
+            // Jumping from window 0 straight to window 3 trains on window 2,
+            // which saw no traffic.
+            let empty = Predictor::fit(
+                &CallHistory::new(),
+                w(2),
+                prior(),
+                Box::new(backbone_metrics),
+                PredictorConfig::default(),
+            );
+            let rolled = roll(&merged, w(3));
+            assert_eq!(rolled.empirical_cells(), 0);
+            assert_bit_identical(&empty, &rolled);
         }
     }
 
     #[test]
-    fn rolling_over_an_idle_gap_matches_an_empty_batch_window() {
-        let cfg = PredictorConfig::default();
-        let mut live = LiveWindow::default();
-        for (pair, option, m) in reports(7, 50) {
-            live.record(w(0), pair, option, &m, &cfg);
-        }
-        // Jump from window 0 straight to window 3: training window 2 is
-        // empty, exactly like a batch fit over a quiet window.
-        let rolled = roll(std::slice::from_mut(&mut live), w(0), w(3));
-        let batch = Predictor::fit(&CallHistory::new(), w(2), prior(), boxed(&backbone()), cfg);
-        assert_eq!(rolled.empirical_cells(), 0);
-        assert_bit_identical(&batch, &rolled);
+    fn window_zero_opens_cold_whatever_the_history_holds() {
+        let history = drained(&reports(11, 50), w(0), 1);
+        let opened = roll(&history, w(0));
+        let cold = Predictor::cold(
+            prior(),
+            Box::new(backbone_metrics),
+            PredictorConfig::default(),
+        );
+        assert_bit_identical(&cold, &opened);
+        let pred = opened.predict(0, 1, RelayOption::Direct);
+        assert_eq!(pred.source, PredictionSource::Prior);
     }
 
     #[test]
     fn snapshot_restore_round_trips_the_accumulating_window() {
-        let cfg = PredictorConfig::default();
-        let mut live = LiveWindow::default();
-        for (pair, option, m) in &reports(99, 250) {
-            live.record(w(4), *pair, *option, m, &cfg);
-        }
-
-        let bytes = serde_json::to_vec(&snapshot(&live, w(4))).unwrap();
+        let history = drained(&reports(99, 250), w(4), 1);
+        let bytes = serde_json::to_vec(&snapshot(&history, w(4))).unwrap();
         let decoded: RefitSnapshot = serde_json::from_slice(&bytes).unwrap();
         assert_eq!(decoded.window, w(4));
-        let mut restored = LiveWindow::default();
+        assert_eq!(decoded.pending, 250);
+        let mut restored = CallHistory::new();
         for cell in decoded.cells {
-            restored.restore_cell(w(4), cell, &cfg);
+            restored.insert_cell(w(4), cell.pair, cell.option, cell.stats);
         }
-        assert_eq!(restored.pending(), live.pending());
 
         // Snapshot bytes are canonical: re-snapshotting the restored state
-        // reproduces them exactly.
+        // reproduces them exactly, and it refits to the same predictor.
         assert_eq!(
             serde_json::to_vec(&snapshot(&restored, w(4))).unwrap(),
             bytes
         );
-
-        let a = roll(std::slice::from_mut(&mut live), w(4), w(5));
-        let b = roll(std::slice::from_mut(&mut restored), w(4), w(5));
-        assert_eq!(a.empirical_cells(), b.empirical_cells());
-        assert_bit_identical(&a, &b);
+        assert_bit_identical(&roll(&history, w(5)), &roll(&restored, w(5)));
     }
 
     #[test]
-    fn record_canonicalizes_options_like_the_history() {
-        let cfg = PredictorConfig::default();
-        let mut live = LiveWindow::default();
+    fn mirrored_transit_reports_land_in_one_snapshot_cell() {
+        let mut history = CallHistory::new();
         let pair = KeyPair::new(0, 1);
         let m = PathMetrics::new(80.0, 0.5, 3.0);
-        live.record(
-            w(0),
-            pair,
-            RelayOption::Transit(RelayId(1), RelayId(0)),
-            &m,
-            &cfg,
-        );
-        live.record(
-            w(0),
-            pair,
-            RelayOption::Transit(RelayId(0), RelayId(1)),
-            &m,
-            &cfg,
-        );
-        let snap = snapshot(&live, w(0));
+        history.record(w(0), pair, RelayOption::Transit(RelayId(1), RelayId(0)), &m);
+        history.record(w(0), pair, RelayOption::Transit(RelayId(0), RelayId(1)), &m);
+        let snap = snapshot(&history, w(0));
         assert_eq!(snap.cells.len(), 1);
         assert_eq!(snap.cells[0].stats.count(), 2);
     }

@@ -91,15 +91,9 @@ fn idx(m: Metric) -> usize {
     }
 }
 
-/// The single-cell empirical fit applied to every observed cell.
-///
-/// Shared by the whole-window [`Predictor::fit`] and the per-report
-/// incremental path ([`crate::online::LiveWindow`], one per shard of the
-/// live controller in `via-server`): both feed a cell's Welford
-/// sufficient statistics through this exact function, which is what makes
-/// batch and incremental refits produce bit-identical predictions from
-/// identical statistics.
-pub fn fit_cell(stats: &MetricStats, cfg: &PredictorConfig) -> Option<Prediction> {
+/// The empirical fit of one observed cell, from its Welford sufficient
+/// statistics.
+fn fit_cell(stats: &MetricStats, cfg: &PredictorConfig) -> Option<Prediction> {
     let n = stats.count();
     if n == 0 {
         return None;
@@ -277,30 +271,6 @@ impl Predictor {
         Predictor {
             cfg,
             window: training_window,
-            empirical,
-            tomography,
-            prior,
-            backbone,
-        }
-    }
-
-    /// Assembles a predictor from an externally maintained empirical cell
-    /// map plus a fitted tomography model — the publish step of the
-    /// incremental-refit path ([`crate::online::publish`]). `fit` is exactly
-    /// `from_parts` applied to the cells it computes itself; callers must
-    /// pass cells produced by [`fit_cell`] over the same history for the
-    /// bit-identity guarantee to hold.
-    pub fn from_parts(
-        cfg: PredictorConfig,
-        window: Window,
-        empirical: std::collections::HashMap<(KeyPair, RelayOption), Prediction>,
-        tomography: Tomography,
-        prior: GeoPrior,
-        backbone: Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync>,
-    ) -> Predictor {
-        Predictor {
-            cfg,
-            window,
             empirical,
             tomography,
             prior,

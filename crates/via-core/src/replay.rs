@@ -45,6 +45,7 @@ use via_trace::{CallRecord, Trace};
 
 use crate::budget::BudgetGate;
 use crate::history::{CallHistory, KeyPair};
+use crate::online::{refit, BackboneFn};
 use crate::predictor::{GeoPrior, Predictor, PredictorConfig};
 use crate::selector::{ArmsScratch, Explore, Gate, PairArms, Plan, Source};
 use crate::strategy::{MultipathMode, StrategyKind};
@@ -470,22 +471,15 @@ impl Outcome {
     }
 
     /// Fractions of calls sent direct / bounced / transited (§5.2 reports
-    /// 8 % / 54 % / 38 % for VIA).
+    /// 8 % / 54 % / 38 % for VIA). Read from [`Outcome::aggregate`], so it
+    /// holds with [`ReplayConfig::collect_calls`] off.
     pub fn option_mix(&self) -> (f64, f64, f64) {
-        let n = self.calls.len().max(1) as f64;
-        let direct = self
-            .calls
-            .iter()
-            .filter(|c| c.option == RelayOption::Direct)
-            .count();
-        let bounce = self.calls.iter().filter(|c| c.option.is_bounce()).count();
-        let transit = self.calls.iter().filter(|c| c.option.is_transit()).count();
-        (direct as f64 / n, bounce as f64 / n, transit as f64 / n)
+        self.aggregate.option_mix()
     }
 
     /// Fraction of calls relayed (non-direct); zero for an empty outcome.
     pub fn relayed_fraction(&self) -> f64 {
-        if self.calls.is_empty() {
+        if self.aggregate.calls == 0 {
             return 0.0;
         }
         let (direct, _, _) = self.option_mix();
@@ -722,7 +716,7 @@ struct EngineState {
     /// Built once per run: the controller's static knowledge (geography and
     /// inter-relay metrics) does not change across windows.
     prior: GeoPrior,
-    backbone_table: std::sync::Arc<Table<PathMetrics>>,
+    backbone: BackboneFn,
 }
 
 /// The replay simulator.
@@ -978,7 +972,7 @@ impl<'a> ReplaySim<'a> {
             self.cfg.granularity.key_positions(self.world),
             self.world.relays.iter().map(|r| r.pos).collect(),
         );
-        let backbone_table = self.backbone_table();
+        let backbone = self.backbone_fn();
         EngineState {
             t_run,
             obs,
@@ -999,7 +993,7 @@ impl<'a> ReplaySim<'a> {
             aggregate: ReplayAggregate::default(),
             thresholds: Thresholds::default(),
             prior,
-            backbone_table,
+            backbone,
         }
     }
 
@@ -1141,7 +1135,7 @@ impl<'a> ReplaySim<'a> {
             aggregate,
             thresholds,
             prior,
-            backbone_table,
+            backbone,
             ..
         } = st;
         let workers = *workers;
@@ -1155,25 +1149,16 @@ impl<'a> ReplaySim<'a> {
         if plan.learns() {
             let t_fit = Stopwatch::started();
             let fits_before = stats.predictor_fits;
-            let fit_predictor = |history: &CallHistory| {
-                window.prev().map(|prev| {
-                    Predictor::fit(
-                        history,
-                        prev,
-                        prior.clone(),
-                        Self::backbone_fn_from(backbone_table.clone()),
-                        pred_cfg,
-                    )
-                })
-            };
-            *predictor = fit_predictor(history);
+            let fit =
+                |history: &CallHistory| refit(history, window, prior.clone(), backbone, pred_cfg);
+            let mut fitted = fit(history);
             stats.predictor_fits += 1;
 
             // §7 active measurements: probe tomography holes for the
             // pairs that carried traffic last window, fold the mock
             // calls into the training window, and refit.
             if self.cfg.active_probes_per_window > 0 {
-                if let (Some(pred), Some(prev)) = (predictor.as_ref(), window.prev()) {
+                if let Some(prev) = window.prev() {
                     let scratch = &mut worker_slots[0].scratch;
                     let mut demand_list: Vec<(u32, u32, Vec<RelayOption>)> = demands
                         .iter()
@@ -1185,7 +1170,7 @@ impl<'a> ReplaySim<'a> {
                     demand_list.sort_by_key(|d| (d.0, d.1));
                     let plan = crate::active::plan_probes(
                         &demand_list,
-                        pred,
+                        &fitted,
                         self.cfg.active_probes_per_window,
                     );
                     if !plan.is_empty() {
@@ -1208,20 +1193,13 @@ impl<'a> ReplaySim<'a> {
                             );
                             history.record(prev, kp, probe.option, &m);
                         }
-                        *predictor = fit_predictor(history);
+                        fitted = fit(history);
                         stats.predictor_fits += 1;
                     }
                 }
             }
             demands.clear();
-
-            if predictor.is_none() {
-                *predictor = Some(Predictor::cold(
-                    prior.clone(),
-                    Self::backbone_fn_from(backbone_table.clone()),
-                    pred_cfg,
-                ));
-            }
+            *predictor = Some(fitted);
             // The controller only ever trains on the last window.
             history.prune_before(window.index.saturating_sub(1));
             stats.predictor_fit_ms += t_fit.elapsed_ms();
@@ -1805,22 +1783,15 @@ impl<'a> ReplaySim<'a> {
     }
 
     /// The controller's static knowledge of inter-relay performance (§3.2),
-    /// computed once per run.
-    fn backbone_table(&self) -> std::sync::Arc<Table<PathMetrics>> {
+    /// tabulated once per run.
+    fn backbone_fn(&self) -> BackboneFn {
         let relays = &self.world.relays;
-        std::sync::Arc::new(Table::from_fn(relays.len(), relays.len(), |i, j| {
+        let table = Table::from_fn(relays.len(), relays.len(), |i, j| {
             self.world
                 .perf()
                 .backbone_metrics(relays[i].id, relays[j].id)
-        }))
-    }
-
-    /// Wraps the shared backbone table as the closure the predictor expects.
-    fn backbone_fn_from(
-        table: std::sync::Arc<Table<PathMetrics>>,
-    ) -> Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync> {
-        debug_assert_eq!(table.rows(), table.cols());
-        Box::new(move |a: RelayId, b: RelayId| table[(a.index(), b.index())])
+        });
+        std::sync::Arc::new(move |a: RelayId, b: RelayId| table[(a.index(), b.index())])
     }
 }
 

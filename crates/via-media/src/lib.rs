@@ -11,8 +11,6 @@
 //! * [`delay`] — correlated (AR(1)) per-packet delay with transient spikes.
 //! * [`jitter`] — the RFC 3550 interarrival-jitter estimator and an adaptive
 //!   playout buffer with late-discard accounting.
-//! * [`rtcp`] — RFC 3550 receiver reports: the feedback wire format the
-//!   testbed's clients use to report metrics, with LSR/DLSR RTT arithmetic.
 //! * [`call_sim`] — ties it together: average metrics → packet trace →
 //!   receive pipeline → trace-based MOS.
 //!
@@ -33,7 +31,6 @@ pub mod jitter;
 pub mod loss;
 pub mod merge;
 pub mod packet;
-pub mod rtcp;
 
 pub use call_sim::{simulate_call, CallSimConfig, PacketTraceReport};
 pub use jitter::{JitterBuffer, JitterEstimator};
@@ -43,4 +40,3 @@ pub use merge::{
     PathArrivals, PathSpec,
 };
 pub use packet::{RtpPacket, RtpParseError, RTP_HEADER_LEN};
-pub use rtcp::{ReceiverReport, ReportBlock, RtcpError};

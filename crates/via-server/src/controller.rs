@@ -1,29 +1,31 @@
 //! The live selection plane: sharded controller state behind an epoch
-//! pointer, with per-report incremental refit.
+//! pointer, refitted once per window.
 //!
 //! The batch replay engine (`via_core::replay`) advances through a trace
 //! window by window: at each barrier it refits the predictor over the
 //! closed window, rebuilds per-pair bandit state lazily, and replays the
-//! next window. A long-running controller answers `select` RPCs
-//! continuously and cannot stall them behind a whole-window refit, so this
-//! module splits the state three ways:
+//! next window. A long-running controller runs the same schedule with the
+//! same [`refit`], but answers `select` RPCs continuously and must not stall
+//! them behind that whole-window fit, so this module splits the state three
+//! ways:
 //!
 //! * **Published predictor** — an [`EpochPtr`] holding the immutable
 //!   [`Predictor`] trained on the last closed window. The select path loads
 //!   it wait-free in practice; rollover publishes a replacement.
-//! * **Shards** — per-pair mutable state (a [`LiveWindow`] accumulating
-//!   reports, per-pair [`PairArms`], a selection-latency histogram),
-//!   partitioned by spatial key pair so concurrent selects for different
-//!   pairs never contend.
-//! * **Roll state** — the once-per-window merge: shard accumulators are
-//!   drained (disjoint by construction — each pair lives in exactly one
-//!   shard) and [`publish`]ed without re-walking the cells.
+//! * **Shards** — per-pair mutable state (the [`CallHistory`] accumulating
+//!   this window's reports, per-pair [`PairArms`], a selection-latency
+//!   histogram), partitioned by spatial key pair so concurrent selects for
+//!   different pairs never contend.
+//! * **Roll state** — the once-per-window merge: shard histories are
+//!   drained into one (disjoint by construction — each pair lives in exactly
+//!   one shard) and [`refit`] trains the next predictor on it while the
+//!   previous one keeps serving.
 //!
 //! The decision itself is `via_core::selector`'s: `select` and `report` call
 //! the same `PairArms::{build, decide, learn}` the replay engine does, under
 //! the `Via` plan. The budget gate and the per-call RNG stay here. The
 //! regression tests in `tests/server_determinism.rs` pin selections against
-//! a reference loop built on `Predictor::fit`.
+//! an independent reference loop built on `Predictor::fit`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,7 +37,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use via_core::budget::BudgetGate;
 use via_core::history::{CallHistory, KeyPair};
-use via_core::online::{boxed, publish, snapshot_cells, BackboneFn, LiveWindow, RefitSnapshot};
+use via_core::online::{refit, snapshot_cells, BackboneFn, RefitSnapshot};
 use via_core::predictor::{GeoPrior, Predictor, PredictorConfig};
 use via_core::selector::{ArmsScratch, PairArms, Plan};
 use via_core::strategy::StrategyKind;
@@ -104,8 +106,10 @@ pub struct Selection {
 struct Shard {
     /// Window index the shard's live state belongs to.
     window: u64,
-    /// Reports accumulating for the current window (drained at rollover).
-    live: LiveWindow,
+    /// Reports accumulating for the current window, and how many: both
+    /// drained at rollover.
+    history: CallHistory,
+    pending: u64,
     /// Per-pair arms for the current window: built lazily from the published
     /// predictor, cleared (under this shard's lock) whenever `window` moves.
     pairs: HashMap<KeyPair, PairArms>,
@@ -121,7 +125,8 @@ impl Shard {
     fn new(window: u64) -> Shard {
         Shard {
             window,
-            live: LiveWindow::default(),
+            history: CallHistory::new(),
+            pending: 0,
             pairs: HashMap::new(),
             scratch: ArmsScratch::default(),
             set: Vec::new(),
@@ -147,15 +152,13 @@ struct RollState {
 /// to restart and keep serving bit-identical predictions.
 ///
 /// `trained` carries the per-cell statistics of the window behind the live
-/// predictor; restore refits it with [`Predictor::fit`], which is
-/// bit-identical to the incremental publish over the same statistics.
-/// `current` is the accumulating window in the same canonical cell order.
-/// Per-pair bandit arms are *not*
-/// carried: they rebuild lazily from the restored predictor's predictions
-/// (a prediction-warm-started bandit, exactly what the batch engine builds
-/// at a pair's first call in a window), trading the closed-over-restart
-/// in-window arm observations for a snapshot that stays small and
-/// deterministic.
+/// predictor; restore refits them with the same [`refit`] the rollover
+/// called. `current` is the accumulating window in the same canonical cell
+/// order. Per-pair bandit arms are *not* carried: they rebuild lazily from
+/// the restored predictor's predictions (a prediction-warm-started bandit,
+/// exactly what the batch engine builds at a pair's first call in a
+/// window), trading the closed-over-restart in-window arm observations for
+/// a snapshot that stays small and deterministic.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SelectionSnapshot {
     /// The accumulating window's cells, pending count, and window id.
@@ -208,31 +211,33 @@ impl Controller {
     /// cold predictor when starting at window 0.
     pub fn new(cfg: ServerConfig, prior: GeoPrior, backbone: BackboneFn) -> Controller {
         let start = cfg.window.window_of(cfg.start);
-        let trained_window = start.prev();
-        let initial = match trained_window {
-            Some(training) => Predictor::fit(
-                &CallHistory::new(),
-                training,
-                prior.clone(),
-                boxed(&backbone),
-                cfg.predictor,
-            ),
-            None => Predictor::cold(prior.clone(), boxed(&backbone), cfg.predictor),
-        };
+        Controller::opening(cfg, prior, backbone, start, CallHistory::new())
+    }
+
+    /// A controller accumulating into `current` and serving the predictor
+    /// trained on what `trained` holds for the window before it.
+    fn opening(
+        cfg: ServerConfig,
+        prior: GeoPrior,
+        backbone: BackboneFn,
+        current: Window,
+        trained: CallHistory,
+    ) -> Controller {
+        let initial = refit(&trained, current, prior.clone(), &backbone, cfg.predictor);
         let n_shards = cfg.shards.max(1);
         Controller {
             plan: Plan::from(StrategyKind::Via),
             prior,
             backbone,
             predictor: EpochPtr::new(Arc::new(initial)),
-            window: AtomicU64::new(start.index),
+            window: AtomicU64::new(current.index),
             shards: (0..n_shards)
-                .map(|_| Mutex::new(Shard::new(start.index)))
+                .map(|_| Mutex::new(Shard::new(current.index)))
                 .collect(),
             gate: Mutex::new(cfg.budget.map(BudgetGate::new)),
             roll: Mutex::new(RollState {
-                trained: CallHistory::new(),
-                trained_window,
+                trained,
+                trained_window: current.prev(),
                 obs: via_obs::MetricSink::new(),
             }),
             sessions: Mutex::new(SessionTable::new()),
@@ -251,44 +256,28 @@ impl Controller {
     /// `backbone` the snapshotting controller ran with; the restored
     /// controller then serves bit-identical predictions, carries the same
     /// accumulating statistics, and re-snapshots to the same bytes.
+    /// `snap.trained` is read as the window before `snap.current` — what
+    /// every snapshot [`Controller::selection_snapshot`] writes holds.
     pub fn restore(
         cfg: ServerConfig,
         prior: GeoPrior,
         backbone: BackboneFn,
         snap: SelectionSnapshot,
     ) -> Controller {
-        let ctrl = Controller::new(cfg, prior, backbone);
-        if let Some(trained) = snap.trained {
-            let mut hist = CallHistory::new();
-            for cell in &trained.cells {
-                hist.insert_cell(
-                    trained.window,
-                    cell.pair,
-                    cell.option.canonical(),
-                    cell.stats.clone(),
-                );
-            }
-            let refitted = Predictor::fit(
-                &hist,
-                trained.window,
-                ctrl.prior.clone(),
-                boxed(&ctrl.backbone),
-                ctrl.cfg.predictor,
-            );
-            ctrl.predictor.publish(Arc::new(refitted));
-            let mut roll = lock(&ctrl.roll);
-            roll.trained = hist;
-            roll.trained_window = Some(trained.window);
-        }
         let current = snap.current.window;
-        ctrl.window.store(current.index, Ordering::Release);
-        for shard in &ctrl.shards {
-            lock(shard).window = current.index;
+        let mut trained = CallHistory::new();
+        if let Some(behind) = snap.trained {
+            for cell in behind.cells {
+                trained.insert_cell(behind.window, cell.pair, cell.option, cell.stats);
+            }
         }
+        let ctrl = Controller::opening(cfg, prior, backbone, current, trained);
         for cell in snap.current.cells {
-            lock(&ctrl.shards[ctrl.shard_of(cell.pair)])
-                .live
-                .restore_cell(current, cell, &ctrl.cfg.predictor);
+            let mut shard = lock(&ctrl.shards[ctrl.shard_of(cell.pair)]);
+            shard.pending += cell.stats.count();
+            shard
+                .history
+                .insert_cell(current, cell.pair, cell.option, cell.stats);
         }
         *lock(&ctrl.gate) = snap.gate;
         ctrl
@@ -406,9 +395,8 @@ impl Controller {
         }
     }
 
-    /// Absorbs the measured outcome of one call: one Welford push, one
-    /// single-cell refit, one bandit update — O(1), no window scan. Returns
-    /// the window index the report was filed under.
+    /// Absorbs the measured outcome of one call: one Welford push and one
+    /// bandit update. Returns the window index the report was filed under.
     pub fn report(
         &self,
         t: SimTime,
@@ -425,9 +413,8 @@ impl Controller {
             index: shard.window,
             len: self.cfg.window,
         };
-        shard
-            .live
-            .record(window, pair, option, metrics, &self.cfg.predictor);
+        shard.history.record(window, pair, option, metrics);
+        shard.pending += 1;
         if let Some(arms) = shard.pairs.get_mut(&pair) {
             arms.learn(option, metrics[self.cfg.objective]);
         }
@@ -449,37 +436,31 @@ impl Controller {
         self.roll_to(w);
     }
 
-    /// The window rollover: drains every shard's history and cell map,
-    /// solves tomography over the merged history, and publishes the next
-    /// predictor — all off the select path (selects keep serving the old
-    /// epoch; only same-shard calls wait, briefly, for the drain).
+    /// The window rollover: drains every shard's history into one, refits
+    /// on it, and publishes the next predictor — all off the select path
+    /// (selects keep serving the old epoch; only same-shard calls wait,
+    /// briefly, for the drain).
     fn roll_to(&self, next: Window) {
         let mut roll = lock(&self.roll);
         let cur = self.window.load(Ordering::Acquire);
         if next.index <= cur {
             return; // another thread rolled first
         }
-        let current_window = Window {
-            index: cur,
-            len: self.cfg.window,
-        };
         let Some(training) = next.prev() else {
             return; // unreachable: next.index > cur >= 0
         };
         let mut merged = CallHistory::new();
-        let mut cells = HashMap::new();
         let mut refit_lag = 0u64;
         for shard in &self.shards {
             let mut shard = lock(shard);
-            refit_lag += shard.live.drain_into(&mut merged, &mut cells);
+            merged.merge(std::mem::take(&mut shard.history));
+            refit_lag += std::mem::take(&mut shard.pending);
             shard.pairs.clear();
             shard.window = next.index;
         }
-        let published = publish(
-            training,
-            current_window,
+        let published = refit(
             &merged,
-            cells,
+            next,
             self.prior.clone(),
             &self.backbone,
             self.cfg.predictor,
@@ -513,8 +494,8 @@ impl Controller {
         let mut pending = 0;
         for shard in &self.shards {
             let shard = lock(shard);
-            shard.live.snapshot_cells(current, &mut cells);
-            pending += shard.live.pending();
+            snapshot_cells(&shard.history, current, &mut cells);
+            pending += shard.pending;
         }
         let trained = roll.trained_window.map(|tw| {
             let mut cells = Vec::new();
@@ -556,7 +537,7 @@ impl Controller {
         );
         sink.inc("server_rolls_total", self.rolls.load(Ordering::Relaxed));
         sink.inc("server_window_index", self.window.load(Ordering::Acquire));
-        let pending: u64 = self.shards.iter().map(|s| lock(s).live.pending()).sum();
+        let pending: u64 = self.shards.iter().map(|s| lock(s).pending).sum();
         sink.inc("server_refit_pending_reports", pending);
         if let Some(g) = lock(&self.gate).as_ref() {
             sink.inc("server_gate_calls_total", g.total());

@@ -1,11 +1,12 @@
-//! Live VIA controller: an online select/report plane with incremental
-//! predictor refit.
+//! Live VIA controller: an online select/report plane refitted once per
+//! window.
 //!
 //! Everything else in this workspace evaluates VIA by *replaying* traces —
 //! the batch engine stops the world at every window barrier to refit. This
 //! crate is the deployable shape of the same algorithms: a long-running
 //! controller that answers "which relay option should this call take" RPCs
-//! while training continuously, one report at a time.
+//! continuously, accumulates call reports beside them, and refits at each
+//! window rollover with the function the batch barrier calls.
 //!
 //! * [`controller`] — sharded selection state: an epoch-flipped published
 //!   [`Predictor`](via_core::Predictor), per-pair-shard histories and

@@ -1,15 +1,16 @@
 //! The live controller's acceptance pins:
 //!
-//! 1. **Server ≡ batch.** Selections from the sharded incremental-refit
-//!    controller are byte-identical to a reference loop that refits with
-//!    `Predictor::fit` at every window barrier — the batch replay engine's
-//!    training schedule — over the same seeded closed-loop trace.
-//! 2. **Socket ≡ in-process.** Driving the same rounds over the framed-TCP
-//!    plane produces the same selections and a byte-identical selection
-//!    snapshot.
-//! 3. **Snapshot/restore.** A restored controller re-snapshots to the same
+//! 1. **Server ≡ batch.** Selections from the sharded controller are
+//!    byte-identical to an independent reference loop (its own top-k and
+//!    bandit wiring) that refits with `Predictor::fit` at every window
+//!    barrier — the batch replay engine's training schedule — over the same
+//!    seeded closed-loop trace.
+//! 2. **Snapshot/restore.** A restored controller re-snapshots to the same
 //!    bytes and, from the next window rollover on, selects identically to
 //!    the uninterrupted original.
+//!
+//! Socket ≡ in-process is pinned in the root `tests/server_batch_equivalence.rs`,
+//! where tier-1 `cargo test -q` runs it.
 
 // Test code: panicking on a broken fixture or a failed round trip is the
 // right behavior.
@@ -17,7 +18,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,7 +31,7 @@ use via_model::metrics::{Metric, PathMetrics};
 use via_model::options::RelayOption;
 use via_model::seed;
 use via_model::time::{SimTime, Window, WindowLen};
-use via_server::{serve, Client, Controller, Selection, SelectionSnapshot, ServerConfig};
+use via_server::{Controller, Selection, SelectionSnapshot, ServerConfig};
 
 const N_KEYS: u32 = 4;
 const N_RELAYS: u32 = 3;
@@ -124,8 +124,7 @@ fn measure(call: &Call, option: RelayOption) -> PathMetrics {
 
 /// The batch-schedule reference: everything the controller does, but with
 /// the predictor refitted by `Predictor::fit` at each window barrier — no
-/// incremental cells, no shards, no epochs. Selections must match the
-/// server bit for bit.
+/// shards, no epochs. Selections must match the server bit for bit.
 struct BatchReference {
     cfg: ServerConfig,
     prior: GeoPrior,
@@ -293,44 +292,6 @@ fn incremental_server_selects_byte_identically_to_the_batch_reference() {
     assert!(explored > 10, "ε exploration never fired ({explored})");
     assert_eq!(server.window_index(), 2);
     assert_eq!(server.refit_epoch(), 2, "one publish per window rollover");
-}
-
-#[test]
-fn socket_rounds_match_the_in_process_api_and_snapshot() {
-    let cfg = config();
-    let handle = serve(Arc::new(Controller::new(cfg, prior(), backbone()))).unwrap();
-    let mut client = Client::connect(handle.addr(), Duration::from_secs(10)).unwrap();
-    let local = Controller::new(cfg, prior(), backbone());
-    let cands = candidates();
-
-    for call in &trace(2, 120) {
-        let over_socket = client
-            .select(call.id, call.t, call.src, call.dst, &cands)
-            .unwrap();
-        let in_process = local.select(call.id, call.t, call.src, call.dst, &cands);
-        assert_eq!(over_socket, in_process, "diverged at call {}", call.id);
-        let probed = cands[(call.id % cands.len() as u64) as usize];
-        let m = measure(call, probed);
-        let w1 = client
-            .report(call.t, call.src, call.dst, probed, m)
-            .unwrap();
-        let w2 = local.report(call.t, call.src, call.dst, probed, &m);
-        assert_eq!(w1, w2);
-    }
-
-    let remote_snapshot = client.snapshot().unwrap();
-    assert_eq!(
-        remote_snapshot,
-        local.selection_snapshot_json(),
-        "socket-driven selection state diverged from the in-process API"
-    );
-    // The snapshot is valid JSON of the documented shape.
-    let decoded: SelectionSnapshot = serde_json::from_str(&remote_snapshot).unwrap();
-    assert_eq!(decoded.current.window.index, 1);
-    assert!(decoded.gate.is_some());
-
-    client.shutdown().unwrap();
-    handle.wait();
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! | [`core`]    | `via-core`    | tomography predictor, top-k pruning, modified UCB1, budget gate, strategies, replay |
 //! | [`obs`]     | `via-obs`     | deterministic metrics/tracing: counters, fixed-bucket histograms, span events |
 //! | [`testbed`] | `via-testbed` | real TCP/UDP deployment prototype (§5.5) |
-//! | [`server`]  | `via-server`  | live controller: select/report plane with incremental refit |
+//! | [`server`]  | `via-server`  | live controller: select/report plane, one refit per window |
 //!
 //! ## Quickstart
 //!

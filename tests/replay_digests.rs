@@ -133,9 +133,21 @@ fn small_world_digests_match_pinned_constants() {
                 ..ReplayConfig::default()
             };
             let materialized = ReplaySim::new(&world, &trace, cfg.clone()).run(kind);
-            let streamed = ReplaySim::streaming(&world, cfg)
+            // The streamed leg keeps no per-call outcomes, as `via replay
+            // --stream` does: everything checked below lives outside `calls`.
+            let streamed_cfg = ReplayConfig {
+                collect_calls: false,
+                ..cfg
+            };
+            let streamed = ReplaySim::streaming(&world, streamed_cfg)
                 .run_stream(TraceRecords::new(&trace), kind)
                 .expect("in-memory stream");
+            assert!(streamed.calls.is_empty());
+            assert_eq!(
+                (streamed.option_mix(), streamed.relayed_fraction()),
+                (materialized.option_mix(), materialized.relayed_fraction()),
+                "{kind} at {workers} workers: option mix / relayed fraction without collected calls"
+            );
             for (driver, out) in [("materialized", &materialized), ("streamed", &streamed)] {
                 assert_eq!(out.aggregate.calls, CALLS);
                 assert_eq!(

@@ -1,25 +1,30 @@
-//! Tier-1 reach into the live controller: selections from the sharded,
-//! incrementally refitted [`Controller`] are identical to a single-threaded
-//! loop that refits with `Predictor::fit` at every window barrier — the batch
-//! replay engine's training schedule — over the same seeded closed-loop
-//! trace. Both sides decide through the shared `PairArms`, so what this pins
-//! is everything *around* the decision: the per-report accumulator and its
-//! rollover publish, pair sharding, the epoch pointer and the live gate.
+//! Tier-1 reach into the live controller.
 //!
-//! In-process only. The fully independent reference (its own top-k and
-//! bandit wiring), the socket plane and snapshot/restore are pinned in
+//! 1. **Server ≡ batch schedule.** Selections from the sharded [`Controller`]
+//!    are identical to a single-threaded loop that refits with
+//!    `Predictor::fit` at every window barrier — the batch replay engine's
+//!    training schedule — over the same seeded closed-loop trace. Both sides
+//!    decide through the shared `PairArms`, so what this pins is everything
+//!    *around* the decision: the sharded report histories and their rollover
+//!    drain, the epoch pointer and the live gate.
+//! 2. **Socket ≡ in-process.** Driving the same trace through `serve` +
+//!    `Client` on a loopback port yields the same selections and a
+//!    byte-identical `Snapshot` reply.
+//!
+//! The fully independent reference (its own top-k and bandit wiring) and
+//! snapshot/restore are pinned in
 //! `crates/via-server/tests/server_determinism.rs`.
 
 #![allow(clippy::expect_used)]
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use via::core::budget::BudgetGate;
 use via::core::history::{CallHistory, KeyPair};
-use via::core::online::boxed;
 use via::core::predictor::{GeoPrior, Predictor};
 use via::core::selector::{ArmsScratch, PairArms, Plan};
 use via::core::strategy::StrategyKind;
@@ -30,7 +35,7 @@ use via::model::options::RelayOption;
 use via::model::seed;
 use via::model::time::{SimTime, Window, WindowLen};
 use via::netsim::GeoPoint;
-use via::server::{Controller, Selection, ServerConfig};
+use via::server::{serve, Client, Controller, Selection, SelectionSnapshot, ServerConfig};
 
 const N_KEYS: u32 = 4;
 
@@ -68,6 +73,18 @@ fn backbone() -> BackboneFn {
         let d = (f64::from(a.0) - f64::from(b.0)).abs();
         PathMetrics::new(15.0 + 12.0 * d, 0.04, 0.8)
     })
+}
+
+fn boxed(bb: &BackboneFn) -> Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync> {
+    let bb = Arc::clone(bb);
+    Box::new(move |a, b| bb(a, b))
+}
+
+fn candidates() -> Vec<RelayOption> {
+    let mut cands = vec![RelayOption::Direct];
+    cands.extend((0..3).map(|r| RelayOption::Bounce(RelayId(r))));
+    cands.push(RelayOption::Transit(RelayId(0), RelayId(1)));
+    cands
 }
 
 struct Call {
@@ -112,7 +129,7 @@ fn measure(call: &Call, option: RelayOption) -> PathMetrics {
 }
 
 /// The batch schedule: one history, one whole-window `Predictor::fit` per
-/// barrier, no shards, no epochs, no incremental cells.
+/// barrier, no shards, no epochs.
 struct BatchReference {
     cfg: ServerConfig,
     plan: Plan,
@@ -211,9 +228,7 @@ fn incremental_server_selects_identically_to_the_batch_schedule() {
     let cfg = config();
     let server = Controller::new(cfg, prior(), backbone());
     let mut reference = BatchReference::new(cfg);
-    let mut cands = vec![RelayOption::Direct];
-    cands.extend((0..3).map(|r| RelayOption::Bounce(RelayId(r))));
-    cands.push(RelayOption::Transit(RelayId(0), RelayId(1)));
+    let cands = candidates();
 
     let (mut relayed, mut gated, mut explored) = (0u64, 0u64, 0u64);
     for call in &trace(3, 300) {
@@ -237,4 +252,41 @@ fn incremental_server_selects_identically_to_the_batch_schedule() {
     assert!(explored > 10, "ε exploration never fired ({explored})");
     assert_eq!(server.window_index(), 2);
     assert_eq!(server.refit_epoch(), 2, "one publish per window rollover");
+}
+
+#[test]
+fn socket_plane_selects_and_snapshots_identically_to_the_in_process_controller() {
+    let cfg = config();
+    let handle = serve(Arc::new(Controller::new(cfg, prior(), backbone()))).expect("bind loopback");
+    let mut client = Client::connect(handle.addr(), Duration::from_secs(10)).expect("connect");
+    let local = Controller::new(cfg, prior(), backbone());
+    let cands = candidates();
+
+    for call in &trace(3, 300) {
+        let over_socket = client
+            .select(call.id, call.t, call.src, call.dst, &cands)
+            .expect("select reply");
+        let in_process = local.select(call.id, call.t, call.src, call.dst, &cands);
+        assert_eq!(over_socket, in_process, "diverged at call {}", call.id);
+        let probed = cands[(call.id % cands.len() as u64) as usize];
+        let m = measure(call, probed);
+        let filed = client
+            .report(call.t, call.src, call.dst, probed, m)
+            .expect("report reply");
+        assert_eq!(filed, local.report(call.t, call.src, call.dst, probed, &m));
+    }
+
+    let remote = client.snapshot().expect("snapshot reply");
+    assert_eq!(
+        remote,
+        local.selection_snapshot_json(),
+        "socket-driven selection state diverged from the in-process API"
+    );
+    let decoded: SelectionSnapshot = serde_json::from_str(&remote).expect("snapshot is JSON");
+    assert_eq!(decoded.current.window.index, 2);
+    assert_eq!(decoded.trained.map(|t| t.window.index), Some(1));
+    assert!(decoded.gate.is_some());
+
+    client.shutdown().expect("shutdown reply");
+    handle.wait();
 }
