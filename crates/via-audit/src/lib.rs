@@ -34,8 +34,7 @@
 //! exception surface can only shrink.
 //!
 //! The `compat/` stand-in crates are not audited: they mirror external
-//! crates' APIs (including wall-clock use in the criterion stand-in) and are
-//! exercised by their own unit tests instead.
+//! crates' APIs and are exercised by their own unit tests instead.
 
 pub mod lints;
 pub mod passes;
@@ -66,8 +65,8 @@ pub const SIM_CRATES: &[&str] = &[
 ];
 
 /// Crates exempt from the simulation lints, with the reason:
-/// * `via-experiments` / `via-bench` — fail-fast experiment drivers; a
-///   panic is the correct response to a broken environment.
+/// * `via-experiments` — fail-fast experiment drivers; a panic is the
+///   correct response to a broken environment.
 /// * `via-audit` — this tool.
 ///
 /// `via-testbed` is *not* exempt: it escapes the determinism lint (real
@@ -75,7 +74,7 @@ pub const SIM_CRATES: &[&str] = &[
 /// library code is held to the panic lint and the `socket-wait` lint — a
 /// hung or panicking harness is exactly the failure mode this PR class
 /// exists to prevent.
-pub const EXEMPT_CRATES: &[&str] = &["via-experiments", "via-bench", "via-audit"];
+pub const EXEMPT_CRATES: &[&str] = &["via-experiments", "via-audit"];
 
 /// Crates that drive real sockets: exempt from the determinism lint, but
 /// subject to the panic lint and the unbounded-socket-wait lint in non-test

@@ -20,19 +20,19 @@ use via_model::metrics::{Metric, Thresholds};
 use via_model::time::WindowLen;
 use via_netsim::{World, WorldConfig};
 use via_trace::stream::{FileSource, RecordSource};
-use via_trace::{Trace, TraceConfig, TraceGenerator};
+use via_trace::{TraceConfig, TraceGenerator};
 
 const USAGE: &str = "\
 via — predictive relay selection for Internet telephony (SIGCOMM 2016 reproduction)
 
 USAGE:
-    via gen     [--scale tiny|small|paper] [--seed N] [--out FILE]
+    via gen     [same flags as trace gen; --out defaults to trace.jsonl]
     via trace gen     [--scale tiny|small|paper] [--seed N] [--out FILE.jsonl|.vbt]
                       [--frame-hours N]
     via trace convert IN.jsonl|.vbt OUT.jsonl|.vbt [--frame-hours N]
     via trace info    FILE.jsonl|.vbt
     via analyze FILE
-    via replay  [--scale tiny|small|paper] [--seed N] [--workers N] [--warm]
+    via replay  [--scale tiny|small|paper] [--seed N] [--workers N]
                 [--stream] [--trace FILE.jsonl|.vbt]
                 [--strategy default|oracle|prediction|exploration|via|budgeted|racing|multipath]
                 [--objective rtt|loss|jitter] [--budget F]
@@ -48,7 +48,7 @@ USAGE:
                 [--metrics FILE.json] [--metrics-prom FILE.prom]
 
 `via trace gen` streams records straight to disk (any scale in bounded
-memory); `via gen` materializes first and only writes JSONL. `via replay
+memory); `via gen` is the same command with a JSONL default. `via replay
 --stream` replays without materializing the trace: from a file when
 --trace is given, else generated on the fly — results are byte-identical
 to the materialized replay at every --workers value.
@@ -71,7 +71,7 @@ fn main() {
         std::process::exit(2);
     };
     let result = match cmd.as_str() {
-        "gen" => cmd_gen(rest),
+        "gen" => cmd_trace_gen(rest, "trace.jsonl"),
         "trace" => cmd_trace(rest),
         "analyze" => cmd_analyze(rest),
         "replay" => cmd_replay(rest),
@@ -122,31 +122,6 @@ fn scale_configs(scale: &str) -> Result<(WorldConfig, TraceConfig), String> {
         "paper" => Ok((WorldConfig::paper_scale(), TraceConfig::paper_scale())),
         other => Err(format!("unknown scale '{other}' (tiny|small|paper)")),
     }
-}
-
-fn build(scale: &str, seed: u64) -> Result<(World, Trace), String> {
-    let (wc, tc) = scale_configs(scale)?;
-    let world = World::generate(&wc, seed);
-    let trace = TraceGenerator::new(&world, tc, seed).generate();
-    Ok((world, trace))
-}
-
-fn cmd_gen(rest: &[String]) -> CliResult {
-    let flags = Flags::parse(rest)?;
-    let seed = flags.u64_or("seed", 2016)?;
-    let scale = flags.str_or("scale", "small");
-    let out = flags.str_or("out", "trace.jsonl").to_string();
-    let (world, trace) = build(scale, seed)?;
-    via_trace::io::write_jsonl(&trace, std::path::Path::new(&out))?;
-    println!(
-        "generated {} calls over {} days ({} countries, {} ASes, {} relays, seed {seed}) -> {out}",
-        trace.len(),
-        trace.days,
-        world.countries.len(),
-        world.ases.len(),
-        world.relays.len(),
-    );
-    Ok(())
 }
 
 /// On-disk framing window for `.vbt` outputs (`--frame-hours`, default 24).
@@ -203,21 +178,21 @@ fn cmd_trace(rest: &[String]) -> CliResult {
         return Err("trace needs a subcommand: gen | convert | info".into());
     };
     match sub.as_str() {
-        "gen" => cmd_trace_gen(rest),
+        "gen" => cmd_trace_gen(rest, "trace.vbt"),
         "convert" => cmd_trace_convert(rest),
         "info" => cmd_trace_info(rest),
         other => Err(format!("unknown trace subcommand '{other}' (gen|convert|info)").into()),
     }
 }
 
-/// `via trace gen`: stream a synthetic trace straight to disk. Unlike
-/// `via gen`, the trace is never materialized — paper scale works in a
-/// few dozen MiB of memory.
-fn cmd_trace_gen(rest: &[String]) -> CliResult {
+/// `via trace gen` and `via gen` (which differ only in `default_out`):
+/// stream a synthetic trace straight to disk. The trace is never
+/// materialized — paper scale works in a few dozen MiB of memory.
+fn cmd_trace_gen(rest: &[String], default_out: &str) -> CliResult {
     let flags = Flags::parse(rest)?;
     let seed = flags.u64_or("seed", 2016)?;
     let scale = flags.str_or("scale", "small");
-    let out = flags.str_or("out", "trace.vbt").to_string();
+    let out = flags.str_or("out", default_out).to_string();
     let frame = frame_len(&flags)?;
     let (wc, tc) = scale_configs(scale)?;
     let world = World::generate(&wc, seed);
@@ -394,9 +369,6 @@ fn cmd_replay(rest: &[String]) -> CliResult {
     // Worker count only affects wall-clock: replay results are byte-identical
     // for any value (0 = one worker per core).
     let workers = usize::try_from(flags.u64_or("workers", 0)?)?;
-    // Prebuild all trace-reachable segment latents before the replay loop;
-    // purely a startup/throughput trade, never a results change.
-    let warm = flags.bool_or("warm", false)?;
     let kind = parse_strategy(strategy_name, budget, k, mp_mode)?;
     let objective = parse_objective(flags.str_or("objective", "rtt"))?;
     let metrics_json = flags.str_opt("metrics");
@@ -415,7 +387,6 @@ fn cmd_replay(rest: &[String]) -> CliResult {
         objective,
         seed,
         workers,
-        warm,
         metrics: metrics_json.is_some() || metrics_prom.is_some(),
         collect_calls: !streamed,
         ..ReplayConfig::default()
@@ -802,15 +773,5 @@ mod tests {
             assert!(tc.calls_per_day > 0);
         }
         assert!(scale_configs("enormous").is_err());
-    }
-
-    #[test]
-    fn build_produces_consistent_world_and_trace() {
-        let (world, trace) = build("tiny", 5).unwrap();
-        assert!(!trace.is_empty());
-        for r in trace.records.iter().take(50) {
-            assert!(r.src_as.index() < world.ases.len());
-            assert!(r.dst_as.index() < world.ases.len());
-        }
     }
 }

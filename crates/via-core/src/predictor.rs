@@ -200,6 +200,11 @@ impl GeoPrior {
         }
     }
 
+    /// Number of relays in the fleet this prior was built from.
+    pub fn n_relays(&self) -> usize {
+        self.tables.relay_ms.rows()
+    }
+
     /// Prior fiber-bound RTT of an option, ms; `None` if a key or relay is
     /// outside the geography this prior was built from.
     fn path_rtt_floor(&self, a: u32, b: u32, option: RelayOption) -> Option<f64> {

@@ -124,12 +124,6 @@ pub struct ReplayConfig {
     /// one worker per available core. Results are byte-identical for any
     /// value — the engine guarantees worker-count invariance.
     pub workers: usize,
-    /// Eagerly materialize every world segment the trace can touch before
-    /// replay starts (parallelized across `workers`). Segment latents are a
-    /// pure function of the world seed, so warming never changes results —
-    /// it only moves first-touch build cost out of the replay loop, so the
-    /// measured window throughput is free of write-lock traffic.
-    pub warm: bool,
     /// Record observability metrics (via-obs counters, histograms, and
     /// per-window span events) into [`Outcome::obs`]. Each worker records
     /// into its own [`MetricSink`], merged at the window barrier in
@@ -159,7 +153,6 @@ impl Default for ReplayConfig {
             active_probes_per_window: 0,
             predictor: PredictorConfig::default(),
             workers: 0,
-            warm: false,
             metrics: false,
             collect_calls: true,
             seed: 0xC0FFEE,
@@ -367,13 +360,6 @@ pub struct ReplayStats {
     pub wall_ms: f64,
     /// Calls replayed per second of wall-clock.
     pub calls_per_sec: f64,
-    /// Unique segments the optional pre-replay warm pass enumerated and
-    /// ensured were materialized (zero when [`ReplayConfig::warm`] is off).
-    /// This is a pure function of the trace and config — deliberately *not*
-    /// the number of segments freshly built, which depends on what earlier
-    /// runs against the same world already cached and would make the
-    /// counter differ between back-to-back runs on one simulator.
-    pub warmed_segments: u64,
     /// Calls processed per worker slot, summed over windows (shard load).
     pub shard_calls: Vec<u64>,
     /// Bytes decoded from the backing trace source during a streamed run
@@ -397,15 +383,10 @@ impl ReplayStats {
 
     /// One-line human-readable summary of the run's counters.
     pub fn summary(&self) -> String {
-        let warm = if self.warmed_segments > 0 {
-            format!(", {} segments pre-warmed", self.warmed_segments)
-        } else {
-            String::new()
-        };
         format!(
             "{} workers, {} windows, {:.0} calls/s, shard utilization {:.2}, \
              {} predictor fits ({:.1} ms total), wall {:.1} ms \
-             (gate {:.1} + shard {:.1} + merge {:.1} + refit {:.1}){warm}",
+             (gate {:.1} + shard {:.1} + merge {:.1} + refit {:.1})",
             self.workers,
             self.windows,
             self.calls_per_sec,
@@ -778,7 +759,7 @@ impl<'a> ReplaySim<'a> {
     /// Fills `opts` with the candidate options for an AS pair, honoring the
     /// relay-fleet restriction and the transit toggle, without allocating
     /// (beyond the buffers' first growth). The one enumerator: every consumer
-    /// — shard loop, gate pass, oracle, warm pass, active probes — reads
+    /// — shard loop, gate pass, oracle, active probes — reads
     /// `opts` after calling this.
     fn candidates_into(
         &self,
@@ -797,48 +778,6 @@ impl<'a> ReplaySim<'a> {
                 opts.push(RelayOption::Direct);
             }
         }
-    }
-
-    /// The pre-replay warm pass: enumerates every segment reachable from the
-    /// trace (unique AS pairs × their candidate options) and materializes the
-    /// segment latents in parallel, so the replay loop itself never takes a
-    /// first-touch write lock. Returns `(enumerated, built)`: the unique
-    /// segments enumerated (a pure function of trace and config) and how
-    /// many of them were freshly built (depends on what earlier runs
-    /// already cached — wall-clock-ish, never reported deterministically).
-    /// Purely an initialization-cost move — segment latents are a pure
-    /// function of the world seed, so results are identical with or without
-    /// warming.
-    fn warm_world(&self, trace: &Trace, workers: usize) -> (u64, u64) {
-        let records = &trace.records;
-        let mut seen_pairs = std::collections::HashSet::new();
-        let mut pairs: Vec<(AsId, AsId)> = Vec::new();
-        for r in records {
-            if seen_pairs.insert((r.src_as, r.dst_as)) {
-                pairs.push((r.src_as, r.dst_as));
-            }
-        }
-        let mut seen_segs = std::collections::HashSet::new();
-        let mut segs: Vec<via_netsim::Segment> = Vec::new();
-        let mut scratch = Scratch::default();
-        for &(src, dst) in &pairs {
-            self.candidates_into(src, dst, &mut scratch.topo, &mut scratch.cand);
-            for &opt in &scratch.cand {
-                let path = self.world.perf().segments_of(src, dst, opt);
-                for &seg in path.segments() {
-                    if seen_segs.insert(seg) {
-                        segs.push(seg);
-                    }
-                }
-            }
-        }
-        let n = segs.len();
-        let chunk = n.div_ceil(workers.max(1)).max(1);
-        let tasks: Vec<Vec<via_netsim::Segment>> = segs.chunks(chunk).map(<[_]>::to_vec).collect();
-        let built = crate::par::par_run(workers, tasks, |chunk| self.world.perf().warm(chunk))
-            .into_iter()
-            .sum();
-        (n as u64, built)
     }
 
     /// Realizes a call over an option with common random numbers: the seed
@@ -875,7 +814,7 @@ impl<'a> ReplaySim<'a> {
 
     /// Realizes a call over `option` together with a common-random-numbers
     /// direct-path baseline, from the *same* realization stream and the same
-    /// noise draws (see [`via_netsim::PerfModel::sample_option_paired_scratch`]).
+    /// noise draws (see [`via_netsim::PerfModel::sample_option_paired_from_parts`]).
     /// The first result is bit-identical to [`ReplaySim::realize_with`] for
     /// `option`; the second is the direct path under the call's own luck —
     /// the MOS-delta baseline, at the cost of stack math over `parts` only.
@@ -1007,15 +946,6 @@ impl<'a> ReplaySim<'a> {
             panic!("ReplaySim::run needs a materialized trace; use run_stream on a streaming sim")
         };
         let mut st = self.engine_start(kind);
-        if self.cfg.warm {
-            let t_warm = Stopwatch::started();
-            let (enumerated, _built) = self.warm_world(trace, st.workers);
-            st.stats.warmed_segments = enumerated;
-            if let Some(sink) = st.obs.as_mut() {
-                sink.inc("replay_warm_segments_total", enumerated);
-                sink.time("replay.warm", t_warm);
-            }
-        }
         if self.cfg.collect_calls {
             st.outcomes.reserve(trace.len());
         }
@@ -1862,14 +1792,12 @@ mod tests {
     fn worker_count_does_not_change_results() {
         // The engine's core guarantee: sharding a window across 2 or 8
         // workers serializes to the same bytes as the sequential walk — for
-        // stateless, stateful, budgeted, and cached strategies alike, and
-        // whether segment states are built lazily under contention (cold) or
-        // prematerialized by the warm pass.
+        // stateless, stateful, budgeted, and cached strategies alike, with
+        // segment states built lazily under contention.
         let (world, trace) = setup();
-        let summary = |workers: usize, warm: bool, kind: StrategyKind| {
+        let summary = |workers: usize, kind: StrategyKind| {
             let cfg = ReplayConfig {
                 workers,
-                warm,
                 ..ReplayConfig::default()
             };
             let out = ReplaySim::new(&world, &trace, cfg).run(kind);
@@ -1892,73 +1820,15 @@ mod tests {
             },
             StrategyKind::Oracle,
         ] {
-            let sequential = summary(1, false, kind);
+            let sequential = summary(1, kind);
             for w in [2usize, 8] {
                 assert_eq!(
-                    summary(w, false, kind),
+                    summary(w, kind),
                     sequential,
-                    "worker count {w} changed cold-path results for {kind:?}"
-                );
-            }
-            for w in [1usize, 2, 8] {
-                assert_eq!(
-                    summary(w, true, kind),
-                    sequential,
-                    "warm pass at {w} workers changed results for {kind:?}"
+                    "worker count {w} changed results for {kind:?}"
                 );
             }
         }
-    }
-
-    #[test]
-    #[cfg_attr(
-        miri,
-        ignore = "full replay sims are orders of magnitude too slow under miri"
-    )]
-    fn warm_pass_builds_trace_segments_once() {
-        // The warm pass must cover every segment the decision loop touches:
-        // once the controller's static backbone knowledge and the warm pass
-        // are in place, replaying builds nothing new (no first-touch write
-        // locks inside the measured loop).
-        let (world, trace) = setup();
-        // Prebuild the backbone table the controller constructs per run (it
-        // spans all relay pairs, not just trace-reachable ones) so the
-        // remaining build count isolates the window loop.
-        let n = world.relays.len() as u32;
-        for i in 0..n {
-            for j in 0..n {
-                let _ = world.perf().backbone_metrics(RelayId(i), RelayId(j));
-            }
-        }
-        let before = world.perf().segment_builds();
-        let cfg = ReplayConfig {
-            warm: true,
-            workers: 4,
-            ..ReplayConfig::default()
-        };
-        let out = ReplaySim::new(&world, &trace, cfg.clone()).run(StrategyKind::Via);
-        assert!(out.stats.warmed_segments > 0);
-        // `warmed_segments` counts segments *enumerated* (deterministic);
-        // the number freshly built can only be smaller (some were already
-        // cached, e.g. the prebuilt backbone legs) and never larger — a
-        // build beyond the enumerated set means the warm pass missed a
-        // segment the replay loop then built under a write lock.
-        let built = world.perf().segment_builds() - before;
-        assert!(
-            built <= out.stats.warmed_segments,
-            "replay built {built} segments but the warm pass enumerated only {}",
-            out.stats.warmed_segments
-        );
-        // A second run on the now-fully-warmed world builds nothing new but
-        // must still report the same deterministic warm count.
-        let mid = world.perf().segment_builds();
-        let again = ReplaySim::new(&world, &trace, cfg).run(StrategyKind::Via);
-        assert_eq!(
-            world.perf().segment_builds(),
-            mid,
-            "second run rebuilt segments"
-        );
-        assert_eq!(again.stats.warmed_segments, out.stats.warmed_segments);
     }
 
     #[test]
@@ -1969,14 +1839,13 @@ mod tests {
     fn metrics_snapshots_are_worker_count_invariant() {
         // Extension of the determinism regression to the obs layer: the
         // serialized deterministic core of the metrics snapshot must be
-        // byte-identical across worker counts, cold and warm, for every
+        // byte-identical across worker counts for every
         // strategy family — the per-worker sinks and the barrier merge must
         // not leak the partition.
         let (world, trace) = setup();
-        let snapshot_json = |workers: usize, warm: bool, kind: StrategyKind| {
+        let snapshot_json = |workers: usize, kind: StrategyKind| {
             let cfg = ReplayConfig {
                 workers,
-                warm,
                 metrics: true,
                 ..ReplayConfig::default()
             };
@@ -1997,15 +1866,13 @@ mod tests {
             },
             StrategyKind::Oracle,
         ] {
-            for warm in [false, true] {
-                let sequential = snapshot_json(1, warm, kind);
-                for w in [2usize, 8] {
-                    assert_eq!(
-                        snapshot_json(w, warm, kind),
-                        sequential,
-                        "worker count {w} changed the metrics snapshot for {kind:?} (warm={warm})"
-                    );
-                }
+            let sequential = snapshot_json(1, kind);
+            for w in [2usize, 8] {
+                assert_eq!(
+                    snapshot_json(w, kind),
+                    sequential,
+                    "worker count {w} changed the metrics snapshot for {kind:?}"
+                );
             }
         }
     }
@@ -2104,11 +1971,9 @@ mod tests {
     fn back_to_back_runs_on_one_sim_report_identical_counters() {
         // Satellite regression: the engine counters must be a pure function
         // of (config, strategy), not of what a previous run left cached in
-        // the shared world. `warmed_segments` used to report the builds
-        // delta, which collapsed to zero on the second run.
+        // the shared world: the second run finds every segment already built.
         let (world, trace) = setup();
         let cfg = ReplayConfig {
-            warm: true,
             workers: 2,
             metrics: true,
             ..ReplayConfig::default()
@@ -2117,8 +1982,6 @@ mod tests {
         let first = sim.run(StrategyKind::Via);
         let second = sim.run(StrategyKind::Via);
 
-        assert!(first.stats.warmed_segments > 0);
-        assert_eq!(first.stats.warmed_segments, second.stats.warmed_segments);
         assert_eq!(first.stats.windows, second.stats.windows);
         assert_eq!(first.stats.predictor_fits, second.stats.predictor_fits);
         assert_eq!(first.stats.shard_calls, second.stats.shard_calls);

@@ -12,12 +12,9 @@
 //! * [`p2`] — the P² (Jain–Chlamtac) streaming quantile estimator that the
 //!   budget-aware gate (§4.6) uses to track the B-th percentile of predicted
 //!   relaying benefit without storing history.
-//! * [`histogram`] — a log-bucketed, mergeable histogram for memory-bounded
-//!   percentile extraction over paper-scale (multi-million-call) traces.
 
 pub mod binning;
 pub mod cdf;
-pub mod histogram;
 pub mod p2;
 pub mod pearson;
 pub mod percentile;
@@ -25,7 +22,6 @@ pub mod welford;
 
 pub use binning::{bin_means, Bin};
 pub use cdf::Cdf;
-pub use histogram::LogHistogram;
 pub use p2::P2Quantile;
 pub use pearson::pearson;
 pub use percentile::{percentile, percentiles};

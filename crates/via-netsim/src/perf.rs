@@ -67,8 +67,6 @@ struct SegState {
 /// (a slot is pointer-plus-payload-sized, ~4 MB total for the paper-scale
 /// 200-AS world), which is the price for making the per-call realize path
 /// — three slot loads per direct path — branch-and-lock-free.
-/// [`PerfModel::warm`] can prebuild every segment a trace will touch so
-/// replay itself never runs a first-touch initializer.
 #[derive(Debug)]
 pub struct PerfModel {
     world_seed: u64,
@@ -179,19 +177,6 @@ impl PerfModel {
             Segment::RelayWan(a, r) => &self.relay_wan[a.index() * n_relays + r.index()],
         };
         f(slot.get_or_init(|| self.build_state(segment)))
-    }
-
-    /// Eagerly materializes the latent state of each given segment.
-    /// Duplicates (and already-built segments) are skipped by the memo
-    /// tables themselves. Purely an initialization-cost move: results are
-    /// identical whether or not (and in whatever order) segments are warmed.
-    /// Returns the number of segments built by this call.
-    pub fn warm(&self, segments: impl IntoIterator<Item = Segment>) -> u64 {
-        let before = self.segment_builds();
-        for seg in segments {
-            self.with_state(seg, |_| ());
-        }
-        self.segment_builds() - before
     }
 
     fn build_state(&self, segment: Segment) -> SegState {
@@ -378,38 +363,17 @@ impl PerfModel {
     /// segment plus the hop count. A caller that realizes many calls of the
     /// same `(src, dst)` pair within one simulated day (the replay engine's
     /// pair groups) can hold this on the stack and get each call's path
-    /// mean from [`PerfModel::mean_from_parts`] without touching any memo
-    /// map or slot table.
-    pub fn path_day_parts(
-        &self,
-        src: AsId,
-        dst: AsId,
-        option: RelayOption,
-        day: u64,
-    ) -> PathDayParts {
-        let path = self.segments_of(src, dst, option);
-        let mut segs = [SegDayState::default(); SegmentPath::MAX];
-        for (slot, seg) in segs.iter_mut().zip(path.segments()) {
-            *slot = self.seg_day_state(*seg, day);
-        }
-        PathDayParts {
-            src,
-            dst,
-            day,
-            path,
-            segs,
-        }
-    }
-
-    /// [`PerfModel::path_day_parts`] that serves segments already in the
-    /// scratch's day memo (the access legs of an active pair are almost
-    /// always resident, kept current by the chosen-path realizes) and only
-    /// falls back to the slot tables for the rest — typically just the
-    /// pair-specific WAN segment. Misses are *not* inserted into the memo:
-    /// quadratically-keyed segments captured once per pair group would
-    /// bloat it past cache residency and slow every chosen-path probe.
-    /// Values are bit-identical to `path_day_parts` either way — memo
-    /// entries are themselves `seg_day_state` captures for the same day.
+    /// mean from [`PerfModel::mean_from_parts_scratch`] without touching
+    /// any slot table.
+    ///
+    /// Segments already in the scratch's day memo are served from it (the
+    /// access legs of an active pair are almost always resident, kept
+    /// current by the chosen-path realizes); only the rest — typically just
+    /// the pair-specific WAN segment — fall back to the slot tables. Misses
+    /// are *not* inserted into the memo: quadratically-keyed segments
+    /// captured once per pair group would bloat it past cache residency and
+    /// slow every chosen-path probe. Values are bit-identical either way —
+    /// memo entries are themselves `seg_day_state` captures for the same day.
     pub fn path_day_parts_scratch(
         &self,
         src: AsId,
@@ -439,7 +403,7 @@ impl PerfModel {
     /// to [`PerfModel::option_mean_scratch`] for the same path and day: the
     /// same per-segment formula ([`PerfModel::mean_from_day`]), the same
     /// left-folded chain, the same hop-cost expression.
-    pub fn mean_from_parts(&self, parts: &PathDayParts, t: SimTime) -> PathMetrics {
+    fn mean_from_parts(&self, parts: &PathDayParts, t: SimTime) -> PathMetrics {
         let mut acc = SegMetrics::default();
         for s in &parts.segs[..parts.path.segments().len()] {
             acc = acc.chain(&self.mean_from_day(s, t));
@@ -451,13 +415,14 @@ impl PerfModel {
         )
     }
 
-    /// [`PerfModel::mean_from_parts`] that serves segments already in the
-    /// scratch's *instant* memo. When the chosen path of the same call was
-    /// scored first at the same `t`, the pair's two access legs are memo
-    /// hits, so a direct-path baseline mean costs one `mean_from_day` (the
-    /// pair's WAN leg) plus the chain. Memo entries at instant `t` are
-    /// `mean_from_day` results over same-day captures of the same segment,
-    /// so hits are bit-identical to the recompute they replace.
+    /// The path mean at instant `t` from captured day parts, serving
+    /// segments already in the scratch's *instant* memo. When the chosen
+    /// path of the same call was scored first at the same `t`, the pair's
+    /// two access legs are memo hits, so a direct-path baseline mean costs
+    /// one `mean_from_day` (the pair's WAN leg) plus the chain. Memo entries
+    /// at instant `t` are `mean_from_day` results over same-day captures of
+    /// the same segment, so hits are bit-identical to the recompute they
+    /// replace.
     pub fn mean_from_parts_scratch(
         &self,
         parts: &PathDayParts,
@@ -551,7 +516,8 @@ impl PerfModel {
     /// Expected end-to-end metrics of `option` at time `t`, *excluding*
     /// per-call transient spikes (which inflate realized means uniformly by
     /// `call_spike_prob × E[spike_mult − 1]` ≈ 5 % and therefore do not
-    /// change option rankings).
+    /// change option rankings). The scratch-free reference that
+    /// [`PerfModel::option_mean_scratch`] is pinned bit-identical to.
     pub fn option_mean(
         &self,
         src: AsId,
@@ -573,7 +539,8 @@ impl PerfModel {
 
     /// Draws one realized call over `option` at time `t`: the mean plus
     /// per-call noise (multiplicative lognormal on RTT and jitter, Gamma on
-    /// loss — heavy-tailed, mean-preserving).
+    /// loss — heavy-tailed, mean-preserving). The scratch-free reference
+    /// that [`PerfModel::sample_option_scratch`] is pinned bit-identical to.
     pub fn sample_option(
         &self,
         src: AsId,
@@ -652,8 +619,8 @@ impl PerfModel {
     }
 
     /// Draws one realized call over `option` together with a
-    /// common-random-numbers baseline realization of `baseline` at the same
-    /// instant, from one set of noise draws.
+    /// common-random-numbers baseline realization of the path `parts`
+    /// captured, at the same instant and from one set of noise draws.
     ///
     /// The first returned value is draw-for-draw and bit-for-bit identical
     /// to [`PerfModel::sample_option_scratch`] for `option` — mixing this
@@ -665,31 +632,14 @@ impl PerfModel {
     /// luck instead of drawing an independent realization — and it makes a
     /// per-call quality-delta baseline cost segment-mean math only, with no
     /// extra transcendental noise draws.
-    #[allow(clippy::too_many_arguments)] // mirrors the from_parts entry point
-    pub fn sample_option_paired_scratch(
-        &self,
-        src: AsId,
-        dst: AsId,
-        option: RelayOption,
-        baseline: RelayOption,
-        t: SimTime,
-        rng: &mut StdRng,
-        scratch: &mut SampleScratch,
-    ) -> (PathMetrics, PathMetrics) {
-        let base = self.option_mean_scratch(src, dst, baseline, t, scratch);
-        let chosen = self.option_mean_scratch(src, dst, option, t, scratch);
-        self.noise_around_paired(chosen, base, rng)
-    }
-
-    /// [`PerfModel::sample_option_paired_scratch`] with the baseline's day
-    /// parts supplied by the caller — for hot loops that amortize the
-    /// baseline path's latent state across many calls of one pair (see
-    /// [`PerfModel::path_day_parts`]). The chosen path is scored *first* so
-    /// the baseline's mean can serve the pair's shared access legs from the
-    /// instant memo ([`PerfModel::mean_from_parts_scratch`]). Mean order
-    /// doesn't touch the RNG, and `parts` covering the pair's direct path
-    /// reproduces `option_mean_scratch` exactly, so this is bit-identical
-    /// to the plain paired call.
+    ///
+    /// The baseline's day parts come from the caller so hot loops amortize
+    /// its latent state across many calls of one pair (see
+    /// [`PerfModel::path_day_parts_scratch`]). The chosen path is scored
+    /// *first* so the baseline's mean can serve the pair's shared access
+    /// legs from the instant memo ([`PerfModel::mean_from_parts_scratch`]).
+    /// Mean order doesn't touch the RNG, and `parts` reproduces
+    /// `option_mean_scratch` of the captured path exactly.
     #[allow(clippy::too_many_arguments)] // the paired hot-path entry point
     pub fn sample_option_paired_from_parts(
         &self,
@@ -847,7 +797,7 @@ pub struct SampleScratch {
 }
 
 /// One path's captured day-scoped latent parts — see
-/// [`PerfModel::path_day_parts`]. Holds the `(src, dst, day)` key it was
+/// [`PerfModel::path_day_parts_scratch`]. Holds the `(src, dst, day)` key it was
 /// captured for so callers caching one of these can check
 /// [`PathDayParts::covers`] before reuse.
 #[derive(Debug, Clone, Copy)]
@@ -864,7 +814,7 @@ pub struct PathDayParts {
 impl PathDayParts {
     /// Whether these parts were captured for exactly this endpoint pair and
     /// simulated day — the precondition for
-    /// [`PerfModel::mean_from_parts`] to reproduce `option_mean_scratch`.
+    /// [`PerfModel::mean_from_parts_scratch`] to reproduce `option_mean_scratch`.
     #[inline]
     pub fn covers(&self, src: AsId, dst: AsId, day: u64) -> bool {
         self.src == src && self.dst == dst && self.day == day
@@ -1101,11 +1051,18 @@ mod tests {
                     &mut rng_a,
                     &mut scratch_a,
                 );
-                let (chosen, base) = w.perf().sample_option_paired_scratch(
+                let parts = w.perf().path_day_parts_scratch(
+                    AsId(1),
+                    AsId(6),
+                    RelayOption::Direct,
+                    day,
+                    &scratch_b,
+                );
+                let (chosen, base) = w.perf().sample_option_paired_from_parts(
                     AsId(1),
                     AsId(6),
                     opt,
-                    RelayOption::Direct,
+                    &parts,
                     t,
                     &mut rng_b,
                     &mut scratch_b,
@@ -1146,7 +1103,15 @@ mod tests {
         ];
         for day in [0u64, 2, 7] {
             for &opt in &options {
-                let parts = w.perf().path_day_parts(AsId(3), AsId(9), opt, day);
+                // An empty scratch resolves every segment from the slot
+                // tables.
+                let parts = w.perf().path_day_parts_scratch(
+                    AsId(3),
+                    AsId(9),
+                    opt,
+                    day,
+                    &SampleScratch::new(),
+                );
                 assert!(parts.covers(AsId(3), AsId(9), day));
                 assert!(!parts.covers(AsId(3), AsId(9), day + 1));
                 assert!(!parts.covers(AsId(9), AsId(3), day));
@@ -1198,13 +1163,20 @@ mod tests {
             .perf()
             .option_mean(AsId(0), AsId(7), RelayOption::Direct, t);
         let mut scratch = SampleScratch::new();
+        let parts = w.perf().path_day_parts_scratch(
+            AsId(0),
+            AsId(7),
+            RelayOption::Direct,
+            t.day(),
+            &scratch,
+        );
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..200 {
-            let (c, b) = w.perf().sample_option_paired_scratch(
+            let (c, b) = w.perf().sample_option_paired_from_parts(
                 AsId(0),
                 AsId(7),
                 opt,
-                RelayOption::Direct,
+                &parts,
                 t,
                 &mut rng,
                 &mut scratch,
@@ -1270,25 +1242,9 @@ mod tests {
         for m in &means[1..] {
             assert_eq!(*m, means[0]);
         }
-        // Re-querying (and warming) an already-built segment builds nothing.
+        // Re-querying an already-built segment builds nothing.
         let _ = w.perf().segment_mean(seg, t);
-        assert_eq!(w.perf().warm([seg]), 0);
         assert_eq!(w.perf().segment_builds(), 1);
-    }
-
-    #[test]
-    fn warm_pass_does_not_change_results() {
-        let cold = world();
-        let warm = world();
-        let t = SimTime::from_days(2);
-        let opt = RelayOption::Transit(RelayId(0), RelayId(2));
-        let path = warm.perf().segments_of(AsId(1), AsId(8), opt);
-        let built = warm.perf().warm(path.segments().iter().copied());
-        assert_eq!(built, path.len() as u64);
-        assert_eq!(
-            cold.perf().option_mean(AsId(1), AsId(8), opt, t),
-            warm.perf().option_mean(AsId(1), AsId(8), opt, t),
-        );
     }
 
     #[test]

@@ -43,7 +43,8 @@ fn family_segments() -> Vec<(&'static str, Segment)> {
     ]
 }
 
-/// A logical thread's program: build (first touch via `warm`) then read.
+/// A logical thread's program: build (a first touch whose value is
+/// discarded) then read.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Step {
     Build(usize),
@@ -91,7 +92,7 @@ fn two_thread_first_touch_schedules_are_exhaustive() {
             for step in &sched {
                 match *step {
                     Step::Build(_) => {
-                        perf.warm([seg]);
+                        let _ = perf.segment_mean(seg, SimTime::from_days(1));
                     }
                     Step::Read(t) => reads[t] = Some(perf.segment_mean(seg, t0)),
                 }
@@ -139,10 +140,13 @@ fn racing_first_touch_builds_once_per_segment() {
             let segments = segments.clone();
             std::thread::spawn(move || {
                 barrier.wait();
-                // Half the workers warm first (build step), half read cold:
-                // both first-touch paths race on every table.
+                // Half the workers touch every segment first (build step),
+                // half go straight to the reads: every table is raced by
+                // both programs.
                 if w % 2 == 0 {
-                    world.perf().warm(segments.iter().copied());
+                    for &s in &segments {
+                        let _ = world.perf().segment_mean(s, SimTime::from_days(1));
+                    }
                 }
                 segments
                     .iter()

@@ -288,6 +288,11 @@ impl Controller {
         &self.cfg
     }
 
+    /// Number of relays in the fleet the controller selects over.
+    pub fn n_relays(&self) -> usize {
+        self.prior.n_relays()
+    }
+
     /// Index of the currently accumulating window.
     pub fn window_index(&self) -> u64 {
         self.window.load(Ordering::Acquire)
@@ -423,7 +428,8 @@ impl Controller {
     }
 
     /// Counts a report the socket plane refused before it reached
-    /// [`Controller::report`] (out-of-range or non-finite metrics).
+    /// [`Controller::report`] (out-of-range or non-finite metrics, or an
+    /// option naming a relay outside the fleet).
     pub fn count_rejected_report(&self) {
         self.reports_rejected.fetch_add(1, Ordering::Relaxed);
     }

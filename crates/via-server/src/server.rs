@@ -16,7 +16,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use via_model::ids::RelayId;
 use via_model::metrics::PathMetrics;
+use via_model::options::RelayOption;
 use via_testbed::protocol::{accept_deadline, FrameConn, FrameError};
 
 use crate::controller::Controller;
@@ -227,6 +229,29 @@ fn check_metrics(controller: &Controller, m: &PathMetrics) -> Result<(), Respons
     }
 }
 
+/// Relay ids are unvalidated network input too, and they index the
+/// relay×relay backbone table: a reported option naming a relay outside the
+/// fleet would be recorded, then panic the next rollover's tomography fit
+/// after the shard histories were drained — one frame costing a window of
+/// learning. Refused here, whether reported or offered as a candidate.
+fn check_option(controller: &Controller, option: RelayOption) -> Result<(), Response> {
+    let n = controller.n_relays();
+    let known = |r: RelayId| r.index() < n;
+    let in_fleet = match option {
+        RelayOption::Direct => true,
+        RelayOption::Bounce(r) => known(r),
+        RelayOption::Transit(a, b) => known(a) && known(b),
+    };
+    if in_fleet {
+        Ok(())
+    } else {
+        Err(Response::Error {
+            kind: ErrorKind::BadRequest,
+            detail: format!("{option} names a relay outside the {n}-relay fleet"),
+        })
+    }
+}
+
 fn dispatch(
     controller: &Controller,
     my_session: u64,
@@ -245,7 +270,11 @@ fn dispatch(
             src_key,
             dst_key,
             candidates,
-        } => match check_session(controller, my_session, session) {
+        } => match check_session(controller, my_session, session).and_then(|()| {
+            candidates
+                .iter()
+                .try_for_each(|&o| check_option(controller, o))
+        }) {
             Err(e) => e,
             Ok(()) => {
                 let sel = controller.select(call_id, t, src_key, dst_key, &candidates);
@@ -266,7 +295,9 @@ fn dispatch(
             metrics,
         } => match check_session(controller, my_session, session)
             .and_then(|()| check_metrics(controller, &metrics))
-        {
+            .and_then(|()| {
+                check_option(controller, option).inspect_err(|_| controller.count_rejected_report())
+            }) {
             Err(e) => e,
             Ok(()) => Response::Reported {
                 window: controller.report(t, src_key, dst_key, option, &metrics),

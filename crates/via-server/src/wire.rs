@@ -72,7 +72,8 @@ pub enum ErrorKind {
     SessionExhausted,
     /// The request was invalid: structurally (e.g. `Hello` on an open
     /// session, or a non-`Hello` first frame) or in content (report metrics
-    /// that are non-finite, negative or out of range).
+    /// that are non-finite, negative or out of range; an option naming a
+    /// relay outside the fleet).
     BadRequest,
 }
 

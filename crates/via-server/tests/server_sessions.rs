@@ -19,15 +19,40 @@ use via_server::{serve, Client, ClientError, Controller, ErrorKind, ServerConfig
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
+/// A three-relay controller whose backbone is a relay×relay table, as every
+/// production caller builds it — the shape an out-of-fleet relay id indexes
+/// out of bounds.
 fn controller() -> Arc<Controller> {
+    let n = 3usize;
+    let legs: Vec<PathMetrics> = (0..n * n)
+        .map(|i| PathMetrics::new(15.0 + (i / n).abs_diff(i % n) as f64 * 12.0, 0.04, 0.8))
+        .collect();
     Arc::new(Controller::new(
         ServerConfig::default(),
         GeoPrior::new(
-            vec![via_netsim::GeoPoint::new(0.0, 0.0)],
-            vec![via_netsim::GeoPoint::new(1.0, 1.0)],
+            vec![
+                via_netsim::GeoPoint::new(40.7, -74.0),
+                via_netsim::GeoPoint::new(51.5, -0.1),
+            ],
+            (0..n)
+                .map(|r| via_netsim::GeoPoint::new(10.0 * r as f64, 20.0 * r as f64))
+                .collect(),
         ),
-        Arc::new(|_: RelayId, _: RelayId| PathMetrics::new(20.0, 0.1, 1.0)),
+        Arc::new(move |a: RelayId, b: RelayId| legs[a.index() * n + b.index()]),
     ))
+}
+
+fn assert_bad_request<T: std::fmt::Debug>(result: Result<T, ClientError>, what: &str) {
+    assert!(
+        matches!(
+            result,
+            Err(ClientError::Remote {
+                kind: ErrorKind::BadRequest,
+                ..
+            })
+        ),
+        "{what} must be a typed BadRequest, got {result:?}"
+    );
 }
 
 /// Polls until `cond` holds or panics after 10 s — connection teardown is
@@ -183,16 +208,9 @@ fn out_of_range_report_metrics_are_rejected_before_any_state_is_touched() {
         },
     ];
     for bad in hostile {
-        let err = client.report(SimTime::ZERO, 0, 1, option, bad).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ClientError::Remote {
-                    kind: ErrorKind::BadRequest,
-                    ..
-                }
-            ),
-            "{bad:?} must be a typed BadRequest, got {err:?}"
+        assert_bad_request(
+            client.report(SimTime::ZERO, 0, 1, option, bad),
+            &format!("{bad:?}"),
         );
     }
     assert_eq!(
@@ -212,5 +230,56 @@ fn out_of_range_report_metrics_are_rejected_before_any_state_is_touched() {
     client
         .select(1, SimTime::ZERO, 0, 1, &[RelayOption::Direct, option])
         .unwrap();
+    handle.stop();
+}
+
+#[test]
+fn out_of_fleet_relay_costs_one_report_not_a_window() {
+    let handle = serve(controller()).unwrap();
+    let ctrl = Arc::clone(handle.controller());
+    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    let good = PathMetrics::new(80.0, 0.5, 3.0);
+    let honest = [
+        RelayOption::Direct,
+        RelayOption::Bounce(RelayId(1)),
+        RelayOption::Transit(RelayId(0), RelayId(2)),
+    ];
+    for (i, &option) in honest.iter().cycle().take(10).enumerate() {
+        client
+            .report(SimTime(i as u64), 0, 1, option, good)
+            .unwrap();
+    }
+
+    // In-range metrics, so only the relay id is wrong.
+    for hostile in [
+        RelayOption::Transit(RelayId(9999), RelayId(0)),
+        RelayOption::Transit(RelayId(0), RelayId(3)),
+        RelayOption::Bounce(RelayId(3)),
+    ] {
+        assert_bad_request(
+            client.report(SimTime(10), 0, 1, hostile, good),
+            "an out-of-fleet report",
+        );
+        assert_bad_request(
+            client.select(0, SimTime(10), 0, 1, &[RelayOption::Direct, hostile]),
+            "an out-of-fleet candidate",
+        );
+    }
+    let snap = ctrl.metrics_snapshot();
+    assert_eq!(snap.counter("server_reports_rejected_total"), 3);
+    assert_eq!(snap.counter("server_reports_total"), 10);
+    assert_eq!(snap.counter("server_selections_total"), 0);
+
+    // The same connection rolls the window over: the refit sees only the
+    // honest reports and keeps every one of their cells.
+    let next = SimTime(ctrl.config().window.secs());
+    let sel = client.select(1, next, 0, 1, &honest).unwrap();
+    assert_eq!(sel.window, 1);
+    let trained = ctrl.selection_snapshot().trained.expect("window 0 trained");
+    assert_eq!(trained.cells.len(), honest.len());
+    assert_eq!(
+        trained.cells.iter().map(|c| c.stats.count()).sum::<u64>(),
+        10
+    );
     handle.stop();
 }

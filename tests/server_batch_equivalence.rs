@@ -10,6 +10,10 @@
 //! 2. **Socket ≡ in-process.** Driving the same trace through `serve` +
 //!    `Client` on a loopback port yields the same selections and a
 //!    byte-identical `Snapshot` reply.
+//! 3. **One hostile frame costs one frame.** A `Report` or a `Select`
+//!    candidate naming a relay outside the fleet is a typed `BadRequest`;
+//!    the connection, the window's learning and the next rollover are as if
+//!    it had never been sent.
 //!
 //! The fully independent reference (its own top-k and bandit wiring) and
 //! snapshot/restore are pinned in
@@ -35,9 +39,12 @@ use via::model::options::RelayOption;
 use via::model::seed;
 use via::model::time::{SimTime, Window, WindowLen};
 use via::netsim::GeoPoint;
-use via::server::{serve, Client, Controller, Selection, SelectionSnapshot, ServerConfig};
+use via::server::{
+    serve, Client, ClientError, Controller, ErrorKind, Selection, SelectionSnapshot, ServerConfig,
+};
 
 const N_KEYS: u32 = 4;
+const N_RELAYS: usize = 3;
 
 fn config() -> ServerConfig {
     ServerConfig {
@@ -68,11 +75,16 @@ fn prior() -> GeoPrior {
     )
 }
 
+/// A relay×relay table, as production callers build it — the shape an
+/// out-of-fleet relay id indexes out of bounds.
 fn backbone() -> BackboneFn {
-    Arc::new(|a: RelayId, b: RelayId| {
-        let d = (f64::from(a.0) - f64::from(b.0)).abs();
-        PathMetrics::new(15.0 + 12.0 * d, 0.04, 0.8)
-    })
+    let legs: Vec<PathMetrics> = (0..N_RELAYS * N_RELAYS)
+        .map(|i| {
+            let d = (i / N_RELAYS).abs_diff(i % N_RELAYS) as f64;
+            PathMetrics::new(15.0 + 12.0 * d, 0.04, 0.8)
+        })
+        .collect();
+    Arc::new(move |a: RelayId, b: RelayId| legs[a.index() * N_RELAYS + b.index()])
 }
 
 fn boxed(bb: &BackboneFn) -> Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync> {
@@ -254,6 +266,22 @@ fn incremental_server_selects_identically_to_the_batch_schedule() {
     assert_eq!(server.refit_epoch(), 2, "one publish per window rollover");
 }
 
+/// One call through the socket and through the in-process control: the two
+/// must select alike, and both absorb the same cycled-option report.
+fn drive_both(client: &mut Client, local: &Controller, call: &Call, cands: &[RelayOption]) {
+    let over_socket = client
+        .select(call.id, call.t, call.src, call.dst, cands)
+        .expect("select reply");
+    let in_process = local.select(call.id, call.t, call.src, call.dst, cands);
+    assert_eq!(over_socket, in_process, "diverged at call {}", call.id);
+    let probed = cands[(call.id % cands.len() as u64) as usize];
+    let m = measure(call, probed);
+    let filed = client
+        .report(call.t, call.src, call.dst, probed, m)
+        .expect("report reply");
+    assert_eq!(filed, local.report(call.t, call.src, call.dst, probed, &m));
+}
+
 #[test]
 fn socket_plane_selects_and_snapshots_identically_to_the_in_process_controller() {
     let cfg = config();
@@ -263,17 +291,7 @@ fn socket_plane_selects_and_snapshots_identically_to_the_in_process_controller()
     let cands = candidates();
 
     for call in &trace(3, 300) {
-        let over_socket = client
-            .select(call.id, call.t, call.src, call.dst, &cands)
-            .expect("select reply");
-        let in_process = local.select(call.id, call.t, call.src, call.dst, &cands);
-        assert_eq!(over_socket, in_process, "diverged at call {}", call.id);
-        let probed = cands[(call.id % cands.len() as u64) as usize];
-        let m = measure(call, probed);
-        let filed = client
-            .report(call.t, call.src, call.dst, probed, m)
-            .expect("report reply");
-        assert_eq!(filed, local.report(call.t, call.src, call.dst, probed, &m));
+        drive_both(&mut client, &local, call, &cands);
     }
 
     let remote = client.snapshot().expect("snapshot reply");
@@ -286,6 +304,60 @@ fn socket_plane_selects_and_snapshots_identically_to_the_in_process_controller()
     assert_eq!(decoded.current.window.index, 2);
     assert_eq!(decoded.trained.map(|t| t.window.index), Some(1));
     assert!(decoded.gate.is_some());
+
+    client.shutdown().expect("shutdown reply");
+    handle.wait();
+}
+
+#[test]
+fn out_of_fleet_relay_is_refused_and_costs_the_window_nothing() {
+    let cfg = config();
+    let handle = serve(Arc::new(Controller::new(cfg, prior(), backbone()))).expect("bind loopback");
+    let mut client = Client::connect(handle.addr(), Duration::from_secs(10)).expect("connect");
+    // The control never sees the hostile frames.
+    let local = Controller::new(cfg, prior(), backbone());
+    let cands = candidates();
+    let outsider = RelayOption::Transit(RelayId(9999), RelayId(0));
+    let is_bad_request = |e: &ClientError| {
+        matches!(
+            e,
+            ClientError::Remote {
+                kind: ErrorKind::BadRequest,
+                ..
+            }
+        )
+    };
+
+    // Two windows, so the rollover refits on the window the frames arrived in.
+    for call in &trace(2, 40) {
+        if call.id == 20 {
+            // In-range metrics: only the relay id is wrong.
+            let m = measure(call, RelayOption::Direct);
+            let err = client
+                .report(call.t, call.src, call.dst, outsider, m)
+                .expect_err("out-of-fleet report accepted");
+            assert!(is_bad_request(&err), "{err:?}");
+            let err = client
+                .select(call.id, call.t, call.src, call.dst, &[cands[0], outsider])
+                .expect_err("out-of-fleet candidate accepted");
+            assert!(is_bad_request(&err), "{err:?}");
+        }
+        drive_both(&mut client, &local, call, &cands);
+    }
+
+    let remote = client.snapshot().expect("snapshot reply");
+    assert_eq!(remote, local.selection_snapshot_json());
+    let decoded: SelectionSnapshot = serde_json::from_str(&remote).expect("snapshot is JSON");
+    let trained = decoded.trained.expect("window 0 trained");
+    assert_eq!(trained.window.index, 0);
+    assert_eq!(
+        trained.cells.iter().map(|c| c.stats.count()).sum::<u64>(),
+        40,
+        "the rollover lost honest reports"
+    );
+    let metrics = handle.controller().metrics_snapshot();
+    assert_eq!(metrics.counter("server_reports_rejected_total"), 1);
+    assert_eq!(metrics.counter("server_reports_total"), 80);
 
     client.shutdown().expect("shutdown reply");
     handle.wait();
