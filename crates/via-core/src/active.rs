@@ -59,12 +59,12 @@ pub fn plan_probes(
     let mut holes: Vec<Probe> = Vec::new();
     let mut seg_demand: HashMap<(u32, RelayId), u32> = HashMap::new();
     for (a, b, options) in demands {
+        let view = predictor.pair(*a, *b);
         for &option in options {
             if !option.is_relayed() {
                 continue; // direct paths cannot be stitched (tomography is relay-based)
             }
-            let pred = predictor.predict(*a, *b, option);
-            if pred.source == PredictionSource::Prior {
+            if view.predict(option).source == PredictionSource::Prior {
                 holes.push(Probe {
                     a: *a,
                     b: *b,
@@ -117,7 +117,9 @@ pub fn plan_probes(
 mod tests {
     use super::*;
     use crate::history::CallHistory;
+    use crate::online::BackboneFn;
     use crate::predictor::{GeoPrior, PredictorConfig};
+    use std::sync::Arc;
     use via_model::metrics::PathMetrics;
     use via_model::time::{SimTime, WindowLen};
     use via_netsim::GeoPoint;
@@ -131,11 +133,8 @@ mod tests {
                 .map(|i| GeoPoint::new(-10.0 - i as f64, 20.0))
                 .collect(),
         );
-        Predictor::cold(
-            prior,
-            Box::new(|_, _| PathMetrics::new(50.0, 0.01, 0.4)),
-            PredictorConfig::default(),
-        )
+        let backbone: BackboneFn = Arc::new(|_, _| PathMetrics::new(50.0, 0.01, 0.4));
+        Predictor::cold(prior, backbone, PredictorConfig::default())
     }
 
     fn demands(n_pairs: u32, relays: u32) -> Vec<(u32, u32, Vec<RelayOption>)> {
@@ -214,13 +213,8 @@ mod tests {
             (0..5).map(|i| GeoPoint::new(i as f64, i as f64)).collect(),
             (0..2).map(|i| GeoPoint::new(-(i as f64), 5.0)).collect(),
         );
-        let p = Predictor::fit(
-            &h,
-            window,
-            prior,
-            Box::new(|_, _| PathMetrics::ZERO),
-            PredictorConfig::default(),
-        );
+        let backbone: BackboneFn = Arc::new(|_, _| PathMetrics::ZERO);
+        let p = Predictor::fit(&h, window, prior, backbone, PredictorConfig::default());
         assert!(plan_probes(&d, &p, 10).is_empty());
     }
 

@@ -204,6 +204,36 @@ impl CallHistory {
     }
 }
 
+/// A history cell accumulated outside the store, by a caller that walks one
+/// pair's calls together (a replay shard), for [`CallHistory::insert_cell`].
+pub(crate) type GroupedCell = (KeyPair, RelayOption, MetricStats);
+
+/// [`CallHistory::record`] for such a caller: folds `m` into `pair`'s cell
+/// for `option` among `grouped[group..]` — that one pair's cells, a handful,
+/// so a linear scan finds it — or opens the cell. Handing every cell to
+/// [`CallHistory::insert_cell`] afterwards leaves the store as per-call
+/// `record` would have: the same cells, each with the same push sequence and
+/// therefore the same bits, for one hash insert per cell instead of two
+/// probes per call.
+pub(crate) fn record_grouped(
+    grouped: &mut Vec<GroupedCell>,
+    group: usize,
+    pair: KeyPair,
+    option: RelayOption,
+    m: &PathMetrics,
+) {
+    let option = option.canonical();
+    let found = grouped.iter_mut().skip(group).find(|c| c.1 == option);
+    match found {
+        Some((_, _, stats)) => stats.push(m),
+        None => {
+            let mut stats = MetricStats::default();
+            stats.push(m);
+            grouped.push((pair, option, stats));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,6 +368,75 @@ mod tests {
             );
             assert_eq!(a.metric(Metric::Rtt).mean(), b.metric(Metric::Rtt).mean());
             assert_eq!(a.metric(Metric::Rtt).sem(), b.metric(Metric::Rtt).sem());
+        }
+    }
+
+    #[test]
+    fn grouped_accumulation_then_insert_cell_equals_per_call_record() {
+        let (r1, r2) = (RelayId(4), RelayId(9));
+        let (a, b) = (KeyPair::new(1, 2), KeyPair::new(3, 4));
+        // One entry per call, in trace order, with the cells it feeds: pair
+        // `a` mixes both spellings of one transit, pair `b` is a
+        // `Multipath { k: 2 }` group where every call feeds two cells.
+        let calls = [
+            (a, vec![RelayOption::Transit(r1, r2)]),
+            (b, vec![RelayOption::Bounce(r1), RelayOption::Direct]),
+            (a, vec![RelayOption::Transit(r2, r1)]),
+            (a, vec![RelayOption::Direct]),
+            (b, vec![RelayOption::Bounce(r2), RelayOption::Bounce(r1)]),
+            (a, vec![RelayOption::Transit(r1, r2)]),
+            (b, vec![RelayOption::Direct, RelayOption::Bounce(r2)]),
+            (a, vec![RelayOption::Transit(r2, r1)]),
+            (b, vec![RelayOption::Bounce(r1), RelayOption::Bounce(r2)]),
+        ];
+        let metrics = |call: usize, path: usize| {
+            let (i, j) = (call as f64, path as f64);
+            PathMetrics::new(
+                50.0 + 7.3 * i + 1.1 * j,
+                0.1 + 0.07 * i,
+                2.0 + 0.9 * j + 0.3 * i,
+            )
+        };
+
+        let mut per_call = CallHistory::new();
+        for (i, (pair, fed)) in calls.iter().enumerate() {
+            for (j, &option) in fed.iter().enumerate() {
+                per_call.record(w(0), *pair, option, &metrics(i, j));
+            }
+        }
+
+        // A shard walks one pair group at a time, each group's calls in order.
+        let mut cells: Vec<GroupedCell> = Vec::new();
+        for group_pair in [a, b] {
+            let group = cells.len();
+            for (i, (pair, fed)) in calls.iter().enumerate() {
+                for (j, &option) in fed.iter().enumerate().filter(|_| *pair == group_pair) {
+                    record_grouped(&mut cells, group, *pair, option, &metrics(i, j));
+                }
+            }
+        }
+        assert_eq!(
+            cells.len(),
+            2 + 3,
+            "a: transit, direct; b: two bounces, direct"
+        );
+        let mut grouped = CallHistory::new();
+        for (pair, option, stats) in cells {
+            grouped.insert_cell(w(0), pair, option, stats);
+        }
+
+        assert_eq!(grouped.window_calls(w(0)), per_call.window_calls(w(0)));
+        assert_eq!(grouped.window_calls(w(0)), 5 + 2 * 4);
+        assert_eq!(grouped.window_len(w(0)), per_call.window_len(w(0)));
+        for (&(pair, option), want) in per_call.window_cells(w(0)) {
+            let got = grouped.cell(w(0), pair, option).expect("same cells");
+            // The serialized accumulators are count, mean and m2 per axis,
+            // floats round-trip exact: equal text is equal bits.
+            assert_eq!(
+                serde_json::to_string(got).unwrap(),
+                serde_json::to_string(want).unwrap(),
+                "{pair:?} {option}"
+            );
         }
     }
 

@@ -76,7 +76,7 @@ pub use history::{CallHistory, KeyPair, MetricStats};
 pub use multipath::PathSet;
 pub use online::{BackboneFn, CellSnapshot, RefitSnapshot};
 pub use placement::{plan_placement, Demand, Placement};
-pub use predictor::{GeoPrior, Prediction, PredictionSource, Predictor, PredictorConfig};
+pub use predictor::{GeoPrior, PairView, Prediction, PredictionSource, Predictor, PredictorConfig};
 pub use replay::{CallOutcome, Outcome, ReplayConfig, ReplaySim, ReplayStats, SpatialGranularity};
 pub use selector::{ArmsScratch, Decision, PairArms, Plan};
 pub use strategy::{MultipathMode, StrategyKind};

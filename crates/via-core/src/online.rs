@@ -40,8 +40,7 @@ pub fn refit(
     backbone: &BackboneFn,
     cfg: PredictorConfig,
 ) -> Predictor {
-    let bb = Arc::clone(backbone);
-    let backbone = Box::new(move |a, b| bb(a, b));
+    let backbone = Arc::clone(backbone);
     match opening.prev() {
         Some(training) => Predictor::fit(history, training, prior, backbone, cfg),
         None => Predictor::cold(prior, backbone, cfg),
@@ -244,7 +243,7 @@ mod tests {
                 &CallHistory::new(),
                 w(2),
                 prior(),
-                Box::new(backbone_metrics),
+                backbone(),
                 PredictorConfig::default(),
             );
             let rolled = roll(&merged, w(3));
@@ -257,11 +256,7 @@ mod tests {
     fn window_zero_opens_cold_whatever_the_history_holds() {
         let history = drained(&reports(11, 50), w(0), 1);
         let opened = roll(&history, w(0));
-        let cold = Predictor::cold(
-            prior(),
-            Box::new(backbone_metrics),
-            PredictorConfig::default(),
-        );
+        let cold = Predictor::cold(prior(), backbone(), PredictorConfig::default());
         assert_bit_identical(&cold, &opened);
         let pred = opened.predict(0, 1, RelayOption::Direct);
         assert_eq!(pred.source, PredictionSource::Prior);

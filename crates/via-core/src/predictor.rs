@@ -26,7 +26,11 @@ use via_model::time::Window;
 use via_netsim::GeoPoint;
 
 use crate::history::{CallHistory, KeyPair, MetricStats};
-use crate::tomography::{delinearize, linearize, linearize_sem, Tomography, TomographyConfig};
+use crate::online::BackboneFn;
+use crate::tomography::{
+    delinearize, linearize, linearize_sem, sorted_cells, stitch_rows, KeyRow, Tomography,
+    TomographyConfig,
+};
 
 /// Where a prediction came from (diagnostics and the Figure 11 experiment).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,13 +95,10 @@ fn idx(m: Metric) -> usize {
     }
 }
 
-/// The empirical fit of one observed cell, from its Welford sufficient
-/// statistics.
-fn fit_cell(stats: &MetricStats, cfg: &PredictorConfig) -> Option<Prediction> {
+/// The empirical fit of one cell that carried calls, from its Welford
+/// sufficient statistics.
+fn fit_cell(stats: &MetricStats, cfg: &PredictorConfig) -> Prediction {
     let n = stats.count();
-    if n == 0 {
-        return None;
-    }
     let mut lin_mean = [0.0; 3];
     let mut lin_sem = [0.0; 3];
     for &metric in Metric::ALL.iter() {
@@ -115,11 +116,13 @@ fn fit_cell(stats: &MetricStats, cfg: &PredictorConfig) -> Option<Prediction> {
         lin_sem[idx(metric)] = linearize_sem(metric, mean, sem)
             .max(cfg.sparse_rel_sem / n as f64 * linearize(metric, mean).max(1e-6));
     }
-    Some(Prediction::from_linear(
-        lin_mean,
-        lin_sem,
-        PredictionSource::Empirical(n),
-    ))
+    Prediction::from_linear(lin_mean, lin_sem, PredictionSource::Empirical(n))
+}
+
+/// The prior's linearized `(mean, sem)` for one metric predicted at `mean`.
+fn prior_slot(cfg: &PredictorConfig, metric: Metric, mean: f64) -> (f64, f64) {
+    let lin = linearize(metric, mean);
+    (lin, (cfg.prior_rel_sem * lin).max(1e-6))
 }
 
 /// Predictor configuration.
@@ -224,14 +227,29 @@ impl GeoPrior {
     }
 }
 
-/// The fitted predictor for one control window.
+/// One fitted cell of the training window.
+#[derive(Debug, Clone, Copy)]
+struct FittedCell {
+    pair: KeyPair,
+    option: RelayOption,
+    prediction: Prediction,
+}
+
+/// The fitted predictor for one control window. Between two refits it is a
+/// read-only table, laid out for its reader: cells sorted so a pair's are one
+/// contiguous run, solved segments in per-key rows (see [`Tomography`]), and
+/// [`Predictor::pair`] to resolve both once per pair.
 pub struct Predictor {
     cfg: PredictorConfig,
     window: Window,
-    empirical: std::collections::HashMap<(KeyPair, RelayOption), Prediction>,
+    /// The window's fitted cells, sorted by `(pair, option)`.
+    empirical: Vec<FittedCell>,
     tomography: Tomography,
     prior: GeoPrior,
-    backbone: Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync>,
+    /// The prior's linearized `(mean, sem)` for loss and for jitter: config
+    /// constants, so their `ln` and `powi` are paid here, not per prediction.
+    prior_loss_jitter: [(f64, f64); 2],
+    backbone: BackboneFn,
 }
 
 impl std::fmt::Debug for Predictor {
@@ -251,53 +269,67 @@ impl Predictor {
         history: &CallHistory,
         training_window: Window,
         prior: GeoPrior,
-        backbone: Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync>,
+        backbone: impl Into<BackboneFn>,
         cfg: PredictorConfig,
     ) -> Predictor {
-        // Per-cell fits are independent; sort cells (hash-map order must not
-        // pick the chunking) and fan out across the worker pool. Small
-        // windows stay sequential — thread startup would dominate.
-        let mut cells: Vec<_> = history.window_cells(training_window).collect();
-        cells.sort_by_key(|(k, _)| **k);
+        // Per-cell fits are independent: fan out across the worker pool in
+        // the cells' sorted order, which is also the order they are kept in.
+        // Small windows stay sequential — thread startup would dominate.
+        let cells = sorted_cells(history, training_window);
         let workers = if cells.len() < 256 {
             1
         } else {
             crate::par::resolve_workers(cfg.workers)
         };
-        let fitted = crate::par::par_map(workers, &cells, |_, &(&(pair, option), stats)| {
-            fit_cell(stats, &cfg).map(|pred| ((pair, option), pred))
-        });
-        let mut empirical = std::collections::HashMap::with_capacity(cells.len());
-        for (key, pred) in fitted.into_iter().flatten() {
-            empirical.insert(key, pred);
-        }
-        let tomography =
-            Tomography::fit(history, training_window, backbone.as_ref(), &cfg.tomography);
-        Predictor {
-            cfg,
-            window: training_window,
-            empirical,
-            tomography,
-            prior,
-            backbone,
-        }
+        let empirical =
+            crate::par::par_map(workers, &cells, |_, &(&(pair, option), stats)| FittedCell {
+                pair,
+                option,
+                prediction: fit_cell(stats, &cfg),
+            });
+        let backbone = backbone.into();
+        let tomography = Tomography::fit_sorted(&cells, &*backbone, &cfg.tomography);
+        Predictor::new(cfg, training_window, empirical, tomography, prior, backbone)
     }
 
     /// A predictor with no history at all (cold start): prior-only.
     pub fn cold(
         prior: GeoPrior,
-        backbone: Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync>,
+        backbone: impl Into<BackboneFn>,
         cfg: PredictorConfig,
+    ) -> Predictor {
+        let window = Window {
+            index: 0,
+            len: via_model::time::WindowLen::DAY,
+        };
+        Predictor::new(
+            cfg,
+            window,
+            Vec::new(),
+            Tomography::default(),
+            prior,
+            backbone.into(),
+        )
+    }
+
+    fn new(
+        cfg: PredictorConfig,
+        window: Window,
+        empirical: Vec<FittedCell>,
+        tomography: Tomography,
+        prior: GeoPrior,
+        backbone: BackboneFn,
     ) -> Predictor {
         Predictor {
             cfg,
-            window: Window {
-                index: 0,
-                len: via_model::time::WindowLen::DAY,
-            },
-            empirical: std::collections::HashMap::new(),
-            tomography: Tomography::default(),
+            window,
+            empirical,
+            tomography,
             prior,
+            prior_loss_jitter: [
+                prior_slot(&cfg, Metric::Loss, cfg.prior_loss_pct),
+                prior_slot(&cfg, Metric::Jitter, cfg.prior_jitter_ms),
+            ],
             backbone,
         }
     }
@@ -312,51 +344,100 @@ impl Predictor {
         self.tomography.len()
     }
 
-    /// Predicts performance of `option` between spatial keys `a` and `b`.
-    /// Always succeeds: falls back to the geographic prior.
-    pub fn predict(&self, a: u32, b: u32, option: RelayOption) -> Prediction {
-        let option = option.canonical();
+    /// Resolves what depends only on the pair of spatial keys — its fitted
+    /// cells and both keys' solved segments — so that scoring the pair's
+    /// candidates looks nothing up twice. The keys keep the order given: a
+    /// transit stitch breaks its orientation tie by it.
+    pub fn pair(&self, a: u32, b: u32) -> PairView<'_> {
         let pair = KeyPair::new(a, b);
-        if let Some(p) = self.empirical.get(&(pair, option)) {
+        let from = self.empirical.partition_point(|c| c.pair < pair);
+        let rest = self.empirical.get(from..).unwrap_or_default();
+        let len = rest.iter().take_while(|c| c.pair == pair).count();
+        let row_a = self.tomography.row(a);
+        PairView {
+            predictor: self,
+            a,
+            b,
+            cells: rest.get(..len).unwrap_or_default(),
+            row_a,
+            row_b: if a == b {
+                row_a
+            } else {
+                self.tomography.row(b)
+            },
+        }
+    }
+
+    /// Predicts performance of `option` between spatial keys `a` and `b`.
+    /// Always succeeds: falls back to the geographic prior. One-shot form of
+    /// [`Predictor::pair`]; score several options of a pair through one view.
+    pub fn predict(&self, a: u32, b: u32, option: RelayOption) -> Prediction {
+        self.pair(a, b).predict(option)
+    }
+}
+
+/// One pair of spatial keys as a [`Predictor`] sees it. Borrows the
+/// predictor, so a view can be neither stale nor outlive its window's model.
+#[derive(Debug, Clone, Copy)]
+pub struct PairView<'a> {
+    predictor: &'a Predictor,
+    a: u32,
+    b: u32,
+    /// The pair's fitted cells, sorted by option.
+    cells: &'a [FittedCell],
+    row_a: KeyRow<'a>,
+    row_b: KeyRow<'a>,
+}
+
+impl PairView<'_> {
+    /// Predicts performance of `option` for this pair. Always succeeds:
+    /// falls back to the geographic prior.
+    pub fn predict(&self, option: RelayOption) -> Prediction {
+        let predictor = self.predictor;
+        let option = option.canonical();
+        let cell = self
+            .cells
+            .iter()
+            .find(|c| c.option == option)
+            .map(|c| c.prediction);
+        if let Some(p) = cell {
             if let PredictionSource::Empirical(n) = p.source {
-                if n >= self.cfg.min_empirical_samples {
-                    return *p;
+                if n >= predictor.cfg.min_empirical_samples {
+                    return p;
                 }
             }
         }
         if let Some((lin_mean, lin_sem)) =
-            self.tomography.stitch(a, b, option, self.backbone.as_ref())
+            stitch_rows(self.row_a, self.row_b, option, &*predictor.backbone)
         {
             return Prediction::from_linear(lin_mean, lin_sem, PredictionSource::Tomography);
         }
         // Sparse empirical beats pure prior.
-        if let Some(p) = self.empirical.get(&(pair, option)) {
-            return *p;
+        if let Some(p) = cell {
+            return p;
         }
-        self.prior_prediction(a, b, option)
-    }
-
-    fn prior_prediction(&self, a: u32, b: u32, option: RelayOption) -> Prediction {
-        let cfg = &self.cfg;
-        let rtt = self
+        let cfg = &predictor.cfg;
+        let rtt = predictor
             .prior
-            .path_rtt_floor(a, b, option)
+            .path_rtt_floor(self.a, self.b, option)
             .map(|floor| floor * cfg.prior_inflation + 20.0)
             .unwrap_or(250.0);
-        let mut lin_mean = [0.0; 3];
-        let mut lin_sem = [0.0; 3];
-        let means = [rtt, cfg.prior_loss_pct, cfg.prior_jitter_ms];
-        for (i, &metric) in Metric::ALL.iter().enumerate() {
-            lin_mean[i] = linearize(metric, means[i]);
-            lin_sem[i] = (cfg.prior_rel_sem * lin_mean[i]).max(1e-6);
-        }
-        Prediction::from_linear(lin_mean, lin_sem, PredictionSource::Prior)
+        let (rtt, rtt_sem) = prior_slot(cfg, Metric::Rtt, rtt);
+        let [(loss, loss_sem), (jitter, jitter_sem)] = predictor.prior_loss_jitter;
+        Prediction::from_linear(
+            [rtt, loss, jitter],
+            [rtt_sem, loss_sem, jitter_sem],
+            PredictionSource::Prior,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tomography::reference;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
     use via_model::time::{SimTime, WindowLen};
 
     fn window() -> Window {
@@ -379,6 +460,290 @@ mod tests {
 
     fn bb() -> Box<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync> {
         Box::new(|_, _| PathMetrics::new(80.0, 0.01, 0.4))
+    }
+
+    /// The predictor as it was before the window model was laid out for its
+    /// reader: both tables `HashMap`s, probed per option, the prior
+    /// linearized per prediction. The pair view must reproduce every bit.
+    struct Reference {
+        cfg: PredictorConfig,
+        empirical: HashMap<(KeyPair, RelayOption), Prediction>,
+        tomography: reference::Tomography,
+        prior: GeoPrior,
+        backbone: BackboneFn,
+    }
+
+    impl Reference {
+        fn fit(
+            history: &CallHistory,
+            window: Window,
+            prior: GeoPrior,
+            backbone: BackboneFn,
+            cfg: PredictorConfig,
+        ) -> Reference {
+            let empirical = history
+                .window_cells(window)
+                .filter(|(_, stats)| stats.count() > 0)
+                .map(|(key, stats)| (*key, fit_cell(stats, &cfg)))
+                .collect();
+            let tomography =
+                reference::Tomography::fit(history, window, &*backbone, &cfg.tomography);
+            Reference {
+                cfg,
+                empirical,
+                tomography,
+                prior,
+                backbone,
+            }
+        }
+
+        fn predict(&self, a: u32, b: u32, option: RelayOption) -> Prediction {
+            let option = option.canonical();
+            let pair = KeyPair::new(a, b);
+            if let Some(p) = self.empirical.get(&(pair, option)) {
+                if let PredictionSource::Empirical(n) = p.source {
+                    if n >= self.cfg.min_empirical_samples {
+                        return *p;
+                    }
+                }
+            }
+            if let Some((lin_mean, lin_sem)) = self.tomography.stitch(a, b, option, &*self.backbone)
+            {
+                return Prediction::from_linear(lin_mean, lin_sem, PredictionSource::Tomography);
+            }
+            if let Some(p) = self.empirical.get(&(pair, option)) {
+                return *p;
+            }
+            let cfg = &self.cfg;
+            let rtt = self
+                .prior
+                .path_rtt_floor(a, b, option)
+                .map(|floor| floor * cfg.prior_inflation + 20.0)
+                .unwrap_or(250.0);
+            let mut lin_mean = [0.0; 3];
+            let mut lin_sem = [0.0; 3];
+            let means = [rtt, cfg.prior_loss_pct, cfg.prior_jitter_ms];
+            for (i, &metric) in Metric::ALL.iter().enumerate() {
+                lin_mean[i] = linearize(metric, means[i]);
+                lin_sem[i] = (cfg.prior_rel_sem * lin_mean[i]).max(1e-6);
+            }
+            Prediction::from_linear(lin_mean, lin_sem, PredictionSource::Prior)
+        }
+    }
+
+    /// `history` fitted both ways, the solved segments already compared bit
+    /// for bit.
+    struct BothWays {
+        new: Predictor,
+        old: Reference,
+    }
+
+    impl BothWays {
+        fn fit(history: &CallHistory, prior: GeoPrior, backbone: BackboneFn) -> BothWays {
+            let cfg = PredictorConfig::default();
+            let new = Predictor::fit(history, window(), prior.clone(), backbone.clone(), cfg);
+            let old = Reference::fit(history, window(), prior, backbone, cfg);
+            assert_eq!(new.empirical_cells(), old.empirical.len());
+            assert_eq!(new.tomography_segments(), old.tomography.segments.len());
+            for (seg, want) in &old.tomography.segments {
+                let got = new.tomography.segment(seg.key, seg.relay).expect("solved");
+                assert_eq!(
+                    (
+                        got.value.map(f64::to_bits),
+                        got.sem.map(f64::to_bits),
+                        got.n_obs
+                    ),
+                    (
+                        want.value.map(f64::to_bits),
+                        want.sem.map(f64::to_bits),
+                        want.n_obs
+                    ),
+                    "{seg:?}"
+                );
+            }
+            BothWays { new, old }
+        }
+
+        /// Every option of a pair, through one view and through the one-shot
+        /// wrapper, against the reference, bit for bit.
+        fn check(&self, a: u32, b: u32, options: &[RelayOption]) {
+            let view = self.new.pair(a, b);
+            for &option in options {
+                let want = self.old.predict(a, b, option);
+                for got in [view.predict(option), self.new.predict(a, b, option)] {
+                    assert_eq!(got.source, want.source, "({a}, {b}) {option}");
+                    assert_eq!(
+                        (
+                            got.lin_mean.map(f64::to_bits),
+                            got.lin_sem.map(f64::to_bits)
+                        ),
+                        (
+                            want.lin_mean.map(f64::to_bits),
+                            want.lin_sem.map(f64::to_bits)
+                        ),
+                        "({a}, {b}) {option} from {:?}",
+                        want.source
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "a paper-scale window: tens of thousands of calls")]
+    fn pair_view_is_bit_identical_to_the_hash_map_reference_at_paper_scale() {
+        let world = via_netsim::World::generate(&via_netsim::WorldConfig::paper_scale(), 7);
+        let trace_cfg = via_trace::TraceConfig {
+            days: 1,
+            ..via_trace::TraceConfig::paper_scale()
+        };
+        let generator = via_trace::TraceGenerator::new(&world, trace_cfg, 7);
+        let mut calls = generator.stream();
+        let mut scratch = via_netsim::CandidateScratch::default();
+        let mut options = Vec::new();
+        let mut h = CallHistory::new();
+        let mut pairs = std::collections::BTreeSet::new();
+        while let Some(call) = calls.next_record() {
+            // Every call measures one candidate, cycling through them, so a
+            // busy pair holds dense cells, a quiet one sparse cells and holes.
+            let (src, dst) = (call.src_as, call.dst_as);
+            world.candidate_options_into(src, dst, &mut scratch, &mut options);
+            let option = options[call.id.0 as usize % options.len()];
+            let m = world.perf().option_mean(src, dst, option, call.t);
+            h.record(window(), KeyPair::new(src.0, dst.0), option, &m);
+            pairs.insert((src, dst));
+        }
+        let relays = &world.relays;
+        let legs = Table::from_fn(relays.len(), relays.len(), |i, j| {
+            world.perf().backbone_metrics(relays[i].id, relays[j].id)
+        });
+        let backbone: BackboneFn =
+            Arc::new(move |a: RelayId, b: RelayId| legs[(a.index(), b.index())]);
+        let prior = GeoPrior::new(
+            world.ases.iter().map(|a| a.pos).collect(),
+            relays.iter().map(|r| r.pos).collect(),
+        );
+        let both = BothWays::fit(&h, prior, backbone);
+        let fitted = &both.new;
+        // [dense cell, sparse cell, stitched, prior]: the window must reach
+        // every rung of the decision order, or the identity is vacuous.
+        let mut rungs = [0usize; 4];
+        for &(src, dst) in &pairs {
+            world.candidate_options_into(src, dst, &mut scratch, &mut options);
+            both.check(src.0, dst.0, &options);
+            // The callee's side of the same pair: same cells, rows swapped.
+            both.check(dst.0, src.0, &options);
+            for &option in &options {
+                rungs[match fitted.predict(src.0, dst.0, option).source {
+                    PredictionSource::Empirical(n) if n >= 3 => 0,
+                    PredictionSource::Empirical(_) => 1,
+                    PredictionSource::Tomography => 2,
+                    PredictionSource::Prior => 3,
+                }] += 1;
+            }
+        }
+        assert!(rungs.iter().all(|&n| n > 1_000), "{rungs:?} of {fitted:?}");
+    }
+
+    #[test]
+    fn hostile_key_and_relay_values_cost_no_memory() {
+        // A key and a relay id at the top of their range reach `fit` through
+        // the in-process API; the model must be sized by how many cells and
+        // segments there are, not by their values.
+        let backbone: BackboneFn = Arc::new(|_, _| PathMetrics::new(80.0, 0.01, 0.4));
+        let fit = |key: u32, relay: RelayId| {
+            let mut h = CallHistory::new();
+            let m = PathMetrics::new(120.0, 0.4, 3.0);
+            for _ in 0..4 {
+                h.record(
+                    window(),
+                    KeyPair::new(0, key),
+                    RelayOption::Bounce(relay),
+                    &m,
+                );
+                h.record(
+                    window(),
+                    KeyPair::new(1, key),
+                    RelayOption::Bounce(relay),
+                    &m,
+                );
+                h.record(
+                    window(),
+                    KeyPair::new(0, 1),
+                    RelayOption::Transit(RelayId(0), relay),
+                    &m,
+                );
+            }
+            let both = BothWays::fit(&h, prior(), backbone.clone());
+            let fitted = &both.new;
+            let options = [
+                RelayOption::Direct,
+                RelayOption::Bounce(relay),
+                RelayOption::Bounce(RelayId(0)),
+                RelayOption::Transit(relay, RelayId(0)),
+            ];
+            for (a, b) in [(0, key), (key, 1), (0, 1), (key, key), (2, key)] {
+                both.check(a, b, &options);
+            }
+            let stitched = fitted.predict(1, 0, RelayOption::Bounce(relay));
+            assert_eq!(stitched.source, PredictionSource::Tomography);
+            assert_eq!(fitted.empirical.capacity(), fitted.empirical_cells());
+            (
+                fitted.empirical_cells(),
+                fitted.tomography_segments(),
+                fitted.tomography.reserved(),
+            )
+        };
+        let hostile = fit(u32::MAX, RelayId(u32::MAX));
+        assert_eq!(hostile, fit(2, RelayId(1)));
+        // Three keys and their row bounds, five segments.
+        assert_eq!(hostile, (3, 5, 3 + 4 + 5));
+    }
+
+    proptest! {
+        // Runs under miri too (the CI job covers the row arithmetic): keep
+        // the histories tiny.
+        #[test]
+        fn pair_view_matches_the_reference_on_tiny_histories(
+            reports in prop::collection::vec(
+                (0u32..4, 0u32..4, 0u32..8, 0u32..3, 0u32..3, 1u64..6),
+                0..10,
+            ),
+        ) {
+            // Keys 0–2 and relays 0–1 are inside the prior; key 3 and relay 2
+            // are not, and key 4 is never observed. Counts straddle
+            // `min_empirical_samples` (3).
+            let option_of = |kind: u32, r1: u32, r2: u32| match kind {
+                0 => RelayOption::Direct,
+                1..=3 => RelayOption::Bounce(RelayId(r1)),
+                _ => RelayOption::Transit(RelayId(r1), RelayId(r2)),
+            };
+            let mut h = CallHistory::new();
+            for (i, &(a, b, kind, r1, r2, n)) in reports.iter().enumerate() {
+                for k in 0..n {
+                    let m = PathMetrics::new(
+                        60.0 + 17.0 * i as f64 + 3.0 * k as f64,
+                        0.1 * (1 + i) as f64,
+                        1.0 + k as f64,
+                    );
+                    h.record(window(), KeyPair::new(a, b), option_of(kind, r1, r2), &m);
+                }
+            }
+            let backbone: BackboneFn = Arc::new(|a: RelayId, b: RelayId| {
+                PathMetrics::new(20.0 + 5.0 * f64::from(a.0 + 2 * b.0), 0.02, 0.5)
+            });
+            let both = BothWays::fit(&h, prior(), backbone);
+            let mut options = vec![RelayOption::Direct];
+            for r1 in 0..3 {
+                options.push(RelayOption::Bounce(RelayId(r1)));
+                options.extend((0..3).map(|r2| RelayOption::Transit(RelayId(r1), RelayId(r2))));
+            }
+            for a in 0..5 {
+                for b in 0..5 {
+                    both.check(a, b, &options);
+                }
+            }
+        }
     }
 
     /// `path_rtt_floor` as it was before the tables: haversine per leg.

@@ -44,7 +44,7 @@ use via_trace::stream::{RecordSource, StreamError, WindowBatch, WindowStream};
 use via_trace::{CallRecord, Trace};
 
 use crate::budget::BudgetGate;
-use crate::history::{CallHistory, KeyPair};
+use crate::history::{record_grouped, CallHistory, GroupedCell, KeyPair};
 use crate::online::{refit, BackboneFn};
 use crate::predictor::{GeoPrior, Predictor, PredictorConfig};
 use crate::selector::{ArmsScratch, Explore, Gate, PairArms, Plan, Source};
@@ -506,8 +506,9 @@ struct PairGroup {
 struct ShardResult {
     /// (batch-relative index, outcome) for every call the shard carried.
     outcomes: Vec<(usize, CallOutcome)>,
-    /// Local history (disjoint cells: a pair lives on exactly one shard).
-    history: CallHistory,
+    /// The window's history cells (disjoint: a pair lives on exactly one
+    /// shard), each pair group's contiguous.
+    history: Vec<GroupedCell>,
     /// Demand exemplars observed (pair → first call's AS endpoints).
     demands: Vec<(KeyPair, (AsId, AsId))>,
     /// §7 decision-cache entries written this window.
@@ -1205,9 +1206,10 @@ impl<'a> ReplaySim<'a> {
                                 topo, cand, arms, ..
                             } = &mut slot.scratch;
                             self.candidates_into(call.src_as, call.dst_as, topo, cand);
+                            let view = pred.pair(g.ka, g.kb);
                             g.state = Some(PairArms::build(
                                 plan,
-                                |o| pred.predict(g.ka, g.kb, o),
+                                |o| view.predict(o),
                                 cand,
                                 objective,
                                 arms,
@@ -1290,7 +1292,9 @@ impl<'a> ReplaySim<'a> {
                 window_out[i] = Some(co);
             }
             if plan.learns() {
-                history.merge(res.history);
+                for (pair, option, cell) in res.history {
+                    history.insert_cell(window, pair, option, cell);
+                }
                 for (p, ex) in res.demands {
                     demands.entry(p).or_insert(ex);
                 }
@@ -1413,7 +1417,7 @@ impl<'a> ReplaySim<'a> {
         } = slot;
         let mut out = ShardResult {
             outcomes: Vec::new(),
-            history: CallHistory::new(),
+            history: Vec::new(),
             demands: Vec::new(),
             cache_updates: Vec::new(),
             contacts: 0,
@@ -1421,6 +1425,8 @@ impl<'a> ReplaySim<'a> {
         };
 
         for mut g in work {
+            // Where this group's history cells start.
+            let group_cells = out.history.len();
             let mut state = g.state.take();
             let mut cached = g.cached;
             let mut cache_dirty = false;
@@ -1468,9 +1474,8 @@ impl<'a> ReplaySim<'a> {
                     Source::BestPrediction => match predictor {
                         None => RelayOption::Direct,
                         Some(pred) => *memo.get_or_insert_with(|| {
-                            self.cheapest(call, scratch, |opt| {
-                                pred.predict(g.ka, g.kb, opt).mean(objective)
-                            })
+                            let view = pred.pair(g.ka, g.kb);
+                            self.cheapest(call, scratch, |opt| view.predict(opt).mean(objective))
                         }),
                     },
                     Source::Arms => match (cached, predictor) {
@@ -1502,13 +1507,8 @@ impl<'a> ReplaySim<'a> {
                                 self.candidates_into(call.src_as, call.dst_as, topo, cand);
                             }
                             let st = state.get_or_insert_with(|| {
-                                PairArms::build(
-                                    plan,
-                                    |o| pred.predict(g.ka, g.kb, o),
-                                    cand,
-                                    objective,
-                                    arms,
-                                )
+                                let view = pred.pair(g.ka, g.kb);
+                                PairArms::build(plan, |o| view.predict(o), cand, objective, arms)
                             });
                             let option = if let Some(width) = plan.race {
                                 // §7 hybrid racing: race the leading arms in
@@ -1669,7 +1669,7 @@ impl<'a> ReplaySim<'a> {
                     // its own realization back to its own arm and to the
                     // shared history, not the merged stream's triple.
                     let mut feed = |o: RelayOption, m: &PathMetrics| {
-                        out.history.record(window, g.pair, o, m);
+                        record_grouped(&mut out.history, group_cells, g.pair, o, m);
                         if let Some(st) = state.as_mut() {
                             st.learn(o, m[objective]);
                         }

@@ -24,13 +24,12 @@
 //! * jitter `j` → `x = j²`, since variances of independent delay-variation
 //!   processes add.
 
-use std::collections::HashMap;
 use via_model::ids::RelayId;
 use via_model::metrics::{Metric, PathMetrics};
 use via_model::options::RelayOption;
 use via_model::time::Window;
 
-use crate::history::CallHistory;
+use crate::history::{CallHistory, KeyPair, MetricStats};
 
 /// Maps a raw metric value into its additively-composing space.
 pub fn linearize(metric: Metric, value: f64) -> f64 {
@@ -68,8 +67,9 @@ pub fn linearize_sem(metric: Metric, mean: f64, sem: f64) -> f64 {
 }
 
 /// One client-side segment: spatial key (AS, country, or finer — see
-/// `replay::SpatialGranularity`) to relay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// `replay::SpatialGranularity`) to relay. Ordered key-major, the order the
+/// fitted model stores its segments in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SegmentKey {
     /// Spatial key of the client side.
     pub key: u32,
@@ -124,10 +124,217 @@ impl Default for TomographyConfig {
     }
 }
 
-/// Fitted tomography model for one training window.
+/// One observed cell of a training window, as the fits read it.
+pub(crate) type CellRef<'a> = (&'a (KeyPair, RelayOption), &'a MetricStats);
+
+/// The cells of `window` that carried calls, in `(pair, option)` order.
+/// Hash-map iteration order must pick neither the chunking of the parallel
+/// per-cell passes nor the order the solver numbers its unknowns in
+/// (Gauss–Seidel results depend on update order at fixed iteration counts).
+pub(crate) fn sorted_cells(history: &CallHistory, window: Window) -> Vec<CellRef<'_>> {
+    let mut cells = Vec::with_capacity(history.window_len(window));
+    cells.extend(
+        history
+            .window_cells(window)
+            .filter(|(_, stats)| stats.count() > 0),
+    );
+    cells.sort_unstable_by_key(|(k, _)| **k);
+    cells
+}
+
+/// The equations one observed cell contributes, each as the two client-side
+/// segments it sums. A bounce is one equation. A transit is two: ingress and
+/// egress cannot be told apart in the aggregate, so both orientations are
+/// recorded (at half weight — with symmetric client legs this is the
+/// least-biased linear attribution).
+fn equations(pair: KeyPair, option: RelayOption) -> impl Iterator<Item = (SegmentKey, SegmentKey)> {
+    let seg = |key, relay| SegmentKey { key, relay };
+    let (first, second) = match option.canonical() {
+        RelayOption::Direct => (None, None),
+        RelayOption::Bounce(r) => (Some((seg(pair.lo, r), seg(pair.hi, r))), None),
+        RelayOption::Transit(r1, r2) => (
+            Some((seg(pair.lo, r1), seg(pair.hi, r2))),
+            Some((seg(pair.lo, r2), seg(pair.hi, r1))),
+        ),
+    };
+    first.into_iter().chain(second)
+}
+
+/// The index range of `key`'s row in a key-major segment column: `keys` is
+/// sorted and unique, and `starts` brackets row `i` as
+/// `starts[i]..starts[i + 1]`. The solver interns through this and the
+/// fitted model reads through it.
+fn row_bounds(keys: &[u32], starts: &[usize], key: u32) -> Option<std::ops::Range<usize>> {
+    let i = keys.binary_search(&key).ok()?;
+    Some(*starts.get(i)?..*starts.get(i + 1)?)
+}
+
+/// Assembles the window's linear system from its sorted cells. `intern` maps
+/// a segment to its unknown's index; it is called in a fixed order — cell by
+/// cell, equation by equation, `i` before `j` — so an interner that numbers
+/// unknowns as it first sees them numbers them the same way every run.
+fn observations(
+    cells: &[CellRef<'_>],
+    backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
+    cfg: &TomographyConfig,
+    capacity: usize,
+    mut intern: impl FnMut(SegmentKey) -> Option<usize>,
+) -> Vec<Obs> {
+    // Per-cell linearization is pure math over independent cells: fan it
+    // out across the worker pool. Interning and observation assembly
+    // stay sequential so unknown indices are stable.
+    let lin_workers = if cells.len() < 256 {
+        1
+    } else {
+        crate::par::resolve_workers(cfg.workers)
+    };
+    let ys: Vec<[f64; 3]> = crate::par::par_map(lin_workers, cells, |_, (_, stats)| {
+        let mut y = [0.0f64; 3];
+        for (m_idx, &metric) in Metric::ALL.iter().enumerate() {
+            let mean = stats.metric(metric).mean().unwrap_or(0.0);
+            y[m_idx] = linearize(metric, mean);
+        }
+        y
+    });
+    let mut obs = Vec::with_capacity(capacity);
+    for (&(&(pair, option), stats), mut y) in cells.iter().zip(ys) {
+        let mut w = stats.count() as f64;
+        if let RelayOption::Transit(r1, r2) = option.canonical() {
+            let bbm = backbone(r1, r2);
+            for (m_idx, &metric) in Metric::ALL.iter().enumerate() {
+                y[m_idx] = (y[m_idx] - linearize(metric, bbm[metric])).max(0.0);
+            }
+            w /= 2.0;
+        }
+        for (si, sj) in equations(pair, option) {
+            let (Some(i), Some(j)) = (intern(si), intern(sj)) else {
+                continue; // unreachable: the interner covers every cell's segments
+            };
+            obs.push(Obs { i, j, y, w });
+        }
+    }
+    obs
+}
+
+/// Weighted least squares over the assembled system: every unknown starts at
+/// half of the weighted mean of its observations, then `cfg.iterations`
+/// Gauss–Seidel sweeps in unknown-index order. Returns one estimate per
+/// unknown, in that order.
+fn solve(obs: &[Obs], n_unknowns: usize, cfg: &TomographyConfig) -> Vec<SegmentEstimate> {
+    let mut u = vec![[0.0f64; 3]; n_unknowns];
+    let mut w_sum = vec![0.0f64; n_unknowns];
+    for o in obs {
+        for (m, &y) in o.y.iter().enumerate() {
+            u[o.i][m] += o.w * y / 2.0;
+            u[o.j][m] += o.w * y / 2.0;
+        }
+        w_sum[o.i] += o.w;
+        w_sum[o.j] += o.w;
+    }
+    for (ui, &w) in u.iter_mut().zip(&w_sum) {
+        if w > 0.0 {
+            for v in ui.iter_mut() {
+                *v /= w;
+            }
+        }
+    }
+
+    // Adjacency: unknown → observation indices.
+    let mut touching: Vec<Vec<usize>> = vec![Vec::new(); n_unknowns];
+    for (oi, o) in obs.iter().enumerate() {
+        touching[o.i].push(oi);
+        if o.j != o.i {
+            touching[o.j].push(oi);
+        }
+    }
+
+    for _ in 0..cfg.iterations {
+        for i in 0..n_unknowns {
+            let mut num = [0.0f64; 3];
+            let mut den = 0.0f64;
+            for &oi in &touching[i] {
+                let o = &obs[oi];
+                let partner = if o.i == i { o.j } else { o.i };
+                for m in 0..3 {
+                    let partner_val = if partner == i { u[i][m] } else { u[partner][m] };
+                    num[m] += o.w * (o.y[m] - partner_val);
+                }
+                den += o.w;
+            }
+            if den > 0.0 {
+                for m in 0..3 {
+                    u[i][m] = (num[m] / den).max(0.0);
+                }
+            }
+        }
+    }
+
+    // Residual-based SEM per unknown.
+    let mut res_sq = vec![[0.0f64; 3]; n_unknowns];
+    let mut n_obs = vec![0u32; n_unknowns];
+    for o in obs {
+        for m in 0..3 {
+            let r = o.y[m] - u[o.i][m] - u[o.j][m];
+            res_sq[o.i][m] += o.w * r * r;
+            res_sq[o.j][m] += o.w * r * r;
+        }
+        n_obs[o.i] += 1;
+        if o.j != o.i {
+            n_obs[o.j] += 1;
+        }
+    }
+
+    (0..n_unknowns)
+        .map(|idx| {
+            let mut sem = [0.0f64; 3];
+            for m in 0..3 {
+                let var = if w_sum[idx] > 0.0 {
+                    res_sq[idx][m] / w_sum[idx]
+                } else {
+                    0.0
+                };
+                let base = (var / (n_obs[idx].max(1) as f64)).sqrt();
+                sem[m] = base.max(cfg.min_rel_sem * u[idx][m]);
+            }
+            SegmentEstimate {
+                value: u[idx],
+                sem,
+                n_obs: n_obs[idx],
+            }
+        })
+        .collect()
+}
+
+/// One solved segment in its key's row.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    relay: RelayId,
+    estimate: SegmentEstimate,
+}
+
+/// The solved segments of one spatial key, sorted by relay.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct KeyRow<'a>(&'a [Segment]);
+
+impl<'a> KeyRow<'a> {
+    /// Solved estimate of this key's segment to `relay`.
+    pub(crate) fn get(self, relay: RelayId) -> Option<&'a SegmentEstimate> {
+        let i = self.0.binary_search_by_key(&relay, |s| s.relay).ok()?;
+        self.0.get(i).map(|s| &s.estimate)
+    }
+}
+
+/// Fitted tomography model for one training window, laid out for its
+/// reader: `keys` holds the sorted unique spatial keys with a solved
+/// segment, and key `keys[i]`'s segments are `segs[starts[i]..starts[i + 1]]`
+/// in relay order. Sized by the number of solved segments — never by the
+/// value of a key or a relay id, which for a live controller arrive off the
+/// wire.
 #[derive(Debug, Default)]
 pub struct Tomography {
-    segments: HashMap<SegmentKey, SegmentEstimate>,
+    keys: Vec<u32>,
+    starts: Vec<usize>,
+    segs: Vec<Segment>,
 }
 
 impl Tomography {
@@ -139,237 +346,92 @@ impl Tomography {
         backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
         cfg: &TomographyConfig,
     ) -> Tomography {
-        let mut index: HashMap<SegmentKey, usize> = HashMap::new();
-        let mut keys: Vec<SegmentKey> = Vec::new();
-        let mut obs: Vec<Obs> = Vec::new();
+        Self::fit_sorted(&sorted_cells(history, window), backbone, cfg)
+    }
 
-        let intern = |k: SegmentKey,
-                      keys: &mut Vec<SegmentKey>,
-                      index: &mut HashMap<SegmentKey, usize>|
-         -> usize {
-            *index.entry(k).or_insert_with(|| {
-                keys.push(k);
-                keys.len() - 1
-            })
-        };
-
-        // Sort cells so the solve is independent of hash-map iteration order
-        // (Gauss–Seidel results depend on update order at fixed iteration
-        // counts; determinism requires a stable order).
-        let mut cells: Vec<_> = history.window_cells(window).collect();
-        cells.sort_by_key(|(k, _)| **k);
-        // Per-cell linearization is pure math over independent cells: fan it
-        // out across the worker pool. Interning and observation assembly
-        // stay sequential so unknown indices are stable.
-        let lin_workers = if cells.len() < 256 {
-            1
-        } else {
-            crate::par::resolve_workers(cfg.workers)
-        };
-        let ys: Vec<[f64; 3]> = crate::par::par_map(lin_workers, &cells, |_, (_, stats)| {
-            let mut y = [0.0f64; 3];
-            for (m_idx, &metric) in Metric::ALL.iter().enumerate() {
-                let mean = stats.metric(metric).mean().unwrap_or(0.0);
-                y[m_idx] = linearize(metric, mean);
-            }
-            y
-        });
-        for (((pair, option), stats), y) in cells.into_iter().map(|(k, s)| (*k, s)).zip(ys) {
-            let n = stats.count();
-            if n == 0 {
-                continue;
-            }
-            match option.canonical() {
-                RelayOption::Direct => {}
-                RelayOption::Bounce(r) => {
-                    let i = intern(
-                        SegmentKey {
-                            key: pair.lo,
-                            relay: r,
-                        },
-                        &mut keys,
-                        &mut index,
-                    );
-                    let j = intern(
-                        SegmentKey {
-                            key: pair.hi,
-                            relay: r,
-                        },
-                        &mut keys,
-                        &mut index,
-                    );
-                    obs.push(Obs {
-                        i,
-                        j,
-                        y,
-                        w: n as f64,
-                    });
-                }
-                RelayOption::Transit(r1, r2) => {
-                    // Ingress/egress assignment to lo/hi is unknown from the
-                    // aggregate; record both orientations at half weight —
-                    // with symmetric client legs this is the least-biased
-                    // linear attribution.
-                    let bbm = backbone(r1, r2);
-                    let mut y_adj = y;
-                    for (m_idx, &metric) in Metric::ALL.iter().enumerate() {
-                        y_adj[m_idx] = (y_adj[m_idx] - linearize(metric, bbm[metric])).max(0.0);
-                    }
-                    let i1 = intern(
-                        SegmentKey {
-                            key: pair.lo,
-                            relay: r1,
-                        },
-                        &mut keys,
-                        &mut index,
-                    );
-                    let j1 = intern(
-                        SegmentKey {
-                            key: pair.hi,
-                            relay: r2,
-                        },
-                        &mut keys,
-                        &mut index,
-                    );
-                    obs.push(Obs {
-                        i: i1,
-                        j: j1,
-                        y: y_adj,
-                        w: n as f64 / 2.0,
-                    });
-                    let i2 = intern(
-                        SegmentKey {
-                            key: pair.lo,
-                            relay: r2,
-                        },
-                        &mut keys,
-                        &mut index,
-                    );
-                    let j2 = intern(
-                        SegmentKey {
-                            key: pair.hi,
-                            relay: r1,
-                        },
-                        &mut keys,
-                        &mut index,
-                    );
-                    obs.push(Obs {
-                        i: i2,
-                        j: j2,
-                        y: y_adj,
-                        w: n as f64 / 2.0,
-                    });
-                }
-            }
-        }
-
-        if keys.is_empty() {
+    /// [`Tomography::fit`] over cells already in [`sorted_cells`] order.
+    pub(crate) fn fit_sorted(
+        cells: &[CellRef<'_>],
+        backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
+        cfg: &TomographyConfig,
+    ) -> Tomography {
+        // Every equation's two segments are solved, so the model's layout is
+        // known before the solve: the sorted unique segments, key-major.
+        let n_equations: usize = cells
+            .iter()
+            .map(|&(&(pair, option), _)| equations(pair, option).count())
+            .sum();
+        if n_equations == 0 {
             return Tomography::default();
         }
+        let mut column: Vec<SegmentKey> = Vec::with_capacity(2 * n_equations);
+        for &(&(pair, option), _) in cells {
+            for (si, sj) in equations(pair, option) {
+                column.push(si);
+                column.push(sj);
+            }
+        }
+        column.sort_unstable();
+        column.dedup();
+        let rows = || column.chunk_by(|a, b| a.key == b.key);
+        let n_keys = rows().count();
+        let mut keys = Vec::with_capacity(n_keys);
+        let mut starts = Vec::with_capacity(n_keys + 1);
+        let mut start = 0;
+        for row in rows() {
+            keys.extend(row.first().map(|s| s.key));
+            starts.push(start);
+            start += row.len();
+        }
+        starts.push(start);
 
-        // Initialize every unknown to half of the weighted mean of its
-        // observations, then Gauss–Seidel.
-        let n_unknowns = keys.len();
-        let mut u = vec![[0.0f64; 3]; n_unknowns];
-        let mut w_sum = vec![0.0f64; n_unknowns];
-        for o in &obs {
-            for (m, &y) in o.y.iter().enumerate() {
-                u[o.i][m] += o.w * y / 2.0;
-                u[o.j][m] += o.w * y / 2.0;
-            }
-            w_sum[o.i] += o.w;
-            w_sum[o.j] += o.w;
-        }
-        for (ui, &w) in u.iter_mut().zip(&w_sum) {
-            if w > 0.0 {
-                for v in ui.iter_mut() {
-                    *v /= w;
-                }
-            }
-        }
-
-        // Adjacency: unknown → observation indices.
-        let mut touching: Vec<Vec<usize>> = vec![Vec::new(); n_unknowns];
-        for (oi, o) in obs.iter().enumerate() {
-            touching[o.i].push(oi);
-            if o.j != o.i {
-                touching[o.j].push(oi);
-            }
-        }
-
-        for _ in 0..cfg.iterations {
-            for i in 0..n_unknowns {
-                let mut num = [0.0f64; 3];
-                let mut den = 0.0f64;
-                for &oi in &touching[i] {
-                    let o = &obs[oi];
-                    let partner = if o.i == i { o.j } else { o.i };
-                    for m in 0..3 {
-                        let partner_val = if partner == i { u[i][m] } else { u[partner][m] };
-                        num[m] += o.w * (o.y[m] - partner_val);
-                    }
-                    den += o.w;
-                }
-                if den > 0.0 {
-                    for m in 0..3 {
-                        u[i][m] = (num[m] / den).max(0.0);
-                    }
-                }
-            }
-        }
-
-        // Residual-based SEM per unknown.
-        let mut res_sq = vec![[0.0f64; 3]; n_unknowns];
-        let mut n_obs = vec![0u32; n_unknowns];
-        for o in &obs {
-            for m in 0..3 {
-                let r = o.y[m] - u[o.i][m] - u[o.j][m];
-                res_sq[o.i][m] += o.w * r * r;
-                res_sq[o.j][m] += o.w * r * r;
-            }
-            n_obs[o.i] += 1;
-            if o.j != o.i {
-                n_obs[o.j] += 1;
-            }
-        }
-
-        let mut segments = HashMap::with_capacity(n_unknowns);
-        for (idx, key) in keys.into_iter().enumerate() {
-            let mut sem = [0.0f64; 3];
-            for m in 0..3 {
-                let var = if w_sum[idx] > 0.0 {
-                    res_sq[idx][m] / w_sum[idx]
-                } else {
-                    0.0
-                };
-                let base = (var / (n_obs[idx].max(1) as f64)).sqrt();
-                sem[m] = base.max(cfg.min_rel_sem * u[idx][m]);
-            }
-            segments.insert(
-                key,
-                SegmentEstimate {
-                    value: u[idx],
-                    sem,
-                    n_obs: n_obs[idx],
-                },
-            );
-        }
-        Tomography { segments }
+        // Unknowns are numbered in first-seen order — the Gauss–Seidel update
+        // order is part of the result — and `unknown_of` maps a segment's
+        // place in the layout to that number.
+        let mut unknown_of: Vec<Option<usize>> = vec![None; column.len()];
+        let mut n_unknowns = 0;
+        let obs = observations(cells, backbone, cfg, n_equations, |seg| {
+            let row = row_bounds(&keys, &starts, seg.key)?;
+            let at = row.start
+                + column
+                    .get(row)?
+                    .binary_search_by_key(&seg.relay, |s| s.relay)
+                    .ok()?;
+            Some(*unknown_of.get_mut(at)?.get_or_insert_with(|| {
+                n_unknowns += 1;
+                n_unknowns - 1
+            }))
+        });
+        let solved = solve(&obs, n_unknowns, cfg);
+        let mut segs = Vec::with_capacity(column.len());
+        segs.extend(column.iter().zip(&unknown_of).filter_map(|(seg, id)| {
+            Some(Segment {
+                relay: seg.relay,
+                estimate: *solved.get((*id)?)?,
+            })
+        }));
+        Tomography { keys, starts, segs }
     }
 
     /// Number of solved segments.
     pub fn len(&self) -> usize {
-        self.segments.len()
+        self.segs.len()
     }
 
     /// True if the model solved no segments.
     pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
+        self.segs.is_empty()
+    }
+
+    /// The solved segments of `key` (empty when none were).
+    pub(crate) fn row(&self, key: u32) -> KeyRow<'_> {
+        let row = row_bounds(&self.keys, &self.starts, key).and_then(|r| self.segs.get(r));
+        KeyRow(row.unwrap_or_default())
     }
 
     /// Solved estimate for one segment.
     pub fn segment(&self, key: u32, relay: RelayId) -> Option<&SegmentEstimate> {
-        self.segments.get(&SegmentKey { key, relay })
+        self.row(key).get(relay)
     }
 
     /// Stitched prediction for a relayed option between spatial keys `a` and
@@ -383,52 +445,158 @@ impl Tomography {
         option: RelayOption,
         backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
     ) -> Option<([f64; 3], [f64; 3])> {
-        match option.canonical() {
-            RelayOption::Direct => None,
-            RelayOption::Bounce(r) => {
-                let sa = self.segments.get(&SegmentKey { key: a, relay: r })?;
-                let sb = self.segments.get(&SegmentKey { key: b, relay: r })?;
-                let mut mean = [0.0; 3];
-                let mut sem = [0.0; 3];
-                for m in 0..3 {
-                    mean[m] = sa.value[m] + sb.value[m];
-                    sem[m] = (sa.sem[m].powi(2) + sb.sem[m].powi(2)).sqrt();
-                }
-                Some((mean, sem))
+        stitch_rows(self.row(a), self.row(b), option, backbone)
+    }
+}
+
+/// [`Tomography::stitch`] over the two endpoints' rows, for a caller that
+/// resolved them once and scores many options.
+pub(crate) fn stitch_rows(
+    row_a: KeyRow<'_>,
+    row_b: KeyRow<'_>,
+    option: RelayOption,
+    backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
+) -> Option<([f64; 3], [f64; 3])> {
+    match option.canonical() {
+        RelayOption::Direct => None,
+        RelayOption::Bounce(r) => {
+            let sa = row_a.get(r)?;
+            let sb = row_b.get(r)?;
+            let mut mean = [0.0; 3];
+            let mut sem = [0.0; 3];
+            for m in 0..3 {
+                mean[m] = sa.value[m] + sb.value[m];
+                sem[m] = (sa.sem[m].powi(2) + sb.sem[m].powi(2)).sqrt();
             }
-            RelayOption::Transit(r1, r2) => {
-                // Try both orientations; use the better-covered one.
-                let fwd = self
-                    .segments
-                    .get(&SegmentKey { key: a, relay: r1 })
-                    .zip(self.segments.get(&SegmentKey { key: b, relay: r2 }));
-                let rev = self
-                    .segments
-                    .get(&SegmentKey { key: a, relay: r2 })
-                    .zip(self.segments.get(&SegmentKey { key: b, relay: r1 }));
-                let (sa, sb) = match (fwd, rev) {
-                    (Some(f), Some(r)) => {
-                        if f.0.n_obs + f.1.n_obs >= r.0.n_obs + r.1.n_obs {
-                            f
-                        } else {
-                            r
-                        }
+            Some((mean, sem))
+        }
+        RelayOption::Transit(r1, r2) => {
+            // Try both orientations; use the better-covered one.
+            let fwd = row_a.get(r1).zip(row_b.get(r2));
+            let rev = row_a.get(r2).zip(row_b.get(r1));
+            let (sa, sb) = match (fwd, rev) {
+                (Some(f), Some(r)) => {
+                    if f.0.n_obs + f.1.n_obs >= r.0.n_obs + r.1.n_obs {
+                        f
+                    } else {
+                        r
                     }
-                    (Some(f), None) => f,
-                    (None, Some(r)) => r,
-                    (None, None) => return None,
-                };
-                let bbm = backbone(r1, r2);
-                let mut mean = [0.0; 3];
-                let mut sem = [0.0; 3];
-                for (m_idx, &metric) in Metric::ALL.iter().enumerate() {
-                    mean[m_idx] =
-                        sa.value[m_idx] + sb.value[m_idx] + linearize(metric, bbm[metric]);
-                    sem[m_idx] = (sa.sem[m_idx].powi(2) + sb.sem[m_idx].powi(2)).sqrt();
                 }
-                Some((mean, sem))
+                (Some(f), None) => f,
+                (None, Some(r)) => r,
+                (None, None) => return None,
+            };
+            let bbm = backbone(r1, r2);
+            let mut mean = [0.0; 3];
+            let mut sem = [0.0; 3];
+            for (m_idx, &metric) in Metric::ALL.iter().enumerate() {
+                mean[m_idx] = sa.value[m_idx] + sb.value[m_idx] + linearize(metric, bbm[metric]);
+                sem[m_idx] = (sa.sem[m_idx].powi(2) + sb.sem[m_idx].powi(2)).sqrt();
+            }
+            Some((mean, sem))
+        }
+    }
+}
+
+/// This module's layout before the key rows, kept as the reference the
+/// equivalence tests compare against: unknowns interned through a `HashMap`
+/// in first-seen order, solved segments stored in one, every leg of a stitch
+/// a probe. The equations and the solve are the model's own.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use std::collections::HashMap;
+
+    #[derive(Debug, Default)]
+    pub(crate) struct Tomography {
+        pub(crate) segments: HashMap<SegmentKey, SegmentEstimate>,
+    }
+
+    impl Tomography {
+        pub(crate) fn fit(
+            history: &CallHistory,
+            window: Window,
+            backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
+            cfg: &TomographyConfig,
+        ) -> Tomography {
+            let cells = sorted_cells(history, window);
+            let mut index: HashMap<SegmentKey, usize> = HashMap::new();
+            let mut keys: Vec<SegmentKey> = Vec::new();
+            let obs = observations(&cells, backbone, cfg, 0, |k| {
+                Some(*index.entry(k).or_insert_with(|| {
+                    keys.push(k);
+                    keys.len() - 1
+                }))
+            });
+            let solved = solve(&obs, keys.len(), cfg);
+            Tomography {
+                segments: keys.into_iter().zip(solved).collect(),
             }
         }
+
+        pub(crate) fn stitch(
+            &self,
+            a: u32,
+            b: u32,
+            option: RelayOption,
+            backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
+        ) -> Option<([f64; 3], [f64; 3])> {
+            match option.canonical() {
+                RelayOption::Direct => None,
+                RelayOption::Bounce(r) => {
+                    let sa = self.segments.get(&SegmentKey { key: a, relay: r })?;
+                    let sb = self.segments.get(&SegmentKey { key: b, relay: r })?;
+                    let mut mean = [0.0; 3];
+                    let mut sem = [0.0; 3];
+                    for m in 0..3 {
+                        mean[m] = sa.value[m] + sb.value[m];
+                        sem[m] = (sa.sem[m].powi(2) + sb.sem[m].powi(2)).sqrt();
+                    }
+                    Some((mean, sem))
+                }
+                RelayOption::Transit(r1, r2) => {
+                    // Try both orientations; use the better-covered one.
+                    let fwd = self
+                        .segments
+                        .get(&SegmentKey { key: a, relay: r1 })
+                        .zip(self.segments.get(&SegmentKey { key: b, relay: r2 }));
+                    let rev = self
+                        .segments
+                        .get(&SegmentKey { key: a, relay: r2 })
+                        .zip(self.segments.get(&SegmentKey { key: b, relay: r1 }));
+                    let (sa, sb) = match (fwd, rev) {
+                        (Some(f), Some(r)) => {
+                            if f.0.n_obs + f.1.n_obs >= r.0.n_obs + r.1.n_obs {
+                                f
+                            } else {
+                                r
+                            }
+                        }
+                        (Some(f), None) => f,
+                        (None, Some(r)) => r,
+                        (None, None) => return None,
+                    };
+                    let bbm = backbone(r1, r2);
+                    let mut mean = [0.0; 3];
+                    let mut sem = [0.0; 3];
+                    for (m_idx, &metric) in Metric::ALL.iter().enumerate() {
+                        mean[m_idx] =
+                            sa.value[m_idx] + sb.value[m_idx] + linearize(metric, bbm[metric]);
+                        sem[m_idx] = (sa.sem[m_idx].powi(2) + sb.sem[m_idx].powi(2)).sqrt();
+                    }
+                    Some((mean, sem))
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl Tomography {
+    /// Elements reserved across the model's vectors: the memory figure the
+    /// hostile-value test reads.
+    pub(crate) fn reserved(&self) -> usize {
+        self.keys.capacity() + self.starts.capacity() + self.segs.capacity()
     }
 }
 

@@ -86,9 +86,10 @@ fn main() {
                 .backbone_metrics(via_model::RelayId(i as u32), via_model::RelayId(j as u32));
         }
     }
-    let backbone = Box::new(move |a: via_model::RelayId, b: via_model::RelayId| {
-        table[a.index() * n + b.index()]
-    });
+    let backbone: via_core::BackboneFn =
+        std::sync::Arc::new(move |a: via_model::RelayId, b: via_model::RelayId| {
+            table[a.index() * n + b.index()]
+        });
     let predictor = Predictor::fit(
         &history,
         window,

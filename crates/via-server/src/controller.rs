@@ -41,6 +41,7 @@ use via_core::online::{refit, snapshot_cells, BackboneFn, RefitSnapshot};
 use via_core::predictor::{GeoPrior, Predictor, PredictorConfig};
 use via_core::selector::{ArmsScratch, PairArms, Plan};
 use via_core::strategy::StrategyKind;
+use via_model::ids::RelayId;
 use via_model::metrics::{Metric, PathMetrics};
 use via_model::options::RelayOption;
 use via_model::seed::{self, splitmix64};
@@ -204,6 +205,16 @@ impl std::fmt::Debug for Controller {
     }
 }
 
+/// True when every relay `option` names is one of a fleet's `n_relays`.
+fn names_fleet_relays(n_relays: usize, option: RelayOption) -> bool {
+    let known = |r: RelayId| r.index() < n_relays;
+    match option {
+        RelayOption::Direct => true,
+        RelayOption::Bounce(r) => known(r),
+        RelayOption::Transit(a, b) => known(a) && known(b),
+    }
+}
+
 impl Controller {
     /// Builds a controller serving from `cfg.start`. Before the first
     /// rollover it serves what the batch engine would at the same window:
@@ -257,13 +268,29 @@ impl Controller {
     /// controller then serves bit-identical predictions, carries the same
     /// accumulating statistics, and re-snapshots to the same bytes.
     /// `snap.trained` is read as the window before `snap.current` — what
-    /// every snapshot [`Controller::selection_snapshot`] writes holds.
+    /// every snapshot [`Controller::selection_snapshot`] writes holds. A cell
+    /// whose option is not in the fleet is dropped and counted as a refused
+    /// report.
     pub fn restore(
         cfg: ServerConfig,
         prior: GeoPrior,
         backbone: BackboneFn,
-        snap: SelectionSnapshot,
+        mut snap: SelectionSnapshot,
     ) -> Controller {
+        // A snapshot is outside input like a report is: checked where it
+        // enters, before the trained window's refit reads a relay id.
+        let n_relays = prior.n_relays();
+        let mut rejected = 0;
+        for image in [Some(&mut snap.current), snap.trained.as_mut()]
+            .into_iter()
+            .flatten()
+        {
+            let held = image.cells.len();
+            image
+                .cells
+                .retain(|c| names_fleet_relays(n_relays, c.option));
+            rejected += (held - image.cells.len()) as u64;
+        }
         let current = snap.current.window;
         let mut trained = CallHistory::new();
         if let Some(behind) = snap.trained {
@@ -279,6 +306,7 @@ impl Controller {
                 .history
                 .insert_cell(current, cell.pair, cell.option, cell.stats);
         }
+        ctrl.reports_rejected.store(rejected, Ordering::Relaxed);
         *lock(&ctrl.gate) = snap.gate;
         ctrl
     }
@@ -291,6 +319,14 @@ impl Controller {
     /// Number of relays in the fleet the controller selects over.
     pub fn n_relays(&self) -> usize {
         self.prior.n_relays()
+    }
+
+    /// True when every relay `option` names is in that fleet. Relay ids
+    /// index the relay×relay backbone table at the next refit, so an option
+    /// from outside the program — a frame, an in-process report, a snapshot
+    /// cell — is checked with this before it is recorded.
+    pub fn in_fleet(&self, option: RelayOption) -> bool {
+        names_fleet_relays(self.n_relays(), option)
     }
 
     /// Index of the currently accumulating window.
@@ -349,9 +385,10 @@ impl Controller {
         } = &mut *shard;
         let wi = *wi;
         let arms = pairs.entry(pair).or_insert_with(|| {
+            let view = pred.pair(pair.lo, pair.hi);
             PairArms::build(
                 &self.plan,
-                |o| pred.predict(pair.lo, pair.hi, o),
+                |o| view.predict(o),
                 candidates,
                 self.cfg.objective,
                 scratch,
@@ -402,6 +439,9 @@ impl Controller {
 
     /// Absorbs the measured outcome of one call: one Welford push and one
     /// bandit update. Returns the window index the report was filed under.
+    /// A report whose option is not [`Controller::in_fleet`] is refused: it
+    /// is counted, changes nothing else, and gets the accumulating window's
+    /// index back.
     pub fn report(
         &self,
         t: SimTime,
@@ -410,6 +450,10 @@ impl Controller {
         option: RelayOption,
         metrics: &PathMetrics,
     ) -> u64 {
+        if !self.in_fleet(option) {
+            self.count_rejected_report();
+            return self.window_index();
+        }
         self.ensure_window(self.cfg.window.window_of(t));
         let pair = KeyPair::new(src_key, dst_key);
         let option = option.canonical();
@@ -427,9 +471,10 @@ impl Controller {
         window.index
     }
 
-    /// Counts a report the socket plane refused before it reached
-    /// [`Controller::report`] (out-of-range or non-finite metrics, or an
-    /// option naming a relay outside the fleet).
+    /// Counts a refused report: one the socket plane stopped before it
+    /// reached [`Controller::report`] (out-of-range or non-finite metrics, or
+    /// an option naming a relay outside the fleet), or one `report` refused
+    /// itself.
     pub fn count_rejected_report(&self) {
         self.reports_rejected.fetch_add(1, Ordering::Relaxed);
     }

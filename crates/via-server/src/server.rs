@@ -16,7 +16,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use via_model::ids::RelayId;
 use via_model::metrics::PathMetrics;
 use via_model::options::RelayOption;
 use via_testbed::protocol::{accept_deadline, FrameConn, FrameError};
@@ -229,25 +228,19 @@ fn check_metrics(controller: &Controller, m: &PathMetrics) -> Result<(), Respons
     }
 }
 
-/// Relay ids are unvalidated network input too, and they index the
-/// relay×relay backbone table: a reported option naming a relay outside the
-/// fleet would be recorded, then panic the next rollover's tomography fit
-/// after the shard histories were drained — one frame costing a window of
-/// learning. Refused here, whether reported or offered as a candidate.
+/// Relay ids are unvalidated network input too: an option naming a relay
+/// outside the fleet ([`Controller::in_fleet`]) is refused with a typed
+/// error, whether reported or offered as a candidate.
 fn check_option(controller: &Controller, option: RelayOption) -> Result<(), Response> {
-    let n = controller.n_relays();
-    let known = |r: RelayId| r.index() < n;
-    let in_fleet = match option {
-        RelayOption::Direct => true,
-        RelayOption::Bounce(r) => known(r),
-        RelayOption::Transit(a, b) => known(a) && known(b),
-    };
-    if in_fleet {
+    if controller.in_fleet(option) {
         Ok(())
     } else {
         Err(Response::Error {
             kind: ErrorKind::BadRequest,
-            detail: format!("{option} names a relay outside the {n}-relay fleet"),
+            detail: format!(
+                "{option} names a relay outside the {}-relay fleet",
+                controller.n_relays()
+            ),
         })
     }
 }

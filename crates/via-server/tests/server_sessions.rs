@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use via_core::predictor::GeoPrior;
+use via_core::BackboneFn;
 use via_model::ids::RelayId;
 use via_model::metrics::PathMetrics;
 use via_model::options::RelayOption;
@@ -23,23 +24,27 @@ const TIMEOUT: Duration = Duration::from_secs(10);
 /// production caller builds it — the shape an out-of-fleet relay id indexes
 /// out of bounds.
 fn controller() -> Arc<Controller> {
+    let (prior, backbone) = fleet();
+    Arc::new(Controller::new(ServerConfig::default(), prior, backbone))
+}
+
+fn fleet() -> (GeoPrior, BackboneFn) {
     let n = 3usize;
     let legs: Vec<PathMetrics> = (0..n * n)
         .map(|i| PathMetrics::new(15.0 + (i / n).abs_diff(i % n) as f64 * 12.0, 0.04, 0.8))
         .collect();
-    Arc::new(Controller::new(
-        ServerConfig::default(),
-        GeoPrior::new(
-            vec![
-                via_netsim::GeoPoint::new(40.7, -74.0),
-                via_netsim::GeoPoint::new(51.5, -0.1),
-            ],
-            (0..n)
-                .map(|r| via_netsim::GeoPoint::new(10.0 * r as f64, 20.0 * r as f64))
-                .collect(),
-        ),
-        Arc::new(move |a: RelayId, b: RelayId| legs[a.index() * n + b.index()]),
-    ))
+    let prior = GeoPrior::new(
+        vec![
+            via_netsim::GeoPoint::new(40.7, -74.0),
+            via_netsim::GeoPoint::new(51.5, -0.1),
+        ],
+        (0..n)
+            .map(|r| via_netsim::GeoPoint::new(10.0 * r as f64, 20.0 * r as f64))
+            .collect(),
+    );
+    let backbone: BackboneFn =
+        Arc::new(move |a: RelayId, b: RelayId| legs[a.index() * n + b.index()]);
+    (prior, backbone)
 }
 
 fn assert_bad_request<T: std::fmt::Debug>(result: Result<T, ClientError>, what: &str) {
@@ -282,4 +287,65 @@ fn out_of_fleet_relay_costs_one_report_not_a_window() {
         10
     );
     handle.stop();
+}
+
+#[test]
+fn in_process_report_and_restore_refuse_out_of_fleet_relays() {
+    let ctrl = controller();
+    let window = ctrl.config().window.secs();
+    let good = PathMetrics::new(80.0, 0.5, 3.0);
+    let honest = [
+        RelayOption::Direct,
+        RelayOption::Bounce(RelayId(1)),
+        RelayOption::Transit(RelayId(0), RelayId(2)),
+    ];
+    let hostile = RelayOption::Transit(RelayId(0), RelayId(9999));
+    for (i, &option) in honest.iter().cycle().take(10).enumerate() {
+        assert_eq!(ctrl.report(SimTime(i as u64), 0, 1, option, &good), 0);
+    }
+
+    // No socket plane in front: `report` itself must refuse the option, and
+    // a refused report must not move the clock either.
+    assert_eq!(ctrl.report(SimTime(window), 0, 1, hostile, &good), 0);
+    let counters = ctrl.metrics_snapshot();
+    assert_eq!(counters.counter("server_reports_rejected_total"), 1);
+    assert_eq!(counters.counter("server_reports_total"), 10);
+
+    // The rollover refits on the honest reports alone.
+    assert_eq!(ctrl.select(1, SimTime(window), 0, 1, &honest).window, 1);
+    ctrl.report(SimTime(window), 0, 1, RelayOption::Direct, &good);
+    let clean = ctrl.selection_snapshot();
+    let trained = clean.trained.as_ref().expect("window 0 trained");
+    assert_eq!(trained.cells.len(), honest.len());
+    assert_eq!(
+        trained.cells.iter().map(|c| c.stats.count()).sum::<u64>(),
+        10
+    );
+
+    // The same option smuggled into both windows of a snapshot: restore fits
+    // the trained window at once and the current one at the next rollover.
+    let mut poisoned = clean.clone();
+    for image in [Some(&mut poisoned.current), poisoned.trained.as_mut()] {
+        let cells = &mut image.expect("both windows hold cells").cells;
+        let mut cell = cells[0].clone();
+        cell.option = hostile;
+        cells.push(cell);
+    }
+    let (prior, backbone) = fleet();
+    let restored = Controller::restore(*ctrl.config(), prior, backbone, poisoned);
+    assert_eq!(
+        restored
+            .metrics_snapshot()
+            .counter("server_reports_rejected_total"),
+        2
+    );
+    assert_eq!(
+        restored.selection_snapshot_json(),
+        ctrl.selection_snapshot_json(),
+        "every honest cell survives, nothing else does"
+    );
+    let sel = restored.select(2, SimTime(2 * window), 0, 1, &honest);
+    assert_eq!(sel.window, 2);
+    let trained = restored.selection_snapshot().trained.expect("window 1");
+    assert_eq!(trained.cells.len(), 1);
 }

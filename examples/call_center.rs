@@ -16,7 +16,9 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::sync::Arc;
 use via::core::history::{CallHistory, KeyPair};
+use via::core::online::BackboneFn;
 use via::core::predictor::{GeoPrior, Predictor, PredictorConfig};
 use via::core::topk::{top_k, ScoredOption};
 use via::model::metrics::Metric;
@@ -121,11 +123,13 @@ fn main() {
                 .backbone_metrics(RelayId(i as u32), RelayId(j as u32));
         }
     }
+    let backbone: BackboneFn =
+        Arc::new(move |a: RelayId, b: RelayId| bb[a.index() * n + b.index()]);
     let predictor = Predictor::fit(
         &history,
         window,
         prior,
-        Box::new(move |a: RelayId, b: RelayId| bb[a.index() * n + b.index()]),
+        backbone,
         PredictorConfig::default(),
     );
 
