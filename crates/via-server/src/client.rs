@@ -11,7 +11,7 @@ use via_model::time::SimTime;
 use via_testbed::protocol::{connect_deadline, FrameConn, FrameError};
 
 use crate::controller::Selection;
-use crate::wire::{ErrorKind, Request, Response};
+use crate::wire::{encode_select, ErrorKind, Request, Response};
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -81,7 +81,7 @@ impl Client {
             session: 0,
             timeout,
         };
-        match client.rpc(&Request::Hello)? {
+        match client.request(&Request::Hello)? {
             Response::Welcome { session } => {
                 client.session = session;
                 Ok(client)
@@ -114,15 +114,12 @@ impl Client {
         dst_key: u32,
         candidates: &[RelayOption],
     ) -> Result<Selection, ClientError> {
-        let req = Request::Select {
-            session: self.session,
-            call_id,
-            t,
-            src_key,
-            dst_key,
-            candidates: candidates.to_vec(),
+        let session = self.session;
+        // Encoded straight from the caller's slice: no owned `Request`.
+        let fill = |out: &mut Vec<u8>| {
+            encode_select(out, session, call_id, t, src_key, dst_key, candidates)
         };
-        match self.rpc(&req)? {
+        match self.rpc(fill)? {
             Response::Selected {
                 option,
                 admitted,
@@ -159,7 +156,7 @@ impl Client {
             option,
             metrics,
         };
-        match self.rpc(&req)? {
+        match self.request(&req)? {
             Response::Reported { window } => Ok(window),
             other => Err(ClientError::Unexpected(format!("{other:?}"))),
         }
@@ -170,7 +167,7 @@ impl Client {
     /// # Errors
     /// Frame failures or a controller-side rejection.
     pub fn snapshot(&mut self) -> Result<String, ClientError> {
-        match self.rpc(&Request::Snapshot {
+        match self.request(&Request::Snapshot {
             session: self.session,
         })? {
             Response::Snapshot { json } => Ok(json),
@@ -183,7 +180,7 @@ impl Client {
     /// # Errors
     /// Frame failures or a controller-side rejection.
     pub fn shutdown(mut self) -> Result<(), ClientError> {
-        match self.rpc(&Request::Shutdown {
+        match self.request(&Request::Shutdown {
             session: self.session,
         })? {
             Response::Bye => Ok(()),
@@ -191,12 +188,21 @@ impl Client {
         }
     }
 
-    fn rpc(&mut self, req: &Request) -> Result<Response, ClientError> {
-        self.conn.write(req)?;
-        let resp: Response = self.conn.read_deadline(Instant::now() + self.timeout)?;
-        if let Response::Error { kind, detail } = resp {
-            return Err(ClientError::Remote { kind, detail });
+    fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
+        self.rpc(|out| req.encode(out))
+    }
+
+    /// One round trip: the body `fill` writes goes out as one frame from the
+    /// connection's reused buffer, and the reply is decoded where it landed.
+    fn rpc(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<u8>) -> Result<(), FrameError>,
+    ) -> Result<Response, ClientError> {
+        self.conn.write_body(fill)?;
+        let body = self.conn.next_body(Instant::now() + self.timeout)?;
+        match Response::decode(body).map_err(|e| FrameError::Decode(e.to_string()))? {
+            Response::Error { kind, detail } => Err(ClientError::Remote { kind, detail }),
+            resp => Ok(resp),
         }
-        Ok(resp)
     }
 }

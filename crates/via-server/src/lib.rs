@@ -17,9 +17,9 @@
 //!   `std`-only, no `unsafe`).
 //! * [`session`] — non-zero `u64` session ids from a wrapping, collision-
 //!   skipping allocator with typed exhaustion.
-//! * [`wire`] / [`server`] / [`client`] — the framed-TCP RPC plane, reusing
-//!   `via-testbed`'s length-prefixed JSON framing and deadline-bounded
-//!   reads.
+//! * [`wire`] / [`server`] / [`client`] — the framed-TCP RPC plane: a
+//!   fixed-layout binary body per message inside `via-testbed`'s length
+//!   prefix, read and written through its deadline-bounded `FrameConn`.
 //!
 //! Like `via-testbed`, this crate drives real sockets and wall clocks but
 //! is held to the workspace's panic-safety and bounded-socket-wait rules
@@ -41,4 +41,4 @@ pub use controller::{Controller, Selection, SelectionSnapshot, ServerConfig};
 pub use epoch::EpochPtr;
 pub use server::{serve, serve_on, ServerHandle};
 pub use session::{SessionExhausted, SessionTable};
-pub use wire::{ErrorKind, Request, Response};
+pub use wire::{ErrorKind, Request, Response, WireError};

@@ -2,8 +2,11 @@
 //!
 //! One thread accepts connections (deadline-polled so shutdown is always
 //! observed within a poll slice); each connection gets a handler thread
-//! reading frames through [`FrameConn::read_deadline`] — never an unbounded
-//! socket wait, per the workspace's `socket-wait` lint. A connection's
+//! reading frames through [`FrameConn::next_body`] — never an unbounded
+//! socket wait, per the workspace's `socket-wait` lint — and decoding them
+//! with the binary codec in [`crate::wire`]. A connection owns one candidate
+//! `Vec` and, inside its `FrameConn`, one receive and one send buffer; a
+//! steady-state `Select` or `Report` allocates nothing here. A connection's
 //! session is closed when the connection ends, whatever the reason, so a
 //! reconnecting client holding its old session id gets a typed
 //! [`ErrorKind::UnknownSession`] rather than silently adopting state it no
@@ -21,7 +24,7 @@ use via_model::options::RelayOption;
 use via_testbed::protocol::{accept_deadline, FrameConn, FrameError};
 
 use crate::controller::Controller;
-use crate::wire::{ErrorKind, Request, Response};
+use crate::wire::{ErrorKind, Request, Response, WireError};
 
 /// How long the accept loop and handler reads block before re-checking the
 /// shutdown flag.
@@ -133,66 +136,84 @@ fn handle_conn(stream: std::net::TcpStream, controller: &Controller, shutdown: &
     let Ok(mut conn) = FrameConn::new(stream) else {
         return;
     };
-    let Some(session) = handshake(&mut conn, controller, shutdown) else {
+    // Every `Select` of this connection decodes its candidates into this one
+    // allocation.
+    let mut candidates = Vec::new();
+    let Some(session) = handshake(&mut conn, &mut candidates, controller, shutdown) else {
         return;
     };
-    loop {
-        match conn.read_deadline::<Request>(Instant::now() + POLL) {
-            Err(FrameError::Timeout) => {
-                if shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            Err(_) => break, // peer gone or stream corrupt
-            Ok(req) => {
-                let resp = dispatch(controller, session, req, shutdown);
-                let done = matches!(resp, Response::Bye);
-                if conn.write(&resp).is_err() || done {
-                    break;
-                }
-            }
+    while let Some(req) = next_request(&mut conn, &mut candidates, shutdown) {
+        let resp = match &req {
+            Ok(req) => dispatch(controller, session, req, shutdown),
+            Err(e) => bad_request(e.to_string()),
+        };
+        if let Ok(Request::Select { candidates: c, .. }) = req {
+            candidates = c; // the decoder moved the allocation out; keep it
+        }
+        if send(&mut conn, &resp).is_err() || matches!(resp, Response::Bye) {
+            break;
         }
     }
     controller.end_session(session);
 }
 
+/// The next well-framed request, or `None` when the connection is over: the
+/// peer is gone, the stream can no longer be trusted (an I/O error, an
+/// oversized length prefix), or the server is shutting down. `Some(Err(_))`
+/// is a frame whose boundary held but whose body is not a request: the
+/// stream is still in step, so the caller answers it and carries on.
+fn next_request(
+    conn: &mut FrameConn,
+    candidates: &mut Vec<RelayOption>,
+    shutdown: &AtomicBool,
+) -> Option<Result<Request, WireError>> {
+    loop {
+        match conn.next_body(Instant::now() + POLL) {
+            Ok(body) => return Some(Request::decode(body, candidates)),
+            Err(FrameError::Timeout) if !shutdown.load(Ordering::Acquire) => {}
+            Err(_) => return None,
+        }
+    }
+}
+
+fn send(conn: &mut FrameConn, resp: &Response) -> Result<(), FrameError> {
+    conn.write_body(|out| resp.encode(out))
+}
+
+fn bad_request(detail: String) -> Response {
+    Response::Error {
+        kind: ErrorKind::BadRequest,
+        detail,
+    }
+}
+
 /// Reads the opening `Hello` and issues a session. Any other first frame is
 /// a `BadRequest`; allocation failure is `SessionExhausted`.
-fn handshake(conn: &mut FrameConn, controller: &Controller, shutdown: &AtomicBool) -> Option<u64> {
-    let req = loop {
-        match conn.read_deadline::<Request>(Instant::now() + POLL) {
-            Err(FrameError::Timeout) => {
-                if shutdown.load(Ordering::Acquire) {
+fn handshake(
+    conn: &mut FrameConn,
+    candidates: &mut Vec<RelayOption>,
+    controller: &Controller,
+    shutdown: &AtomicBool,
+) -> Option<u64> {
+    let refusal = match next_request(conn, candidates, shutdown)? {
+        Ok(Request::Hello) => match controller.open_session() {
+            Ok(session) => {
+                if send(conn, &Response::Welcome { session }).is_err() {
+                    controller.end_session(session);
                     return None;
                 }
+                return Some(session);
             }
-            Err(_) => return None,
-            Ok(req) => break req,
-        }
-    };
-    if !matches!(req, Request::Hello) {
-        let _ = conn.write(&Response::Error {
-            kind: ErrorKind::BadRequest,
-            detail: "first frame must be Hello".to_string(),
-        });
-        return None;
-    }
-    match controller.open_session() {
-        Ok(session) => {
-            if conn.write(&Response::Welcome { session }).is_err() {
-                controller.end_session(session);
-                return None;
-            }
-            Some(session)
-        }
-        Err(e) => {
-            let _ = conn.write(&Response::Error {
+            Err(e) => Response::Error {
                 kind: ErrorKind::SessionExhausted,
                 detail: e.to_string(),
-            });
-            None
-        }
-    }
+            },
+        },
+        Ok(_) => bad_request("first frame must be Hello".to_string()),
+        Err(e) => bad_request(e.to_string()),
+    };
+    let _ = send(conn, &refusal);
+    None
 }
 
 fn check_session(controller: &Controller, mine: u64, claimed: u64) -> Result<(), Response> {
@@ -206,10 +227,10 @@ fn check_session(controller: &Controller, mine: u64, claimed: u64) -> Result<(),
     }
 }
 
-/// A remote report's metrics are unvalidated network input (`PathMetrics`
-/// deserializes field by field, and JSON `null` reads as NaN): anything
-/// non-finite, negative or beyond physical range is refused before it can
-/// reach a Welford cell or a bandit arm, and counted.
+/// A remote report's metrics are unvalidated network input (the codec hands
+/// over whatever three bit patterns arrived — NaNs and infinities included):
+/// anything non-finite, negative or beyond physical range is refused before
+/// it can reach a Welford cell or a bandit arm, and counted.
 fn check_metrics(controller: &Controller, m: &PathMetrics) -> Result<(), Response> {
     let in_range = (0.0..=MAX_REPORTED_MS).contains(&m.rtt_ms)
         && (0.0..=100.0).contains(&m.loss_pct)
@@ -218,13 +239,10 @@ fn check_metrics(controller: &Controller, m: &PathMetrics) -> Result<(), Respons
         Ok(())
     } else {
         controller.count_rejected_report();
-        Err(Response::Error {
-            kind: ErrorKind::BadRequest,
-            detail: format!(
-                "report metrics out of range: rtt {} ms, loss {} %, jitter {} ms",
-                m.rtt_ms, m.loss_pct, m.jitter_ms
-            ),
-        })
+        Err(bad_request(format!(
+            "report metrics out of range: rtt {} ms, loss {} %, jitter {} ms",
+            m.rtt_ms, m.loss_pct, m.jitter_ms
+        )))
     }
 }
 
@@ -235,34 +253,28 @@ fn check_option(controller: &Controller, option: RelayOption) -> Result<(), Resp
     if controller.in_fleet(option) {
         Ok(())
     } else {
-        Err(Response::Error {
-            kind: ErrorKind::BadRequest,
-            detail: format!(
-                "{option} names a relay outside the {}-relay fleet",
-                controller.n_relays()
-            ),
-        })
+        Err(bad_request(format!(
+            "{option} names a relay outside the {}-relay fleet",
+            controller.n_relays()
+        )))
     }
 }
 
 fn dispatch(
     controller: &Controller,
     my_session: u64,
-    req: Request,
+    req: &Request,
     shutdown: &AtomicBool,
 ) -> Response {
-    match req {
-        Request::Hello => Response::Error {
-            kind: ErrorKind::BadRequest,
-            detail: "session already open".to_string(),
-        },
+    match *req {
+        Request::Hello => bad_request("session already open".to_string()),
         Request::Select {
             session,
             call_id,
             t,
             src_key,
             dst_key,
-            candidates,
+            ref candidates,
         } => match check_session(controller, my_session, session).and_then(|()| {
             candidates
                 .iter()
@@ -270,7 +282,7 @@ fn dispatch(
         }) {
             Err(e) => e,
             Ok(()) => {
-                let sel = controller.select(call_id, t, src_key, dst_key, &candidates);
+                let sel = controller.select(call_id, t, src_key, dst_key, candidates);
                 Response::Selected {
                     option: sel.option,
                     admitted: sel.admitted,
@@ -285,15 +297,15 @@ fn dispatch(
             src_key,
             dst_key,
             option,
-            metrics,
+            ref metrics,
         } => match check_session(controller, my_session, session)
-            .and_then(|()| check_metrics(controller, &metrics))
+            .and_then(|()| check_metrics(controller, metrics))
             .and_then(|()| {
                 check_option(controller, option).inspect_err(|_| controller.count_rejected_report())
             }) {
             Err(e) => e,
             Ok(()) => Response::Reported {
-                window: controller.report(t, src_key, dst_key, option, &metrics),
+                window: controller.report(t, src_key, dst_key, option, metrics),
             },
         },
         Request::Snapshot { session } => match check_session(controller, my_session, session) {

@@ -189,10 +189,23 @@ fn out_of_range_report_metrics_are_rejected_before_any_state_is_touched() {
     client.report(SimTime::ZERO, 0, 1, option, good).unwrap();
     let before = ctrl.selection_snapshot_json();
 
-    // NaN travels as JSON `null`; the rest are plain JSON numbers.
+    // The binary body carries every bit pattern as it is, so the values JSON
+    // had no spelling for reach `check_metrics` too.
     let hostile = [
         PathMetrics {
             rtt_ms: f64::NAN,
+            ..good
+        },
+        PathMetrics {
+            loss_pct: f64::from_bits(0xFFF8_0000_DEAD_BEEF), // NaN, sign and payload set
+            ..good
+        },
+        PathMetrics {
+            rtt_ms: f64::INFINITY,
+            ..good
+        },
+        PathMetrics {
+            jitter_ms: f64::NEG_INFINITY,
             ..good
         },
         PathMetrics {

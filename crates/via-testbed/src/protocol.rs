@@ -5,6 +5,20 @@
 //! objects framed with a 4-byte big-endian length prefix — simple, debuggable
 //! with standard tooling, and sufficient for a control plane that exchanges
 //! one round-trip per call.
+//!
+//! Two things live here, and only the first is JSON:
+//!
+//! * the testbed's message set ([`ClientMsg`] / [`ControllerMsg`]): one cold
+//!   round trip per probe call, carrying names and addresses as strings;
+//! * the framing itself — the length prefix, [`MAX_FRAME`], and
+//!   [`FrameConn`], the deadline-bounded connection every framed socket in the
+//!   workspace reads and writes through. [`FrameConn::next_body`] and
+//!   [`FrameConn::write_body`] move opaque bodies (`via-server` puts its
+//!   binary select/report encoding in them); [`FrameConn::read_deadline`] and
+//!   [`FrameConn::write`] are the JSON wrappers over those two that the
+//!   testbed uses. A frame's prefix is checked against [`MAX_FRAME`] in one
+//!   place on the read side (`body_len`) and one on the write side
+//!   (`build_frame`).
 
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
@@ -114,19 +128,54 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Writes one length-prefixed JSON frame.
-pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), FrameError> {
-    let body = serde_json::to_vec(msg).map_err(|e| FrameError::Decode(e.to_string()))?;
-    let len = u32::try_from(body.len()).map_err(|_| FrameError::Oversized(u32::MAX))?;
+/// Bytes of length prefix in front of every frame body.
+const PREFIX: usize = 4;
+
+/// Builds one frame in `frame` (cleared first, capacity kept): the prefix,
+/// then whatever body `fill` appends. The write-side [`MAX_FRAME`] check.
+///
+/// The result goes out in one `write_all`: two separate writes let Nagle
+/// hold the body segment behind the prefix's delayed ACK, turning every RPC
+/// round trip into tens of milliseconds on an otherwise-idle connection.
+fn build_frame(
+    frame: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>) -> Result<(), FrameError>,
+) -> Result<(), FrameError> {
+    frame.clear();
+    frame.extend_from_slice(&[0; PREFIX]);
+    fill(frame)?;
+    let len = u32::try_from(frame.len().saturating_sub(PREFIX))
+        .map_err(|_| FrameError::Oversized(u32::MAX))?;
     if len > MAX_FRAME {
         return Err(FrameError::Oversized(len));
     }
-    // One write for prefix + body: two separate writes let Nagle hold the
-    // body segment behind the prefix's delayed ACK, turning every RPC round
-    // trip into tens of milliseconds on an otherwise-idle connection.
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(&body);
+    frame[..PREFIX].copy_from_slice(&len.to_be_bytes());
+    Ok(())
+}
+
+/// The one read-side length check: a frame's prefix bytes to the length of
+/// the body behind them. The prefix is untrusted input, so nothing is
+/// reserved, indexed or waited for on its say-so before it has passed here.
+fn body_len(prefix: [u8; PREFIX]) -> Result<usize, FrameError> {
+    let len = u32::from_be_bytes(prefix);
+    if len > MAX_FRAME {
+        return Err(FrameError::Oversized(len));
+    }
+    Ok(len as usize)
+}
+
+fn json_err(e: serde_json::Error) -> FrameError {
+    FrameError::Decode(e.to_string())
+}
+
+/// Writes one length-prefixed JSON frame.
+pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), FrameError> {
+    let body = serde_json::to_vec(msg).map_err(json_err)?;
+    let mut frame = Vec::with_capacity(PREFIX + body.len());
+    build_frame(&mut frame, |out| {
+        out.extend_from_slice(&body);
+        Ok(())
+    })?;
     w.write_all(&frame)?;
     w.flush()?;
     Ok(())
@@ -136,15 +185,15 @@ pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), Fram
 /// per successful read, so allocation tracks bytes actually received.
 const BODY_CHUNK: usize = 4096;
 
-/// Reads one length-prefixed JSON frame.
+/// Reads one length-prefixed JSON frame, with no deadline: for in-memory
+/// readers and tests. Sockets read through [`FrameConn`].
 pub fn read_frame<T: for<'de> Deserialize<'de>>(r: &mut impl Read) -> Result<T, FrameError> {
     let mut body = Vec::new();
     read_body(r, &mut body)?;
-    serde_json::from_slice(&body).map_err(|e| FrameError::Decode(e.to_string()))
+    serde_json::from_slice(&body).map_err(json_err)
 }
 
-/// Reads one frame body into `body` (cleared first, capacity kept so loops
-/// reuse a single allocation across frames).
+/// Reads one frame body into `body` (cleared first, capacity kept).
 ///
 /// The length prefix is untrusted input: a peer that writes 4 bytes claiming
 /// a 256 KiB frame must not be able to force that allocation before sending
@@ -155,14 +204,10 @@ pub fn read_frame<T: for<'de> Deserialize<'de>>(r: &mut impl Read) -> Result<T, 
 /// # Errors
 /// [`FrameError::Oversized`] when the prefix exceeds [`MAX_FRAME`]; an
 /// `UnexpectedEof` I/O error when the peer closes mid-frame.
-pub fn read_body(r: &mut impl Read, body: &mut Vec<u8>) -> Result<(), FrameError> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(FrameError::Oversized(len));
-    }
-    let len = len as usize;
+fn read_body(r: &mut impl Read, body: &mut Vec<u8>) -> Result<(), FrameError> {
+    let mut prefix = [0u8; PREFIX];
+    r.read_exact(&mut prefix)?;
+    let len = body_len(prefix)?;
     body.clear();
     let mut chunk = [0u8; BODY_CHUNK];
     while body.len() < len {
@@ -185,7 +230,7 @@ pub fn read_body(r: &mut impl Read, body: &mut Vec<u8>) -> Result<(), FrameError
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Poll interval for [`accept_deadline`], and the cap on one blocking read
-/// inside [`FrameConn::read_deadline`] so the stop conditions stay live.
+/// inside [`FrameConn::next_body`] so the stop conditions stay live.
 const POLL_SLICE: Duration = Duration::from_millis(50);
 
 /// Connects to `addr` with a bounded timeout instead of the OS default
@@ -231,17 +276,30 @@ pub fn accept_deadline(
     }
 }
 
-/// A control connection with deadline-bounded, desync-safe frame reads.
+/// A control connection with deadline-bounded, desync-safe frame reads: the
+/// one framing path under the testbed's JSON messages and `via-server`'s
+/// binary ones.
 ///
 /// Plain `read_exact` with a socket timeout loses any partially read frame
 /// when the timeout fires, desynchronizing the length-prefixed stream.
-/// `FrameConn` instead accumulates bytes in an internal buffer and decodes a
-/// frame only once it is complete, so a deadline can fire mid-frame and the
-/// next call resumes exactly where the stream left off.
+/// `FrameConn` instead accumulates bytes in an internal buffer and hands a
+/// frame out only once it is complete, so a deadline can fire mid-frame and
+/// the next call resumes exactly where the stream left off. A frame is
+/// consumed when it is handed out, whether or not its body then decodes:
+/// the boundary held, so the stream stays in step.
 #[derive(Debug)]
 pub struct FrameConn {
     stream: TcpStream,
+    /// Bytes received; `buf[consumed..]` has not been handed out yet.
     buf: Vec<u8>,
+    /// Cursor past the last frame handed out. Frames are not shifted out of
+    /// `buf` one by one: the consumed part is dropped once, before the next
+    /// socket read.
+    consumed: usize,
+    /// The outgoing frame, rebuilt in place for every write.
+    out: Vec<u8>,
+    /// The read timeout currently installed on the socket.
+    read_timeout: Option<Duration>,
 }
 
 impl FrameConn {
@@ -257,30 +315,51 @@ impl FrameConn {
         Ok(FrameConn {
             stream,
             buf: Vec::new(),
+            consumed: 0,
+            out: Vec::new(),
+            read_timeout: None,
         })
     }
 
-    /// Writes one frame (bounded by the connection's write timeout).
+    /// Writes one frame whose body `fill` appends to the buffer it is given —
+    /// append only: the frame's prefix is already in it (bounded by the
+    /// connection's write timeout).
     ///
     /// # Errors
-    /// Propagates frame encoding and socket failures.
-    pub fn write<T: Serialize>(&mut self, msg: &T) -> Result<(), FrameError> {
-        write_frame(&mut self.stream, msg)
+    /// Whatever `fill` returns, [`FrameError::Oversized`] for a body beyond
+    /// [`MAX_FRAME`], and socket failures.
+    pub fn write_body(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<u8>) -> Result<(), FrameError>,
+    ) -> Result<(), FrameError> {
+        build_frame(&mut self.out, fill)?;
+        self.stream.write_all(&self.out)?;
+        Ok(())
     }
 
-    /// Reads one frame, waiting at most until `deadline`.
+    /// Writes one JSON frame.
+    ///
+    /// # Errors
+    /// As [`FrameConn::write_body`].
+    pub fn write<T: Serialize>(&mut self, msg: &T) -> Result<(), FrameError> {
+        self.write_body(|body| serde_json::to_writer(body, msg).map_err(json_err))
+    }
+
+    /// The body of the next frame, waiting at most until `deadline`. The
+    /// slice borrows the connection's buffer and is good until the next
+    /// call.
     ///
     /// # Errors
     /// [`FrameError::Timeout`] when the deadline elapses first (any partial
-    /// frame stays buffered for the next call); otherwise I/O / decode
-    /// failures.
-    pub fn read_deadline<T: for<'de> Deserialize<'de>>(
-        &mut self,
-        deadline: Instant,
-    ) -> Result<T, FrameError> {
+    /// frame stays buffered for the next call); [`FrameError::Oversized`]
+    /// for a prefix beyond [`MAX_FRAME`], after which the stream cannot be
+    /// trusted; otherwise I/O failures.
+    pub fn next_body(&mut self, deadline: Instant) -> Result<&[u8], FrameError> {
         loop {
-            if let Some(msg) = self.try_decode()? {
-                return Ok(msg);
+            if let Some(end) = self.frame_end()? {
+                let start = self.consumed + PREFIX;
+                self.consumed = end;
+                return Ok(&self.buf[start..end]);
             }
             let now = Instant::now();
             if now >= deadline {
@@ -290,7 +369,14 @@ impl FrameConn {
                 .saturating_duration_since(now)
                 .min(POLL_SLICE)
                 .max(Duration::from_millis(1));
-            self.stream.set_read_timeout(Some(wait))?;
+            // Far from its deadline every read waits one `POLL_SLICE`, so the
+            // option is set once per connection, not once per read.
+            if self.read_timeout != Some(wait) {
+                self.stream.set_read_timeout(Some(wait))?;
+                self.read_timeout = Some(wait);
+            }
+            self.buf.drain(..self.consumed);
+            self.consumed = 0;
             let mut chunk = [0u8; 4096];
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
@@ -309,23 +395,29 @@ impl FrameConn {
         }
     }
 
-    /// Decodes one frame from the buffer if a complete one is present.
-    fn try_decode<T: for<'de> Deserialize<'de>>(&mut self) -> Result<Option<T>, FrameError> {
-        if self.buf.len() < 4 {
+    /// Reads one JSON frame, waiting at most until `deadline`.
+    ///
+    /// # Errors
+    /// As [`FrameConn::next_body`], plus [`FrameError::Decode`].
+    pub fn read_deadline<T: for<'de> Deserialize<'de>>(
+        &mut self,
+        deadline: Instant,
+    ) -> Result<T, FrameError> {
+        serde_json::from_slice(self.next_body(deadline)?).map_err(json_err)
+    }
+
+    /// Where in `buf` the first frame not yet handed out ends, once all of
+    /// it has arrived.
+    fn frame_end(&self) -> Result<Option<usize>, FrameError> {
+        let Some((prefix, rest)) = self
+            .buf
+            .get(self.consumed..)
+            .and_then(|pending| pending.split_first_chunk::<PREFIX>())
+        else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-        if len > MAX_FRAME {
-            return Err(FrameError::Oversized(len));
-        }
-        let total = 4 + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let msg = serde_json::from_slice(&self.buf[4..total])
-            .map_err(|e| FrameError::Decode(e.to_string()))?;
-        self.buf.drain(..total);
-        Ok(Some(msg))
+        };
+        let len = body_len(*prefix)?;
+        Ok((rest.len() >= len).then_some(self.consumed + PREFIX + len))
     }
 }
 
@@ -513,6 +605,11 @@ mod tests {
             .read_deadline(Instant::now() + Duration::from_secs(2))
             .unwrap();
         assert_eq!(msg, ControllerMsg::Welcome);
+        // The first call ended on a shortened slice; the second, far from its
+        // deadline, must have put the full one back — on the socket, not just
+        // in the remembered copy (the kernel rounds it up to its tick).
+        assert_eq!(conn.read_timeout, Some(POLL_SLICE));
+        assert!(conn.stream.read_timeout().unwrap() >= Some(POLL_SLICE));
         writer.join().unwrap();
     }
 
@@ -534,5 +631,96 @@ mod tests {
         assert_eq!(a, ControllerMsg::Welcome);
         assert_eq!(b, ControllerMsg::Finished);
         writer.join().unwrap();
+    }
+
+    fn framed(bodies: &[&[u8]]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for body in bodies {
+            wire.extend_from_slice(&u32::try_from(body.len()).unwrap().to_be_bytes());
+            wire.extend_from_slice(body);
+        }
+        wire
+    }
+
+    /// The cursor path: frames that arrived in one read are handed out one
+    /// by one without touching the socket, and a frame split across two
+    /// writes *behind* consumed frames is reassembled from the right offset.
+    #[test]
+    fn frame_conn_hands_out_batched_frames_then_a_split_one() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (consumed_tx, consumed_rx) = std::sync::mpsc::channel::<()>();
+        let writer = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            let wire = framed(&[b"one", b"", b"three", b"the split frame"]);
+            let cut = wire.len() - 6;
+            s.write_all(&wire[..cut]).unwrap();
+            // The rest only once the reader has consumed what is complete.
+            consumed_rx.recv().unwrap();
+            s.write_all(&wire[cut..]).unwrap();
+            s
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = FrameConn::new(stream).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        assert_eq!(conn.next_body(deadline).unwrap(), b"one");
+        assert_eq!(conn.next_body(deadline).unwrap(), b"");
+        assert_eq!(conn.next_body(deadline).unwrap(), b"three");
+        assert!(conn.consumed > 0, "consumed frames stay put until a read");
+        let short = Instant::now() + Duration::from_millis(20);
+        assert!(matches!(conn.next_body(short), Err(FrameError::Timeout)));
+        consumed_tx.send(()).unwrap();
+        assert_eq!(conn.next_body(deadline).unwrap(), b"the split frame");
+        assert!(conn.buf.len() <= 4 + b"the split frame".len());
+        drop(writer.join().unwrap());
+    }
+
+    /// A frame is consumed when it is handed out: a body that is not a
+    /// message costs that frame, and the next one is read from its own
+    /// boundary. Only a bad *prefix* ends the stream.
+    #[test]
+    fn frame_conn_steps_past_an_undecodable_body_but_not_an_oversized_prefix() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(&framed(&[b"{{{"])).unwrap();
+            write_frame(&mut s, &ControllerMsg::Finished).unwrap();
+            s.write_all(&(MAX_FRAME + 1).to_be_bytes()).unwrap();
+            s
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = FrameConn::new(stream).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let err = conn.read_deadline::<ControllerMsg>(deadline).unwrap_err();
+        assert!(matches!(err, FrameError::Decode(_)), "{err}");
+        let next: ControllerMsg = conn.read_deadline(deadline).unwrap();
+        assert_eq!(next, ControllerMsg::Finished);
+        for _ in 0..2 {
+            let err = conn.next_body(deadline).unwrap_err();
+            assert!(matches!(err, FrameError::Oversized(n) if n == MAX_FRAME + 1));
+        }
+        drop(writer.join().unwrap());
+    }
+
+    #[test]
+    fn write_body_refuses_a_body_beyond_max_frame() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || listener.accept().unwrap().0);
+        let mut conn = FrameConn::new(TcpStream::connect(addr).unwrap()).unwrap();
+        let fill = |body: &mut Vec<u8>| {
+            body.extend(std::iter::repeat_n(0, MAX_FRAME as usize + 1));
+            Ok(())
+        };
+        let err = conn.write_body(fill).unwrap_err();
+        assert!(matches!(err, FrameError::Oversized(n) if n == MAX_FRAME + 1));
+        // Nothing of it went out: the next frame is the first the peer sees.
+        conn.write(&ControllerMsg::Welcome).unwrap();
+        let mut peer = FrameConn::new(peer.join().unwrap()).unwrap();
+        let got: ControllerMsg = peer
+            .read_deadline(Instant::now() + Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(got, ControllerMsg::Welcome);
     }
 }

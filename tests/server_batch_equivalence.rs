@@ -13,7 +13,11 @@
 //! 3. **One hostile frame costs one frame.** A `Report` or a `Select`
 //!    candidate naming a relay outside the fleet is a typed `BadRequest`;
 //!    the connection, the window's learning and the next rollover are as if
-//!    it had never been sent.
+//!    it had never been sent. So is a well-framed body that is not a request
+//!    at all: answered, and the same connection serves the next frame.
+//! 4. **Frames are found by the cursor, not by the read.** Many requests in
+//!    one write are answered in order, and a frame split across two writes
+//!    behind them still decodes.
 //!
 //! The fully independent reference (its own top-k and bandit wiring) and
 //! snapshot/restore are pinned in
@@ -22,6 +26,8 @@
 #![allow(clippy::expect_used)]
 
 use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,7 +46,8 @@ use via::model::seed;
 use via::model::time::{SimTime, Window, WindowLen};
 use via::netsim::GeoPoint;
 use via::server::{
-    serve, Client, ClientError, Controller, ErrorKind, Selection, SelectionSnapshot, ServerConfig,
+    serve, Client, ClientError, Controller, ErrorKind, Request, Response, Selection,
+    SelectionSnapshot, ServerConfig,
 };
 
 const N_KEYS: u32 = 4;
@@ -361,4 +368,161 @@ fn out_of_fleet_relay_is_refused_and_costs_the_window_nothing() {
 
     client.shutdown().expect("shutdown reply");
     handle.wait();
+}
+
+/// A peer that writes the plane's frames by hand — what `Client` cannot be
+/// made to send.
+struct RawPeer {
+    stream: TcpStream,
+    session: u64,
+}
+
+fn frame(body: &[u8]) -> Vec<u8> {
+    let len = u32::try_from(body.len()).expect("a test body fits a frame");
+    [&len.to_be_bytes()[..], body].concat()
+}
+
+impl RawPeer {
+    fn connect(addr: SocketAddr) -> RawPeer {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut peer = RawPeer { stream, session: 0 };
+        peer.send(&peer.request(&Request::Hello));
+        match peer.reply() {
+            Response::Welcome { session } => peer.session = session,
+            other => panic!("handshake answered {other:?}"),
+        }
+        peer
+    }
+
+    fn request(&self, req: &Request) -> Vec<u8> {
+        let mut body = Vec::new();
+        req.encode(&mut body).expect("encode");
+        frame(&body)
+    }
+
+    fn select(&self, call: &Call, cands: &[RelayOption]) -> Vec<u8> {
+        self.request(&Request::Select {
+            session: self.session,
+            call_id: call.id,
+            t: call.t,
+            src_key: call.src,
+            dst_key: call.dst,
+            candidates: cands.to_vec(),
+        })
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        self.stream.write_all(bytes).expect("write");
+    }
+
+    fn reply(&mut self) -> Response {
+        let mut prefix = [0u8; 4];
+        self.stream.read_exact(&mut prefix).expect("reply prefix");
+        let mut body = vec![0u8; u32::from_be_bytes(prefix) as usize];
+        self.stream.read_exact(&mut body).expect("reply body");
+        Response::decode(&body).expect("reply decodes")
+    }
+
+    fn selection(&mut self) -> Selection {
+        match self.reply() {
+            Response::Selected {
+                option,
+                admitted,
+                explored,
+                window,
+            } => Selection {
+                option,
+                admitted,
+                explored,
+                window,
+            },
+            other => panic!("a Select answered {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_body_that_is_not_a_request_is_answered_and_the_connection_keeps_serving() {
+    let cfg = config();
+    let handle = serve(Arc::new(Controller::new(cfg, prior(), backbone()))).expect("bind loopback");
+    let mut peer = RawPeer::connect(handle.addr());
+    let local = Controller::new(cfg, prior(), backbone());
+    let cands = candidates();
+    let calls = trace(1, 5);
+
+    let valid = peer.select(&calls[0], &cands);
+    let cut_short = frame(&valid[4..valid.len() - 5]);
+    let one_too_many = frame(&[&valid[4..], &[0u8][..]].concat());
+    // What this plane spoke before it went binary: no fallback reads it.
+    let json = frame(b"\"Hello\"");
+    let garbage = [
+        frame(b""),
+        frame(&[0xFF; 64]),
+        cut_short,
+        one_too_many,
+        json,
+    ];
+    for (garbage, call) in garbage.iter().zip(&calls) {
+        peer.send(garbage);
+        match peer.reply() {
+            Response::Error {
+                kind: ErrorKind::BadRequest,
+                ..
+            } => {}
+            other => panic!("{garbage:?} answered {other:?}"),
+        }
+        // The frame boundary held, so the very next frame is served, and
+        // served as if nothing had come before it.
+        peer.send(&peer.select(call, &cands));
+        assert_eq!(
+            peer.selection(),
+            local.select(call.id, call.t, call.src, call.dst, &cands)
+        );
+    }
+    assert_eq!(handle.controller().live_sessions(), 1);
+    handle.stop();
+}
+
+#[test]
+fn pipelined_selects_are_answered_in_order_and_a_split_frame_behind_them_decodes() {
+    let cfg = config();
+    let piped = serve(Arc::new(Controller::new(cfg, prior(), backbone()))).expect("bind loopback");
+    let twin = serve(Arc::new(Controller::new(cfg, prior(), backbone()))).expect("bind loopback");
+    let mut peer = RawPeer::connect(piped.addr());
+    let mut client = Client::connect(twin.addr(), Duration::from_secs(10)).expect("connect");
+    let cands = candidates();
+    let calls = trace(1, 65);
+    let (batch, last) = calls.split_at(64);
+
+    // 64 whole frames and the head of a 65th, in one write: more than one
+    // server read's worth, so frames straddle its reads too.
+    let tail = peer.select(&last[0], &cands);
+    let (head, rest) = tail.split_at(tail.len() / 2);
+    let mut burst: Vec<u8> = batch.iter().flat_map(|c| peer.select(c, &cands)).collect();
+    assert!(burst.len() > 4096);
+    burst.extend_from_slice(head);
+    peer.send(&burst);
+
+    for call in batch {
+        let sequential = client
+            .select(call.id, call.t, call.src, call.dst, &cands)
+            .expect("select reply");
+        assert_eq!(peer.selection(), sequential, "diverged at call {}", call.id);
+    }
+    // 64 replies in: the server has consumed 64 frames and holds at most the
+    // head of the 65th. The rest completes it behind the consumed ones.
+    peer.send(rest);
+    let call = &last[0];
+    let sequential = client
+        .select(call.id, call.t, call.src, call.dst, &cands)
+        .expect("select reply");
+    assert_eq!(peer.selection(), sequential);
+
+    client.shutdown().expect("shutdown reply");
+    twin.wait();
+    piped.stop();
 }
