@@ -774,7 +774,11 @@ impl<'a> ReplaySim<'a> {
             opts.retain(|o| !o.is_transit());
         }
         if let Some(allowed) = &self.cfg.allowed_relays {
-            opts.retain(|o| o.relays().iter().all(|r| allowed.contains(r)));
+            opts.retain(|o| match *o {
+                RelayOption::Direct => true,
+                RelayOption::Bounce(r) => allowed.contains(&r),
+                RelayOption::Transit(a, b) => allowed.contains(&a) && allowed.contains(&b),
+            });
             if opts.is_empty() {
                 opts.push(RelayOption::Direct);
             }
@@ -2199,12 +2203,27 @@ mod tests {
             allowed_relays: Some(allowed.clone()),
             ..ReplayConfig::default()
         };
-        let out = ReplaySim::new(&world, &trace, cfg).run(StrategyKind::Via);
+        let mut sim = ReplaySim::new(&world, &trace, cfg);
+        let out = sim.run(StrategyKind::Via);
         for c in &out.calls {
             for r in c.option.relays() {
                 assert!(allowed.contains(&r), "used forbidden relay {r}");
             }
         }
+        // The kept set is the one `relays()` defines, on every pair of the
+        // trace, in enumeration order.
+        let mut topo = via_netsim::CandidateScratch::default();
+        let mut got = Vec::new();
+        let mut dropped = 0;
+        for call in &trace.records {
+            sim.candidates_into(call.src_as, call.dst_as, &mut topo, &mut got);
+            let mut want = world.candidate_options(call.src_as, call.dst_as);
+            dropped += want.len();
+            want.retain(|o| o.relays().iter().all(|r| allowed.contains(r)));
+            dropped -= want.len();
+            assert_eq!(got, want, "pair {} -> {}", call.src_as, call.dst_as);
+        }
+        assert!(dropped > 0, "the restriction removed nothing on this trace");
     }
 
     #[test]

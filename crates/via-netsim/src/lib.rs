@@ -9,6 +9,8 @@
 //!   international/domestic mix are plausible.
 //! * **Topology** ([`topology`]) — eyeball ASes per country with quality
 //!   tiers and market-share weights, plus a relay fleet in one provider AS.
+//!   Each AS pair's candidate relaying options are ranked on the pair's
+//!   first query and read from the world's candidate table ever after.
 //! * **Performance** ([`perf`], [`segments`]) — every end-to-end path
 //!   decomposes into access, public-WAN, and backbone segments. Segments
 //!   carry static latents (RTT inflation over the fiber bound, base loss and

@@ -75,16 +75,16 @@ pub struct PerfModel {
     as_pos: Vec<GeoPoint>,
     as_tier: Vec<u8>,
     relay_pos: Vec<GeoPoint>,
-    /// Dense access slots, indexed by AS id.
-    access: Box<[OnceLock<SegState>]>,
-    /// Dense backbone slots, indexed by canonical relay pair
-    /// (`lo * n_relays + hi`).
-    backbone: Box<[OnceLock<SegState>]>,
-    /// Dense direct-WAN slots, indexed by canonical AS pair
-    /// (`lo * n_ases + hi`).
-    direct: Box<[OnceLock<SegState>]>,
-    /// Dense AS→relay attach-leg slots (`a * n_relays + r`).
-    relay_wan: Box<[OnceLock<SegState>]>,
+    /// Dense access slots: one row, indexed by AS id. Every family is a
+    /// [`Table`] so that each id is checked against its own dimension — raw
+    /// `a * n + b` arithmetic answers an out-of-range `b` from the next row.
+    access: Table<OnceLock<SegState>>,
+    /// Dense backbone slots, indexed by canonical relay pair `(lo, hi)`.
+    backbone: Table<OnceLock<SegState>>,
+    /// Dense direct-WAN slots, indexed by canonical AS pair `(lo, hi)`.
+    direct: Table<OnceLock<SegState>>,
+    /// Dense AS→relay attach-leg slots, `(as, relay)`.
+    relay_wan: Table<OnceLock<SegState>>,
     /// AS↔relay great-circle distances, `(as, relay)`: precomputed so
     /// transit-orientation picks on the scoring hot path and the world's
     /// candidate enumeration are table loads instead of haversines per query.
@@ -130,10 +130,10 @@ impl PerfModel {
             as_pos: ases.iter().map(|a| a.pos).collect(),
             as_tier: ases.iter().map(|a| a.tier).collect(),
             relay_pos: relays.iter().map(|r| r.pos).collect(),
-            access: (0..n_ases).map(|_| OnceLock::new()).collect(),
-            backbone: (0..n_relays * n_relays).map(|_| OnceLock::new()).collect(),
-            direct: (0..n_ases * n_ases).map(|_| OnceLock::new()).collect(),
-            relay_wan: (0..n_ases * n_relays).map(|_| OnceLock::new()).collect(),
+            access: Table::from_fn(1, n_ases, |_, _| OnceLock::new()),
+            backbone: Table::from_fn(n_relays, n_relays, |_, _| OnceLock::new()),
+            direct: Table::from_fn(n_ases, n_ases, |_, _| OnceLock::new()),
+            relay_wan: Table::from_fn(n_ases, n_relays, |_, _| OnceLock::new()),
             as_relay_km,
             rtt_noise,
             jitter_noise,
@@ -169,12 +169,11 @@ impl PerfModel {
     /// slot builds its state exactly once under the `OnceLock` initializer
     /// (concurrent first touches block rather than duplicate work).
     fn with_state<R>(&self, segment: Segment, f: impl FnOnce(&SegState) -> R) -> R {
-        let n_relays = self.relay_pos.len();
         let slot = match segment {
-            Segment::Access(a) => &self.access[a.index()],
-            Segment::Backbone(r1, r2) => &self.backbone[r1.index() * n_relays + r2.index()],
-            Segment::DirectWan(a, b) => &self.direct[a.index() * self.as_pos.len() + b.index()],
-            Segment::RelayWan(a, r) => &self.relay_wan[a.index() * n_relays + r.index()],
+            Segment::Access(a) => &self.access[(0, a.index())],
+            Segment::Backbone(r1, r2) => &self.backbone[(r1.index(), r2.index())],
+            Segment::DirectWan(a, b) => &self.direct[(a.index(), b.index())],
+            Segment::RelayWan(a, r) => &self.relay_wan[(a.index(), r.index())],
         };
         f(slot.get_or_init(|| self.build_state(segment)))
     }
@@ -1245,6 +1244,34 @@ mod tests {
         // Re-querying an already-built segment builds nothing.
         let _ = w.perf().segment_mean(seg, t);
         assert_eq!(w.perf().segment_builds(), 1);
+    }
+
+    /// Each id past its own dimension must fail: under raw `row * cols + col`
+    /// arithmetic these three land inside the table, on another pair's slot.
+    fn mean_of_out_of_range(segment: impl FnOnce(u32, u32) -> Segment) {
+        let w = world();
+        let (n_ases, n_relays) = (w.perf().n_ases() as u32, w.perf().n_relays() as u32);
+        let _ = w
+            .perf()
+            .segment_mean(segment(n_ases, n_relays), SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn direct_wan_slot_rejects_an_out_of_range_second_as() {
+        mean_of_out_of_range(|n_ases, _| Segment::DirectWan(AsId(0), AsId(n_ases + 5)));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn relay_wan_slot_rejects_an_out_of_range_relay() {
+        mean_of_out_of_range(|_, n_relays| Segment::RelayWan(AsId(0), RelayId(n_relays + 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn backbone_slot_rejects_an_out_of_range_second_relay() {
+        mean_of_out_of_range(|_, n_relays| Segment::Backbone(RelayId(0), RelayId(n_relays + 1)));
     }
 
     #[test]

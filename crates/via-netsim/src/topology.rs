@@ -4,6 +4,8 @@
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
+use std::sync::{Once, OnceLock};
 use via_model::ids::{AsId, CountryId, RelayId};
 use via_model::options::RelayOption;
 use via_model::seed;
@@ -73,13 +75,128 @@ pub struct World {
     pub relays: Vec<Relay>,
     perf: PerfModel,
     geometry: Geometry,
+    candidates: CandidateTable,
+}
+
+/// The candidate table: each ordered `(src, dst)` AS pair's relaying options,
+/// enumerated on the pair's first touch and never evicted — the fill reads
+/// only what [`World::generate`] fixed, so a filled slot cannot go stale.
+/// Same contract as the performance model's segment tables: a warm read takes
+/// no lock and hashes nothing, a racing first touch fills once.
+///
+/// Memory is what this table costs (a replay touches tens of thousands of
+/// pairs, 9–17 options each), and it is spent in two flat pieces rather than
+/// a boxed set per pair: some twenty thousand small long-lived allocations
+/// made while a replay's own buffers come and go pinned up to 3.3 MiB of
+/// heap on the benchmark, twice what they held.
+#[derive(Debug)]
+struct CandidateTable {
+    /// One fill-once flag per ordered pair; all an untouched pair costs.
+    filled: Table<Once>,
+    /// One row of cells per pair, in `filled`'s row-major order: the set's
+    /// length, then its options packed. One allocation, made by the first
+    /// query of the world (a world never asked for candidates never pays
+    /// it). A cell is written once, inside its pair's `Once`, and read only
+    /// after that `Once` completed, which is what orders the two; the cells
+    /// are atomics so that writing through `&self` is safe code.
+    cells: OnceLock<Table<AtomicU16>>,
+    /// Cells per pair: 1 + the most options a set can hold.
+    stride: usize,
+    /// Sets enumerated so far (one per touched pair).
+    fills: AtomicU64,
+}
+
+impl CandidateTable {
+    fn new(n_ases: usize, max_options: usize) -> CandidateTable {
+        CandidateTable {
+            filled: Table::from_fn(n_ases, n_ases, |_, _| Once::new()),
+            cells: OnceLock::new(),
+            stride: 1 + max_options,
+            fills: AtomicU64::new(0),
+        }
+    }
+
+    /// Fills `out` with the pair's set, calling `fill` (which leaves the set
+    /// in `out`) only if no one has yet.
+    ///
+    /// # Panics
+    /// If either index is outside the table.
+    fn get_or_fill(
+        &self,
+        src: usize,
+        dst: usize,
+        out: &mut Vec<RelayOption>,
+        fill: impl FnOnce(&mut Vec<RelayOption>),
+    ) {
+        // Indexing the flag first is what rejects an out-of-range pair.
+        let once = &self.filled[(src, dst)];
+        let (rows, cols) = (self.filled.rows(), self.filled.cols());
+        let cells = self
+            .cells
+            .get_or_init(|| Table::from_fn(rows * cols, self.stride, |_, _| AtomicU16::new(0)));
+        let row = cells.row(src * cols + dst);
+        let (len, set) = (&row[0], &row[1..]);
+        once.call_once(|| {
+            fill(out);
+            let n = match u16::try_from(out.len()) {
+                Ok(n) if out.len() <= set.len() => n,
+                _ => panic!("{} candidates in a slot of {}", out.len(), set.len()),
+            };
+            for (cell, &option) in set.iter().zip(out.iter()) {
+                cell.store(PackedOption::pack(option).0, Ordering::Relaxed);
+            }
+            len.store(n, Ordering::Relaxed);
+            self.fills.fetch_add(1, Ordering::Relaxed);
+        });
+        let len = usize::from(len.load(Ordering::Relaxed));
+        out.clear();
+        out.extend(
+            set[..len]
+                .iter()
+                .map(|cell| PackedOption(cell.load(Ordering::Relaxed)).unpack()),
+        );
+    }
+}
+
+/// A [`RelayOption`] at two bytes instead of twelve: one relay index per
+/// byte, [`PackedOption::NONE`] where the option names no relay. One byte is
+/// as narrow as the fleet allows; [`World::generate`] refuses a fleet this
+/// width cannot index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PackedOption(u16);
+
+impl PackedOption {
+    /// "No relay in this position"; never a relay index.
+    const NONE: u8 = u8::MAX;
+    /// Largest fleet whose every relay index is distinct from `NONE`.
+    const MAX_FLEET: usize = Self::NONE as usize;
+
+    fn pack(option: RelayOption) -> PackedOption {
+        let byte = |r: RelayId| match u8::try_from(r.0) {
+            Ok(b) if b != Self::NONE => b,
+            _ => panic!("{r} does not fit the candidate table's one-byte relay index"),
+        };
+        PackedOption(u16::from_le_bytes(match option {
+            RelayOption::Direct => [Self::NONE, Self::NONE],
+            RelayOption::Bounce(r) => [byte(r), Self::NONE],
+            RelayOption::Transit(a, b) => [byte(a), byte(b)],
+        }))
+    }
+
+    fn unpack(self) -> RelayOption {
+        let relay = |b: u8| RelayId(u32::from(b));
+        match self.0.to_le_bytes() {
+            [Self::NONE, _] => RelayOption::Direct,
+            [r, Self::NONE] => RelayOption::Bounce(relay(r)),
+            [a, b] => RelayOption::Transit(relay(a), relay(b)),
+        }
+    }
 }
 
 /// Relay-side geometry, computed once in [`World::generate`]; together with
-/// the performance model's AS×relay distance table it makes candidate
-/// enumeration table reads and two small sorts — no trigonometry per (pair,
-/// window). Positions are fixed at generation: nothing moves an AS or a relay
-/// afterwards.
+/// the performance model's AS×relay distance table it makes a candidate-table
+/// fill table reads and two small sorts, with no trigonometry. Positions are
+/// fixed at generation: nothing moves an AS or a relay afterwards.
 #[derive(Debug)]
 struct Geometry {
     /// `relay_km[(i, j)]` = distance from relay `i` to relay `j`.
@@ -121,6 +238,10 @@ impl World {
         assert!(
             config.n_countries >= 2 && config.n_countries <= catalog::COUNTRIES.len(),
             "n_countries out of range"
+        );
+        assert!(
+            config.n_relays <= PackedOption::MAX_FLEET,
+            "fleet wider than the candidate table's one-byte relay index"
         );
         assert!(
             config.n_relays >= 2 && config.n_relays <= catalog::SITES.len(),
@@ -185,6 +306,7 @@ impl World {
 
         let perf = PerfModel::new(world_seed, config.clone(), &ases, &relays);
         let geometry = Geometry::new(perf.as_relay_km(), &relays);
+        let candidates = CandidateTable::new(ases.len(), max_candidates(config, relays.len()));
 
         World {
             config: config.clone(),
@@ -194,6 +316,7 @@ impl World {
             relays,
             perf,
             geometry,
+            candidates,
         }
     }
 
@@ -229,12 +352,42 @@ impl World {
         options
     }
 
-    /// Allocation-free form of [`World::candidate_options`]: fills `out`
-    /// (cleared first) using `scratch`'s reusable ranking buffers. Replay
-    /// workers hold one [`CandidateScratch`] each, so steady-state candidate
-    /// enumeration performs no heap allocation. The produced options (content
-    /// and order) are identical to [`World::candidate_options`].
+    /// [`World::candidate_options`] into the caller's buffers: fills `out`
+    /// (cleared first) from the pair's candidate-table slot. The set is
+    /// enumerated on the pair's first touch (with `scratch`'s reusable
+    /// ranking buffers) and decoded from the slot ever after, so a replay
+    /// pays the enumeration once per pair per world rather than once per
+    /// (pair, window). Nothing is allocated but the table itself, once, by
+    /// the world's first query. The produced options (content and order) are
+    /// identical to [`World::candidate_options`].
+    ///
+    /// # Panics
+    /// If either AS is outside the world.
     pub fn candidate_options_into(
+        &self,
+        src: AsId,
+        dst: AsId,
+        scratch: &mut CandidateScratch,
+        out: &mut Vec<RelayOption>,
+    ) {
+        self.candidates
+            .get_or_fill(src.index(), dst.index(), out, |out| {
+                self.enumerate_candidates(src, dst, scratch, out);
+            });
+    }
+
+    /// Number of candidate sets enumerated so far. Each touched pair is
+    /// enumerated exactly once — concurrent first touches never duplicate
+    /// the work — so this equals the number of distinct ordered pairs queried.
+    /// It measures how warm this world is, not what a replay did: two replays
+    /// of one trace over one world report different deltas, which is why it
+    /// is not part of any replay's statistics.
+    pub fn candidate_sets_built(&self) -> u64 {
+        self.candidates.fills.load(Ordering::Relaxed)
+    }
+
+    /// The candidate table's fill function: ranks the fleet for one pair.
+    fn enumerate_candidates(
         &self,
         src: AsId,
         dst: AsId,
@@ -265,8 +418,7 @@ impl World {
 
         // Transit: ingress relays near the source, egress relays near the
         // destination, ranked by total stitched distance.
-        let k = self.config.transit_candidates.max(1);
-        let take = ((k as f64).sqrt().ceil() as usize + 1).min(self.relays.len());
+        let take = transit_prefix(&self.config, self.relays.len());
         let near_src = &geo.nearest.row(src.index())[..take];
         let near_dst = &geo.nearest.row(dst.index())[..take];
         let transits = &mut scratch.transits;
@@ -293,13 +445,28 @@ impl World {
     }
 }
 
-/// Reusable ranking buffers for [`World::candidate_options_into`]. Holding
-/// one per worker keeps candidate enumeration allocation-free after the
-/// first few calls (buffers retain their high-water capacity).
+/// Reusable ranking buffers for [`World::candidate_options_into`]'s first
+/// touch of a pair; a warm slot does not use them.
 #[derive(Debug, Default)]
 pub struct CandidateScratch {
     by_detour: Vec<(f64, RelayId)>,
     transits: Vec<(f64, RelayOption)>,
+}
+
+/// How many of each endpoint's nearest relays a pair's transit candidates
+/// are formed from.
+fn transit_prefix(config: &WorldConfig, n_relays: usize) -> usize {
+    let k = config.transit_candidates.max(1);
+    ((k as f64).sqrt().ceil() as usize + 1).min(n_relays)
+}
+
+/// The most options [`World::enumerate_candidates`] can produce for a pair:
+/// `Direct`, a bounce per ranked relay and every pairing of the two transit
+/// prefixes, cut off at the configured total.
+fn max_candidates(config: &WorldConfig, n_relays: usize) -> usize {
+    let take = transit_prefix(config, n_relays);
+    (1 + config.bounce_candidates.min(n_relays) + take * take)
+        .min(1 + config.bounce_candidates + config.transit_candidates)
 }
 
 fn wrap_lon(lon: f64) -> f64 {
@@ -446,6 +613,112 @@ mod tests {
             assert_eq!(w.relays.len(), n_relays);
             assert_tables_match_trig(&w);
         }
+    }
+
+    /// Asserts a table read, cold then warm, equals the fill function called
+    /// directly (content and order) for each pair, and that each pair was
+    /// enumerated into the table once.
+    fn assert_table_matches_fill(w: &World, pairs: impl Iterator<Item = (AsId, AsId)>) {
+        let mut scratch = CandidateScratch::default();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let mut distinct = std::collections::BTreeSet::new();
+        for (a, b) in pairs {
+            w.enumerate_candidates(a, b, &mut scratch, &mut want);
+            for touch in ["first", "second"] {
+                w.candidate_options_into(a, b, &mut scratch, &mut got);
+                assert_eq!(got, want, "pair {a} -> {b}, {touch} touch");
+            }
+            assert_eq!(w.candidate_options(a, b), want);
+            distinct.insert((a, b));
+        }
+        assert_eq!(w.candidate_sets_built(), distinct.len() as u64);
+    }
+
+    fn all_pairs(w: &World) -> impl Iterator<Item = (AsId, AsId)> + '_ {
+        w.ases
+            .iter()
+            .flat_map(|a| w.ases.iter().map(move |b| (a.id, b.id)))
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "tens of thousands of enumerations")]
+    fn table_reads_equal_the_fill_function_cold_and_warm() {
+        for cfg in [WorldConfig::tiny(), WorldConfig::small()] {
+            let w = World::generate(&cfg, 42);
+            assert_table_matches_fill(&w, all_pairs(&w));
+        }
+        let w = World::generate(&WorldConfig::paper_scale(), 42);
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = w.ases.len() as u32;
+        let sampled: Vec<(AsId, AsId)> = (0..2_000)
+            .map(|_| (AsId(rng.random_range(0..n)), AsId(rng.random_range(0..n))))
+            .collect();
+        assert_table_matches_fill(&w, sampled.into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn candidate_slot_rejects_an_out_of_range_dst() {
+        // Under raw `src * n + dst` arithmetic this is pair (1, 5)'s slot.
+        let w = world();
+        let _ = w.candidate_options(AsId(0), AsId(w.ases.len() as u32 + 5));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "tens of thousands of enumerations")]
+    fn full_candidate_table_stays_under_four_mib_at_paper_scale() {
+        // Where the cell width is decided: the benchmark's `peak_rss_mib`
+        // bounds and CI's 256 MiB streamed-replay ceiling both assume this
+        // table is small, and a wider cell or stride would grow it silently.
+        let w = World::generate(&WorldConfig::paper_scale(), 7);
+        let mut scratch = CandidateScratch::default();
+        let mut out = Vec::new();
+        for (a, b) in all_pairs(&w) {
+            w.candidate_options_into(a, b, &mut scratch, &mut out);
+        }
+        let table = &w.candidates;
+        let pairs = w.ases.len() * w.ases.len();
+        assert_eq!(w.candidate_sets_built(), pairs as u64);
+        let cells = table.cells.get().expect("a queried world has cells");
+        assert_eq!((cells.rows(), cells.cols()), (pairs, table.stride));
+        let bytes = table.filled.rows() * std::mem::size_of_val(table.filled.row(0))
+            + cells.rows() * std::mem::size_of_val(cells.row(0));
+        assert!(bytes <= 4 << 20, "{bytes} B for {pairs} pairs");
+    }
+
+    #[test]
+    fn packed_options_round_trip() {
+        let last = RelayId(PackedOption::MAX_FLEET as u32 - 1);
+        for o in [
+            RelayOption::Direct,
+            RelayOption::Bounce(RelayId(0)),
+            RelayOption::Bounce(last),
+            RelayOption::Transit(RelayId(0), last),
+            RelayOption::Transit(last, RelayId(3)),
+        ] {
+            assert_eq!(PackedOption::pack(o).unpack(), o);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn packing_never_truncates_a_relay_id() {
+        // 256 truncates to relay 0; 255 is the "no relay" byte itself.
+        let _ = PackedOption::pack(RelayOption::Bounce(RelayId(256)));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn packing_never_aliases_the_no_relay_byte() {
+        let _ = PackedOption::pack(RelayOption::Transit(RelayId(1), RelayId(255)));
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet wider than the candidate table")]
+    fn rejects_a_fleet_wider_than_the_packed_index() {
+        let mut cfg = WorldConfig::tiny();
+        cfg.n_relays = PackedOption::MAX_FLEET + 1;
+        World::generate(&cfg, 1);
     }
 
     #[test]

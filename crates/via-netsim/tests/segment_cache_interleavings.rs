@@ -19,6 +19,10 @@
 //! 2. [`racing_first_touch_builds_once_per_segment`] races real threads
 //!    through the same first touch behind a barrier. This is the test the
 //!    nightly ThreadSanitizer workflow runs under `-Zsanitizer=thread`.
+//!
+//! `World`'s candidate table is a fifth slot table under the same contract
+//! (enumerate each touched AS pair once, every reader sees the same set);
+//! [`racing_first_touch_enumerates_each_pair_once`] races it the same way.
 
 // Test-harness helpers outside #[test] fns: panicking on a broken schedule
 // generator is the correct behavior here, as in any test.
@@ -27,6 +31,7 @@
 use std::sync::{Arc, Barrier};
 
 use via_model::ids::{AsId, RelayId};
+use via_model::options::RelayOption;
 use via_model::time::SimTime;
 use via_netsim::{SegMetrics, Segment, World, WorldConfig};
 
@@ -165,4 +170,62 @@ fn racing_first_touch_builds_once_per_segment() {
         segments.len() as u64,
         "concurrent first touches duplicated a segment build"
     );
+}
+
+/// The candidate table under the same race: eight workers first-touch the
+/// same AS pairs from a barrier, half in reverse order so different slots
+/// are contended by different threads. Each pair must be enumerated once
+/// and every worker must read the sets a sequential world produces.
+#[test]
+fn racing_first_touch_enumerates_each_pair_once() {
+    let pairs: Vec<(AsId, AsId)> = vec![
+        (AsId(0), AsId(3)),
+        (AsId(3), AsId(0)),
+        (AsId(1), AsId(1)),
+        (AsId(2), AsId(5)),
+        (AsId(4), AsId(2)),
+    ];
+    let reference: Vec<Vec<RelayOption>> = {
+        let world = World::generate(&WorldConfig::tiny(), 7);
+        pairs
+            .iter()
+            .map(|&(a, b)| world.candidate_options(a, b))
+            .collect()
+    };
+
+    let world = World::generate(&WorldConfig::tiny(), 7);
+    assert_eq!(world.candidate_sets_built(), 0);
+    let workers = 8;
+    let barrier = Barrier::new(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (world, barrier, pairs) = (&world, &barrier, &pairs);
+                scope.spawn(move || {
+                    let mut order: Vec<usize> = (0..pairs.len()).collect();
+                    if w % 2 == 1 {
+                        order.reverse();
+                    }
+                    barrier.wait();
+                    let mut reads = vec![Vec::new(); pairs.len()];
+                    for i in order {
+                        reads[i] = world.candidate_options(pairs[i].0, pairs[i].1);
+                    }
+                    reads
+                })
+            })
+            .collect();
+        for h in handles {
+            let reads = h.join().expect("worker panicked");
+            assert_eq!(reads, reference, "racing reader observed a divergent set");
+        }
+    });
+    assert_eq!(
+        world.candidate_sets_built(),
+        pairs.len() as u64,
+        "concurrent first touches duplicated an enumeration"
+    );
+    // A warm read enumerates nothing.
+    let _ = world.candidate_options(pairs[0].0, pairs[0].1);
+    assert_eq!(world.candidate_sets_built(), pairs.len() as u64);
 }
