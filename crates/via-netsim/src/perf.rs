@@ -1089,6 +1089,57 @@ mod tests {
     }
 
     #[test]
+    fn paired_sampling_bits_are_pinned() {
+        // Every bit of (chosen, baseline) over the matrix the test above
+        // walks, 50 draws a cell, folded FNV-1a into one constant.
+        let w = world();
+        let mut scratch = SampleScratch::new();
+        let mut rng = StdRng::seed_from_u64(123);
+        let options = [
+            RelayOption::Direct,
+            RelayOption::Bounce(RelayId(2)),
+            RelayOption::Transit(RelayId(0), RelayId(3)),
+        ];
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for day in [0u64, 3, 3, 8] {
+            let t = SimTime::from_days(day);
+            for &opt in &options {
+                let parts = w.perf().path_day_parts_scratch(
+                    AsId(1),
+                    AsId(6),
+                    RelayOption::Direct,
+                    day,
+                    &scratch,
+                );
+                for _ in 0..50 {
+                    let (c, b) = w.perf().sample_option_paired_from_parts(
+                        AsId(1),
+                        AsId(6),
+                        opt,
+                        &parts,
+                        t,
+                        &mut rng,
+                        &mut scratch,
+                    );
+                    for v in [
+                        c.rtt_ms,
+                        c.loss_pct,
+                        c.jitter_ms,
+                        b.rtt_ms,
+                        b.loss_pct,
+                        b.jitter_ms,
+                    ] {
+                        for byte in v.to_bits().to_le_bytes() {
+                            h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0xe6be_a38a_7564_f61f, "paired sampler bits moved");
+    }
+
+    #[test]
     fn path_day_parts_reproduce_option_means_exactly() {
         // The pair-group baseline cache rests on this identity: a mean
         // computed from captured day parts must be bit-for-bit what
