@@ -498,18 +498,42 @@ struct PairGroup {
     calls: Vec<usize>,
     /// Pre-built arms (gated plans build eagerly for the gate pass).
     state: Option<PairArms>,
-    /// Incoming §7 decision-cache entry, if any.
+    /// The §7 decision-cache entry: incoming, then as the group's misses
+    /// rewrite it.
     cached: Option<(RelayOption, SimTime)>,
+    /// The oracle and the prediction-only strawman decide once per (pair,
+    /// window), from the pair's exemplar call: ground truth and predictions
+    /// are both constant between refit barriers, and the memo is keyed by
+    /// the same granularity KeyPair as every learning strategy. (Keying the
+    /// oracle by raw AS pair would hand it finer spatial resolution than the
+    /// Figure 17a granularity sweep grants the contenders.)
+    memo: Option<RelayOption>,
+}
+
+/// What every step of one window's shard loops reads.
+struct WindowCtx<'w> {
+    plan: &'w Plan,
+    window: Window,
+    predictor: Option<&'w Predictor>,
+    /// The gate pass's verdicts, one per call of `batch`: true is "forced
+    /// direct".
+    gated: Option<&'w [bool]>,
+    /// The window's calls; every call index in a [`PairGroup`] or a
+    /// [`ShardResult`] is relative to this.
+    batch: &'w [CallRecord],
+    ids: &'w HotIds,
 }
 
 /// What one shard hands back at the window barrier.
+#[derive(Default)]
 struct ShardResult {
     /// (batch-relative index, outcome) for every call the shard carried.
     outcomes: Vec<(usize, CallOutcome)>,
     /// The window's history cells (disjoint: a pair lives on exactly one
     /// shard), each pair group's contiguous.
     history: Vec<GroupedCell>,
-    /// Demand exemplars observed (pair → first call's AS endpoints).
+    /// Demand exemplars observed (pair → first call's AS endpoints), for
+    /// the active-measurement planner; empty when it is off.
     demands: Vec<(KeyPair, (AsId, AsId))>,
     /// §7 decision-cache entries written this window.
     cache_updates: Vec<(KeyPair, (RelayOption, SimTime))>,
@@ -785,70 +809,6 @@ impl<'a> ReplaySim<'a> {
         }
     }
 
-    /// Realizes a call over an option with common random numbers: the seed
-    /// derivation depends only on `(call, option)`, so the draws are
-    /// bit-identical however often and wherever the realization happens.
-    /// The scratch memoizes segment means shared between the options a call
-    /// evaluates at one instant (chosen vs. direct baseline, racing sets).
-    fn realize_with(
-        &self,
-        call: &CallRecord,
-        option: RelayOption,
-        sample: &mut via_netsim::SampleScratch,
-    ) -> PathMetrics {
-        let mut rng = StdRng::seed_from_u64(self.realize_stream(call, option));
-        let path = self.world.perf().sample_option_scratch(
-            call.src_as,
-            call.dst_as,
-            option,
-            call.t,
-            &mut rng,
-            sample,
-        );
-        call.access_extra.apply(&path)
-    }
-
-    /// Realization stream seed for `(call, option)` — `derive_indexed(seed,
-    /// "realize", …)` with the label fold hoisted into `realize_base`.
-    fn realize_stream(&self, call: &CallRecord, option: RelayOption) -> u64 {
-        seed::derive_indexed_from(
-            self.realize_base,
-            (u64::from(call.id.0) << 34) ^ option.stable_code(),
-        )
-    }
-
-    /// Realizes a call over `option` together with a common-random-numbers
-    /// direct-path baseline, from the *same* realization stream and the same
-    /// noise draws (see [`via_netsim::PerfModel::sample_option_paired_from_parts`]).
-    /// The first result is bit-identical to [`ReplaySim::realize_with`] for
-    /// `option`; the second is the direct path under the call's own luck —
-    /// the MOS-delta baseline, at the cost of stack math over `parts` only.
-    /// `parts` must cover `(call.src_as, call.dst_as, call.t.day())` for the
-    /// direct path — the shard loop caches it per pair group so the baseline
-    /// never touches a memo map on the per-call path.
-    fn realize_paired(
-        &self,
-        call: &CallRecord,
-        option: RelayOption,
-        parts: &via_netsim::PathDayParts,
-        sample: &mut via_netsim::SampleScratch,
-    ) -> (PathMetrics, PathMetrics) {
-        let mut rng = StdRng::seed_from_u64(self.realize_stream(call, option));
-        let (chosen, direct) = self.world.perf().sample_option_paired_from_parts(
-            call.src_as,
-            call.dst_as,
-            option,
-            parts,
-            call.t,
-            &mut rng,
-            sample,
-        );
-        (
-            call.access_extra.apply(&chosen),
-            call.access_extra.apply(&direct),
-        )
-    }
-
     /// Per-call decision RNG, derived from the call's trace index: the
     /// stream a call sees is independent of every other call, so decisions
     /// are identical no matter which shard (or how many shards) carried it.
@@ -1077,7 +1037,6 @@ impl<'a> ReplaySim<'a> {
         let pred_cfg = *pred_cfg;
         let plan: &Plan = plan;
         let hot_ids: &HotIds = hot_ids;
-        let objective = self.cfg.objective;
         stats.windows += 1;
         let t_window = Stopwatch::started();
 
@@ -1179,6 +1138,7 @@ impl<'a> ReplaySim<'a> {
                     calls: Vec::new(),
                     state: None,
                     cached: decision_cache.get(&pair).copied(),
+                    memo: None,
                 });
                 groups.len() - 1
             });
@@ -1205,18 +1165,12 @@ impl<'a> ReplaySim<'a> {
                 crate::par::par_run_with(workers, tasks, worker_slots, |chunk, slot| {
                     for g in chunk {
                         if let Some(&i) = g.calls.first() {
-                            let call = &batch[i];
-                            let Scratch {
-                                topo, cand, arms, ..
-                            } = &mut slot.scratch;
-                            self.candidates_into(call.src_as, call.dst_as, topo, cand);
-                            let view = pred.pair(g.ka, g.kb);
-                            g.state = Some(PairArms::build(
+                            g.state = Some(self.build_arms(
                                 plan,
-                                |o| view.predict(o),
-                                cand,
-                                objective,
-                                arms,
+                                pred,
+                                (g.ka, g.kb),
+                                &batch[i],
+                                &mut slot.scratch,
                             ));
                         }
                     }
@@ -1269,14 +1223,18 @@ impl<'a> ReplaySim<'a> {
             .collect();
 
         // ---- parallel shard processing ---------------------------------
-        let gated_ref = gated.as_deref();
-        let pred_ref = predictor.as_ref();
+        let ctx = WindowCtx {
+            plan,
+            window,
+            predictor: predictor.as_ref(),
+            gated: gated.as_deref(),
+            batch,
+            ids: hot_ids,
+        };
         let t_shard = Stopwatch::started();
         let shard_results: Vec<ShardResult> =
             crate::par::par_run_with(workers, tasks, worker_slots, |task, slot| {
-                self.process_shard(
-                    plan, window, pred_ref, gated_ref, batch, task, hot_ids, slot,
-                )
+                self.process_shard(&ctx, task, slot)
             });
         stats.shard_ms += t_shard.elapsed_ms();
 
@@ -1384,336 +1342,386 @@ impl<'a> ReplaySim<'a> {
         }
     }
 
-    /// Replays one shard's pair groups for one window. Everything a pair
-    /// touches — its bandit, decision-cache entry, oracle memo, history
-    /// cells — lives on this shard alone, so the per-pair computation is
-    /// identical to a sequential walk of the same calls.
-    #[allow(clippy::too_many_arguments)] // internal fork–join entry point
-    fn process_shard(
+    /// Stage 3 of Algorithm 1 for one pair group: enumerates its exemplar
+    /// call's candidates, resolves the pair's predictions once and builds
+    /// the arms. A pure function of (predictor, group), so the gate pass and
+    /// a shard's first miss build the same arms.
+    fn build_arms(
         &self,
         plan: &Plan,
-        window: Window,
-        predictor: Option<&Predictor>,
-        gated: Option<&[bool]>,
-        batch: &[CallRecord],
+        pred: &Predictor,
+        (ka, kb): (u32, u32),
+        exemplar: &CallRecord,
+        scratch: &mut Scratch,
+    ) -> PairArms {
+        let Scratch {
+            topo, cand, arms, ..
+        } = scratch;
+        self.candidates_into(exemplar.src_as, exemplar.dst_as, topo, cand);
+        let view = pred.pair(ka, kb);
+        PairArms::build(plan, |o| view.predict(o), cand, self.cfg.objective, arms)
+    }
+
+    /// Replays one shard's pair groups for one window: decide, realize,
+    /// record, call by call. Everything a pair touches — its bandit,
+    /// decision-cache entry, oracle memo, history cells — lives on this
+    /// shard alone, so the per-pair computation is identical to a sequential
+    /// walk of the same calls.
+    fn process_shard(
+        &self,
+        ctx: &WindowCtx<'_>,
         work: Vec<PairGroup>,
-        ids: &HotIds,
         slot: &mut WorkerSlot,
     ) -> ShardResult {
-        let objective = self.cfg.objective;
-        let track = plan.learns();
-        // The MOS-delta histogram needs an extra direct-path realization per
-        // relayed call; that cost is only paid when metrics are collected.
-        // Everything else records unconditionally into the slot-indexed hot
-        // sink (a plain array bump) and is folded — or discarded — at the
-        // window barrier.
-        let want_mos = self.cfg.metrics;
-        // Batch-relative view of the window's calls (PairGroup indices are
-        // batch-relative too, whichever driver produced them).
-        let records = batch;
-        // Worker-local scratch and hot sink, reused across every call on
-        // this shard and across windows (split borrows so the decision arms
-        // can hold `scratch` and `hot` mutably at the same time).
-        let WorkerSlot {
-            hot,
-            scratch,
-            sample,
-        } = slot;
-        let mut out = ShardResult {
-            outcomes: Vec::new(),
-            history: Vec::new(),
-            demands: Vec::new(),
-            cache_updates: Vec::new(),
-            contacts: 0,
-            race_probes: 0,
-        };
-
+        let mut out = ShardResult::default();
+        let probing = ctx.plan.learns() && self.cfg.active_probes_per_window > 0;
         for mut g in work {
             // Where this group's history cells start.
-            let group_cells = out.history.len();
-            let mut state = g.state.take();
-            let mut cached = g.cached;
-            let mut cache_dirty = false;
-            // The oracle and the prediction-only strawman decide once per
-            // (pair, window), from the pair's exemplar call: ground truth
-            // and predictions are both constant between refit barriers, and
-            // the memo is keyed by the same granularity KeyPair as every
-            // learning strategy. (Keying the oracle by raw AS pair would hand
-            // it finer spatial resolution than the Figure 17a granularity
-            // sweep grants the contenders.)
-            let mut memo: Option<RelayOption> = None;
-            // Direct-path day parts for the MOS-delta baseline, captured on
-            // the first relayed call and reused across the group (same pair,
-            // and windows stay within a day in every stock config). Coarse
-            // pair granularities can mix AS endpoints inside one group, so
-            // reuse is guarded by `covers` — a mismatch just recaptures.
-            let mut direct_parts: Option<via_netsim::PathDayParts> = None;
-            if track {
-                if let Some(&first) = g.calls.first() {
-                    let c = &records[first];
+            let cells_at = out.history.len();
+            let incoming = g.cached;
+            let calls = std::mem::take(&mut g.calls);
+            if probing {
+                if let Some(&first) = calls.first() {
+                    let c = &ctx.batch[first];
                     out.demands.push((g.pair, (c.src_as, c.dst_as)));
                 }
             }
 
-            for &i in &g.calls {
-                let call = &records[i];
-                let option = match plan.source {
-                    Source::Direct => RelayOption::Direct,
-                    // The candidate scan shares segment means through
-                    // `sample`, so one evaluation touches each distinct
-                    // segment once instead of once per option.
-                    Source::Oracle => *memo.get_or_insert_with(|| {
-                        hot.inc(ids.oracle_evals, 1);
-                        let t_eval = window.start() + window.len.secs() / 2;
-                        let (src, dst) = (call.src_as, call.dst_as);
-                        self.cheapest(call, scratch, |opt| {
-                            self.world
-                                .perf()
-                                .option_mean_scratch(src, dst, opt, t_eval, sample)[objective]
-                        })
-                    }),
-                    // `learns()` guarantees a predictor for the two sources
-                    // below; a defensive `None` (cold controller) falls back
-                    // to the direct path instead of panicking.
-                    Source::BestPrediction => match predictor {
-                        None => RelayOption::Direct,
-                        Some(pred) => *memo.get_or_insert_with(|| {
-                            let view = pred.pair(g.ka, g.kb);
-                            self.cheapest(call, scratch, |opt| view.predict(opt).mean(objective))
-                        }),
-                    },
-                    Source::Arms => match (cached, predictor) {
-                        // §7 decision cache: the client reuses a cached
-                        // controller decision until it expires; only misses
-                        // consult the selection stack. (Entries exist only
-                        // under a caching plan.)
-                        (Some((opt, expires)), _) if call.t < expires => {
-                            hot.inc(ids.cache_hits, 1);
-                            opt
-                        }
-                        (_, None) => {
-                            scratch.set.clear();
-                            RelayOption::Direct
-                        }
-                        (_, Some(pred)) => {
-                            let Scratch {
-                                topo,
-                                cand,
-                                arms,
-                                set,
-                                ..
-                            } = &mut *scratch;
-                            if plan.cache_ttl_secs.is_some() {
-                                out.contacts += 1;
-                                hot.inc(ids.cache_misses, 1);
-                            }
-                            if state.is_none() {
-                                self.candidates_into(call.src_as, call.dst_as, topo, cand);
-                            }
-                            let st = state.get_or_insert_with(|| {
-                                let view = pred.pair(g.ka, g.kb);
-                                PairArms::build(plan, |o| view.predict(o), cand, objective, arms)
-                            });
-                            let option = if let Some(width) = plan.race {
-                                // §7 hybrid racing: race the leading arms in
-                                // parallel at call setup and keep the best.
-                                // The race multiplies setup traffic by its
-                                // width; `race_probes` tracks that overhead.
-                                // Realize is deterministic per (call,
-                                // option), so realizing each racer once and
-                                // comparing is both the cheap and the
-                                // correct form.
-                                let mut probes = 0u64;
-                                let best = st
-                                    .options()
-                                    .take(width)
-                                    .map(|o| {
-                                        probes += 1;
-                                        (self.realize_with(call, o, sample)[objective], o)
-                                    })
-                                    .min_by(|a, b| a.0.total_cmp(&b.0));
-                                out.race_probes += probes;
-                                hot.inc(ids.race_probes, probes);
-                                best.map_or(RelayOption::Direct, |(_, o)| o)
-                            } else {
-                                // Budget verdicts were computed in the
-                                // sequential gate pass; they arrive as
-                                // per-call flags. General exploration
-                                // re-enumerates the call's own candidates.
-                                let d = st.decide(
-                                    plan,
-                                    gated.is_some_and(|flags| flags[i]),
-                                    self.cfg.epsilon,
-                                    || self.call_rng(call),
-                                    || {
-                                        self.candidates_into(call.src_as, call.dst_as, topo, cand);
-                                        cand
-                                    },
-                                    set,
-                                );
-                                if !d.gated && plan.explore != Explore::Off {
-                                    let id = if d.explored {
-                                        ids.explore_epsilon
-                                    } else {
-                                        ids.bandit_pulls
-                                    };
-                                    hot.inc(id, 1);
-                                }
-                                d.option
-                            };
-                            if let Some(ttl) = plan.cache_ttl_secs {
-                                cached = Some((option, call.t + ttl));
-                                cache_dirty = true;
-                            }
-                            option
-                        }
-                    },
-                };
-
-                // The paired realize returns the chosen metrics bit-identical
-                // to `realize_with` plus a CRN direct baseline from the same
-                // draws, so enabling metrics cannot change call outcomes.
-                let multi = scratch.set.len() > 1;
-                let (metrics, direct) = if multi {
-                    // Multipath: realize every path in the set under its own
-                    // CRN stream, then merge receiver-side. The per-path
-                    // triples stay in scratch for semi-bandit feedback; the
-                    // merged effective triple is what the call records.
-                    scratch.set_specs.clear();
-                    scratch.set_metrics.clear();
-                    for idx in 0..scratch.set.len() {
-                        let o = scratch.set[idx];
-                        let m = self.realize_with(call, o, sample);
-                        scratch.set_metrics.push(m);
-                        scratch.set_specs.push(PathSpec::alive(m, o.stable_code()));
-                    }
-                    let mmode = match plan.merge {
-                        MultipathMode::Stripe => MergeMode::Stripe,
-                        MultipathMode::Duplicate => MergeMode::Duplicate,
-                    };
-                    // The merge stream is keyed by the call and the set's
-                    // composition (the XOR fold is order-invariant), on a
-                    // label distinct from every per-path realize stream.
-                    let fold = scratch
-                        .set
-                        .iter()
-                        .fold(0u64, |a, o| a ^ seed::splitmix64(o.stable_code()));
-                    let merge_seed = seed::derive_indexed(
-                        self.realize_base,
-                        "multipath-merge",
-                        (u64::from(call.id.0) << 34) ^ fold,
-                    );
-                    let report = simulate_set(
-                        &scratch.set_specs,
-                        mmode,
-                        &MULTIPATH_MERGE,
-                        merge_seed,
-                        &mut scratch.merge_buf,
-                    );
-                    hot.inc(ids.multipath_extra_paths, scratch.set.len() as u64 - 1);
-                    hot.inc(ids.multipath_dedup_drops, report.dedup_drops);
-                    hot.inc(ids.multipath_failovers, report.failovers);
-                    let merged = report.effective;
-                    let direct = if want_mos {
-                        self.realize_with(call, RelayOption::Direct, sample)
-                    } else {
-                        merged
-                    };
-                    (merged, direct)
-                } else if want_mos && option != RelayOption::Direct {
-                    let day = call.t.day();
-                    let parts = match &mut direct_parts {
-                        Some(p) if p.covers(call.src_as, call.dst_as, day) => p,
-                        slot => slot.insert(self.world.perf().path_day_parts_scratch(
-                            call.src_as,
-                            call.dst_as,
-                            RelayOption::Direct,
-                            day,
-                            sample,
-                        )),
-                    };
-                    self.realize_paired(call, option, parts, sample)
-                } else {
-                    let m = self.realize_with(call, option, sample);
-                    (m, m)
-                };
-
-                hot.inc(ids.calls, 1);
-                hot.inc(
-                    if option == RelayOption::Direct {
-                        ids.opt_direct
-                    } else if option.is_bounce() {
-                        ids.opt_bounce
-                    } else {
-                        ids.opt_transit
-                    },
-                    1,
-                );
-                hot.observe(ids.rtt, metrics[Metric::Rtt]);
-                if want_mos {
-                    // MOS delta against the direct path under the call's own
-                    // noise draws (a direct pick is its own baseline, so the
-                    // delta is exactly zero).
-                    hot.observe(
-                        ids.mos_delta,
-                        via_quality::mos(&metrics) - via_quality::mos(&direct),
-                    );
-                }
-                // Regret proxy vs the predictor's best arm; only meaningful
-                // for arms scored by a real predictor (best mean > 0 —
-                // unscored arms report 0).
-                if let Some(best) = state.as_ref().map(PairArms::best_mean) {
-                    if best > 0.0 && best.is_finite() {
-                        hot.observe(ids.regret, (metrics[objective] - best).max(0.0));
-                    }
-                }
-
-                if track {
-                    // Semi-bandit feedback (CUCB): every played path feeds
-                    // its own realization back to its own arm and to the
-                    // shared history, not the merged stream's triple.
-                    let mut feed = |o: RelayOption, m: &PathMetrics| {
-                        record_grouped(&mut out.history, group_cells, g.pair, o, m);
-                        if let Some(st) = state.as_mut() {
-                            st.learn(o, m[objective]);
-                        }
-                    };
-                    if multi {
-                        for (&o, m) in scratch.set.iter().zip(&scratch.set_metrics) {
-                            feed(o, m);
-                        }
-                    } else {
-                        feed(option, &metrics);
-                    }
-                }
-
-                out.outcomes.push((
-                    i,
-                    CallOutcome {
-                        call_index: call.id.0,
-                        option,
-                        metrics,
-                    },
-                ));
+            for i in calls {
+                let option = self.decide(ctx, &mut g, i, slot, &mut out);
+                let realized = self.realize(ctx, &ctx.batch[i], option, slot);
+                self.record(ctx, &mut g, cells_at, i, option, realized, slot, &mut out);
             }
 
             // One CI-width sample per selected arm per (pair, window) with a
             // predictor-built state — recorded at group end, after the state
-            // was built (eagerly by the gate pass or lazily above), so the
-            // stream is identical however the groups were sharded.
-            if let Some(st) = state.as_ref() {
+            // was built (eagerly by the gate pass or lazily by a miss), so
+            // the stream is identical however the groups were sharded.
+            if let Some(st) = g.state.as_ref() {
                 for &w in st.ci_widths() {
-                    hot.observe(ids.ci_width, w);
+                    slot.hot.observe(ctx.ids.ci_width, w);
                 }
             }
-
-            if cache_dirty {
-                if let Some(entry) = cached {
+            // Entries exist only under a caching plan, and only a miss
+            // rewrites one.
+            if g.cached != incoming {
+                if let Some(entry) = g.cached {
                     out.cache_updates.push((g.pair, entry));
                 }
             }
         }
         out
+    }
+
+    /// Algorithm 1 stage 4 for call `i` of group `g`: the option it takes.
+    /// The arms of a plan with several paths leave the whole set, primary
+    /// first, in `slot.scratch.set`; every other decision leaves at most one
+    /// option there.
+    ///
+    /// Kept out of line: inlined into the shard loop, an edit to selection
+    /// re-lays the realize and record code the `Default` strategy runs, and
+    /// `stream-default-vbt` has moved −4 % and +2.8 % that way with no source
+    /// change on its path (PRs 14, 18).
+    #[inline(never)]
+    fn decide(
+        &self,
+        ctx: &WindowCtx<'_>,
+        g: &mut PairGroup,
+        i: usize,
+        slot: &mut WorkerSlot,
+        out: &mut ShardResult,
+    ) -> RelayOption {
+        let WindowCtx {
+            plan, window, ids, ..
+        } = *ctx;
+        let objective = self.cfg.objective;
+        let call = &ctx.batch[i];
+        match plan.source {
+            Source::Direct => RelayOption::Direct,
+            // The candidate scan shares segment means through the sample
+            // scratch, so one evaluation touches each distinct segment once
+            // instead of once per option.
+            Source::Oracle => *g.memo.get_or_insert_with(|| {
+                slot.hot.inc(ids.oracle_evals, 1);
+                let t_eval = window.start() + window.len.secs() / 2;
+                let (src, dst) = (call.src_as, call.dst_as);
+                let sample = &mut slot.sample;
+                self.cheapest(call, &mut slot.scratch, |opt| {
+                    self.world
+                        .perf()
+                        .option_mean_scratch(src, dst, opt, t_eval, sample)[objective]
+                })
+            }),
+            // `learns()` guarantees a predictor for the two sources below; a
+            // defensive `None` (cold controller) falls back to the direct
+            // path instead of panicking.
+            Source::BestPrediction => match ctx.predictor {
+                None => RelayOption::Direct,
+                Some(pred) => *g.memo.get_or_insert_with(|| {
+                    let view = pred.pair(g.ka, g.kb);
+                    self.cheapest(call, &mut slot.scratch, |opt| {
+                        view.predict(opt).mean(objective)
+                    })
+                }),
+            },
+            Source::Arms => match (g.cached, ctx.predictor) {
+                // §7 decision cache: the client reuses a cached controller
+                // decision until it expires; only misses consult the
+                // selection stack. (Entries exist only under a caching plan.)
+                (Some((opt, expires)), _) if call.t < expires => {
+                    slot.hot.inc(ids.cache_hits, 1);
+                    opt
+                }
+                (_, None) => {
+                    slot.scratch.set.clear();
+                    RelayOption::Direct
+                }
+                (_, Some(pred)) => {
+                    if plan.cache_ttl_secs.is_some() {
+                        out.contacts += 1;
+                        slot.hot.inc(ids.cache_misses, 1);
+                    }
+                    let keys = (g.ka, g.kb);
+                    let st = &*g.state.get_or_insert_with(|| {
+                        self.build_arms(plan, pred, keys, call, &mut slot.scratch)
+                    });
+                    let option = if let Some(width) = plan.race {
+                        // §7 hybrid racing: race the leading arms in parallel
+                        // at call setup and keep the best. The race
+                        // multiplies setup traffic by its width;
+                        // `race_probes` tracks that overhead. Realize is
+                        // deterministic per (call, option), so realizing each
+                        // racer once and comparing is both the cheap and the
+                        // correct form.
+                        let mut probes = 0u64;
+                        let best = st
+                            .options()
+                            .take(width)
+                            .map(|o| {
+                                probes += 1;
+                                (self.realize(ctx, call, o, slot).0[objective], o)
+                            })
+                            .min_by(|a, b| a.0.total_cmp(&b.0));
+                        out.race_probes += probes;
+                        slot.hot.inc(ids.race_probes, probes);
+                        best.map_or(RelayOption::Direct, |(_, o)| o)
+                    } else {
+                        // Budget verdicts were computed in the sequential
+                        // gate pass; they arrive as per-call flags. General
+                        // exploration re-enumerates the call's own
+                        // candidates.
+                        let Scratch {
+                            topo, cand, set, ..
+                        } = &mut slot.scratch;
+                        let d = st.decide(
+                            plan,
+                            ctx.gated.is_some_and(|flags| flags[i]),
+                            self.cfg.epsilon,
+                            || self.call_rng(call),
+                            || {
+                                self.candidates_into(call.src_as, call.dst_as, topo, cand);
+                                cand
+                            },
+                            set,
+                        );
+                        if !d.gated && plan.explore != Explore::Off {
+                            let id = if d.explored {
+                                ids.explore_epsilon
+                            } else {
+                                ids.bandit_pulls
+                            };
+                            slot.hot.inc(id, 1);
+                        }
+                        d.option
+                    };
+                    if let Some(ttl) = plan.cache_ttl_secs {
+                        g.cached = Some((option, call.t + ttl));
+                    }
+                    option
+                }
+            },
+        }
+    }
+
+    /// Realizes a decided call with common random numbers: each path's
+    /// stream is seeded from `(call, path)` alone — `derive_indexed(seed,
+    /// "realize", …)` with the label fold hoisted into `realize_base` — so
+    /// its draws are bit-identical however often and wherever it is
+    /// realized, and the sample scratch memoizes the segment means the
+    /// paths of one instant share. Returns the call's metrics and its
+    /// direct-path baseline.
+    ///
+    /// The baseline feeds only the MOS-delta histogram, so it is drawn only
+    /// when metrics are collected (it is the metrics themselves otherwise):
+    /// for a relayed single path from the call's own noise draws (see
+    /// [`via_netsim::PerfModel::sample_option_paired`] — the chosen metrics
+    /// stay bit-identical, so enabling metrics cannot change an outcome),
+    /// for a merged path set from the direct path's own stream.
+    fn realize(
+        &self,
+        ctx: &WindowCtx<'_>,
+        call: &CallRecord,
+        option: RelayOption,
+        slot: &mut WorkerSlot,
+    ) -> (PathMetrics, PathMetrics) {
+        let WorkerSlot {
+            hot,
+            scratch,
+            sample,
+        } = slot;
+        let perf = self.world.perf();
+        let (src, dst, t) = (call.src_as, call.dst_as, call.t);
+        let stream = |o: RelayOption| {
+            StdRng::seed_from_u64(seed::derive_indexed_from(
+                self.realize_base,
+                (u64::from(call.id.0) << 34) ^ o.stable_code(),
+            ))
+        };
+        let mut one = |o: RelayOption| {
+            let path = perf.sample_option_scratch(src, dst, o, t, &mut stream(o), sample);
+            call.access_extra.apply(&path)
+        };
+        if scratch.set.len() > 1 {
+            // Multipath: realize every path in the set under its own CRN
+            // stream, then merge receiver-side. The per-path triples stay in
+            // scratch for semi-bandit feedback; the merged effective triple
+            // is what the call records.
+            scratch.set_specs.clear();
+            scratch.set_metrics.clear();
+            for &o in &scratch.set {
+                let m = one(o);
+                scratch.set_metrics.push(m);
+                scratch.set_specs.push(PathSpec::alive(m, o.stable_code()));
+            }
+            let mmode = match ctx.plan.merge {
+                MultipathMode::Stripe => MergeMode::Stripe,
+                MultipathMode::Duplicate => MergeMode::Duplicate,
+            };
+            // The merge stream is keyed by the call and the set's
+            // composition (the XOR fold is order-invariant), on a label
+            // distinct from every per-path realize stream.
+            let fold = scratch
+                .set
+                .iter()
+                .fold(0u64, |a, o| a ^ seed::splitmix64(o.stable_code()));
+            let merge_seed = seed::derive_indexed(
+                self.realize_base,
+                "multipath-merge",
+                (u64::from(call.id.0) << 34) ^ fold,
+            );
+            let report = simulate_set(
+                &scratch.set_specs,
+                mmode,
+                &MULTIPATH_MERGE,
+                merge_seed,
+                &mut scratch.merge_buf,
+            );
+            let ids = ctx.ids;
+            hot.inc(ids.multipath_extra_paths, scratch.set.len() as u64 - 1);
+            hot.inc(ids.multipath_dedup_drops, report.dedup_drops);
+            hot.inc(ids.multipath_failovers, report.failovers);
+            let merged = report.effective;
+            let direct = if self.cfg.metrics {
+                one(RelayOption::Direct)
+            } else {
+                merged
+            };
+            (merged, direct)
+        } else if self.cfg.metrics && option != RelayOption::Direct {
+            let (chosen, direct) = perf.sample_option_paired(
+                src,
+                dst,
+                option,
+                RelayOption::Direct,
+                t,
+                &mut stream(option),
+                sample,
+            );
+            (
+                call.access_extra.apply(&chosen),
+                call.access_extra.apply(&direct),
+            )
+        } else {
+            let m = one(option);
+            (m, m)
+        }
+    }
+
+    /// Books a realized call: the hot metrics (recorded unconditionally — a
+    /// plain array bump — and folded or discarded at the window barrier),
+    /// the feedback to the pair's arms and history cells, and the outcome.
+    #[allow(clippy::too_many_arguments)] // the shard loop's third step
+    fn record(
+        &self,
+        ctx: &WindowCtx<'_>,
+        g: &mut PairGroup,
+        cells_at: usize,
+        i: usize,
+        option: RelayOption,
+        (metrics, direct): (PathMetrics, PathMetrics),
+        slot: &mut WorkerSlot,
+        out: &mut ShardResult,
+    ) {
+        let WorkerSlot { hot, scratch, .. } = slot;
+        let ids = ctx.ids;
+        let objective = self.cfg.objective;
+        hot.inc(ids.calls, 1);
+        hot.inc(
+            if option == RelayOption::Direct {
+                ids.opt_direct
+            } else if option.is_bounce() {
+                ids.opt_bounce
+            } else {
+                ids.opt_transit
+            },
+            1,
+        );
+        hot.observe(ids.rtt, metrics[Metric::Rtt]);
+        if self.cfg.metrics {
+            // MOS delta against the direct path under the call's own noise
+            // draws (a direct pick is its own baseline, so the delta is
+            // exactly zero).
+            hot.observe(
+                ids.mos_delta,
+                via_quality::mos(&metrics) - via_quality::mos(&direct),
+            );
+        }
+        // Regret proxy vs the predictor's best arm; only meaningful for arms
+        // scored by a real predictor (best mean > 0 — unscored arms report
+        // 0).
+        if let Some(best) = g.state.as_ref().map(PairArms::best_mean) {
+            if best > 0.0 && best.is_finite() {
+                hot.observe(ids.regret, (metrics[objective] - best).max(0.0));
+            }
+        }
+
+        if ctx.plan.learns() {
+            // Semi-bandit feedback (CUCB): every played path feeds its own
+            // realization back to its own arm and to the shared history, not
+            // the merged stream's triple.
+            let mut feed = |o: RelayOption, m: &PathMetrics| {
+                record_grouped(&mut out.history, cells_at, g.pair, o, m);
+                if let Some(st) = g.state.as_mut() {
+                    st.learn(o, m[objective]);
+                }
+            };
+            if scratch.set.len() > 1 {
+                for (&o, m) in scratch.set.iter().zip(&scratch.set_metrics) {
+                    feed(o, m);
+                }
+            } else {
+                feed(option, &metrics);
+            }
+        }
+
+        out.outcomes.push((
+            i,
+            CallOutcome {
+                call_index: ctx.batch[i].id.0,
+                option,
+                metrics,
+            },
+        ));
     }
 
     /// The controller's static knowledge of inter-relay performance (§3.2),

@@ -46,6 +46,6 @@ pub mod topology;
 
 pub use config::{PerfKnobs, WorldConfig};
 pub use geo::GeoPoint;
-pub use perf::{PathDayParts, PerfModel, SampleScratch};
+pub use perf::{PerfModel, SampleScratch};
 pub use segments::{SegMetrics, Segment, SegmentPath, Stability};
 pub use topology::{AsInfo, CandidateScratch, Country, Relay, World};

@@ -358,94 +358,6 @@ impl PerfModel {
         })
     }
 
-    /// Captures one path's day-scoped latent parts: the day state of every
-    /// segment plus the hop count. A caller that realizes many calls of the
-    /// same `(src, dst)` pair within one simulated day (the replay engine's
-    /// pair groups) can hold this on the stack and get each call's path
-    /// mean from [`PerfModel::mean_from_parts_scratch`] without touching
-    /// any slot table.
-    ///
-    /// Segments already in the scratch's day memo are served from it (the
-    /// access legs of an active pair are almost always resident, kept
-    /// current by the chosen-path realizes); only the rest — typically just
-    /// the pair-specific WAN segment — fall back to the slot tables. Misses
-    /// are *not* inserted into the memo: quadratically-keyed segments
-    /// captured once per pair group would bloat it past cache residency and
-    /// slow every chosen-path probe. Values are bit-identical either way —
-    /// memo entries are themselves `seg_day_state` captures for the same day.
-    pub fn path_day_parts_scratch(
-        &self,
-        src: AsId,
-        dst: AsId,
-        option: RelayOption,
-        day: u64,
-        scratch: &SampleScratch,
-    ) -> PathDayParts {
-        let path = self.segments_of(src, dst, option);
-        let mut segs = [SegDayState::default(); SegmentPath::MAX];
-        for (slot, seg) in segs.iter_mut().zip(path.segments()) {
-            *slot = match scratch.day_states.get(seg) {
-                Some(ds) if ds.day == day => *ds,
-                _ => self.seg_day_state(*seg, day),
-            };
-        }
-        PathDayParts {
-            src,
-            dst,
-            day,
-            path,
-            segs,
-        }
-    }
-
-    /// The path mean at instant `t` from captured day parts — bit-identical
-    /// to [`PerfModel::option_mean_scratch`] for the same path and day: the
-    /// same per-segment formula ([`PerfModel::mean_from_day`]), the same
-    /// left-folded chain, the same hop-cost expression.
-    fn mean_from_parts(&self, parts: &PathDayParts, t: SimTime) -> PathMetrics {
-        let mut acc = SegMetrics::default();
-        for s in &parts.segs[..parts.path.segments().len()] {
-            acc = acc.chain(&self.mean_from_day(s, t));
-        }
-        PathMetrics::new(
-            acc.rtt_ms + parts.path.hops() as f64 * self.knobs.relay_hop_cost_ms,
-            acc.loss_pct,
-            acc.jitter_ms,
-        )
-    }
-
-    /// The path mean at instant `t` from captured day parts, serving
-    /// segments already in the scratch's *instant* memo. When the chosen
-    /// path of the same call was scored first at the same `t`, the pair's
-    /// two access legs are memo hits, so a direct-path baseline mean costs
-    /// one `mean_from_day` (the pair's WAN leg) plus the chain. Memo entries
-    /// at instant `t` are `mean_from_day` results over same-day captures of
-    /// the same segment, so hits are bit-identical to the recompute they
-    /// replace.
-    pub fn mean_from_parts_scratch(
-        &self,
-        parts: &PathDayParts,
-        t: SimTime,
-        scratch: &SampleScratch,
-    ) -> PathMetrics {
-        if scratch.t != Some(t) {
-            return self.mean_from_parts(parts, t);
-        }
-        let mut acc = SegMetrics::default();
-        for (seg, s) in parts.path.segments().iter().zip(&parts.segs) {
-            let m = match scratch.seg_means.get(seg) {
-                Some(m) => *m,
-                None => self.mean_from_day(s, t),
-            };
-            acc = acc.chain(&m);
-        }
-        PathMetrics::new(
-            acc.rtt_ms + parts.path.hops() as f64 * self.knobs.relay_hop_cost_ms,
-            acc.loss_pct,
-            acc.jitter_ms,
-        )
-    }
-
     /// The time-of-day half of [`PerfModel::segment_mean`]: pure stack math
     /// over a captured [`SegDayState`]. The single home of the mean formula
     /// — every caller goes through here, so cached day states are
@@ -548,8 +460,8 @@ impl PerfModel {
         t: SimTime,
         rng: &mut StdRng,
     ) -> PathMetrics {
-        let mean = self.option_mean(src, dst, option, t);
-        self.noise_around(mean, rng)
+        let [call] = self.noise_around([self.option_mean(src, dst, option, t)], rng);
+        call
     }
 
     /// Like [`PerfModel::sample_option`] but reusing per-time segment means
@@ -567,7 +479,8 @@ impl PerfModel {
         scratch: &mut SampleScratch,
     ) -> PathMetrics {
         let mean = self.option_mean_scratch(src, dst, option, t, scratch);
-        self.noise_around(mean, rng)
+        let [call] = self.noise_around([mean], rng);
+        call
     }
 
     /// Like [`PerfModel::option_mean`] but memoizing segment means in
@@ -618,131 +531,65 @@ impl PerfModel {
     }
 
     /// Draws one realized call over `option` together with a
-    /// common-random-numbers baseline realization of the path `parts`
-    /// captured, at the same instant and from one set of noise draws.
+    /// common-random-numbers realization of `baseline` between the same
+    /// endpoints, at the same instant and from one set of noise draws.
     ///
     /// The first returned value is draw-for-draw and bit-for-bit identical
     /// to [`PerfModel::sample_option_scratch`] for `option` — mixing this
     /// API into a replay cannot change any call outcome or the RNG stream.
     /// The second applies the *same* multiplicative RTT/jitter factors, the
     /// same scale-free gamma loss parts and the same spike event to the
-    /// baseline's mean, so the pair differs only through the two path means.
-    /// That is the textbook CRN pairing — the baseline shares the call's own
-    /// luck instead of drawing an independent realization — and it makes a
-    /// per-call quality-delta baseline cost segment-mean math only, with no
-    /// extra transcendental noise draws.
-    ///
-    /// The baseline's day parts come from the caller so hot loops amortize
-    /// its latent state across many calls of one pair (see
-    /// [`PerfModel::path_day_parts_scratch`]). The chosen path is scored
-    /// *first* so the baseline's mean can serve the pair's shared access
-    /// legs from the instant memo ([`PerfModel::mean_from_parts_scratch`]).
-    /// Mean order doesn't touch the RNG, and `parts` reproduces
-    /// `option_mean_scratch` of the captured path exactly.
+    /// baseline's mean, so the pair differs only through the two path means:
+    /// the baseline shares the call's own luck instead of drawing an
+    /// independent realization. `option` is scored first, so the access legs
+    /// the two paths share are instant-memo hits for the baseline.
     #[allow(clippy::too_many_arguments)] // the paired hot-path entry point
-    pub fn sample_option_paired_from_parts(
+    pub fn sample_option_paired(
         &self,
         src: AsId,
         dst: AsId,
         option: RelayOption,
-        parts: &PathDayParts,
+        baseline: RelayOption,
         t: SimTime,
         rng: &mut StdRng,
         scratch: &mut SampleScratch,
     ) -> (PathMetrics, PathMetrics) {
         let chosen = self.option_mean_scratch(src, dst, option, t, scratch);
-        let base = self.mean_from_parts_scratch(parts, t, scratch);
-        self.noise_around_paired(chosen, base, rng)
+        let base = self.option_mean_scratch(src, dst, baseline, t, scratch);
+        let [chosen, base] = self.noise_around([chosen, base], rng);
+        (chosen, base)
     }
 
-    /// CRN-paired form of [`PerfModel::noise_around`]: one set of draws,
-    /// applied to both means. The `chosen` result must stay bit-identical to
-    /// `noise_around(chosen, rng)` — every expression applied to `chosen`
-    /// below mirrors that path exactly, including the gamma fallback
-    /// branches and the left-associated `dv * scale * boost` order.
-    fn noise_around_paired(
+    /// The per-call noise model: unit-mean lognormal factors on RTT and
+    /// jitter, Gamma loss, transient spikes. Drawn once, around `means[0]`,
+    /// and applied to every mean — with one mean this is a call's
+    /// realization, with two the second is its common-random-numbers
+    /// baseline. The draw sequence never depends on `N`.
+    fn noise_around<const N: usize>(
         &self,
-        chosen: PathMetrics,
-        baseline: PathMetrics,
+        means: [PathMetrics; N],
         rng: &mut StdRng,
-    ) -> (PathMetrics, PathMetrics) {
+    ) -> [PathMetrics; N] {
         let k = &self.knobs;
 
         let rtt_noise = self.rtt_noise.map_or(1.0, |d| d.sample(rng));
         let jitter_noise = self.jitter_noise.map_or(1.0, |d| d.sample(rng));
 
-        let (loss, base_loss) = if chosen.loss_pct > 1e-9 {
-            match Gamma::new(k.call_loss_shape, chosen.loss_pct / k.call_loss_shape) {
-                Ok(d) => {
-                    // `Gamma::sample` is exactly `dv * scale * boost`; reusing
-                    // the scale-free parts under the baseline's scale is the
-                    // CRN share.
-                    let (dv, boost) = d.sample_parts(rng);
-                    let loss = dv * (chosen.loss_pct / k.call_loss_shape) * boost;
-                    let base_loss = if baseline.loss_pct > 1e-9 {
-                        dv * (baseline.loss_pct / k.call_loss_shape) * boost
-                    } else {
-                        0.0
-                    };
-                    (loss, base_loss)
-                }
-                // Degenerate shape knob: both sides fall back to their means,
-                // mirroring `noise_around`'s draw-free fallback.
-                Err(_) => (chosen.loss_pct, baseline.loss_pct),
-            }
-        } else {
-            // A loss-free chosen path draws no gamma, so there are no parts
-            // to share: the baseline keeps its spike-free mean loss.
-            (
-                0.0,
-                if baseline.loss_pct > 1e-9 {
-                    baseline.loss_pct
-                } else {
-                    0.0
-                },
-            )
-        };
-
-        let (spike_mult, spike_loss) = if rng.random::<f64>() < k.call_spike_prob {
-            (
-                rng.random_range(1.5..k.call_spike_mult.max(1.6)),
-                rng.random_range(0.5..3.0),
-            )
-        } else {
-            (1.0, 0.0)
-        };
-
-        (
-            PathMetrics::new(
-                chosen.rtt_ms * rtt_noise * spike_mult,
-                loss + spike_loss,
-                chosen.jitter_ms * jitter_noise * spike_mult,
-            ),
-            PathMetrics::new(
-                baseline.rtt_ms * rtt_noise * spike_mult,
-                base_loss + spike_loss,
-                baseline.jitter_ms * jitter_noise * spike_mult,
-            ),
-        )
-    }
-
-    /// Applies the per-call noise model around an option mean: RTT/jitter
-    /// noise from the prebuilt unit-mean lognormals, Gamma loss, transient
-    /// spikes. One code path shared by both sampling APIs so the draw
-    /// sequence is identical.
-    fn noise_around(&self, mean: PathMetrics, rng: &mut StdRng) -> PathMetrics {
-        let k = &self.knobs;
-
-        let rtt_noise = self.rtt_noise.map_or(1.0, |d| d.sample(rng));
-        let jitter_noise = self.jitter_noise.map_or(1.0, |d| d.sample(rng));
-
-        let loss = if mean.loss_pct > 1e-9 {
+        // A loss-free first mean draws no gamma. `Gamma::sample` is exactly
+        // `dv * scale * boost`; the scale-free parts under each mean's own
+        // scale are the shared draw.
+        let shape = k.call_loss_shape;
+        let lead = means[0].loss_pct;
+        let gamma =
+            (lead > 1e-9).then(|| Gamma::new(shape, lead / shape).map(|d| d.sample_parts(rng)));
+        let loss = |mean: f64| match gamma {
+            Some(Ok((dv, boost))) if mean > 1e-9 => dv * (mean / shape) * boost,
+            Some(Ok(_)) => 0.0,
             // Degenerate knob values (shape ≤ 0) fall back to the mean
             // itself rather than panicking.
-            Gamma::new(k.call_loss_shape, mean.loss_pct / k.call_loss_shape)
-                .map_or(mean.loss_pct, |d| d.sample(rng))
-        } else {
-            0.0
+            Some(Err(_)) => mean,
+            None if mean > 1e-9 => mean,
+            None => 0.0,
         };
 
         // Transient outliers: short-lived congestion events that per-call
@@ -757,11 +604,13 @@ impl PerfModel {
             (1.0, 0.0)
         };
 
-        PathMetrics::new(
-            mean.rtt_ms * rtt_noise * spike_mult,
-            loss + spike_loss,
-            mean.jitter_ms * jitter_noise * spike_mult,
-        )
+        means.map(|m| {
+            PathMetrics::new(
+                m.rtt_ms * rtt_noise * spike_mult,
+                loss(m.loss_pct) + spike_loss,
+                m.jitter_ms * jitter_noise * spike_mult,
+            )
+        })
     }
 
     /// The controller's knowledge of inter-relay performance (§3.2: "we also
@@ -795,35 +644,10 @@ pub struct SampleScratch {
     t: Option<SimTime>,
 }
 
-/// One path's captured day-scoped latent parts — see
-/// [`PerfModel::path_day_parts_scratch`]. Holds the `(src, dst, day)` key it was
-/// captured for so callers caching one of these can check
-/// [`PathDayParts::covers`] before reuse.
-#[derive(Debug, Clone, Copy)]
-pub struct PathDayParts {
-    src: AsId,
-    dst: AsId,
-    day: u64,
-    /// The captured path itself — keeps the segment keys alongside their
-    /// day states so memo-probing consumers can look means up by segment.
-    path: SegmentPath,
-    segs: [SegDayState; SegmentPath::MAX],
-}
-
-impl PathDayParts {
-    /// Whether these parts were captured for exactly this endpoint pair and
-    /// simulated day — the precondition for
-    /// [`PerfModel::mean_from_parts_scratch`] to reproduce `option_mean_scratch`.
-    #[inline]
-    pub fn covers(&self, src: AsId, dst: AsId, day: u64) -> bool {
-        self.src == src && self.dst == dst && self.day == day
-    }
-}
-
 /// Day-scoped slice of one segment's latent state: everything
 /// [`PerfModel::segment_mean`] reads except the intra-day diurnal factor.
 /// See [`PerfModel::seg_day_state`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct SegDayState {
     day: u64,
     sev: f64,
@@ -1050,18 +874,11 @@ mod tests {
                     &mut rng_a,
                     &mut scratch_a,
                 );
-                let parts = w.perf().path_day_parts_scratch(
-                    AsId(1),
-                    AsId(6),
-                    RelayOption::Direct,
-                    day,
-                    &scratch_b,
-                );
-                let (chosen, base) = w.perf().sample_option_paired_from_parts(
+                let (chosen, base) = w.perf().sample_option_paired(
                     AsId(1),
                     AsId(6),
                     opt,
-                    &parts,
+                    RelayOption::Direct,
                     t,
                     &mut rng_b,
                     &mut scratch_b,
@@ -1104,19 +921,12 @@ mod tests {
         for day in [0u64, 3, 3, 8] {
             let t = SimTime::from_days(day);
             for &opt in &options {
-                let parts = w.perf().path_day_parts_scratch(
-                    AsId(1),
-                    AsId(6),
-                    RelayOption::Direct,
-                    day,
-                    &scratch,
-                );
                 for _ in 0..50 {
-                    let (c, b) = w.perf().sample_option_paired_from_parts(
+                    let (c, b) = w.perf().sample_option_paired(
                         AsId(1),
                         AsId(6),
                         opt,
-                        &parts,
+                        RelayOption::Direct,
                         t,
                         &mut rng,
                         &mut scratch,
@@ -1140,68 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn path_day_parts_reproduce_option_means_exactly() {
-        // The pair-group baseline cache rests on this identity: a mean
-        // computed from captured day parts must be bit-for-bit what
-        // `option_mean_scratch` returns at any instant of that day.
-        let w = world();
-        let mut scratch = SampleScratch::new();
-        let options = [
-            RelayOption::Direct,
-            RelayOption::Bounce(RelayId(1)),
-            RelayOption::Transit(RelayId(2), RelayId(0)),
-        ];
-        for day in [0u64, 2, 7] {
-            for &opt in &options {
-                // An empty scratch resolves every segment from the slot
-                // tables.
-                let parts = w.perf().path_day_parts_scratch(
-                    AsId(3),
-                    AsId(9),
-                    opt,
-                    day,
-                    &SampleScratch::new(),
-                );
-                assert!(parts.covers(AsId(3), AsId(9), day));
-                assert!(!parts.covers(AsId(3), AsId(9), day + 1));
-                assert!(!parts.covers(AsId(9), AsId(3), day));
-                for hour in [0u64, 5, 13, 23] {
-                    let t = SimTime(day * 86_400 + hour * 3_600 + 17);
-                    let from_parts = w.perf().mean_from_parts(&parts, t);
-                    // The memo-served capture must agree whatever mix of
-                    // day-memo hits and slot fallbacks it resolved from.
-                    let via_scratch =
-                        w.perf()
-                            .path_day_parts_scratch(AsId(3), AsId(9), opt, day, &scratch);
-                    assert_eq!(
-                        w.perf().mean_from_parts(&via_scratch, t),
-                        from_parts,
-                        "scratch-served parts diverge for {opt:?} day {day} hour {hour}"
-                    );
-                    let fresh =
-                        w.perf()
-                            .option_mean_scratch(AsId(3), AsId(9), opt, t, &mut scratch);
-                    assert_eq!(
-                        from_parts.rtt_ms.to_bits(),
-                        fresh.rtt_ms.to_bits(),
-                        "rtt diverges for {opt:?} day {day} hour {hour}"
-                    );
-                    assert_eq!(from_parts.loss_pct.to_bits(), fresh.loss_pct.to_bits());
-                    assert_eq!(from_parts.jitter_ms.to_bits(), fresh.jitter_ms.to_bits());
-                    // After the fresh scan the instant memo holds this path's
-                    // segment means; the memo-probing mean must serve them
-                    // (and miss-fallback segments alike) bit-identically.
-                    assert_eq!(
-                        w.perf().mean_from_parts_scratch(&parts, t, &scratch),
-                        from_parts,
-                        "memo-served mean diverges for {opt:?} day {day} hour {hour}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn paired_baseline_shares_the_calls_noise() {
         // CRN pairing: both realizations carry the same multiplicative luck,
         // so the rtt ratio to the respective means is identical per call.
@@ -1213,20 +961,13 @@ mod tests {
             .perf()
             .option_mean(AsId(0), AsId(7), RelayOption::Direct, t);
         let mut scratch = SampleScratch::new();
-        let parts = w.perf().path_day_parts_scratch(
-            AsId(0),
-            AsId(7),
-            RelayOption::Direct,
-            t.day(),
-            &scratch,
-        );
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..200 {
-            let (c, b) = w.perf().sample_option_paired_from_parts(
+            let (c, b) = w.perf().sample_option_paired(
                 AsId(0),
                 AsId(7),
                 opt,
-                &parts,
+                RelayOption::Direct,
                 t,
                 &mut rng,
                 &mut scratch,

@@ -10,8 +10,9 @@
 //! ways:
 //!
 //! * **Published predictor** — an [`EpochPtr`] holding the immutable
-//!   [`Predictor`] trained on the last closed window. The select path loads
-//!   it wait-free in practice; rollover publishes a replacement.
+//!   [`Predictor`] trained on the last closed window. The select path
+//!   clones the `Arc` under a shared read-lock; rollover fits outside the
+//!   lock and takes it exclusively for the one pointer store.
 //! * **Shards** — per-pair mutable state (the [`CallHistory`] accumulating
 //!   this window's reports, per-pair [`PairArms`], a selection-latency
 //!   histogram), partitioned by spatial key pair so concurrent selects for

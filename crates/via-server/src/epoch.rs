@@ -1,80 +1,54 @@
-//! Epoch-flipped shared pointer: the controller's read-mostly publish slot.
+//! The controller's read-mostly publish slot.
 //!
 //! The select path loads the current [`Predictor`](via_core::Predictor) on
-//! every call; the refit path replaces it once per window rollover. A plain
-//! `Mutex<Arc<T>>` would serialize every selection behind one cache line.
-//! `EpochPtr` instead keeps **two** slots and an atomic epoch counter:
-//! readers take a read lock on the slot the epoch points at (uncontended —
-//! the writer never touches the live slot), clone the `Arc`, and release.
-//! The writer prepares the *other* slot, then flips the epoch with a single
-//! release store.
-//!
-//! This is the arc-swap idiom rebuilt from `std` primitives (the workspace
-//! denies `unsafe` and adds no dependencies): the read path is two atomic
-//! loads plus an `Arc` clone in the steady state, and a writer only ever
-//! contends with readers that are a full epoch behind — i.e. readers that
-//! loaded the epoch before the *previous* flip and still have not finished,
-//! which a once-per-window writer wait absorbs off the hot path.
+//! every call; the refit path replaces it once per window rollover. The
+//! value and its epoch sit together behind one `RwLock`, so a load can only
+//! return what a publish has already made visible, and loads of one reader
+//! never go back in time. Readers share the lock (one uncontended read-lock
+//! and an `Arc` clone per select); the writer holds it for one pointer
+//! store per window, after the fit is done.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use crate::lock::{read_lock, write_lock};
 
-/// A shared pointer with wait-free-in-practice reads and epoch-flip writes.
+/// A shared pointer that counts its publishes.
 #[derive(Debug)]
 pub struct EpochPtr<T> {
-    /// Which slot is live: `slots[epoch & 1]`.
-    epoch: AtomicU64,
-    slots: [RwLock<Arc<T>>; 2],
-    /// Serializes publishers (the flip itself is a single store, but two
-    /// concurrent publishers would race on the spare slot).
-    writer: Mutex<()>,
+    /// `(publishes so far, the published value)`.
+    slot: RwLock<(u64, Arc<T>)>,
 }
 
 impl<T> EpochPtr<T> {
-    /// Creates the pointer with `initial` in the live slot. The spare slot
-    /// holds a second handle to the same value until the first publish.
+    /// Creates the pointer holding `initial`, at epoch 0.
     pub fn new(initial: Arc<T>) -> EpochPtr<T> {
         EpochPtr {
-            epoch: AtomicU64::new(0),
-            slots: [RwLock::new(Arc::clone(&initial)), RwLock::new(initial)],
-            writer: Mutex::new(()),
+            slot: RwLock::new((0, initial)),
         }
     }
 
-    /// Loads the currently published value. Any interleaving with a
-    /// concurrent [`EpochPtr::publish`] returns a fully published `Arc` —
-    /// either the old or the new value, never a torn one.
+    /// Loads the currently published value.
     pub fn load(&self) -> Arc<T> {
-        let e = self.epoch.load(Ordering::Acquire);
-        let slot = &self.slots[(e & 1) as usize];
-        Arc::clone(&read_lock(slot))
+        Arc::clone(&read_lock(&self.slot).1)
     }
 
     /// Number of publishes so far (diagnostics; the refit-epoch gauge).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        read_lock(&self.slot).0
     }
 
-    /// Publishes `value`: stores it in the spare slot, then flips the epoch
-    /// so subsequent [`EpochPtr::load`]s see it. Blocks only on readers
-    /// still inside a load that began before the previous flip.
+    /// Publishes `value`: every [`EpochPtr::load`] that starts after this
+    /// returns sees it.
     pub fn publish(&self, value: Arc<T>) {
-        let _guard = crate::lock::lock(&self.writer);
-        let e = self.epoch.load(Ordering::Acquire);
-        {
-            let mut spare = write_lock(&self.slots[((e + 1) & 1) as usize]);
-            *spare = value;
-        }
-        self.epoch.store(e + 1, Ordering::Release);
+        let mut slot = write_lock(&self.slot);
+        *slot = (slot.0 + 1, value);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn load_sees_latest_publish() {
@@ -88,8 +62,13 @@ mod tests {
         assert_eq!(p.epoch(), 2);
     }
 
-    #[test]
-    fn concurrent_readers_always_see_a_published_value() {
+    /// Four readers race one publisher that stores value `i` as its `i`-th
+    /// publish; `check` sees every `(previous value, epoch before, loaded
+    /// value, epoch after)` a reader observes. A race, not a forced
+    /// schedule: against the two-slot pointer this replaced, each test below
+    /// failed in some thirty of 500 release runs (CHANGES.md, PR 22), so one
+    /// green run shows little and CI loops them.
+    fn race_readers_against_a_publisher(check: fn(u64, u64, u64, u64)) {
         let p = Arc::new(EpochPtr::new(Arc::new(0u64)));
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..4)
@@ -99,10 +78,9 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut last = 0u64;
                     while !stop.load(Ordering::Relaxed) {
+                        let before = p.epoch();
                         let v = *p.load();
-                        // Published values are monotone; a torn or stale-slot
-                        // read would break that.
-                        assert!(v >= last, "value went backwards: {last} -> {v}");
+                        check(last, before, v, p.epoch());
                         last = v;
                     }
                 })
@@ -116,5 +94,27 @@ mod tests {
             r.join().unwrap();
         }
         assert_eq!(*p.load(), 1000);
+    }
+
+    #[test]
+    fn concurrent_readers_always_see_a_published_value() {
+        race_readers_against_a_publisher(|last, _, v, _| {
+            // Published values are monotone; a stale-slot read would break
+            // that.
+            assert!(v >= last, "value went backwards: {last} -> {v}");
+        });
+    }
+
+    #[test]
+    fn a_load_returns_what_was_published_around_it() {
+        race_readers_against_a_publisher(|_, before, v, after| {
+            // Value `i` becomes visible with epoch `i`: a load can return
+            // neither a value older than the epoch read before it nor one
+            // the epoch read after it has not reached.
+            assert!(
+                before <= v && v <= after,
+                "loaded {v} between epochs {before} and {after}"
+            );
+        });
     }
 }

@@ -8,13 +8,13 @@
 //! continuously, accumulates call reports beside them, and refits at each
 //! window rollover with the function the batch barrier calls.
 //!
-//! * [`controller`] — sharded selection state: an epoch-flipped published
+//! * [`controller`] — sharded selection state: a published
 //!   [`Predictor`](via_core::Predictor), per-pair-shard histories and
 //!   bandits, the §4.6 budget gate as a live control loop, and
 //!   snapshot/restore for graceful restarts. Selections are bit-identical
 //!   to the batch replay predictor over the same report stream.
-//! * [`epoch`] — the read-mostly publish slot (two slots + an atomic epoch;
-//!   `std`-only, no `unsafe`).
+//! * [`epoch`] — the read-mostly publish slot (the value and its publish
+//!   count behind one `RwLock`; `std`-only, no `unsafe`).
 //! * [`session`] — non-zero `u64` session ids from a wrapping, collision-
 //!   skipping allocator with typed exhaustion.
 //! * [`wire`] / [`server`] / [`client`] — the framed-TCP RPC plane: a
