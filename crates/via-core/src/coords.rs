@@ -273,4 +273,22 @@ mod tests {
         let trained = train(6, 10_000, 2);
         assert!(trained.mean_error() < fresh.mean_error() * 0.6);
     }
+
+    #[test]
+    fn coordinates_after_a_seeded_sequence_are_pinned() {
+        // Every bit of every node after 2 000 seeded updates (the first ones
+        // take the random kick off the shared origin), folded FNV-1a into
+        // one constant.
+        let v = train(8, 2_000, 3);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..v.len() {
+            let c = v.coord(i);
+            for value in [c.x[0], c.x[1], c.height, c.error] {
+                for byte in value.to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, 0xb745_c082_46ac_fb01, "Vivaldi bits moved");
+    }
 }

@@ -246,4 +246,25 @@ mod tests {
         }
         assert!(b.depth_ms() <= 200.0 + 1e-9);
     }
+
+    #[test]
+    fn buffer_depth_bits_at_the_clamp_edges_are_pinned() {
+        // Jitter estimates either side of the 10 ms floor (2 × 5) and the
+        // 200 ms ceiling (2 × 100), 40 packets each so the 5 % adaptation
+        // is mid-flight at every switch; every depth and verdict folded
+        // FNV-1a into one constant.
+        let mut b = JitterBuffer::new();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for jitter in [0.0, 4.9, 5.0, 5.1, 40.0, 99.9, 100.0, 100.1, 500.0, 3.0] {
+            for i in 0..40u32 {
+                let played = b.offer(f64::from(i % 8) * 6.0, jitter);
+                h = (h ^ u64::from(played)).wrapping_mul(0x100_0000_01b3);
+                for byte in b.depth_ms().to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!((b.played(), b.late()), (275, 125));
+        assert_eq!(h, 0xdbda_f181_f89b_2e47, "jitter buffer bits moved");
+    }
 }

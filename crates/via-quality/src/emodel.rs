@@ -167,6 +167,25 @@ mod tests {
         assert!(mos(&worse_jit) < b);
     }
 
+    #[test]
+    fn mos_bits_are_pinned() {
+        // The goldens see MOS only through buckets; this is every bit of it
+        // over a grid that crosses the 177.3 ms knee, the 0.2 late-loss cap
+        // and both MOS clamps, folded FNV-1a into one constant.
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for rtt in [0.0, 40.0, 150.0, 320.0, 600.0, 1200.0] {
+            for loss in [0.0, 0.3, 1.2, 5.0, 40.0, 100.0] {
+                for jitter in [0.0, 2.0, 12.0, 40.0, 90.0, 200.0] {
+                    let s = mos(&PathMetrics::new(rtt, loss, jitter));
+                    for byte in s.to_bits().to_le_bytes() {
+                        h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0xd1f6_402a_5b1c_316f, "E-model bits moved");
+    }
+
     proptest! {
         #[test]
         fn mos_in_valid_range(rtt in 0f64..2000.0, loss in 0f64..100.0, jitter in 0f64..200.0) {

@@ -183,6 +183,31 @@ mod tests {
     }
 
     #[test]
+    fn rating_draws_and_poor_probability_bits_are_pinned() {
+        // 200 seeded draws per call plus the closed form, good call to
+        // terrible, folded FNV-1a into one constant.
+        let m = RatingModel::default();
+        let mut r = rng();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (rtt, loss, jitter) in [
+            (40.0, 0.05, 1.0),
+            (150.0, 0.5, 5.0),
+            (320.0, 1.2, 12.0),
+            (420.0, 2.0, 15.0),
+            (900.0, 12.0, 60.0),
+        ] {
+            let metrics = PathMetrics::new(rtt, loss, jitter);
+            for byte in m.poor_probability(&metrics).to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+            for _ in 0..200 {
+                h = (h ^ u64::from(m.rate(&metrics, &mut r))).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x8a4c_ab1c_0013_c101, "rating model bits moved");
+    }
+
+    #[test]
     fn normal_cdf_anchors() {
         assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
         assert!((normal_cdf(1.96) - 0.975).abs() < 1e-3);
