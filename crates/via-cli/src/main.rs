@@ -549,7 +549,6 @@ fn build_server(flags: &Flags) -> Result<BuiltServer, Box<dyn std::error::Error>
         },
         shards: usize::try_from(flags.u64_or("shards", 8)?)?,
         start: via_model::time::SimTime::ZERO,
-        ..via_server::ServerConfig::default()
     };
     // Candidate set offered on every call: direct, a bounce through each of
     // up to 8 relays, and one transit pair when the fleet allows it.

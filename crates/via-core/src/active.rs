@@ -134,7 +134,7 @@ mod tests {
                 .collect(),
         );
         let backbone: BackboneFn = Arc::new(|_, _| PathMetrics::new(50.0, 0.01, 0.4));
-        Predictor::cold(prior, backbone, PredictorConfig::default())
+        Predictor::cold(prior, backbone)
     }
 
     fn demands(n_pairs: u32, relays: u32) -> Vec<(u32, u32, Vec<RelayOption>)> {

@@ -218,6 +218,7 @@ impl UcbBandit {
     }
 
     /// Mean observed cost of one arm, if it was played.
+    #[cfg(test)]
     pub fn arm_mean(&self, option: RelayOption) -> Option<f64> {
         let option = option.canonical();
         self.arms

@@ -53,31 +53,16 @@ impl Coord {
     }
 }
 
-/// Tuning constants of the update rule.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct VivaldiConfig {
-    /// Error-averaging constant `c_e` (paper value 0.25).
-    pub ce: f64,
-    /// Coordinate step constant `c_c` (paper value 0.25).
-    pub cc: f64,
-    /// Minimum height, ms (keeps heights physical).
-    pub min_height: f64,
-}
-
-impl Default for VivaldiConfig {
-    fn default() -> Self {
-        Self {
-            ce: 0.25,
-            cc: 0.25,
-            min_height: 0.1,
-        }
-    }
-}
+/// Error-averaging constant `c_e` (paper value 0.25).
+const CE: f64 = 0.25;
+/// Coordinate step constant `c_c` (paper value 0.25).
+const CC: f64 = 0.25;
+/// Minimum height, ms (keeps heights physical).
+const MIN_HEIGHT: f64 = 0.1;
 
 /// A Vivaldi coordinate system over a fixed set of nodes.
 #[derive(Debug)]
 pub struct Vivaldi {
-    cfg: VivaldiConfig,
     nodes: Vec<Coord>,
     rng: StdRng,
     samples: u64,
@@ -86,9 +71,8 @@ pub struct Vivaldi {
 impl Vivaldi {
     /// Creates a system with `n` nodes at the origin. `seed` drives the
     /// random initial kick that breaks symmetry.
-    pub fn new(n: usize, cfg: VivaldiConfig, seed: u64) -> Vivaldi {
+    pub fn new(n: usize, seed: u64) -> Vivaldi {
         Vivaldi {
-            cfg,
             nodes: vec![Coord::origin(); n],
             rng: StdRng::seed_from_u64(seed),
             samples: 0,
@@ -152,7 +136,7 @@ impl Vivaldi {
         };
         let es = (dist - rtt).abs() / rtt;
         let node = &mut self.nodes[i];
-        node.error = (es * self.cfg.ce * w + node.error * (1.0 - self.cfg.ce * w)).clamp(0.0, 1.0);
+        node.error = (es * CE * w + node.error * (1.0 - CE * w)).clamp(0.0, 1.0);
 
         // Unit vector from j toward i; random direction if coincident.
         let mut u = [0.0; VIVALDI_DIM];
@@ -174,14 +158,14 @@ impl Vivaldi {
 
         // Spring force: positive when the measured RTT exceeds the estimate
         // (nodes should move apart).
-        let delta = self.cfg.cc * w;
+        let delta = CC * w;
         let force = delta * (rtt - dist);
         let node = &mut self.nodes[i];
         for (x, &dir) in node.x.iter_mut().zip(&u) {
             *x += force * dir;
         }
         // Height absorbs a share of the residual, never going below min.
-        node.height = (node.height + force * 0.1).max(self.cfg.min_height);
+        node.height = (node.height + force * 0.1).max(MIN_HEIGHT);
     }
 }
 
@@ -196,7 +180,7 @@ mod tests {
     }
 
     fn train(n: usize, rounds: usize, seed: u64) -> Vivaldi {
-        let mut v = Vivaldi::new(n, VivaldiConfig::default(), seed);
+        let mut v = Vivaldi::new(n, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x55);
         for _ in 0..rounds {
             let i = rng.random_range(0..n);
@@ -252,7 +236,7 @@ mod tests {
 
     #[test]
     fn ignores_degenerate_observations() {
-        let mut v = Vivaldi::new(3, VivaldiConfig::default(), 1);
+        let mut v = Vivaldi::new(3, 1);
         v.observe(0, 0, 50.0);
         v.observe(0, 1, f64::NAN);
         v.observe(0, 1, -5.0);
@@ -263,13 +247,13 @@ mod tests {
     fn heights_stay_positive() {
         let v = train(5, 10_000, 6);
         for i in 0..5 {
-            assert!(v.coord(i).height >= VivaldiConfig::default().min_height);
+            assert!(v.coord(i).height >= MIN_HEIGHT);
         }
     }
 
     #[test]
     fn error_estimates_shrink_with_data() {
-        let fresh = Vivaldi::new(6, VivaldiConfig::default(), 2);
+        let fresh = Vivaldi::new(6, 2);
         let trained = train(6, 10_000, 2);
         assert!(trained.mean_error() < fresh.mean_error() * 0.6);
     }

@@ -23,8 +23,6 @@
 //!   that replay, the live server and the testbed evaluator all drive.
 //! * [`budget`] — §4.6: streaming-percentile budget gate, with weighted
 //!   costs so duplicated multipath traffic is charged honestly.
-//! * [`multipath`] — `PathSet`: the ordered, canonical set-of-paths
-//!   decision type behind `StrategyKind::Multipath`.
 //! * [`active`] — §7 future work, implemented: greedy set-cover planning of
 //!   active probes that fill tomography holes.
 //! * [`placement`] — Figure 17c's follow-up: submodular greedy relay-fleet
@@ -57,7 +55,6 @@ pub mod bandit;
 pub mod budget;
 pub mod coords;
 pub mod history;
-pub mod multipath;
 pub mod online;
 pub mod par;
 pub mod placement;
@@ -71,13 +68,12 @@ pub mod topk;
 pub use active::{plan_probes, Probe};
 pub use bandit::UcbBandit;
 pub use budget::BudgetGate;
-pub use coords::{Coord, Vivaldi, VivaldiConfig};
+pub use coords::{Coord, Vivaldi};
 pub use history::{CallHistory, KeyPair, MetricStats};
-pub use multipath::PathSet;
 pub use online::{BackboneFn, CellSnapshot, RefitSnapshot};
 pub use placement::{plan_placement, Demand, Placement};
 pub use predictor::{GeoPrior, PairView, Prediction, PredictionSource, Predictor, PredictorConfig};
 pub use replay::{CallOutcome, Outcome, ReplayConfig, ReplaySim, ReplayStats, SpatialGranularity};
 pub use selector::{ArmsScratch, Decision, PairArms, Plan};
 pub use strategy::{MultipathMode, StrategyKind};
-pub use topk::{top_k, top_k_into, ScoredOption};
+pub use topk::{top_k_into, ScoredOption};

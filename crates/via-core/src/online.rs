@@ -43,7 +43,7 @@ pub fn refit(
     let backbone = Arc::clone(backbone);
     match opening.prev() {
         Some(training) => Predictor::fit(history, training, prior, backbone, cfg),
-        None => Predictor::cold(prior, backbone, cfg),
+        None => Predictor::cold(prior, backbone),
     }
 }
 
@@ -256,7 +256,7 @@ mod tests {
     fn window_zero_opens_cold_whatever_the_history_holds() {
         let history = drained(&reports(11, 50), w(0), 1);
         let opened = roll(&history, w(0));
-        let cold = Predictor::cold(prior(), backbone(), PredictorConfig::default());
+        let cold = Predictor::cold(prior(), backbone());
         assert_bit_identical(&cold, &opened);
         let pred = opened.predict(0, 1, RelayOption::Direct);
         assert_eq!(pred.source, PredictionSource::Prior);

@@ -95,9 +95,23 @@ fn idx(m: Metric) -> usize {
     }
 }
 
+/// Minimum samples for an empirical cell to be trusted over tomography.
+const MIN_EMPIRICAL_SAMPLES: u64 = 3;
+/// Relative SEM substitute when a cell has a mean but too few samples
+/// for a variance estimate.
+const SPARSE_REL_SEM: f64 = 0.5;
+/// Relative SEM of the geographic prior (wide on purpose).
+const PRIOR_REL_SEM: f64 = 0.6;
+/// Prior inflation over fiber RTT for unknown paths.
+pub const PRIOR_INFLATION: f64 = 1.9;
+/// Prior loss (percent) for unknown paths.
+const PRIOR_LOSS_PCT: f64 = 0.6;
+/// Prior jitter (ms) for unknown paths.
+const PRIOR_JITTER_MS: f64 = 5.0;
+
 /// The empirical fit of one cell that carried calls, from its Welford
 /// sufficient statistics.
-fn fit_cell(stats: &MetricStats, cfg: &PredictorConfig) -> Prediction {
+fn fit_cell(stats: &MetricStats) -> Prediction {
     let n = stats.count();
     let mut lin_mean = [0.0; 3];
     let mut lin_sem = [0.0; 3];
@@ -106,7 +120,7 @@ fn fit_cell(stats: &MetricStats, cfg: &PredictorConfig) -> Prediction {
         let mean = s.mean().unwrap_or(0.0);
         let sem = s
             .sem()
-            .unwrap_or_else(|| mean.abs() * cfg.sparse_rel_sem)
+            .unwrap_or_else(|| mean.abs() * SPARSE_REL_SEM)
             .max(1e-9);
         lin_mean[idx(metric)] = linearize(metric, mean);
         // Floor the SEM for sparse cells (a relative uncertainty
@@ -114,33 +128,21 @@ fn fit_cell(stats: &MetricStats, cfg: &PredictorConfig) -> Prediction {
         // authoritative, without chaining every interval together
         // once a handful of samples exist.
         lin_sem[idx(metric)] = linearize_sem(metric, mean, sem)
-            .max(cfg.sparse_rel_sem / n as f64 * linearize(metric, mean).max(1e-6));
+            .max(SPARSE_REL_SEM / n as f64 * linearize(metric, mean).max(1e-6));
     }
     Prediction::from_linear(lin_mean, lin_sem, PredictionSource::Empirical(n))
 }
 
 /// The prior's linearized `(mean, sem)` for one metric predicted at `mean`.
-fn prior_slot(cfg: &PredictorConfig, metric: Metric, mean: f64) -> (f64, f64) {
+fn prior_slot(metric: Metric, mean: f64) -> (f64, f64) {
     let lin = linearize(metric, mean);
-    (lin, (cfg.prior_rel_sem * lin).max(1e-6))
+    (lin, (PRIOR_REL_SEM * lin).max(1e-6))
 }
 
-/// Predictor configuration.
+/// Predictor configuration: how a fit is parallelized, never what it
+/// computes.
 #[derive(Debug, Clone, Copy)]
 pub struct PredictorConfig {
-    /// Minimum samples for an empirical cell to be trusted over tomography.
-    pub min_empirical_samples: u64,
-    /// Relative SEM substitute when a cell has a mean but too few samples
-    /// for a variance estimate.
-    pub sparse_rel_sem: f64,
-    /// Relative SEM of the geographic prior (wide on purpose).
-    pub prior_rel_sem: f64,
-    /// Prior inflation over fiber RTT for unknown paths.
-    pub prior_inflation: f64,
-    /// Prior loss (percent) for unknown paths.
-    pub prior_loss_pct: f64,
-    /// Prior jitter (ms) for unknown paths.
-    pub prior_jitter_ms: f64,
     /// Worker threads for the per-cell empirical fit (`0` = one per core,
     /// `1` = sequential). The fit is embarrassingly parallel across cells
     /// and its result is identical for any value.
@@ -152,12 +154,6 @@ pub struct PredictorConfig {
 impl Default for PredictorConfig {
     fn default() -> Self {
         Self {
-            min_empirical_samples: 3,
-            sparse_rel_sem: 0.5,
-            prior_rel_sem: 0.6,
-            prior_inflation: 1.9,
-            prior_loss_pct: 0.6,
-            prior_jitter_ms: 5.0,
             workers: 1,
             tomography: TomographyConfig::default(),
         }
@@ -240,13 +236,12 @@ struct FittedCell {
 /// contiguous run, solved segments in per-key rows (see [`Tomography`]), and
 /// [`Predictor::pair`] to resolve both once per pair.
 pub struct Predictor {
-    cfg: PredictorConfig,
     window: Window,
     /// The window's fitted cells, sorted by `(pair, option)`.
     empirical: Vec<FittedCell>,
     tomography: Tomography,
     prior: GeoPrior,
-    /// The prior's linearized `(mean, sem)` for loss and for jitter: config
+    /// The prior's linearized `(mean, sem)` for loss and for jitter:
     /// constants, so their `ln` and `powi` are paid here, not per prediction.
     prior_loss_jitter: [(f64, f64); 2],
     backbone: BackboneFn,
@@ -285,25 +280,20 @@ impl Predictor {
             crate::par::par_map(workers, &cells, |_, &(&(pair, option), stats)| FittedCell {
                 pair,
                 option,
-                prediction: fit_cell(stats, &cfg),
+                prediction: fit_cell(stats),
             });
         let backbone = backbone.into();
         let tomography = Tomography::fit_sorted(&cells, &*backbone, &cfg.tomography);
-        Predictor::new(cfg, training_window, empirical, tomography, prior, backbone)
+        Predictor::new(training_window, empirical, tomography, prior, backbone)
     }
 
     /// A predictor with no history at all (cold start): prior-only.
-    pub fn cold(
-        prior: GeoPrior,
-        backbone: impl Into<BackboneFn>,
-        cfg: PredictorConfig,
-    ) -> Predictor {
+    pub fn cold(prior: GeoPrior, backbone: impl Into<BackboneFn>) -> Predictor {
         let window = Window {
             index: 0,
             len: via_model::time::WindowLen::DAY,
         };
         Predictor::new(
-            cfg,
             window,
             Vec::new(),
             Tomography::default(),
@@ -313,7 +303,6 @@ impl Predictor {
     }
 
     fn new(
-        cfg: PredictorConfig,
         window: Window,
         empirical: Vec<FittedCell>,
         tomography: Tomography,
@@ -321,14 +310,13 @@ impl Predictor {
         backbone: BackboneFn,
     ) -> Predictor {
         Predictor {
-            cfg,
             window,
             empirical,
             tomography,
             prior,
             prior_loss_jitter: [
-                prior_slot(&cfg, Metric::Loss, cfg.prior_loss_pct),
-                prior_slot(&cfg, Metric::Jitter, cfg.prior_jitter_ms),
+                prior_slot(Metric::Loss, PRIOR_LOSS_PCT),
+                prior_slot(Metric::Jitter, PRIOR_JITTER_MS),
             ],
             backbone,
         }
@@ -402,7 +390,7 @@ impl PairView<'_> {
             .map(|c| c.prediction);
         if let Some(p) = cell {
             if let PredictionSource::Empirical(n) = p.source {
-                if n >= predictor.cfg.min_empirical_samples {
+                if n >= MIN_EMPIRICAL_SAMPLES {
                     return p;
                 }
             }
@@ -416,13 +404,12 @@ impl PairView<'_> {
         if let Some(p) = cell {
             return p;
         }
-        let cfg = &predictor.cfg;
         let rtt = predictor
             .prior
             .path_rtt_floor(self.a, self.b, option)
-            .map(|floor| floor * cfg.prior_inflation + 20.0)
+            .map(|floor| floor * PRIOR_INFLATION + 20.0)
             .unwrap_or(250.0);
-        let (rtt, rtt_sem) = prior_slot(cfg, Metric::Rtt, rtt);
+        let (rtt, rtt_sem) = prior_slot(Metric::Rtt, rtt);
         let [(loss, loss_sem), (jitter, jitter_sem)] = predictor.prior_loss_jitter;
         Prediction::from_linear(
             [rtt, loss, jitter],
@@ -466,7 +453,6 @@ mod tests {
     /// reader: both tables `HashMap`s, probed per option, the prior
     /// linearized per prediction. The pair view must reproduce every bit.
     struct Reference {
-        cfg: PredictorConfig,
         empirical: HashMap<(KeyPair, RelayOption), Prediction>,
         tomography: reference::Tomography,
         prior: GeoPrior,
@@ -479,17 +465,14 @@ mod tests {
             window: Window,
             prior: GeoPrior,
             backbone: BackboneFn,
-            cfg: PredictorConfig,
         ) -> Reference {
             let empirical = history
                 .window_cells(window)
                 .filter(|(_, stats)| stats.count() > 0)
-                .map(|(key, stats)| (*key, fit_cell(stats, &cfg)))
+                .map(|(key, stats)| (*key, fit_cell(stats)))
                 .collect();
-            let tomography =
-                reference::Tomography::fit(history, window, &*backbone, &cfg.tomography);
+            let tomography = reference::Tomography::fit(history, window, &*backbone);
             Reference {
-                cfg,
                 empirical,
                 tomography,
                 prior,
@@ -502,7 +485,7 @@ mod tests {
             let pair = KeyPair::new(a, b);
             if let Some(p) = self.empirical.get(&(pair, option)) {
                 if let PredictionSource::Empirical(n) = p.source {
-                    if n >= self.cfg.min_empirical_samples {
+                    if n >= MIN_EMPIRICAL_SAMPLES {
                         return *p;
                     }
                 }
@@ -514,18 +497,17 @@ mod tests {
             if let Some(p) = self.empirical.get(&(pair, option)) {
                 return *p;
             }
-            let cfg = &self.cfg;
             let rtt = self
                 .prior
                 .path_rtt_floor(a, b, option)
-                .map(|floor| floor * cfg.prior_inflation + 20.0)
+                .map(|floor| floor * PRIOR_INFLATION + 20.0)
                 .unwrap_or(250.0);
             let mut lin_mean = [0.0; 3];
             let mut lin_sem = [0.0; 3];
-            let means = [rtt, cfg.prior_loss_pct, cfg.prior_jitter_ms];
+            let means = [rtt, PRIOR_LOSS_PCT, PRIOR_JITTER_MS];
             for (i, &metric) in Metric::ALL.iter().enumerate() {
                 lin_mean[i] = linearize(metric, means[i]);
-                lin_sem[i] = (cfg.prior_rel_sem * lin_mean[i]).max(1e-6);
+                lin_sem[i] = (PRIOR_REL_SEM * lin_mean[i]).max(1e-6);
             }
             Prediction::from_linear(lin_mean, lin_sem, PredictionSource::Prior)
         }
@@ -542,7 +524,7 @@ mod tests {
         fn fit(history: &CallHistory, prior: GeoPrior, backbone: BackboneFn) -> BothWays {
             let cfg = PredictorConfig::default();
             let new = Predictor::fit(history, window(), prior.clone(), backbone.clone(), cfg);
-            let old = Reference::fit(history, window(), prior, backbone, cfg);
+            let old = Reference::fit(history, window(), prior, backbone);
             assert_eq!(new.empirical_cells(), old.empirical.len());
             assert_eq!(new.tomography_segments(), old.tomography.segments.len());
             for (seg, want) in &old.tomography.segments {
@@ -830,7 +812,7 @@ mod tests {
             assert_eq!(p.path_rtt_floor(0, 1, opt), None, "{opt}");
         }
         // The prediction still answers, from the 250 ms fallback.
-        let cold = Predictor::cold(p, bb(), PredictorConfig::default());
+        let cold = Predictor::cold(p, bb());
         let pred = cold.predict(0, 1, RelayOption::Bounce(r_out));
         assert_eq!(pred.source, PredictionSource::Prior);
         assert!((pred.mean(Metric::Rtt) - 250.0).abs() < 1e-6);
@@ -913,7 +895,7 @@ mod tests {
 
     #[test]
     fn cold_predictor_always_answers() {
-        let p = Predictor::cold(prior(), bb(), PredictorConfig::default());
+        let p = Predictor::cold(prior(), bb());
         for option in [
             RelayOption::Direct,
             RelayOption::Bounce(RelayId(1)),

@@ -49,6 +49,7 @@ use crate::online::{refit, BackboneFn};
 use crate::predictor::{GeoPrior, Predictor, PredictorConfig};
 use crate::selector::{ArmsScratch, Explore, Gate, PairArms, Plan, Source};
 use crate::strategy::{MultipathMode, StrategyKind};
+use crate::tomography::TomographyConfig;
 
 /// Spatial granularity at which selection decisions are keyed (Figure 17a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -116,8 +117,6 @@ pub struct ReplayConfig {
     /// many mock calls targeting tomography holes and folds the results into
     /// the training data. Zero (the paper's deployed system) disables it.
     pub active_probes_per_window: usize,
-    /// Predictor settings.
-    pub predictor: PredictorConfig,
     /// Worker threads for the window-parallel engine: each window's calls
     /// are sharded by decision [`KeyPair`] across this many threads, and the
     /// per-window predictor refit is parallelized the same way. `0` means
@@ -151,7 +150,6 @@ impl Default for ReplayConfig {
             allowed_relays: None,
             allow_transit: true,
             active_probes_per_window: 0,
-            predictor: PredictorConfig::default(),
             workers: 0,
             metrics: false,
             collect_calls: true,
@@ -848,9 +846,10 @@ impl<'a> ReplaySim<'a> {
         let t_run = Stopwatch::started();
         let obs: Option<MetricSink> = self.cfg.metrics.then(MetricSink::with_timing);
         let workers = crate::par::resolve_workers(self.cfg.workers);
-        let mut pred_cfg = self.cfg.predictor;
-        pred_cfg.workers = workers;
-        pred_cfg.tomography.workers = workers;
+        let pred_cfg = PredictorConfig {
+            workers,
+            tomography: TomographyConfig { workers },
+        };
         let plan = Plan::from(kind);
         let gate = match plan.gate {
             Gate::None => GateState::Open,

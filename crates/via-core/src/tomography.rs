@@ -98,15 +98,17 @@ struct Obs {
     w: f64,
 }
 
-/// Configuration for the tomography solve.
+/// Gauss–Seidel sweeps (the system is sparse and well-conditioned;
+/// 25 sweeps is far past convergence for realistic densities).
+const ITERATIONS: usize = 25;
+/// Relative SEM floor applied to solved segments (prevents overconfident
+/// stitching off few observations).
+const MIN_REL_SEM: f64 = 0.05;
+
+/// Configuration for the tomography solve: how it is parallelized, never
+/// what it computes.
 #[derive(Debug, Clone, Copy)]
 pub struct TomographyConfig {
-    /// Gauss–Seidel sweeps (the system is sparse and well-conditioned;
-    /// 25 sweeps is far past convergence for realistic densities).
-    pub iterations: usize,
-    /// Relative SEM floor applied to solved segments (prevents overconfident
-    /// stitching off few observations).
-    pub min_rel_sem: f64,
     /// Worker threads for the per-cell linearization pass (`0` = one per
     /// core, `1` = sequential). The Gauss–Seidel sweeps themselves stay
     /// sequential — their result depends on update order, which determinism
@@ -116,11 +118,7 @@ pub struct TomographyConfig {
 
 impl Default for TomographyConfig {
     fn default() -> Self {
-        Self {
-            iterations: 25,
-            min_rel_sem: 0.05,
-            workers: 1,
-        }
+        Self { workers: 1 }
     }
 }
 
@@ -217,10 +215,10 @@ fn observations(
 }
 
 /// Weighted least squares over the assembled system: every unknown starts at
-/// half of the weighted mean of its observations, then `cfg.iterations`
+/// half of the weighted mean of its observations, then [`ITERATIONS`]
 /// Gauss–Seidel sweeps in unknown-index order. Returns one estimate per
 /// unknown, in that order.
-fn solve(obs: &[Obs], n_unknowns: usize, cfg: &TomographyConfig) -> Vec<SegmentEstimate> {
+fn solve(obs: &[Obs], n_unknowns: usize) -> Vec<SegmentEstimate> {
     let mut u = vec![[0.0f64; 3]; n_unknowns];
     let mut w_sum = vec![0.0f64; n_unknowns];
     for o in obs {
@@ -248,7 +246,7 @@ fn solve(obs: &[Obs], n_unknowns: usize, cfg: &TomographyConfig) -> Vec<SegmentE
         }
     }
 
-    for _ in 0..cfg.iterations {
+    for _ in 0..ITERATIONS {
         for i in 0..n_unknowns {
             let mut num = [0.0f64; 3];
             let mut den = 0.0f64;
@@ -294,7 +292,7 @@ fn solve(obs: &[Obs], n_unknowns: usize, cfg: &TomographyConfig) -> Vec<SegmentE
                     0.0
                 };
                 let base = (var / (n_obs[idx].max(1) as f64)).sqrt();
-                sem[m] = base.max(cfg.min_rel_sem * u[idx][m]);
+                sem[m] = base.max(MIN_REL_SEM * u[idx][m]);
             }
             SegmentEstimate {
                 value: u[idx],
@@ -402,7 +400,7 @@ impl Tomography {
                 n_unknowns - 1
             }))
         });
-        let solved = solve(&obs, n_unknowns, cfg);
+        let solved = solve(&obs, n_unknowns);
         let mut segs = Vec::with_capacity(column.len());
         segs.extend(column.iter().zip(&unknown_of).filter_map(|(seg, id)| {
             Some(Segment {
@@ -517,8 +515,8 @@ pub(crate) mod reference {
             history: &CallHistory,
             window: Window,
             backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
-            cfg: &TomographyConfig,
         ) -> Tomography {
+            let cfg = &TomographyConfig::default();
             let cells = sorted_cells(history, window);
             let mut index: HashMap<SegmentKey, usize> = HashMap::new();
             let mut keys: Vec<SegmentKey> = Vec::new();
@@ -528,7 +526,7 @@ pub(crate) mod reference {
                     keys.len() - 1
                 }))
             });
-            let solved = solve(&obs, keys.len(), cfg);
+            let solved = solve(&obs, keys.len());
             Tomography {
                 segments: keys.into_iter().zip(solved).collect(),
             }

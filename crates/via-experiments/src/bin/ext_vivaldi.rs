@@ -17,7 +17,8 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::Serialize;
 use std::collections::HashSet;
-use via_core::coords::{Vivaldi, VivaldiConfig};
+use via_core::coords::Vivaldi;
+use via_core::predictor::PRIOR_INFLATION;
 use via_experiments::{build_env, header, pct, row, write_json, Args};
 use via_model::options::RelayOption;
 use via_model::time::{SimTime, SECS_PER_DAY};
@@ -51,7 +52,7 @@ fn main() {
     let mut pairs: Vec<_> = pairs.into_iter().collect();
     pairs.sort_unstable();
 
-    let mut vivaldi = Vivaldi::new(n, VivaldiConfig::default(), env.seed);
+    let mut vivaldi = Vivaldi::new(n, env.seed);
     let mut train = Vec::new();
     let mut test = Vec::new();
     for &(a, b) in &pairs {
@@ -80,7 +81,6 @@ fn main() {
 
     // Evaluate both predictors on held-out pairs against the latent mean.
     let t_mid = SimTime(SECS_PER_DAY + SECS_PER_DAY / 2);
-    let prior_inflation = 1.9; // same prior as the predictor's default
     let mut geo_err = Vec::new();
     let mut viv_err = Vec::new();
     for &(a, b) in &test {
@@ -97,7 +97,7 @@ fn main() {
         let geo = env.world.ases[a as usize]
             .pos
             .min_rtt_ms(&env.world.ases[b as usize].pos)
-            * prior_inflation
+            * PRIOR_INFLATION
             + 20.0;
         let viv = vivaldi.predict(a as usize, b as usize);
         geo_err.push((geo - truth).abs() / truth.max(1.0));

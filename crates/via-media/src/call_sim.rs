@@ -14,7 +14,6 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use via_model::metrics::PathMetrics;
-use via_quality::EModelConfig;
 
 use crate::delay::DelayModel;
 use crate::jitter::{JitterBuffer, JitterEstimator};
@@ -33,8 +32,6 @@ pub struct CallSimConfig {
     pub burst_len: f64,
     /// AR(1) coefficient of the delay process.
     pub delay_rho: f64,
-    /// E-model settings used for the trace MOS.
-    pub emodel: EModelConfig,
 }
 
 impl Default for CallSimConfig {
@@ -42,7 +39,6 @@ impl Default for CallSimConfig {
         Self {
             burst_len: 6.0,
             delay_rho: 0.5,
-            emodel: EModelConfig::default(),
         }
     }
 }
@@ -150,7 +146,7 @@ pub fn simulate_call(
         eff_loss_pct,
         0.0, // jitter is already accounted for via buffer delay + late loss
     );
-    let mos = cfg.emodel.mos(&trace_metrics);
+    let mos = via_quality::mos(&trace_metrics);
 
     PacketTraceReport {
         sent: n_packets,

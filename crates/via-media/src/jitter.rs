@@ -53,6 +53,13 @@ impl JitterEstimator {
     }
 }
 
+/// Playout margin as a multiple of estimated jitter.
+const DEPTH_MULT: f64 = 2.0;
+/// Minimum playout margin, ms.
+const MIN_DEPTH_MS: f64 = 10.0;
+/// Maximum playout margin, ms.
+const MAX_DEPTH_MS: f64 = 200.0;
+
 /// An adaptive playout (jitter) buffer.
 ///
 /// The receiver delays playout by a margin proportional to the current
@@ -61,12 +68,6 @@ impl JitterEstimator {
 /// do between talkspurts.
 #[derive(Debug, Clone)]
 pub struct JitterBuffer {
-    /// Playout margin as a multiple of estimated jitter.
-    pub depth_mult: f64,
-    /// Minimum playout margin, ms.
-    pub min_depth_ms: f64,
-    /// Maximum playout margin, ms.
-    pub max_depth_ms: f64,
     current_depth_ms: f64,
     late: u64,
     played: u64,
@@ -76,10 +77,7 @@ impl JitterBuffer {
     /// Standard adaptive buffer: margin = 2× jitter, clamped to 10–200 ms.
     pub fn new() -> Self {
         Self {
-            depth_mult: 2.0,
-            min_depth_ms: 10.0,
-            max_depth_ms: 200.0,
-            current_depth_ms: 10.0,
+            current_depth_ms: MIN_DEPTH_MS,
             late: 0,
             played: 0,
         }
@@ -88,10 +86,9 @@ impl JitterBuffer {
     /// Offers a packet that arrived `lateness_ms` after the *earliest*
     /// possible arrival (i.e. its queueing component: delay − min delay so
     /// far). Returns true if played, false if discarded as late. The margin
-    /// adapts toward `depth_mult × jitter_estimate_ms`.
+    /// adapts toward `DEPTH_MULT × jitter_estimate_ms`.
     pub fn offer(&mut self, lateness_ms: f64, jitter_estimate_ms: f64) -> bool {
-        let target =
-            (self.depth_mult * jitter_estimate_ms).clamp(self.min_depth_ms, self.max_depth_ms);
+        let target = (DEPTH_MULT * jitter_estimate_ms).clamp(MIN_DEPTH_MS, MAX_DEPTH_MS);
         // Slow adaptation: 5% per packet toward the target.
         self.current_depth_ms += 0.05 * (target - self.current_depth_ms);
         if lateness_ms <= self.current_depth_ms {

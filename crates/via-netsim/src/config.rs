@@ -1,4 +1,6 @@
-//! World-generation configuration and tunable performance knobs.
+//! World-generation configuration. The performance model's calibration is
+//! not configuration: its constants sit beside their reader in
+//! [`crate::perf`].
 
 use serde::{Deserialize, Serialize};
 
@@ -27,8 +29,6 @@ pub struct WorldConfig {
     pub bounce_candidates: usize,
     /// Number of transit relay-pair candidates enumerated per AS pair.
     pub transit_candidates: usize,
-    /// Performance-model tunables.
-    pub perf: PerfKnobs,
 }
 
 impl WorldConfig {
@@ -41,7 +41,6 @@ impl WorldConfig {
             horizon_days: 10,
             bounce_candidates: 4,
             transit_candidates: 4,
-            perf: PerfKnobs::default(),
         }
     }
 
@@ -54,7 +53,6 @@ impl WorldConfig {
             horizon_days: 21,
             bounce_candidates: 6,
             transit_candidates: 6,
-            perf: PerfKnobs::default(),
         }
     }
 
@@ -68,7 +66,6 @@ impl WorldConfig {
             horizon_days: 56,
             bounce_candidates: 8,
             transit_candidates: 8,
-            perf: PerfKnobs::default(),
         }
     }
 }
@@ -76,136 +73,6 @@ impl WorldConfig {
 impl Default for WorldConfig {
     fn default() -> Self {
         WorldConfig::small()
-    }
-}
-
-/// Tunables of the generative performance model.
-///
-/// The defaults are calibrated (see `via-experiments`, `fig02`) so that the
-/// distribution of default-path metrics matches the paper's Figure 2: roughly
-/// 15 % of calls beyond each poor threshold (320 ms RTT, 1.2 % loss, 12 ms
-/// jitter).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PerfKnobs {
-    // --- access (last-mile) components, scaled by country tier 1..4 ---
-    /// Mean access RTT contribution in ms at tier 1; grows with tier.
-    pub access_rtt_base_ms: f64,
-    /// Mean access loss in percent at tier 1; grows with tier.
-    pub access_loss_base_pct: f64,
-    /// Mean access jitter in ms at tier 1; grows with tier.
-    pub access_jitter_base_ms: f64,
-
-    // --- direct (BGP) WAN path ---
-    /// Median RTT inflation over the speed-of-light bound for a domestic
-    /// tier-1 pair.
-    pub direct_inflation_base: f64,
-    /// Log-scale sigma of pair inflation.
-    pub direct_inflation_sigma: f64,
-    /// Extra multiplicative inflation per tier step of the worse endpoint.
-    pub direct_inflation_tier_step: f64,
-    /// Extra inflation multiplier applied to international pairs.
-    pub direct_inflation_intl: f64,
-    /// Probability that an international pair is "pathological" (severe
-    /// routing detour).
-    pub pathological_prob_intl: f64,
-    /// Probability that a domestic pair is pathological.
-    pub pathological_prob_domestic: f64,
-    /// Mean WAN loss (percent) of a tier-1 domestic direct path.
-    pub direct_loss_base_pct: f64,
-    /// Mean WAN jitter (ms) of a tier-1 domestic direct path.
-    pub direct_jitter_base_ms: f64,
-
-    // --- client ↔ relay WAN legs (cloud on-ramps are well peered) ---
-    /// Median inflation of an AS→relay leg.
-    pub relay_inflation_base: f64,
-    /// Log-scale sigma of relay-leg inflation.
-    pub relay_inflation_sigma: f64,
-    /// Mean WAN loss (percent) of an AS→relay leg at tier 1.
-    pub relay_loss_base_pct: f64,
-    /// Mean WAN jitter (ms) of an AS→relay leg at tier 1.
-    pub relay_jitter_base_ms: f64,
-
-    // --- private backbone ---
-    /// RTT inflation of the private backbone over the fiber bound.
-    pub backbone_inflation: f64,
-    /// Loss (percent) on backbone segments.
-    pub backbone_loss_pct: f64,
-    /// Jitter (ms) on backbone segments.
-    pub backbone_jitter_ms: f64,
-    /// Fixed per-relay forwarding delay added per traversed relay, ms
-    /// (applied once per relay on the round trip).
-    pub relay_hop_cost_ms: f64,
-
-    // --- temporal dynamics ---
-    /// Fraction of WAN segments that are chronically congested.
-    pub chronic_fraction: f64,
-    /// Fraction of WAN segments that are occasionally flaky (the rest are
-    /// stable).
-    pub flaky_fraction: f64,
-    /// RTT added by a full-severity episode on a direct path, ms.
-    pub episode_rtt_ms: f64,
-    /// Loss multiplier at full episode severity.
-    pub episode_loss_mult: f64,
-    /// Jitter multiplier at full episode severity.
-    pub episode_jitter_mult: f64,
-    /// Scale of the diurnal swing (0 = none).
-    pub diurnal_amplitude: f64,
-
-    // --- per-call noise ---
-    /// Probability that a call hits a transient outlier (severe short-lived
-    /// congestion: RTT/jitter multiplied, loss added). These heavy tails are
-    /// why VIA normalizes bandit rewards robustly (§4.5).
-    pub call_spike_prob: f64,
-    /// Maximum RTT/jitter multiplier of a spike (drawn uniformly in
-    /// [1.5, this]).
-    pub call_spike_mult: f64,
-    /// Log-sigma of the multiplicative per-call RTT noise.
-    pub call_rtt_sigma: f64,
-    /// Shape of the per-call Gamma loss draw (small = heavier tail).
-    pub call_loss_shape: f64,
-    /// Log-sigma of the multiplicative per-call jitter noise.
-    pub call_jitter_sigma: f64,
-}
-
-impl Default for PerfKnobs {
-    fn default() -> Self {
-        Self {
-            access_rtt_base_ms: 5.0,
-            access_loss_base_pct: 0.016,
-            access_jitter_base_ms: 1.1,
-
-            direct_inflation_base: 1.5,
-            direct_inflation_sigma: 0.35,
-            direct_inflation_tier_step: 0.22,
-            direct_inflation_intl: 1.2,
-            pathological_prob_intl: 0.10,
-            pathological_prob_domestic: 0.03,
-            direct_loss_base_pct: 0.04,
-            direct_jitter_base_ms: 1.4,
-
-            relay_inflation_base: 1.3,
-            relay_inflation_sigma: 0.22,
-            relay_loss_base_pct: 0.025,
-            relay_jitter_base_ms: 0.8,
-
-            backbone_inflation: 1.1,
-            backbone_loss_pct: 0.01,
-            backbone_jitter_ms: 0.4,
-            relay_hop_cost_ms: 2.0,
-
-            chronic_fraction: 0.10,
-            flaky_fraction: 0.25,
-            episode_rtt_ms: 90.0,
-            episode_loss_mult: 6.0,
-            episode_jitter_mult: 4.0,
-            diurnal_amplitude: 0.6,
-
-            call_spike_prob: 0.03,
-            call_spike_mult: 4.0,
-            call_rtt_sigma: 0.08,
-            call_loss_shape: 0.45,
-            call_jitter_sigma: 0.35,
-        }
     }
 }
 
@@ -227,16 +94,6 @@ mod tests {
         let p = WorldConfig::paper_scale();
         assert!(p.n_countries <= crate::catalog::COUNTRIES.len());
         assert!(p.n_relays <= crate::catalog::SITES.len());
-    }
-
-    #[test]
-    fn default_knobs_are_sane() {
-        let k = PerfKnobs::default();
-        assert!(k.direct_inflation_base > 1.0);
-        assert!(k.relay_inflation_base < k.direct_inflation_base);
-        assert!(k.backbone_inflation < k.relay_inflation_base);
-        assert!(k.chronic_fraction + k.flaky_fraction < 1.0);
-        assert!(k.episode_loss_mult >= 1.0 && k.episode_jitter_mult >= 1.0);
     }
 
     #[test]

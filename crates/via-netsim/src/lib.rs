@@ -44,7 +44,7 @@ pub mod perf;
 pub mod segments;
 pub mod topology;
 
-pub use config::{PerfKnobs, WorldConfig};
+pub use config::WorldConfig;
 pub use geo::GeoPoint;
 pub use perf::{PerfModel, SampleScratch};
 pub use segments::{SegMetrics, Segment, SegmentPath, Stability};

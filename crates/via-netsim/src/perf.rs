@@ -29,10 +29,103 @@ use via_model::seed;
 use via_model::table::Table;
 use via_model::time::SimTime;
 
-use crate::config::{PerfKnobs, WorldConfig};
 use crate::geo::GeoPoint;
 use crate::segments::{draw_stability, EpisodeSeries, SegMetrics, Segment, SegmentPath, Stability};
 use crate::topology::{AsInfo, Relay};
+
+// Calibration of the generative model (see `via-experiments`, `fig02`): the
+// distribution of default-path metrics matches the paper's Figure 2, roughly
+// 15 % of calls beyond each poor threshold (320 ms RTT, 1.2 % loss, 12 ms
+// jitter). Every golden, digest and benchmark workload assumes these values.
+
+// --- access (last-mile) components, scaled by country tier 1..4 ---
+/// Mean access RTT contribution in ms at tier 1; grows with tier.
+const ACCESS_RTT_BASE_MS: f64 = 5.0;
+/// Mean access loss in percent at tier 1; grows with tier.
+const ACCESS_LOSS_BASE_PCT: f64 = 0.016;
+/// Mean access jitter in ms at tier 1; grows with tier.
+const ACCESS_JITTER_BASE_MS: f64 = 1.1;
+
+// --- direct (BGP) WAN path ---
+/// Median RTT inflation over the speed-of-light bound for a domestic
+/// tier-1 pair.
+const DIRECT_INFLATION_BASE: f64 = 1.5;
+/// Log-scale sigma of pair inflation.
+const DIRECT_INFLATION_SIGMA: f64 = 0.35;
+/// Extra multiplicative inflation per tier step of the worse endpoint.
+const DIRECT_INFLATION_TIER_STEP: f64 = 0.22;
+/// Extra inflation multiplier applied to international pairs.
+const DIRECT_INFLATION_INTL: f64 = 1.2;
+/// Probability that an international pair is "pathological" (severe
+/// routing detour).
+const PATHOLOGICAL_PROB_INTL: f64 = 0.10;
+/// Probability that a domestic pair is pathological.
+const PATHOLOGICAL_PROB_DOMESTIC: f64 = 0.03;
+/// Mean WAN loss (percent) of a tier-1 domestic direct path.
+const DIRECT_LOSS_BASE_PCT: f64 = 0.04;
+/// Mean WAN jitter (ms) of a tier-1 domestic direct path.
+const DIRECT_JITTER_BASE_MS: f64 = 1.4;
+
+// --- client ↔ relay WAN legs (cloud on-ramps are well peered) ---
+/// Median inflation of an AS→relay leg.
+const RELAY_INFLATION_BASE: f64 = 1.3;
+/// Log-scale sigma of relay-leg inflation.
+const RELAY_INFLATION_SIGMA: f64 = 0.22;
+/// Mean WAN loss (percent) of an AS→relay leg at tier 1.
+const RELAY_LOSS_BASE_PCT: f64 = 0.025;
+/// Mean WAN jitter (ms) of an AS→relay leg at tier 1.
+const RELAY_JITTER_BASE_MS: f64 = 0.8;
+
+// --- private backbone ---
+/// RTT inflation of the private backbone over the fiber bound.
+const BACKBONE_INFLATION: f64 = 1.1;
+/// Loss (percent) on backbone segments.
+const BACKBONE_LOSS_PCT: f64 = 0.01;
+/// Jitter (ms) on backbone segments.
+const BACKBONE_JITTER_MS: f64 = 0.4;
+/// Fixed per-relay forwarding delay added per traversed relay, ms
+/// (applied once per relay on the round trip).
+const RELAY_HOP_COST_MS: f64 = 2.0;
+
+// --- temporal dynamics ---
+/// Fraction of WAN segments that are chronically congested.
+const CHRONIC_FRACTION: f64 = 0.10;
+/// Fraction of WAN segments that are occasionally flaky (the rest are
+/// stable).
+const FLAKY_FRACTION: f64 = 0.25;
+/// RTT added by a full-severity episode on a direct path, ms.
+const EPISODE_RTT_MS: f64 = 90.0;
+/// Loss multiplier at full episode severity.
+const EPISODE_LOSS_MULT: f64 = 6.0;
+/// Jitter multiplier at full episode severity.
+const EPISODE_JITTER_MULT: f64 = 4.0;
+/// Scale of the diurnal swing (0 = none).
+const DIURNAL_AMPLITUDE: f64 = 0.6;
+
+// --- per-call noise ---
+/// Probability that a call hits a transient outlier (severe short-lived
+/// congestion: RTT/jitter multiplied, loss added). These heavy tails are
+/// why VIA normalizes bandit rewards robustly (§4.5).
+const CALL_SPIKE_PROB: f64 = 0.03;
+/// Maximum RTT/jitter multiplier of a spike (drawn uniformly in
+/// [1.5, this]).
+const CALL_SPIKE_MULT: f64 = 4.0;
+/// Log-sigma of the multiplicative per-call RTT noise.
+const CALL_RTT_SIGMA: f64 = 0.08;
+/// Shape of the per-call Gamma loss draw (small = heavier tail).
+const CALL_LOSS_SHAPE: f64 = 0.45;
+/// Log-sigma of the multiplicative per-call jitter noise.
+const CALL_JITTER_SIGMA: f64 = 0.35;
+
+const _: () = assert!(DIRECT_INFLATION_BASE > 1.0);
+const _: () = assert!(RELAY_INFLATION_BASE < DIRECT_INFLATION_BASE);
+const _: () = assert!(BACKBONE_INFLATION < RELAY_INFLATION_BASE);
+const _: () = assert!(CHRONIC_FRACTION + FLAKY_FRACTION < 1.0);
+const _: () = assert!(EPISODE_LOSS_MULT >= 1.0 && EPISODE_JITTER_MULT >= 1.0);
+// The spike range `1.5..CALL_SPIKE_MULT` is not empty, the gamma shape and
+// both noise sigmas are ones their distributions accept.
+const _: () = assert!(CALL_SPIKE_MULT > 1.5 && CALL_LOSS_SHAPE > 0.0);
+const _: () = assert!(CALL_RTT_SIGMA >= 0.0 && CALL_JITTER_SIGMA >= 0.0);
 
 /// Static latents plus episode series for one segment.
 #[derive(Debug, Clone)]
@@ -70,7 +163,6 @@ struct SegState {
 #[derive(Debug)]
 pub struct PerfModel {
     world_seed: u64,
-    knobs: PerfKnobs,
     horizon_days: u64,
     as_pos: Vec<GeoPoint>,
     as_tier: Vec<u8>,
@@ -91,8 +183,9 @@ pub struct PerfModel {
     /// One orientation serves both directions — `distance_km` is
     /// bit-symmetric (pinned by a test in `topology.rs`).
     as_relay_km: Table<f64>,
-    /// Per-call RTT noise (`lognormal_mean` at mean 1.0), prebuilt from the
-    /// knobs; `None` when the sigma knob is degenerate (noise factor 1.0).
+    /// Per-call RTT noise (`lognormal_mean` at mean 1.0 and sigma
+    /// [`CALL_RTT_SIGMA`]), prebuilt; `None` (noise factor 1.0) only if the
+    /// constructor refused the constant.
     rtt_noise: Option<LogNormal<f64>>,
     /// Per-call jitter noise, same construction.
     jitter_noise: Option<LogNormal<f64>>,
@@ -112,7 +205,7 @@ impl PerfModel {
     /// Builds the model for a generated topology.
     pub(crate) fn new(
         world_seed: u64,
-        config: WorldConfig,
+        horizon_days: u64,
         ases: &[AsInfo],
         relays: &[Relay],
     ) -> Self {
@@ -121,12 +214,9 @@ impl PerfModel {
         let as_relay_km = Table::from_fn(n_ases, n_relays, |a, r| {
             ases[a].pos.distance_km(&relays[r].pos)
         });
-        let rtt_noise = unit_lognormal(config.perf.call_rtt_sigma);
-        let jitter_noise = unit_lognormal(config.perf.call_jitter_sigma);
         Self {
             world_seed,
-            knobs: config.perf,
-            horizon_days: config.horizon_days,
+            horizon_days,
             as_pos: ases.iter().map(|a| a.pos).collect(),
             as_tier: ases.iter().map(|a| a.tier).collect(),
             relay_pos: relays.iter().map(|r| r.pos).collect(),
@@ -135,8 +225,8 @@ impl PerfModel {
             direct: Table::from_fn(n_ases, n_ases, |_, _| OnceLock::new()),
             relay_wan: Table::from_fn(n_ases, n_relays, |_, _| OnceLock::new()),
             as_relay_km,
-            rtt_noise,
-            jitter_noise,
+            rtt_noise: unit_lognormal(CALL_RTT_SIGMA),
+            jitter_noise: unit_lognormal(CALL_JITTER_SIGMA),
             builds: AtomicU64::new(0),
         }
     }
@@ -180,7 +270,6 @@ impl PerfModel {
 
     fn build_state(&self, segment: Segment) -> SegState {
         self.builds.fetch_add(1, Ordering::Relaxed);
-        let k = &self.knobs;
         let mut rng = StdRng::seed_from_u64(seed::derive_indexed(
             self.world_seed,
             "segment-latents",
@@ -190,15 +279,15 @@ impl PerfModel {
         match segment {
             Segment::Access(a) => {
                 let tier = f64::from(self.as_tier[a.index()]);
-                let rtt = lognormal_mean(&mut rng, k.access_rtt_base_ms * (0.6 + 0.45 * tier), 0.3);
-                let loss = lognormal_mean(&mut rng, k.access_loss_base_pct * tier.powf(1.8), 0.5);
+                let rtt = lognormal_mean(&mut rng, ACCESS_RTT_BASE_MS * (0.6 + 0.45 * tier), 0.3);
+                let loss = lognormal_mean(&mut rng, ACCESS_LOSS_BASE_PCT * tier.powf(1.8), 0.5);
                 let jitter =
-                    lognormal_mean(&mut rng, k.access_jitter_base_ms * (0.5 + 0.5 * tier), 0.4);
+                    lognormal_mean(&mut rng, ACCESS_JITTER_BASE_MS * (0.5 + 0.5 * tier), 0.4);
                 let stability = draw_stability(
                     &mut rng,
                     self.as_tier[a.index()],
-                    k.chronic_fraction * 0.6,
-                    k.flaky_fraction * 0.8,
+                    CHRONIC_FRACTION * 0.6,
+                    FLAKY_FRACTION * 0.8,
                 );
                 SegState {
                     rtt_ms: rtt,
@@ -226,16 +315,16 @@ impl PerfModel {
                 let intl_like = dist > 2_500.0;
 
                 let mut inflation_median =
-                    k.direct_inflation_base * (1.0 + k.direct_inflation_tier_step * (tier - 1.0));
+                    DIRECT_INFLATION_BASE * (1.0 + DIRECT_INFLATION_TIER_STEP * (tier - 1.0));
                 if intl_like {
-                    inflation_median *= k.direct_inflation_intl;
+                    inflation_median *= DIRECT_INFLATION_INTL;
                 }
                 let mut inflation =
-                    lognormal_median(&mut rng, inflation_median, k.direct_inflation_sigma);
+                    lognormal_median(&mut rng, inflation_median, DIRECT_INFLATION_SIGMA);
                 let p_path = if intl_like {
-                    k.pathological_prob_intl
+                    PATHOLOGICAL_PROB_INTL
                 } else {
-                    k.pathological_prob_domestic
+                    PATHOLOGICAL_PROB_DOMESTIC
                 };
                 if rng.random::<f64>() < p_path {
                     inflation *= rng.random_range(1.8..3.2);
@@ -245,15 +334,14 @@ impl PerfModel {
                 let rtt = pa.min_rtt_ms(&pb) * inflation + rng.random_range(4.0..12.0);
 
                 let loss_mean =
-                    k.direct_loss_base_pct * tier.powf(1.6) * if intl_like { 1.8 } else { 1.0 };
+                    DIRECT_LOSS_BASE_PCT * tier.powf(1.6) * if intl_like { 1.8 } else { 1.0 };
                 let loss = lognormal_mean(&mut rng, loss_mean, 0.6);
-                let jitter_mean = k.direct_jitter_base_ms
-                    * (0.5 + 0.5 * tier)
-                    * if intl_like { 1.5 } else { 1.0 };
+                let jitter_mean =
+                    DIRECT_JITTER_BASE_MS * (0.5 + 0.5 * tier) * if intl_like { 1.5 } else { 1.0 };
                 let jitter = lognormal_mean(&mut rng, jitter_mean, 0.5);
 
                 let stability =
-                    draw_stability(&mut rng, tier_class, k.chronic_fraction, k.flaky_fraction);
+                    draw_stability(&mut rng, tier_class, CHRONIC_FRACTION, FLAKY_FRACTION);
                 SegState {
                     rtt_ms: rtt,
                     loss_pct: loss,
@@ -274,9 +362,8 @@ impl PerfModel {
                 let pr = self.relay_pos[r.index()];
                 let tier_class = self.as_tier[a.index()];
                 let tier = f64::from(tier_class);
-                let inflation_median = k.relay_inflation_base * (1.0 + 0.08 * (tier - 1.0));
-                let inflation =
-                    lognormal_median(&mut rng, inflation_median, k.relay_inflation_sigma);
+                let inflation_median = RELAY_INFLATION_BASE * (1.0 + 0.08 * (tier - 1.0));
+                let inflation = lognormal_median(&mut rng, inflation_median, RELAY_INFLATION_SIGMA);
                 let rtt = pa.min_rtt_ms(&pr) * inflation + rng.random_range(2.0..8.0);
                 // Loss and jitter accumulate with public-WAN path length: a
                 // short on-ramp to a nearby relay is much cleaner than a
@@ -285,19 +372,19 @@ impl PerfModel {
                 let dist_factor = 0.4 + pa.distance_km(&pr) / 4_000.0;
                 let loss = lognormal_mean(
                     &mut rng,
-                    k.relay_loss_base_pct * tier.powf(1.4) * dist_factor,
+                    RELAY_LOSS_BASE_PCT * tier.powf(1.4) * dist_factor,
                     0.5,
                 );
                 let jitter = lognormal_mean(
                     &mut rng,
-                    k.relay_jitter_base_ms * (0.6 + 0.4 * tier) * dist_factor,
+                    RELAY_JITTER_BASE_MS * (0.6 + 0.4 * tier) * dist_factor,
                     0.4,
                 );
                 let stability = draw_stability(
                     &mut rng,
                     tier_class,
-                    k.chronic_fraction * 0.7,
-                    k.flaky_fraction * 0.8,
+                    CHRONIC_FRACTION * 0.7,
+                    FLAKY_FRACTION * 0.8,
                 );
                 SegState {
                     rtt_ms: rtt,
@@ -318,9 +405,9 @@ impl PerfModel {
                 let p1 = self.relay_pos[r1.index()];
                 let p2 = self.relay_pos[r2.index()];
                 SegState {
-                    rtt_ms: p1.min_rtt_ms(&p2) * k.backbone_inflation,
-                    loss_pct: k.backbone_loss_pct,
-                    jitter_ms: k.backbone_jitter_ms,
+                    rtt_ms: p1.min_rtt_ms(&p2) * BACKBONE_INFLATION,
+                    loss_pct: BACKBONE_LOSS_PCT,
+                    jitter_ms: BACKBONE_JITTER_MS,
                     diurnal_sens: 0.05,
                     episode_scale: 0.0,
                     lon_deg: (p1.lon_deg + p2.lon_deg) / 2.0,
@@ -363,15 +450,14 @@ impl PerfModel {
     /// — every caller goes through here, so cached day states are
     /// bit-identical to fresh `segment_mean` calls by construction.
     fn mean_from_day(&self, s: &SegDayState, t: SimTime) -> SegMetrics {
-        let k = &self.knobs;
         // Diurnal load peaks at 20:00 local time at the segment midpoint.
         let local = GeoPoint::new(0.0, s.lon_deg.clamp(-180.0, 180.0)).local_hour(t.hour_of_day());
         let evening = 0.5 * (1.0 + ((local - 20.0) / 24.0 * std::f64::consts::TAU).cos());
-        let d = k.diurnal_amplitude * s.diurnal_sens * evening;
+        let d = DIURNAL_AMPLITUDE * s.diurnal_sens * evening;
 
-        let episode_rtt = s.sev * k.episode_rtt_ms;
-        let loss_mult = 1.0 + s.sev * (k.episode_loss_mult - 1.0);
-        let jitter_mult = 1.0 + s.sev * (k.episode_jitter_mult - 1.0);
+        let episode_rtt = s.sev * EPISODE_RTT_MS;
+        let loss_mult = 1.0 + s.sev * (EPISODE_LOSS_MULT - 1.0);
+        let jitter_mult = 1.0 + s.sev * (EPISODE_JITTER_MULT - 1.0);
 
         SegMetrics {
             rtt_ms: s.rtt_ms + episode_rtt + 6.0 * d,
@@ -426,7 +512,7 @@ impl PerfModel {
 
     /// Expected end-to-end metrics of `option` at time `t`, *excluding*
     /// per-call transient spikes (which inflate realized means uniformly by
-    /// `call_spike_prob × E[spike_mult − 1]` ≈ 5 % and therefore do not
+    /// `CALL_SPIKE_PROB × E[spike_mult − 1]` ≈ 5 % and therefore do not
     /// change option rankings). The scratch-free reference that
     /// [`PerfModel::option_mean_scratch`] is pinned bit-identical to.
     pub fn option_mean(
@@ -442,7 +528,7 @@ impl PerfModel {
             acc = acc.chain(&self.segment_mean(*seg, t));
         }
         PathMetrics::new(
-            acc.rtt_ms + path.hops() as f64 * self.knobs.relay_hop_cost_ms,
+            acc.rtt_ms + path.hops() as f64 * RELAY_HOP_COST_MS,
             acc.loss_pct,
             acc.jitter_ms,
         )
@@ -524,7 +610,7 @@ impl PerfModel {
             acc = acc.chain(&m);
         }
         PathMetrics::new(
-            acc.rtt_ms + path.hops() as f64 * self.knobs.relay_hop_cost_ms,
+            acc.rtt_ms + path.hops() as f64 * RELAY_HOP_COST_MS,
             acc.loss_pct,
             acc.jitter_ms,
         )
@@ -570,23 +656,21 @@ impl PerfModel {
         means: [PathMetrics; N],
         rng: &mut StdRng,
     ) -> [PathMetrics; N] {
-        let k = &self.knobs;
-
         let rtt_noise = self.rtt_noise.map_or(1.0, |d| d.sample(rng));
         let jitter_noise = self.jitter_noise.map_or(1.0, |d| d.sample(rng));
 
         // A loss-free first mean draws no gamma. `Gamma::sample` is exactly
         // `dv * scale * boost`; the scale-free parts under each mean's own
         // scale are the shared draw.
-        let shape = k.call_loss_shape;
+        let shape = CALL_LOSS_SHAPE;
         let lead = means[0].loss_pct;
         let gamma =
             (lead > 1e-9).then(|| Gamma::new(shape, lead / shape).map(|d| d.sample_parts(rng)));
         let loss = |mean: f64| match gamma {
             Some(Ok((dv, boost))) if mean > 1e-9 => dv * (mean / shape) * boost,
             Some(Ok(_)) => 0.0,
-            // Degenerate knob values (shape ≤ 0) fall back to the mean
-            // itself rather than panicking.
+            // A scale the gamma refuses (a non-finite lead mean) falls back
+            // to the mean itself rather than panicking.
             Some(Err(_)) => mean,
             None if mean > 1e-9 => mean,
             None => 0.0,
@@ -595,9 +679,9 @@ impl PerfModel {
         // Transient outliers: short-lived congestion events that per-call
         // averages cannot hide — the heavy tail that breaks naive reward
         // normalization (§4.5).
-        let (spike_mult, spike_loss) = if rng.random::<f64>() < k.call_spike_prob {
+        let (spike_mult, spike_loss) = if rng.random::<f64>() < CALL_SPIKE_PROB {
             (
-                rng.random_range(1.5..k.call_spike_mult.max(1.6)),
+                rng.random_range(1.5..CALL_SPIKE_MULT),
                 rng.random_range(0.5..3.0),
             )
         } else {
@@ -776,7 +860,7 @@ mod tests {
             loss.push(s.loss_pct);
         }
         let rtt_mean = rtt.mean().unwrap();
-        // Transient spikes (call_spike_prob) uniformly inflate realized
+        // Transient spikes (`CALL_SPIKE_PROB`) uniformly inflate realized
         // means ~5% above the spike-free `option_mean`; option rankings are
         // unaffected.
         assert!(

@@ -304,7 +304,7 @@ impl World {
             })
             .collect();
 
-        let perf = PerfModel::new(world_seed, config.clone(), &ases, &relays);
+        let perf = PerfModel::new(world_seed, config.horizon_days, &ases, &relays);
         let geometry = Geometry::new(perf.as_relay_km(), &relays);
         let candidates = CandidateTable::new(ases.len(), max_candidates(config, relays.len()));
 

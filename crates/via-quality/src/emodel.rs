@@ -18,91 +18,66 @@
 //! to the effective loss (§ "jitter mapping" below, following common
 //! E-model practice).
 
-use serde::{Deserialize, Serialize};
 use via_model::metrics::PathMetrics;
 
-/// Configuration of the E-model evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EModelConfig {
-    /// Base rating factor (G.711 default transmission chain).
-    pub r_base: f64,
-    /// Codec + packetization + playout base delay added to the network
-    /// one-way delay, ms.
-    pub codec_delay_ms: f64,
-    /// Playout (jitter) buffer depth as a multiple of the measured jitter.
-    pub jitter_buffer_mult: f64,
-    /// Fraction of packets arriving later than the buffer depth per ms of
-    /// jitter beyond the absorbed amount — converts residual jitter into
-    /// effective loss.
-    pub late_loss_per_ms: f64,
-    /// Loss-impairment curve γ₂ (G.711: 30).
-    pub gamma2: f64,
-    /// Loss-impairment curve γ₃ (G.711: 15).
-    pub gamma3: f64,
+/// Base rating factor (G.711 default transmission chain).
+const R_BASE: f64 = 94.2;
+/// Codec + packetization + playout base delay added to the network
+/// one-way delay, ms.
+const CODEC_DELAY_MS: f64 = 25.0;
+/// Playout (jitter) buffer depth as a multiple of the measured jitter.
+const JITTER_BUFFER_MULT: f64 = 2.0;
+/// Fraction of packets arriving later than the buffer depth per ms of
+/// jitter beyond the absorbed amount — converts residual jitter into
+/// effective loss.
+const LATE_LOSS_PER_MS: f64 = 0.0025;
+/// Loss-impairment curve γ₂ (G.711: 30).
+const GAMMA2: f64 = 30.0;
+/// Loss-impairment curve γ₃ (G.711: 15).
+const GAMMA3: f64 = 15.0;
+
+/// Delay impairment `Id` for a one-way delay `d` ms.
+pub fn delay_impairment(d_ms: f64) -> f64 {
+    let d = d_ms.max(0.0);
+    let knee = if d > 177.3 { 0.11 * (d - 177.3) } else { 0.0 };
+    0.024 * d + knee
 }
 
-impl Default for EModelConfig {
-    fn default() -> Self {
-        Self {
-            r_base: 94.2,
-            codec_delay_ms: 25.0,
-            jitter_buffer_mult: 2.0,
-            late_loss_per_ms: 0.0025,
-            gamma2: 30.0,
-            gamma3: 15.0,
-        }
-    }
+/// Loss impairment `Ie` for an effective loss fraction `e ∈ [0, 1]`.
+pub fn loss_impairment(e: f64) -> f64 {
+    GAMMA2 * (1.0 + GAMMA3 * e.clamp(0.0, 1.0)).ln()
 }
 
-impl EModelConfig {
-    /// Delay impairment `Id` for a one-way delay `d` ms.
-    pub fn delay_impairment(&self, d_ms: f64) -> f64 {
-        let d = d_ms.max(0.0);
-        let knee = if d > 177.3 { 0.11 * (d - 177.3) } else { 0.0 };
-        0.024 * d + knee
+/// Maps the R factor to MOS on the standard 1–4.5 scale.
+pub fn r_to_mos(r: f64) -> f64 {
+    if r <= 0.0 {
+        return 1.0;
     }
-
-    /// Loss impairment `Ie` for an effective loss fraction `e ∈ [0, 1]`.
-    pub fn loss_impairment(&self, e: f64) -> f64 {
-        self.gamma2 * (1.0 + self.gamma3 * e.clamp(0.0, 1.0)).ln()
+    if r >= 100.0 {
+        return 4.5;
     }
-
-    /// Maps the R factor to MOS on the standard 1–4.5 scale.
-    pub fn r_to_mos(&self, r: f64) -> f64 {
-        if r <= 0.0 {
-            return 1.0;
-        }
-        if r >= 100.0 {
-            return 4.5;
-        }
-        let mos = 1.0 + 0.035 * r + 7e-6 * r * (r - 60.0) * (100.0 - r);
-        mos.clamp(1.0, 4.5)
-    }
-
-    /// Full pipeline: averaged per-call network metrics → MOS.
-    ///
-    /// The one-way network delay is half the measured RTT. The playout buffer
-    /// is sized at `jitter_buffer_mult × jitter`, contributing both delay and
-    /// (for the jitter the buffer cannot absorb) late-discard loss.
-    pub fn mos(&self, m: &PathMetrics) -> f64 {
-        let one_way = m.rtt_ms / 2.0;
-        let buffer_delay = self.jitter_buffer_mult * m.jitter_ms;
-        let d = one_way + self.codec_delay_ms + buffer_delay;
-
-        // Residual late loss: the tail of the jitter distribution beyond the
-        // buffer. Approximated as linear in the jitter magnitude.
-        let late = (self.late_loss_per_ms * m.jitter_ms).min(0.2);
-        let network_loss = (m.loss_pct / 100.0).clamp(0.0, 1.0);
-        let e = 1.0 - (1.0 - network_loss) * (1.0 - late);
-
-        let r = self.r_base - self.delay_impairment(d) - self.loss_impairment(e);
-        self.r_to_mos(r)
-    }
+    let mos = 1.0 + 0.035 * r + 7e-6 * r * (r - 60.0) * (100.0 - r);
+    mos.clamp(1.0, 4.5)
 }
 
-/// Convenience: MOS with the default configuration.
-pub fn mos(metrics: &PathMetrics) -> f64 {
-    EModelConfig::default().mos(metrics)
+/// Full pipeline: averaged per-call network metrics → MOS.
+///
+/// The one-way network delay is half the measured RTT. The playout buffer
+/// is sized at `JITTER_BUFFER_MULT × jitter`, contributing both delay and
+/// (for the jitter the buffer cannot absorb) late-discard loss.
+pub fn mos(m: &PathMetrics) -> f64 {
+    let one_way = m.rtt_ms / 2.0;
+    let buffer_delay = JITTER_BUFFER_MULT * m.jitter_ms;
+    let d = one_way + CODEC_DELAY_MS + buffer_delay;
+
+    // Residual late loss: the tail of the jitter distribution beyond the
+    // buffer. Approximated as linear in the jitter magnitude.
+    let late = (LATE_LOSS_PER_MS * m.jitter_ms).min(0.2);
+    let network_loss = (m.loss_pct / 100.0).clamp(0.0, 1.0);
+    let e = 1.0 - (1.0 - network_loss) * (1.0 - late);
+
+    let r = R_BASE - delay_impairment(d) - loss_impairment(e);
+    r_to_mos(r)
 }
 
 #[cfg(test)]
@@ -126,9 +101,8 @@ mod tests {
 
     #[test]
     fn delay_impairment_knee_at_177ms() {
-        let c = EModelConfig::default();
-        let below = c.delay_impairment(177.0);
-        let above = c.delay_impairment(277.0);
+        let below = delay_impairment(177.0);
+        let above = delay_impairment(277.0);
         // Slope below the knee is 0.024/ms; above it 0.134/ms.
         assert!((below - 0.024 * 177.0).abs() < 1e-9);
         assert!((above - (0.024 * 277.0 + 0.11 * (277.0 - 177.3))).abs() < 1e-9);
@@ -136,22 +110,20 @@ mod tests {
 
     #[test]
     fn loss_impairment_matches_g711_curve() {
-        let c = EModelConfig::default();
-        assert_eq!(c.loss_impairment(0.0), 0.0);
+        assert_eq!(loss_impairment(0.0), 0.0);
         // 5% loss: 30·ln(1+0.75) ≈ 16.79.
-        assert!((c.loss_impairment(0.05) - 30.0 * 1.75f64.ln()).abs() < 1e-9);
+        assert!((loss_impairment(0.05) - 30.0 * 1.75f64.ln()).abs() < 1e-9);
     }
 
     #[test]
     fn r_to_mos_anchors() {
-        let c = EModelConfig::default();
-        assert_eq!(c.r_to_mos(-5.0), 1.0);
-        assert_eq!(c.r_to_mos(150.0), 4.5);
+        assert_eq!(r_to_mos(-5.0), 1.0);
+        assert_eq!(r_to_mos(150.0), 4.5);
         // R = 93 → MOS ≈ 4.41 (textbook anchor ~4.4).
-        let m = c.r_to_mos(93.0);
+        let m = r_to_mos(93.0);
         assert!((m - 4.4).abs() < 0.05, "R=93 gave MOS {m}");
         // R = 50 → MOS ≈ 2.58.
-        let m50 = c.r_to_mos(50.0);
+        let m50 = r_to_mos(50.0);
         assert!((m50 - 2.6).abs() < 0.1, "R=50 gave MOS {m50}");
     }
 

@@ -26,6 +26,6 @@ pub mod emodel;
 pub mod pnr;
 pub mod rating;
 
-pub use emodel::{mos, EModelConfig};
+pub use emodel::mos;
 pub use pnr::{relative_improvement, PnrImprovement, PnrReport};
 pub use rating::RatingModel;

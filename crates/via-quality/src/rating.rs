@@ -13,15 +13,14 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use via_model::metrics::PathMetrics;
 
-use crate::emodel::EModelConfig;
+use crate::emodel;
+
+/// Standard deviation of per-user rating noise (MOS points).
+const USER_NOISE_SD: f64 = 0.65;
 
 /// Configuration of the rating model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RatingModel {
-    /// The underlying objective-quality model.
-    pub emodel: EModelConfig,
-    /// Standard deviation of per-user rating noise (MOS points).
-    pub user_noise_sd: f64,
     /// Global offset: users rate on the full 1–5 scale while MOS tops out at
     /// 4.5, so real ratings sit slightly above MOS for good calls.
     pub offset: f64,
@@ -33,8 +32,6 @@ pub struct RatingModel {
 impl Default for RatingModel {
     fn default() -> Self {
         Self {
-            emodel: EModelConfig::default(),
-            user_noise_sd: 0.65,
             offset: 0.3,
             rating_probability: 0.02,
         }
@@ -46,12 +43,12 @@ impl RatingModel {
     /// metrics. Always returns a rating; use [`RatingModel::maybe_rate`] to
     /// model the sampling of which calls get rated.
     pub fn rate(&self, metrics: &PathMetrics, rng: &mut StdRng) -> u8 {
-        let mos = self.emodel.mos(metrics) + self.offset;
+        let mos = emodel::mos(metrics) + self.offset;
         // Box–Muller keeps us independent of distribution crates here.
         let u1: f64 = rng.random::<f64>().max(1e-12);
         let u2: f64 = rng.random();
         let gauss = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        let noisy = mos + self.user_noise_sd * gauss;
+        let noisy = mos + USER_NOISE_SD * gauss;
         noisy.round().clamp(1.0, 5.0) as u8
     }
 
@@ -70,9 +67,9 @@ impl RatingModel {
     /// the closed form of `P(rate(..) ≤ 2)` under the Gaussian noise model.
     /// Useful for tests and for plotting smooth PCR curves.
     pub fn poor_probability(&self, metrics: &PathMetrics) -> f64 {
-        let mos = self.emodel.mos(metrics) + self.offset;
+        let mos = emodel::mos(metrics) + self.offset;
         // P(round(X) ≤ 2) = P(X < 2.5) with X ~ N(mos, sd²).
-        let z = (2.5 - mos) / self.user_noise_sd;
+        let z = (2.5 - mos) / USER_NOISE_SD;
         normal_cdf(z)
     }
 }

@@ -68,8 +68,6 @@ pub struct ServerConfig {
     pub budget: Option<f64>,
     /// Number of pair shards (clamped to at least 1).
     pub shards: usize,
-    /// Predictor / tomography settings.
-    pub predictor: PredictorConfig,
     /// Simulation clock at startup; decides the first accumulating window.
     pub start: SimTime,
 }
@@ -83,7 +81,6 @@ impl Default for ServerConfig {
             epsilon: 0.05,
             budget: None,
             shards: 8,
-            predictor: PredictorConfig::default(),
             start: SimTime::ZERO,
         }
     }
@@ -235,7 +232,8 @@ impl Controller {
         current: Window,
         trained: CallHistory,
     ) -> Controller {
-        let initial = refit(&trained, current, prior.clone(), &backbone, cfg.predictor);
+        let fit_cfg = PredictorConfig::default();
+        let initial = refit(&trained, current, prior.clone(), &backbone, fit_cfg);
         let n_shards = cfg.shards.max(1);
         Controller {
             plan: Plan::from(StrategyKind::Via),
@@ -515,7 +513,7 @@ impl Controller {
             next,
             self.prior.clone(),
             &self.backbone,
-            self.cfg.predictor,
+            PredictorConfig::default(),
         );
         let empirical = published.empirical_cells() as u64;
         let segments = published.tomography_segments() as u64;

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use via_model::metrics::PathMetrics;
 use via_model::options::RelayOption;
-use via_testbed::protocol::{accept_deadline, FrameConn, FrameError};
+use via_testbed::protocol::{accept_deadline, FrameConn, FrameError, MAX_FRAME};
 
 use crate::controller::Controller;
 use crate::wire::{ErrorKind, Request, Response, WireError};
@@ -177,7 +177,15 @@ fn next_request(
 }
 
 fn send(conn: &mut FrameConn, resp: &Response) -> Result<(), FrameError> {
-    conn.write_body(|out| resp.encode(out))
+    let sent = conn.write_body(|out| resp.encode(out));
+    let Err(FrameError::Oversized(n)) = sent else {
+        return sent;
+    };
+    // Refused before a byte went out, so the stream is in step: the peer gets
+    // a typed error in the reply's place and the connection serves on.
+    let kind = ErrorKind::ReplyTooLarge;
+    let detail = format!("reply of {n} bytes exceeds the {MAX_FRAME}-byte frame limit");
+    conn.write_body(|out| Response::Error { kind, detail }.encode(out))
 }
 
 fn bad_request(detail: String) -> Response {

@@ -33,7 +33,8 @@
 //!           0x84 Snapshot  text (the JSON document)                 6 + len
 //!           0x85 Bye       -                                            2
 //!           0x86 Error     [kind u8: 0 UnknownSession,
-//!                          1 SessionExhausted, 2 BadRequest] text   7 + len
+//!                          1 SessionExhausted, 2 BadRequest,
+//!                          3 ReplyTooLarge] text                    7 + len
 //! ```
 //!
 //! Every value has exactly one encoding and a body must end where its last
@@ -118,6 +119,9 @@ pub enum ErrorKind {
     /// that are non-finite, negative or out of range; an option naming a
     /// relay outside the fleet).
     BadRequest,
+    /// The request was served but its reply does not fit one frame (a
+    /// `Snapshot` document beyond `MAX_FRAME`); nothing of it was sent.
+    ReplyTooLarge,
 }
 
 /// Controller → client responses.
@@ -185,6 +189,7 @@ const OPT_TRANSIT: u8 = 2;
 const ERR_UNKNOWN_SESSION: u8 = 0;
 const ERR_SESSION_EXHAUSTED: u8 = 1;
 const ERR_BAD_REQUEST: u8 = 2;
+const ERR_REPLY_TOO_LARGE: u8 = 3;
 
 /// Encoded size of one [`RelayOption`].
 const OPTION_BYTES: usize = 9;
@@ -442,6 +447,7 @@ impl Response {
                     ErrorKind::UnknownSession => ERR_UNKNOWN_SESSION,
                     ErrorKind::SessionExhausted => ERR_SESSION_EXHAUSTED,
                     ErrorKind::BadRequest => ERR_BAD_REQUEST,
+                    ErrorKind::ReplyTooLarge => ERR_REPLY_TOO_LARGE,
                 };
                 out.extend_from_slice(&[WIRE_VERSION, RESP_ERROR, kind]);
                 put_text(out, detail)?;
@@ -479,6 +485,7 @@ impl Response {
                     ERR_UNKNOWN_SESSION => ErrorKind::UnknownSession,
                     ERR_SESSION_EXHAUSTED => ErrorKind::SessionExhausted,
                     ERR_BAD_REQUEST => ErrorKind::BadRequest,
+                    ERR_REPLY_TOO_LARGE => ErrorKind::ReplyTooLarge,
                     other => return Err(WireError::BadErrorKind(other)),
                 },
                 detail: r.text("error detail")?.to_owned(),
@@ -748,12 +755,16 @@ mod tests {
             (session, window) in (any::<u64>(), any::<u64>()),
             option in (0u8..3, any::<u32>(), any::<u32>()),
             (admitted, explored) in (any::<bool>(), any::<bool>()),
-            (kind, text) in (0u8..3, prop::collection::vec(any::<u32>(), 0..40)),
+            (kind, text) in (0u8..4, prop::collection::vec(any::<u32>(), 0..40)),
         ) {
             // Any scalar values at all, surrogates aside: multi-byte UTF-8.
             let text: String = text.into_iter().filter_map(char::from_u32).collect();
-            let kind = [ErrorKind::UnknownSession, ErrorKind::SessionExhausted, ErrorKind::BadRequest]
-                [usize::from(kind)];
+            let kind = [
+                ErrorKind::UnknownSession,
+                ErrorKind::SessionExhausted,
+                ErrorKind::BadRequest,
+                ErrorKind::ReplyTooLarge,
+            ][usize::from(kind)];
             for resp in [
                 Response::Welcome { session },
                 Response::Selected { option: option_of(option), admitted, explored, window },
@@ -907,8 +918,8 @@ mod tests {
         );
         let error = reply_body_of(&responses()[5]);
         assert_eq!(
-            Response::decode(&with(&error, 2, 3)),
-            Err(WireError::BadErrorKind(3))
+            Response::decode(&with(&error, 2, 4)),
+            Err(WireError::BadErrorKind(4))
         );
         assert_eq!(
             Response::decode(&with(&error, 7, 0xFF)),

@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use via_core::budget::BudgetGate;
 use via_core::history::{CallHistory, KeyPair};
-use via_core::predictor::{GeoPrior, Predictor};
+use via_core::predictor::{GeoPrior, Predictor, PredictorConfig};
 use via_core::topk::{top_k_into, ScoredOption};
 use via_core::{BackboneFn, UcbBandit};
 use via_model::ids::RelayId;
@@ -45,7 +45,6 @@ fn config() -> ServerConfig {
         budget: Some(0.5),
         shards: 4,
         start: SimTime::ZERO,
-        ..ServerConfig::default()
     }
 }
 
@@ -145,9 +144,9 @@ impl BatchReference {
                 training,
                 prior.clone(),
                 boxed(&backbone),
-                cfg.predictor,
+                PredictorConfig::default(),
             ),
-            None => Predictor::cold(prior.clone(), boxed(&backbone), cfg.predictor),
+            None => Predictor::cold(prior.clone(), boxed(&backbone)),
         };
         BatchReference {
             prior,
@@ -172,7 +171,7 @@ impl BatchReference {
             training,
             self.prior.clone(),
             boxed(&self.backbone),
-            self.cfg.predictor,
+            PredictorConfig::default(),
         );
         self.history.prune_before(w.index.saturating_sub(1));
         self.pairs.clear();

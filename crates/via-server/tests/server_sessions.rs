@@ -362,3 +362,48 @@ fn in_process_report_and_restore_refuse_out_of_fleet_relays() {
     let trained = restored.selection_snapshot().trained.expect("window 1");
     assert_eq!(trained.cells.len(), 1);
 }
+
+#[test]
+fn snapshot_beyond_one_frame_is_a_typed_error_and_the_connection_keeps_serving() {
+    // No budget gate and enough distinct (pair, option) cells that the
+    // snapshot document cannot fit a frame.
+    let ctrl = controller();
+    let options = [
+        RelayOption::Direct,
+        RelayOption::Bounce(RelayId(0)),
+        RelayOption::Bounce(RelayId(1)),
+        RelayOption::Bounce(RelayId(2)),
+        RelayOption::Transit(RelayId(0), RelayId(1)),
+        RelayOption::Transit(RelayId(0), RelayId(2)),
+        RelayOption::Transit(RelayId(1), RelayId(2)),
+    ];
+    for src in 0..24u32 {
+        for dst in 0..24u32 {
+            for (i, &option) in options.iter().enumerate() {
+                let metrics = PathMetrics::new(80.0 + f64::from(src + dst) + i as f64, 0.3, 4.0);
+                ctrl.report(SimTime::ZERO, src, dst, option, &metrics);
+            }
+        }
+    }
+    let document = ctrl.selection_snapshot_json().len();
+    assert!(
+        document > via_testbed::protocol::MAX_FRAME as usize,
+        "{document}-byte snapshot fits a frame: the test no longer reaches the refusal"
+    );
+
+    let handle = serve(ctrl).unwrap();
+    let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
+    match client.snapshot() {
+        Err(ClientError::Remote { kind, detail }) => {
+            assert_eq!(kind, ErrorKind::ReplyTooLarge, "{detail}");
+        }
+        other => panic!("expected ReplyTooLarge, got {other:?}"),
+    }
+    // Nothing of the refused reply went out: the stream is still in step.
+    let sel = client
+        .select(1, SimTime::ZERO, 0, 1, &options)
+        .expect("select after the refused snapshot");
+    assert!(options.contains(&sel.option));
+    client.shutdown().unwrap();
+    handle.wait();
+}

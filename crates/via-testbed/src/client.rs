@@ -33,11 +33,12 @@ use crate::protocol::{connect_deadline, ClientMsg, ControllerMsg, FrameConn, Fra
 /// controller can budget its per-call deadline from the same number.
 pub const COLLECT_CEILING_MS: u64 = 1_200;
 
+/// Bounded timeout for the initial TCP connect to the controller.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Client-side robustness knobs.
 #[derive(Debug)]
 pub struct ClientConfig {
-    /// Bounded timeout for the initial TCP connect to the controller.
-    pub connect_timeout: Duration,
     /// Longest the client waits for the next controller frame before
     /// declaring the controller dead. Callees idle for entire runs, so the
     /// harness sets this to the run's global deadline.
@@ -49,7 +50,6 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            connect_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(120),
             faults: None,
         }
@@ -124,7 +124,7 @@ fn control_loop(
     udp: &UdpSocket,
     echo_rx: &Receiver<EchoEvent>,
 ) -> Result<(), TestbedError> {
-    let stream = connect_deadline(controller, cfg.connect_timeout)?;
+    let stream = connect_deadline(controller, CONNECT_TIMEOUT)?;
     let mut conn = FrameConn::new(stream)?;
     conn.write(&ClientMsg::Register {
         name: name.to_string(),

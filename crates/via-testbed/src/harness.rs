@@ -389,7 +389,6 @@ pub fn run_testbed(cfg: &TestbedConfig) -> Result<TestbedResult, TestbedError> {
             // should time them out.
             idle_timeout: timing.global + std::time::Duration::from_secs(5),
             faults: cfg.fault.frame_faults("client-report", i as u64),
-            ..ClientConfig::default()
         };
         let handle = std::thread::Builder::new()
             .name(format!("via-{name}"))

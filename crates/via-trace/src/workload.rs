@@ -19,6 +19,11 @@ use via_quality::RatingModel;
 
 use crate::record::{AccessExtra, CallRecord, Trace};
 
+/// Mean call duration, seconds.
+const MEAN_DURATION_S: f64 = 180.0;
+/// Number of distinct users per unit of AS weight.
+const USERS_PER_WEIGHT: usize = 400;
+
 /// Workload parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceConfig {
@@ -32,10 +37,6 @@ pub struct TraceConfig {
     pub inter_as_fraction: f64,
     /// Fraction of calls with a wireless last hop (paper: 0.83).
     pub wireless_fraction: f64,
-    /// Mean call duration, seconds.
-    pub mean_duration_s: f64,
-    /// Number of distinct users per unit of AS weight.
-    pub users_per_weight: usize,
     /// User rating model (drives the PCR analysis).
     pub rating: RatingModel,
 }
@@ -79,8 +80,6 @@ impl Default for TraceConfig {
             international_fraction: 0.466,
             inter_as_fraction: 0.807,
             wireless_fraction: 0.83,
-            mean_duration_s: 180.0,
-            users_per_weight: 400,
             rating: RatingModel {
                 // Rate every generated call: the synthetic trace plays the
                 // role of the *rated subsample* of the paper's dataset.
@@ -189,7 +188,7 @@ impl<'w> TraceGenerator<'w> {
         let users_per_as = world
             .ases
             .iter()
-            .map(|a| ((as_weight(a) * config.users_per_weight as f64).ceil() as u32).max(2))
+            .map(|a| ((as_weight(a) * USERS_PER_WEIGHT as f64).ceil() as u32).max(2))
             .collect();
 
         Self {
@@ -217,29 +216,6 @@ impl<'w> TraceGenerator<'w> {
             return 0;
         }
         self.config.calls_per_day as u64 * self.effective_days()
-    }
-
-    /// Builds the sampling distributions shared by every generated day.
-    fn dists(&self) -> GenDists {
-        // A non-positive or non-finite configured mean would make ln() NaN;
-        // fall back to the default 180 s rather than panic.
-        let mean_s = if self.config.mean_duration_s.is_finite() && self.config.mean_duration_s > 0.0
-        {
-            self.config.mean_duration_s
-        } else {
-            180.0
-        };
-        GenDists {
-            duration: infallible(
-                LogNormal::new(mean_s.ln() - 0.5 * 0.8 * 0.8, 0.8),
-                "duration lognormal",
-            ),
-            wifi_jitter: infallible(
-                LogNormal::new(3.0f64.ln() - 0.5 * 0.5 * 0.5, 0.5),
-                "wifi jitter lognormal",
-            ),
-            wifi_loss: infallible(Gamma::new(0.5, 0.3), "wifi loss gamma"),
-        }
     }
 
     /// Generates one day's records into `out`, sorted by `(t, id)`.
@@ -329,7 +305,7 @@ impl<'w> TraceGenerator<'w> {
         GenRecords {
             generator: self,
             rng: StdRng::seed_from_u64(seed::derive(self.trace_seed, "workload")),
-            dists: self.dists(),
+            dists: GenDists::new(),
             days: self.effective_days(),
             next_day: 0,
             next_id: 0,
@@ -419,6 +395,22 @@ struct GenDists {
     duration: LogNormal<f64>,
     wifi_jitter: LogNormal<f64>,
     wifi_loss: Gamma<f64>,
+}
+
+impl GenDists {
+    fn new() -> GenDists {
+        GenDists {
+            duration: infallible(
+                LogNormal::new(MEAN_DURATION_S.ln() - 0.5 * 0.8 * 0.8, 0.8),
+                "duration lognormal",
+            ),
+            wifi_jitter: infallible(
+                LogNormal::new(3.0f64.ln() - 0.5 * 0.5 * 0.5, 0.5),
+                "wifi jitter lognormal",
+            ),
+            wifi_loss: infallible(Gamma::new(0.5, 0.3), "wifi loss gamma"),
+        }
+    }
 }
 
 /// Lazy record stream over trace generation: one day's buffer resident at a

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use via::core::history::{CallHistory, KeyPair};
 use via::core::online::BackboneFn;
 use via::core::predictor::{GeoPrior, Predictor, PredictorConfig};
-use via::core::topk::{top_k, ScoredOption};
+use via::core::topk::{top_k_into, ScoredOption};
 use via::model::metrics::Metric;
 use via::model::time::{SimTime, WindowLen, SECS_PER_DAY};
 use via::model::RelayId;
@@ -143,7 +143,8 @@ fn main() {
             )
         })
         .collect();
-    let selected = top_k(&scored);
+    let mut selected = Vec::new();
+    top_k_into(&scored, &mut Vec::new(), &mut selected);
     println!(
         "\nVIA's top-k after one day of measurements ({} of {} candidates kept):",
         selected.len(),

@@ -35,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use via::core::budget::BudgetGate;
 use via::core::history::{CallHistory, KeyPair};
-use via::core::predictor::{GeoPrior, Predictor};
+use via::core::predictor::{GeoPrior, Predictor, PredictorConfig};
 use via::core::selector::{ArmsScratch, PairArms, Plan};
 use via::core::strategy::StrategyKind;
 use via::core::BackboneFn;
@@ -62,7 +62,6 @@ fn config() -> ServerConfig {
         budget: Some(0.5),
         shards: 4,
         start: SimTime::ZERO,
-        ..ServerConfig::default()
     }
 }
 
@@ -167,7 +166,7 @@ impl BatchReference {
             plan: Plan::from(StrategyKind::Via),
             history: CallHistory::new(),
             window: 0,
-            predictor: Predictor::cold(prior(), boxed(&backbone()), cfg.predictor),
+            predictor: Predictor::cold(prior(), boxed(&backbone())),
             pairs: HashMap::new(),
             gate: cfg.budget.map(BudgetGate::new),
             scratch: ArmsScratch::default(),
@@ -186,7 +185,7 @@ impl BatchReference {
             training,
             prior(),
             boxed(&backbone()),
-            self.cfg.predictor,
+            PredictorConfig::default(),
         );
         self.history.prune_before(training.index);
         self.pairs.clear();
