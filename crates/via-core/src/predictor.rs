@@ -571,9 +571,18 @@ mod tests {
         }
     }
 
-    #[test]
-    #[cfg_attr(miri, ignore = "a paper-scale window: tens of thousands of calls")]
-    fn pair_view_is_bit_identical_to_the_hash_map_reference_at_paper_scale() {
+    /// One paper-scale day in which every call measures one candidate of its
+    /// pair, cycling through them, so a busy pair holds dense cells, a quiet
+    /// one sparse cells and holes.
+    struct PaperDay {
+        world: via_netsim::World,
+        history: CallHistory,
+        pairs: std::collections::BTreeSet<(via_model::ids::AsId, via_model::ids::AsId)>,
+        prior: GeoPrior,
+        backbone: BackboneFn,
+    }
+
+    fn paper_day() -> PaperDay {
         let world = via_netsim::World::generate(&via_netsim::WorldConfig::paper_scale(), 7);
         let trace_cfg = via_trace::TraceConfig {
             days: 1,
@@ -583,16 +592,14 @@ mod tests {
         let mut calls = generator.stream();
         let mut scratch = via_netsim::CandidateScratch::default();
         let mut options = Vec::new();
-        let mut h = CallHistory::new();
+        let mut history = CallHistory::new();
         let mut pairs = std::collections::BTreeSet::new();
         while let Some(call) = calls.next_record() {
-            // Every call measures one candidate, cycling through them, so a
-            // busy pair holds dense cells, a quiet one sparse cells and holes.
             let (src, dst) = (call.src_as, call.dst_as);
             world.candidate_options_into(src, dst, &mut scratch, &mut options);
             let option = options[call.id.0 as usize % options.len()];
             let m = world.perf().option_mean(src, dst, option, call.t);
-            h.record(window(), KeyPair::new(src.0, dst.0), option, &m);
+            history.record(window(), KeyPair::new(src.0, dst.0), option, &m);
             pairs.insert((src, dst));
         }
         let relays = &world.relays;
@@ -605,6 +612,27 @@ mod tests {
             world.ases.iter().map(|a| a.pos).collect(),
             relays.iter().map(|r| r.pos).collect(),
         );
+        PaperDay {
+            world,
+            history,
+            pairs,
+            prior,
+            backbone,
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "a paper-scale window: tens of thousands of calls")]
+    fn pair_view_is_bit_identical_to_the_hash_map_reference_at_paper_scale() {
+        let PaperDay {
+            world,
+            history: h,
+            pairs,
+            prior,
+            backbone,
+        } = paper_day();
+        let mut scratch = via_netsim::CandidateScratch::default();
+        let mut options = Vec::new();
         let both = BothWays::fit(&h, prior, backbone);
         let fitted = &both.new;
         // [dense cell, sparse cell, stitched, prior]: the window must reach
@@ -625,6 +653,62 @@ mod tests {
             }
         }
         assert!(rungs.iter().all(|&n| n > 1_000), "{rungs:?} of {fitted:?}");
+    }
+
+    /// FNV-1a over the bits of every candidate's prediction, both sides of
+    /// every pair of `day`, in pair order.
+    fn prediction_bits(day: &PaperDay, fitted: &Predictor) -> u64 {
+        let mut scratch = via_netsim::CandidateScratch::default();
+        let mut options = Vec::new();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for &(src, dst) in &day.pairs {
+            day.world
+                .candidate_options_into(src, dst, &mut scratch, &mut options);
+            for (a, b) in [(src.0, dst.0), (dst.0, src.0)] {
+                let view = fitted.pair(a, b);
+                for &option in &options {
+                    let p = view.predict(option);
+                    p.lin_mean
+                        .iter()
+                        .chain(&p.lin_sem)
+                        .for_each(|v| fold(v.to_bits()));
+                    fold(match p.source {
+                        PredictionSource::Empirical(n) => n,
+                        PredictionSource::Tomography => u64::MAX,
+                        PredictionSource::Prior => u64::MAX - 1,
+                    });
+                }
+            }
+        }
+        h
+    }
+
+    /// Captured at the commit before `Predictor::fit` grew a second way to
+    /// be handed its cells; every way must reproduce it.
+    const PAPER_DAY_PREDICTION_BITS: u64 = 0xc4a4_56c4_7479_3f4a;
+
+    #[test]
+    #[cfg_attr(miri, ignore = "a paper-scale window: tens of thousands of calls")]
+    fn fit_over_a_paper_scale_day_is_pinned_bit_for_bit() {
+        let day = paper_day();
+        let cfg = PredictorConfig::default();
+        let from_history = Predictor::fit(
+            &day.history,
+            window(),
+            day.prior.clone(),
+            day.backbone.clone(),
+            cfg,
+        );
+        let bits = prediction_bits(&day, &from_history);
+        assert_eq!(
+            bits, PAPER_DAY_PREDICTION_BITS,
+            "fit over the history: {bits:#018x}"
+        );
     }
 
     #[test]

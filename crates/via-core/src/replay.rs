@@ -1748,6 +1748,59 @@ mod tests {
         (world, trace)
     }
 
+    /// A window's pair groups as `engine_window` formed them before the flat
+    /// groups — a `HashMap` from pair to slot and one member `Vec` per group
+    /// — over each call's `(ka, kb)`: groups in first-seen order, each the
+    /// pair, the first call's keys as given, and the members' batch indices.
+    fn reference_groups(keys: &[(u32, u32)]) -> Vec<(KeyPair, (u32, u32), Vec<usize>)> {
+        let mut slot_of_pair: HashMap<KeyPair, usize> = HashMap::new();
+        let mut groups: Vec<(KeyPair, (u32, u32), Vec<usize>)> = Vec::new();
+        for (i, &(ka, kb)) in keys.iter().enumerate() {
+            let pair = KeyPair::new(ka, kb);
+            let slot = *slot_of_pair.entry(pair).or_insert_with(|| {
+                groups.push((pair, (ka, kb), Vec::new()));
+                groups.len() - 1
+            });
+            groups[slot].2.push(i);
+        }
+        groups
+    }
+
+    proptest::proptest! {
+        // What any regrouping of a batch must reproduce. Few distinct keys, so
+        // a batch holds `a == b` pairs, both directions of one pair, groups
+        // of one call and groups of many.
+        #[test]
+        fn reference_grouping_partitions_a_batch_by_pair(
+            keys in proptest::collection::vec((0u32..5, 0u32..5), 0..48),
+        ) {
+            let groups = reference_groups(&keys);
+            let mut seen = vec![0usize; keys.len()];
+            for (g, (pair, exemplar, members)) in groups.iter().enumerate() {
+                proptest::prop_assert!(!members.is_empty());
+                proptest::prop_assert!(members.windows(2).all(|w| w[0] < w[1]), "ascending");
+                // The orientation is the first member's, not the canonical one.
+                proptest::prop_assert_eq!(*exemplar, keys[members[0]]);
+                for &i in members {
+                    let (ka, kb) = keys[i];
+                    proptest::prop_assert_eq!(KeyPair::new(ka, kb), *pair);
+                    seen[i] += 1;
+                }
+                // One group per pair, in first-seen order.
+                proptest::prop_assert!(groups[..g].iter().all(|(p, _, _)| p != pair));
+                proptest::prop_assert!(groups[..g].iter().all(|(_, _, m)| m[0] < members[0]));
+            }
+            proptest::prop_assert!(seen.iter().all(|&n| n == 1), "a partition of the batch");
+            // (a, b) and (b, a) share a group, (a, a) is a pair like any other.
+            for (i, &(a, b)) in keys.iter().enumerate() {
+                for (j, &(c, d)) in keys.iter().enumerate() {
+                    let together = groups.iter().any(|(_, _, m)| m.contains(&i) && m.contains(&j));
+                    proptest::prop_assert_eq!(together, (a, b) == (c, d) || (a, b) == (d, c));
+                }
+            }
+        }
+    }
+
     #[test]
     #[cfg_attr(
         miri,

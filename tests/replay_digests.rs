@@ -164,3 +164,50 @@ fn small_world_digests_match_pinned_constants() {
         }
     }
 }
+
+/// The §7 active-probe path is the only writer into the *trained* window
+/// after a barrier (mock calls are folded into the window the refit reads,
+/// then it refits), and none of the rows above turns it on. Captured at the
+/// commit before the engine stopped keeping a `CallHistory`.
+const ACTIVE_PROBES_DIGEST: u64 = 0x6edb_2fe1_0223_a56b;
+
+#[test]
+fn active_probe_digest_matches_pinned_constant() {
+    let world = World::generate(&WorldConfig::small(), SEED);
+    let trace_cfg = TraceConfig {
+        calls_per_day: 1_500,
+        days: 4,
+        ..TraceConfig::default()
+    };
+    let trace = TraceGenerator::new(&world, trace_cfg, SEED).generate();
+    for workers in [1usize, 2] {
+        let cfg = ReplayConfig {
+            workers,
+            active_probes_per_window: 20,
+            ..ReplayConfig::default()
+        };
+        let materialized = ReplaySim::new(&world, &trace, cfg.clone()).run(StrategyKind::Via);
+        let streamed = ReplaySim::streaming(&world, cfg)
+            .run_stream(TraceRecords::new(&trace), StrategyKind::Via)
+            .expect("in-memory stream");
+        for (driver, out) in [("materialized", &materialized), ("streamed", &streamed)] {
+            // A window whose probe plan is not empty refits twice: without
+            // one the pin would cover no probe at all.
+            assert!(
+                out.stats.predictor_fits > out.stats.windows,
+                "{driver} at {workers} workers: {} fits over {} windows, no probe was planned",
+                out.stats.predictor_fits,
+                out.stats.windows
+            );
+            assert_eq!(
+                out.aggregate.digest, ACTIVE_PROBES_DIGEST,
+                "{driver} at {workers} workers: digest {:#018x}",
+                out.aggregate.digest
+            );
+        }
+    }
+    assert_ne!(
+        ACTIVE_PROBES_DIGEST, VIA_DIGEST,
+        "the probes changed no call"
+    );
+}
