@@ -205,16 +205,16 @@ impl CallHistory {
 }
 
 /// A history cell accumulated outside the store, by a caller that walks one
-/// pair's calls together (a replay shard), for [`CallHistory::insert_cell`].
-pub(crate) type GroupedCell = (KeyPair, RelayOption, MetricStats);
+/// pair's calls together (a replay shard): keyed as the store keys it, so a
+/// sorted run of them is what [`crate::tomography::sorted_cells`] yields.
+pub(crate) type GroupedCell = ((KeyPair, RelayOption), MetricStats);
 
 /// [`CallHistory::record`] for such a caller: folds `m` into `pair`'s cell
-/// for `option` among `grouped[group..]` — that one pair's cells, a handful,
-/// so a linear scan finds it — or opens the cell. Handing every cell to
-/// [`CallHistory::insert_cell`] afterwards leaves the store as per-call
-/// `record` would have: the same cells, each with the same push sequence and
-/// therefore the same bits, for one hash insert per cell instead of two
-/// probes per call.
+/// for `option` among `grouped[group..]` — for a shard that one pair's cells,
+/// a handful, so a linear scan finds it — or opens the cell. The cells end up
+/// as per-call `record` would have left them in the store: the same cells,
+/// each with the same push sequence and therefore the same bits, and nothing
+/// was hashed.
 pub(crate) fn record_grouped(
     grouped: &mut Vec<GroupedCell>,
     group: usize,
@@ -222,14 +222,14 @@ pub(crate) fn record_grouped(
     option: RelayOption,
     m: &PathMetrics,
 ) {
-    let option = option.canonical();
-    let found = grouped.iter_mut().skip(group).find(|c| c.1 == option);
+    let key = (pair, option.canonical());
+    let found = grouped.iter_mut().skip(group).find(|c| c.0 == key);
     match found {
-        Some((_, _, stats)) => stats.push(m),
+        Some((_, stats)) => stats.push(m),
         None => {
             let mut stats = MetricStats::default();
             stats.push(m);
-            grouped.push((pair, option, stats));
+            grouped.push((key, stats));
         }
     }
 }
@@ -421,7 +421,7 @@ mod tests {
             "a: transit, direct; b: two bounces, direct"
         );
         let mut grouped = CallHistory::new();
-        for (pair, option, stats) in cells {
+        for ((pair, option), stats) in cells {
             grouped.insert_cell(w(0), pair, option, stats);
         }
 

@@ -24,6 +24,7 @@ use via_model::time::Window;
 
 use crate::history::{CallHistory, KeyPair, MetricStats};
 use crate::predictor::{GeoPrior, Predictor, PredictorConfig};
+use crate::tomography::{sorted_cells, CellRef};
 
 /// Shared inter-relay backbone metrics closure. `Arc` so every refitted
 /// predictor holds a handle to the same table instead of cloning it.
@@ -40,9 +41,26 @@ pub fn refit(
     backbone: &BackboneFn,
     cfg: PredictorConfig,
 ) -> Predictor {
+    let cells = opening
+        .prev()
+        .map(|training| sorted_cells(history, training));
+    refit_sorted(&cells.unwrap_or_default(), opening, prior, backbone, cfg)
+}
+
+/// [`refit`] for a caller that holds the cells of the window before
+/// `opening` itself, in [`sorted_cells`] order (the replay engine, whose
+/// shards hand them back at the barrier): the same rule, and the one place it
+/// is written.
+pub(crate) fn refit_sorted(
+    cells: &[CellRef<'_>],
+    opening: Window,
+    prior: GeoPrior,
+    backbone: &BackboneFn,
+    cfg: PredictorConfig,
+) -> Predictor {
     let backbone = Arc::clone(backbone);
     match opening.prev() {
-        Some(training) => Predictor::fit(history, training, prior, backbone, cfg),
+        Some(training) => Predictor::fit_sorted(cells, training, prior, backbone, cfg),
         None => Predictor::cold(prior, backbone),
     }
 }

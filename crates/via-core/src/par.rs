@@ -119,50 +119,41 @@ where
 }
 
 /// Like [`par_run`], but each task additionally borrows a mutable slot from
-/// `slots` (task `i` gets `slots[i]`). The slots let callers keep expensive
-/// per-worker state — scratch buffers, preallocated metric sinks — alive
-/// across fork–join rounds instead of reallocating it inside every task.
-/// Results come back in task order; `slots` must be at least as long as
-/// `tasks`.
-pub fn par_run_with<T, S, R, F>(workers: usize, tasks: Vec<T>, slots: &mut [S], f: F) -> Vec<R>
+/// `slots` (task `i` gets `slots[i]`) and leaves its results there. The slots
+/// let callers keep expensive per-worker state — scratch buffers,
+/// preallocated metric sinks, result buffers — alive across fork–join rounds
+/// instead of reallocating it inside every task. `slots` must be at least as
+/// long as `tasks`.
+pub fn par_run_with<T, S, F>(workers: usize, tasks: Vec<T>, slots: &mut [S], f: F)
 where
     T: Send,
     S: Send,
-    R: Send,
-    F: Fn(T, &mut S) -> R + Sync,
+    F: Fn(T, &mut S) + Sync,
 {
-    let workers = workers.max(1);
     assert!(
         slots.len() >= tasks.len(),
         "par_run_with: {} tasks but only {} slots",
         tasks.len(),
         slots.len()
     );
-    if workers == 1 || tasks.len() <= 1 {
-        return tasks
-            .into_iter()
-            .zip(slots.iter_mut())
-            .map(|(t, slot)| f(t, slot))
-            .collect();
+    let tasks = tasks.into_iter().zip(slots.iter_mut());
+    if workers <= 1 || tasks.len() <= 1 {
+        return tasks.for_each(|(task, slot)| f(task, slot));
     }
     cb_thread::scope(|s| {
         let handles: Vec<_> = tasks
-            .into_iter()
-            .zip(slots.iter_mut())
             .map(|(task, slot)| {
                 let f = &f;
                 s.spawn(move |_| f(task, slot))
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
     })
-    .unwrap_or_default()
+    .unwrap_or_default();
 }
 
 #[cfg(test)]
@@ -207,26 +198,23 @@ mod tests {
     #[test]
     fn par_run_with_reuses_slots_in_task_order() {
         let mut slots: Vec<Vec<usize>> = vec![Vec::new(); 4];
-        let out = par_run_with(4, (0..4).collect(), &mut slots, |t: usize, slot| {
+        par_run_with(4, (0..4).collect(), &mut slots, |t: usize, slot| {
             slot.push(t);
-            t * 10
         });
-        assert_eq!(out, vec![0, 10, 20, 30]);
+        assert_eq!(slots, [[0], [1], [2], [3]]);
         // A second round sees the state the first round left in each slot.
-        let out = par_run_with(4, (0..3).collect(), &mut slots, |t: usize, slot| {
+        par_run_with(4, (0..3).collect(), &mut slots, |t: usize, slot| {
             slot.push(t + 100);
-            slot.len()
         });
-        assert_eq!(out, vec![2, 2, 2]);
         assert_eq!(slots[0], vec![0, 100]);
+        assert_eq!(slots[2], vec![2, 102]);
         assert_eq!(slots[3], vec![3], "unused slot untouched in round two");
         // Sequential fallback matches the threaded path.
         let mut seq_slots: Vec<Vec<usize>> = vec![Vec::new(); 4];
-        let seq = par_run_with(1, (0..4).collect(), &mut seq_slots, |t: usize, slot| {
+        par_run_with(1, (0..4).collect(), &mut seq_slots, |t: usize, slot| {
             slot.push(t);
-            t * 10
         });
-        assert_eq!(seq, vec![0, 10, 20, 30]);
+        assert_eq!(seq_slots, [[0], [1], [2], [3]]);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use via_netsim::GeoPoint;
 use crate::history::{CallHistory, KeyPair, MetricStats};
 use crate::online::BackboneFn;
 use crate::tomography::{
-    delinearize, linearize, linearize_sem, sorted_cells, stitch_rows, KeyRow, Tomography,
+    delinearize, linearize, linearize_sem, sorted_cells, stitch_rows, CellRef, KeyRow, Tomography,
     TomographyConfig,
 };
 
@@ -267,23 +267,35 @@ impl Predictor {
         backbone: impl Into<BackboneFn>,
         cfg: PredictorConfig,
     ) -> Predictor {
+        let cells = sorted_cells(history, training_window);
+        Self::fit_sorted(&cells, training_window, prior, backbone.into(), cfg)
+    }
+
+    /// [`Predictor::fit`] over the training window's cells already in
+    /// [`sorted_cells`] order — `(pair, option)` ascending, each once, none
+    /// empty — for a caller that holds them outside a [`CallHistory`].
+    pub(crate) fn fit_sorted(
+        cells: &[CellRef<'_>],
+        training_window: Window,
+        prior: GeoPrior,
+        backbone: BackboneFn,
+        cfg: PredictorConfig,
+    ) -> Predictor {
         // Per-cell fits are independent: fan out across the worker pool in
         // the cells' sorted order, which is also the order they are kept in.
         // Small windows stay sequential — thread startup would dominate.
-        let cells = sorted_cells(history, training_window);
         let workers = if cells.len() < 256 {
             1
         } else {
             crate::par::resolve_workers(cfg.workers)
         };
         let empirical =
-            crate::par::par_map(workers, &cells, |_, &(&(pair, option), stats)| FittedCell {
+            crate::par::par_map(workers, cells, |_, &(&(pair, option), stats)| FittedCell {
                 pair,
                 option,
                 prediction: fit_cell(stats),
             });
-        let backbone = backbone.into();
-        let tomography = Tomography::fit_sorted(&cells, &*backbone, &cfg.tomography);
+        let tomography = Tomography::fit_sorted(cells, &*backbone, &cfg.tomography);
         Predictor::new(training_window, empirical, tomography, prior, backbone)
     }
 
@@ -708,6 +720,33 @@ mod tests {
         assert_eq!(
             bits, PAPER_DAY_PREDICTION_BITS,
             "fit over the history: {bits:#018x}"
+        );
+
+        // The same cells held outside a history, as the replay engine holds
+        // them: owned, in whatever order they arrived, sorted as references.
+        let owned: Vec<crate::history::GroupedCell> = day
+            .history
+            .window_cells(window())
+            .map(|(key, stats)| (*key, stats.clone()))
+            .collect();
+        let mut cells: Vec<CellRef<'_>> = owned.iter().map(|(key, stats)| (key, stats)).collect();
+        cells.sort_unstable_by_key(|(key, _)| **key);
+        let from_slice = Predictor::fit_sorted(
+            &cells,
+            window(),
+            day.prior.clone(),
+            day.backbone.clone(),
+            cfg,
+        );
+        assert_eq!(from_slice.empirical_cells(), from_history.empirical_cells());
+        assert_eq!(
+            from_slice.tomography_segments(),
+            from_history.tomography_segments()
+        );
+        let bits = prediction_bits(&day, &from_slice);
+        assert_eq!(
+            bits, PAPER_DAY_PREDICTION_BITS,
+            "fit over the sorted slice: {bits:#018x}"
         );
     }
 

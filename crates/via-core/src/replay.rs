@@ -12,8 +12,8 @@
 //!   call over the same option observes the same value. Strategy comparisons
 //!   are therefore paired, eliminating sampling noise from the deltas.
 //! * **Information hygiene** — learning strategies only ever see realized
-//!   samples of calls they actually carried (fed back into
-//!   [`CallHistory`]); only the oracle touches `option_mean`.
+//!   samples of calls they actually carried (fed back into the window's
+//!   history cells); only the oracle touches `option_mean`.
 //! * **Worker-count invariance** — within a control window, calls are
 //!   sharded by decision [`KeyPair`] across a worker pool; the predictor
 //!   refit at each window boundary is the barrier. All per-call randomness
@@ -44,12 +44,12 @@ use via_trace::stream::{RecordSource, StreamError, WindowBatch, WindowStream};
 use via_trace::{CallRecord, Trace};
 
 use crate::budget::BudgetGate;
-use crate::history::{record_grouped, CallHistory, GroupedCell, KeyPair};
-use crate::online::{refit, BackboneFn};
+use crate::history::{record_grouped, GroupedCell, KeyPair};
+use crate::online::{refit_sorted, BackboneFn};
 use crate::predictor::{GeoPrior, Predictor, PredictorConfig};
 use crate::selector::{ArmsScratch, Explore, Gate, PairArms, Plan, Source};
 use crate::strategy::{MultipathMode, StrategyKind};
-use crate::tomography::TomographyConfig;
+use crate::tomography::{CellRef, TomographyConfig};
 
 /// Spatial granularity at which selection decisions are keyed (Figure 17a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -483,17 +483,20 @@ impl Outcome {
     }
 }
 
-/// One decision key's work within a window: its calls (batch-relative
-/// indices, in order) plus the state handed to whichever shard owns the
-/// pair.
+/// One decision key's work within a window: where its calls are in the
+/// window's [`WindowGroups`] plus the state handed to whichever shard owns
+/// the pair.
 struct PairGroup {
     pair: KeyPair,
     /// Spatial keys in the orientation of the pair's first call (the state
     /// exemplar, matching the lazily-built state of the sequential engine).
     ka: u32,
     kb: u32,
-    /// Batch-relative indices of the pair's calls this window, ascending.
-    calls: Vec<usize>,
+    /// The pair's calls this window are `call_idx[start..start + len]`.
+    start: usize,
+    len: usize,
+    /// The shard the group runs on.
+    shard: usize,
     /// Pre-built arms (gated plans build eagerly for the gate pass).
     state: Option<PairArms>,
     /// The §7 decision-cache entry: incoming, then as the group's misses
@@ -508,6 +511,99 @@ struct PairGroup {
     memo: Option<RelayOption>,
 }
 
+/// Hasher of the window's pair index. A [`KeyPair`] is eight bytes, which
+/// fill one word exactly, so distinct pairs keep distinct hashes through the
+/// splitmix finish; SipHash (the `HashMap` default) cost more per call than
+/// the rest of the grouping. The keys are the world's own spatial keys, the
+/// map is never iterated, and only its speed depends on this.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl std::hash::Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        seed::splitmix64(self.0)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+}
+
+/// One window's calls grouped by decision key, as flat arrays that are
+/// cleared and refilled window after window: nothing here is allocated per
+/// group, and nothing is sized by more than one window.
+#[derive(Default)]
+struct WindowGroups {
+    /// Pair → its index in `groups`, for the window being grouped.
+    index: HashMap<KeyPair, usize, std::hash::BuildHasherDefault<PairHasher>>,
+    /// One group per pair, in the order the pairs first appear in the batch.
+    groups: Vec<PairGroup>,
+    /// The group of each call of the batch.
+    group_of_call: Vec<usize>,
+    /// Batch-relative call indices, each group's contiguous and ascending.
+    call_idx: Vec<usize>,
+}
+
+impl WindowGroups {
+    /// Groups a batch, given each call's `(ka, kb)` in batch order, in one
+    /// pass over the pair index and one counting-sort scatter.
+    fn regroup(&mut self, keys: impl Iterator<Item = (u32, u32)>) {
+        self.index.clear();
+        self.groups.clear();
+        self.group_of_call.clear();
+        for (ka, kb) in keys {
+            let pair = KeyPair::new(ka, kb);
+            let g = *self.index.entry(pair).or_insert_with(|| {
+                self.groups.push(PairGroup {
+                    pair,
+                    ka,
+                    kb,
+                    start: 0,
+                    len: 0,
+                    shard: 0,
+                    state: None,
+                    cached: None,
+                    memo: None,
+                });
+                self.groups.len() - 1
+            });
+            self.groups[g].len += 1;
+            self.group_of_call.push(g);
+        }
+        let mut start = 0;
+        for g in &mut self.groups {
+            g.start = start;
+            start += std::mem::take(&mut g.len);
+        }
+        self.call_idx.clear();
+        self.call_idx.resize(start, 0);
+        for (i, &g) in self.group_of_call.iter().enumerate() {
+            let g = &mut self.groups[g];
+            self.call_idx[g.start + g.len] = i;
+            g.len += 1;
+        }
+    }
+
+    /// Spreads the groups over `nshards` shards: longest processing time
+    /// first by call count, ties by pair, each to the least-loaded shard.
+    fn assign_shards(&mut self, nshards: usize) {
+        if nshards < 2 {
+            return;
+        }
+        let groups = &mut self.groups;
+        let mut order: Vec<usize> = (0..groups.len()).collect();
+        order.sort_unstable_by_key(|&g| (std::cmp::Reverse(groups[g].len), groups[g].pair));
+        let mut loads = vec![0usize; nshards];
+        for g in order {
+            let dest = (0..nshards).min_by_key(|&i| (loads[i], i)).unwrap_or(0);
+            loads[dest] += groups[g].len;
+            groups[g].shard = dest;
+        }
+    }
+}
+
 /// What every step of one window's shard loops reads.
 struct WindowCtx<'w> {
     plan: &'w Plan,
@@ -516,13 +612,16 @@ struct WindowCtx<'w> {
     /// The gate pass's verdicts, one per call of `batch`: true is "forced
     /// direct".
     gated: Option<&'w [bool]>,
-    /// The window's calls; every call index in a [`PairGroup`] or a
+    /// The window's calls; every call index in `call_idx` or a
     /// [`ShardResult`] is relative to this.
     batch: &'w [CallRecord],
+    /// [`WindowGroups::call_idx`]: where a [`PairGroup`] finds its calls.
+    call_idx: &'w [usize],
     ids: &'w HotIds,
 }
 
-/// What one shard hands back at the window barrier.
+/// What one shard hands back at the window barrier, which drains it: the
+/// buffers live in the shard's [`WorkerSlot`] and keep their capacity.
 #[derive(Default)]
 struct ShardResult {
     /// (batch-relative index, outcome) for every call the shard carried.
@@ -530,11 +629,6 @@ struct ShardResult {
     /// The window's history cells (disjoint: a pair lives on exactly one
     /// shard), each pair group's contiguous.
     history: Vec<GroupedCell>,
-    /// Demand exemplars observed (pair → first call's AS endpoints), for
-    /// the active-measurement planner; empty when it is off.
-    demands: Vec<(KeyPair, (AsId, AsId))>,
-    /// §7 decision-cache entries written this window.
-    cache_updates: Vec<(KeyPair, (RelayOption, SimTime))>,
     /// Controller round-trips (cache misses) on this shard.
     contacts: u64,
     /// Hybrid-racing setup probes issued on this shard.
@@ -566,9 +660,9 @@ struct Scratch {
 
 /// Slot indices of the per-call hot-path metrics, registered once per run.
 /// Recording through these is a plain indexed `u64` bump (counters) or a
-/// LUT-bucketed record (histograms) — no name lookups, no branch on the
-/// metrics flag: shards always record into their [`HotSink`] and the window
-/// barrier folds it into the run sink only when metrics are enabled.
+/// LUT-bucketed record (histograms) — no name lookups, no test of the
+/// metrics flag at the call site: a run without metrics gives its shards
+/// [`via_obs::HotSink`]s with no slots, which drop every record.
 struct HotIds {
     schema: via_obs::HotSchema,
     calls: usize,
@@ -617,21 +711,27 @@ impl HotIds {
 }
 
 /// Per-worker state that survives across window barriers: the hot metric
-/// sink (folded and cleared at each barrier) and the scoring/sampling
-/// scratch buffers. Slot `i` always serves shard `i`, so the fold order at
-/// the barrier is the fixed shard-index order.
+/// sink (folded and cleared at each barrier), the scoring/sampling scratch
+/// buffers and the shard's result buffers. Slot `i` always serves shard `i`,
+/// so the fold order at the barrier is the fixed shard-index order.
 struct WorkerSlot {
     hot: via_obs::HotSink,
     scratch: Scratch,
     sample: via_netsim::SampleScratch,
+    out: ShardResult,
 }
 
 impl WorkerSlot {
-    fn new(ids: &HotIds) -> WorkerSlot {
+    fn new(ids: &HotIds, metrics: bool) -> WorkerSlot {
         WorkerSlot {
-            hot: ids.schema.make_sink(),
+            hot: if metrics {
+                ids.schema.make_sink()
+            } else {
+                via_obs::HotSink::default()
+            },
             scratch: Scratch::default(),
             sample: via_netsim::SampleScratch::new(),
+            out: ShardResult::default(),
         }
     }
 }
@@ -691,13 +791,19 @@ struct EngineState {
     obs: Option<MetricSink>,
     workers: usize,
     pred_cfg: PredictorConfig,
-    history: CallHistory,
+    /// The history cells of the last window replayed, as its shards handed
+    /// them back: all the controller ever trains on. The next barrier sorts
+    /// them and fits from them in place.
+    trained: Vec<GroupedCell>,
+    /// Index of the window `trained` was recorded in.
+    trained_window: Option<u64>,
     predictor: Option<Predictor>,
     /// The strategy, resolved once per run.
     plan: Plan,
     gate: GateState,
     /// §7 client-side decision cache: pair → (option, expiry). Persists
-    /// across windows; shards read a snapshot and return their writes.
+    /// across windows; a window's groups start from it and the barrier
+    /// writes back what their misses made of it.
     decision_cache: HashMap<KeyPair, (RelayOption, SimTime)>,
     controller_contacts: u64,
     /// §7 hybrid racing overhead: parallel setup probes issued.
@@ -712,6 +818,11 @@ struct EngineState {
     /// i always serves shard i).
     hot_ids: HotIds,
     worker_slots: Vec<WorkerSlot>,
+    /// The current window's pair groups, gate verdicts and trace-order
+    /// outcomes: refilled every window, sized by one.
+    grouped: WindowGroups,
+    gate_flags: Vec<bool>,
+    window_out: Vec<Option<CallOutcome>>,
     /// Per-call outcomes, populated only when `collect_calls` is on.
     outcomes: Vec<CallOutcome>,
     /// Running trace-order aggregate — always populated.
@@ -869,8 +980,9 @@ impl<'a> ReplaySim<'a> {
             ..ReplayStats::default()
         };
         let hot_ids = HotIds::new();
-        let worker_slots: Vec<WorkerSlot> =
-            (0..workers).map(|_| WorkerSlot::new(&hot_ids)).collect();
+        let worker_slots: Vec<WorkerSlot> = (0..workers)
+            .map(|_| WorkerSlot::new(&hot_ids, self.cfg.metrics))
+            .collect();
         let prior = GeoPrior::new(
             self.cfg.granularity.key_positions(self.world),
             self.world.relays.iter().map(|r| r.pos).collect(),
@@ -881,7 +993,8 @@ impl<'a> ReplaySim<'a> {
             obs,
             workers,
             pred_cfg,
-            history: CallHistory::new(),
+            trained: Vec::new(),
+            trained_window: None,
             predictor: None,
             plan,
             gate,
@@ -892,6 +1005,9 @@ impl<'a> ReplaySim<'a> {
             stats,
             hot_ids,
             worker_slots,
+            grouped: WindowGroups::default(),
+            gate_flags: Vec::new(),
+            window_out: Vec::new(),
             outcomes: Vec::new(),
             aggregate: ReplayAggregate::default(),
             thresholds: Thresholds::default(),
@@ -1014,7 +1130,8 @@ impl<'a> ReplaySim<'a> {
             obs,
             workers,
             pred_cfg,
-            history,
+            trained,
+            trained_window,
             predictor,
             plan,
             gate,
@@ -1025,6 +1142,9 @@ impl<'a> ReplaySim<'a> {
             stats,
             hot_ids,
             worker_slots,
+            grouped,
+            gate_flags,
+            window_out,
             outcomes,
             aggregate,
             thresholds,
@@ -1042,59 +1162,68 @@ impl<'a> ReplaySim<'a> {
         if plan.learns() {
             let t_fit = Stopwatch::started();
             let fits_before = stats.predictor_fits;
-            let fit =
-                |history: &CallHistory| refit(history, window, prior.clone(), backbone, pred_cfg);
-            let mut fitted = fit(history);
+            // The controller only ever trains on the window before this one:
+            // across an idle gap the cells at hand are older, and it trains on
+            // nothing. The shards handed the cells back in no order; the fit
+            // reads them sorted (every key is there once, so any sort will do).
+            if window.prev().map(|w| w.index) != *trained_window {
+                trained.clear();
+            }
+            let fit = |cells: &[GroupedCell]| {
+                let mut cells: Vec<CellRef<'_>> =
+                    cells.iter().map(|(key, stats)| (key, stats)).collect();
+                cells.sort_unstable_by_key(|(key, _)| **key);
+                refit_sorted(&cells, window, prior.clone(), backbone, pred_cfg)
+            };
+            let mut fitted = fit(trained);
             stats.predictor_fits += 1;
 
             // §7 active measurements: probe tomography holes for the
             // pairs that carried traffic last window, fold the mock
             // calls into the training window, and refit.
-            if self.cfg.active_probes_per_window > 0 {
-                if let Some(prev) = window.prev() {
-                    let scratch = &mut worker_slots[0].scratch;
-                    let mut demand_list: Vec<(u32, u32, Vec<RelayOption>)> = demands
-                        .iter()
-                        .map(|(kp, &(sa, sb))| {
-                            self.candidates_into(sa, sb, &mut scratch.topo, &mut scratch.cand);
-                            (kp.lo, kp.hi, scratch.cand.clone())
-                        })
-                        .collect();
-                    demand_list.sort_by_key(|d| (d.0, d.1));
-                    let plan = crate::active::plan_probes(
-                        &demand_list,
-                        &fitted,
-                        self.cfg.active_probes_per_window,
-                    );
-                    if !plan.is_empty() {
-                        let mut probe_rng = StdRng::seed_from_u64(seed::derive_indexed(
-                            self.cfg.seed,
-                            "active-probes",
-                            window.index,
-                        ));
-                        for probe in plan {
-                            let kp = KeyPair::new(probe.a, probe.b);
-                            let Some(&(sa, sb)) = demands.get(&kp) else {
-                                continue;
-                            };
-                            let m = self.world.perf().sample_option(
-                                sa,
-                                sb,
-                                probe.option,
-                                window.start(),
-                                &mut probe_rng,
-                            );
-                            history.record(prev, kp, probe.option, &m);
-                        }
-                        fitted = fit(history);
-                        stats.predictor_fits += 1;
+            if self.cfg.active_probes_per_window > 0 && window.prev().is_some() {
+                let scratch = &mut worker_slots[0].scratch;
+                let mut demand_list: Vec<(u32, u32, Vec<RelayOption>)> = demands
+                    .iter()
+                    .map(|(kp, &(sa, sb))| {
+                        self.candidates_into(sa, sb, &mut scratch.topo, &mut scratch.cand);
+                        (kp.lo, kp.hi, scratch.cand.clone())
+                    })
+                    .collect();
+                demand_list.sort_by_key(|d| (d.0, d.1));
+                let plan = crate::active::plan_probes(
+                    &demand_list,
+                    &fitted,
+                    self.cfg.active_probes_per_window,
+                );
+                if !plan.is_empty() {
+                    let mut probe_rng = StdRng::seed_from_u64(seed::derive_indexed(
+                        self.cfg.seed,
+                        "active-probes",
+                        window.index,
+                    ));
+                    for probe in plan {
+                        let kp = KeyPair::new(probe.a, probe.b);
+                        let Some(&(sa, sb)) = demands.get(&kp) else {
+                            continue;
+                        };
+                        let m = self.world.perf().sample_option(
+                            sa,
+                            sb,
+                            probe.option,
+                            window.start(),
+                            &mut probe_rng,
+                        );
+                        // A mock call is recorded as a real one of the
+                        // window before would have been.
+                        record_grouped(trained, 0, kp, probe.option, &m);
                     }
+                    fitted = fit(trained);
+                    stats.predictor_fits += 1;
                 }
             }
             demands.clear();
             *predictor = Some(fitted);
-            // The controller only ever trains on the last window.
-            history.prune_before(window.index.saturating_sub(1));
             stats.predictor_fit_ms += t_fit.elapsed_ms();
             if let Some(sink) = obs.as_mut() {
                 let fits = stats.predictor_fits - fits_before;
@@ -1116,33 +1245,18 @@ impl<'a> ReplaySim<'a> {
         }
 
         // ---- group the window's calls by decision key ------------------
-        let mut slot_of_pair: HashMap<KeyPair, usize> = HashMap::new();
-        let mut groups: Vec<PairGroup> = Vec::new();
-        let mut slot_of_call: Vec<usize> = Vec::with_capacity(batch.len());
-        for (i, call) in batch.iter().enumerate() {
-            let ka = self
-                .cfg
-                .granularity
-                .key_of(self.world, call.src_as, call.caller.0);
-            let kb = self
-                .cfg
-                .granularity
-                .key_of(self.world, call.dst_as, call.callee.0);
-            let pair = KeyPair::new(ka, kb);
-            let slot = *slot_of_pair.entry(pair).or_insert_with(|| {
-                groups.push(PairGroup {
-                    pair,
-                    ka,
-                    kb,
-                    calls: Vec::new(),
-                    state: None,
-                    cached: decision_cache.get(&pair).copied(),
-                    memo: None,
-                });
-                groups.len() - 1
-            });
-            groups[slot].calls.push(i);
-            slot_of_call.push(slot);
+        let granularity = self.cfg.granularity;
+        grouped.regroup(batch.iter().map(|call| {
+            (
+                granularity.key_of(self.world, call.src_as, call.caller.0),
+                granularity.key_of(self.world, call.dst_as, call.callee.0),
+            )
+        }));
+        let nshards = workers.min(grouped.groups.len()).max(1);
+        grouped.assign_shards(nshards);
+        let (groups, call_idx) = (&mut grouped.groups, grouped.call_idx.as_slice());
+        for g in groups.iter_mut() {
+            g.cached = decision_cache.get(&g.pair).copied();
         }
 
         // ---- budget gate pass (sequential, O(1) per call) --------------
@@ -1152,7 +1266,7 @@ impl<'a> ReplaySim<'a> {
         // in parallel, the gate walks the window in trace order once,
         // and the per-call verdicts ride into the shards as plain flags.
         let t_gate = Stopwatch::started();
-        let gated: Option<Vec<bool>> = match (&mut *gate, predictor.as_ref()) {
+        let gated: Option<&[bool]> = match (&mut *gate, predictor.as_ref()) {
             (GateState::Open, _) | (_, None) => None,
             (gate, Some(pred)) => {
                 // One contiguous chunk of groups per worker, each built
@@ -1163,30 +1277,26 @@ impl<'a> ReplaySim<'a> {
                 let tasks: Vec<&mut [PairGroup]> = groups.chunks_mut(chunk).collect();
                 crate::par::par_run_with(workers, tasks, worker_slots, |chunk, slot| {
                     for g in chunk {
-                        if let Some(&i) = g.calls.first() {
-                            g.state = Some(self.build_arms(
-                                plan,
-                                pred,
-                                (g.ka, g.kb),
-                                &batch[i],
-                                &mut slot.scratch,
-                            ));
+                        if let Some(&i) = call_idx.get(g.start) {
+                            let keys = (g.ka, g.kb);
+                            g.state =
+                                Some(self.build_arms(plan, pred, hot_ids, keys, &batch[i], slot));
                         }
                     }
                 });
-                let mut flags = Vec::with_capacity(batch.len());
-                for &slot in &slot_of_call {
-                    let benefit = groups[slot].state.as_ref().map_or(0.0, PairArms::benefit);
-                    flags.push(!gate.admit(benefit));
-                }
-                Some(flags)
+                gate_flags.clear();
+                gate_flags.extend(grouped.group_of_call.iter().map(|&g| {
+                    let benefit = groups[g].state.as_ref().map_or(0.0, PairArms::benefit);
+                    !gate.admit(benefit)
+                }));
+                Some(gate_flags.as_slice())
             }
         };
         stats.gate_ms += t_gate.elapsed_ms();
         // Gate verdicts are produced by the sequential pass above, so
         // the admit/deny counts are worker-count invariant by
         // construction (flags[i] == true means "forced direct").
-        let (gate_admitted, gate_denied) = gated.as_ref().map_or((0, 0), |flags| {
+        let (gate_admitted, gate_denied) = gated.map_or((0, 0), |flags| {
             let denied = flags.iter().filter(|f| **f).count() as u64;
             (flags.len() as u64 - denied, denied)
         });
@@ -1199,82 +1309,73 @@ impl<'a> ReplaySim<'a> {
         }
         let n_groups = groups.len() as u64;
 
-        // ---- shard assignment: LPT by per-pair call count --------------
-        let nshards = workers.min(groups.len()).max(1);
-        let mut order: Vec<usize> = (0..groups.len()).collect();
-        order.sort_by_key(|&s| (std::cmp::Reverse(groups[s].calls.len()), groups[s].pair));
-        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); nshards];
-        let mut loads = vec![0usize; nshards];
-        for slot in order {
-            let dest = (0..nshards).min_by_key(|&i| (loads[i], i)).unwrap_or(0);
-            loads[dest] += groups[slot].calls.len();
-            assignment[dest].push(slot);
-        }
-        let mut group_cells: Vec<Option<PairGroup>> = groups.into_iter().map(Some).collect();
-        let tasks: Vec<Vec<PairGroup>> = assignment
-            .iter()
-            .map(|slots| {
-                slots
-                    .iter()
-                    .filter_map(|&s| group_cells[s].take())
-                    .collect()
-            })
-            .collect();
-
         // ---- parallel shard processing ---------------------------------
+        // A pair's whole state lives in its group, and a group runs on one
+        // shard: each shard borrows its own groups, in batch order.
+        let mut tasks: Vec<Vec<&mut PairGroup>> = (0..nshards).map(|_| Vec::new()).collect();
+        for g in groups.iter_mut() {
+            tasks[g.shard].push(g);
+        }
         let ctx = WindowCtx {
             plan,
             window,
             predictor: predictor.as_ref(),
-            gated: gated.as_deref(),
+            gated,
             batch,
+            call_idx,
             ids: hot_ids,
         };
         let t_shard = Stopwatch::started();
-        let shard_results: Vec<ShardResult> =
-            crate::par::par_run_with(workers, tasks, worker_slots, |task, slot| {
-                self.process_shard(&ctx, task, slot)
-            });
+        crate::par::par_run_with(workers, tasks, worker_slots, |task, slot| {
+            self.process_shard(&ctx, task, slot);
+        });
         stats.shard_ms += t_shard.elapsed_ms();
 
         // ---- deterministic merge back into trace order -----------------
         let t_merge = Stopwatch::started();
-        let mut window_out: Vec<Option<CallOutcome>> = vec![None; batch.len()];
-        for (shard_idx, res) in shard_results.into_iter().enumerate() {
+        window_out.clear();
+        window_out.resize(batch.len(), None);
+        trained.clear();
+        *trained_window = Some(window.index);
+        for (shard_idx, slot) in worker_slots.iter_mut().enumerate() {
+            let res = &mut slot.out;
             stats.shard_calls[shard_idx] += res.outcomes.len() as u64;
             // Fold the shard's hot sink first (fixed shard-index order;
             // the deterministic core is order-independent anyway), then
-            // reset the slot for the next window.
+            // reset it for the next window.
             if let Some(sink) = obs.as_mut() {
-                sink.fold_hot(&hot_ids.schema, &worker_slots[shard_idx].hot);
+                sink.fold_hot(&hot_ids.schema, &slot.hot);
+                slot.hot.clear();
             }
-            worker_slots[shard_idx].hot.clear();
-            for (i, co) in res.outcomes {
+            for (i, co) in res.outcomes.drain(..) {
                 window_out[i] = Some(co);
             }
-            if plan.learns() {
-                for (pair, option, cell) in res.history {
-                    history.insert_cell(window, pair, option, cell);
-                }
-                for (p, ex) in res.demands {
-                    demands.entry(p).or_insert(ex);
-                }
-            }
-            for (p, entry) in res.cache_updates {
-                decision_cache.insert(p, entry);
-            }
-            *controller_contacts += res.contacts;
-            *race_probes += res.race_probes;
+            // A pair lives on one shard, so the shards' cells are disjoint:
+            // the training window is their concatenation.
+            trained.append(&mut res.history);
+            *controller_contacts += std::mem::take(&mut res.contacts);
+            *race_probes += std::mem::take(&mut res.race_probes);
+        }
+        // What a group leaves for later windows is read off the groups: the
+        // §7 decision-cache entry its misses rewrote (entries exist only
+        // under a caching plan) and, for the active-measurement planner, its
+        // demand exemplar — the pair's first call's AS endpoints.
+        decision_cache.extend(groups.iter().filter_map(|g| Some((g.pair, g.cached?))));
+        if plan.learns() && self.cfg.active_probes_per_window > 0 {
+            demands.extend(groups.iter().filter_map(|g| {
+                let first = &batch[*call_idx.get(g.start)?];
+                Some((g.pair, (first.src_as, first.dst_as)))
+            }));
         }
         stats.merge_ms += t_merge.elapsed_ms();
         // Fold the window's outcomes into the running aggregate in trace
         // order (the digest is order-sensitive); materialize them only
         // when the config asks for per-call outcomes.
         let mut filled = 0usize;
-        for co in window_out.into_iter().flatten() {
-            aggregate.update(&co, thresholds);
+        for co in window_out.iter().flatten() {
+            aggregate.update(co, thresholds);
             if self.cfg.collect_calls {
-                outcomes.push(co);
+                outcomes.push(*co);
             }
             filled += 1;
         }
@@ -1344,21 +1445,28 @@ impl<'a> ReplaySim<'a> {
     /// Stage 3 of Algorithm 1 for one pair group: enumerates its exemplar
     /// call's candidates, resolves the pair's predictions once and builds
     /// the arms. A pure function of (predictor, group), so the gate pass and
-    /// a shard's first miss build the same arms.
+    /// a shard's first miss build the same arms — once per (pair, window)
+    /// either way, which is what makes this the place to record one
+    /// CI-width sample per kept arm.
     fn build_arms(
         &self,
         plan: &Plan,
         pred: &Predictor,
+        ids: &HotIds,
         (ka, kb): (u32, u32),
         exemplar: &CallRecord,
-        scratch: &mut Scratch,
+        slot: &mut WorkerSlot,
     ) -> PairArms {
         let Scratch {
             topo, cand, arms, ..
-        } = scratch;
+        } = &mut slot.scratch;
         self.candidates_into(exemplar.src_as, exemplar.dst_as, topo, cand);
         let view = pred.pair(ka, kb);
-        PairArms::build(plan, |o| view.predict(o), cand, self.cfg.objective, arms)
+        let built = PairArms::build(plan, |o| view.predict(o), cand, self.cfg.objective, arms);
+        for width in arms.ci_widths() {
+            slot.hot.observe(ids.ci_width, width);
+        }
+        built
     }
 
     /// Replays one shard's pair groups for one window: decide, realize,
@@ -1366,50 +1474,16 @@ impl<'a> ReplaySim<'a> {
     /// decision-cache entry, oracle memo, history cells — lives on this
     /// shard alone, so the per-pair computation is identical to a sequential
     /// walk of the same calls.
-    fn process_shard(
-        &self,
-        ctx: &WindowCtx<'_>,
-        work: Vec<PairGroup>,
-        slot: &mut WorkerSlot,
-    ) -> ShardResult {
-        let mut out = ShardResult::default();
-        let probing = ctx.plan.learns() && self.cfg.active_probes_per_window > 0;
-        for mut g in work {
+    fn process_shard(&self, ctx: &WindowCtx<'_>, work: Vec<&mut PairGroup>, slot: &mut WorkerSlot) {
+        for g in work {
             // Where this group's history cells start.
-            let cells_at = out.history.len();
-            let incoming = g.cached;
-            let calls = std::mem::take(&mut g.calls);
-            if probing {
-                if let Some(&first) = calls.first() {
-                    let c = &ctx.batch[first];
-                    out.demands.push((g.pair, (c.src_as, c.dst_as)));
-                }
-            }
-
-            for i in calls {
-                let option = self.decide(ctx, &mut g, i, slot, &mut out);
+            let cells_at = slot.out.history.len();
+            for &i in &ctx.call_idx[g.start..g.start + g.len] {
+                let option = self.decide(ctx, g, i, slot);
                 let realized = self.realize(ctx, &ctx.batch[i], option, slot);
-                self.record(ctx, &mut g, cells_at, i, option, realized, slot, &mut out);
-            }
-
-            // One CI-width sample per selected arm per (pair, window) with a
-            // predictor-built state — recorded at group end, after the state
-            // was built (eagerly by the gate pass or lazily by a miss), so
-            // the stream is identical however the groups were sharded.
-            if let Some(st) = g.state.as_ref() {
-                for &w in st.ci_widths() {
-                    slot.hot.observe(ctx.ids.ci_width, w);
-                }
-            }
-            // Entries exist only under a caching plan, and only a miss
-            // rewrites one.
-            if g.cached != incoming {
-                if let Some(entry) = g.cached {
-                    out.cache_updates.push((g.pair, entry));
-                }
+                self.record(ctx, g, cells_at, i, option, realized, slot);
             }
         }
-        out
     }
 
     /// Algorithm 1 stage 4 for call `i` of group `g`: the option it takes.
@@ -1428,7 +1502,6 @@ impl<'a> ReplaySim<'a> {
         g: &mut PairGroup,
         i: usize,
         slot: &mut WorkerSlot,
-        out: &mut ShardResult,
     ) -> RelayOption {
         let WindowCtx {
             plan, window, ids, ..
@@ -1477,13 +1550,13 @@ impl<'a> ReplaySim<'a> {
                 }
                 (_, Some(pred)) => {
                     if plan.cache_ttl_secs.is_some() {
-                        out.contacts += 1;
+                        slot.out.contacts += 1;
                         slot.hot.inc(ids.cache_misses, 1);
                     }
                     let keys = (g.ka, g.kb);
-                    let st = &*g.state.get_or_insert_with(|| {
-                        self.build_arms(plan, pred, keys, call, &mut slot.scratch)
-                    });
+                    let st = &*g
+                        .state
+                        .get_or_insert_with(|| self.build_arms(plan, pred, ids, keys, call, slot));
                     let option = if let Some(width) = plan.race {
                         // §7 hybrid racing: race the leading arms in parallel
                         // at call setup and keep the best. The race
@@ -1501,7 +1574,7 @@ impl<'a> ReplaySim<'a> {
                                 (self.realize(ctx, call, o, slot).0[objective], o)
                             })
                             .min_by(|a, b| a.0.total_cmp(&b.0));
-                        out.race_probes += probes;
+                        slot.out.race_probes += probes;
                         slot.hot.inc(ids.race_probes, probes);
                         best.map_or(RelayOption::Direct, |(_, o)| o)
                     } else {
@@ -1567,6 +1640,7 @@ impl<'a> ReplaySim<'a> {
             hot,
             scratch,
             sample,
+            ..
         } = slot;
         let perf = self.world.perf();
         let (src, dst, t) = (call.src_as, call.dst_as, call.t);
@@ -1646,9 +1720,9 @@ impl<'a> ReplaySim<'a> {
         }
     }
 
-    /// Books a realized call: the hot metrics (recorded unconditionally — a
-    /// plain array bump — and folded or discarded at the window barrier),
-    /// the feedback to the pair's arms and history cells, and the outcome.
+    /// Books a realized call: the hot metrics (into the shard's sink, which
+    /// keeps them only in a run that collects metrics), the feedback to the
+    /// pair's arms and history cells, and the outcome.
     #[allow(clippy::too_many_arguments)] // the shard loop's third step
     fn record(
         &self,
@@ -1659,9 +1733,10 @@ impl<'a> ReplaySim<'a> {
         option: RelayOption,
         (metrics, direct): (PathMetrics, PathMetrics),
         slot: &mut WorkerSlot,
-        out: &mut ShardResult,
     ) {
-        let WorkerSlot { hot, scratch, .. } = slot;
+        let WorkerSlot {
+            hot, scratch, out, ..
+        } = slot;
         let ids = ctx.ids;
         let objective = self.cfg.objective;
         hot.inc(ids.calls, 1);
@@ -1775,6 +1850,21 @@ mod tests {
             keys in proptest::collection::vec((0u32..5, 0u32..5), 0..48),
         ) {
             let groups = reference_groups(&keys);
+            // The engine's flat groups are the reference's, field for field,
+            // in the same order — twice, since the arrays are reused.
+            let mut flat = WindowGroups::default();
+            for _ in 0..2 {
+                flat.regroup(keys.iter().copied());
+                let got: Vec<_> = flat
+                    .groups
+                    .iter()
+                    .map(|g| (g.pair, (g.ka, g.kb), flat.call_idx[g.start..g.start + g.len].to_vec()))
+                    .collect();
+                proptest::prop_assert_eq!(&got, &groups);
+                for (g, (_, _, members)) in groups.iter().enumerate() {
+                    proptest::prop_assert!(members.iter().all(|&i| flat.group_of_call[i] == g));
+                }
+            }
             let mut seen = vec![0usize; keys.len()];
             for (g, (pair, exemplar, members)) in groups.iter().enumerate() {
                 proptest::prop_assert!(!members.is_empty());

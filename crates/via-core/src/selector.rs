@@ -192,6 +192,14 @@ pub struct ArmsScratch {
     selected: Vec<ScoredOption>,
 }
 
+impl ArmsScratch {
+    /// Confidence-interval widths (`upper − lower`) of the arms the last
+    /// [`PairArms::build`] kept, for the obs layer; none for unscored arms.
+    pub(crate) fn ci_widths(&self) -> impl Iterator<Item = f64> + '_ {
+        self.selected.iter().map(|s| s.upper - s.lower)
+    }
+}
+
 /// One decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
@@ -212,9 +220,6 @@ pub struct PairArms {
     best_mean: f64,
     /// Predicted mean of the direct path.
     direct_mean: f64,
-    /// Confidence-interval widths (`upper − lower`) of the selected arms,
-    /// for the obs layer; empty for unscored arms.
-    ci_widths: Vec<f64>,
 }
 
 impl PairArms {
@@ -223,7 +228,7 @@ impl PairArms {
     /// (Algorithm 3 line 3: the mean of the kept upper bounds). Arms are
     /// warm-started from their predicted means (3 virtual samples) so the
     /// bandit exploits predictions immediately instead of sweeping every arm
-    /// once. Allocates the arm list and the CI widths, nothing else.
+    /// once. Allocates the arm list, nothing else.
     pub fn build(
         plan: &Plan,
         predict: impl Fn(RelayOption) -> Prediction,
@@ -231,6 +236,12 @@ impl PairArms {
         objective: Metric,
         scratch: &mut ArmsScratch,
     ) -> PairArms {
+        let ArmsScratch {
+            scored,
+            order,
+            selected,
+        } = scratch;
+        selected.clear();
         if plan.prune == Prune::All {
             let mut bandit = UcbBandit::new(candidates.iter().copied(), 1.0);
             bandit.normalize = plan.normalize;
@@ -238,14 +249,8 @@ impl PairArms {
                 bandit,
                 best_mean: 0.0,
                 direct_mean: 0.0,
-                ci_widths: Vec::new(),
             };
         }
-        let ArmsScratch {
-            scored,
-            order,
-            selected,
-        } = scratch;
         scored.clear();
         scored.extend(
             candidates
@@ -257,7 +262,6 @@ impl PairArms {
             .find(|s| s.option == RelayOption::Direct)
             .map_or(f64::INFINITY, |s| s.mean);
         if let Prune::FixedK(k) = plan.prune {
-            selected.clear();
             selected.extend_from_slice(scored);
             selected.sort_by(|a, b| a.mean.total_cmp(&b.mean));
             selected.truncate(k);
@@ -273,7 +277,6 @@ impl PairArms {
             bandit,
             best_mean,
             direct_mean,
-            ci_widths: selected.iter().map(|s| s.upper - s.lower).collect(),
         }
     }
 
@@ -287,11 +290,6 @@ impl PairArms {
     /// Predicted mean of the best arm (zero for unscored arms).
     pub(crate) fn best_mean(&self) -> f64 {
         self.best_mean
-    }
-
-    /// CI widths of the selected arms.
-    pub(crate) fn ci_widths(&self) -> &[f64] {
-        &self.ci_widths
     }
 
     /// The arms, best predicted mean first.
@@ -566,34 +564,37 @@ mod tests {
         c
     }
 
-    fn build(kind: StrategyKind) -> (Plan, PairArms) {
+    fn build_with(kind: StrategyKind, scratch: &mut ArmsScratch) -> (Plan, PairArms) {
         let plan = Plan::from(kind);
-        let arms = PairArms::build(
-            &plan,
-            predict,
-            &candidates(),
-            Metric::Rtt,
-            &mut ArmsScratch::default(),
-        );
+        let arms = PairArms::build(&plan, predict, &candidates(), Metric::Rtt, scratch);
         (plan, arms)
+    }
+
+    fn build(kind: StrategyKind) -> (Plan, PairArms) {
+        build_with(kind, &mut ArmsScratch::default())
     }
 
     #[test]
     fn build_prunes_as_the_plan_says() {
-        let (_, via) = build(StrategyKind::Via);
+        let mut scratch = ArmsScratch::default();
+        let (_, via) = build_with(StrategyKind::Via, &mut scratch);
         let kept: Vec<_> = via.options().collect();
         assert_eq!(kept.first(), Some(&bounce(0)), "best predicted mean leads");
         assert!(!kept.contains(&RelayOption::Direct), "400 ms is pruned");
-        assert_eq!(via.ci_widths().len(), kept.len());
+        assert_eq!(scratch.ci_widths().count(), kept.len());
+        assert!(scratch
+            .ci_widths()
+            .all(|w| (w - 2.0 * 1.96 * 8.0).abs() < 1e-9));
         assert!((via.benefit() - 340.0).abs() < 1e-6);
 
         let (_, top2) = build(StrategyKind::ViaFixedTopK { k: 2 });
         assert_eq!(top2.options().collect::<Vec<_>>(), [bounce(0), bounce(1)]);
 
-        let (_, all) = build(StrategyKind::ExplorationOnly);
+        // Unscored arms leave no widths behind, not the last build's.
+        let (_, all) = build_with(StrategyKind::ExplorationOnly, &mut scratch);
         assert_eq!(all.options().collect::<Vec<_>>(), candidates());
         assert_eq!(all.best_mean(), 0.0);
-        assert!(all.ci_widths().is_empty());
+        assert_eq!(scratch.ci_widths().count(), 0);
     }
 
     #[test]

@@ -221,6 +221,10 @@ fn observations(
 fn solve(obs: &[Obs], n_unknowns: usize) -> Vec<SegmentEstimate> {
     let mut u = vec![[0.0f64; 3]; n_unknowns];
     let mut w_sum = vec![0.0f64; n_unknowns];
+    // Adjacency, unknown → the observations touching it in observation
+    // order, as one CSR column: `touch[starts[i]..starts[i + 1]]`. A
+    // self-loop (`i == j`) is listed once.
+    let mut starts = vec![0usize; n_unknowns + 1];
     for o in obs {
         for (m, &y) in o.y.iter().enumerate() {
             u[o.i][m] += o.w * y / 2.0;
@@ -228,6 +232,8 @@ fn solve(obs: &[Obs], n_unknowns: usize) -> Vec<SegmentEstimate> {
         }
         w_sum[o.i] += o.w;
         w_sum[o.j] += o.w;
+        starts[o.i + 1] += 1;
+        starts[o.j + 1] += usize::from(o.j != o.i);
     }
     for (ui, &w) in u.iter_mut().zip(&w_sum) {
         if w > 0.0 {
@@ -236,54 +242,60 @@ fn solve(obs: &[Obs], n_unknowns: usize) -> Vec<SegmentEstimate> {
             }
         }
     }
-
-    // Adjacency: unknown → observation indices.
-    let mut touching: Vec<Vec<usize>> = vec![Vec::new(); n_unknowns];
+    for i in 0..n_unknowns {
+        starts[i + 1] += starts[i];
+    }
+    let mut touch = vec![0usize; starts[n_unknowns]];
+    let mut fill = starts.clone();
     for (oi, o) in obs.iter().enumerate() {
-        touching[o.i].push(oi);
+        touch[fill[o.i]] = oi;
+        fill[o.i] += 1;
         if o.j != o.i {
-            touching[o.j].push(oi);
+            touch[fill[o.j]] = oi;
+            fill[o.j] += 1;
         }
     }
+    // An update's denominator is the weight touching the unknown, the same
+    // in every sweep. It is not `w_sum`, which counts a self-loop twice; it
+    // is summed in adjacency order, as the sweeps used to sum it.
+    let den: Vec<f64> = starts
+        .windows(2)
+        .map(|row| {
+            touch[row[0]..row[1]]
+                .iter()
+                .fold(0.0, |d, &oi| d + obs[oi].w)
+        })
+        .collect();
 
     for _ in 0..ITERATIONS {
-        for i in 0..n_unknowns {
+        for i in (0..n_unknowns).filter(|&i| den[i] > 0.0) {
             let mut num = [0.0f64; 3];
-            let mut den = 0.0f64;
-            for &oi in &touching[i] {
+            for &oi in &touch[starts[i]..starts[i + 1]] {
                 let o = &obs[oi];
                 let partner = if o.i == i { o.j } else { o.i };
                 for m in 0..3 {
-                    let partner_val = if partner == i { u[i][m] } else { u[partner][m] };
-                    num[m] += o.w * (o.y[m] - partner_val);
+                    num[m] += o.w * (o.y[m] - u[partner][m]);
                 }
-                den += o.w;
             }
-            if den > 0.0 {
-                for m in 0..3 {
-                    u[i][m] = (num[m] / den).max(0.0);
-                }
+            for m in 0..3 {
+                u[i][m] = (num[m] / den[i]).max(0.0);
             }
         }
     }
 
     // Residual-based SEM per unknown.
     let mut res_sq = vec![[0.0f64; 3]; n_unknowns];
-    let mut n_obs = vec![0u32; n_unknowns];
     for o in obs {
         for m in 0..3 {
             let r = o.y[m] - u[o.i][m] - u[o.j][m];
             res_sq[o.i][m] += o.w * r * r;
             res_sq[o.j][m] += o.w * r * r;
         }
-        n_obs[o.i] += 1;
-        if o.j != o.i {
-            n_obs[o.j] += 1;
-        }
     }
 
     (0..n_unknowns)
         .map(|idx| {
+            let n_obs = u32::try_from(starts[idx + 1] - starts[idx]).unwrap_or(u32::MAX);
             let mut sem = [0.0f64; 3];
             for m in 0..3 {
                 let var = if w_sum[idx] > 0.0 {
@@ -291,13 +303,13 @@ fn solve(obs: &[Obs], n_unknowns: usize) -> Vec<SegmentEstimate> {
                 } else {
                     0.0
                 };
-                let base = (var / (n_obs[idx].max(1) as f64)).sqrt();
+                let base = (var / (n_obs.max(1) as f64)).sqrt();
                 sem[m] = base.max(MIN_REL_SEM * u[idx][m]);
             }
             SegmentEstimate {
                 value: u[idx],
                 sem,
-                n_obs: n_obs[idx],
+                n_obs,
             }
         })
         .collect()
@@ -499,11 +511,99 @@ pub(crate) fn stitch_rows(
 /// This module's layout before the key rows, kept as the reference the
 /// equivalence tests compare against: unknowns interned through a `HashMap`
 /// in first-seen order, solved segments stored in one, every leg of a stitch
-/// a probe. The equations and the solve are the model's own.
+/// a probe, and the solve as it was. The equations are the model's own.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
     use std::collections::HashMap;
+
+    /// [`super::solve`] before its adjacency became one CSR column and the
+    /// sweep-invariant denominators were hoisted: one `Vec` of observations per
+    /// unknown, `den` re-summed in every sweep.
+    fn solve(obs: &[Obs], n_unknowns: usize) -> Vec<SegmentEstimate> {
+        let mut u = vec![[0.0f64; 3]; n_unknowns];
+        let mut w_sum = vec![0.0f64; n_unknowns];
+        for o in obs {
+            for (m, &y) in o.y.iter().enumerate() {
+                u[o.i][m] += o.w * y / 2.0;
+                u[o.j][m] += o.w * y / 2.0;
+            }
+            w_sum[o.i] += o.w;
+            w_sum[o.j] += o.w;
+        }
+        for (ui, &w) in u.iter_mut().zip(&w_sum) {
+            if w > 0.0 {
+                for v in ui.iter_mut() {
+                    *v /= w;
+                }
+            }
+        }
+
+        // Adjacency: unknown → observation indices.
+        let mut touching: Vec<Vec<usize>> = vec![Vec::new(); n_unknowns];
+        for (oi, o) in obs.iter().enumerate() {
+            touching[o.i].push(oi);
+            if o.j != o.i {
+                touching[o.j].push(oi);
+            }
+        }
+
+        for _ in 0..ITERATIONS {
+            for i in 0..n_unknowns {
+                let mut num = [0.0f64; 3];
+                let mut den = 0.0f64;
+                for &oi in &touching[i] {
+                    let o = &obs[oi];
+                    let partner = if o.i == i { o.j } else { o.i };
+                    for m in 0..3 {
+                        let partner_val = if partner == i { u[i][m] } else { u[partner][m] };
+                        num[m] += o.w * (o.y[m] - partner_val);
+                    }
+                    den += o.w;
+                }
+                if den > 0.0 {
+                    for m in 0..3 {
+                        u[i][m] = (num[m] / den).max(0.0);
+                    }
+                }
+            }
+        }
+
+        // Residual-based SEM per unknown.
+        let mut res_sq = vec![[0.0f64; 3]; n_unknowns];
+        let mut n_obs = vec![0u32; n_unknowns];
+        for o in obs {
+            for m in 0..3 {
+                let r = o.y[m] - u[o.i][m] - u[o.j][m];
+                res_sq[o.i][m] += o.w * r * r;
+                res_sq[o.j][m] += o.w * r * r;
+            }
+            n_obs[o.i] += 1;
+            if o.j != o.i {
+                n_obs[o.j] += 1;
+            }
+        }
+
+        (0..n_unknowns)
+            .map(|idx| {
+                let mut sem = [0.0f64; 3];
+                for m in 0..3 {
+                    let var = if w_sum[idx] > 0.0 {
+                        res_sq[idx][m] / w_sum[idx]
+                    } else {
+                        0.0
+                    };
+                    let base = (var / (n_obs[idx].max(1) as f64)).sqrt();
+                    sem[m] = base.max(MIN_REL_SEM * u[idx][m]);
+                }
+                SegmentEstimate {
+                    value: u[idx],
+                    sem,
+                    n_obs: n_obs[idx],
+                }
+            })
+            .collect()
+    }
 
     #[derive(Debug, Default)]
     pub(crate) struct Tomography {

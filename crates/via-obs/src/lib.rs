@@ -274,11 +274,14 @@ impl HotSchema {
 
 /// A slot-indexed recorder for the per-call hot loop: counters are plain
 /// `u64` bumps, histogram records go straight to the preset's bucket LUT.
-/// No names, no map lookups, no branches on an enabled flag — whether
-/// metrics are collected at all is decided where the sink is (or isn't)
-/// created. Slots come from a [`HotSchema`]; recording with a slot index
-/// from a different schema is a logic error (bounds-checked, not detected).
-#[derive(Debug, Clone)]
+/// No names, no map lookups, no enabled flag for a call site to test.
+/// Whether anything is recorded is decided by the sink itself: one cut from
+/// a [`HotSchema`] has a slot per registered metric, the [`Default`] one has
+/// none, and a record that finds no slot — every record into the default
+/// sink, or a slot index from a different schema (a logic error, not
+/// detected) — is dropped. A run with metrics off hands its workers the
+/// default sink and leaves the call sites as they are.
+#[derive(Debug, Clone, Default)]
 pub struct HotSink {
     counters: Vec<u64>,
     hists: Vec<Histogram>,
@@ -288,13 +291,17 @@ impl HotSink {
     /// Adds `delta` to the counter in `slot`.
     #[inline]
     pub fn inc(&mut self, slot: usize, delta: u64) {
-        self.counters[slot] += delta;
+        if let Some(c) = self.counters.get_mut(slot) {
+            *c += delta;
+        }
     }
 
     /// Records `v` into the histogram in `slot`.
     #[inline]
     pub fn observe(&mut self, slot: usize, v: f64) {
-        self.hists[slot].record(v);
+        if let Some(h) = self.hists.get_mut(slot) {
+            h.record(v);
+        }
     }
 
     /// The live histogram in `slot` (for end-of-batch reads, e.g. recording
@@ -428,6 +435,20 @@ mod tests {
         direct.inc("calls", 2);
         direct.observe("lat", LATENCY_MS, 700.0);
         assert_eq!(folded.snapshot(), direct.snapshot());
+    }
+
+    #[test]
+    fn default_hot_sink_records_nothing() {
+        let mut schema = HotSchema::new();
+        let calls = schema.counter("calls");
+        let lat = schema.histogram("lat", LATENCY_MS);
+        let mut off = HotSink::default();
+        off.inc(calls, 1);
+        off.observe(lat, 40.0);
+        off.clear();
+        let mut sink = MetricSink::new();
+        sink.fold_hot(&schema, &off);
+        assert!(sink.is_empty());
     }
 
     #[test]
