@@ -20,7 +20,7 @@ use via_model::metrics::{Metric, Thresholds};
 use via_model::time::WindowLen;
 use via_netsim::{World, WorldConfig};
 use via_trace::stream::{FileSource, RecordSource};
-use via_trace::{TraceConfig, TraceGenerator};
+use via_trace::{write_trace, TraceConfig, TraceGenerator};
 
 const USAGE: &str = "\
 via — predictive relay selection for Internet telephony (SIGCOMM 2016 reproduction)
@@ -31,7 +31,7 @@ USAGE:
                       [--frame-hours N]
     via trace convert IN.jsonl|.vbt OUT.jsonl|.vbt [--frame-hours N]
     via trace info    FILE.jsonl|.vbt
-    via analyze FILE
+    via analyze FILE.jsonl|.vbt
     via replay  [--scale tiny|small|paper] [--seed N] [--workers N]
                 [--stream] [--trace FILE.jsonl|.vbt]
                 [--strategy default|oracle|prediction|exploration|via|budgeted|racing|multipath]
@@ -131,48 +131,6 @@ fn frame_len(flags: &Flags) -> Result<WindowLen, Box<dyn std::error::Error>> {
         .ok_or_else(|| format!("--frame-hours must be positive, got {hours}").into())
 }
 
-/// Streams every record of `src` into a trace file picked by extension,
-/// never holding more than one record (plus the binary frame buffer)
-/// resident. Returns the record count written.
-fn stream_to_file(
-    mut src: impl RecordSource,
-    out: &Path,
-    frame: WindowLen,
-) -> Result<u64, Box<dyn std::error::Error>> {
-    let n = src
-        .size_hint()
-        .ok_or("source does not know its record count up front")?;
-    match out.extension().and_then(|e| e.to_str()) {
-        Some("jsonl") => {
-            let mut w = via_trace::io::JsonlWriter::create(
-                out,
-                src.seed(),
-                src.days(),
-                usize::try_from(n)?,
-            )?;
-            while let Some(r) = src.next_record()? {
-                w.push(&r)?;
-            }
-            w.finish()?;
-        }
-        Some("vbt") => {
-            let mut w = via_trace::binfmt::BinWriter::create(out, src.seed(), src.days(), frame)?;
-            while let Some(r) = src.next_record()? {
-                w.push(&r)?;
-            }
-            w.finish()?;
-        }
-        _ => {
-            return Err(format!(
-                "unsupported output format '{}' (expected .jsonl or .vbt)",
-                out.display()
-            )
-            .into())
-        }
-    }
-    Ok(n)
-}
-
 fn cmd_trace(rest: &[String]) -> CliResult {
     let Some((sub, rest)) = rest.split_first() else {
         return Err("trace needs a subcommand: gen | convert | info".into());
@@ -197,7 +155,7 @@ fn cmd_trace_gen(rest: &[String], default_out: &str) -> CliResult {
     let (wc, tc) = scale_configs(scale)?;
     let world = World::generate(&wc, seed);
     let generator = TraceGenerator::new(&world, tc, seed);
-    let n = stream_to_file(generator.stream(), Path::new(&out), frame)?;
+    let n = write_trace(generator.stream(), Path::new(&out), frame)?;
     println!(
         "streamed {n} calls over {} days ({} ASes, {} relays, seed {seed}) -> {out}",
         generator.effective_days(),
@@ -215,7 +173,7 @@ fn cmd_trace_convert(rest: &[String]) -> CliResult {
     let output = flags.positional_at(1, "output trace file")?.to_string();
     let frame = frame_len(&flags)?;
     let src = FileSource::open(Path::new(&input))?;
-    let n = stream_to_file(src, Path::new(&output), frame)?;
+    let n = write_trace(src, Path::new(&output), frame)?;
     let in_bytes = std::fs::metadata(&input)?.len();
     let out_bytes = std::fs::metadata(&output)?.len();
     println!("converted {n} records: {input} ({in_bytes} B) -> {output} ({out_bytes} B)");
@@ -256,7 +214,7 @@ fn cmd_trace_info(rest: &[String]) -> CliResult {
 fn cmd_analyze(rest: &[String]) -> CliResult {
     let flags = Flags::parse(rest)?;
     let path = flags.positional("trace file")?;
-    let trace = via_trace::io::read_jsonl(std::path::Path::new(path))?;
+    let trace = via_trace::load_trace(Path::new(path))?;
     let thresholds = Thresholds::default();
 
     let s = via_trace::analysis::dataset_summary(&trace);

@@ -40,8 +40,8 @@ use via_model::time::{SimTime, Window, WindowLen};
 use via_netsim::World;
 use via_obs::{MetricSink, MetricsSnapshot, Stopwatch};
 use via_quality::PnrReport;
-use via_trace::stream::{RecordSource, StreamError, WindowBatch, WindowStream};
-use via_trace::{CallRecord, Trace};
+use via_trace::stream::{RecordSource, WindowBatch, WindowStream};
+use via_trace::{CallRecord, Trace, TraceError};
 
 use crate::budget::BudgetGate;
 use crate::history::{record_grouped, GroupedCell, KeyPair};
@@ -1057,7 +1057,7 @@ impl<'a> ReplaySim<'a> {
     /// # Errors
     /// Any decode or chronology error surfaced by the source; the engine
     /// stops at the first bad window.
-    pub fn run_stream<S>(&self, source: S, kind: StrategyKind) -> Result<Outcome, StreamError>
+    pub fn run_stream<S>(&self, source: S, kind: StrategyKind) -> Result<Outcome, TraceError>
     where
         S: RecordSource + Send,
     {
@@ -1068,11 +1068,11 @@ impl<'a> ReplaySim<'a> {
             }
         }
         let mut stream = WindowStream::new(source, self.cfg.window);
-        let bytes = std::thread::scope(|scope| -> Result<u64, StreamError> {
+        let bytes = std::thread::scope(|scope| -> Result<u64, TraceError> {
             // Bounded prefetch: at most two windows queued ahead of the one
             // being replayed. The recycle channel hands spent batch buffers
             // back to the producer for reuse.
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Result<WindowBatch, StreamError>>(2);
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Result<WindowBatch, TraceError>>(2);
             let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<WindowBatch>();
             let producer = scope.spawn(move || {
                 loop {

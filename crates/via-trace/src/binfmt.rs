@@ -35,9 +35,18 @@
 //! a reader holds at most one frame's payload plus its decoded records.
 //!
 //! The header is written with a zero record count, then patched in place by
-//! [`BinWriter::finish`] — so a crashed writer leaves a file whose digest
-//! does not verify, and truncated or bit-flipped files fail loudly
-//! ([`BinError`]) instead of yielding a silently short trace.
+//! [`BinWriter::finish`] — so a crashed writer leaves a header promising no
+//! records, which any frame it did flush overruns.
+//!
+//! What a reader detects, each as a typed [`BinError`]: header corruption
+//! (the digest covers header bytes 0..48), truncation anywhere in the file,
+//! a frame prefix whose count and payload length disagree, and a record
+//! total that differs from the header's. The header's count is checked
+//! against the file's length at open, and each frame's payload length
+//! against the bytes left, before any buffer grows. What it does not
+//! detect: a flipped bit inside a record payload (or in a frame's window
+//! index, which readers ignore) decodes to a different, well-formed record.
+//! The digest is an unkeyed check on the header, not a checksum of the data.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -47,7 +56,9 @@ use via_model::ids::{AsId, CallId, ClientId, CountryId};
 use via_model::metrics::PathMetrics;
 use via_model::time::{SimTime, WindowLen};
 
+use crate::error::TraceError;
 use crate::record::{AccessExtra, CallRecord, Trace};
+use crate::stream::RecordSource;
 
 /// File magic, first 8 bytes of every binary trace.
 pub const MAGIC: [u8; 8] = *b"VIATRACE";
@@ -78,9 +89,10 @@ pub enum BinError {
         /// Digest recomputed over the header bytes.
         computed: u64,
     },
-    /// The file ended inside a header, frame prefix, or frame payload.
+    /// The file ends inside a header, frame prefix, or frame payload, or is
+    /// too short for the records its header promises.
     Truncated {
-        /// What was being read when the file ran out.
+        /// What the file is too short for.
         context: &'static str,
     },
     /// A frame prefix whose payload length disagrees with its record count.
@@ -116,7 +128,7 @@ impl std::fmt::Display for BinError {
                 "binary trace header digest mismatch (stored {stored:#018x}, computed {computed:#018x}) — truncated write or corruption"
             ),
             BinError::Truncated { context } => {
-                write!(f, "binary trace truncated while reading {context}")
+                write!(f, "binary trace truncated: too short for its {context}")
             }
             BinError::FrameMismatch { count, payload_len } => write!(
                 f,
@@ -371,27 +383,44 @@ impl BinWriter {
     }
 }
 
-/// Streaming binary trace reader. Holds one frame's payload plus its decoded
-/// records at a time; both buffers are reused across frames.
+/// Streaming binary trace reader: a [`RecordSource`] that holds one frame's
+/// payload plus its decoded records at a time; both buffers are reused
+/// across frames, and neither grows past what the file holds.
 pub struct BinReader {
     file: BufReader<File>,
     header: BinHeader,
+    /// File length at open: the bound every buffer is checked against.
+    len: u64,
     payload: Vec<u8>,
+    /// The current frame's decoded records, yielded from `pos` on.
+    frame: Vec<CallRecord>,
+    pos: usize,
     read_records: u64,
     bytes_read: u64,
 }
 
 impl BinReader {
-    /// Opens a binary trace, verifying magic, version, and header digest.
-    pub fn open(path: &Path) -> Result<Self, BinError> {
-        let mut file = BufReader::new(File::open(path)?);
+    /// Opens a binary trace, verifying magic, version, and header digest,
+    /// and that the file is long enough for the records the header promises.
+    pub(crate) fn open(path: &Path) -> Result<Self, BinError> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut file = BufReader::new(file);
         let mut buf = [0u8; HEADER_BYTES];
         read_exact_or(&mut file, &mut buf, "header")?;
         let header = BinHeader::decode(&buf)?;
+        if header.records > len.saturating_sub(HEADER_BYTES as u64) / RECORD_BYTES as u64 {
+            return Err(BinError::Truncated {
+                context: "header's record count",
+            });
+        }
         Ok(BinReader {
             file,
             header,
+            len,
             payload: Vec::new(),
+            frame: Vec::new(),
+            pos: 0,
             read_records: 0,
             bytes_read: HEADER_BYTES as u64,
         })
@@ -402,16 +431,10 @@ impl BinReader {
         &self.header
     }
 
-    /// Total bytes consumed from the file so far (header, prefixes, and
-    /// payloads) — the numerator of the bench's bytes-decoded/sec figure.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
-    }
-
-    /// Reads the next frame, appending its decoded records to `out`.
-    /// Returns the frame's on-disk window index, or `None` at a clean end of
-    /// file (after exactly `header.records` records).
-    pub fn next_frame(&mut self, out: &mut Vec<CallRecord>) -> Result<Option<u64>, BinError> {
+    /// Reads and decodes the next frame into `self.frame`; `false` at a
+    /// clean end of file (after exactly `header.records` records). Every
+    /// length in the prefix is checked before a buffer grows.
+    fn next_frame(&mut self) -> Result<bool, BinError> {
         let mut prefix = [0u8; FRAME_PREFIX_BYTES];
         match self.file.read(&mut prefix[..1])? {
             0 => {
@@ -421,33 +444,71 @@ impl BinReader {
                         actual: self.read_records,
                     });
                 }
-                return Ok(None);
+                return Ok(false);
             }
             _ => read_exact_or(&mut self.file, &mut prefix[1..], "frame prefix")?,
         }
-        let window = u64::from_le_bytes([
-            prefix[0], prefix[1], prefix[2], prefix[3], prefix[4], prefix[5], prefix[6], prefix[7],
-        ]);
         let count = u32::from_le_bytes([prefix[8], prefix[9], prefix[10], prefix[11]]);
         let payload_len = u32::from_le_bytes([prefix[12], prefix[13], prefix[14], prefix[15]]);
         if payload_len as usize != count as usize * RECORD_BYTES {
             return Err(BinError::FrameMismatch { count, payload_len });
         }
+        let read_records = self.read_records + u64::from(count);
+        if read_records > self.header.records {
+            return Err(BinError::CountMismatch {
+                expected: self.header.records,
+                actual: read_records,
+            });
+        }
+        let frame_end = self.bytes_read + (FRAME_PREFIX_BYTES as u64) + u64::from(payload_len);
+        if frame_end > self.len {
+            return Err(BinError::Truncated {
+                context: "frame payload",
+            });
+        }
         self.payload.resize(payload_len as usize, 0);
         read_exact_or(&mut self.file, &mut self.payload, "frame payload")?;
         self.bytes_read += (FRAME_PREFIX_BYTES + payload_len as usize) as u64;
-        self.read_records += u64::from(count);
-        if self.read_records > self.header.records {
-            return Err(BinError::CountMismatch {
-                expected: self.header.records,
-                actual: self.read_records,
-            });
-        }
+        self.read_records = read_records;
+        let out = &mut self.frame;
+        out.clear();
+        self.pos = 0;
         out.reserve(count as usize);
         for chunk in self.payload.chunks_exact(RECORD_BYTES) {
             out.push(decode_record(chunk));
         }
-        Ok(Some(window))
+        Ok(true)
+    }
+}
+
+impl RecordSource for BinReader {
+    fn next_record(&mut self) -> Result<Option<CallRecord>, TraceError> {
+        while self.pos >= self.frame.len() {
+            if !self.next_frame()? {
+                return Ok(None);
+            }
+        }
+        let r = self.frame[self.pos].clone();
+        self.pos += 1;
+        Ok(Some(r))
+    }
+
+    fn seed(&self) -> u64 {
+        self.header.seed
+    }
+
+    fn days(&self) -> u64 {
+        self.header.days
+    }
+
+    fn size_hint(&self) -> Option<u64> {
+        Some(self.header.records)
+    }
+
+    /// Total bytes consumed from the file so far (header, prefixes, and
+    /// payloads) — the numerator of the bench's bytes-decoded/sec figure.
+    fn bytes_read(&self) -> u64 {
+        self.bytes_read
     }
 }
 
@@ -462,18 +523,11 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], context: &'static str) -> Re
     })
 }
 
-/// Writes a whole materialized trace with the default daily framing.
+/// Writes a whole materialized trace with the default daily framing — the
+/// `.vbt` half of [`crate::save_trace`], kept with its own error type for
+/// the benchmark's writer layer.
 pub fn write_binary(trace: &Trace, path: &Path) -> Result<(), BinError> {
-    write_binary_framed(trace, path, WindowLen::DAY)
-}
-
-/// Writes a whole materialized trace framed by `frame_len`.
-pub fn write_binary_framed(
-    trace: &Trace,
-    path: &Path,
-    frame_len: WindowLen,
-) -> Result<(), BinError> {
-    let mut w = BinWriter::create(path, trace.seed, trace.days, frame_len)?;
+    let mut w = BinWriter::create(path, trace.seed, trace.days, WindowLen::DAY)?;
     for r in &trace.records {
         w.push(r)?;
     }
@@ -481,20 +535,12 @@ pub fn write_binary_framed(
     Ok(())
 }
 
-/// Reads a whole binary trace into memory. The streaming pipeline
-/// ([`crate::stream`]) is the bounded-memory path; this is the convenience
-/// form for tools and tests.
-pub fn read_binary(path: &Path) -> Result<Trace, BinError> {
-    let mut r = BinReader::open(path)?;
-    let mut records = Vec::with_capacity(usize::try_from(r.header.records).unwrap_or(0));
-    while r.next_frame(&mut records)?.is_some() {}
-    Ok(Trace::new(r.header.seed, r.header.days, records))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::TraceRecords;
     use crate::workload::{TraceConfig, TraceGenerator};
+    use crate::{load_trace, write_trace};
     use via_netsim::{World, WorldConfig};
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -508,12 +554,38 @@ mod tests {
         TraceGenerator::new(&world, TraceConfig::tiny(), 33).generate()
     }
 
+    /// Four records spread over the sample trace, framed by the hour: a
+    /// `.vbt` of four one-record frames, small enough to sweep byte by byte.
+    fn few_record_file(path: &Path) -> Vec<u8> {
+        let trace = sample_trace();
+        let n = trace.len();
+        let records = [0, n / 3, 2 * n / 3, n - 1].map(|i| trace.records[i].clone());
+        let few = Trace::new(trace.seed, trace.days, records.to_vec());
+        write_trace(TraceRecords::new(&few), path, WindowLen::hours(1)).unwrap();
+        let bytes = std::fs::read(path).unwrap();
+        assert_eq!(
+            bytes.len(),
+            HEADER_BYTES + 4 * (FRAME_PREFIX_BYTES + RECORD_BYTES),
+            "four one-record frames"
+        );
+        bytes
+    }
+
+    /// The binary-trace error a load ended in.
+    fn load_err(path: &Path) -> BinError {
+        match load_trace(path) {
+            Err(TraceError::Binary(e)) => e,
+            Err(other) => panic!("expected a binary-trace error, got {other}"),
+            Ok(t) => panic!("expected a binary-trace error, loaded {} records", t.len()),
+        }
+    }
+
     #[test]
     fn roundtrip_is_exact() {
         let trace = sample_trace();
         let path = tmp("roundtrip.vbt");
         write_binary(&trace, &path).unwrap();
-        let back = read_binary(&path).unwrap();
+        let back = load_trace(&path).unwrap();
         assert_eq!(back.seed, trace.seed);
         assert_eq!(back.days, trace.days);
         assert_eq!(back.records, trace.records);
@@ -524,8 +596,8 @@ mod tests {
     fn roundtrip_survives_odd_framing() {
         let trace = sample_trace();
         let path = tmp("framing.vbt");
-        write_binary_framed(&trace, &path, WindowLen::hours(5)).unwrap();
-        let back = read_binary(&path).unwrap();
+        write_trace(TraceRecords::new(&trace), &path, WindowLen::hours(5)).unwrap();
+        let back = load_trace(&path).unwrap();
         assert_eq!(back.records, trace.records);
         std::fs::remove_file(&path).ok();
     }
@@ -554,22 +626,137 @@ mod tests {
     }
 
     #[test]
-    fn truncated_file_fails_loudly() {
-        let trace = sample_trace();
-        let path = tmp("truncated.vbt");
-        write_binary(&trace, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        // Cut the file mid-payload: the reader must report truncation or a
-        // count mismatch, never a silently short trace.
-        std::fs::write(&path, &bytes[..bytes.len() - 31]).unwrap();
-        let err = read_binary(&path).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                BinError::Truncated { .. } | BinError::CountMismatch { .. }
-            ),
-            "unexpected error: {err}"
-        );
+    fn every_strict_prefix_is_a_typed_error() {
+        let path = tmp("prefix.vbt");
+        let bytes = few_record_file(&path);
+        // Cut anywhere — inside the header, a frame prefix, a payload, or
+        // exactly between frames: never a silently short trace.
+        for cut in 0..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let err = load_err(&path);
+            assert!(
+                matches!(
+                    err,
+                    BinError::Truncated { .. } | BinError::CountMismatch { .. }
+                ),
+                "prefix of {cut} bytes: {err}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_header_and_frame_prefixes_is_typed_and_bounded() {
+        let path = tmp("flip.vbt");
+        let bytes = few_record_file(&path);
+        let frame = FRAME_PREFIX_BYTES + RECORD_BYTES;
+        let prefixes = (0..4).flat_map(|f| {
+            let start = HEADER_BYTES + f * frame;
+            start..start + FRAME_PREFIX_BYTES
+        });
+        for pos in (0..HEADER_BYTES).chain(prefixes) {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= 1 << bit;
+                std::fs::write(&path, &flipped).unwrap();
+                let outcome =
+                    BinReader::open(&path)
+                        .map_err(TraceError::from)
+                        .and_then(|mut reader| {
+                            let mut n = 0u64;
+                            let drained = loop {
+                                match reader.next_record() {
+                                    Ok(Some(_)) => n += 1,
+                                    Ok(None) => break Ok(n),
+                                    Err(e) => break Err(e),
+                                }
+                            };
+                            assert!(
+                                reader.payload.capacity() <= flipped.len()
+                                    && reader.frame.capacity() * RECORD_BYTES <= flipped.len(),
+                                "byte {pos} bit {bit}: a buffer outgrew the file"
+                            );
+                            drained
+                        });
+                // The digest covers the header, the prefix's count and
+                // payload length must agree; only a frame's window index
+                // (which readers ignore) flips without an error.
+                let window_index = pos >= HEADER_BYTES && (pos - HEADER_BYTES) % frame < 8;
+                match outcome {
+                    Ok(n) => {
+                        assert!(window_index, "byte {pos} bit {bit} flipped silently");
+                        assert_eq!(n, 4);
+                    }
+                    Err(TraceError::Binary(_)) => {
+                        assert!(!window_index, "byte {pos} bit {bit}: ignored field refused");
+                    }
+                    Err(other) => panic!("byte {pos} bit {bit}: untyped {other}"),
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn hostile_lengths_are_refused_before_a_buffer_grows() {
+        let path = tmp("hostile.vbt");
+        let header = |records: u64| {
+            BinHeader {
+                version: SCHEMA_VERSION,
+                seed: 1,
+                days: 1,
+                records,
+                frame_len: WindowLen::DAY,
+                digest: 0,
+            }
+            .encode()
+        };
+        let prefix = |count: u32| {
+            let mut p = 0u64.to_le_bytes().to_vec();
+            p.extend_from_slice(&count.to_le_bytes());
+            p.extend_from_slice(&(count * RECORD_BYTES as u32).to_le_bytes());
+            p
+        };
+        // The largest frame a prefix can describe: 45 691 141 records.
+        let claim = u32::MAX / RECORD_BYTES as u32;
+
+        // A valid header promising the claim on a 72-byte file: refused at
+        // open, from the file's length.
+        let mut file = header(u64::from(claim)).to_vec();
+        file.extend(prefix(claim));
+        assert_eq!(file.len(), 72);
+        std::fs::write(&path, &file).unwrap();
+        assert!(matches!(
+            BinReader::open(&path),
+            Err(BinError::Truncated { .. })
+        ));
+
+        // A header promising nothing, then a prefix claiming 4.3 GB of
+        // payload: refused before the payload buffer grows.
+        let mut file = header(0).to_vec();
+        file.extend(prefix(claim));
+        std::fs::write(&path, &file).unwrap();
+        let mut reader = BinReader::open(&path).unwrap();
+        assert!(matches!(
+            reader.next_frame(),
+            Err(BinError::CountMismatch { .. })
+        ));
+        assert_eq!(reader.payload.capacity(), 0);
+
+        // A header and prefix promising two records, with 8 payload bytes
+        // missing: the header's count fits the file, the frame does not.
+        let mut file = header(2).to_vec();
+        file.extend(prefix(2));
+        file.resize(file.len() + 2 * RECORD_BYTES - 8, 0);
+        std::fs::write(&path, &file).unwrap();
+        let mut reader = BinReader::open(&path).unwrap();
+        assert!(matches!(
+            reader.next_frame(),
+            Err(BinError::Truncated {
+                context: "frame payload"
+            })
+        ));
+        assert_eq!(reader.payload.capacity(), 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -581,10 +768,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[17] ^= 0x40; // flip a seed bit
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_binary(&path).unwrap_err(),
-            BinError::BadDigest { .. }
-        ));
+        assert!(matches!(load_err(&path), BinError::BadDigest { .. }));
         std::fs::remove_file(&path).ok();
     }
 
@@ -596,10 +780,7 @@ mod tests {
             b"NOTATRCE________________________________________________",
         )
         .unwrap();
-        assert!(matches!(
-            read_binary(&path).unwrap_err(),
-            BinError::BadMagic
-        ));
+        assert!(matches!(load_err(&path), BinError::BadMagic));
         let trace = sample_trace();
         write_binary(&trace, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -607,10 +788,7 @@ mod tests {
         let digest = fnv1a(&bytes[0..48]);
         bytes[48..56].copy_from_slice(&digest.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_binary(&path).unwrap_err(),
-            BinError::BadVersion(99)
-        ));
+        assert!(matches!(load_err(&path), BinError::BadVersion(99)));
         std::fs::remove_file(&path).ok();
     }
 }

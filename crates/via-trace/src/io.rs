@@ -5,24 +5,27 @@
 //! with standard tooling) rather than a necessity. The format is one JSON
 //! object per line — streamable, appendable, and diffable.
 //!
-//! Reading is line-streamed: [`JsonlReader`] yields one record at a time
-//! with exact error positions (1-based line number and the byte offset of
-//! the offending line), and never holds more than one line in memory. The
-//! materializing [`read_jsonl`] is a thin collect over it; the streaming
-//! replay pipeline (see [`crate::stream`]) consumes the reader directly.
+//! Reading is line-streamed: [`JsonlReader`] is a [`RecordSource`] that
+//! yields one record at a time with exact error positions (1-based line
+//! number and the byte offset of the offending line), and never holds more
+//! than one line in memory. Files are opened through
+//! [`crate::stream::FileSource`] and written through [`crate::write_trace`].
 
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use crate::record::{CallRecord, Trace};
+use crate::error::TraceError;
+use crate::record::CallRecord;
+use crate::stream::RecordSource;
 
 /// Errors arising from trace persistence.
 #[derive(Debug)]
 pub enum TraceIoError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// A line failed to parse as a record.
+    /// A line failed to parse as a record, or the header line promises more
+    /// records than the file has bytes for.
     Parse {
         /// 1-based line number of the offending line.
         line: usize,
@@ -35,6 +38,14 @@ pub enum TraceIoError {
     Encode(String),
     /// The file had no header line.
     MissingHeader,
+    /// The file ended after a different number of records than its header
+    /// promised — a truncated (or padded) trace, never a shorter one.
+    CountMismatch {
+        /// Count the header promised.
+        expected: u64,
+        /// Records actually present.
+        actual: u64,
+    },
 }
 
 impl std::fmt::Display for TraceIoError {
@@ -51,6 +62,10 @@ impl std::fmt::Display for TraceIoError {
             ),
             TraceIoError::Encode(msg) => write!(f, "trace encode error: {msg}"),
             TraceIoError::MissingHeader => write!(f, "trace file is missing its header line"),
+            TraceIoError::CountMismatch { expected, actual } => write!(
+                f,
+                "trace holds {actual} records but its header promised {expected}"
+            ),
         }
     }
 }
@@ -65,28 +80,33 @@ impl From<io::Error> for TraceIoError {
 
 /// Header line: trace provenance, written as the first line of the file.
 #[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
-pub struct JsonlHeader {
+pub(crate) struct JsonlHeader {
     /// Seed the trace was generated with.
     pub seed: u64,
     /// Trace horizon in days.
     pub days: u64,
     /// Number of records that follow.
-    pub records: usize,
+    pub records: u64,
 }
 
 /// Streaming JSON Lines writer: the header goes out first (the record count
 /// must therefore be known up front — trace generation is exact-count, and
 /// conversions read it from the source header), then one record per `push`.
 /// Only the line being written is ever buffered.
-pub struct JsonlWriter {
+pub(crate) struct JsonlWriter {
     w: BufWriter<File>,
-    expected: usize,
-    written: usize,
+    expected: u64,
+    written: u64,
 }
 
 impl JsonlWriter {
     /// Creates the file and writes the header line.
-    pub fn create(path: &Path, seed: u64, days: u64, records: usize) -> Result<Self, TraceIoError> {
+    pub(crate) fn create(
+        path: &Path,
+        seed: u64,
+        days: u64,
+        records: u64,
+    ) -> Result<Self, TraceIoError> {
         let mut w = BufWriter::new(File::create(path)?);
         let header = JsonlHeader {
             seed,
@@ -103,7 +123,7 @@ impl JsonlWriter {
     }
 
     /// Appends one record line.
-    pub fn push(&mut self, r: &CallRecord) -> Result<(), TraceIoError> {
+    pub(crate) fn push(&mut self, r: &CallRecord) -> Result<(), TraceIoError> {
         serde_json::to_writer(&mut self.w, r).map_err(|e| TraceIoError::Encode(e.to_string()))?;
         self.w.write_all(b"\n")?;
         self.written += 1;
@@ -112,7 +132,7 @@ impl JsonlWriter {
 
     /// Flushes and verifies the record count matches the header, so a file
     /// produced by a streaming writer is never silently short.
-    pub fn finish(mut self) -> Result<usize, TraceIoError> {
+    pub(crate) fn finish(mut self) -> Result<u64, TraceIoError> {
         self.w.flush()?;
         if self.written != self.expected {
             return Err(TraceIoError::Encode(format!(
@@ -124,20 +144,11 @@ impl JsonlWriter {
     }
 }
 
-/// Writes a trace as JSON Lines: a header object followed by one record per
-/// line.
-pub fn write_jsonl(trace: &Trace, path: &Path) -> Result<(), TraceIoError> {
-    let mut w = JsonlWriter::create(path, trace.seed, trace.days, trace.records.len())?;
-    for r in &trace.records {
-        w.push(r)?;
-    }
-    w.finish()?;
-    Ok(())
-}
-
-/// Line-streamed JSON Lines reader: one record per [`JsonlReader::next_record`]
-/// call, one line resident at a time. Parse failures report the 1-based line
-/// number and the byte offset of the line start.
+/// Line-streamed JSON Lines reader: one record per
+/// [`RecordSource::next_record`] call, one line resident at a time. Parse
+/// failures report the 1-based line number and the byte offset of the line
+/// start; a file that ends short of its header's count is
+/// [`TraceIoError::CountMismatch`].
 pub struct JsonlReader {
     reader: BufReader<File>,
     header: JsonlHeader,
@@ -145,49 +156,61 @@ pub struct JsonlReader {
     line: usize,
     /// Byte offset where the next line starts.
     offset: u64,
+    /// Records yielded so far.
+    records: u64,
     buf: String,
 }
 
 impl JsonlReader {
-    /// Opens a JSONL trace and parses its header line.
-    pub fn open(path: &Path) -> Result<Self, TraceIoError> {
-        let mut reader = BufReader::new(File::open(path)?);
+    /// Opens a JSONL trace and parses its header line. The header's record
+    /// count is checked against the file's length (a record line is at
+    /// least 2 bytes), so [`RecordSource::size_hint`] is bounded by the file.
+    pub(crate) fn open(path: &Path) -> Result<Self, TraceIoError> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut reader = BufReader::new(file);
         let mut buf = String::new();
-        let n = reader.read_line(&mut buf)?;
+        let n = reader.read_line(&mut buf)? as u64;
         if n == 0 {
             return Err(TraceIoError::MissingHeader);
         }
+        let header_error = |msg: String| TraceIoError::Parse {
+            line: 1,
+            byte_offset: 0,
+            msg,
+        };
         let header: JsonlHeader =
-            serde_json::from_str(buf.trim_end()).map_err(|e| TraceIoError::Parse {
-                line: 1,
-                byte_offset: 0,
-                msg: e.to_string(),
-            })?;
+            serde_json::from_str(buf.trim_end()).map_err(|e| header_error(e.to_string()))?;
+        let body = len.saturating_sub(n);
+        if header.records > body / 2 {
+            return Err(header_error(format!(
+                "header promises {} records but the {body} bytes after it hold at most {}",
+                header.records,
+                body / 2
+            )));
+        }
         Ok(JsonlReader {
             reader,
             header,
             line: 1,
-            offset: n as u64,
+            offset: n,
+            records: 0,
             buf,
         })
     }
 
-    /// The file's header.
-    pub fn header(&self) -> JsonlHeader {
-        self.header
-    }
-
-    /// Bytes consumed from the file so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.offset
-    }
-
     /// Reads the next record, skipping blank lines; `None` at end of file.
-    pub fn next_record(&mut self) -> Result<Option<CallRecord>, TraceIoError> {
+    fn read_record(&mut self) -> Result<Option<CallRecord>, TraceIoError> {
         loop {
             self.buf.clear();
             let n = self.reader.read_line(&mut self.buf)?;
             if n == 0 {
+                if self.records != self.header.records {
+                    return Err(TraceIoError::CountMismatch {
+                        expected: self.header.records,
+                        actual: self.records,
+                    });
+                }
                 return Ok(None);
             }
             self.line += 1;
@@ -196,44 +219,69 @@ impl JsonlReader {
             if self.buf.trim().is_empty() {
                 continue;
             }
-            return serde_json::from_str(self.buf.trim_end())
-                .map(Some)
-                .map_err(|e| TraceIoError::Parse {
+            let record =
+                serde_json::from_str(self.buf.trim_end()).map_err(|e| TraceIoError::Parse {
                     line: self.line,
                     byte_offset: line_start,
                     msg: e.to_string(),
-                });
+                })?;
+            self.records += 1;
+            return Ok(Some(record));
         }
     }
 }
 
-/// Reads a trace written by [`write_jsonl`], materializing every record.
-/// The streaming pipeline ([`crate::stream`]) replays without this step.
-pub fn read_jsonl(path: &Path) -> Result<Trace, TraceIoError> {
-    let mut r = JsonlReader::open(path)?;
-    let header = r.header();
-    let mut records = Vec::with_capacity(header.records);
-    while let Some(rec) = r.next_record()? {
-        records.push(rec);
+impl RecordSource for JsonlReader {
+    fn next_record(&mut self) -> Result<Option<CallRecord>, TraceError> {
+        Ok(self.read_record()?)
     }
-    Ok(Trace::new(header.seed, header.days, records))
+
+    fn seed(&self) -> u64 {
+        self.header.seed
+    }
+
+    fn days(&self) -> u64 {
+        self.header.days
+    }
+
+    fn size_hint(&self) -> Option<u64> {
+        Some(self.header.records)
+    }
+
+    fn bytes_read(&self) -> u64 {
+        self.offset
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::{TraceConfig, TraceGenerator};
+    use crate::{load_trace, save_trace};
     use via_netsim::{World, WorldConfig};
+
+    fn tmp(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("via-trace-io-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    /// The JSONL error a load ended in.
+    fn load_err(path: &Path) -> TraceIoError {
+        match load_trace(path) {
+            Err(TraceError::Jsonl(e)) => e,
+            Err(other) => panic!("expected a JSONL error, got {other}"),
+            Ok(t) => panic!("expected a JSONL error, loaded {} records", t.len()),
+        }
+    }
 
     #[test]
     fn roundtrip_preserves_trace() {
         let world = World::generate(&WorldConfig::tiny(), 21);
         let trace = TraceGenerator::new(&world, TraceConfig::tiny(), 21).generate();
-        let dir = std::env::temp_dir().join("via-trace-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.jsonl");
-        write_jsonl(&trace, &path).unwrap();
-        let back = read_jsonl(&path).unwrap();
+        let path = tmp("trace.jsonl");
+        save_trace(&trace, &path).unwrap();
+        let back = load_trace(&path).unwrap();
         assert_eq!(back.seed, trace.seed);
         assert_eq!(back.days, trace.days);
         assert_eq!(back.records, trace.records);
@@ -242,34 +290,28 @@ mod tests {
 
     #[test]
     fn missing_file_is_io_error() {
-        let err = read_jsonl(Path::new("/nonexistent/via/trace.jsonl")).unwrap_err();
+        let err = load_err(Path::new("/nonexistent/via/trace.jsonl"));
         assert!(matches!(err, TraceIoError::Io(_)));
         assert!(err.to_string().contains("I/O"));
     }
 
     #[test]
     fn empty_file_is_missing_header() {
-        let dir = std::env::temp_dir().join("via-trace-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("empty.jsonl");
+        let path = tmp("empty.jsonl");
         std::fs::write(&path, b"").unwrap();
-        let err = read_jsonl(&path).unwrap_err();
-        assert!(matches!(err, TraceIoError::MissingHeader));
+        assert!(matches!(load_err(&path), TraceIoError::MissingHeader));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn corrupt_record_reports_line_and_byte_offset() {
-        let dir = std::env::temp_dir().join("via-trace-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corrupt.jsonl");
+        let path = tmp("corrupt.jsonl");
         let header = b"{\"seed\":1,\"days\":1,\"records\":2}\n";
         let mut body = header.to_vec();
         body.extend_from_slice(b"\n"); // blank line: skipped, but counted
         body.extend_from_slice(b"not-json\n");
         std::fs::write(&path, &body).unwrap();
-        let err = read_jsonl(&path).unwrap_err();
-        match err {
+        match load_err(&path) {
             TraceIoError::Parse {
                 line,
                 byte_offset,
@@ -286,9 +328,7 @@ mod tests {
 
     #[test]
     fn streaming_writer_rejects_count_mismatch() {
-        let dir = std::env::temp_dir().join("via-trace-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("short.jsonl");
+        let path = tmp("short.jsonl");
         let w = JsonlWriter::create(&path, 1, 1, 3).unwrap();
         let err = w.finish().unwrap_err();
         assert!(matches!(err, TraceIoError::Encode(_)));

@@ -12,9 +12,11 @@
 //!   international/domestic and per-country PNR of Figure 4, worst-AS-pair
 //!   concentration of Figure 5, and the persistence/prevalence analysis of
 //!   Figure 6.
-//! * [`io`] — JSON Lines persistence for traces; [`binfmt`] — compact binary
-//!   `.vbt` persistence; [`csv`] — CSV interop for the usual data-analysis
-//!   stack.
+//! * [`io`] — JSON Lines persistence; [`binfmt`] — the compact binary
+//!   `.vbt` format. A trace file is read through one
+//!   [`stream::FileSource`] and written through one [`write_trace`], both
+//!   dispatching on the extension; [`load_trace`] and [`save_trace`] are
+//!   their materialized forms.
 //! * [`stream`] — the streaming window pipeline: any source (materialized
 //!   trace, JSONL, binary, or lazy generation) re-windowed into bounded
 //!   chronological batches for paper-scale replay in bounded memory.
@@ -34,7 +36,6 @@
 
 pub mod analysis;
 pub mod binfmt;
-pub mod csv;
 pub mod error;
 pub mod io;
 pub mod record;
@@ -43,37 +44,75 @@ pub mod workload;
 
 pub use error::TraceError;
 pub use record::{AccessExtra, CallRecord, Trace};
-pub use stream::{RecordSource, StreamError, WindowBatch, WindowStream};
+pub use stream::{RecordSource, WindowBatch, WindowStream};
 pub use workload::{TraceConfig, TraceGenerator};
 
 use std::path::Path;
 
-/// Loads a trace, dispatching on the path's extension: `.jsonl` (the native
-/// text format, see [`io`]), `.vbt` (binary, see [`binfmt`]), or `.csv`
-/// (interop, see [`csv`]).
+use via_model::time::WindowLen;
+
+use crate::stream::{FileSource, TraceRecords};
+
+/// Reads a whole trace file into memory: a collect over
+/// [`FileSource::open`], so `.jsonl` and `.vbt` are both accepted and every
+/// reader check applies. The streaming pipeline ([`stream`]) replays
+/// without this step.
 ///
 /// # Errors
 /// [`TraceError::UnknownFormat`] for any other extension, or the underlying
 /// format's error on a read failure.
 pub fn load_trace(path: &Path) -> Result<Trace, TraceError> {
-    match path.extension().and_then(|e| e.to_str()) {
-        Some("jsonl") => Ok(io::read_jsonl(path)?),
-        Some("vbt") => Ok(binfmt::read_binary(path)?),
-        Some("csv") => Ok(csv::read_csv(path)?),
-        _ => Err(TraceError::UnknownFormat(path.to_path_buf())),
+    let mut source = FileSource::open(path)?;
+    let hint = source
+        .size_hint()
+        .map_or(0, |n| usize::try_from(n).unwrap_or(0));
+    let mut records = Vec::with_capacity(hint);
+    while let Some(r) = source.next_record()? {
+        records.push(r);
     }
+    Ok(Trace::new(source.seed(), source.days(), records))
 }
 
-/// Saves a trace, dispatching on the path's extension like [`load_trace`].
+/// Saves a materialized trace: [`write_trace`] over its records, with the
+/// default daily `.vbt` framing.
 ///
 /// # Errors
-/// [`TraceError::UnknownFormat`] for unrecognized extensions, or the
-/// underlying format's error on a write failure.
+/// As [`write_trace`].
 pub fn save_trace(trace: &Trace, path: &Path) -> Result<(), TraceError> {
+    write_trace(TraceRecords::new(trace), path, WindowLen::DAY).map(drop)
+}
+
+/// Streams every record of `source` into a trace file picked by extension —
+/// `.jsonl`, or `.vbt` framed by `frame` — holding at most one record (plus
+/// the binary frame buffer) resident. Returns the records written.
+///
+/// # Errors
+/// [`TraceError::UnknownFormat`] for any other extension; a JSONL output
+/// needs the source's [`RecordSource::size_hint`] for its header; otherwise
+/// the source's or the writer's error.
+pub fn write_trace(
+    mut source: impl RecordSource,
+    path: &Path,
+    frame: WindowLen,
+) -> Result<u64, TraceError> {
     match path.extension().and_then(|e| e.to_str()) {
-        Some("jsonl") => Ok(io::write_jsonl(trace, path)?),
-        Some("vbt") => Ok(binfmt::write_binary(trace, path)?),
-        Some("csv") => Ok(csv::write_csv(trace, path)?),
+        Some("jsonl") => {
+            let n = source.size_hint().ok_or_else(|| {
+                io::TraceIoError::Encode("source does not know its record count up front".into())
+            })?;
+            let mut w = io::JsonlWriter::create(path, source.seed(), source.days(), n)?;
+            while let Some(r) = source.next_record()? {
+                w.push(&r)?;
+            }
+            Ok(w.finish()?)
+        }
+        Some("vbt") => {
+            let mut w = binfmt::BinWriter::create(path, source.seed(), source.days(), frame)?;
+            while let Some(r) = source.next_record()? {
+                w.push(&r)?;
+            }
+            Ok(w.finish()?)
+        }
         _ => Err(TraceError::UnknownFormat(path.to_path_buf())),
     }
 }
@@ -89,7 +128,7 @@ mod tests {
         let trace = TraceGenerator::new(&world, TraceConfig::tiny(), 41).generate();
         let dir = std::env::temp_dir().join("via-trace-dispatch-test");
         std::fs::create_dir_all(&dir).unwrap();
-        for name in ["t.jsonl", "t.vbt", "t.csv"] {
+        for name in ["t.jsonl", "t.vbt"] {
             let path = dir.join(name);
             save_trace(&trace, &path).unwrap();
             let back = load_trace(&path).unwrap();
@@ -101,23 +140,26 @@ mod tests {
     #[test]
     fn unknown_extension_is_rejected() {
         let trace = Trace::new(0, 0, Vec::new());
-        let path = std::env::temp_dir().join("t.parquet");
-        assert!(matches!(
-            save_trace(&trace, &path),
-            Err(TraceError::UnknownFormat(_))
-        ));
-        assert!(matches!(
-            load_trace(&path),
-            Err(TraceError::UnknownFormat(_))
-        ));
+        for name in ["via-trace-unknown.parquet", "via-trace-unknown.csv"] {
+            let path = std::env::temp_dir().join(name);
+            assert!(matches!(
+                save_trace(&trace, &path),
+                Err(TraceError::UnknownFormat(_))
+            ));
+            assert!(matches!(
+                load_trace(&path),
+                Err(TraceError::UnknownFormat(_))
+            ));
+            assert!(!path.exists(), "a refused write creates no file");
+        }
     }
 
     #[test]
     fn errors_convert_and_display() {
         let err: TraceError = io::TraceIoError::MissingHeader.into();
         assert!(err.to_string().contains("header"));
-        let err: TraceError = csv::CsvError::BadHeader("x".into()).into();
-        assert!(err.to_string().contains("header"));
+        let err: TraceError = binfmt::BinError::BadMagic.into();
+        assert!(err.to_string().contains("magic"));
         assert!(std::error::Error::source(&err).is_some());
     }
 }

@@ -13,89 +13,33 @@
 //! Chronology is validated incrementally as records flow: replay depends on
 //! nondecreasing timestamps, and a streaming consumer cannot afford the
 //! up-front O(n) scan a materialized trace gets. An out-of-order record is a
-//! hard error ([`StreamError::NotChronological`]), never silently re-sorted.
+//! hard error ([`TraceError::NotChronological`]), never silently re-sorted.
 
 use std::path::Path;
 
 use via_model::time::{SimTime, Window, WindowLen};
 
-use crate::binfmt::{BinError, BinHeader, BinReader};
+use crate::binfmt::BinReader;
 use crate::error::TraceError;
-use crate::io::{JsonlReader, TraceIoError};
+use crate::io::JsonlReader;
 use crate::record::{CallRecord, Trace};
 use crate::workload::GenRecords;
 
 /// Batch buffers kept for reuse; beyond this, recycled buffers are dropped.
 const SPARE_BUFFERS: usize = 4;
 
-/// Errors arising from streaming a trace.
-#[derive(Debug)]
-pub enum StreamError {
-    /// The underlying JSONL source failed.
-    Jsonl(TraceIoError),
-    /// The underlying binary source failed.
-    Binary(BinError),
-    /// A record arrived with a timestamp before its predecessor's. Replay
-    /// semantics require chronological order; the stream stops here.
-    NotChronological {
-        /// Absolute index of the offending record.
-        index: u64,
-        /// Timestamp of the preceding record.
-        prev_t: SimTime,
-        /// The offending (earlier) timestamp.
-        next_t: SimTime,
-    },
-}
-
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamError::Jsonl(e) => write!(f, "trace stream: {e}"),
-            StreamError::Binary(e) => write!(f, "trace stream: {e}"),
-            StreamError::NotChronological {
-                index,
-                prev_t,
-                next_t,
-            } => write!(
-                f,
-                "trace stream is not chronological: record {index} at {next_t} follows {prev_t}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for StreamError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StreamError::Jsonl(e) => Some(e),
-            StreamError::Binary(e) => Some(e),
-            StreamError::NotChronological { .. } => None,
-        }
-    }
-}
-
-impl From<TraceIoError> for StreamError {
-    fn from(e: TraceIoError) -> Self {
-        StreamError::Jsonl(e)
-    }
-}
-
-impl From<BinError> for StreamError {
-    fn from(e: BinError) -> Self {
-        StreamError::Binary(e)
-    }
-}
-
 /// A source of chronologically ordered call records, consumed one at a time.
 ///
 /// Implementations exist for materialized traces ([`TraceRecords`]), JSONL
-/// files ([`JsonlSource`]), binary files ([`BinSource`]), and lazy generation
-/// ([`GenRecords`]). The trait carries the trace provenance (seed, horizon)
-/// so a streaming consumer can seed its per-call random streams without ever
-/// seeing the whole trace.
+/// files ([`JsonlReader`]), binary files ([`BinReader`]), either file behind
+/// [`FileSource`], and lazy generation ([`GenRecords`]). The trait carries
+/// the trace provenance (seed, horizon) so a streaming consumer can seed its
+/// per-call random streams without ever seeing the whole trace. A file
+/// source's [`RecordSource::size_hint`] is its header's count, checked
+/// against the file's length at open.
 pub trait RecordSource {
     /// The next record, or `None` at the end of the source.
-    fn next_record(&mut self) -> Result<Option<CallRecord>, StreamError>;
+    fn next_record(&mut self) -> Result<Option<CallRecord>, TraceError>;
 
     /// Seed the trace was generated with.
     fn seed(&self) -> u64;
@@ -130,7 +74,7 @@ impl<'a> TraceRecords<'a> {
 }
 
 impl RecordSource for TraceRecords<'_> {
-    fn next_record(&mut self) -> Result<Option<CallRecord>, StreamError> {
+    fn next_record(&mut self) -> Result<Option<CallRecord>, TraceError> {
         let r = self.trace.records.get(self.pos).cloned();
         if r.is_some() {
             self.pos += 1;
@@ -151,99 +95,8 @@ impl RecordSource for TraceRecords<'_> {
     }
 }
 
-/// Record source over a JSONL trace file: one line resident at a time.
-pub struct JsonlSource {
-    reader: JsonlReader,
-}
-
-impl JsonlSource {
-    /// Opens a JSONL trace for streaming.
-    pub fn open(path: &Path) -> Result<Self, TraceIoError> {
-        Ok(JsonlSource {
-            reader: JsonlReader::open(path)?,
-        })
-    }
-}
-
-impl RecordSource for JsonlSource {
-    fn next_record(&mut self) -> Result<Option<CallRecord>, StreamError> {
-        self.reader.next_record().map_err(StreamError::Jsonl)
-    }
-
-    fn seed(&self) -> u64 {
-        self.reader.header().seed
-    }
-
-    fn days(&self) -> u64 {
-        self.reader.header().days
-    }
-
-    fn size_hint(&self) -> Option<u64> {
-        Some(self.reader.header().records as u64)
-    }
-
-    fn bytes_read(&self) -> u64 {
-        self.reader.bytes_read()
-    }
-}
-
-/// Record source over a binary `.vbt` trace file: one on-disk frame resident
-/// at a time, decoded into a buffer reused across frames.
-pub struct BinSource {
-    reader: BinReader,
-    buf: Vec<CallRecord>,
-    pos: usize,
-}
-
-impl BinSource {
-    /// Opens a binary trace for streaming (header verified).
-    pub fn open(path: &Path) -> Result<Self, BinError> {
-        Ok(BinSource {
-            reader: BinReader::open(path)?,
-            buf: Vec::new(),
-            pos: 0,
-        })
-    }
-
-    /// The file's header.
-    pub fn header(&self) -> &BinHeader {
-        self.reader.header()
-    }
-}
-
-impl RecordSource for BinSource {
-    fn next_record(&mut self) -> Result<Option<CallRecord>, StreamError> {
-        while self.pos >= self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-            if self.reader.next_frame(&mut self.buf)?.is_none() {
-                return Ok(None);
-            }
-        }
-        let r = self.buf[self.pos].clone();
-        self.pos += 1;
-        Ok(Some(r))
-    }
-
-    fn seed(&self) -> u64 {
-        self.reader.header().seed
-    }
-
-    fn days(&self) -> u64 {
-        self.reader.header().days
-    }
-
-    fn size_hint(&self) -> Option<u64> {
-        Some(self.reader.header().records)
-    }
-
-    fn bytes_read(&self) -> u64 {
-        self.reader.bytes_read()
-    }
-}
-
 impl RecordSource for GenRecords<'_> {
-    fn next_record(&mut self) -> Result<Option<CallRecord>, StreamError> {
+    fn next_record(&mut self) -> Result<Option<CallRecord>, TraceError> {
         Ok(GenRecords::next_record(self))
     }
 
@@ -260,12 +113,13 @@ impl RecordSource for GenRecords<'_> {
     }
 }
 
-/// A file-backed record source, dispatched by extension: `.jsonl` or `.vbt`.
+/// A file-backed record source, dispatched by extension: `.jsonl` or `.vbt`
+/// — the one way a trace file is read.
 pub enum FileSource {
     /// JSON Lines trace.
-    Jsonl(JsonlSource),
+    Jsonl(JsonlReader),
     /// Binary trace.
-    Binary(BinSource),
+    Binary(BinReader),
 }
 
 impl FileSource {
@@ -273,15 +127,15 @@ impl FileSource {
     /// extension.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
         match path.extension().and_then(|e| e.to_str()) {
-            Some("jsonl") => Ok(FileSource::Jsonl(JsonlSource::open(path)?)),
-            Some("vbt") => Ok(FileSource::Binary(BinSource::open(path)?)),
+            Some("jsonl") => Ok(FileSource::Jsonl(JsonlReader::open(path)?)),
+            Some("vbt") => Ok(FileSource::Binary(BinReader::open(path)?)),
             _ => Err(TraceError::UnknownFormat(path.to_path_buf())),
         }
     }
 }
 
 impl RecordSource for FileSource {
-    fn next_record(&mut self) -> Result<Option<CallRecord>, StreamError> {
+    fn next_record(&mut self) -> Result<Option<CallRecord>, TraceError> {
         match self {
             FileSource::Jsonl(s) => s.next_record(),
             FileSource::Binary(s) => s.next_record(),
@@ -389,7 +243,7 @@ impl<S: RecordSource> WindowStream<S> {
 
     /// The next window's batch, or `None` once the source is exhausted.
     /// Verifies chronology incrementally; an out-of-order record is an error.
-    pub fn next_batch(&mut self) -> Result<Option<WindowBatch>, StreamError> {
+    pub fn next_batch(&mut self) -> Result<Option<WindowBatch>, TraceError> {
         if self.done && self.pending.is_none() {
             return Ok(None);
         }
@@ -420,7 +274,7 @@ impl<S: RecordSource> WindowStream<S> {
     }
 
     /// Pulls one record from the source, enforcing chronological order.
-    fn pull(&mut self) -> Result<Option<CallRecord>, StreamError> {
+    fn pull(&mut self) -> Result<Option<CallRecord>, TraceError> {
         if self.done {
             return Ok(None);
         }
@@ -432,7 +286,7 @@ impl<S: RecordSource> WindowStream<S> {
             Some(r) => {
                 if let Some(prev_t) = self.last_t {
                     if r.t < prev_t {
-                        return Err(StreamError::NotChronological {
+                        return Err(TraceError::NotChronological {
                             index: self.pulled,
                             prev_t,
                             next_t: r.t,
@@ -448,7 +302,7 @@ impl<S: RecordSource> WindowStream<S> {
 }
 
 impl<S: RecordSource> Iterator for WindowStream<S> {
-    type Item = Result<WindowBatch, StreamError>;
+    type Item = Result<WindowBatch, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_batch().transpose()
@@ -458,9 +312,8 @@ impl<S: RecordSource> Iterator for WindowStream<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binfmt::write_binary_framed;
-    use crate::io::write_jsonl;
     use crate::workload::{TraceConfig, TraceGenerator};
+    use crate::{save_trace, write_trace};
     use via_netsim::{World, WorldConfig};
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -510,17 +363,17 @@ mod tests {
         let trace = generator.generate();
         let jsonl = tmp("sources.jsonl");
         let vbt = tmp("sources.vbt");
-        write_jsonl(&trace, &jsonl).unwrap();
+        save_trace(&trace, &jsonl).unwrap();
         // Odd on-disk framing: the stream must re-window to the control
         // period regardless of how frames were cut.
-        write_binary_framed(&trace, &vbt, WindowLen::hours(7)).unwrap();
+        write_trace(TraceRecords::new(&trace), &vbt, WindowLen::hours(7)).unwrap();
 
         let len = WindowLen::DAY;
         let from_trace = collect_batches(WindowStream::new(TraceRecords::new(&trace), len));
         let from_gen = collect_batches(WindowStream::new(generator.stream(), len));
         let from_jsonl =
-            collect_batches(WindowStream::new(JsonlSource::open(&jsonl).unwrap(), len));
-        let from_bin = collect_batches(WindowStream::new(BinSource::open(&vbt).unwrap(), len));
+            collect_batches(WindowStream::new(JsonlReader::open(&jsonl).unwrap(), len));
+        let from_bin = collect_batches(WindowStream::new(BinReader::open(&vbt).unwrap(), len));
         let from_file = collect_batches(WindowStream::new(FileSource::open(&vbt).unwrap(), len));
 
         assert_eq!(from_trace, from_gen);
@@ -550,7 +403,7 @@ mod tests {
             }
         }
         assert!(
-            matches!(err, Some(StreamError::NotChronological { .. })),
+            matches!(err, Some(TraceError::NotChronological { .. })),
             "out-of-order records must fail loudly: {err:?}"
         );
     }

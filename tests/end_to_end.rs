@@ -116,13 +116,14 @@ fn trace_statistics_survive_serialization() {
     let (_, trace) = env();
     let dir = std::env::temp_dir().join("via-e2e");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("trace.jsonl");
-    via::trace::io::write_jsonl(&trace, &path).unwrap();
-    let back = via::trace::io::read_jsonl(&path).unwrap();
     let s1 = via::trace::analysis::dataset_summary(&trace);
-    let s2 = via::trace::analysis::dataset_summary(&back);
-    assert_eq!(s1, s2);
-    std::fs::remove_file(&path).ok();
+    for name in ["trace.jsonl", "trace.vbt"] {
+        let path = dir.join(name);
+        via::trace::save_trace(&trace, &path).unwrap();
+        let back = via::trace::load_trace(&path).unwrap();
+        assert_eq!(via::trace::analysis::dataset_summary(&back), s1, "{name}");
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 #[test]
