@@ -2,9 +2,16 @@
 //!
 //! §3.1 of the paper: clients push the network metrics of completed calls to
 //! the controller, which aggregates them per (source, destination, relaying
-//! option) and time window. This store keeps one [`MetricStats`] (a Welford
-//! accumulator per metric) per `(pair, option, window)` cell and can iterate
-//! a whole window's cells — the training set for the tomography predictor.
+//! option) and time window. The unit is one [`MetricStats`] (a Welford
+//! accumulator per metric) per `(pair, option, window)` cell, held two ways:
+//!
+//! * [`CallHistory`] — a per-call store keyed by window, for callers of
+//!   [`crate::Predictor::fit`] that record call by call (the examples, the
+//!   experiment binaries, reference loops in tests).
+//! * [`GroupedCell`] runs — one window's cells in a plain `Vec`, as a replay
+//!   shard or a live-controller shard accumulates them and
+//!   [`crate::online::Trained`] fits them: no per-call hashing, and a buffer
+//!   that keeps its capacity from window to window.
 //!
 //! Pairs are keyed by a *spatial key* rather than raw AS ids so the same
 //! machinery supports the granularity sweep of Figure 17a (country-level,
@@ -66,7 +73,8 @@ impl MetricStats {
     }
 
     /// Merges another cell's accumulators into this one (per-axis Welford
-    /// merge); used when combining histories from independent collectors.
+    /// merge, Chan et al.); used when a restored snapshot lists one cell
+    /// twice.
     pub fn merge(&mut self, other: &MetricStats) {
         for (dst, src) in self.stats.iter_mut().zip(&other.stats) {
             dst.merge(src);
@@ -74,27 +82,14 @@ impl MetricStats {
     }
 }
 
-/// One time window's worth of measurements.
-///
-/// The call total is kept as a running counter instead of being recomputed
-/// by folding over the cell map: the fold's result was order-independent
-/// (u64 sum), but iterating a hash map into *any* reduction is the exact
-/// shape the `map-iteration-order` lint denies, and a stored counter is
-/// O(1) where the fold was O(cells).
-#[derive(Debug, Default)]
-struct WindowSlot {
-    /// (pair, option) → stats.
-    cells: HashMap<(KeyPair, RelayOption), MetricStats>,
-    /// Total calls recorded into this window, maintained on every record
-    /// and merge.
-    calls: u64,
-}
+/// The `(pair, option)` cells of one time window.
+type WindowCells = HashMap<(KeyPair, RelayOption), MetricStats>;
 
 /// The controller's measurement store.
 #[derive(Debug, Default)]
 pub struct CallHistory {
-    /// window index → that window's cells and call total.
-    windows: HashMap<u64, WindowSlot>,
+    /// window index → that window's cells.
+    windows: HashMap<u64, WindowCells>,
 }
 
 impl CallHistory {
@@ -105,43 +100,18 @@ impl CallHistory {
 
     /// Records one completed call's measurements.
     pub fn record(&mut self, window: Window, pair: KeyPair, option: RelayOption, m: &PathMetrics) {
-        let slot = self.windows.entry(window.index).or_default();
-        slot.calls += 1;
-        slot.cells
+        self.windows
+            .entry(window.index)
+            .or_default()
             .entry((pair, option.canonical()))
             .or_default()
             .push(m);
-    }
-
-    /// Installs a whole cell's accumulated statistics (snapshot restore).
-    ///
-    /// The window's call counter absorbs the cell's sample count; a cell
-    /// that already exists is combined with the Chan et al. merge, exactly
-    /// like [`Self::merge`].
-    pub fn insert_cell(
-        &mut self,
-        window: Window,
-        pair: KeyPair,
-        option: RelayOption,
-        stats: MetricStats,
-    ) {
-        let slot = self.windows.entry(window.index).or_default();
-        slot.calls += stats.count();
-        match slot.cells.entry((pair, option.canonical())) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(stats);
-            }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().merge(&stats);
-            }
-        }
     }
 
     /// Stats of one cell, if any calls were observed.
     pub fn cell(&self, window: Window, pair: KeyPair, option: RelayOption) -> Option<&MetricStats> {
         self.windows
             .get(&window.index)?
-            .cells
             .get(&(pair, option.canonical()))
     }
 
@@ -150,21 +120,12 @@ impl CallHistory {
         &self,
         window: Window,
     ) -> impl Iterator<Item = (&(KeyPair, RelayOption), &MetricStats)> {
-        self.windows
-            .get(&window.index)
-            .into_iter()
-            .flat_map(|slot| slot.cells.iter())
+        self.windows.get(&window.index).into_iter().flatten()
     }
 
     /// Number of distinct cells in a window.
     pub fn window_len(&self, window: Window) -> usize {
-        self.windows.get(&window.index).map_or(0, |s| s.cells.len())
-    }
-
-    /// Total calls recorded in a window. O(1): the slot maintains the
-    /// counter, so no iteration over the cell map is needed.
-    pub fn window_calls(&self, window: Window) -> u64 {
-        self.windows.get(&window.index).map_or(0, |s| s.calls)
+        self.windows.get(&window.index).map_or(0, HashMap::len)
     }
 
     /// Discards windows older than `keep_from` (controller memory bound; the
@@ -172,42 +133,13 @@ impl CallHistory {
     pub fn prune_before(&mut self, keep_from: u64) {
         self.windows.retain(|&w, _| w >= keep_from);
     }
-
-    /// Folds another history into this one, merging per-cell Welford
-    /// accumulators where both sides observed the same cell.
-    ///
-    /// The window-parallel replay engine shards calls by [`KeyPair`], so each
-    /// (pair, option, window) cell is written by exactly one shard and the
-    /// merge is a disjoint insert — the per-cell push sequences (and hence
-    /// the floating-point results) are bit-identical to a sequential run.
-    /// Overlapping cells are still handled correctly (Chan et al. merge) for
-    /// callers that combine histories from genuinely concurrent collectors.
-    pub fn merge(&mut self, other: CallHistory) {
-        // Iteration order cannot leak into results here: inserting the same
-        // set of cells in any order yields the same map content, per-cell
-        // merges are independent, and the call counter is a u64 sum
-        // (commutative, no rounding). via-audit: allow(map-iteration-order)
-        for (w, slot) in other.windows {
-            let dst = self.windows.entry(w).or_default();
-            dst.calls += slot.calls;
-            for (key, stats) in slot.cells {
-                match dst.cells.entry(key) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(stats);
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        e.get_mut().merge(&stats);
-                    }
-                }
-            }
-        }
-    }
 }
 
-/// A history cell accumulated outside the store, by a caller that walks one
-/// pair's calls together (a replay shard): keyed as the store keys it, so a
-/// sorted run of them is what [`crate::tomography::sorted_cells`] yields.
-pub(crate) type GroupedCell = ((KeyPair, RelayOption), MetricStats);
+/// A history cell accumulated outside the store — by a replay shard that
+/// walks one pair's calls together, or a live-controller shard — keyed as the
+/// store keys it (canonical option), so a sorted run of them is a window as
+/// the store would list it.
+pub type GroupedCell = ((KeyPair, RelayOption), MetricStats);
 
 /// [`CallHistory::record`] for such a caller: folds `m` into `pair`'s cell
 /// for `option` among `grouped[group..]` — for a shard that one pair's cells,
@@ -292,87 +224,12 @@ mod tests {
             );
         }
         assert_eq!(h.window_len(w(1)), 5);
-        assert_eq!(h.window_calls(w(1)), 5);
         assert_eq!(h.window_cells(w(1)).count(), 5);
         assert_eq!(h.window_len(w(0)), 0);
     }
 
     #[test]
-    fn merge_combines_disjoint_and_overlapping_cells() {
-        let mut a = CallHistory::new();
-        let mut b = CallHistory::new();
-        let p1 = KeyPair::new(1, 2);
-        let p2 = KeyPair::new(3, 4);
-        a.record(
-            w(0),
-            p1,
-            RelayOption::Direct,
-            &PathMetrics::new(100.0, 1.0, 5.0),
-        );
-        b.record(
-            w(0),
-            p2,
-            RelayOption::Direct,
-            &PathMetrics::new(50.0, 0.5, 2.0),
-        );
-        // Overlapping cell: both sides observed (p1, Direct, w0).
-        b.record(
-            w(0),
-            p1,
-            RelayOption::Direct,
-            &PathMetrics::new(200.0, 3.0, 7.0),
-        );
-        a.merge(b);
-        assert_eq!(a.window_len(w(0)), 2);
-        let c1 = a.cell(w(0), p1, RelayOption::Direct).unwrap();
-        assert_eq!(c1.count(), 2);
-        assert_eq!(c1.metric(Metric::Rtt).mean(), Some(150.0));
-        assert_eq!(a.cell(w(0), p2, RelayOption::Direct).unwrap().count(), 1);
-    }
-
-    #[test]
-    fn sharded_merge_is_bit_identical_for_disjoint_pairs() {
-        // The engine's invariant: when pairs are disjoint across shards, each
-        // cell's push sequence is identical to the sequential run, so stats
-        // must be bit-for-bit equal (not just approximately).
-        let calls: Vec<(KeyPair, f64)> = (0..50)
-            .map(|i| (KeyPair::new(i % 5, 100), 10.0 + f64::from(i) * 1.7))
-            .collect();
-        let mut seq = CallHistory::new();
-        for (p, v) in &calls {
-            seq.record(
-                w(0),
-                *p,
-                RelayOption::Direct,
-                &PathMetrics::new(*v, 0.0, 0.0),
-            );
-        }
-        let mut merged = CallHistory::new();
-        for shard in 0..5u32 {
-            let mut local = CallHistory::new();
-            for (p, v) in calls.iter().filter(|(p, _)| p.lo % 5 == shard) {
-                local.record(
-                    w(0),
-                    *p,
-                    RelayOption::Direct,
-                    &PathMetrics::new(*v, 0.0, 0.0),
-                );
-            }
-            merged.merge(local);
-        }
-        for i in 0..5 {
-            let p = KeyPair::new(i, 100);
-            let (a, b) = (
-                seq.cell(w(0), p, RelayOption::Direct).unwrap(),
-                merged.cell(w(0), p, RelayOption::Direct).unwrap(),
-            );
-            assert_eq!(a.metric(Metric::Rtt).mean(), b.metric(Metric::Rtt).mean());
-            assert_eq!(a.metric(Metric::Rtt).sem(), b.metric(Metric::Rtt).sem());
-        }
-    }
-
-    #[test]
-    fn grouped_accumulation_then_insert_cell_equals_per_call_record() {
+    fn grouped_accumulation_equals_per_call_record() {
         let (r1, r2) = (RelayId(4), RelayId(9));
         let (a, b) = (KeyPair::new(1, 2), KeyPair::new(3, 4));
         // One entry per call, in trace order, with the cells it feeds: pair
@@ -420,16 +277,11 @@ mod tests {
             2 + 3,
             "a: transit, direct; b: two bounces, direct"
         );
-        let mut grouped = CallHistory::new();
-        for ((pair, option), stats) in cells {
-            grouped.insert_cell(w(0), pair, option, stats);
-        }
-
-        assert_eq!(grouped.window_calls(w(0)), per_call.window_calls(w(0)));
-        assert_eq!(grouped.window_calls(w(0)), 5 + 2 * 4);
-        assert_eq!(grouped.window_len(w(0)), per_call.window_len(w(0)));
-        for (&(pair, option), want) in per_call.window_cells(w(0)) {
-            let got = grouped.cell(w(0), pair, option).expect("same cells");
+        assert_eq!(cells.len(), per_call.window_len(w(0)));
+        let calls_fed: u64 = cells.iter().map(|(_, stats)| stats.count()).sum();
+        assert_eq!(calls_fed, 5 + 2 * 4);
+        for ((pair, option), got) in &cells {
+            let want = per_call.cell(w(0), *pair, *option).expect("same cells");
             // The serialized accumulators are count, mean and m2 per axis,
             // floats round-trip exact: equal text is equal bits.
             assert_eq!(
@@ -437,59 +289,6 @@ mod tests {
                 serde_json::to_string(want).unwrap(),
                 "{pair:?} {option}"
             );
-        }
-    }
-
-    #[test]
-    fn window_calls_is_order_invariant_and_pinned() {
-        // Regression for the audit's map-iteration-order finding: the call
-        // total used to be recomputed by folding `.values().map(count).sum()`
-        // over the cell map — structurally order-sensitive even though a u64
-        // sum happens to commute. The stored counter must agree with the old
-        // fold's value and be identical for any insertion or merge order.
-        let calls: Vec<(KeyPair, RelayOption)> = (0..40)
-            .map(|i| {
-                (
-                    KeyPair::new(i % 7, 100 + i % 3),
-                    if i % 2 == 0 {
-                        RelayOption::Direct
-                    } else {
-                        RelayOption::Bounce(RelayId(i))
-                    },
-                )
-            })
-            .collect();
-
-        let mut forward = CallHistory::new();
-        for (p, o) in &calls {
-            forward.record(w(2), *p, *o, &PathMetrics::new(10.0, 0.1, 1.0));
-        }
-        let mut reverse = CallHistory::new();
-        for (p, o) in calls.iter().rev() {
-            reverse.record(w(2), *p, *o, &PathMetrics::new(10.0, 0.1, 1.0));
-        }
-        assert_eq!(forward.window_calls(w(2)), 40);
-        assert_eq!(reverse.window_calls(w(2)), 40);
-
-        // Merge order must not matter either, and the counter must equal the
-        // old fold recomputed from the cells.
-        for shard_order in [[0u32, 1, 2], [2, 0, 1]] {
-            let mut merged = CallHistory::new();
-            for shard in shard_order {
-                let mut local = CallHistory::new();
-                for (p, o) in calls.iter().filter(|(p, _)| p.lo % 3 == shard) {
-                    local.record(w(2), *p, *o, &PathMetrics::new(10.0, 0.1, 1.0));
-                }
-                merged.merge(local);
-            }
-            assert_eq!(merged.window_calls(w(2)), 40);
-            let refold: u64 = {
-                let mut counts: Vec<u64> =
-                    merged.window_cells(w(2)).map(|(_, s)| s.count()).collect();
-                counts.sort_unstable();
-                counts.iter().sum()
-            };
-            assert_eq!(merged.window_calls(w(2)), refold);
         }
     }
 

@@ -11,9 +11,10 @@
 //!   never observed.
 //! * [`predictor`] — `Pred` of Algorithm 1: empirical → tomography →
 //!   geographic prior, each with mean and 95 % confidence bounds.
-//! * [`online`] — the window roll: the one refit rule replay's barrier and
-//!   the live controller's rollover both call, plus the snapshot cells for
-//!   graceful restarts.
+//! * [`online`] — the window roll: [`Trained`], the closed window behind a
+//!   predictor and the one refit rule replay's barrier and the live
+//!   controller's rollover both call, plus its snapshot image for graceful
+//!   restarts.
 //! * [`topk`] — Algorithm 2: the minimal confidence-interval closure that
 //!   provably contains every plausibly-best option.
 //! * [`bandit`] — Algorithm 3: UCB1 modified with outlier-robust
@@ -70,7 +71,7 @@ pub use bandit::UcbBandit;
 pub use budget::BudgetGate;
 pub use coords::{Coord, Vivaldi};
 pub use history::{CallHistory, KeyPair, MetricStats};
-pub use online::{BackboneFn, CellSnapshot, RefitSnapshot};
+pub use online::{BackboneFn, CellSnapshot, RefitSnapshot, Trained};
 pub use placement::{plan_placement, Demand, Placement};
 pub use predictor::{GeoPrior, PairView, Prediction, PredictionSource, Predictor, PredictorConfig};
 pub use replay::{CallOutcome, Outcome, ReplayConfig, ReplaySim, ReplayStats, SpatialGranularity};

@@ -1,19 +1,21 @@
-//! The window roll: the one refit rule, and the snapshot image of a window.
+//! The window roll: the closed window behind a predictor, its one refit
+//! rule, and the snapshot image of a window.
 //!
 //! The controller refreshes its predictions once per control period `T`
 //! (Algorithm 1 stages 1–2, §4.3): when a window opens, one whole-window
-//! [`Predictor::fit`] over the window before it. [`refit`] is that rule,
-//! written once. The batch replay engine calls it at its window barrier; the
-//! live controller (`via-server`) calls it at start-up, at every rollover —
-//! after draining its shard histories into one — and on restore. Between
-//! rollovers a call report is one Welford push into a plain [`CallHistory`];
-//! nothing is fitted per report.
+//! fit over the window before it. [`Trained`] owns that closed window — its
+//! label and its cells — and [`Trained::fit`] is the rule, written once. The
+//! batch replay engine closes one at its window barrier from the cells its
+//! shards hand back; the live controller (`via-server`) stages one at every
+//! rollover from its shards' cells, and restores one from a snapshot.
+//! Between rolls a call report is one Welford push into its `(pair, option)`
+//! cell; nothing is fitted per report.
 //!
-//! Shard histories are keyed by pair, so they are disjoint and
-//! [`CallHistory::merge`]-ing them is the same union in any order; per-cell
-//! Welford statistics depend only on that cell's push sequence, which is the
-//! report sequence. The live plane's predictor is therefore the replay
-//! engine's by construction: same function, same statistics.
+//! Shards are keyed by pair, so their cells are disjoint and concatenating
+//! them is the same set in any order; per-cell Welford statistics depend only
+//! on that cell's push sequence, which is the report sequence, and the fit
+//! reads the cells sorted. The live plane's predictor is therefore the replay
+//! engine's by construction: same rule, same statistics.
 
 use std::sync::Arc;
 
@@ -22,61 +24,100 @@ use via_model::metrics::PathMetrics;
 use via_model::options::RelayOption;
 use via_model::time::Window;
 
-use crate::history::{CallHistory, KeyPair, MetricStats};
+use crate::history::{record_grouped, GroupedCell, KeyPair, MetricStats};
 use crate::predictor::{GeoPrior, Predictor, PredictorConfig};
-use crate::tomography::{sorted_cells, CellRef};
+use crate::tomography::CellRef;
 
 /// Shared inter-relay backbone metrics closure. `Arc` so every refitted
 /// predictor holds a handle to the same table instead of cloning it.
 pub type BackboneFn = Arc<dyn Fn(RelayId, RelayId) -> PathMetrics + Send + Sync>;
 
-/// The predictor that serves `opening`: trained on whatever `history` holds
-/// for the window before it — nothing, across an idle gap or a clock jump,
-/// which yields the empty-window predictor — or the prior-only cold
-/// predictor when `opening` is window 0 and has no predecessor.
-pub fn refit(
-    history: &CallHistory,
-    opening: Window,
-    prior: GeoPrior,
-    backbone: &BackboneFn,
-    cfg: PredictorConfig,
-) -> Predictor {
-    let cells = opening
-        .prev()
-        .map(|training| sorted_cells(history, training));
-    refit_sorted(&cells.unwrap_or_default(), opening, prior, backbone, cfg)
+/// The closed window behind a predictor: its label and its cells, each
+/// `(pair, option)` once.
+#[derive(Debug, Default)]
+pub struct Trained {
+    /// The window the cells were recorded in; `None` before any closed.
+    window: Option<Window>,
+    cells: Vec<GroupedCell>,
 }
 
-/// [`refit`] for a caller that holds the cells of the window before
-/// `opening` itself, in [`sorted_cells`] order (the replay engine, whose
-/// shards hand them back at the barrier): the same rule, and the one place it
-/// is written.
-pub(crate) fn refit_sorted(
-    cells: &[CellRef<'_>],
-    opening: Window,
-    prior: GeoPrior,
-    backbone: &BackboneFn,
-    cfg: PredictorConfig,
-) -> Predictor {
-    let backbone = Arc::clone(backbone);
-    match opening.prev() {
-        Some(training) => Predictor::fit_sorted(cells, training, prior, backbone, cfg),
-        None => Predictor::cold(prior, backbone),
+impl Trained {
+    /// Closes `window`: the cells held so far go, and the caller fills the
+    /// returned buffer (which keeps its capacity) with `window`'s, each
+    /// `(pair, option)` at most once — a pair-sharded caller's shards hold
+    /// disjoint cells.
+    pub fn close(&mut self, window: Window) -> &mut Vec<GroupedCell> {
+        self.window = Some(window);
+        self.cells.clear();
+        &mut self.cells
     }
-}
 
-/// Appends every cell `history` holds for `window` to `out` (unsorted;
-/// [`RefitSnapshot::new`] puts them in canonical order).
-pub fn snapshot_cells(history: &CallHistory, window: Window, out: &mut Vec<CellSnapshot>) {
-    out.extend(
-        history
-            .window_cells(window)
-            .map(|(&(pair, option), stats)| CellSnapshot {
-                pair,
-                option,
-                stats: stats.clone(),
-            }),
-    );
+    /// The predictor that serves `opening`: fitted on the cells if they
+    /// belong to the window before it, or else on none — across an idle gap
+    /// or a clock jump, which yields the empty-window predictor and leaves
+    /// that empty window as the one held — or the prior-only cold predictor
+    /// when `opening` is window 0 and has no predecessor.
+    pub fn fit(
+        &mut self,
+        opening: Window,
+        prior: GeoPrior,
+        backbone: &BackboneFn,
+        cfg: PredictorConfig,
+    ) -> Predictor {
+        let backbone = Arc::clone(backbone);
+        let Some(training) = opening.prev() else {
+            return Predictor::cold(prior, backbone);
+        };
+        if self.window != Some(training) {
+            self.close(training);
+        }
+        // The cells arrive in no order; the fit reads them sorted (every key
+        // is there once, so any sort will do) and without any that holds no
+        // RTT sample (a non-finite report's). Dropping those after the sort
+        // measured cheaper than before it: a first pass over the cells added
+        // ~15 % to `replay.refit_ms`.
+        let mut cells: Vec<CellRef<'_>> =
+            self.cells.iter().map(|(key, stats)| (key, stats)).collect();
+        cells.sort_unstable_by_key(|(key, _)| **key);
+        cells.retain(|(_, stats)| stats.count() > 0);
+        Predictor::fit_sorted(&cells, training, prior, backbone, cfg)
+    }
+
+    /// Folds one mock call into the held window, as a report of that window
+    /// would have been (§7 active probes).
+    pub(crate) fn record(&mut self, pair: KeyPair, option: RelayOption, m: &PathMetrics) {
+        record_grouped(&mut self.cells, 0, pair, option, m);
+    }
+
+    /// The held window's image, or `None` before any window closed.
+    pub fn snapshot(&self) -> Option<RefitSnapshot> {
+        let window = self.window?;
+        let cells = self.cells.iter().map(CellSnapshot::from).collect();
+        Some(RefitSnapshot::new(window, 0, cells))
+    }
+
+    /// The `Trained` whose [`Trained::snapshot`] `snap` is. A `(pair,
+    /// option)` listed twice is one cell, its statistics Chan-merged in
+    /// listed order.
+    pub fn restore(snap: RefitSnapshot) -> Trained {
+        let mut cells: Vec<GroupedCell> = snap
+            .cells
+            .into_iter()
+            .map(|c| ((c.pair, c.option.canonical()), c.stats))
+            .collect();
+        cells.sort_by_key(|(key, _)| *key);
+        cells.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1.merge(&later.1);
+            }
+            same
+        });
+        Trained {
+            window: Some(snap.window),
+            cells,
+        }
+    }
 }
 
 /// One history cell in a [`RefitSnapshot`].
@@ -88,6 +129,16 @@ pub struct CellSnapshot {
     pub option: RelayOption,
     /// The cell's Welford accumulators.
     pub stats: MetricStats,
+}
+
+impl From<&GroupedCell> for CellSnapshot {
+    fn from(((pair, option), stats): &GroupedCell) -> CellSnapshot {
+        CellSnapshot {
+            pair: *pair,
+            option: *option,
+            stats: stats.clone(),
+        }
+    }
 }
 
 /// Serializable image of one window's cells, in canonical cell order.
@@ -102,9 +153,9 @@ pub struct RefitSnapshot {
 }
 
 impl RefitSnapshot {
-    /// Sorts `cells` into canonical order: hash-map iteration order must not
-    /// leak into the snapshot bytes (restores and byte-compares depend on
-    /// it).
+    /// Sorts `cells` into canonical order: the order shards hold them in
+    /// must not leak into the snapshot bytes (restores and byte-compares
+    /// depend on it).
     pub fn new(window: Window, pending: u64, mut cells: Vec<CellSnapshot>) -> RefitSnapshot {
         cells.sort_by_key(|c| (c.pair, c.option));
         RefitSnapshot {
@@ -118,6 +169,7 @@ impl RefitSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::CallHistory;
     use crate::predictor::PredictionSource;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -150,14 +202,8 @@ mod tests {
         Arc::new(backbone_metrics)
     }
 
-    fn roll(history: &CallHistory, opening: Window) -> Predictor {
-        refit(
-            history,
-            opening,
-            prior(),
-            &backbone(),
-            PredictorConfig::default(),
-        )
+    fn roll(trained: &mut Trained, opening: Window) -> Predictor {
+        trained.fit(opening, prior(), &backbone(), PredictorConfig::default())
     }
 
     /// A deterministic synthetic report stream over a handful of pairs and
@@ -184,22 +230,24 @@ mod tests {
             .collect()
     }
 
-    /// `stream` recorded into `window` of `shards` pair-sharded histories,
-    /// then drained into one — the live controller's rollover merge.
-    fn drained(
+    /// `stream` recorded into `shards` pair-sharded cell lists, then closed
+    /// as `window` from their concatenation — the live controller's roll.
+    fn closed(
         stream: &[(KeyPair, RelayOption, PathMetrics)],
         window: Window,
         shards: usize,
-    ) -> CallHistory {
-        let mut parts: Vec<CallHistory> = (0..shards).map(|_| CallHistory::new()).collect();
+    ) -> Trained {
+        let mut parts: Vec<Vec<GroupedCell>> = vec![Vec::new(); shards];
         for (pair, option, m) in stream {
-            parts[(pair.lo + pair.hi) as usize % shards].record(window, *pair, *option, m);
+            let part = &mut parts[(pair.lo + pair.hi) as usize % shards];
+            record_grouped(part, 0, *pair, *option, m);
         }
-        let mut merged = CallHistory::new();
-        for part in parts {
-            merged.merge(part);
+        let mut trained = Trained::default();
+        let cells = trained.close(window);
+        for mut part in parts {
+            cells.append(&mut part);
         }
-        merged
+        trained
     }
 
     fn assert_bit_identical(a: &Predictor, b: &Predictor) {
@@ -238,78 +286,114 @@ mod tests {
         }
     }
 
-    fn snapshot(history: &CallHistory, window: Window) -> RefitSnapshot {
-        let mut cells = Vec::new();
-        snapshot_cells(history, window, &mut cells);
-        RefitSnapshot::new(window, history.window_calls(window), cells)
+    fn fit_history(history: &CallHistory, training: Window) -> Predictor {
+        Predictor::fit(
+            history,
+            training,
+            prior(),
+            backbone(),
+            PredictorConfig::default(),
+        )
     }
 
     #[test]
     fn rolling_over_an_idle_gap_trains_on_the_empty_window() {
         let stream = reports(7, 50);
-        let whole = drained(&stream, w(0), 1);
+        // The per-call store the replay shards and the server shards stand in
+        // for: the fit must not tell them apart.
+        let mut history = CallHistory::new();
+        for (pair, option, m) in &stream {
+            history.record(w(0), *pair, *option, m);
+        }
+        let whole = fit_history(&history, w(0));
+        assert!(whole.empirical_cells() > 0);
         for shards in [1usize, 2] {
-            let merged = drained(&stream, w(0), shards);
-            // The next window trains on what was drained, however it was
+            // The next window trains on what was closed, however it was
             // sharded.
-            let next = roll(&merged, w(1));
-            assert!(next.empirical_cells() > 0);
-            assert_bit_identical(&next, &roll(&whole, w(1)));
+            assert_bit_identical(&roll(&mut closed(&stream, w(0), shards), w(1)), &whole);
             // Jumping from window 0 straight to window 3 trains on window 2,
-            // which saw no traffic.
-            let empty = Predictor::fit(
-                &CallHistory::new(),
-                w(2),
-                prior(),
-                backbone(),
-                PredictorConfig::default(),
-            );
-            let rolled = roll(&merged, w(3));
+            // which saw no traffic, and that empty window is what is held.
+            let mut trained = closed(&stream, w(0), shards);
+            let rolled = roll(&mut trained, w(3));
             assert_eq!(rolled.empirical_cells(), 0);
-            assert_bit_identical(&empty, &rolled);
+            assert_bit_identical(&fit_history(&CallHistory::new(), w(2)), &rolled);
+            let held = trained.snapshot().unwrap();
+            assert_eq!((held.window, held.cells.len()), (w(2), 0));
         }
     }
 
     #[test]
-    fn window_zero_opens_cold_whatever_the_history_holds() {
-        let history = drained(&reports(11, 50), w(0), 1);
-        let opened = roll(&history, w(0));
+    fn window_zero_opens_cold_whatever_the_cells_hold() {
+        let mut trained = closed(&reports(11, 50), w(0), 1);
+        let opened = roll(&mut trained, w(0));
         let cold = Predictor::cold(prior(), backbone());
         assert_bit_identical(&cold, &opened);
         let pred = opened.predict(0, 1, RelayOption::Direct);
         assert_eq!(pred.source, PredictionSource::Prior);
+        assert_eq!(Trained::default().snapshot().map(|s| s.window), None);
     }
 
     #[test]
-    fn snapshot_restore_round_trips_the_accumulating_window() {
-        let history = drained(&reports(99, 250), w(4), 1);
-        let bytes = serde_json::to_vec(&snapshot(&history, w(4))).unwrap();
+    fn snapshot_restore_round_trips_the_closed_window() {
+        let mut trained = closed(&reports(99, 250), w(4), 2);
+        let bytes = serde_json::to_vec(&trained.snapshot().unwrap()).unwrap();
         let decoded: RefitSnapshot = serde_json::from_slice(&bytes).unwrap();
         assert_eq!(decoded.window, w(4));
-        assert_eq!(decoded.pending, 250);
-        let mut restored = CallHistory::new();
-        for cell in decoded.cells {
-            restored.insert_cell(w(4), cell.pair, cell.option, cell.stats);
-        }
+        assert_eq!(
+            decoded.cells.iter().map(|c| c.stats.count()).sum::<u64>(),
+            250
+        );
+        let mut restored = Trained::restore(decoded);
 
-        // Snapshot bytes are canonical: re-snapshotting the restored state
+        // Snapshot bytes are canonical: re-snapshotting the restored window
         // reproduces them exactly, and it refits to the same predictor.
         assert_eq!(
-            serde_json::to_vec(&snapshot(&restored, w(4))).unwrap(),
+            serde_json::to_vec(&restored.snapshot().unwrap()).unwrap(),
             bytes
         );
-        assert_bit_identical(&roll(&history, w(5)), &roll(&restored, w(5)));
+        assert_bit_identical(&roll(&mut trained, w(5)), &roll(&mut restored, w(5)));
     }
 
     #[test]
-    fn mirrored_transit_reports_land_in_one_snapshot_cell() {
-        let mut history = CallHistory::new();
+    fn mirrored_transit_records_land_in_one_snapshot_cell() {
+        let mut trained = Trained::default();
+        trained.close(w(0));
         let pair = KeyPair::new(0, 1);
         let m = PathMetrics::new(80.0, 0.5, 3.0);
-        history.record(w(0), pair, RelayOption::Transit(RelayId(1), RelayId(0)), &m);
-        history.record(w(0), pair, RelayOption::Transit(RelayId(0), RelayId(1)), &m);
-        let snap = snapshot(&history, w(0));
+        trained.record(pair, RelayOption::Transit(RelayId(1), RelayId(0)), &m);
+        trained.record(pair, RelayOption::Transit(RelayId(0), RelayId(1)), &m);
+        let snap = trained.snapshot().unwrap();
         assert_eq!(snap.cells.len(), 1);
         assert_eq!(snap.cells[0].stats.count(), 2);
+    }
+
+    #[test]
+    fn a_cell_listed_twice_restores_as_one_chan_merged_cell() {
+        let (p1, p2) = (KeyPair::new(1, 2), KeyPair::new(0, 2));
+        let cell = |pair, option, rtt: f64| {
+            let mut stats = MetricStats::default();
+            stats.push(&PathMetrics::new(rtt, 1.0, 5.0));
+            CellSnapshot {
+                pair,
+                option,
+                stats,
+            }
+        };
+        let snap = RefitSnapshot {
+            window: w(0),
+            pending: 0,
+            cells: vec![
+                cell(p1, RelayOption::Transit(RelayId(1), RelayId(0)), 100.0),
+                cell(p2, RelayOption::Direct, 50.0),
+                cell(p1, RelayOption::Transit(RelayId(0), RelayId(1)), 200.0),
+            ],
+        };
+        let restored = Trained::restore(snap).snapshot().unwrap();
+        assert_eq!(restored.cells.len(), 2);
+        let merged = &restored.cells[1];
+        assert_eq!(merged.pair, p1);
+        assert_eq!(merged.stats.count(), 2);
+        assert_eq!(merged.stats.metric(Metric::Rtt).mean(), Some(150.0));
+        assert_eq!(restored.cells[0].stats.count(), 1);
     }
 }

@@ -26,9 +26,9 @@ use via_model::time::Window;
 use via_netsim::GeoPoint;
 
 use crate::history::{CallHistory, KeyPair, MetricStats};
-use crate::online::BackboneFn;
+use crate::online::{BackboneFn, Trained};
 use crate::tomography::{
-    delinearize, linearize, linearize_sem, sorted_cells, stitch_rows, CellRef, KeyRow, Tomography,
+    delinearize, linearize, linearize_sem, stitch_rows, CellRef, KeyRow, Tomography,
     TomographyConfig,
 };
 
@@ -259,7 +259,9 @@ impl std::fmt::Debug for Predictor {
 
 impl Predictor {
     /// Fits a predictor on the history of `training_window` (stage 1 + 2 of
-    /// Algorithm 1). `backbone` supplies known inter-relay metrics.
+    /// Algorithm 1). `backbone` supplies known inter-relay metrics. The
+    /// window's cells are copied into a [`Trained`], whose fit is the one
+    /// rule.
     pub fn fit(
         history: &CallHistory,
         training_window: Window,
@@ -267,13 +269,24 @@ impl Predictor {
         backbone: impl Into<BackboneFn>,
         cfg: PredictorConfig,
     ) -> Predictor {
-        let cells = sorted_cells(history, training_window);
-        Self::fit_sorted(&cells, training_window, prior, backbone.into(), cfg)
+        let mut trained = Trained::default();
+        let cells = trained.close(training_window);
+        cells.reserve(history.window_len(training_window));
+        cells.extend(
+            history
+                .window_cells(training_window)
+                .map(|(key, stats)| (*key, stats.clone())),
+        );
+        let opening = Window {
+            index: training_window.index + 1,
+            ..training_window
+        };
+        trained.fit(opening, prior, &backbone.into(), cfg)
     }
 
-    /// [`Predictor::fit`] over the training window's cells already in
-    /// [`sorted_cells`] order — `(pair, option)` ascending, each once, none
-    /// empty — for a caller that holds them outside a [`CallHistory`].
+    /// The fit [`Trained::fit`] runs, over the training window's cells in
+    /// [`crate::tomography::sorted_cells`] order — `(pair, option)`
+    /// ascending, each once, none empty.
     pub(crate) fn fit_sorted(
         cells: &[CellRef<'_>],
         training_window: Window,
@@ -722,22 +735,22 @@ mod tests {
             "fit over the history: {bits:#018x}"
         );
 
-        // The same cells held outside a history, as the replay engine holds
-        // them: owned, in whatever order they arrived, sorted as references.
-        let owned: Vec<crate::history::GroupedCell> = day
+        // The same cells held outside a history, as the replay engine and
+        // the live controller hold them: owned by a `Trained`, in whatever
+        // order they arrived, fitted for the window after.
+        let mut owned: Vec<crate::history::GroupedCell> = day
             .history
             .window_cells(window())
             .map(|(key, stats)| (*key, stats.clone()))
             .collect();
-        let mut cells: Vec<CellRef<'_>> = owned.iter().map(|(key, stats)| (key, stats)).collect();
-        cells.sort_unstable_by_key(|(key, _)| **key);
-        let from_slice = Predictor::fit_sorted(
-            &cells,
-            window(),
-            day.prior.clone(),
-            day.backbone.clone(),
-            cfg,
-        );
+        owned.reverse();
+        let mut trained = Trained::default();
+        trained.close(window()).append(&mut owned);
+        let opening = Window {
+            index: window().index + 1,
+            ..window()
+        };
+        let from_slice = trained.fit(opening, day.prior.clone(), &day.backbone, cfg);
         assert_eq!(from_slice.empirical_cells(), from_history.empirical_cells());
         assert_eq!(
             from_slice.tomography_segments(),

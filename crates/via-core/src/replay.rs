@@ -45,11 +45,11 @@ use via_trace::{CallRecord, Trace, TraceError};
 
 use crate::budget::BudgetGate;
 use crate::history::{record_grouped, GroupedCell, KeyPair};
-use crate::online::{refit_sorted, BackboneFn};
+use crate::online::{BackboneFn, Trained};
 use crate::predictor::{GeoPrior, Predictor, PredictorConfig};
 use crate::selector::{ArmsScratch, Explore, Gate, PairArms, Plan, Source};
 use crate::strategy::{MultipathMode, StrategyKind};
-use crate::tomography::{CellRef, TomographyConfig};
+use crate::tomography::TomographyConfig;
 
 /// Spatial granularity at which selection decisions are keyed (Figure 17a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -791,12 +791,10 @@ struct EngineState {
     obs: Option<MetricSink>,
     workers: usize,
     pred_cfg: PredictorConfig,
-    /// The history cells of the last window replayed, as its shards handed
-    /// them back: all the controller ever trains on. The next barrier sorts
-    /// them and fits from them in place.
-    trained: Vec<GroupedCell>,
-    /// Index of the window `trained` was recorded in.
-    trained_window: Option<u64>,
+    /// The last window replayed, its cells as its shards handed them back:
+    /// all the controller ever trains on. The next barrier fits from them in
+    /// place.
+    trained: Trained,
     predictor: Option<Predictor>,
     /// The strategy, resolved once per run.
     plan: Plan,
@@ -993,8 +991,7 @@ impl<'a> ReplaySim<'a> {
             obs,
             workers,
             pred_cfg,
-            trained: Vec::new(),
-            trained_window: None,
+            trained: Trained::default(),
             predictor: None,
             plan,
             gate,
@@ -1131,7 +1128,6 @@ impl<'a> ReplaySim<'a> {
             workers,
             pred_cfg,
             trained,
-            trained_window,
             predictor,
             plan,
             gate,
@@ -1164,18 +1160,8 @@ impl<'a> ReplaySim<'a> {
             let fits_before = stats.predictor_fits;
             // The controller only ever trains on the window before this one:
             // across an idle gap the cells at hand are older, and it trains on
-            // nothing. The shards handed the cells back in no order; the fit
-            // reads them sorted (every key is there once, so any sort will do).
-            if window.prev().map(|w| w.index) != *trained_window {
-                trained.clear();
-            }
-            let fit = |cells: &[GroupedCell]| {
-                let mut cells: Vec<CellRef<'_>> =
-                    cells.iter().map(|(key, stats)| (key, stats)).collect();
-                cells.sort_unstable_by_key(|(key, _)| **key);
-                refit_sorted(&cells, window, prior.clone(), backbone, pred_cfg)
-            };
-            let mut fitted = fit(trained);
+            // nothing.
+            let mut fitted = trained.fit(window, prior.clone(), backbone, pred_cfg);
             stats.predictor_fits += 1;
 
             // §7 active measurements: probe tomography holes for the
@@ -1216,9 +1202,9 @@ impl<'a> ReplaySim<'a> {
                         );
                         // A mock call is recorded as a real one of the
                         // window before would have been.
-                        record_grouped(trained, 0, kp, probe.option, &m);
+                        trained.record(kp, probe.option, &m);
                     }
-                    fitted = fit(trained);
+                    fitted = trained.fit(window, prior.clone(), backbone, pred_cfg);
                     stats.predictor_fits += 1;
                 }
             }
@@ -1335,8 +1321,7 @@ impl<'a> ReplaySim<'a> {
         let t_merge = Stopwatch::started();
         window_out.clear();
         window_out.resize(batch.len(), None);
-        trained.clear();
-        *trained_window = Some(window.index);
+        let closing = trained.close(window);
         for (shard_idx, slot) in worker_slots.iter_mut().enumerate() {
             let res = &mut slot.out;
             stats.shard_calls[shard_idx] += res.outcomes.len() as u64;
@@ -1352,7 +1337,7 @@ impl<'a> ReplaySim<'a> {
             }
             // A pair lives on one shard, so the shards' cells are disjoint:
             // the training window is their concatenation.
-            trained.append(&mut res.history);
+            closing.append(&mut res.history);
             *controller_contacts += std::mem::take(&mut res.contacts);
             *race_probes += std::mem::take(&mut res.race_probes);
         }

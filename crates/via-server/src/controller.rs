@@ -1,26 +1,30 @@
-//! The live selection plane: sharded controller state behind an epoch
-//! pointer, refitted once per window.
+//! The live selection plane: sharded controller state, rolled forward one
+//! window at a time in one step.
 //!
 //! The batch replay engine (`via_core::replay`) advances through a trace
-//! window by window: at each barrier it refits the predictor over the
-//! closed window, rebuilds per-pair bandit state lazily, and replays the
-//! next window. A long-running controller runs the same schedule with the
-//! same [`refit`], but answers `select` RPCs continuously and must not stall
-//! them behind that whole-window fit, so this module splits the state three
-//! ways:
+//! window by window: at each barrier it fits the predictor on the closed
+//! window with [`Trained::fit`], rebuilds per-pair bandit state lazily, and
+//! replays the next window. A long-running controller runs the same schedule
+//! with the same [`Trained`], but answers `select` RPCs continuously, so its
+//! state is split two ways:
 //!
-//! * **Published predictor** — an [`EpochPtr`] holding the immutable
-//!   [`Predictor`] trained on the last closed window. The select path
-//!   clones the `Arc` under a shared read-lock; rollover fits outside the
-//!   lock and takes it exclusively for the one pointer store.
-//! * **Shards** — per-pair mutable state (the [`CallHistory`] accumulating
-//!   this window's reports, per-pair [`PairArms`], a selection-latency
-//!   histogram), partitioned by spatial key pair so concurrent selects for
-//!   different pairs never contend.
-//! * **Roll state** — the once-per-window merge: shard histories are
-//!   drained into one (disjoint by construction — each pair lives in exactly
-//!   one shard) and [`refit`] trains the next predictor on it while the
-//!   previous one keeps serving.
+//! * **Shards** — per-pair mutable state, partitioned by spatial key pair so
+//!   concurrent selects for different pairs never contend: the epoch (window
+//!   index and [`Predictor`]) the shard serves, this window's report cells
+//!   with their `(pair, option)` index, per-pair [`PairArms`], and a
+//!   selection-latency histogram.
+//! * **Roll state** — the [`Trained`] window behind the served predictor
+//!   (what a snapshot carries and a restore refits), and the roll telemetry.
+//!
+//! A roll is one step. Under the roll lock and every shard's lock, taken in
+//! index order, the shards' cells are copied into a staged `Trained` and
+//! fitted; only once the fit has returned does each shard take the new
+//! epoch, clear its arms and give up its cells. So no select sees a drained
+//! shard beside the old predictor, and a fit that panics changes nothing.
+//! The price is that every select waits out one fit per window, where only
+//! same-shard selects used to wait for a drain. Lock order is roll → shards
+//! in index order → gate; a call that finds its shard behind releases it
+//! before it rolls.
 //!
 //! The decision itself is `via_core::selector`'s: `select` and `report` call
 //! the same `PairArms::{build, decide, learn}` the replay engine does, under
@@ -30,15 +34,15 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use via_core::budget::BudgetGate;
-use via_core::history::{CallHistory, KeyPair};
-use via_core::online::{refit, snapshot_cells, BackboneFn, RefitSnapshot};
+use via_core::history::{GroupedCell, KeyPair, MetricStats};
+use via_core::online::{BackboneFn, CellSnapshot, RefitSnapshot, Trained};
 use via_core::predictor::{GeoPrior, Predictor, PredictorConfig};
 use via_core::selector::{ArmsScratch, PairArms, Plan};
 use via_core::strategy::StrategyKind;
@@ -48,7 +52,6 @@ use via_model::options::RelayOption;
 use via_model::seed::{self, splitmix64};
 use via_model::time::{SimTime, Window, WindowLen};
 
-use crate::epoch::EpochPtr;
 use crate::lock::lock;
 use crate::session::{SessionExhausted, SessionTable};
 
@@ -99,18 +102,29 @@ pub struct Selection {
     pub window: u64,
 }
 
+/// What the shards serve between two rolls: the accumulating window and the
+/// predictor trained on the window before it. One per roll, shared by every
+/// shard.
+struct Epoch {
+    window: Window,
+    predictor: Predictor,
+}
+
 /// One pair shard: every mutable per-call structure for the pairs hashed
 /// here. Locked per select/report; different pairs in different shards
 /// proceed concurrently.
 struct Shard {
-    /// Window index the shard's live state belongs to.
-    window: u64,
-    /// Reports accumulating for the current window, and how many: both
-    /// drained at rollover.
-    history: CallHistory,
+    /// The epoch this shard serves: the same one in every shard outside a
+    /// roll.
+    epoch: Arc<Epoch>,
+    /// This window's report cells, one per `(pair, option)`, where each sits
+    /// in `cells`, and how many reports they hold: all emptied at rollover,
+    /// capacity kept.
+    cells: Vec<GroupedCell>,
+    index: HashMap<(KeyPair, RelayOption), usize>,
     pending: u64,
-    /// Per-pair arms for the current window: built lazily from the published
-    /// predictor, cleared (under this shard's lock) whenever `window` moves.
+    /// Per-pair arms for the current window: built lazily from the epoch's
+    /// predictor, cleared whenever the epoch moves.
     pairs: HashMap<KeyPair, PairArms>,
     /// Arm-building buffers and the decided path set, reused across selects.
     scratch: ArmsScratch,
@@ -121,10 +135,11 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(window: u64) -> Shard {
+    fn new(epoch: Arc<Epoch>) -> Shard {
         Shard {
-            window,
-            history: CallHistory::new(),
+            epoch,
+            cells: Vec::new(),
+            index: HashMap::new(),
             pending: 0,
             pairs: HashMap::new(),
             scratch: ArmsScratch::default(),
@@ -132,17 +147,27 @@ impl Shard {
             latency: via_obs::Histogram::new(via_obs::LATENCY_US),
         }
     }
+
+    /// Folds into this window's cell for `key` (canonical option), opened
+    /// empty on its first report.
+    fn file(&mut self, key: (KeyPair, RelayOption), fold: impl FnOnce(&mut MetricStats)) {
+        let Shard { cells, index, .. } = self;
+        let slot = *index.entry(key).or_insert_with(|| {
+            cells.push((key, MetricStats::default()));
+            cells.len() - 1
+        });
+        if let Some((_, stats)) = cells.get_mut(slot) {
+            fold(stats);
+        }
+    }
 }
 
 /// State mutated only at window rollover, behind one mutex so rolls are
-/// serialized and the select path never waits on a whole-window pass.
+/// serialized.
 struct RollState {
-    /// History of the training window behind the live predictor — what a
-    /// restart needs to refit an identical predictor.
-    trained: CallHistory,
-    /// The training window, or `None` before any history exists (cold
-    /// start at window 0).
-    trained_window: Option<Window>,
+    /// The window behind the served predictor — what a restart needs to
+    /// refit an identical predictor.
+    trained: Trained,
     /// Deterministic roll telemetry (one span per rollover).
     obs: via_obs::MetricSink,
 }
@@ -151,13 +176,13 @@ struct RollState {
 /// to restart and keep serving bit-identical predictions.
 ///
 /// `trained` carries the per-cell statistics of the window behind the live
-/// predictor; restore refits them with the same [`refit`] the rollover
-/// called. `current` is the accumulating window in the same canonical cell
-/// order. Per-pair bandit arms are *not* carried: they rebuild lazily from
-/// the restored predictor's predictions (a prediction-warm-started bandit,
-/// exactly what the batch engine builds at a pair's first call in a
-/// window), trading the closed-over-restart in-window arm observations for
-/// a snapshot that stays small and deterministic.
+/// predictor; restore refits them with the same [`Trained::fit`] the
+/// rollover called. `current` is the accumulating window in the same
+/// canonical cell order. Per-pair bandit arms are *not* carried: they rebuild
+/// lazily from the restored predictor's predictions (a prediction-warm-started
+/// bandit, exactly what the batch engine builds at a pair's first call in a
+/// window), trading the closed-over-restart in-window arm observations for a
+/// snapshot that stays small and deterministic.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SelectionSnapshot {
     /// The accumulating window's cells, pending count, and window id.
@@ -177,9 +202,6 @@ pub struct Controller {
     plan: Plan,
     prior: GeoPrior,
     backbone: BackboneFn,
-    predictor: EpochPtr<Predictor>,
-    /// Index of the accumulating window (shards lag only inside a roll).
-    window: AtomicU64,
     shards: Vec<Mutex<Shard>>,
     gate: Mutex<Option<BudgetGate>>,
     roll: Mutex<RollState>,
@@ -189,13 +211,14 @@ pub struct Controller {
     reports_rejected: AtomicU64,
     gated: AtomicU64,
     explored: AtomicU64,
+    /// Predictor publishes since startup: the refit epoch.
     rolls: AtomicU64,
 }
 
 impl std::fmt::Debug for Controller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Controller")
-            .field("window", &self.window.load(Ordering::Relaxed))
+            .field("window", &self.window_index())
             .field("shards", &self.shards.len())
             .field("selections", &self.selections.load(Ordering::Relaxed))
             .field("reports", &self.reports.load(Ordering::Relaxed))
@@ -220,34 +243,35 @@ impl Controller {
     /// cold predictor when starting at window 0.
     pub fn new(cfg: ServerConfig, prior: GeoPrior, backbone: BackboneFn) -> Controller {
         let start = cfg.window.window_of(cfg.start);
-        Controller::opening(cfg, prior, backbone, start, CallHistory::new())
+        Controller::opening(cfg, prior, backbone, start, Trained::default())
     }
 
     /// A controller accumulating into `current` and serving the predictor
-    /// trained on what `trained` holds for the window before it.
+    /// `trained` fits for it.
     fn opening(
         cfg: ServerConfig,
         prior: GeoPrior,
         backbone: BackboneFn,
         current: Window,
-        trained: CallHistory,
+        mut trained: Trained,
     ) -> Controller {
         let fit_cfg = PredictorConfig::default();
-        let initial = refit(&trained, current, prior.clone(), &backbone, fit_cfg);
+        let predictor = trained.fit(current, prior.clone(), &backbone, fit_cfg);
+        let epoch = Arc::new(Epoch {
+            window: current,
+            predictor,
+        });
         let n_shards = cfg.shards.max(1);
         Controller {
             plan: Plan::from(StrategyKind::Via),
             prior,
             backbone,
-            predictor: EpochPtr::new(Arc::new(initial)),
-            window: AtomicU64::new(current.index),
             shards: (0..n_shards)
-                .map(|_| Mutex::new(Shard::new(current.index)))
+                .map(|_| Mutex::new(Shard::new(Arc::clone(&epoch))))
                 .collect(),
             gate: Mutex::new(cfg.budget.map(BudgetGate::new)),
             roll: Mutex::new(RollState {
                 trained,
-                trained_window: current.prev(),
                 obs: via_obs::MetricSink::new(),
             }),
             sessions: Mutex::new(SessionTable::new()),
@@ -268,8 +292,8 @@ impl Controller {
     /// accumulating statistics, and re-snapshots to the same bytes.
     /// `snap.trained` is read as the window before `snap.current` — what
     /// every snapshot [`Controller::selection_snapshot`] writes holds. A cell
-    /// whose option is not in the fleet is dropped and counted as a refused
-    /// report.
+    /// whose option is not in the fleet, or of a trained window labelled
+    /// otherwise, is dropped and counted as a refused report.
     pub fn restore(
         cfg: ServerConfig,
         prior: GeoPrior,
@@ -291,19 +315,21 @@ impl Controller {
             rejected += (held - image.cells.len()) as u64;
         }
         let current = snap.current.window;
-        let mut trained = CallHistory::new();
-        if let Some(behind) = snap.trained {
-            for cell in behind.cells {
-                trained.insert_cell(behind.window, cell.pair, cell.option, cell.stats);
+        let trained = match snap.trained {
+            Some(image) if Some(image.window) != current.prev() => {
+                rejected += image.cells.len() as u64;
+                Trained::default()
             }
-        }
+            image => image.map(Trained::restore).unwrap_or_default(),
+        };
         let ctrl = Controller::opening(cfg, prior, backbone, current, trained);
         for cell in snap.current.cells {
+            // A cell listed twice is one cell, Chan-merged in listed order.
             let mut shard = lock(&ctrl.shards[ctrl.shard_of(cell.pair)]);
             shard.pending += cell.stats.count();
-            shard
-                .history
-                .insert_cell(current, cell.pair, cell.option, cell.stats);
+            shard.file((cell.pair, cell.option.canonical()), |stats| {
+                stats.merge(&cell.stats);
+            });
         }
         ctrl.reports_rejected.store(rejected, Ordering::Relaxed);
         *lock(&ctrl.gate) = snap.gate;
@@ -330,12 +356,12 @@ impl Controller {
 
     /// Index of the currently accumulating window.
     pub fn window_index(&self) -> u64 {
-        self.window.load(Ordering::Acquire)
+        self.current_window().index
     }
 
     /// Number of predictor publishes since startup (the refit epoch).
     pub fn refit_epoch(&self) -> u64 {
-        self.predictor.epoch()
+        self.rolls.load(Ordering::Relaxed)
     }
 
     fn shard_of(&self, pair: KeyPair) -> usize {
@@ -343,11 +369,28 @@ impl Controller {
         (h % self.shards.len() as u64) as usize
     }
 
+    /// The accumulating window: every shard's outside a roll. (There is
+    /// always a shard; the start window would stand in for none.)
     fn current_window(&self) -> Window {
-        Window {
-            index: self.window.load(Ordering::Acquire),
-            len: self.cfg.window,
+        self.shards.first().map_or_else(
+            || self.cfg.window.window_of(self.cfg.start),
+            |shard| lock(shard).epoch.window,
+        )
+    }
+
+    /// Locks `pair`'s shard once it serves `t`'s window or a later one. A
+    /// shard still behind is released, and every shard rolled forward,
+    /// first.
+    fn shard_at(&self, pair: KeyPair, t: SimTime) -> MutexGuard<'_, Shard> {
+        let window = self.cfg.window.window_of(t);
+        let shard = &self.shards[self.shard_of(pair)];
+        let guard = lock(shard);
+        if guard.epoch.window.index >= window.index {
+            return guard;
         }
+        drop(guard);
+        self.roll_to(window);
+        lock(shard)
     }
 
     /// Decides the relay option for one call. `call_id` seeds the
@@ -361,7 +404,16 @@ impl Controller {
         candidates: &[RelayOption],
     ) -> Selection {
         let started = Instant::now();
-        self.ensure_window(self.cfg.window.window_of(t));
+        let pair = KeyPair::new(src_key, dst_key);
+        let mut shard = self.shard_at(pair, t);
+        let Shard {
+            epoch,
+            pairs,
+            scratch,
+            set,
+            ..
+        } = &mut *shard;
+        let window = epoch.window.index;
         if candidates.is_empty() {
             // Nothing to choose between; don't charge the budget gate.
             self.selections.fetch_add(1, Ordering::Relaxed);
@@ -369,22 +421,11 @@ impl Controller {
                 option: RelayOption::Direct,
                 admitted: true,
                 explored: false,
-                window: self.window.load(Ordering::Acquire),
+                window,
             };
         }
-        let pred = self.predictor.load();
-        let pair = KeyPair::new(src_key, dst_key);
-        let mut shard = lock(&self.shards[self.shard_of(pair)]);
-        let Shard {
-            window: wi,
-            pairs,
-            scratch,
-            set,
-            ..
-        } = &mut *shard;
-        let wi = *wi;
         let arms = pairs.entry(pair).or_insert_with(|| {
-            let view = pred.pair(pair.lo, pair.hi);
+            let view = epoch.predictor.pair(pair.lo, pair.hi);
             PairArms::build(
                 &self.plan,
                 |o| view.predict(o),
@@ -432,7 +473,7 @@ impl Controller {
             option: decision.option,
             admitted,
             explored: decision.explored,
-            window: wi,
+            window,
         }
     }
 
@@ -453,21 +494,16 @@ impl Controller {
             self.count_rejected_report();
             return self.window_index();
         }
-        self.ensure_window(self.cfg.window.window_of(t));
         let pair = KeyPair::new(src_key, dst_key);
         let option = option.canonical();
-        let mut shard = lock(&self.shards[self.shard_of(pair)]);
-        let window = Window {
-            index: shard.window,
-            len: self.cfg.window,
-        };
-        shard.history.record(window, pair, option, metrics);
+        let mut shard = self.shard_at(pair, t);
+        shard.file((pair, option), |stats| stats.push(metrics));
         shard.pending += 1;
         if let Some(arms) = shard.pairs.get_mut(&pair) {
             arms.learn(option, metrics[self.cfg.objective]);
         }
         self.reports.fetch_add(1, Ordering::Relaxed);
-        window.index
+        shard.epoch.window.index
     }
 
     /// Counts a refused report: one the socket plane stopped before it
@@ -478,55 +514,49 @@ impl Controller {
         self.reports_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Rolls forward when `w` is ahead of the accumulating window.
-    fn ensure_window(&self, w: Window) {
-        if w.index <= self.window.load(Ordering::Acquire) {
-            return;
-        }
-        self.roll_to(w);
-    }
-
-    /// The window rollover: drains every shard's history into one, refits
-    /// on it, and publishes the next predictor — all off the select path
-    /// (selects keep serving the old epoch; only same-shard calls wait,
-    /// briefly, for the drain).
+    /// The window rollover, one step: under the roll lock and every shard's
+    /// lock, the shards' cells are staged and fitted, and only after the fit
+    /// returns does every shard take the new epoch, clear its arms and give
+    /// up its cells. A select waits out the fit; a fit that panics leaves
+    /// every shard, the trained window and the counters as they were.
     fn roll_to(&self, next: Window) {
         let mut roll = lock(&self.roll);
-        let cur = self.window.load(Ordering::Acquire);
-        if next.index <= cur {
+        let mut shards: Vec<MutexGuard<'_, Shard>> = self.shards.iter().map(lock).collect();
+        let Some(current) = shards.first().map(|shard| shard.epoch.window) else {
+            return; // unreachable: there is always a shard
+        };
+        if next.index <= current.index {
             return; // another thread rolled first
         }
-        let Some(training) = next.prev() else {
-            return; // unreachable: next.index > cur >= 0
-        };
-        let mut merged = CallHistory::new();
+        let mut staged = Trained::default();
+        let cells = staged.close(current);
+        cells.reserve(shards.iter().map(|s| s.cells.len()).sum());
         let mut refit_lag = 0u64;
-        for shard in &self.shards {
-            let mut shard = lock(shard);
-            merged.merge(std::mem::take(&mut shard.history));
-            refit_lag += std::mem::take(&mut shard.pending);
-            shard.pairs.clear();
-            shard.window = next.index;
+        for shard in &shards {
+            cells.extend_from_slice(&shard.cells);
+            refit_lag += shard.pending;
         }
-        let published = refit(
-            &merged,
-            next,
-            self.prior.clone(),
-            &self.backbone,
-            PredictorConfig::default(),
-        );
-        let empirical = published.empirical_cells() as u64;
-        let segments = published.tomography_segments() as u64;
-        self.predictor.publish(Arc::new(published));
-        self.window.store(next.index, Ordering::Release);
-        merged.prune_before(training.index);
-        roll.trained = merged;
-        roll.trained_window = Some(training);
+        let fit_cfg = PredictorConfig::default();
+        let predictor = staged.fit(next, self.prior.clone(), &self.backbone, fit_cfg);
+        let empirical = predictor.empirical_cells() as u64;
+        let segments = predictor.tomography_segments() as u64;
+        let epoch = Arc::new(Epoch {
+            window: next,
+            predictor,
+        });
+        for shard in &mut shards {
+            shard.epoch = Arc::clone(&epoch);
+            shard.pairs.clear();
+            shard.cells.clear();
+            shard.index.clear();
+            shard.pending = 0;
+        }
+        roll.trained = staged;
         roll.obs.span(
             "server.roll",
             next.index,
             &[
-                ("training_window", training.index),
+                ("training_window", next.index - 1),
                 ("empirical_cells", empirical),
                 ("tomography_segments", segments),
                 ("refit_lag_reports", refit_lag),
@@ -538,23 +568,19 @@ impl Controller {
     /// Deterministic image of the full selection state, in canonical cell
     /// order: equal request streams produce byte-equal snapshots.
     pub fn selection_snapshot(&self) -> SelectionSnapshot {
+        // The roll lock keeps every shard on one epoch while they are read.
         let roll = lock(&self.roll);
         let current = self.current_window();
         let mut cells = Vec::new();
         let mut pending = 0;
         for shard in &self.shards {
             let shard = lock(shard);
-            snapshot_cells(&shard.history, current, &mut cells);
+            cells.extend(shard.cells.iter().map(CellSnapshot::from));
             pending += shard.pending;
         }
-        let trained = roll.trained_window.map(|tw| {
-            let mut cells = Vec::new();
-            snapshot_cells(&roll.trained, tw, &mut cells);
-            RefitSnapshot::new(tw, 0, cells)
-        });
         SelectionSnapshot {
             current: RefitSnapshot::new(current, pending, cells),
-            trained,
+            trained: roll.trained.snapshot(),
             gate: lock(&self.gate).clone(),
         }
     }
@@ -586,7 +612,7 @@ impl Controller {
             self.explored.load(Ordering::Relaxed),
         );
         sink.inc("server_rolls_total", self.rolls.load(Ordering::Relaxed));
-        sink.inc("server_window_index", self.window.load(Ordering::Acquire));
+        sink.inc("server_window_index", self.window_index());
         let pending: u64 = self.shards.iter().map(|s| lock(s).pending).sum();
         sink.inc("server_refit_pending_reports", pending);
         if let Some(g) = lock(&self.gate).as_ref() {

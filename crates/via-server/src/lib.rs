@@ -6,15 +6,16 @@
 //! crate is the deployable shape of the same algorithms: a long-running
 //! controller that answers "which relay option should this call take" RPCs
 //! continuously, accumulates call reports beside them, and refits at each
-//! window rollover with the function the batch barrier calls.
+//! window rollover with the `via_core::online::Trained` the batch barrier
+//! fits.
 //!
-//! * [`controller`] — sharded selection state: a published
-//!   [`Predictor`](via_core::Predictor), per-pair-shard histories and
-//!   bandits, the §4.6 budget gate as a live control loop, and
-//!   snapshot/restore for graceful restarts. Selections are bit-identical
-//!   to the batch replay predictor over the same report stream.
-//! * [`epoch`] — the read-mostly publish slot (the value and its publish
-//!   count behind one `RwLock`; `std`-only, no `unsafe`).
+//! * [`controller`] — sharded selection state: per-pair-shard report cells
+//!   and bandits, each shard serving the epoch (window and
+//!   [`Predictor`](via_core::Predictor)) it holds; a rollover that re-epochs
+//!   every shard in one step; the §4.6 budget gate as a live control loop;
+//!   and snapshot/restore for graceful restarts. Selections are
+//!   bit-identical to the batch replay predictor over the same report
+//!   stream.
 //! * [`session`] — non-zero `u64` session ids from a wrapping, collision-
 //!   skipping allocator with typed exhaustion.
 //! * [`wire`] / [`server`] / [`client`] — the framed-TCP RPC plane: a
@@ -30,7 +31,6 @@
 
 pub mod client;
 pub mod controller;
-pub mod epoch;
 mod lock;
 pub mod server;
 pub mod session;
@@ -38,7 +38,6 @@ pub mod wire;
 
 pub use client::{Client, ClientError};
 pub use controller::{Controller, Selection, SelectionSnapshot, ServerConfig};
-pub use epoch::EpochPtr;
 pub use server::{serve, serve_on, ServerHandle};
 pub use session::{SessionExhausted, SessionTable};
 pub use wire::{ErrorKind, Request, Response, WireError};
