@@ -179,6 +179,10 @@ struct GeoTables {
     key_relay_ms: Table<f64>,
     /// `relay_ms[(i, j)]` = `min_rtt_ms` from relay `i` to relay `j`.
     relay_ms: Table<f64>,
+    /// The prior's linearized `(mean, sem)` for loss and for jitter:
+    /// constants, so their `ln` and `powi` are paid once per run, not per
+    /// prediction or per refit.
+    loss_jitter: [(f64, f64); 2],
 }
 
 impl GeoPrior {
@@ -195,6 +199,10 @@ impl GeoPrior {
                 key_pos,
                 key_relay_ms,
                 relay_ms,
+                loss_jitter: [
+                    prior_slot(Metric::Loss, PRIOR_LOSS_PCT),
+                    prior_slot(Metric::Jitter, PRIOR_JITTER_MS),
+                ],
             }),
         }
     }
@@ -221,29 +229,47 @@ impl GeoPrior {
             }
         })
     }
+
+    /// The prior's prediction of `option` between keys `a` and `b`: the
+    /// inflated fiber bound (250 ms outside the geography) and the constant
+    /// loss and jitter, all with the prior's wide SEM.
+    fn predict(&self, a: u32, b: u32, option: RelayOption) -> Prediction {
+        let rtt = self
+            .path_rtt_floor(a, b, option)
+            .map(|floor| floor * PRIOR_INFLATION + 20.0)
+            .unwrap_or(250.0);
+        let (rtt, rtt_sem) = prior_slot(Metric::Rtt, rtt);
+        let [(loss, loss_sem), (jitter, jitter_sem)] = self.tables.loss_jitter;
+        Prediction::from_linear(
+            [rtt, loss, jitter],
+            [rtt_sem, loss_sem, jitter_sem],
+            PredictionSource::Prior,
+        )
+    }
 }
 
-/// One fitted cell of the training window.
+/// One fitted cell of the training window; its pair is the same index of
+/// [`Predictor::pairs`].
 #[derive(Debug, Clone, Copy)]
 struct FittedCell {
-    pair: KeyPair,
     option: RelayOption,
     prediction: Prediction,
 }
 
 /// The fitted predictor for one control window. Between two refits it is a
 /// read-only table, laid out for its reader: cells sorted so a pair's are one
-/// contiguous run, solved segments in per-key rows (see [`Tomography`]), and
-/// [`Predictor::pair`] to resolve both once per pair.
+/// contiguous run, found through a dense column of their pairs, solved
+/// segments in per-key rows (see [`Tomography`]), and [`Predictor::pair`] to
+/// resolve both once per pair.
 pub struct Predictor {
     window: Window,
+    /// Each fitted cell's pair, sorted: the column [`Predictor::pair`]
+    /// binary-searches, 8 bytes a cell instead of a whole cell.
+    pairs: Vec<KeyPair>,
     /// The window's fitted cells, sorted by `(pair, option)`.
     empirical: Vec<FittedCell>,
     tomography: Tomography,
     prior: GeoPrior,
-    /// The prior's linearized `(mean, sem)` for loss and for jitter:
-    /// constants, so their `ln` and `powi` are paid here, not per prediction.
-    prior_loss_jitter: [(f64, f64); 2],
     backbone: BackboneFn,
 }
 
@@ -303,47 +329,34 @@ impl Predictor {
             crate::par::resolve_workers(cfg.workers)
         };
         let empirical =
-            crate::par::par_map(workers, cells, |_, &(&(pair, option), stats)| FittedCell {
-                pair,
+            crate::par::par_map(workers, cells, |_, &(&(_, option), stats)| FittedCell {
                 option,
                 prediction: fit_cell(stats),
             });
+        let pairs = cells.iter().map(|&(&(pair, _), _)| pair).collect();
         let tomography = Tomography::fit_sorted(cells, &*backbone, &cfg.tomography);
-        Predictor::new(training_window, empirical, tomography, prior, backbone)
+        Predictor {
+            window: training_window,
+            pairs,
+            empirical,
+            tomography,
+            prior,
+            backbone,
+        }
     }
 
     /// A predictor with no history at all (cold start): prior-only.
     pub fn cold(prior: GeoPrior, backbone: impl Into<BackboneFn>) -> Predictor {
-        let window = Window {
-            index: 0,
-            len: via_model::time::WindowLen::DAY,
-        };
-        Predictor::new(
-            window,
-            Vec::new(),
-            Tomography::default(),
-            prior,
-            backbone.into(),
-        )
-    }
-
-    fn new(
-        window: Window,
-        empirical: Vec<FittedCell>,
-        tomography: Tomography,
-        prior: GeoPrior,
-        backbone: BackboneFn,
-    ) -> Predictor {
         Predictor {
-            window,
-            empirical,
-            tomography,
+            window: Window {
+                index: 0,
+                len: via_model::time::WindowLen::DAY,
+            },
+            pairs: Vec::new(),
+            empirical: Vec::new(),
+            tomography: Tomography::default(),
             prior,
-            prior_loss_jitter: [
-                prior_slot(Metric::Loss, PRIOR_LOSS_PCT),
-                prior_slot(Metric::Jitter, PRIOR_JITTER_MS),
-            ],
-            backbone,
+            backbone: backbone.into(),
         }
     }
 
@@ -358,20 +371,19 @@ impl Predictor {
     }
 
     /// Resolves what depends only on the pair of spatial keys — its fitted
-    /// cells and both keys' solved segments — so that scoring the pair's
-    /// candidates looks nothing up twice. The keys keep the order given: a
-    /// transit stitch breaks its orientation tie by it.
+    /// cells and both keys' solved segments, slotted by relay — so that
+    /// scoring the pair's candidates looks nothing up twice. The keys keep
+    /// the order given: a transit stitch breaks its orientation tie by it.
     pub fn pair(&self, a: u32, b: u32) -> PairView<'_> {
         let pair = KeyPair::new(a, b);
-        let from = self.empirical.partition_point(|c| c.pair < pair);
-        let rest = self.empirical.get(from..).unwrap_or_default();
-        let len = rest.iter().take_while(|c| c.pair == pair).count();
+        let from = self.pairs.partition_point(|p| *p < pair);
+        let to = self.pairs.partition_point(|p| *p <= pair);
         let row_a = self.tomography.row(a);
         PairView {
             predictor: self,
             a,
             b,
-            cells: rest.get(..len).unwrap_or_default(),
+            cells: self.empirical.get(from..to).unwrap_or_default(),
             row_a,
             row_b: if a == b {
                 row_a
@@ -398,6 +410,7 @@ pub struct PairView<'a> {
     b: u32,
     /// The pair's fitted cells, sorted by option.
     cells: &'a [FittedCell],
+    /// Both keys' rows, slotted by relay: a stitch is two or four loads.
     row_a: KeyRow<'a>,
     row_b: KeyRow<'a>,
 }
@@ -421,7 +434,7 @@ impl PairView<'_> {
             }
         }
         if let Some((lin_mean, lin_sem)) =
-            stitch_rows(self.row_a, self.row_b, option, &*predictor.backbone)
+            stitch_rows(&self.row_a, &self.row_b, option, &*predictor.backbone)
         {
             return Prediction::from_linear(lin_mean, lin_sem, PredictionSource::Tomography);
         }
@@ -429,18 +442,7 @@ impl PairView<'_> {
         if let Some(p) = cell {
             return p;
         }
-        let rtt = predictor
-            .prior
-            .path_rtt_floor(self.a, self.b, option)
-            .map(|floor| floor * PRIOR_INFLATION + 20.0)
-            .unwrap_or(250.0);
-        let (rtt, rtt_sem) = prior_slot(Metric::Rtt, rtt);
-        let [(loss, loss_sem), (jitter, jitter_sem)] = predictor.prior_loss_jitter;
-        Prediction::from_linear(
-            [rtt, loss, jitter],
-            [rtt_sem, loss_sem, jitter_sem],
-            PredictionSource::Prior,
-        )
+        predictor.prior.predict(self.a, self.b, option)
     }
 }
 
@@ -806,6 +808,7 @@ mod tests {
             let stitched = fitted.predict(1, 0, RelayOption::Bounce(relay));
             assert_eq!(stitched.source, PredictionSource::Tomography);
             assert_eq!(fitted.empirical.capacity(), fitted.empirical_cells());
+            assert_eq!(fitted.pairs.capacity(), fitted.empirical_cells());
             (
                 fitted.empirical_cells(),
                 fitted.tomography_segments(),
@@ -824,17 +827,21 @@ mod tests {
         #[test]
         fn pair_view_matches_the_reference_on_tiny_histories(
             reports in prop::collection::vec(
-                (0u32..4, 0u32..4, 0u32..8, 0u32..3, 0u32..3, 1u64..6),
+                (0u32..4, 0u32..4, 0u32..8, 0usize..5, 0usize..5, 1u64..6),
                 0..10,
             ),
         ) {
-            // Keys 0–2 and relays 0–1 are inside the prior; key 3 and relay 2
-            // are not, and key 4 is never observed. Counts straddle
-            // `min_empirical_samples` (3).
-            let option_of = |kind: u32, r1: u32, r2: u32| match kind {
+            // Keys 0–2 and relays 0–1 are inside the prior; key 3 and the
+            // other relays are not, and key 4 is never observed. The last
+            // slotted relay id, the first past the slots and `u32::MAX` take
+            // the slot and the fallback path of a key row alike. Counts
+            // straddle `min_empirical_samples` (3).
+            let cap = crate::tomography::ROW_SLOTS as u32;
+            let relays = [0, 1, cap - 1, cap, u32::MAX].map(RelayId);
+            let option_of = |kind: u32, r1: usize, r2: usize| match kind {
                 0 => RelayOption::Direct,
-                1..=3 => RelayOption::Bounce(RelayId(r1)),
-                _ => RelayOption::Transit(RelayId(r1), RelayId(r2)),
+                1..=3 => RelayOption::Bounce(relays[r1]),
+                _ => RelayOption::Transit(relays[r1], relays[r2]),
             };
             let mut h = CallHistory::new();
             for (i, &(a, b, kind, r1, r2, n)) in reports.iter().enumerate() {
@@ -848,13 +855,13 @@ mod tests {
                 }
             }
             let backbone: BackboneFn = Arc::new(|a: RelayId, b: RelayId| {
-                PathMetrics::new(20.0 + 5.0 * f64::from(a.0 + 2 * b.0), 0.02, 0.5)
+                PathMetrics::new(20.0 + 5.0 * f64::from(a.0 % 7 + 2 * (b.0 % 7)), 0.02, 0.5)
             });
             let both = BothWays::fit(&h, prior(), backbone);
             let mut options = vec![RelayOption::Direct];
-            for r1 in 0..3 {
-                options.push(RelayOption::Bounce(RelayId(r1)));
-                options.extend((0..3).map(|r2| RelayOption::Transit(RelayId(r1), RelayId(r2))));
+            for r1 in relays {
+                options.push(RelayOption::Bounce(r1));
+                options.extend(relays.map(|r2| RelayOption::Transit(r1, r2)));
             }
             for a in 0..5 {
                 for b in 0..5 {

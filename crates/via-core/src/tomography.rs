@@ -246,15 +246,19 @@ fn solve(obs: &[Obs], n_unknowns: usize) -> Vec<SegmentEstimate> {
         starts[i + 1] += starts[i];
     }
     let mut touch = vec![0usize; starts[n_unknowns]];
-    let mut fill = starts.clone();
+    // Each row's start is its fill cursor, and a filled row's cursor ends on
+    // the next row's start: the last entry dropped and a zero prepended, the
+    // cursors are the starts again (within the capacity, so no allocation).
     for (oi, o) in obs.iter().enumerate() {
-        touch[fill[o.i]] = oi;
-        fill[o.i] += 1;
+        touch[starts[o.i]] = oi;
+        starts[o.i] += 1;
         if o.j != o.i {
-            touch[fill[o.j]] = oi;
-            fill[o.j] += 1;
+            touch[starts[o.j]] = oi;
+            starts[o.j] += 1;
         }
     }
+    starts.pop();
+    starts.insert(0, 0);
     // An update's denominator is the weight touching the unknown, the same
     // in every sweep. It is not `w_sum`, which counts a self-loop twice; it
     // is summed in adjacency order, as the sweeps used to sum it.
@@ -322,15 +326,43 @@ struct Segment {
     estimate: SegmentEstimate,
 }
 
-/// The solved segments of one spatial key, sorted by relay.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct KeyRow<'a>(&'a [Segment]);
+/// Relay ids below this are looked up in a [`KeyRow`] through its slot
+/// array; larger ids fall back to a binary search of the row. It covers the
+/// paper-scale fleet (30 relays), and a row's first `ROW_SLOTS` segments are
+/// the only ones that can hold such an id, so a slot fits in a `u8`.
+pub(crate) const ROW_SLOTS: usize = 32;
+const _: () = assert!(ROW_SLOTS < u8::MAX as usize);
+
+/// The solved segments of one spatial key, sorted by relay, resolved once
+/// for the many lookups a pair view makes: `slot[r]` is one past the
+/// position of relay `r`'s segment, or `0` when it is unsolved. The array is
+/// fixed-size, so the model stays sized by the number of segments, never by
+/// a relay id's value.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyRow<'a> {
+    segs: &'a [Segment],
+    slot: [u8; ROW_SLOTS],
+}
 
 impl<'a> KeyRow<'a> {
+    fn new(segs: &'a [Segment]) -> Self {
+        let mut slot = [0; ROW_SLOTS];
+        for (at, s) in (1..).zip(segs.iter().take(ROW_SLOTS)) {
+            match slot.get_mut(s.relay.index()) {
+                Some(v) => *v = at,
+                None => break,
+            }
+        }
+        KeyRow { segs, slot }
+    }
+
     /// Solved estimate of this key's segment to `relay`.
-    pub(crate) fn get(self, relay: RelayId) -> Option<&'a SegmentEstimate> {
-        let i = self.0.binary_search_by_key(&relay, |s| s.relay).ok()?;
-        self.0.get(i).map(|s| &s.estimate)
+    pub(crate) fn get(&self, relay: RelayId) -> Option<&'a SegmentEstimate> {
+        let i = match self.slot.get(relay.index()) {
+            Some(&at) => usize::from(at).checked_sub(1)?,
+            None => self.segs.binary_search_by_key(&relay, |s| s.relay).ok()?,
+        };
+        self.segs.get(i).map(|s| &s.estimate)
     }
 }
 
@@ -436,7 +468,7 @@ impl Tomography {
     /// The solved segments of `key` (empty when none were).
     pub(crate) fn row(&self, key: u32) -> KeyRow<'_> {
         let row = row_bounds(&self.keys, &self.starts, key).and_then(|r| self.segs.get(r));
-        KeyRow(row.unwrap_or_default())
+        KeyRow::new(row.unwrap_or_default())
     }
 
     /// Solved estimate for one segment.
@@ -455,15 +487,15 @@ impl Tomography {
         option: RelayOption,
         backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
     ) -> Option<([f64; 3], [f64; 3])> {
-        stitch_rows(self.row(a), self.row(b), option, backbone)
+        stitch_rows(&self.row(a), &self.row(b), option, backbone)
     }
 }
 
 /// [`Tomography::stitch`] over the two endpoints' rows, for a caller that
 /// resolved them once and scores many options.
 pub(crate) fn stitch_rows(
-    row_a: KeyRow<'_>,
-    row_b: KeyRow<'_>,
+    row_a: &KeyRow<'_>,
+    row_b: &KeyRow<'_>,
     option: RelayOption,
     backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
 ) -> Option<([f64; 3], [f64; 3])> {
@@ -821,6 +853,44 @@ mod tests {
         let tomo = Tomography::default();
         let bb = |_: RelayId, _: RelayId| PathMetrics::ZERO;
         assert!(tomo.stitch(0, 1, RelayOption::Direct, &bb).is_none());
+    }
+
+    #[test]
+    fn a_row_holding_every_slotted_relay_answers_each_like_the_reference() {
+        // Key 0's row holds relays 0 ..= ROW_SLOTS + 1 and u32::MAX, so its
+        // slot array is full and its tail is only reachable by the fallback.
+        let window = WindowLen::DAY.window_of(SimTime::ZERO);
+        let relays: Vec<RelayId> = (0..ROW_SLOTS as u32 + 2)
+            .chain([u32::MAX])
+            .map(RelayId)
+            .collect();
+        let mut h = CallHistory::new();
+        for (i, &r) in relays.iter().enumerate() {
+            let m = PathMetrics::new(80.0 + i as f64, 0.1, 2.0);
+            h.record(window, KeyPair::new(0, 1), RelayOption::Bounce(r), &m);
+        }
+        let bb = |_: RelayId, _: RelayId| PathMetrics::ZERO;
+        let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig::default());
+        let want = reference::Tomography::fit(&h, window, &bb);
+        let bits = |s: &SegmentEstimate| (s.value.map(f64::to_bits), s.sem.map(f64::to_bits));
+        for &r in &relays {
+            for key in [0, 1] {
+                let got = tomo.segment(key, r).map(bits);
+                assert_eq!(
+                    got,
+                    want.segments.get(&SegmentKey { key, relay: r }).map(bits)
+                );
+                assert!(got.is_some(), "key {key} relay {r}");
+            }
+            assert!(tomo.segment(2, r).is_none());
+            let option = RelayOption::Bounce(r);
+            assert_eq!(
+                tomo.stitch(1, 0, option, &bb)
+                    .map(|(m, s)| (m.map(f64::to_bits), s.map(f64::to_bits))),
+                want.stitch(1, 0, option, &bb)
+                    .map(|(m, s)| (m.map(f64::to_bits), s.map(f64::to_bits))),
+            );
+        }
     }
 
     #[test]

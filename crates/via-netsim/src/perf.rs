@@ -423,47 +423,27 @@ impl PerfModel {
     }
 
     /// Mean metrics contributed by one segment at time `t` (latent state:
-    /// episodes + diurnal load, no per-call noise).
+    /// episodes + diurnal load, no per-call noise). The one home of the mean
+    /// formula: [`SampleScratch`] memoizes its results, never its inputs.
     pub fn segment_mean(&self, segment: Segment, t: SimTime) -> SegMetrics {
-        self.mean_from_day(&self.seg_day_state(segment, t.day()), t)
-    }
+        self.with_state(segment, |s| {
+            // Diurnal load peaks at 20:00 local time at the segment midpoint.
+            let local =
+                GeoPoint::new(0.0, s.lon_deg.clamp(-180.0, 180.0)).local_hour(t.hour_of_day());
+            let evening = 0.5 * (1.0 + ((local - 20.0) / 24.0 * std::f64::consts::TAU).cos());
+            let d = DIURNAL_AMPLITUDE * s.diurnal_sens * evening;
 
-    /// Captures the day-scoped slice of a segment's latent state: everything
-    /// [`PerfModel::segment_mean`] reads except the intra-day diurnal
-    /// factor. One slot-table touch; the result is a small `Copy` value the
-    /// scratch can keep, so repeated means of a hot segment within a day
-    /// never revisit the slot table or the episode series.
-    fn seg_day_state(&self, segment: Segment, day: u64) -> SegDayState {
-        self.with_state(segment, |s| SegDayState {
-            day,
-            sev: s.episodes.on_day(day) * s.episode_scale,
-            rtt_ms: s.rtt_ms,
-            loss_pct: s.loss_pct,
-            jitter_ms: s.jitter_ms,
-            diurnal_sens: s.diurnal_sens,
-            lon_deg: s.lon_deg,
+            let sev = s.episodes.on_day(t.day()) * s.episode_scale;
+            let episode_rtt = sev * EPISODE_RTT_MS;
+            let loss_mult = 1.0 + sev * (EPISODE_LOSS_MULT - 1.0);
+            let jitter_mult = 1.0 + sev * (EPISODE_JITTER_MULT - 1.0);
+
+            SegMetrics {
+                rtt_ms: s.rtt_ms + episode_rtt + 6.0 * d,
+                loss_pct: (s.loss_pct * loss_mult * (1.0 + 0.8 * d)).min(100.0),
+                jitter_ms: s.jitter_ms * jitter_mult * (1.0 + 0.8 * d),
+            }
         })
-    }
-
-    /// The time-of-day half of [`PerfModel::segment_mean`]: pure stack math
-    /// over a captured [`SegDayState`]. The single home of the mean formula
-    /// — every caller goes through here, so cached day states are
-    /// bit-identical to fresh `segment_mean` calls by construction.
-    fn mean_from_day(&self, s: &SegDayState, t: SimTime) -> SegMetrics {
-        // Diurnal load peaks at 20:00 local time at the segment midpoint.
-        let local = GeoPoint::new(0.0, s.lon_deg.clamp(-180.0, 180.0)).local_hour(t.hour_of_day());
-        let evening = 0.5 * (1.0 + ((local - 20.0) / 24.0 * std::f64::consts::TAU).cos());
-        let d = DIURNAL_AMPLITUDE * s.diurnal_sens * evening;
-
-        let episode_rtt = s.sev * EPISODE_RTT_MS;
-        let loss_mult = 1.0 + s.sev * (EPISODE_LOSS_MULT - 1.0);
-        let jitter_mult = 1.0 + s.sev * (EPISODE_JITTER_MULT - 1.0);
-
-        SegMetrics {
-            rtt_ms: s.rtt_ms + episode_rtt + 6.0 * d,
-            loss_pct: (s.loss_pct * loss_mult * (1.0 + 0.8 * d)).min(100.0),
-            jitter_ms: s.jitter_ms * jitter_mult * (1.0 + 0.8 * d),
-        }
     }
 
     /// Segments traversed by an option between `src` and `dst`, plus the
@@ -588,26 +568,11 @@ impl PerfModel {
         let path = self.segments_of(src, dst, option);
         let mut acc = SegMetrics::default();
         for seg in path.segments() {
-            let m = match scratch.seg_means.get(seg) {
-                Some(m) => *m,
-                None => {
-                    // Two-level memo: a same-day hit serves the mean from the
-                    // scratch-resident day state (stack math only) instead of
-                    // re-reading the slot table and episode series.
-                    let m = match scratch.day_states.get(seg) {
-                        Some(ds) if ds.day == t.day() => self.mean_from_day(ds, t),
-                        _ => {
-                            let ds = self.seg_day_state(*seg, t.day());
-                            let m = self.mean_from_day(&ds, t);
-                            scratch.day_states.insert(*seg, ds);
-                            m
-                        }
-                    };
-                    scratch.seg_means.insert(*seg, m);
-                    m
-                }
-            };
-            acc = acc.chain(&m);
+            let m = scratch
+                .seg_means
+                .entry(*seg)
+                .or_insert_with(|| self.segment_mean(*seg, t));
+            acc = acc.chain(m);
         }
         PathMetrics::new(
             acc.rtt_ms + path.hops() as f64 * RELAY_HOP_COST_MS,
@@ -707,39 +672,24 @@ impl PerfModel {
 }
 
 /// Reusable memo for scoring several options at one instant (one call's
-/// candidate set, a racing stage, an oracle scan). Caches `segment_mean`
-/// results keyed by segment for the current [`SimTime`]; moving to a new
-/// instant invalidates the cache automatically. Candidate paths share their
-/// access legs (and often relay legs), so a k-option scan touches each
-/// distinct segment's episode/diurnal math once instead of per option.
+/// candidate set, a racing stage, an oracle scan, a realization and its
+/// paired baseline). Caches `segment_mean` results keyed by segment for the
+/// current [`SimTime`]; moving to a new instant clears it, so it never holds
+/// more than one instant's segments. Candidate paths share their access legs
+/// (and often relay legs), so a k-option scan touches each distinct
+/// segment's slot and episode/diurnal math once instead of per option.
+///
+/// Nothing outlives an instant on purpose: a memo kept across instants
+/// grows with every segment a worker touches (≈ 17 k at paper scale),
+/// misses cache and evicts the predictor, and cost more than the slot-table
+/// reads it saved (DESIGN.md, *Hot-path cost model*).
 ///
 /// Purely a cost move: cached values are bit-identical to fresh
 /// `segment_mean` calls, and no RNG state lives here.
 #[derive(Debug, Clone, Default)]
 pub struct SampleScratch {
     seg_means: HashMap<Segment, SegMetrics, std::hash::BuildHasherDefault<SegMemoHasher>>,
-    /// Day-scoped latent state per segment. Unlike `seg_means` this survives
-    /// moving to a new instant (most calls advance within the same simulated
-    /// day), so a trace that revisits a segment pays the slot-table and
-    /// episode-series reads once per day instead of once per call. Entries
-    /// carry their day and are replaced in place when it rolls over; memory
-    /// is bounded by the number of distinct segments the worker touches.
-    day_states: HashMap<Segment, SegDayState, std::hash::BuildHasherDefault<SegMemoHasher>>,
     t: Option<SimTime>,
-}
-
-/// Day-scoped slice of one segment's latent state: everything
-/// [`PerfModel::segment_mean`] reads except the intra-day diurnal factor.
-/// See [`PerfModel::seg_day_state`].
-#[derive(Debug, Clone, Copy)]
-struct SegDayState {
-    day: u64,
-    sev: f64,
-    rtt_ms: f64,
-    loss_pct: f64,
-    jitter_ms: f64,
-    diurnal_sens: f64,
-    lon_deg: f64,
 }
 
 /// Multiply–rotate hasher for the scratch memo. SipHash (the `HashMap`
@@ -933,6 +883,81 @@ mod tests {
             scratch_rng.random::<u64>(),
             "draw streams desynced"
         );
+    }
+
+    #[test]
+    fn one_scratch_across_days_matches_the_plain_path_and_holds_one_instant() {
+        // A call stream crossing day 0 → 1 → 0 through one scratch, two
+        // instants a day and two calls an instant, so memo hits, instant
+        // moves and day moves all occur. Every value must be the plain
+        // path's bit for bit (a paired baseline's through a fresh scratch),
+        // and after every call the memo may hold only segments of options
+        // scored at that instant.
+        let w = world();
+        let perf = w.perf();
+        let options = [
+            RelayOption::Direct,
+            RelayOption::Bounce(RelayId(1)),
+            RelayOption::Transit(RelayId(0), RelayId(2)),
+            RelayOption::Transit(RelayId(3), RelayId(1)),
+        ];
+        let pairs = [(AsId(0), AsId(7)), (AsId(1), AsId(6)), (AsId(7), AsId(0))];
+        let bits = |m: PathMetrics| [m.rtt_ms, m.loss_pct, m.jitter_ms].map(f64::to_bits);
+        let mut scratch = SampleScratch::new();
+        let (mut plain_rng, mut scratch_rng, mut fresh_rng) = (
+            StdRng::seed_from_u64(7),
+            StdRng::seed_from_u64(7),
+            StdRng::seed_from_u64(7),
+        );
+        for day in [0u64, 1, 0] {
+            for hour in [3u64, 20] {
+                let t = SimTime::from_days(day) + hour * via_model::time::SECS_PER_HOUR;
+                let mut instant = std::collections::HashSet::<Segment>::new();
+                for _ in 0..2 {
+                    for &(src, dst) in &pairs {
+                        for &opt in &options {
+                            instant.extend(perf.segments_of(src, dst, opt).segments());
+                            instant
+                                .extend(perf.segments_of(src, dst, RelayOption::Direct).segments());
+                            let what = format!("{src}->{dst} {opt:?} day {day} hour {hour}");
+                            assert_eq!(
+                                bits(perf.option_mean_scratch(src, dst, opt, t, &mut scratch)),
+                                bits(perf.option_mean(src, dst, opt, t)),
+                                "mean of {what}"
+                            );
+                            let (chosen, base) = perf.sample_option_paired(
+                                src,
+                                dst,
+                                opt,
+                                RelayOption::Direct,
+                                t,
+                                &mut scratch_rng,
+                                &mut scratch,
+                            );
+                            let plain = perf.sample_option(src, dst, opt, t, &mut plain_rng);
+                            assert_eq!(bits(chosen), bits(plain), "chosen of {what}");
+                            let (fresh_chosen, fresh_base) = perf.sample_option_paired(
+                                src,
+                                dst,
+                                opt,
+                                RelayOption::Direct,
+                                t,
+                                &mut fresh_rng,
+                                &mut SampleScratch::new(),
+                            );
+                            assert_eq!(bits(chosen), bits(fresh_chosen), "chosen of {what}");
+                            assert_eq!(bits(base), bits(fresh_base), "baseline of {what}");
+                            assert!(
+                                scratch.seg_means.keys().all(|s| instant.contains(s)),
+                                "the memo outlived its instant at {what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let next = [plain_rng, scratch_rng, fresh_rng].map(|mut rng| rng.random::<u64>());
+        assert!(next.iter().all(|&n| n == next[0]), "draws desynced");
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! Reading is line-streamed: [`JsonlReader`] is a [`RecordSource`] that
 //! yields one record at a time with exact error positions (1-based line
 //! number and the byte offset of the offending line), and never holds more
-//! than one line in memory. Files are opened through
+//! than one line in memory; a line longer than any record is an error, not
+//! an allocation. Files are opened through
 //! [`crate::stream::FileSource`] and written through [`crate::write_trace`].
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::error::TraceError;
@@ -144,11 +145,49 @@ impl JsonlWriter {
     }
 }
 
+/// The longest line a JSONL trace may hold, newline included. The widest
+/// legal record — every id at its maximum, every float at its longest
+/// rendering — takes under half of it (pinned by a test), so a longer line
+/// is not a record, and reading no further than this keeps a newline-free
+/// file from costing its own length in memory.
+const MAX_LINE: usize = 8 << 10;
+
+/// Reads the line numbered `line` (1-based), which starts at byte `offset`,
+/// into `buf`, newline included; `None` at end of file. At most
+/// `MAX_LINE + 1` bytes are read, so a longer line is a
+/// [`TraceIoError::Parse`] that cost no more memory than a legal one; so is
+/// a line that is not UTF-8.
+fn read_line<'b>(
+    reader: &mut BufReader<File>,
+    buf: &'b mut Vec<u8>,
+    line: usize,
+    offset: u64,
+) -> Result<Option<&'b str>, TraceIoError> {
+    buf.clear();
+    let n = reader.take(MAX_LINE as u64 + 1).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    let parse_error = |msg: String| TraceIoError::Parse {
+        line,
+        byte_offset: offset,
+        msg,
+    };
+    if n > MAX_LINE {
+        return Err(parse_error(format!(
+            "line is longer than {MAX_LINE} bytes, more than any record takes"
+        )));
+    }
+    std::str::from_utf8(buf)
+        .map(Some)
+        .map_err(|e| parse_error(e.to_string()))
+}
+
 /// Line-streamed JSON Lines reader: one record per
-/// [`RecordSource::next_record`] call, one line resident at a time. Parse
-/// failures report the 1-based line number and the byte offset of the line
-/// start; a file that ends short of its header's count is
-/// [`TraceIoError::CountMismatch`].
+/// [`RecordSource::next_record`] call, one line of at most [`MAX_LINE`]
+/// bytes resident at a time. Parse failures report the 1-based line number
+/// and the byte offset of the line start; a file that ends short of its
+/// header's count is [`TraceIoError::CountMismatch`].
 pub struct JsonlReader {
     reader: BufReader<File>,
     header: JsonlHeader,
@@ -158,7 +197,8 @@ pub struct JsonlReader {
     offset: u64,
     /// Records yielded so far.
     records: u64,
-    buf: String,
+    /// The current line; sized for the longest one at open, never grown.
+    buf: Vec<u8>,
 }
 
 impl JsonlReader {
@@ -169,18 +209,18 @@ impl JsonlReader {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
         let mut reader = BufReader::new(file);
-        let mut buf = String::new();
-        let n = reader.read_line(&mut buf)? as u64;
-        if n == 0 {
+        let mut buf = Vec::with_capacity(MAX_LINE + 1);
+        let Some(text) = read_line(&mut reader, &mut buf, 1, 0)? else {
             return Err(TraceIoError::MissingHeader);
-        }
+        };
+        let n = text.len() as u64;
         let header_error = |msg: String| TraceIoError::Parse {
             line: 1,
             byte_offset: 0,
             msg,
         };
         let header: JsonlHeader =
-            serde_json::from_str(buf.trim_end()).map_err(|e| header_error(e.to_string()))?;
+            serde_json::from_str(text.trim_end()).map_err(|e| header_error(e.to_string()))?;
         let body = len.saturating_sub(n);
         if header.records > body / 2 {
             return Err(header_error(format!(
@@ -202,9 +242,9 @@ impl JsonlReader {
     /// Reads the next record, skipping blank lines; `None` at end of file.
     fn read_record(&mut self) -> Result<Option<CallRecord>, TraceIoError> {
         loop {
-            self.buf.clear();
-            let n = self.reader.read_line(&mut self.buf)?;
-            if n == 0 {
+            let line_start = self.offset;
+            let Some(text) = read_line(&mut self.reader, &mut self.buf, self.line + 1, line_start)?
+            else {
                 if self.records != self.header.records {
                     return Err(TraceIoError::CountMismatch {
                         expected: self.header.records,
@@ -212,15 +252,14 @@ impl JsonlReader {
                     });
                 }
                 return Ok(None);
-            }
+            };
             self.line += 1;
-            let line_start = self.offset;
-            self.offset += n as u64;
-            if self.buf.trim().is_empty() {
+            self.offset += text.len() as u64;
+            if text.trim().is_empty() {
                 continue;
             }
             let record =
-                serde_json::from_str(self.buf.trim_end()).map_err(|e| TraceIoError::Parse {
+                serde_json::from_str(text.trim_end()).map_err(|e| TraceIoError::Parse {
                     line: self.line,
                     byte_offset: line_start,
                     msg: e.to_string(),
@@ -321,6 +360,83 @@ mod tests {
                 assert_eq!(byte_offset, header.len() as u64 + 1);
                 assert!(!msg.is_empty());
             }
+            other => panic!("unexpected error {other}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_widest_legal_record_takes_under_half_the_line_cap() {
+        use via_model::ids::{AsId, CallId, ClientId, CountryId};
+        use via_model::metrics::PathMetrics;
+        use via_model::time::SimTime;
+        // Floats print without an exponent, so the longest are tiny ones
+        // with many significant digits, and huge ones.
+        let rendering = |v: f64| serde_json::to_string(&v).unwrap().len();
+        let wide = [
+            -f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE * (1.0 - f64::EPSILON),
+            -f64::from_bits(1),
+            -1.234_567_890_123_456_7e-300,
+            f64::MIN,
+        ]
+        .into_iter()
+        .max_by_key(|&v| rendering(v))
+        .unwrap();
+        assert!(rendering(wide) > 300);
+        let record = CallRecord {
+            id: CallId(u32::MAX),
+            t: SimTime(u64::MAX),
+            src_as: AsId(u32::MAX),
+            dst_as: AsId(u32::MAX),
+            src_country: CountryId(u32::MAX),
+            dst_country: CountryId(u32::MAX),
+            caller: ClientId(u32::MAX),
+            callee: ClientId(u32::MAX),
+            wireless: false,
+            duration_s: wide,
+            access_extra: crate::record::AccessExtra {
+                rtt_ms: wide,
+                loss_pct: wide,
+                jitter_ms: wide,
+            },
+            direct_metrics: PathMetrics {
+                rtt_ms: wide,
+                loss_pct: wide,
+                jitter_ms: wide,
+            },
+            rating: Some(u8::MAX),
+        };
+        let line = serde_json::to_string(&record).unwrap().len() + 1;
+        assert!(2 * line <= MAX_LINE, "{line}-byte record line");
+    }
+
+    #[test]
+    fn a_line_past_the_cap_is_a_parse_error_that_costs_no_more_than_the_cap() {
+        let header = b"{\"seed\":1,\"days\":1,\"records\":1}\n";
+        let blob = vec![b'x'; 4 << 20];
+        // A record line with no newline: the header opens, the next read
+        // stops at the cap.
+        let path = tmp("newline-free-record.jsonl");
+        std::fs::write(&path, [&header[..], &blob].concat()).unwrap();
+        let mut reader = JsonlReader::open(&path).unwrap();
+        match reader.read_record() {
+            Err(TraceIoError::Parse {
+                line, byte_offset, ..
+            }) => assert_eq!((line, byte_offset), (2, header.len() as u64)),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        assert!(
+            reader.buf.capacity() <= MAX_LINE + 1,
+            "{}",
+            reader.buf.capacity()
+        );
+        // A file with no newline at all: the header line itself.
+        std::fs::write(&path, &blob).unwrap();
+        match load_err(&path) {
+            TraceIoError::Parse {
+                line, byte_offset, ..
+            } => assert_eq!((line, byte_offset), (1, 0)),
             other => panic!("unexpected error {other}"),
         }
         std::fs::remove_file(&path).ok();
