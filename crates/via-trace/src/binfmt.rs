@@ -38,10 +38,10 @@
 //! [`BinWriter::finish`] — so a crashed writer leaves a header promising no
 //! records, which any frame it did flush overruns.
 //!
-//! What a reader detects, each as a typed [`BinError`]: header corruption
-//! (the digest covers header bytes 0..48), truncation anywhere in the file,
-//! a frame prefix whose count and payload length disagree, and a record
-//! total that differs from the header's. The header's count is checked
+//! What a reader detects, each as its own [`TraceError`] variant: header
+//! corruption (the digest covers header bytes 0..48), truncation anywhere in
+//! the file, a frame prefix whose count and payload length disagree, and a
+//! record total that differs from the header's. The header's count is checked
 //! against the file's length at open, and each frame's payload length
 //! against the bytes left, before any buffer grows. What it does not
 //! detect: a flipped bit inside a record payload (or in a frame's window
@@ -72,93 +72,6 @@ pub const HEADER_BYTES: usize = 56;
 pub const FRAME_PREFIX_BYTES: usize = 16;
 /// Sentinel in the rating byte meaning "no rating" (ratings are 1–5).
 const NO_RATING: u8 = 0xFF;
-
-/// Errors arising from binary trace encode/decode.
-#[derive(Debug)]
-pub enum BinError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// The first 8 bytes are not the `VIATRACE` magic.
-    BadMagic,
-    /// Schema version this build does not understand.
-    BadVersion(u32),
-    /// Header digest mismatch: truncated write or corrupted header.
-    BadDigest {
-        /// Digest stored in the file.
-        stored: u64,
-        /// Digest recomputed over the header bytes.
-        computed: u64,
-    },
-    /// The file ends inside a header, frame prefix, or frame payload, or is
-    /// too short for the records its header promises.
-    Truncated {
-        /// What the file is too short for.
-        context: &'static str,
-    },
-    /// A frame prefix whose payload length disagrees with its record count.
-    FrameMismatch {
-        /// Records the prefix claims.
-        count: u32,
-        /// Payload bytes the prefix claims.
-        payload_len: u32,
-    },
-    /// Total records decoded differ from the header's record count.
-    CountMismatch {
-        /// Count the header promised.
-        expected: u64,
-        /// Records actually present.
-        actual: u64,
-    },
-    /// A record field held a value the schema cannot represent (e.g. a
-    /// rating outside 1–5 on encode).
-    BadField(&'static str),
-}
-
-impl std::fmt::Display for BinError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BinError::Io(e) => write!(f, "binary trace I/O error: {e}"),
-            BinError::BadMagic => write!(f, "not a binary trace (bad magic)"),
-            BinError::BadVersion(v) => write!(
-                f,
-                "binary trace schema version {v} unsupported (this build reads {SCHEMA_VERSION})"
-            ),
-            BinError::BadDigest { stored, computed } => write!(
-                f,
-                "binary trace header digest mismatch (stored {stored:#018x}, computed {computed:#018x}) — truncated write or corruption"
-            ),
-            BinError::Truncated { context } => {
-                write!(f, "binary trace truncated: too short for its {context}")
-            }
-            BinError::FrameMismatch { count, payload_len } => write!(
-                f,
-                "binary trace frame prefix inconsistent: {count} records but {payload_len} payload bytes"
-            ),
-            BinError::CountMismatch { expected, actual } => write!(
-                f,
-                "binary trace holds {actual} records but its header promised {expected}"
-            ),
-            BinError::BadField(what) => {
-                write!(f, "binary trace field out of encodable range: {what}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BinError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BinError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for BinError {
-    fn from(e: io::Error) -> Self {
-        BinError::Io(e)
-    }
-}
 
 /// FNV-1a 64-bit over a byte slice — the header integrity digest. Chosen for
 /// zero dependencies and total determinism, not cryptographic strength.
@@ -203,9 +116,9 @@ impl BinHeader {
         buf
     }
 
-    fn decode(buf: &[u8; HEADER_BYTES]) -> Result<BinHeader, BinError> {
+    fn decode(buf: &[u8; HEADER_BYTES]) -> Result<BinHeader, TraceError> {
         if buf[0..8] != MAGIC {
-            return Err(BinError::BadMagic);
+            return Err(TraceError::BadMagic);
         }
         let u32_at = |o: usize| u32::from_le_bytes([buf[o], buf[o + 1], buf[o + 2], buf[o + 3]]);
         let u64_at = |o: usize| {
@@ -215,16 +128,16 @@ impl BinHeader {
         };
         let version = u32_at(8);
         if version != SCHEMA_VERSION {
-            return Err(BinError::BadVersion(version));
+            return Err(TraceError::BadVersion(version));
         }
         let stored = u64_at(48);
         let computed = fnv1a(&buf[0..48]);
         if stored != computed {
-            return Err(BinError::BadDigest { stored, computed });
+            return Err(TraceError::BadDigest { stored, computed });
         }
         let frame_secs = u64_at(40);
         if frame_secs == 0 {
-            return Err(BinError::BadField("frame window length of zero"));
+            return Err(TraceError::BadField("frame window length of zero"));
         }
         Ok(BinHeader {
             version,
@@ -232,18 +145,18 @@ impl BinHeader {
             days: u64_at(24),
             records: u64_at(32),
             frame_len: WindowLen::secs_checked(frame_secs)
-                .ok_or(BinError::BadField("frame window length of zero"))?,
+                .ok_or(TraceError::BadField("frame window length of zero"))?,
             digest: stored,
         })
     }
 }
 
 /// Encodes one record into `out` (appends exactly [`RECORD_BYTES`] bytes).
-fn encode_record(r: &CallRecord, out: &mut Vec<u8>) -> Result<(), BinError> {
+fn encode_record(r: &CallRecord, out: &mut Vec<u8>) -> Result<(), TraceError> {
     let rating = match r.rating {
         None => NO_RATING,
         Some(v) if (1..=5).contains(&v) => v,
-        Some(_) => return Err(BinError::BadField("rating outside 1–5")),
+        Some(_) => return Err(TraceError::BadField("rating outside 1–5")),
     };
     out.extend_from_slice(&r.id.0.to_le_bytes());
     out.extend_from_slice(&r.t.secs().to_le_bytes());
@@ -316,7 +229,7 @@ impl BinWriter {
         seed: u64,
         days: u64,
         frame_len: WindowLen,
-    ) -> Result<Self, BinError> {
+    ) -> Result<Self, TraceError> {
         let mut file = BufWriter::new(File::create(path)?);
         let header = BinHeader {
             version: SCHEMA_VERSION,
@@ -339,7 +252,7 @@ impl BinWriter {
 
     /// Appends one record. Records must arrive in nondecreasing time order —
     /// frame boundaries are derived from the record stream.
-    pub fn push(&mut self, r: &CallRecord) -> Result<(), BinError> {
+    pub fn push(&mut self, r: &CallRecord) -> Result<(), TraceError> {
         let window = self.header.frame_len.window_of(r.t).index;
         if self.frame_window.is_some_and(|w| w != window) {
             self.flush_frame()?;
@@ -351,12 +264,12 @@ impl BinWriter {
         Ok(())
     }
 
-    fn flush_frame(&mut self) -> Result<(), BinError> {
+    fn flush_frame(&mut self) -> Result<(), TraceError> {
         let Some(window) = self.frame_window.take() else {
             return Ok(());
         };
         let payload_len = u32::try_from(self.frame.len())
-            .map_err(|_| BinError::BadField("frame payload beyond u32 bytes"))?;
+            .map_err(|_| TraceError::BadField("frame payload beyond u32 bytes"))?;
         self.file.write_all(&window.to_le_bytes())?;
         self.file.write_all(&self.frame_records.to_le_bytes())?;
         self.file.write_all(&payload_len.to_le_bytes())?;
@@ -369,13 +282,13 @@ impl BinWriter {
     /// Flushes the last frame and patches the header with the final record
     /// count and digest. Consumes the writer; the file is only valid after
     /// this returns `Ok`.
-    pub fn finish(mut self) -> Result<u64, BinError> {
+    pub fn finish(mut self) -> Result<u64, TraceError> {
         self.flush_frame()?;
         self.header.records = self.written;
         let mut file = self
             .file
             .into_inner()
-            .map_err(|e| BinError::Io(e.into_error()))?;
+            .map_err(|e| TraceError::Io(e.into_error()))?;
         file.seek(SeekFrom::Start(0))?;
         file.write_all(&self.header.encode())?;
         file.sync_data()?;
@@ -402,7 +315,7 @@ pub struct BinReader {
 impl BinReader {
     /// Opens a binary trace, verifying magic, version, and header digest,
     /// and that the file is long enough for the records the header promises.
-    pub(crate) fn open(path: &Path) -> Result<Self, BinError> {
+    pub(crate) fn open(path: &Path) -> Result<Self, TraceError> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
         let mut file = BufReader::new(file);
@@ -410,7 +323,7 @@ impl BinReader {
         read_exact_or(&mut file, &mut buf, "header")?;
         let header = BinHeader::decode(&buf)?;
         if header.records > len.saturating_sub(HEADER_BYTES as u64) / RECORD_BYTES as u64 {
-            return Err(BinError::Truncated {
+            return Err(TraceError::Truncated {
                 context: "header's record count",
             });
         }
@@ -434,12 +347,12 @@ impl BinReader {
     /// Reads and decodes the next frame into `self.frame`; `false` at a
     /// clean end of file (after exactly `header.records` records). Every
     /// length in the prefix is checked before a buffer grows.
-    fn next_frame(&mut self) -> Result<bool, BinError> {
+    fn next_frame(&mut self) -> Result<bool, TraceError> {
         let mut prefix = [0u8; FRAME_PREFIX_BYTES];
         match self.file.read(&mut prefix[..1])? {
             0 => {
                 if self.read_records != self.header.records {
-                    return Err(BinError::CountMismatch {
+                    return Err(TraceError::CountMismatch {
                         expected: self.header.records,
                         actual: self.read_records,
                     });
@@ -451,18 +364,18 @@ impl BinReader {
         let count = u32::from_le_bytes([prefix[8], prefix[9], prefix[10], prefix[11]]);
         let payload_len = u32::from_le_bytes([prefix[12], prefix[13], prefix[14], prefix[15]]);
         if payload_len as usize != count as usize * RECORD_BYTES {
-            return Err(BinError::FrameMismatch { count, payload_len });
+            return Err(TraceError::FrameMismatch { count, payload_len });
         }
         let read_records = self.read_records + u64::from(count);
         if read_records > self.header.records {
-            return Err(BinError::CountMismatch {
+            return Err(TraceError::CountMismatch {
                 expected: self.header.records,
                 actual: read_records,
             });
         }
         let frame_end = self.bytes_read + (FRAME_PREFIX_BYTES as u64) + u64::from(payload_len);
         if frame_end > self.len {
-            return Err(BinError::Truncated {
+            return Err(TraceError::Truncated {
                 context: "frame payload",
             });
         }
@@ -512,27 +425,30 @@ impl RecordSource for BinReader {
     }
 }
 
-/// `read_exact` mapped to [`BinError::Truncated`] on a premature EOF.
-fn read_exact_or(r: &mut impl Read, buf: &mut [u8], context: &'static str) -> Result<(), BinError> {
+/// `read_exact` mapped to [`TraceError::Truncated`] on a premature EOF.
+fn read_exact_or(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    context: &'static str,
+) -> Result<(), TraceError> {
     r.read_exact(buf).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
-            BinError::Truncated { context }
+            TraceError::Truncated { context }
         } else {
-            BinError::Io(e)
+            TraceError::Io(e)
         }
     })
 }
 
 /// Writes a whole materialized trace with the default daily framing — the
-/// `.vbt` half of [`crate::save_trace`], kept with its own error type for
-/// the benchmark's writer layer.
-pub fn write_binary(trace: &Trace, path: &Path) -> Result<(), BinError> {
+/// `.vbt` half of [`crate::save_trace`] without the extension dispatch, as
+/// the benchmark's writer layer times it.
+pub fn write_binary(trace: &Trace, path: &Path) -> Result<(), TraceError> {
     let mut w = BinWriter::create(path, trace.seed, trace.days, WindowLen::DAY)?;
     for r in &trace.records {
         w.push(r)?;
     }
-    w.finish()?;
-    Ok(())
+    w.finish().map(drop)
 }
 
 #[cfg(test)]
@@ -571,12 +487,11 @@ mod tests {
         bytes
     }
 
-    /// The binary-trace error a load ended in.
-    fn load_err(path: &Path) -> BinError {
+    /// The error a load ended in.
+    fn load_err(path: &Path) -> TraceError {
         match load_trace(path) {
-            Err(TraceError::Binary(e)) => e,
-            Err(other) => panic!("expected a binary-trace error, got {other}"),
-            Ok(t) => panic!("expected a binary-trace error, loaded {} records", t.len()),
+            Err(e) => e,
+            Ok(t) => panic!("expected an error, loaded {} records", t.len()),
         }
     }
 
@@ -621,7 +536,7 @@ mod tests {
         let mut buf = Vec::new();
         assert!(matches!(
             encode_record(&r, &mut buf),
-            Err(BinError::BadField(_))
+            Err(TraceError::BadField(_))
         ));
     }
 
@@ -637,7 +552,7 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    BinError::Truncated { .. } | BinError::CountMismatch { .. }
+                    TraceError::Truncated { .. } | TraceError::CountMismatch { .. }
                 ),
                 "prefix of {cut} bytes: {err}"
             );
@@ -659,25 +574,22 @@ mod tests {
                 let mut flipped = bytes.clone();
                 flipped[pos] ^= 1 << bit;
                 std::fs::write(&path, &flipped).unwrap();
-                let outcome =
-                    BinReader::open(&path)
-                        .map_err(TraceError::from)
-                        .and_then(|mut reader| {
-                            let mut n = 0u64;
-                            let drained = loop {
-                                match reader.next_record() {
-                                    Ok(Some(_)) => n += 1,
-                                    Ok(None) => break Ok(n),
-                                    Err(e) => break Err(e),
-                                }
-                            };
-                            assert!(
-                                reader.payload.capacity() <= flipped.len()
-                                    && reader.frame.capacity() * RECORD_BYTES <= flipped.len(),
-                                "byte {pos} bit {bit}: a buffer outgrew the file"
-                            );
-                            drained
-                        });
+                let outcome = BinReader::open(&path).and_then(|mut reader| {
+                    let mut n = 0u64;
+                    let drained = loop {
+                        match reader.next_record() {
+                            Ok(Some(_)) => n += 1,
+                            Ok(None) => break Ok(n),
+                            Err(e) => break Err(e),
+                        }
+                    };
+                    assert!(
+                        reader.payload.capacity() <= flipped.len()
+                            && reader.frame.capacity() * RECORD_BYTES <= flipped.len(),
+                        "byte {pos} bit {bit}: a buffer outgrew the file"
+                    );
+                    drained
+                });
                 // The digest covers the header, the prefix's count and
                 // payload length must agree; only a frame's window index
                 // (which readers ignore) flips without an error.
@@ -687,7 +599,16 @@ mod tests {
                         assert!(window_index, "byte {pos} bit {bit} flipped silently");
                         assert_eq!(n, 4);
                     }
-                    Err(TraceError::Binary(_)) => {
+                    Err(
+                        TraceError::Io(_)
+                        | TraceError::BadMagic
+                        | TraceError::BadVersion(_)
+                        | TraceError::BadDigest { .. }
+                        | TraceError::Truncated { .. }
+                        | TraceError::FrameMismatch { .. }
+                        | TraceError::CountMismatch { .. }
+                        | TraceError::BadField(_),
+                    ) => {
                         assert!(!window_index, "byte {pos} bit {bit}: ignored field refused");
                     }
                     Err(other) => panic!("byte {pos} bit {bit}: untyped {other}"),
@@ -728,7 +649,7 @@ mod tests {
         std::fs::write(&path, &file).unwrap();
         assert!(matches!(
             BinReader::open(&path),
-            Err(BinError::Truncated { .. })
+            Err(TraceError::Truncated { .. })
         ));
 
         // A header promising nothing, then a prefix claiming 4.3 GB of
@@ -739,7 +660,7 @@ mod tests {
         let mut reader = BinReader::open(&path).unwrap();
         assert!(matches!(
             reader.next_frame(),
-            Err(BinError::CountMismatch { .. })
+            Err(TraceError::CountMismatch { .. })
         ));
         assert_eq!(reader.payload.capacity(), 0);
 
@@ -752,7 +673,7 @@ mod tests {
         let mut reader = BinReader::open(&path).unwrap();
         assert!(matches!(
             reader.next_frame(),
-            Err(BinError::Truncated {
+            Err(TraceError::Truncated {
                 context: "frame payload"
             })
         ));
@@ -768,7 +689,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[17] ^= 0x40; // flip a seed bit
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(load_err(&path), BinError::BadDigest { .. }));
+        assert!(matches!(load_err(&path), TraceError::BadDigest { .. }));
         std::fs::remove_file(&path).ok();
     }
 
@@ -780,7 +701,7 @@ mod tests {
             b"NOTATRCE________________________________________________",
         )
         .unwrap();
-        assert!(matches!(load_err(&path), BinError::BadMagic));
+        assert!(matches!(load_err(&path), TraceError::BadMagic));
         let trace = sample_trace();
         write_binary(&trace, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -788,7 +709,7 @@ mod tests {
         let digest = fnv1a(&bytes[0..48]);
         bytes[48..56].copy_from_slice(&digest.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(load_err(&path), BinError::BadVersion(99)));
+        assert!(matches!(load_err(&path), TraceError::BadVersion(99)));
         std::fs::remove_file(&path).ok();
     }
 }

@@ -10,74 +10,16 @@
 //! number and the byte offset of the offending line), and never holds more
 //! than one line in memory; a line longer than any record is an error, not
 //! an allocation. Files are opened through
-//! [`crate::stream::FileSource`] and written through [`crate::write_trace`].
+//! [`crate::stream::FileSource`] and written through [`crate::write_trace`];
+//! every failure is a [`TraceError`] variant.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::error::TraceError;
 use crate::record::CallRecord;
 use crate::stream::RecordSource;
-
-/// Errors arising from trace persistence.
-#[derive(Debug)]
-pub enum TraceIoError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// A line failed to parse as a record, or the header line promises more
-    /// records than the file has bytes for.
-    Parse {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// Byte offset of the start of the offending line.
-        byte_offset: u64,
-        /// Parser message.
-        msg: String,
-    },
-    /// A record failed to serialize on write.
-    Encode(String),
-    /// The file had no header line.
-    MissingHeader,
-    /// The file ended after a different number of records than its header
-    /// promised — a truncated (or padded) trace, never a shorter one.
-    CountMismatch {
-        /// Count the header promised.
-        expected: u64,
-        /// Records actually present.
-        actual: u64,
-    },
-}
-
-impl std::fmt::Display for TraceIoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceIoError::Io(e) => write!(f, "trace I/O error: {e}"),
-            TraceIoError::Parse {
-                line,
-                byte_offset,
-                msg,
-            } => write!(
-                f,
-                "trace parse error at line {line} (byte offset {byte_offset}): {msg}"
-            ),
-            TraceIoError::Encode(msg) => write!(f, "trace encode error: {msg}"),
-            TraceIoError::MissingHeader => write!(f, "trace file is missing its header line"),
-            TraceIoError::CountMismatch { expected, actual } => write!(
-                f,
-                "trace holds {actual} records but its header promised {expected}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TraceIoError {}
-
-impl From<io::Error> for TraceIoError {
-    fn from(e: io::Error) -> Self {
-        TraceIoError::Io(e)
-    }
-}
 
 /// Header line: trace provenance, written as the first line of the file.
 #[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
@@ -107,14 +49,14 @@ impl JsonlWriter {
         seed: u64,
         days: u64,
         records: u64,
-    ) -> Result<Self, TraceIoError> {
+    ) -> Result<Self, TraceError> {
         let mut w = BufWriter::new(File::create(path)?);
         let header = JsonlHeader {
             seed,
             days,
             records,
         };
-        serde_json::to_writer(&mut w, &header).map_err(|e| TraceIoError::Encode(e.to_string()))?;
+        serde_json::to_writer(&mut w, &header).map_err(|e| TraceError::Encode(e.to_string()))?;
         w.write_all(b"\n")?;
         Ok(JsonlWriter {
             w,
@@ -124,8 +66,8 @@ impl JsonlWriter {
     }
 
     /// Appends one record line.
-    pub(crate) fn push(&mut self, r: &CallRecord) -> Result<(), TraceIoError> {
-        serde_json::to_writer(&mut self.w, r).map_err(|e| TraceIoError::Encode(e.to_string()))?;
+    pub(crate) fn push(&mut self, r: &CallRecord) -> Result<(), TraceError> {
+        serde_json::to_writer(&mut self.w, r).map_err(|e| TraceError::Encode(e.to_string()))?;
         self.w.write_all(b"\n")?;
         self.written += 1;
         Ok(())
@@ -133,10 +75,10 @@ impl JsonlWriter {
 
     /// Flushes and verifies the record count matches the header, so a file
     /// produced by a streaming writer is never silently short.
-    pub(crate) fn finish(mut self) -> Result<u64, TraceIoError> {
+    pub(crate) fn finish(mut self) -> Result<u64, TraceError> {
         self.w.flush()?;
         if self.written != self.expected {
-            return Err(TraceIoError::Encode(format!(
+            return Err(TraceError::Encode(format!(
                 "header promised {} records but {} were written",
                 self.expected, self.written
             )));
@@ -155,20 +97,20 @@ const MAX_LINE: usize = 8 << 10;
 /// Reads the line numbered `line` (1-based), which starts at byte `offset`,
 /// into `buf`, newline included; `None` at end of file. At most
 /// `MAX_LINE + 1` bytes are read, so a longer line is a
-/// [`TraceIoError::Parse`] that cost no more memory than a legal one; so is
+/// [`TraceError::Parse`] that cost no more memory than a legal one; so is
 /// a line that is not UTF-8.
 fn read_line<'b>(
     reader: &mut BufReader<File>,
     buf: &'b mut Vec<u8>,
     line: usize,
     offset: u64,
-) -> Result<Option<&'b str>, TraceIoError> {
+) -> Result<Option<&'b str>, TraceError> {
     buf.clear();
     let n = reader.take(MAX_LINE as u64 + 1).read_until(b'\n', buf)?;
     if n == 0 {
         return Ok(None);
     }
-    let parse_error = |msg: String| TraceIoError::Parse {
+    let parse_error = |msg: String| TraceError::Parse {
         line,
         byte_offset: offset,
         msg,
@@ -187,7 +129,7 @@ fn read_line<'b>(
 /// [`RecordSource::next_record`] call, one line of at most [`MAX_LINE`]
 /// bytes resident at a time. Parse failures report the 1-based line number
 /// and the byte offset of the line start; a file that ends short of its
-/// header's count is [`TraceIoError::CountMismatch`].
+/// header's count is [`TraceError::CountMismatch`].
 pub struct JsonlReader {
     reader: BufReader<File>,
     header: JsonlHeader,
@@ -205,16 +147,16 @@ impl JsonlReader {
     /// Opens a JSONL trace and parses its header line. The header's record
     /// count is checked against the file's length (a record line is at
     /// least 2 bytes), so [`RecordSource::size_hint`] is bounded by the file.
-    pub(crate) fn open(path: &Path) -> Result<Self, TraceIoError> {
+    pub(crate) fn open(path: &Path) -> Result<Self, TraceError> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
         let mut reader = BufReader::new(file);
         let mut buf = Vec::with_capacity(MAX_LINE + 1);
         let Some(text) = read_line(&mut reader, &mut buf, 1, 0)? else {
-            return Err(TraceIoError::MissingHeader);
+            return Err(TraceError::MissingHeader);
         };
         let n = text.len() as u64;
-        let header_error = |msg: String| TraceIoError::Parse {
+        let header_error = |msg: String| TraceError::Parse {
             line: 1,
             byte_offset: 0,
             msg,
@@ -238,15 +180,17 @@ impl JsonlReader {
             buf,
         })
     }
+}
 
-    /// Reads the next record, skipping blank lines; `None` at end of file.
-    fn read_record(&mut self) -> Result<Option<CallRecord>, TraceIoError> {
+impl RecordSource for JsonlReader {
+    /// The next record, skipping blank lines; `None` at end of file.
+    fn next_record(&mut self) -> Result<Option<CallRecord>, TraceError> {
         loop {
             let line_start = self.offset;
             let Some(text) = read_line(&mut self.reader, &mut self.buf, self.line + 1, line_start)?
             else {
                 if self.records != self.header.records {
-                    return Err(TraceIoError::CountMismatch {
+                    return Err(TraceError::CountMismatch {
                         expected: self.header.records,
                         actual: self.records,
                     });
@@ -258,21 +202,14 @@ impl JsonlReader {
             if text.trim().is_empty() {
                 continue;
             }
-            let record =
-                serde_json::from_str(text.trim_end()).map_err(|e| TraceIoError::Parse {
-                    line: self.line,
-                    byte_offset: line_start,
-                    msg: e.to_string(),
-                })?;
+            let record = serde_json::from_str(text.trim_end()).map_err(|e| TraceError::Parse {
+                line: self.line,
+                byte_offset: line_start,
+                msg: e.to_string(),
+            })?;
             self.records += 1;
             return Ok(Some(record));
         }
-    }
-}
-
-impl RecordSource for JsonlReader {
-    fn next_record(&mut self) -> Result<Option<CallRecord>, TraceError> {
-        Ok(self.read_record()?)
     }
 
     fn seed(&self) -> u64 {
@@ -305,12 +242,11 @@ mod tests {
         dir.join(name)
     }
 
-    /// The JSONL error a load ended in.
-    fn load_err(path: &Path) -> TraceIoError {
+    /// The error a load ended in.
+    fn load_err(path: &Path) -> TraceError {
         match load_trace(path) {
-            Err(TraceError::Jsonl(e)) => e,
-            Err(other) => panic!("expected a JSONL error, got {other}"),
-            Ok(t) => panic!("expected a JSONL error, loaded {} records", t.len()),
+            Err(e) => e,
+            Ok(t) => panic!("expected an error, loaded {} records", t.len()),
         }
     }
 
@@ -330,7 +266,7 @@ mod tests {
     #[test]
     fn missing_file_is_io_error() {
         let err = load_err(Path::new("/nonexistent/via/trace.jsonl"));
-        assert!(matches!(err, TraceIoError::Io(_)));
+        assert!(matches!(err, TraceError::Io(_)));
         assert!(err.to_string().contains("I/O"));
     }
 
@@ -338,7 +274,7 @@ mod tests {
     fn empty_file_is_missing_header() {
         let path = tmp("empty.jsonl");
         std::fs::write(&path, b"").unwrap();
-        assert!(matches!(load_err(&path), TraceIoError::MissingHeader));
+        assert!(matches!(load_err(&path), TraceError::MissingHeader));
         std::fs::remove_file(&path).ok();
     }
 
@@ -351,7 +287,7 @@ mod tests {
         body.extend_from_slice(b"not-json\n");
         std::fs::write(&path, &body).unwrap();
         match load_err(&path) {
-            TraceIoError::Parse {
+            TraceError::Parse {
                 line,
                 byte_offset,
                 msg,
@@ -420,8 +356,8 @@ mod tests {
         let path = tmp("newline-free-record.jsonl");
         std::fs::write(&path, [&header[..], &blob].concat()).unwrap();
         let mut reader = JsonlReader::open(&path).unwrap();
-        match reader.read_record() {
-            Err(TraceIoError::Parse {
+        match reader.next_record() {
+            Err(TraceError::Parse {
                 line, byte_offset, ..
             }) => assert_eq!((line, byte_offset), (2, header.len() as u64)),
             other => panic!("expected a parse error, got {other:?}"),
@@ -434,7 +370,7 @@ mod tests {
         // A file with no newline at all: the header line itself.
         std::fs::write(&path, &blob).unwrap();
         match load_err(&path) {
-            TraceIoError::Parse {
+            TraceError::Parse {
                 line, byte_offset, ..
             } => assert_eq!((line, byte_offset), (1, 0)),
             other => panic!("unexpected error {other}"),
@@ -447,7 +383,7 @@ mod tests {
         let path = tmp("short.jsonl");
         let w = JsonlWriter::create(&path, 1, 1, 3).unwrap();
         let err = w.finish().unwrap_err();
-        assert!(matches!(err, TraceIoError::Encode(_)));
+        assert!(matches!(err, TraceError::Encode(_)));
         assert!(err.to_string().contains("promised 3"));
         std::fs::remove_file(&path).ok();
     }

@@ -59,8 +59,8 @@ use crate::stream::{FileSource, TraceRecords};
 /// without this step.
 ///
 /// # Errors
-/// [`TraceError::UnknownFormat`] for any other extension, or the underlying
-/// format's error on a read failure.
+/// [`TraceError::UnknownFormat`] for any other extension, or the reader's
+/// error on a read failure.
 pub fn load_trace(path: &Path) -> Result<Trace, TraceError> {
     let mut source = FileSource::open(path)?;
     let hint = source
@@ -98,20 +98,20 @@ pub fn write_trace(
     match path.extension().and_then(|e| e.to_str()) {
         Some("jsonl") => {
             let n = source.size_hint().ok_or_else(|| {
-                io::TraceIoError::Encode("source does not know its record count up front".into())
+                TraceError::Encode("source does not know its record count up front".into())
             })?;
             let mut w = io::JsonlWriter::create(path, source.seed(), source.days(), n)?;
             while let Some(r) = source.next_record()? {
                 w.push(&r)?;
             }
-            Ok(w.finish()?)
+            w.finish()
         }
         Some("vbt") => {
             let mut w = binfmt::BinWriter::create(path, source.seed(), source.days(), frame)?;
             while let Some(r) = source.next_record()? {
                 w.push(&r)?;
             }
-            Ok(w.finish()?)
+            w.finish()
         }
         _ => Err(TraceError::UnknownFormat(path.to_path_buf())),
     }
@@ -156,10 +156,10 @@ mod tests {
 
     #[test]
     fn errors_convert_and_display() {
-        let err: TraceError = io::TraceIoError::MissingHeader.into();
-        assert!(err.to_string().contains("header"));
-        let err: TraceError = binfmt::BinError::BadMagic.into();
-        assert!(err.to_string().contains("magic"));
+        assert!(TraceError::MissingHeader.to_string().contains("header"));
+        assert!(TraceError::BadMagic.to_string().contains("magic"));
+        let err: TraceError = std::io::Error::other("disk full").into();
+        assert!(err.to_string().contains("disk full"));
         assert!(std::error::Error::source(&err).is_some());
     }
 }
