@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 use via_model::metrics::PathMetrics;
@@ -34,56 +34,17 @@ use crate::protocol::{
     accept_deadline, ClientMsg, ControllerMsg, FrameConn, FrameError, RelayIndex,
 };
 
-/// Collision-free session-id allocator: a wrapping cursor over the non-zero
-/// `u16` space that skips ids still held by live sessions.
+/// The relay-session id of a run's `n`th allocation (1-based). A run
+/// allocates one id per (pair, relay) and never frees one, so ids run 1, 2,
+/// … and the 65 536th allocation is refused, never wrapped onto a live
+/// session (0 is what relays treat as unset).
 ///
-/// A bare `wrapping_add(1)` counter reissues an id after 65535 allocations
-/// even if the session that owns it is still live, silently cross-wiring two
-/// relay sessions. This allocator keeps the in-use set explicit: `allocate`
-/// skips live ids and fails typed when the space is exhausted; `release`
-/// returns an id to the pool when its session tears down.
-#[derive(Debug, Clone, Default)]
-pub struct SessionIdAlloc {
-    cursor: u16,
-    in_use: HashSet<u16>,
-}
-
-impl SessionIdAlloc {
-    /// An allocator with every non-zero id free.
-    pub fn new() -> SessionIdAlloc {
-        SessionIdAlloc::default()
-    }
-
-    /// Allocates the lowest free id at or after the cursor (never 0, which
-    /// relays treat as unset), marking it in use.
-    ///
-    /// # Errors
-    /// [`TestbedError::SessionExhausted`] when all 65535 non-zero ids are
-    /// held by live sessions.
-    pub fn allocate(&mut self) -> Result<u16, TestbedError> {
-        for _ in 0..u16::MAX {
-            self.cursor = self.cursor.wrapping_add(1);
-            if self.cursor == 0 {
-                self.cursor = 1;
-            }
-            if self.in_use.insert(self.cursor) {
-                return Ok(self.cursor);
-            }
-        }
-        Err(TestbedError::SessionExhausted {
-            live: self.in_use.len(),
-        })
-    }
-
-    /// Returns an id to the free pool once its session is torn down.
-    pub fn release(&mut self, id: u16) {
-        self.in_use.remove(&id);
-    }
-
-    /// Number of ids currently held by live sessions.
-    pub fn live(&self) -> usize {
-        self.in_use.len()
-    }
+/// # Errors
+/// [`TestbedError::SessionExhausted`] past the 65 535 non-zero `u16` ids.
+fn session_id(n: usize) -> Result<u16, TestbedError> {
+    u16::try_from(n).map_err(|_| TestbedError::SessionExhausted {
+        live: usize::from(u16::MAX),
+    })
 }
 
 /// One caller–callee pair and its relaying options.
@@ -353,11 +314,10 @@ pub fn run_controller(
     }
 
     // Phase 2: session installation. One session id per (pair, relay),
-    // allocated collision-free: a plain wrapping counter would, after 65535
-    // allocations, reissue an id still owned by a live session and silently
-    // cross-wire two relay sessions.
+    // numbered by a count of allocations, not by `session_of.len()`: a plan
+    // that lists a relay twice for one pair would repeat that length.
     let mut session_of: HashMap<(usize, RelayIndex), u16> = HashMap::new();
-    let mut alloc = SessionIdAlloc::new();
+    let mut allocated = 0;
     for (pair_idx, pair) in &runnable {
         let caller_addr = *udp_addr_of
             .get(&pair.caller)
@@ -366,7 +326,8 @@ pub fn run_controller(
             .get(&pair.callee)
             .ok_or_else(|| TestbedError::Protocol(format!("unknown callee {}", pair.callee)))?;
         for &(relay, _) in &pair.relays {
-            let id = alloc.allocate()?;
+            allocated += 1;
+            let id = session_id(allocated)?;
             registrar(*pair_idx, relay, id, caller_addr, callee_addr);
             session_of.insert((*pair_idx, relay), id);
         }
@@ -699,31 +660,16 @@ mod tests {
         assert_eq!(cfg.pairs[0].caller, p.caller);
     }
 
-    /// Wraparound regression: after the cursor laps the u16 space, live ids
-    /// must be skipped, not reissued — and exhaustion is a typed error.
+    /// Ids run 1, 2, … and the 65 536th allocation is a typed error, never
+    /// a wrap onto a live id or onto 0.
     #[test]
-    fn session_ids_skip_live_sessions_after_wraparound() {
-        let mut alloc = SessionIdAlloc::new();
-        let first = alloc.allocate().unwrap();
-        assert_eq!(first, 1);
-        // Claim the whole space.
-        for _ in 1..u16::MAX {
-            alloc.allocate().unwrap();
-        }
-        assert_eq!(alloc.live(), usize::from(u16::MAX));
+    fn session_ids_count_up_and_refuse_the_65536th() {
+        assert_eq!(session_id(1).unwrap(), 1);
+        assert_eq!(session_id(2).unwrap(), 2);
+        assert_eq!(session_id(65_535).unwrap(), u16::MAX);
         assert!(matches!(
-            alloc.allocate(),
-            Err(TestbedError::SessionExhausted { live }) if live == usize::from(u16::MAX)
-        ));
-        // Release two ids mid-space; the next allocations find exactly those
-        // (in cursor order), never a still-live id and never 0.
-        alloc.release(1000);
-        alloc.release(500);
-        assert_eq!(alloc.allocate().unwrap(), 500);
-        assert_eq!(alloc.allocate().unwrap(), 1000);
-        assert!(matches!(
-            alloc.allocate(),
-            Err(TestbedError::SessionExhausted { .. })
+            session_id(65_536),
+            Err(TestbedError::SessionExhausted { live: 65_535 })
         ));
     }
 

@@ -46,7 +46,7 @@ pub mod selection;
 pub use client::ClientConfig;
 pub use controller::{
     ControlHooks, ControlTiming, ControllerConfig, ControllerOutcome, FailureCause, PairFailure,
-    PairSpec, ReportRecord, SessionIdAlloc,
+    PairSpec, ReportRecord,
 };
 pub use error::TestbedError;
 pub use fault::{FaultPlan, FrameFate, FrameFaults, RelayKill, RetryPolicy};
