@@ -464,9 +464,9 @@ type BuiltServer = (
     Vec<via_model::options::RelayOption>,
 );
 
-/// Builds a live controller from the shared server flags: world-derived
-/// geographic prior (AS granularity) and precomputed backbone legs, exactly
-/// the inputs the replay engine hands its predictor.
+/// Builds a live controller from the shared server flags: the world's
+/// controller inputs at AS granularity, exactly what the replay engine hands
+/// its predictor.
 fn build_server(flags: &Flags) -> Result<BuiltServer, Box<dyn std::error::Error>> {
     use via_model::ids::RelayId;
     use via_model::options::RelayOption;
@@ -474,25 +474,10 @@ fn build_server(flags: &Flags) -> Result<BuiltServer, Box<dyn std::error::Error>
     let seed = flags.u64_or("seed", 7)?;
     let (world_cfg, _) = scale_configs(flags.str_or("scale", "tiny"))?;
     let world = World::generate(&world_cfg, seed);
-    let granularity = via_core::replay::SpatialGranularity::As;
-    let key_positions = granularity.key_positions(&world);
-    let n_keys = u32::try_from(key_positions.len())?;
-    let prior =
-        via_core::GeoPrior::new(key_positions, world.relays.iter().map(|r| r.pos).collect());
+    // One key per AS.
+    let n_keys = u32::try_from(world.ases.len())?;
+    let (prior, backbone) = via_core::SpatialGranularity::As.controller_inputs(&world);
     let n_relays = world.relays.len();
-    let mut legs = Vec::with_capacity(n_relays * n_relays);
-    for i in 0..n_relays {
-        for j in 0..n_relays {
-            legs.push(
-                world
-                    .perf()
-                    .backbone_metrics(RelayId(u32::try_from(i)?), RelayId(u32::try_from(j)?)),
-            );
-        }
-    }
-    let backbone: via_core::BackboneFn = std::sync::Arc::new(move |a: RelayId, b: RelayId| {
-        legs[a.0 as usize * n_relays + b.0 as usize]
-    });
     let budget = flags.f64_or("budget", 0.0)?;
     let cfg = via_server::ServerConfig {
         seed,

@@ -97,6 +97,23 @@ impl SpatialGranularity {
                 .collect(),
         }
     }
+
+    /// The controller's static knowledge of `world` (§3.2): the geographic
+    /// prior over this granularity's keys, and the inter-relay backbone
+    /// tabulated once. Both planes' predictors start from these.
+    pub fn controller_inputs(&self, world: &World) -> (GeoPrior, BackboneFn) {
+        let relays = &world.relays;
+        let prior = GeoPrior::new(
+            self.key_positions(world),
+            relays.iter().map(|r| r.pos).collect(),
+        );
+        let table = Table::from_fn(relays.len(), relays.len(), |i, j| {
+            world.perf().backbone_metrics(relays[i].id, relays[j].id)
+        });
+        let backbone: BackboneFn =
+            std::sync::Arc::new(move |a: RelayId, b: RelayId| table[(a.index(), b.index())]);
+        (prior, backbone)
+    }
 }
 
 /// Replay configuration.
@@ -391,11 +408,7 @@ impl<'a> ReplaySim<'a> {
                 WorkerSlot::new(&hot_ids, self.cfg.metrics, selector)
             })
             .collect();
-        let prior = GeoPrior::new(
-            self.cfg.granularity.key_positions(self.world),
-            self.world.relays.iter().map(|r| r.pos).collect(),
-        );
-        let backbone = self.backbone_fn();
+        let (prior, backbone) = self.cfg.granularity.controller_inputs(self.world);
         EngineState {
             t_run,
             obs,
@@ -834,18 +847,6 @@ impl<'a> ReplaySim<'a> {
                 sink.snapshot()
             }),
         }
-    }
-
-    /// The controller's static knowledge of inter-relay performance (§3.2),
-    /// tabulated once per run.
-    fn backbone_fn(&self) -> BackboneFn {
-        let relays = &self.world.relays;
-        let table = Table::from_fn(relays.len(), relays.len(), |i, j| {
-            self.world
-                .perf()
-                .backbone_metrics(relays[i].id, relays[j].id)
-        });
-        std::sync::Arc::new(move |a: RelayId, b: RelayId| table[(a.index(), b.index())])
     }
 }
 

@@ -16,8 +16,8 @@ use rand::rngs::StdRng;
 use serde::Serialize;
 use std::collections::HashSet;
 use via_core::history::{CallHistory, KeyPair};
-use via_core::predictor::{GeoPrior, Predictor, PredictorConfig};
-use via_core::PredictionSource;
+use via_core::predictor::{Predictor, PredictorConfig};
+use via_core::{PredictionSource, SpatialGranularity};
 use via_experiments::{build_env, header, pct, row, write_json, Args};
 use via_model::metrics::Metric;
 use via_model::time::{SimTime, WindowLen, SECS_PER_DAY};
@@ -72,24 +72,7 @@ fn main() {
         }
     }
 
-    let prior = GeoPrior::new(
-        env.world.ases.iter().map(|x| x.pos).collect(),
-        env.world.relays.iter().map(|r| r.pos).collect(),
-    );
-    let n = env.world.relays.len();
-    let mut table = vec![via_model::PathMetrics::ZERO; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            table[i * n + j] = env
-                .world
-                .perf()
-                .backbone_metrics(via_model::RelayId(i as u32), via_model::RelayId(j as u32));
-        }
-    }
-    let backbone: via_core::BackboneFn =
-        std::sync::Arc::new(move |a: via_model::RelayId, b: via_model::RelayId| {
-            table[a.index() * n + b.index()]
-        });
+    let (prior, backbone) = SpatialGranularity::As.controller_inputs(&env.world);
     let predictor = Predictor::fit(
         &history,
         window,

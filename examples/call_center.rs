@@ -16,14 +16,12 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::sync::Arc;
 use via::core::history::{CallHistory, KeyPair};
-use via::core::online::BackboneFn;
-use via::core::predictor::{GeoPrior, Predictor, PredictorConfig};
+use via::core::predictor::{Predictor, PredictorConfig};
 use via::core::topk::{top_k_into, ScoredOption};
+use via::core::SpatialGranularity;
 use via::model::metrics::Metric;
 use via::model::time::{SimTime, WindowLen, SECS_PER_DAY};
-use via::model::RelayId;
 use via::netsim::{World, WorldConfig};
 
 fn main() {
@@ -110,21 +108,7 @@ fn main() {
             history.record(window, KeyPair::new(us.id.0, india.id.0), *opt, &m);
         }
     }
-    let prior = GeoPrior::new(
-        world.ases.iter().map(|a| a.pos).collect(),
-        world.relays.iter().map(|r| r.pos).collect(),
-    );
-    let n = world.relays.len();
-    let mut bb = vec![via::model::PathMetrics::ZERO; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            bb[i * n + j] = world
-                .perf()
-                .backbone_metrics(RelayId(i as u32), RelayId(j as u32));
-        }
-    }
-    let backbone: BackboneFn =
-        Arc::new(move |a: RelayId, b: RelayId| bb[a.index() * n + b.index()]);
+    let (prior, backbone) = SpatialGranularity::As.controller_inputs(&world);
     let predictor = Predictor::fit(
         &history,
         window,
