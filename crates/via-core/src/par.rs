@@ -84,46 +84,14 @@ where
     out
 }
 
-/// Consumes `tasks` and runs each on the worker pool, returning results in
-/// task order. Unlike [`par_map`] the tasks are owned (each shard of the
-/// replay engine owns its pair states and local history), and each worker
-/// processes exactly one task — callers shard work into at most `workers`
-/// tasks themselves.
-pub fn par_run<T, R, F>(workers: usize, tasks: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let workers = workers.max(1);
-    if workers == 1 || tasks.len() <= 1 {
-        return tasks.into_iter().map(f).collect();
-    }
-    cb_thread::scope(|s| {
-        let handles: Vec<_> = tasks
-            .into_iter()
-            .map(|task| {
-                let f = &f;
-                s.spawn(move |_| f(task))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
-    .unwrap_or_default()
-}
-
-/// Like [`par_run`], but each task additionally borrows a mutable slot from
-/// `slots` (task `i` gets `slots[i]`) and leaves its results there. The slots
-/// let callers keep expensive per-worker state — scratch buffers,
-/// preallocated metric sinks, result buffers — alive across fork–join rounds
-/// instead of reallocating it inside every task. `slots` must be at least as
-/// long as `tasks`.
+/// Consumes `tasks` and runs each on the worker pool. Unlike [`par_map`] the
+/// tasks are owned (each shard of the replay engine owns its pair groups),
+/// and each worker processes exactly one task — callers shard work into at
+/// most `workers` tasks themselves. Task `i` also borrows `slots[i]` and
+/// leaves its results there: the slots let callers keep expensive per-worker
+/// state — scratch buffers, preallocated metric sinks, result buffers —
+/// alive across fork–join rounds instead of reallocating it inside every
+/// task. `slots` must be at least as long as `tasks`.
 pub fn par_run_with<T, S, F>(workers: usize, tasks: Vec<T>, slots: &mut [S], f: F)
 where
     T: Send,
@@ -184,15 +152,6 @@ mod tests {
         for w in [2, 3, 8, 64] {
             assert_eq!(par_map(w, &items, |i, &x| x * 3 + i as u64), seq);
         }
-    }
-
-    #[test]
-    fn par_run_preserves_task_order() {
-        let tasks: Vec<usize> = (0..17).collect();
-        assert_eq!(
-            par_run(4, tasks.clone(), |t| t * 2),
-            par_run(1, tasks, |t| t * 2)
-        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 use via_model::ids::RelayId;
-use via_model::metrics::{Metric, PathMetrics};
+use via_model::metrics::Metric;
 use via_model::options::RelayOption;
 use via_model::table::Table;
 use via_model::time::Window;
@@ -75,15 +75,6 @@ impl Prediction {
     /// `Pred_upper`: upper 95 % confidence bound, metric units.
     pub fn upper(&self, m: Metric) -> f64 {
         delinearize(m, self.lin_mean[idx(m)] + 1.96 * self.lin_sem[idx(m)])
-    }
-
-    /// All three predicted means as a [`PathMetrics`].
-    pub fn mean_metrics(&self) -> PathMetrics {
-        PathMetrics::new(
-            self.mean(Metric::Rtt),
-            self.mean(Metric::Loss),
-            self.mean(Metric::Jitter),
-        )
     }
 }
 
@@ -452,6 +443,7 @@ mod tests {
     use crate::tomography::reference;
     use proptest::prelude::*;
     use std::collections::HashMap;
+    use via_model::metrics::PathMetrics;
     use via_model::time::{SimTime, WindowLen};
 
     fn window() -> Window {

@@ -13,7 +13,7 @@
 
 use serde::Serialize;
 use via_experiments::{build_env, header, pct, row, write_json, Args, Scale};
-use via_media::call_sim::{simulate_call, CallSimConfig};
+use via_media::call_sim::simulate_call;
 use via_model::metrics::Thresholds;
 use via_model::stats::percentile;
 
@@ -35,7 +35,6 @@ fn main() {
         Scale::Paper => 70_000,
     };
     let stride = (env.trace.len() / sample).max(1);
-    let cfg = CallSimConfig::default();
 
     let mut poor_mos = Vec::new();
     let mut nonpoor_mos = Vec::new();
@@ -43,7 +42,7 @@ fn main() {
         // Cap trace length for speed: quality statistics converge long
         // before the mean call duration.
         let duration = r.duration_s.min(90.0);
-        let report = simulate_call(&r.direct_metrics, duration, &cfg, u64::from(r.id.0));
+        let report = simulate_call(&r.direct_metrics, duration, u64::from(r.id.0));
         if thresholds.any_poor(&r.direct_metrics) {
             poor_mos.push(report.mos);
         } else {

@@ -25,23 +25,10 @@ pub const FRAME_MS: f64 = 20.0;
 /// RTP timestamp increment per frame at 8 kHz.
 pub const TS_PER_FRAME: u32 = 160;
 
-/// Configuration of the packet-level call simulation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct CallSimConfig {
-    /// Mean loss-burst length, packets.
-    pub burst_len: f64,
-    /// AR(1) coefficient of the delay process.
-    pub delay_rho: f64,
-}
-
-impl Default for CallSimConfig {
-    fn default() -> Self {
-        Self {
-            burst_len: 6.0,
-            delay_rho: 0.5,
-        }
-    }
-}
+/// Mean loss-burst length of the simulated channel, packets.
+const BURST_LEN: f64 = 6.0;
+/// AR(1) coefficient of the simulated delay process.
+const DELAY_RHO: f64 = 0.5;
 
 /// Result of simulating one call at packet level.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -76,18 +63,13 @@ impl PacketTraceReport {
 
 /// Simulates one call of `duration_s` seconds over a path with the given
 /// average metrics. Deterministic in `(metrics, duration, seed)`.
-pub fn simulate_call(
-    metrics: &PathMetrics,
-    duration_s: f64,
-    cfg: &CallSimConfig,
-    seed: u64,
-) -> PacketTraceReport {
+pub fn simulate_call(metrics: &PathMetrics, duration_s: f64, seed: u64) -> PacketTraceReport {
     let mut rng = StdRng::seed_from_u64(seed);
     let n_packets = ((duration_s * 1_000.0 / FRAME_MS).round() as u64).max(2);
 
     let one_way_ms = metrics.rtt_ms / 2.0;
-    let mut loss = GilbertElliott::with_mean_loss(metrics.loss_pct, cfg.burst_len, &mut rng);
-    let mut delay = DelayModel::for_target_jitter(one_way_ms, metrics.jitter_ms, cfg.delay_rho);
+    let mut loss = GilbertElliott::with_mean_loss(metrics.loss_pct, BURST_LEN, &mut rng);
+    let mut delay = DelayModel::for_target_jitter(one_way_ms, metrics.jitter_ms, DELAY_RHO);
 
     let mut estimator = JitterEstimator::new();
     let mut buffer = JitterBuffer::new();
@@ -173,16 +155,16 @@ mod tests {
 
     #[test]
     fn report_is_deterministic() {
-        let a = simulate_call(&clean_path(), 60.0, &CallSimConfig::default(), 7);
-        let b = simulate_call(&clean_path(), 60.0, &CallSimConfig::default(), 7);
+        let a = simulate_call(&clean_path(), 60.0, 7);
+        let b = simulate_call(&clean_path(), 60.0, 7);
         assert_eq!(a, b);
-        let c = simulate_call(&clean_path(), 60.0, &CallSimConfig::default(), 8);
+        let c = simulate_call(&clean_path(), 60.0, 8);
         assert_ne!(a, c);
     }
 
     #[test]
     fn packet_counts_are_consistent() {
-        let r = simulate_call(&clean_path(), 120.0, &CallSimConfig::default(), 1);
+        let r = simulate_call(&clean_path(), 120.0, 1);
         assert_eq!(r.sent, 6_000);
         assert!(r.lost_network + r.lost_late < r.sent);
         assert!(r.effective_loss() < 0.05);
@@ -191,7 +173,7 @@ mod tests {
     #[test]
     fn measured_loss_tracks_input() {
         let m = PathMetrics::new(100.0, 4.0, 3.0);
-        let r = simulate_call(&m, 600.0, &CallSimConfig::default(), 2);
+        let r = simulate_call(&m, 600.0, 2);
         let net_loss = 100.0 * r.lost_network as f64 / r.sent as f64;
         assert!(
             (net_loss - 4.0).abs() < 1.0,
@@ -202,7 +184,7 @@ mod tests {
     #[test]
     fn measured_jitter_tracks_input() {
         let m = PathMetrics::new(100.0, 0.0, 15.0);
-        let r = simulate_call(&m, 600.0, &CallSimConfig::default(), 3);
+        let r = simulate_call(&m, 600.0, 3);
         assert!(
             (r.jitter_ms - 15.0).abs() < 6.0,
             "RFC3550 jitter {} vs target 15",
@@ -212,7 +194,7 @@ mod tests {
 
     #[test]
     fn mean_delay_tracks_rtt() {
-        let r = simulate_call(&clean_path(), 300.0, &CallSimConfig::default(), 4);
+        let r = simulate_call(&clean_path(), 300.0, 4);
         assert!(
             (r.mean_delay_ms - 40.0).abs() < 5.0,
             "delay {}",
@@ -222,8 +204,8 @@ mod tests {
 
     #[test]
     fn good_calls_score_above_bad_calls() {
-        let good = simulate_call(&clean_path(), 120.0, &CallSimConfig::default(), 5);
-        let bad = simulate_call(&bad_path(), 120.0, &CallSimConfig::default(), 5);
+        let good = simulate_call(&clean_path(), 120.0, 5);
+        let bad = simulate_call(&bad_path(), 120.0, 5);
         assert!(
             good.mos > bad.mos + 1.0,
             "good {} vs bad {}",
@@ -236,18 +218,8 @@ mod tests {
 
     #[test]
     fn high_jitter_costs_quality_via_buffer_or_late_loss() {
-        let calm = simulate_call(
-            &PathMetrics::new(150.0, 0.5, 2.0),
-            300.0,
-            &CallSimConfig::default(),
-            6,
-        );
-        let jittery = simulate_call(
-            &PathMetrics::new(150.0, 0.5, 40.0),
-            300.0,
-            &CallSimConfig::default(),
-            6,
-        );
+        let calm = simulate_call(&PathMetrics::new(150.0, 0.5, 2.0), 300.0, 6);
+        let jittery = simulate_call(&PathMetrics::new(150.0, 0.5, 40.0), 300.0, 6);
         assert!(jittery.mos < calm.mos, "jitter must reduce trace MOS");
         assert!(
             jittery.buffer_ms > calm.buffer_ms || jittery.lost_late > calm.lost_late,
@@ -257,7 +229,7 @@ mod tests {
 
     #[test]
     fn short_calls_still_produce_reports() {
-        let r = simulate_call(&clean_path(), 0.01, &CallSimConfig::default(), 9);
+        let r = simulate_call(&clean_path(), 0.01, 9);
         assert!(r.sent >= 2);
         assert!((1.0..=4.5).contains(&r.mos));
     }

@@ -15,11 +15,11 @@
 //!   receive pipeline → trace-based MOS.
 //!
 //! ```
-//! use via_media::call_sim::{simulate_call, CallSimConfig};
+//! use via_media::call_sim::simulate_call;
 //! use via_model::PathMetrics;
 //!
-//! let good = simulate_call(&PathMetrics::new(80.0, 0.2, 3.0), 30.0, &CallSimConfig::default(), 1);
-//! let bad = simulate_call(&PathMetrics::new(600.0, 8.0, 40.0), 30.0, &CallSimConfig::default(), 1);
+//! let good = simulate_call(&PathMetrics::new(80.0, 0.2, 3.0), 30.0, 1);
+//! let bad = simulate_call(&PathMetrics::new(600.0, 8.0, 40.0), 30.0, 1);
 //! assert!(good.mos > bad.mos);
 //! ```
 
@@ -32,7 +32,7 @@ pub mod loss;
 pub mod merge;
 pub mod packet;
 
-pub use call_sim::{simulate_call, CallSimConfig, PacketTraceReport};
+pub use call_sim::{simulate_call, PacketTraceReport};
 pub use jitter::{JitterBuffer, JitterEstimator};
 pub use loss::GilbertElliott;
 pub use merge::{

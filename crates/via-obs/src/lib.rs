@@ -304,12 +304,6 @@ impl HotSink {
         }
     }
 
-    /// The live histogram in `slot` (for end-of-batch reads, e.g. recording
-    /// a derived quantity before the fold).
-    pub fn histogram(&self, slot: usize) -> &Histogram {
-        &self.hists[slot]
-    }
-
     /// Resets every slot to empty so the sink can be reused for the next
     /// batch without reallocating.
     pub fn clear(&mut self) {

@@ -81,14 +81,6 @@ struct CallSample {
     echoes: usize,
 }
 
-/// Runs one testbed client with default robustness settings.
-///
-/// # Errors
-/// Any control-plane or data-plane failure the client cannot absorb.
-pub fn run_client(name: &str, controller: SocketAddr) -> Result<(), TestbedError> {
-    run_client_with(name, controller, ClientConfig::default())
-}
-
 /// Runs one testbed client to completion (until the controller sends
 /// `Finished` or a deadline fires). Blocks the calling thread.
 ///

@@ -130,15 +130,15 @@ fn trace_statistics_survive_serialization() {
 fn quality_models_agree_on_ordering() {
     // The E-model MOS and the packet-level trace MOS must order calls the
     // same way for clearly-separated conditions.
-    use via::media::call_sim::{simulate_call, CallSimConfig};
+    use via::media::call_sim::simulate_call;
     use via::model::PathMetrics;
 
     let good = PathMetrics::new(60.0, 0.1, 2.0);
     let bad = PathMetrics::new(450.0, 5.0, 25.0);
     let emodel_good = via::quality::mos(&good);
     let emodel_bad = via::quality::mos(&bad);
-    let trace_good = simulate_call(&good, 60.0, &CallSimConfig::default(), 1).mos;
-    let trace_bad = simulate_call(&bad, 60.0, &CallSimConfig::default(), 1).mos;
+    let trace_good = simulate_call(&good, 60.0, 1).mos;
+    let trace_bad = simulate_call(&bad, 60.0, 1).mos;
 
     assert!(emodel_good > emodel_bad);
     assert!(trace_good > trace_bad);
