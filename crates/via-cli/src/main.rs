@@ -60,8 +60,9 @@ seed. Testbed metrics describe real socket behavior and are not.
 `via server serve` runs the live controller until a client sends Shutdown
 (or --deadline-s elapses). `via server soak` is self-contained: it serves
 on an ephemeral loopback port, drives concurrent clients through select/
-report rounds spanning window rollovers, fails on any protocol error, and
-writes the controller's observability snapshot wherever --metrics points.
+report rounds spanning window rollovers, fails on any protocol error or on
+a session still open after shutdown, and writes the controller's
+observability snapshot wherever --metrics points.
 ";
 
 fn main() {
@@ -544,8 +545,9 @@ fn cmd_server_serve(rest: &[String]) -> CliResult {
 
 /// Self-contained soak: serve on an ephemeral loopback port, drive
 /// concurrent client connections through select/report rounds that span
-/// window rollovers, then snapshot and shut down. Any protocol error fails
-/// the run (exit code 1) — this is the CI soak gate.
+/// window rollovers, then snapshot and shut down. Any protocol error, or a
+/// session still open once every handler has joined, fails the run (exit
+/// code 1) — this is the CI soak gate.
 fn cmd_server_soak(rest: &[String]) -> CliResult {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -641,6 +643,11 @@ fn cmd_server_soak(rest: &[String]) -> CliResult {
     }
     if completed != clients * calls {
         return Err(format!("soak completed {completed} of {} calls", clients * calls).into());
+    }
+    // wait() joined every handler, and a handler ends its session on exit.
+    let leaked = controller.live_sessions();
+    if leaked != 0 {
+        return Err(format!("soak leaked {leaked} sessions past shutdown").into());
     }
     println!("soak: clean shutdown, zero protocol errors");
     Ok(())

@@ -37,12 +37,12 @@ pub(super) struct PairGroup {
     /// The §7 decision-cache entry: incoming, then as the group's misses
     /// rewrite it.
     pub(super) cached: Option<(RelayOption, SimTime)>,
-    /// The oracle and the prediction-only strawman decide once per (pair,
-    /// window), from the pair's exemplar call: ground truth and predictions
-    /// are both constant between refit barriers, and the memo is keyed by
-    /// the same granularity KeyPair as every learning strategy. (Keying the
-    /// oracle by raw AS pair would hand it finer spatial resolution than the
-    /// Figure 17a granularity sweep grants the contenders.)
+    /// The oracle decides once per (pair, window), from the pair's exemplar
+    /// call: ground truth is constant between refit barriers, and the memo
+    /// is keyed by the same granularity KeyPair as every learning strategy.
+    /// (Keying the oracle by raw AS pair would hand it finer spatial
+    /// resolution than the Figure 17a granularity sweep grants the
+    /// contenders.)
     memo: Option<RelayOption>,
 }
 
@@ -229,8 +229,8 @@ impl<'a> ReplaySim<'a> {
     }
 
     /// The call's candidate with the least `cost` (first wins ties; the
-    /// direct path when none is finite) — the per-(pair, window) decision of
-    /// the oracle and of the prediction-only strawman.
+    /// direct path when none is finite) — the oracle's per-(pair, window)
+    /// decision.
     fn cheapest(
         &self,
         call: &CallRecord,
@@ -336,18 +336,6 @@ impl<'a> ReplaySim<'a> {
                         .option_mean_scratch(src, dst, opt, t_eval, sample)[objective]
                 })
             }),
-            // `learns()` guarantees a predictor for the two sources below; a
-            // defensive `None` (cold controller) falls back to the direct
-            // path instead of panicking.
-            Source::BestPrediction => match ctx.predictor {
-                None => RelayOption::Direct,
-                Some(pred) => *g.memo.get_or_insert_with(|| {
-                    let view = pred.pair(g.ka, g.kb);
-                    self.cheapest(call, &mut slot.scratch, |opt| {
-                        view.predict(opt).mean(objective)
-                    })
-                }),
-            },
             Source::Arms => match (g.cached, ctx.predictor) {
                 // §7 decision cache: the client reuses a cached controller
                 // decision until it expires; only misses consult the
@@ -356,6 +344,9 @@ impl<'a> ReplaySim<'a> {
                     slot.hot.inc(ids.cache_hits, 1);
                     opt
                 }
+                // `learns()` guarantees a predictor; a defensive `None` (cold
+                // controller) falls back to the direct path instead of
+                // panicking.
                 (_, None) => RelayOption::Direct,
                 (_, Some(pred)) => {
                     if plan.cache_ttl_secs.is_some() {

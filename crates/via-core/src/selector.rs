@@ -7,8 +7,7 @@
 //! the predictor, prune them to the top-k closure (Algorithm 2), let a
 //! modified UCB1 with an ε escape hatch pick among them (Algorithm 3), and
 //! gate the result on a relaying budget (§4.6). Every [`StrategyKind`] but
-//! `Default`, `Oracle` and `PredictionOnly` is a setting of that pipeline, so
-//! the variants
+//! `Default` and `Oracle` is a setting of that pipeline, so the variants
 //! resolve to rows of one table ([`Plan`]) and the replay engine and the live
 //! server both drive it through one [`Selector`] per worker or shard
 //! ([`Selector::build`], [`Selector::decide`]), learn through
@@ -45,8 +44,6 @@ pub(crate) enum Source {
     Direct,
     /// Ground-truth best option per (pair, window).
     Oracle,
-    /// Best predicted mean per (pair, window), never explored.
-    BestPrediction,
     /// The prune → bandit → ε pipeline over a [`PairArms`].
     Arms,
 }
@@ -66,9 +63,9 @@ pub(crate) enum Prune {
 /// The ε general-exploration stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Explore {
-    /// No ε stage: the §7 client-side wrappers (decision cache, setup race)
-    /// consult the arms directly, and their consultations are not counted as
-    /// bandit pulls.
+    /// No ε stage: the prediction-only strawman and the §7 client-side
+    /// wrappers (decision cache, setup race) consult the arms directly, and
+    /// their consultations are not counted as bandit pulls.
     Off,
     /// The caller's configured ε; the explore pick is uniform over the call's
     /// full candidate set (Algorithm 3's escape hatch).
@@ -147,7 +144,12 @@ impl From<StrategyKind> for Plan {
             StrategyKind::Via => {}
             StrategyKind::Default => p.source = Source::Direct,
             StrategyKind::Oracle => p.source = Source::Oracle,
-            StrategyKind::PredictionOnly => p.source = Source::BestPrediction,
+            // One arm, the best predicted mean, and no ε stage: a one-arm
+            // bandit always plays it.
+            StrategyKind::PredictionOnly => {
+                p.prune = Prune::FixedK(1);
+                p.explore = Explore::Off;
+            }
             StrategyKind::ExplorationOnly => {
                 p.prune = Prune::All;
                 p.normalize = false;
@@ -584,7 +586,8 @@ mod tests {
             (
                 StrategyKind::PredictionOnly,
                 Plan {
-                    source: Source::BestPrediction,
+                    prune: Prune::FixedK(1),
+                    explore: Explore::Off,
                     ..via
                 },
             ),

@@ -1,7 +1,6 @@
 //! Blocking client for the select/report plane — the load generator, the
 //! CLI soak driver, and the integration tests all speak through this.
 
-use std::io;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -16,9 +15,8 @@ use crate::wire::{encode_select, ErrorKind, Request, Response};
 /// Client-side failures.
 #[derive(Debug)]
 pub enum ClientError {
-    /// Socket-level failure.
-    Io(io::Error),
-    /// Framing / decode / deadline failure.
+    /// Socket, framing, decode or deadline failure (a failed connect is
+    /// `FrameError::Io`).
     Frame(FrameError),
     /// The controller rejected the request.
     Remote {
@@ -34,7 +32,6 @@ pub enum ClientError {
 impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ClientError::Io(e) => write!(f, "client I/O error: {e}"),
             ClientError::Frame(e) => write!(f, "client frame error: {e}"),
             ClientError::Remote { kind, detail } => {
                 write!(f, "controller rejected request ({kind:?}): {detail}")
@@ -45,12 +42,6 @@ impl std::fmt::Display for ClientError {
 }
 
 impl std::error::Error for ClientError {}
-
-impl From<io::Error> for ClientError {
-    fn from(e: io::Error) -> Self {
-        ClientError::Io(e)
-    }
-}
 
 impl From<FrameError> for ClientError {
     fn from(e: FrameError) -> Self {
@@ -74,8 +65,8 @@ impl Client {
     /// Connect/frame failures, or a `Remote` error when the controller
     /// refuses the session.
     pub fn connect(addr: SocketAddr, timeout: Duration) -> Result<Client, ClientError> {
-        let stream = connect_deadline(addr, timeout)?;
-        let conn = FrameConn::new(stream)?;
+        let stream = connect_deadline(addr, timeout).map_err(FrameError::Io)?;
+        let conn = FrameConn::new(stream).map_err(FrameError::Io)?;
         let mut client = Client {
             conn,
             session: 0,

@@ -37,7 +37,7 @@
 //! reference loop built on `Predictor::fit`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -57,7 +57,6 @@ use via_model::seed::{self, splitmix64};
 use via_model::time::{SimTime, Window, WindowLen};
 
 use crate::lock::lock;
-use crate::session::{SessionExhausted, SessionTable};
 
 /// Static configuration of a [`Controller`].
 #[derive(Debug, Clone, Copy)]
@@ -207,7 +206,10 @@ pub struct Controller {
     shards: Vec<Mutex<Shard>>,
     gate: Mutex<GateState>,
     roll: Mutex<RollState>,
-    sessions: Mutex<SessionTable>,
+    /// The next session id to issue (ids start at 1 and are never reused),
+    /// and how many sessions are open.
+    next_session: AtomicU64,
+    live_sessions: AtomicUsize,
     selections: AtomicU64,
     reports: AtomicU64,
     reports_rejected: AtomicU64,
@@ -283,7 +285,8 @@ impl Controller {
                 trained,
                 obs: via_obs::MetricSink::new(),
             }),
-            sessions: Mutex::new(SessionTable::new()),
+            next_session: AtomicU64::new(1),
+            live_sessions: AtomicUsize::new(0),
             selections: AtomicU64::new(0),
             reports: AtomicU64::new(0),
             reports_rejected: AtomicU64::new(0),
@@ -652,26 +655,21 @@ impl Controller {
         merged
     }
 
-    /// Opens a session (socket plane).
-    ///
-    /// # Errors
-    /// [`SessionExhausted`] when the id space under the probe bound is full.
-    pub fn open_session(&self) -> Result<u64, SessionExhausted> {
-        lock(&self.sessions).open()
+    /// Opens a session (socket plane) and returns its id: 1, 2, … in
+    /// opening order, never reused. The connection that opened it owns the
+    /// id and is the only one that checks or ends it.
+    pub fn open_session(&self) -> u64 {
+        self.live_sessions.fetch_add(1, Ordering::Relaxed);
+        self.next_session.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// True when `id` names a live session.
-    pub fn session_live(&self, id: u64) -> bool {
-        lock(&self.sessions).is_live(id)
-    }
-
-    /// Ends a session (connection closed); stale ids are then rejected.
-    pub fn end_session(&self, id: u64) -> bool {
-        lock(&self.sessions).close(id)
+    /// Ends a session its connection opened (the connection closed).
+    pub fn end_session(&self, _id: u64) {
+        self.live_sessions.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Number of open sessions.
     pub fn live_sessions(&self) -> usize {
-        lock(&self.sessions).live_count()
+        self.live_sessions.load(Ordering::Relaxed)
     }
 }

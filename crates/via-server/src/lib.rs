@@ -16,11 +16,11 @@
 //!   and snapshot/restore for graceful restarts. Selections are
 //!   bit-identical to the batch replay predictor over the same report
 //!   stream.
-//! * [`session`] — non-zero `u64` session ids from a wrapping, collision-
-//!   skipping allocator with typed exhaustion.
 //! * [`wire`] / [`server`] / [`client`] — the framed-TCP RPC plane: a
 //!   fixed-layout binary body per message inside `via-testbed`'s length
 //!   prefix, read and written through its deadline-bounded `FrameConn`.
+//!   Each connection owns the session id its `Hello` was issued (1, 2, …,
+//!   never reused) and ends it when it closes.
 //!
 //! Like `via-testbed`, this crate drives real sockets and wall clocks but
 //! is held to the workspace's panic-safety and bounded-socket-wait rules
@@ -33,11 +33,9 @@ pub mod client;
 pub mod controller;
 mod lock;
 pub mod server;
-pub mod session;
 pub mod wire;
 
 pub use client::{Client, ClientError};
 pub use controller::{Controller, Selection, SelectionSnapshot, ServerConfig};
 pub use server::{serve, serve_on, ServerHandle};
-pub use session::{SessionExhausted, SessionTable};
 pub use wire::{ErrorKind, Request, Response, WireError};

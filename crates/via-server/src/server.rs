@@ -6,11 +6,12 @@
 //! socket wait, per the workspace's `socket-wait` lint — and decoding them
 //! with the binary codec in [`crate::wire`]. A connection owns one candidate
 //! `Vec` and, inside its `FrameConn`, one receive and one send buffer; a
-//! steady-state `Select` or `Report` allocates nothing here. A connection's
-//! session is closed when the connection ends, whatever the reason, so a
-//! reconnecting client holding its old session id gets a typed
-//! [`ErrorKind::UnknownSession`] rather than silently adopting state it no
-//! longer owns.
+//! steady-state `Select` or `Report` allocates nothing here. A session is its
+//! connection: the handler holds the id it was issued, a request claiming
+//! any other id — stale, another connection's, or never issued — gets a
+//! typed [`ErrorKind::UnknownSession`], and the session ends with the
+//! connection, whatever the reason. Checking a request's session takes no
+//! lock.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -195,8 +196,10 @@ fn bad_request(detail: String) -> Response {
     }
 }
 
-/// Reads the opening `Hello` and issues a session. Any other first frame is
-/// a `BadRequest`; allocation failure is `SessionExhausted`.
+/// Reads the opening `Hello` and issues the connection its session; any
+/// other first frame is a `BadRequest`. The id is the connection's own from
+/// here on: it is checked against nothing but the id each request claims,
+/// and ended only when the connection ends.
 fn handshake(
     conn: &mut FrameConn,
     candidates: &mut Vec<RelayOption>,
@@ -204,19 +207,14 @@ fn handshake(
     shutdown: &AtomicBool,
 ) -> Option<u64> {
     let refusal = match next_request(conn, candidates, shutdown)? {
-        Ok(Request::Hello) => match controller.open_session() {
-            Ok(session) => {
-                if send(conn, &Response::Welcome { session }).is_err() {
-                    controller.end_session(session);
-                    return None;
-                }
-                return Some(session);
+        Ok(Request::Hello) => {
+            let session = controller.open_session();
+            if send(conn, &Response::Welcome { session }).is_err() {
+                controller.end_session(session);
+                return None;
             }
-            Err(e) => Response::Error {
-                kind: ErrorKind::SessionExhausted,
-                detail: e.to_string(),
-            },
-        },
+            return Some(session);
+        }
         Ok(_) => bad_request("first frame must be Hello".to_string()),
         Err(e) => bad_request(e.to_string()),
     };
@@ -224,8 +222,10 @@ fn handshake(
     None
 }
 
-fn check_session(controller: &Controller, mine: u64, claimed: u64) -> Result<(), Response> {
-    if claimed == mine && controller.session_live(claimed) {
+/// A connection's session is live for as long as the connection runs, and
+/// nothing else can end it, so the claimed id needs only to be this one.
+fn check_session(mine: u64, claimed: u64) -> Result<(), Response> {
+    if claimed == mine {
         Ok(())
     } else {
         Err(Response::Error {
@@ -283,7 +283,7 @@ fn dispatch(
             src_key,
             dst_key,
             ref candidates,
-        } => match check_session(controller, my_session, session).and_then(|()| {
+        } => match check_session(my_session, session).and_then(|()| {
             candidates
                 .iter()
                 .try_for_each(|&o| check_option(controller, o))
@@ -306,7 +306,7 @@ fn dispatch(
             dst_key,
             option,
             ref metrics,
-        } => match check_session(controller, my_session, session)
+        } => match check_session(my_session, session)
             .and_then(|()| check_metrics(controller, metrics))
             .and_then(|()| {
                 check_option(controller, option).inspect_err(|_| controller.count_rejected_report())
@@ -316,13 +316,13 @@ fn dispatch(
                 window: controller.report(t, src_key, dst_key, option, metrics),
             },
         },
-        Request::Snapshot { session } => match check_session(controller, my_session, session) {
+        Request::Snapshot { session } => match check_session(my_session, session) {
             Err(e) => e,
             Ok(()) => Response::Snapshot {
                 json: controller.selection_snapshot_json(),
             },
         },
-        Request::Shutdown { session } => match check_session(controller, my_session, session) {
+        Request::Shutdown { session } => match check_session(my_session, session) {
             Err(e) => e,
             Ok(()) => {
                 shutdown.store(true, Ordering::Release);

@@ -32,9 +32,8 @@
 //!           0x83 Reported  window                                      10
 //!           0x84 Snapshot  text (the JSON document)                 6 + len
 //!           0x85 Bye       -                                            2
-//!           0x86 Error     [kind u8: 0 UnknownSession,
-//!                          1 SessionExhausted, 2 BadRequest,
-//!                          3 ReplyTooLarge] text                    7 + len
+//!           0x86 Error     [kind u8: 0 UnknownSession, 1 retired,
+//!                          2 BadRequest, 3 ReplyTooLarge] text      7 + len
 //! ```
 //!
 //! Every value has exactly one encoding and a body must end where its last
@@ -109,11 +108,9 @@ pub enum Request {
 /// Why a request was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ErrorKind {
-    /// The session id is not live on this controller (stale id from a
-    /// previous connection, or never issued).
+    /// The session id is not this connection's (stale id from a previous
+    /// connection, another connection's, or never issued).
     UnknownSession,
-    /// No session id could be allocated.
-    SessionExhausted,
     /// The request was invalid: structurally (e.g. `Hello` on an open
     /// session, or a non-`Hello` first frame) or in content (report metrics
     /// that are non-finite, negative or out of range; an option naming a
@@ -186,8 +183,8 @@ const OPT_DIRECT: u8 = 0;
 const OPT_BOUNCE: u8 = 1;
 const OPT_TRANSIT: u8 = 2;
 
+// Kind 1 is retired, not reused: it decodes as `BadErrorKind(1)`.
 const ERR_UNKNOWN_SESSION: u8 = 0;
-const ERR_SESSION_EXHAUSTED: u8 = 1;
 const ERR_BAD_REQUEST: u8 = 2;
 const ERR_REPLY_TOO_LARGE: u8 = 3;
 
@@ -445,7 +442,6 @@ impl Response {
             Response::Error { kind, detail } => {
                 let kind = match kind {
                     ErrorKind::UnknownSession => ERR_UNKNOWN_SESSION,
-                    ErrorKind::SessionExhausted => ERR_SESSION_EXHAUSTED,
                     ErrorKind::BadRequest => ERR_BAD_REQUEST,
                     ErrorKind::ReplyTooLarge => ERR_REPLY_TOO_LARGE,
                 };
@@ -483,7 +479,6 @@ impl Response {
             RESP_ERROR => Response::Error {
                 kind: match r.u8("error kind")? {
                     ERR_UNKNOWN_SESSION => ErrorKind::UnknownSession,
-                    ERR_SESSION_EXHAUSTED => ErrorKind::SessionExhausted,
                     ERR_BAD_REQUEST => ErrorKind::BadRequest,
                     ERR_REPLY_TOO_LARGE => ErrorKind::ReplyTooLarge,
                     other => return Err(WireError::BadErrorKind(other)),
@@ -755,13 +750,12 @@ mod tests {
             (session, window) in (any::<u64>(), any::<u64>()),
             option in (0u8..3, any::<u32>(), any::<u32>()),
             (admitted, explored) in (any::<bool>(), any::<bool>()),
-            (kind, text) in (0u8..4, prop::collection::vec(any::<u32>(), 0..40)),
+            (kind, text) in (0u8..3, prop::collection::vec(any::<u32>(), 0..40)),
         ) {
             // Any scalar values at all, surrogates aside: multi-byte UTF-8.
             let text: String = text.into_iter().filter_map(char::from_u32).collect();
             let kind = [
                 ErrorKind::UnknownSession,
-                ErrorKind::SessionExhausted,
                 ErrorKind::BadRequest,
                 ErrorKind::ReplyTooLarge,
             ][usize::from(kind)];
@@ -920,6 +914,11 @@ mod tests {
         assert_eq!(
             Response::decode(&with(&error, 2, 4)),
             Err(WireError::BadErrorKind(4))
+        );
+        // Kind 1 was `SessionExhausted`: retired, and not reused.
+        assert_eq!(
+            Response::decode(&with(&error, 2, 1)),
+            Err(WireError::BadErrorKind(1))
         );
         assert_eq!(
             Response::decode(&with(&error, 7, 0xFF)),

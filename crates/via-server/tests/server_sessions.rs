@@ -88,6 +88,22 @@ fn concurrent_connections_get_distinct_live_sessions() {
 }
 
 #[test]
+fn sequential_connections_get_ids_in_order_and_end_every_session() {
+    let handle = serve(controller()).unwrap();
+    let ctrl = Arc::clone(handle.controller());
+    let ids: Vec<u64> = (0..200)
+        .map(|_| Client::connect(handle.addr(), TIMEOUT).unwrap().session())
+        .collect();
+    assert_eq!(
+        ids,
+        (1..=200).collect::<Vec<u64>>(),
+        "1, 2, … and none repeated"
+    );
+    wait_for(|| ctrl.live_sessions() == 0, "every session ended");
+    handle.stop();
+}
+
+#[test]
 fn never_issued_session_id_is_rejected_with_typed_error() {
     let handle = serve(controller()).unwrap();
     let mut client = Client::connect(handle.addr(), TIMEOUT).unwrap();
@@ -113,17 +129,14 @@ fn reconnect_with_stale_session_id_is_rejected() {
     a.select(0, SimTime::ZERO, 0, 1, &[RelayOption::Direct])
         .unwrap();
     drop(a);
-    wait_for(|| !ctrl.session_live(stale), "stale session reaped");
+    wait_for(|| ctrl.live_sessions() == 0, "stale session reaped");
 
     // Client B reconnects and replays A's old id — the pre-fix allocator
     // bug class: a stale id silently adopting live state. It must be a
     // typed rejection instead.
     let mut b = Client::connect(handle.addr(), TIMEOUT).unwrap();
     let own = b.session();
-    assert_ne!(
-        own, stale,
-        "stale id must not be re-issued while fresh ids remain"
-    );
+    assert_ne!(own, stale, "a session id is never re-issued");
     b.set_session(stale);
     let err = b
         .select(1, SimTime::ZERO, 0, 1, &[RelayOption::Direct])
@@ -170,9 +183,18 @@ fn client_shutdown_request_stops_the_server() {
     let addr = handle.addr();
     let client = Client::connect(addr, TIMEOUT).unwrap();
     client.shutdown().unwrap();
-    handle.wait(); // returns only when the accept loop exited cleanly
-                   // New connections now fail the handshake (refused or reset mid-Hello).
-    assert!(Client::connect(addr, Duration::from_millis(500)).is_err());
+    // Returns only when the accept loop exited cleanly.
+    handle.wait();
+    // New connections now fail (refused, or reset mid-Hello): a socket
+    // failure is a frame error like any other.
+    let refused = Client::connect(addr, Duration::from_millis(500));
+    assert!(
+        matches!(
+            refused,
+            Err(ClientError::Frame(via_testbed::protocol::FrameError::Io(_)))
+        ),
+        "{refused:?}"
+    );
 }
 
 #[test]
