@@ -48,6 +48,7 @@ const fn pin(kind: StrategyKind, digest: u64) -> Pin {
 }
 
 const VIA_DIGEST: u64 = 0x3bb3_5473_2074_b5dc;
+const DEFAULT_DIGEST: u64 = 0x0561_64be_68f9_c2c8;
 
 /// Every `StrategyKind` variant, with the values read at the parent commit.
 /// The first four rows predate the decision-core refactor; the rest were
@@ -68,7 +69,7 @@ const PINNED: [Pin; 14] = [
         0xa372_128e_e43d_0428,
     ),
     pin(StrategyKind::PredictionOnly, 0x1f52_3542_0a9e_4ad8),
-    pin(StrategyKind::Default, 0x0561_64be_68f9_c2c8),
+    pin(StrategyKind::Default, DEFAULT_DIGEST),
     pin(StrategyKind::Oracle, 0x3c45_a7be_3b13_3c97),
     pin(StrategyKind::ExplorationOnly, 0x331e_b043_a158_38c3),
     pin(
@@ -210,4 +211,57 @@ fn active_probe_digest_matches_pinned_constant() {
         ACTIVE_PROBES_DIGEST, VIA_DIGEST,
         "the probes changed no call"
     );
+}
+
+/// FNV-1a over a serialized metrics snapshot.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `Default`'s metrics snapshot: the one plan that keeps no per-pair state,
+/// whose window walk is free to differ from the learning plans'. Its pair
+/// groups are still counted (`replay_pair_groups_total`, the `replay.window`
+/// span's `pairs`), so the snapshot must not depend on how the walk split
+/// the window. Captured at the commit before `Default` stopped walking its
+/// windows pair group by pair group.
+const DEFAULT_SNAPSHOT_FNV: u64 = 0xc37b_013a_2fc0_30e1;
+
+#[test]
+fn default_metrics_snapshot_matches_pinned_constant() {
+    let world = World::generate(&WorldConfig::small(), SEED);
+    let trace_cfg = TraceConfig {
+        calls_per_day: 1_500,
+        days: 4,
+        ..TraceConfig::default()
+    };
+    let trace = TraceGenerator::new(&world, trace_cfg, SEED).generate();
+    let kind = StrategyKind::Default;
+    for workers in [1usize, 2, 8] {
+        let cfg = ReplayConfig {
+            workers,
+            metrics: true,
+            ..ReplayConfig::default()
+        };
+        let materialized = ReplaySim::new(&world, &trace, cfg.clone()).run(kind);
+        let streamed = ReplaySim::streaming(&world, cfg)
+            .run_stream(TraceRecords::new(&trace), kind)
+            .expect("in-memory stream");
+        for (driver, out) in [("materialized", &materialized), ("streamed", &streamed)] {
+            let bytes = serde_json::to_string(out.obs.as_ref().expect("metrics on"))
+                .expect("snapshot serializes");
+            assert_eq!(
+                fnv1a(bytes.as_bytes()),
+                DEFAULT_SNAPSHOT_FNV,
+                "{driver} at {workers} workers: snapshot {:#018x}",
+                fnv1a(bytes.as_bytes())
+            );
+            assert_eq!(
+                out.aggregate.digest, DEFAULT_DIGEST,
+                "{driver} at {workers} workers: digest {:#018x}",
+                out.aggregate.digest
+            );
+        }
+    }
 }
