@@ -654,13 +654,21 @@ impl<'a> ReplaySim<'a> {
         }
 
         // ---- group the window's calls by decision key ------------------
-        let granularity = self.cfg.granularity;
-        grouped.regroup(batch.iter().map(|call| {
-            (
-                granularity.key_of(self.world, call.src_as, call.caller.0),
-                granularity.key_of(self.world, call.dst_as, call.callee.0),
-            )
-        }));
+        // A plan that keeps no per-pair state has no decision key: its shards
+        // take contiguous runs and read the batch in trace order, where the
+        // pair walk jumps around it. With metrics on it keeps the pair walk,
+        // because the snapshot counts pair groups.
+        if plan.keeps_pair_state() || self.cfg.metrics {
+            let granularity = self.cfg.granularity;
+            grouped.regroup(batch.iter().map(|call| {
+                (
+                    granularity.key_of(self.world, call.src_as, call.caller.0),
+                    granularity.key_of(self.world, call.dst_as, call.callee.0),
+                )
+            }));
+        } else {
+            grouped.chunk(batch.len(), workers);
+        }
         let nshards = workers.min(grouped.groups.len()).max(1);
         grouped.assign_shards(nshards);
         let (groups, call_idx) = (&mut grouped.groups, grouped.call_idx.as_slice());

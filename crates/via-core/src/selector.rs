@@ -125,6 +125,14 @@ impl Plan {
         !matches!(self.source, Source::Direct | Source::Oracle)
     }
 
+    /// True for plans that keep state per (pair, window) — arms, bandit,
+    /// history cells, decision-cache entry or the oracle's memo — and so
+    /// replay a window pair group by pair group. A plan without any has no
+    /// decision key to group by.
+    pub(crate) fn keeps_pair_state(&self) -> bool {
+        self.source != Source::Direct
+    }
+
     /// True for plans whose pair's only call of a window may decide on
     /// [`PairArms::alone`]: ungated, race-free, single-path, scored, and
     /// with no ε stage that draws over the arms it does not build.
