@@ -227,6 +227,64 @@ mod tests {
         );
     }
 
+    /// 3 pairs × 10 rounds × 4 relays under ±15 ms jitter, each pair with
+    /// its own RTT and loss ranking; pair `a→c` loses one report to
+    /// degradation and pair `b→c` misses relay 2 in round 5.
+    fn noisy_reports() -> Vec<ReportRecord> {
+        let mut out = Vec::new();
+        for (p, (caller, callee)) in [("a", "b"), ("a", "c"), ("b", "c")].into_iter().enumerate() {
+            for round in 0..10u32 {
+                for relay in 0..4u16 {
+                    if (p, round, relay) == (2, 5, 2) {
+                        continue;
+                    }
+                    let rank = (usize::from(relay) + p) % 4;
+                    let phase = f64::from(round) * 7.3 + f64::from(relay) * 3.1 + p as f64;
+                    let rtt = 60.0 + 25.0 * rank as f64 + 15.0 * phase.sin();
+                    let loss = 0.2 + 0.4 * ((rank + 2) % 4) as f64 + 0.3 * phase.cos();
+                    out.push(ReportRecord {
+                        caller: caller.into(),
+                        callee: callee.into(),
+                        relay,
+                        round,
+                        metrics: PathMetrics::new(rtt, loss, 2.0),
+                        degraded: (p, round, relay) == (1, 3, 1),
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn picks_on_a_noisy_report_set_are_pinned() {
+        for (objective, decisions, best_bits, digest) in [
+            (
+                Metric::Rtt,
+                26,
+                0x3fe8_9d89_d89d_89d9,
+                0xe72e_6ab6_b03f_9309,
+            ),
+            (
+                Metric::Loss,
+                19,
+                0x3fe0_d794_35e5_0d79,
+                0xc084_07ac_87b3_a825,
+            ),
+        ] {
+            let res = evaluate_via_selection(&noisy_reports(), objective);
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for s in &res.suboptimality {
+                for byte in s.to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+            assert_eq!(res.decisions, decisions, "{objective:?}");
+            assert_eq!(res.best_pick_fraction.to_bits(), best_bits, "{objective:?}");
+            assert_eq!(h, digest, "{objective:?} sub-optimality bits moved");
+        }
+    }
+
     #[test]
     fn single_round_yields_no_decisions() {
         let reports = synthetic_reports(1, 0.0);
