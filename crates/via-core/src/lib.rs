@@ -20,9 +20,10 @@
 //! * [`bandit`] — Algorithm 3: UCB1 modified with outlier-robust
 //!   normalization, in cost-minimization form.
 //! * [`selector`] — the decision core: a [`StrategyKind`] resolved into a
-//!   `Plan`, the per-(pair, window) `PairArms` (build / decide / learn), the
-//!   one runtime budget gate `GateState`, and the per-shard `Selector` that
-//!   replay and the live server both drive.
+//!   `Plan`, the per-shard `Selector` that replay, the live server and the
+//!   testbed evaluator all drive (`arms` builds a pair's arms, `decide` plays
+//!   them), the per-(pair, window) `PairArms` it builds (`learn`), and the one
+//!   runtime budget gate `GateState`.
 //! * [`budget`] — §4.6: streaming-percentile budget gate, with weighted
 //!   costs so duplicated multipath traffic is charged honestly.
 //! * [`active`] — §7 future work, implemented: greedy set-cover planning of
@@ -76,6 +77,6 @@ pub use online::{BackboneFn, CellSnapshot, RefitSnapshot, Trained};
 pub use placement::{plan_placement, Demand, Placement};
 pub use predictor::{GeoPrior, PairView, Prediction, PredictionSource, Predictor, PredictorConfig};
 pub use replay::{CallOutcome, Outcome, ReplayConfig, ReplaySim, ReplayStats, SpatialGranularity};
-pub use selector::{ArmsScratch, Decision, GateState, PairArms, Plan, Selector};
+pub use selector::{Decision, GateState, PairArms, Plan, Selector};
 pub use strategy::{MultipathMode, StrategyKind};
 pub use topk::{top_k_into, ScoredOption};

@@ -284,7 +284,7 @@ impl<'a> ReplaySim<'a> {
     /// group), so the gate pass and a shard's first miss build the same arms
     /// — once per (pair, window) either way, which is what makes this the
     /// place to record one CI-width sample per kept arm. `lone` says the
-    /// group holds one call (see [`Selector::build`]).
+    /// group holds one call (see [`Selector::arms`]).
     pub(super) fn build_arms(
         &self,
         pred: &Predictor,
@@ -301,7 +301,8 @@ impl<'a> ReplaySim<'a> {
             ..
         } = slot;
         self.candidates_into(exemplar.src_as, exemplar.dst_as, topo, cand);
-        let built = selector.build(pred, keys, cand, lone);
+        let view = pred.pair(keys.0, keys.1);
+        let built = selector.arms(|o| view.predict(o), cand, lone);
         for width in selector.ci_widths() {
             hot.observe(ids.ci_width, width);
         }

@@ -8,11 +8,11 @@
 //! modified UCB1 with an ε escape hatch pick among them (Algorithm 3), and
 //! gate the result on a relaying budget (§4.6). Every [`StrategyKind`] but
 //! `Default` and `Oracle` is a setting of that pipeline, so the variants
-//! resolve to rows of one table ([`Plan`]) and the replay engine and the live
-//! server both drive it through one [`Selector`] per worker or shard
-//! ([`Selector::build`], [`Selector::decide`]), learn through
-//! [`PairArms::learn`] and admit through one [`GateState`]; the testbed
-//! evaluator calls [`PairArms`] directly.
+//! resolve to rows of one table ([`Plan`]). The replay engine, the live
+//! server and the testbed evaluator all drive it through one [`Selector`]
+//! per worker, shard or evaluation — [`Selector::arms`] builds a pair's
+//! arms, [`Selector::decide`] plays them — learn through
+//! [`PairArms::learn`] and admit through one [`GateState`].
 //!
 //! The table itself — one row per strategy, one column per field — is the
 //! `From<StrategyKind>` impl below, rendered in DESIGN.md §3.
@@ -33,7 +33,7 @@ use via_model::options::RelayOption;
 
 use crate::bandit::UcbBandit;
 use crate::budget::BudgetGate;
-use crate::predictor::{Prediction, Predictor};
+use crate::predictor::Prediction;
 use crate::strategy::{MultipathMode, StrategyKind};
 use crate::topk::{top_k_into, ScoredOption};
 
@@ -133,9 +133,10 @@ impl Plan {
         self.source != Source::Direct
     }
 
-    /// True for plans whose pair's only call of a window may decide on
-    /// [`PairArms::alone`]: ungated, race-free, single-path, scored, and
-    /// with no ε stage that draws over the arms it does not build.
+    /// True for plans whose pair's only call of a window may decide on arms
+    /// that build no bandit (`Selector::alone`): ungated, race-free,
+    /// single-path, scored, and with no ε stage that draws over the arms it
+    /// does not build.
     pub(crate) fn decides_alone(&self) -> bool {
         self.source == Source::Arms
             && matches!(self.gate, Gate::None)
@@ -304,24 +305,6 @@ impl From<Option<BudgetGate>> for GateState {
     }
 }
 
-/// Reusable buffers for [`PairArms::build`]: candidate scores, the top-k
-/// sort permutation and the selection. One per worker (replay) or shard
-/// (server), so building a pair's arms allocates nothing but the arms.
-#[derive(Debug, Default)]
-pub struct ArmsScratch {
-    scored: Vec<ScoredOption>,
-    order: Vec<usize>,
-    selected: Vec<ScoredOption>,
-}
-
-impl ArmsScratch {
-    /// Confidence-interval widths (`upper − lower`) of the arms the last
-    /// [`PairArms::build`] kept, for the obs layer; none for unscored arms.
-    pub(crate) fn ci_widths(&self) -> impl Iterator<Item = f64> + '_ {
-        self.selected.iter().map(|s| s.upper - s.lower)
-    }
-}
-
 /// Scores `candidates` into `scored`, in candidate order, and returns the
 /// direct path's predicted mean (∞ when it is not a candidate).
 fn score(
@@ -361,12 +344,13 @@ pub struct Decision {
 }
 
 /// Per-(pair, window) selection state: the pruned candidates and their
-/// bandit (stage 3–4 of Algorithm 1).
+/// bandit (stage 3–4 of Algorithm 1). Built by [`Selector::arms`], played
+/// by [`Selector::decide`], taught by [`PairArms::learn`].
 #[derive(Debug)]
 pub struct PairArms {
     bandit: UcbBandit,
-    /// What a call plays when the bandit was never built
-    /// ([`PairArms::alone`]).
+    /// What a call plays when the bandit was never built (a lone call's
+    /// arms).
     first: Option<RelayOption>,
     /// Predicted mean of the best arm.
     best_mean: f64,
@@ -375,24 +359,95 @@ pub struct PairArms {
 }
 
 impl PairArms {
-    /// Stage 3 of Algorithm 1: score `candidates` with `predict`, prune them
-    /// as `plan` says, and build the bandit with the normalizer `w`
-    /// (Algorithm 3 line 3: the mean of the kept upper bounds). Arms are
-    /// warm-started from their predicted means (3 virtual samples) so the
-    /// bandit exploits predictions immediately instead of sweeping every arm
-    /// once. Allocates the arm list, nothing else.
-    pub fn build(
-        plan: &Plan,
+    /// Predicted benefit of relaying this pair: direct cost minus best cost,
+    /// in objective units (what the §4.6 gate ranks). Fixed per (pair,
+    /// window) — it never depends on how the bandit evolves.
+    pub fn benefit(&self) -> f64 {
+        self.direct_mean - self.best_mean
+    }
+
+    /// Predicted mean of the best arm (zero for unscored arms).
+    pub(crate) fn best_mean(&self) -> f64 {
+        self.best_mean
+    }
+
+    /// The arms, best predicted mean first.
+    pub(crate) fn options(&self) -> impl Iterator<Item = RelayOption> + '_ {
+        self.bandit.options()
+    }
+
+    /// Feeds one played path's realized cost back to its arm. Costs for
+    /// options outside the arm set (ε picks) are ignored here — they reach
+    /// the next window through the history instead.
+    pub fn learn(&mut self, option: RelayOption, cost: f64) {
+        self.bandit.update(option, cost);
+        self.bandit.validate();
+    }
+}
+
+/// One shard's per-call pipeline: the plan, objective and ε it runs, the
+/// arm-building buffers and the decided path set. One per replay worker,
+/// server shard and testbed evaluation; each driver keeps its own per-pair
+/// [`PairArms`] store and hands the pair's arms in. The buffers are reused,
+/// so building a pair's arms allocates nothing but the arms.
+#[derive(Debug)]
+pub struct Selector {
+    plan: Plan,
+    objective: Metric,
+    epsilon: f64,
+    /// Candidate scores, in candidate order.
+    scored: Vec<ScoredOption>,
+    /// The top-k sort permutation.
+    order: Vec<usize>,
+    /// The scores of the arms the last build kept.
+    selected: Vec<ScoredOption>,
+    /// The path set the last decision left, primary first.
+    set: Vec<RelayOption>,
+}
+
+impl Selector {
+    /// A selector running `plan` for `objective` with the caller's ε.
+    pub fn new(plan: Plan, objective: Metric, epsilon: f64) -> Selector {
+        Selector {
+            plan,
+            objective,
+            epsilon,
+            scored: Vec::new(),
+            order: Vec::new(),
+            selected: Vec::new(),
+            set: Vec::new(),
+        }
+    }
+
+    /// Stage 3 of Algorithm 1, once per (pair, window): score `candidates`
+    /// with `predict`, prune them as the plan says, and build the bandit
+    /// with the normalizer `w` (Algorithm 3 line 3: the mean of the kept
+    /// upper bounds). Arms are warm-started from their predicted means (3
+    /// virtual samples) so the bandit exploits predictions immediately
+    /// instead of sweeping every arm once. Allocates the arm list, nothing
+    /// else.
+    ///
+    /// `lone` says the pair has one call this window. Under a plan that
+    /// decides alone — ungated, race-free, single-path, scored, with no ε
+    /// stage over the arms — that call's arms build no bandit, and it
+    /// decides as it would on built ones.
+    pub fn arms(
+        &mut self,
         predict: impl Fn(RelayOption) -> Prediction,
         candidates: &[RelayOption],
-        objective: Metric,
-        scratch: &mut ArmsScratch,
+        lone: bool,
     ) -> PairArms {
-        let ArmsScratch {
+        if lone && self.plan.decides_alone() {
+            return self.alone(predict, candidates);
+        }
+        let Selector {
+            plan,
+            objective,
             scored,
             order,
             selected,
-        } = scratch;
+            ..
+        } = self;
         selected.clear();
         if plan.prune == Prune::All {
             let mut bandit = UcbBandit::new(candidates.iter().copied(), 1.0);
@@ -404,7 +459,7 @@ impl PairArms {
                 direct_mean: 0.0,
             };
         }
-        let direct_mean = score(predict, candidates, objective, scored);
+        let direct_mean = score(predict, candidates, *objective, scored);
         if let Prune::FixedK(k) = plan.prune {
             best_k(scored, k, selected);
         } else {
@@ -423,30 +478,27 @@ impl PairArms {
         }
     }
 
-    /// [`PairArms::build`] for a pair whose one call this window is the only
-    /// one to [`PairArms::decide`], under a plan that [`Plan::decides_alone`].
-    /// It builds no bandit, and that call decides as it would on the built
-    /// arms (the ε stage, the option, the kept CI widths, the means): every
-    /// arm is warm-started at the same `n`, so every UCB bonus is equal, the
-    /// index is monotone in the mean, and a fresh bandit plays its first
-    /// arm. Under the CI closure that arm is the argmin by (mean, lower
-    /// bound, candidate index) — `top_k_into` walks in lower-bound order,
-    /// then sorts stably by mean — and the argmin over all candidates is in
-    /// the closure: its lower bound is at most its mean, at most the seed's
-    /// mean and so at most the seed's upper bound. The closure's members,
-    /// which only the CI widths read, come from a sort-free fixpoint.
-    pub fn alone(
-        plan: &Plan,
+    /// The arms of a pair whose one call this window is the only one to
+    /// [`Selector::decide`] on them. They build no bandit, and that call
+    /// decides as it would on the built arms (the ε stage, the option, the
+    /// kept CI widths, the means): every arm is warm-started at the same
+    /// `n`, so every UCB bonus is equal, the index is monotone in the mean,
+    /// and a fresh bandit plays its first arm. Under the CI closure that arm
+    /// is the argmin by (mean, lower bound, candidate index) — `top_k_into`
+    /// walks in lower-bound order, then sorts stably by mean — and the
+    /// argmin over all candidates is in the closure: its lower bound is at
+    /// most its mean, at most the seed's mean and so at most the seed's
+    /// upper bound. The closure's members, which only the CI widths read,
+    /// come from a sort-free fixpoint.
+    fn alone(
+        &mut self,
         predict: impl Fn(RelayOption) -> Prediction,
         candidates: &[RelayOption],
-        objective: Metric,
-        scratch: &mut ArmsScratch,
     ) -> PairArms {
-        debug_assert!(plan.decides_alone());
-        let (scored, selected) = (&mut scratch.scored, &mut scratch.selected);
-        let direct_mean = score(predict, candidates, objective, scored);
+        let (scored, selected) = (&mut self.scored, &mut self.selected);
+        let direct_mean = score(predict, candidates, self.objective, scored);
         selected.clear();
-        let first = if let Prune::FixedK(k) = plan.prune {
+        let first = if let Prune::FixedK(k) = self.plan.prune {
             best_k(scored, k, selected);
             selected.first().copied()
         } else {
@@ -471,42 +523,31 @@ impl PairArms {
         }
     }
 
-    /// Predicted benefit of relaying this pair: direct cost minus best cost,
-    /// in objective units (what the §4.6 gate ranks). Fixed per (pair,
-    /// window) — it never depends on how the bandit evolves.
-    pub fn benefit(&self) -> f64 {
-        self.direct_mean - self.best_mean
+    /// Confidence-interval widths (`upper − lower`) of the arms the last
+    /// build kept, for the obs layer; none for unscored arms.
+    pub(crate) fn ci_widths(&self) -> impl Iterator<Item = f64> + '_ {
+        self.selected.iter().map(|s| s.upper - s.lower)
     }
 
-    /// Predicted mean of the best arm (zero for unscored arms).
-    pub(crate) fn best_mean(&self) -> f64 {
-        self.best_mean
-    }
-
-    /// The arms, best predicted mean first.
-    pub(crate) fn options(&self) -> impl Iterator<Item = RelayOption> + '_ {
-        self.bandit.options()
-    }
-
-    /// Stage 4 of Algorithm 1 for one call: fills `out` with the path set,
-    /// primary first, and returns the decision. A `gated` call goes direct
-    /// with an empty set. Otherwise one ε draw decides between general
-    /// exploration (a uniform pick as `plan` says; redundancy still comes
-    /// from the bandit so the draw count never depends on `k`) and the
-    /// bandit's `choose_set(k)` — `Via` is the `k = 1` row of the same code.
+    /// Stage 4 of Algorithm 1 for one call of the pair `arms` serves: fills
+    /// [`Selector::set`] with the path set, primary first, and returns the
+    /// decision. A `gated` call goes direct with an empty set. Otherwise one
+    /// ε draw decides between general exploration (a uniform pick as the
+    /// plan says; redundancy still comes from the bandit so the draw count
+    /// never depends on `k`) and the bandit's `choose_set(k)` — `Via` is
+    /// the `k = 1` row of the same code.
     ///
     /// `rng` and `candidates` are lazy: the per-call RNG is built only for
     /// admitted calls of plans with an ε stage, and the candidate set is
     /// enumerated only when the explore fires.
     pub fn decide<'c, R: Rng>(
-        &self,
-        plan: &Plan,
+        &mut self,
+        arms: &PairArms,
         gated: bool,
-        epsilon: f64,
         rng: impl FnOnce() -> R,
         candidates: impl FnOnce() -> &'c [RelayOption],
-        out: &mut Vec<RelayOption>,
     ) -> Decision {
+        let (plan, out) = (&self.plan, &mut self.set);
         out.clear();
         if gated {
             return Decision {
@@ -517,7 +558,7 @@ impl PairArms {
         }
         let (epsilon, over_candidates) = match plan.explore {
             Explore::Off => (0.0, false),
-            Explore::Candidates => (epsilon, true),
+            Explore::Candidates => (self.epsilon, true),
             Explore::Arms { epsilon } => (epsilon, false),
         };
         let mut explore = None;
@@ -528,14 +569,14 @@ impl PairArms {
                     let pool = candidates();
                     pool[rng.random_range(0..pool.len())]
                 } else {
-                    let at = rng.random_range(0..self.bandit.len());
-                    self.bandit.options().nth(at).unwrap_or(RelayOption::Direct)
+                    let at = rng.random_range(0..arms.bandit.len());
+                    arms.bandit.options().nth(at).unwrap_or(RelayOption::Direct)
                 });
             }
         }
-        self.bandit.choose_set(plan.paths, out);
+        arms.bandit.choose_set(plan.paths, out);
         if out.is_empty() {
-            out.extend(self.first);
+            out.extend(arms.first);
         }
         if let Some(pick) = explore {
             out.retain(|&o| o != pick);
@@ -547,91 +588,6 @@ impl PairArms {
             explored: explore.is_some(),
             gated: false,
         }
-    }
-
-    /// Feeds one played path's realized cost back to its arm. Costs for
-    /// options outside the arm set (ε picks) are ignored here — they reach
-    /// the next window through the history instead.
-    pub fn learn(&mut self, option: RelayOption, cost: f64) {
-        self.bandit.update(option, cost);
-        self.bandit.validate();
-    }
-}
-
-/// One shard's per-call pipeline: the plan, objective and ε it runs, the
-/// arm-building buffers and the decided path set. One per replay worker and
-/// one per server shard; each driver keeps its own per-pair [`PairArms`]
-/// store and hands the pair's arms in.
-#[derive(Debug)]
-pub struct Selector {
-    plan: Plan,
-    objective: Metric,
-    epsilon: f64,
-    scratch: ArmsScratch,
-    /// The path set the last decision left, primary first.
-    set: Vec<RelayOption>,
-}
-
-impl Selector {
-    /// A selector running `plan` for `objective` with the caller's ε.
-    pub fn new(plan: Plan, objective: Metric, epsilon: f64) -> Selector {
-        Selector {
-            plan,
-            objective,
-            epsilon,
-            scratch: ArmsScratch::default(),
-            set: Vec::new(),
-        }
-    }
-
-    /// Builds the arms of the spatial key pair `(a, b)` from `predictor`'s
-    /// view of it: stage 3 of Algorithm 1, once per (pair, window). `lone`
-    /// says the pair has one call this window; under a plan that
-    /// [`Plan::decides_alone`] its arms are then [`PairArms::alone`].
-    pub fn build(
-        &mut self,
-        predictor: &Predictor,
-        (a, b): (u32, u32),
-        candidates: &[RelayOption],
-        lone: bool,
-    ) -> PairArms {
-        let view = predictor.pair(a, b);
-        let build = if lone && self.plan.decides_alone() {
-            PairArms::alone
-        } else {
-            PairArms::build
-        };
-        build(
-            &self.plan,
-            |o| view.predict(o),
-            candidates,
-            self.objective,
-            &mut self.scratch,
-        )
-    }
-
-    /// Confidence-interval widths of the arms the last build kept.
-    pub(crate) fn ci_widths(&self) -> impl Iterator<Item = f64> + '_ {
-        self.scratch.ci_widths()
-    }
-
-    /// Stage 4 for one call of the pair `arms` serves: see
-    /// [`PairArms::decide`]. The path set is left in [`Selector::set`].
-    pub fn decide<'c, R: Rng>(
-        &mut self,
-        arms: &PairArms,
-        gated: bool,
-        rng: impl FnOnce() -> R,
-        candidates: impl FnOnce() -> &'c [RelayOption],
-    ) -> Decision {
-        arms.decide(
-            &self.plan,
-            gated,
-            self.epsilon,
-            rng,
-            candidates,
-            &mut self.set,
-        )
     }
 
     /// The path set the last [`Selector::decide`] left, primary first.
@@ -919,109 +875,107 @@ mod tests {
         c
     }
 
-    fn build_with(kind: StrategyKind, scratch: &mut ArmsScratch) -> (Plan, PairArms) {
-        let plan = Plan::from(kind);
-        let arms = PairArms::build(&plan, predict, &candidates(), Metric::Rtt, scratch);
-        (plan, arms)
-    }
-
-    fn build(kind: StrategyKind) -> (Plan, PairArms) {
-        build_with(kind, &mut ArmsScratch::default())
+    /// A selector running `kind` at ε, and the arms it builds over
+    /// [`candidates`] for a pair with more than one call.
+    fn build(kind: StrategyKind, epsilon: f64) -> (Selector, PairArms) {
+        let mut selector = Selector::new(Plan::from(kind), Metric::Rtt, epsilon);
+        let arms = selector.arms(predict, &candidates(), false);
+        (selector, arms)
     }
 
     #[test]
-    fn build_prunes_as_the_plan_says() {
-        let mut scratch = ArmsScratch::default();
-        let (_, via) = build_with(StrategyKind::Via, &mut scratch);
+    fn arms_prune_as_the_plan_says() {
+        let (mut selector, via) = build(StrategyKind::Via, 0.0);
         let kept: Vec<_> = via.options().collect();
         assert_eq!(kept.first(), Some(&bounce(0)), "best predicted mean leads");
         assert!(!kept.contains(&RelayOption::Direct), "400 ms is pruned");
-        assert_eq!(scratch.ci_widths().count(), kept.len());
-        assert!(scratch
+        assert_eq!(selector.ci_widths().count(), kept.len());
+        assert!(selector
             .ci_widths()
             .all(|w| (w - 2.0 * 1.96 * 8.0).abs() < 1e-9));
         assert!((via.benefit() - 340.0).abs() < 1e-6);
 
-        let (_, top2) = build(StrategyKind::ViaFixedTopK { k: 2 });
+        let (_, top2) = build(StrategyKind::ViaFixedTopK { k: 2 }, 0.0);
         assert_eq!(top2.options().collect::<Vec<_>>(), [bounce(0), bounce(1)]);
 
         // Unscored arms leave no widths behind, not the last build's.
-        let (_, all) = build_with(StrategyKind::ExplorationOnly, &mut scratch);
+        selector.plan = Plan::from(StrategyKind::ExplorationOnly);
+        let all = selector.arms(predict, &candidates(), false);
         assert_eq!(all.options().collect::<Vec<_>>(), candidates());
         assert_eq!(all.best_mean(), 0.0);
-        assert_eq!(scratch.ci_widths().count(), 0);
+        assert_eq!(selector.ci_widths().count(), 0);
     }
 
     #[test]
     fn decide_gates_explores_and_fills_the_set() {
         let cands = candidates();
         let rng = || StdRng::seed_from_u64(5);
-        let mut set = Vec::new();
 
-        let (plan, arms) = build(StrategyKind::Via);
-        let d = arms.decide(&plan, true, 1.0, rng, || &cands[..], &mut set);
+        let (mut selector, arms) = build(StrategyKind::Via, 1.0);
+        let d = selector.decide(&arms, true, rng, || &cands[..]);
         assert!(d.gated && !d.explored && d.option == RelayOption::Direct);
-        assert!(set.is_empty());
-
-        // ε = 0 never builds the RNG or touches the candidates.
-        let d = arms.decide(
-            &plan,
-            false,
-            0.0,
-            || -> StdRng { unreachable!("no ε stage at ε = 0") },
-            || unreachable!("no explore at ε = 0"),
-            &mut set,
-        );
-        assert_eq!((d.option, d.explored, d.gated), (bounce(0), false, false));
-        assert_eq!(set, [bounce(0)]);
+        assert!(selector.set().is_empty());
 
         // ε = 1 always explores over the full candidate set.
-        let d = arms.decide(&plan, false, 1.0, rng, || &cands[..], &mut set);
+        let d = selector.decide(&arms, false, rng, || &cands[..]);
         assert!(d.explored && cands.contains(&d.option));
-        assert_eq!(set, [d.option]);
+        assert_eq!(selector.set(), [d.option]);
+
+        // ε = 0 never builds the RNG or touches the candidates.
+        selector.epsilon = 0.0;
+        let d = selector.decide(
+            &arms,
+            false,
+            || -> StdRng { unreachable!("no ε stage at ε = 0") },
+            || unreachable!("no explore at ε = 0"),
+        );
+        assert_eq!((d.option, d.explored, d.gated), (bounce(0), false, false));
+        assert_eq!(selector.set(), [bounce(0)]);
 
         // A k-path plan keeps the explore pick as primary and fills the rest
         // of the set from the bandit, without duplicates.
-        let (plan, arms) = build(StrategyKind::Multipath {
-            k: 2,
-            mode: MultipathMode::Duplicate,
-            budget: 1.0,
-        });
-        let d = arms.decide(&plan, false, 1.0, rng, || &cands[..], &mut set);
+        let (mut selector, arms) = build(
+            StrategyKind::Multipath {
+                k: 2,
+                mode: MultipathMode::Duplicate,
+                budget: 1.0,
+            },
+            1.0,
+        );
+        let d = selector.decide(&arms, false, rng, || &cands[..]);
         assert!(d.explored);
+        let set = selector.set();
         assert_eq!(set.len(), 2);
         assert_eq!(set[0], d.option);
         assert_ne!(set[0], set[1]);
-        let d = arms.decide(&plan, false, 0.0, rng, || &cands[..], &mut set);
-        assert_eq!(set, [bounce(0), bounce(1)]);
+        selector.epsilon = 0.0;
+        let d = selector.decide(&arms, false, rng, || &cands[..]);
+        assert_eq!(selector.set(), [bounce(0), bounce(1)]);
         assert_eq!(d.option, bounce(0));
 
         // The §7 wrappers carry no ε stage at all.
-        let (plan, arms) = build(StrategyKind::ViaCached { ttl_hours: 1 });
-        let d = arms.decide(
-            &plan,
+        let (mut selector, arms) = build(StrategyKind::ViaCached { ttl_hours: 1 }, 1.0);
+        let d = selector.decide(
+            &arms,
             false,
-            1.0,
             || -> StdRng { unreachable!("cached plans never explore") },
             || unreachable!("cached plans never explore"),
-            &mut set,
         );
         assert_eq!((d.option, d.explored), (bounce(0), false));
 
         // The ε-greedy strawman ignores the caller's ε and explores over its
         // own arms.
-        let (plan, arms) = build(StrategyKind::ExplorationOnly);
+        let (mut selector, arms) = build(StrategyKind::ExplorationOnly, 0.0);
         let explored = (0..200u64)
             .filter(|&i| {
-                arms.decide(
-                    &plan,
-                    false,
-                    0.0,
-                    || StdRng::seed_from_u64(i),
-                    || unreachable!("the explore pool is the arm list"),
-                    &mut set,
-                )
-                .explored
+                selector
+                    .decide(
+                        &arms,
+                        false,
+                        || StdRng::seed_from_u64(i),
+                        || unreachable!("the explore pool is the arm list"),
+                    )
+                    .explored
             })
             .count();
         assert!((5..=40).contains(&explored), "ε = 0.1 fired {explored}/200");
@@ -1070,27 +1024,50 @@ mod tests {
     const LIN_MEANS: [f64; 7] = [-0.0, 0.0, 40.0, 40.0, 95.5, 200.0, 1e300];
     const LIN_SEMS: [f64; 5] = [0.0, 0.0, 10.0, 60.0, 1e308];
 
+    /// A generated scored set: the candidates (the direct path at
+    /// `direct_at`, when in range) and their predictions.
+    fn scored_set(
+        slots: &[(usize, usize)],
+        direct_at: usize,
+    ) -> (Vec<RelayOption>, Vec<Prediction>) {
+        slots
+            .iter()
+            .enumerate()
+            .map(|(i, &(m, s))| {
+                let option = if i == direct_at {
+                    RelayOption::Direct
+                } else {
+                    bounce(i as u32)
+                };
+                let source = crate::predictor::PredictionSource::Empirical(5);
+                (
+                    option,
+                    Prediction::from_linear([LIN_MEANS[m]; 3], [LIN_SEMS[s]; 3], source),
+                )
+            })
+            .unzip()
+    }
+
     proptest::proptest! {
         // For every row that decides alone, ε fired or not: the lone-call
-        // decision is the build and first decide of a fresh pair.
+        // decision is the build and first decide of a fresh pair. Each of
+        // the two selectors has first built and played another set, lone
+        // and not in opposite orders, so a buffer one build leaves behind
+        // would reach the compared decision, set, means or CI widths.
         #[test]
         fn a_lone_call_decides_as_the_first_play_of_fresh_arms(
             slots in proptest::collection::vec((0usize..LIN_MEANS.len(), 0usize..LIN_SEMS.len()), 1..12),
             direct_at in 0usize..16,
+            before in proptest::collection::vec((0usize..LIN_MEANS.len(), 0usize..LIN_SEMS.len()), 1..12),
+            before_direct_at in 0usize..16,
             metric in 0usize..3,
             seed in proptest::any::<u64>(),
         ) {
-            let cands: Vec<RelayOption> = (0..slots.len())
-                .map(|i| if i == direct_at { RelayOption::Direct } else { bounce(i as u32) })
-                .collect();
-            let predict = |o: RelayOption| {
-                let (m, s) = slots[cands.iter().position(|&c| c == o).unwrap_or(0)];
-                Prediction::from_linear(
-                    [LIN_MEANS[m]; 3],
-                    [LIN_SEMS[s]; 3],
-                    crate::predictor::PredictionSource::Empirical(5),
-                )
-            };
+            let (cands, preds) = scored_set(&slots, direct_at);
+            let (before_cands, before_preds) = scored_set(&before, before_direct_at);
+            let at = |cands: &[RelayOption], o| cands.iter().position(|&c| c == o).unwrap_or(0);
+            let predict = |o| preds[at(&cands, o)];
+            let predict_before = |o| before_preds[at(&before_cands, o)];
             let objective = Metric::ALL[metric];
             let sorted_bits = |widths: &mut dyn Iterator<Item = f64>| {
                 let mut bits: Vec<u64> = widths.map(f64::to_bits).collect();
@@ -1106,22 +1083,27 @@ mod tests {
                 StrategyKind::ViaCached { ttl_hours: 1 },
             ] {
                 for epsilon in [0.0, 0.3, 1.0] {
-                    let plan = Plan::from(kind);
                     let rng = || StdRng::seed_from_u64(seed);
-                    let (mut scratch, mut set) = (ArmsScratch::default(), Vec::new());
-                    let arms = PairArms::build(&plan, predict, &cands, objective, &mut scratch);
-                    let want = arms.decide(&plan, false, epsilon, rng, || &cands[..], &mut set);
-                    let (mut lone_scratch, mut lone_set) = (ArmsScratch::default(), Vec::new());
-                    let alone = PairArms::alone(&plan, predict, &cands, objective, &mut lone_scratch);
-                    let got = alone.decide(&plan, false, epsilon, rng, || &cands[..], &mut lone_set);
-                    let case = format!("{kind} ε {epsilon} {slots:?} direct at {direct_at}");
+                    let mut full = Selector::new(Plan::from(kind), objective, epsilon);
+                    let mut lone = Selector::new(Plan::from(kind), objective, epsilon);
+                    for (selector, order) in [(&mut full, [false, true]), (&mut lone, [true, false])] {
+                        for lone_before in order {
+                            let arms = selector.arms(predict_before, &before_cands, lone_before);
+                            selector.decide(&arms, false, rng, || &before_cands[..]);
+                        }
+                    }
+                    let arms = full.arms(predict, &cands, false);
+                    let want = full.decide(&arms, false, rng, || &cands[..]);
+                    let alone = lone.arms(predict, &cands, true);
+                    let got = lone.decide(&alone, false, rng, || &cands[..]);
+                    let case = format!("{kind} ε {epsilon} {slots:?} direct at {direct_at}, after {before:?}");
                     proptest::prop_assert_eq!(got, want, "{}", case);
-                    proptest::prop_assert_eq!(&lone_set, &set, "{}", case);
+                    proptest::prop_assert_eq!(lone.set(), full.set(), "{}", case);
                     proptest::prop_assert_eq!(alone.best_mean().to_bits(), arms.best_mean().to_bits(), "{}", case);
                     proptest::prop_assert_eq!(alone.benefit().to_bits(), arms.benefit().to_bits(), "{}", case);
                     proptest::prop_assert_eq!(
-                        sorted_bits(&mut lone_scratch.ci_widths()),
-                        sorted_bits(&mut scratch.ci_widths()),
+                        sorted_bits(&mut lone.ci_widths()),
+                        sorted_bits(&mut full.ci_widths()),
                         "{}",
                         case
                     );
@@ -1132,18 +1114,11 @@ mod tests {
 
     #[test]
     fn learn_moves_the_bandit_off_a_bad_arm() {
-        let (plan, mut arms) = build(StrategyKind::Via);
-        let mut set = Vec::new();
+        let (mut selector, mut arms) = build(StrategyKind::Via, 0.0);
         let mut pick = |arms: &PairArms| {
-            arms.decide(
-                &plan,
-                false,
-                0.0,
-                || StdRng::seed_from_u64(0),
-                || &[],
-                &mut set,
-            )
-            .option
+            selector
+                .decide(arms, false, || StdRng::seed_from_u64(0), || &[])
+                .option
         };
         assert_eq!(pick(&arms), bounce(0));
         for _ in 0..20 {

@@ -28,11 +28,14 @@
 //!
 //! The decision itself is `via_core::selector`'s: each shard carries a
 //! [`Selector`] running the `Via` row — `ViaBudgeted` when the config has a
-//! budget — and `select` admits through the same [`GateState`] the replay
-//! engine walks, whose non-finite-benefit rule (admit, charge nothing) is
-//! the one both planes share. What stays here: the per-pair arms map, the
-//! one gate behind its mutex, the per-call RNG, and dropping candidates from
-//! outside the fleet before arms are built. The regression tests in
+//! budget — whose [`Selector::arms`] builds a pair's [`PairArms`] from the
+//! epoch's predictor and whose [`Selector::decide`] plays them; a report
+//! teaches them through [`PairArms::learn`]. `select` admits through the
+//! same [`GateState`] the replay engine walks, whose non-finite-benefit rule
+//! (admit, charge nothing) is the one both planes share. What stays here:
+//! the per-pair arms map, the one gate behind its mutex, the per-call RNG,
+//! and dropping candidates from outside the fleet before arms are built.
+//! The regression tests in
 //! `tests/server_determinism.rs` pin selections against an independent
 //! reference loop built on `Predictor::fit`.
 
@@ -442,7 +445,8 @@ impl Controller {
             };
         }
         let arms = pairs.entry(pair).or_insert_with(|| {
-            selector.build(&epoch.predictor, (pair.lo, pair.hi), candidates, false)
+            let view = epoch.predictor.pair(pair.lo, pair.hi);
+            selector.arms(|o| view.predict(o), candidates, false)
         });
         let admitted = lock(&self.gate).admit(arms.benefit());
         let decision = selector.decide(

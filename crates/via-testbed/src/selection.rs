@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use via_core::selector::{ArmsScratch, PairArms, Plan};
+use via_core::selector::{Plan, Selector};
 use via_core::strategy::StrategyKind;
 use via_core::Prediction;
 use via_core::PredictionSource;
@@ -62,9 +62,9 @@ pub fn evaluate_via_selection(reports: &[ReportRecord], objective: Metric) -> Fi
     let mut suboptimality = Vec::new();
     let mut best_picks = 0usize;
     let mut decisions = 0usize;
-    let plan = Plan::from(StrategyKind::Via);
-    let mut scratch = ArmsScratch::default();
-    let mut set = Vec::new();
+    // ε = 0: the controlled experiment scores the exploit step, so the RNG
+    // is never built.
+    let mut selector = Selector::new(Plan::from(StrategyKind::Via), objective, 0.0);
 
     // Deterministic iteration order.
     let mut pairs: Vec<_> = table.into_iter().collect();
@@ -98,27 +98,18 @@ pub fn evaluate_via_selection(reports: &[ReportRecord], objective: Metric) -> Fi
                     })
                     .unzip();
                 if !candidates.is_empty() {
-                    // `build` asks only about the candidates it is handed.
+                    // `arms` asks only about the candidates it is handed.
+                    // Not lone: the arms learn the pair's past picks first.
                     let at = |o| candidates.iter().position(|&c| c == o).unwrap_or(0);
-                    let mut arms = PairArms::build(
-                        &plan,
-                        |o| predicted[at(o)],
-                        &candidates,
-                        objective,
-                        &mut scratch,
-                    );
+                    let mut arms = selector.arms(|o| predicted[at(o)], &candidates, false);
                     for &(opt, value) in &pick_history {
                         arms.learn(opt, value);
                     }
-                    // ε = 0: the controlled experiment scores the exploit
-                    // step, so the RNG is never built.
-                    let decision = arms.decide(
-                        &plan,
+                    let decision = selector.decide(
+                        &arms,
                         false,
-                        0.0,
                         || StdRng::seed_from_u64(0),
                         || &candidates[..],
-                        &mut set,
                     );
                     if let RelayOption::Bounce(rid) = decision.option {
                         let pick = rid.0 as RelayIndex;

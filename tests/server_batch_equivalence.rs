@@ -4,9 +4,10 @@
 //!    are identical to a single-threaded loop that refits with
 //!    `Predictor::fit` at every window barrier — the batch replay engine's
 //!    training schedule — over the same seeded closed-loop trace. Both sides
-//!    decide through the shared `PairArms`, so what this pins is everything
-//!    *around* the decision: the sharded report histories and their rollover
-//!    drain, the epoch pointer and the live gate.
+//!    decide through the shared `Selector::{arms, decide}` and learn through
+//!    `PairArms::learn`, so what this pins is everything *around* the
+//!    decision: the sharded report histories and their rollover drain, the
+//!    epoch pointer and the live gate.
 //! 2. **Socket ≡ in-process.** Driving the same trace through `serve` +
 //!    `Client` on a loopback port yields the same selections and a
 //!    byte-identical `Snapshot` reply.
@@ -36,7 +37,7 @@ use rand::{Rng, SeedableRng};
 use via::core::budget::BudgetGate;
 use via::core::history::{CallHistory, KeyPair};
 use via::core::predictor::{GeoPrior, Predictor, PredictorConfig};
-use via::core::selector::{ArmsScratch, PairArms, Plan};
+use via::core::selector::{PairArms, Plan, Selector};
 use via::core::strategy::StrategyKind;
 use via::core::BackboneFn;
 use via::model::ids::RelayId;
@@ -150,27 +151,23 @@ fn measure(call: &Call, option: RelayOption) -> PathMetrics {
 /// barrier, no shards, no epochs.
 struct BatchReference {
     cfg: ServerConfig,
-    plan: Plan,
+    selector: Selector,
     history: CallHistory,
     window: u64,
     predictor: Predictor,
     pairs: HashMap<KeyPair, PairArms>,
     gate: Option<BudgetGate>,
-    scratch: ArmsScratch,
-    set: Vec<RelayOption>,
 }
 
 impl BatchReference {
     fn new(cfg: ServerConfig) -> BatchReference {
         BatchReference {
-            plan: Plan::from(StrategyKind::Via),
+            selector: Selector::new(Plan::from(StrategyKind::Via), cfg.objective, cfg.epsilon),
             history: CallHistory::new(),
             window: 0,
             predictor: Predictor::cold(prior(), boxed(&backbone())),
             pairs: HashMap::new(),
             gate: cfg.budget.map(BudgetGate::new),
-            scratch: ArmsScratch::default(),
-            set: Vec::new(),
             cfg,
         }
     }
@@ -195,29 +192,20 @@ impl BatchReference {
     fn select(&mut self, call: &Call, cands: &[RelayOption]) -> Selection {
         self.ensure_window(self.cfg.window.window_of(call.t));
         let pair = KeyPair::new(call.src, call.dst);
-        let (plan, cfg, predictor, scratch) =
-            (&self.plan, &self.cfg, &self.predictor, &mut self.scratch);
+        let (cfg, predictor, selector) = (&self.cfg, &self.predictor, &mut self.selector);
         let arms = self.pairs.entry(pair).or_insert_with(|| {
-            PairArms::build(
-                plan,
-                |o| predictor.predict(pair.lo, pair.hi, o),
-                cands,
-                cfg.objective,
-                scratch,
-            )
+            selector.arms(|o| predictor.predict(pair.lo, pair.hi, o), cands, false)
         });
         let benefit = arms.benefit();
         let admitted = match self.gate.as_mut() {
             Some(gate) if benefit.is_finite() => gate.admit(benefit),
             _ => true,
         };
-        let d = arms.decide(
-            plan,
+        let d = selector.decide(
+            arms,
             !admitted,
-            cfg.epsilon,
             || StdRng::seed_from_u64(seed::derive_indexed(cfg.seed, "server.select", call.id)),
             || cands,
-            &mut self.set,
         );
         Selection {
             option: d.option,
