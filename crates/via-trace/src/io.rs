@@ -126,10 +126,10 @@ fn read_line<'b>(
 }
 
 /// Line-streamed JSON Lines reader: one record per
-/// [`RecordSource::next_record`] call, one line of at most [`MAX_LINE`]
-/// bytes resident at a time. Parse failures report the 1-based line number
-/// and the byte offset of the line start; a file that ends short of its
-/// header's count is [`TraceError::CountMismatch`].
+/// [`RecordSource::next_record`] call, one line of at most 8 KiB
+/// (`MAX_LINE`) resident at a time. Parse failures report the 1-based line
+/// number and the byte offset of the line start; a file that ends short of
+/// its header's count is [`TraceError::CountMismatch`].
 pub struct JsonlReader {
     reader: BufReader<File>,
     header: JsonlHeader,

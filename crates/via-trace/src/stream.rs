@@ -188,7 +188,7 @@ pub struct WindowBatch {
 ///
 /// Memory: one batch under construction, one lookahead record (the first
 /// record of the *next* window, which reveals the current window's end), and
-/// up to [`SPARE_BUFFERS`] recycled buffers.
+/// up to four recycled buffers (`SPARE_BUFFERS`).
 pub struct WindowStream<S> {
     source: S,
     window_len: WindowLen,

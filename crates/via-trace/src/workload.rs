@@ -300,7 +300,8 @@ impl<'w> TraceGenerator<'w> {
 
     /// Lazy generation: yields the trace one record at a time, holding one
     /// day's buffer resident. The record sequence is byte-identical to
-    /// [`Self::generate`] — see [`Self::generate_day`] for why.
+    /// [`Self::generate`]: days occupy disjoint time ranges, so sorting each
+    /// day equals sorting the whole trace.
     pub fn stream(&self) -> GenRecords<'_> {
         GenRecords {
             generator: self,
