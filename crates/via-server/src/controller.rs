@@ -35,9 +35,8 @@
 //! (admit, charge nothing) is the one both planes share. What stays here:
 //! the per-pair arms map, the one gate behind its mutex, the per-call RNG,
 //! and dropping candidates from outside the fleet before arms are built.
-//! The regression tests in
-//! `tests/server_determinism.rs` pin selections against an independent
-//! reference loop built on `Predictor::fit`.
+//! The regression tests in `tests/server_determinism.rs` pin selections
+//! against an independent reference loop built on `Predictor::fit`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
