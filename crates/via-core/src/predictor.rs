@@ -26,9 +26,9 @@ use via_model::time::Window;
 use via_netsim::GeoPoint;
 
 use crate::history::{CallHistory, KeyPair, MetricStats};
-use crate::online::{BackboneFn, Trained};
+use crate::online::BackboneFn;
 use crate::tomography::{
-    delinearize, linearize, linearize_sem, stitch_rows, CellRef, KeyRow, Tomography,
+    delinearize, fit_order, linearize, linearize_sem, stitch_rows, CellRef, KeyRow, Tomography,
     TomographyConfig,
 };
 
@@ -130,25 +130,12 @@ fn prior_slot(metric: Metric, mean: f64) -> (f64, f64) {
     (lin, (PRIOR_REL_SEM * lin).max(1e-6))
 }
 
-/// Predictor configuration: how a fit is parallelized, never what it
-/// computes.
-#[derive(Debug, Clone, Copy)]
+/// Predictor configuration, which the fit does not read: the fit is one
+/// sequential pass whatever the settings.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PredictorConfig {
-    /// Worker threads for the per-cell empirical fit (`0` = one per core,
-    /// `1` = sequential). The fit is embarrassingly parallel across cells
-    /// and its result is identical for any value.
-    pub workers: usize,
     /// Tomography solver settings.
     pub tomography: TomographyConfig,
-}
-
-impl Default for PredictorConfig {
-    fn default() -> Self {
-        Self {
-            workers: 1,
-            tomography: TomographyConfig::default(),
-        }
-    }
 }
 
 /// Geography the controller knows: one representative position per spatial
@@ -253,7 +240,6 @@ struct FittedCell {
 /// segments in per-key rows (see [`Tomography`]), and [`Predictor::pair`] to
 /// resolve both once per pair.
 pub struct Predictor {
-    window: Window,
     /// Each fitted cell's pair, sorted: the column [`Predictor::pair`]
     /// binary-searches, 8 bytes a cell instead of a whole cell.
     pairs: Vec<KeyPair>,
@@ -267,7 +253,6 @@ pub struct Predictor {
 impl std::fmt::Debug for Predictor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Predictor")
-            .field("window", &self.window)
             .field("empirical_cells", &self.empirical.len())
             .field("tomography_segments", &self.tomography.len())
             .finish()
@@ -276,58 +261,37 @@ impl std::fmt::Debug for Predictor {
 
 impl Predictor {
     /// Fits a predictor on the history of `training_window` (stage 1 + 2 of
-    /// Algorithm 1). `backbone` supplies known inter-relay metrics. The
-    /// window's cells are copied into a [`Trained`], whose fit is the one
-    /// rule.
+    /// Algorithm 1). `backbone` supplies known inter-relay metrics.
     pub fn fit(
         history: &CallHistory,
         training_window: Window,
         prior: GeoPrior,
         backbone: impl Into<BackboneFn>,
-        cfg: PredictorConfig,
+        _cfg: PredictorConfig,
     ) -> Predictor {
-        let mut trained = Trained::default();
-        let cells = trained.close(training_window);
-        cells.reserve(history.window_len(training_window));
-        cells.extend(
-            history
-                .window_cells(training_window)
-                .map(|(key, stats)| (*key, stats.clone())),
-        );
-        let opening = Window {
-            index: training_window.index + 1,
-            ..training_window
-        };
-        trained.fit(opening, prior, &backbone.into(), cfg)
+        let cells = fit_order(history.window_cells(training_window));
+        Self::fit_sorted(cells, prior, backbone.into())
     }
 
-    /// The fit [`Trained::fit`] runs, over the training window's cells in
-    /// [`crate::tomography::sorted_cells`] order — `(pair, option)`
-    /// ascending, each once, none empty.
+    /// The fit, over the training window's cells in
+    /// [`crate::tomography::fit_order`] — `(pair, option)` ascending, each
+    /// once, none empty. Each cell is fitted in that order, which is also
+    /// the order they are kept in.
     pub(crate) fn fit_sorted(
         cells: Vec<CellRef<'_>>,
-        training_window: Window,
         prior: GeoPrior,
         backbone: BackboneFn,
-        cfg: PredictorConfig,
     ) -> Predictor {
-        // Per-cell fits are independent: fan out across the worker pool in
-        // the cells' sorted order, which is also the order they are kept in.
-        // Small windows stay sequential — thread startup would dominate.
-        let workers = if cells.len() < 256 {
-            1
-        } else {
-            crate::par::resolve_workers(cfg.workers)
-        };
-        let empirical =
-            crate::par::par_map(workers, &cells, |_, &(&(_, option), stats)| FittedCell {
+        let empirical = cells
+            .iter()
+            .map(|&(&(_, option), stats)| FittedCell {
                 option,
                 prediction: fit_cell(stats),
-            });
+            })
+            .collect();
         let pairs = cells.iter().map(|&(&(pair, _), _)| pair).collect();
         let tomography = Tomography::fit_sorted(cells, &*backbone);
         Predictor {
-            window: training_window,
             pairs,
             empirical,
             tomography,
@@ -336,19 +300,10 @@ impl Predictor {
         }
     }
 
-    /// A predictor with no history at all (cold start): prior-only.
+    /// A predictor with no history at all (cold start): the fit of no
+    /// cells, prior-only.
     pub fn cold(prior: GeoPrior, backbone: impl Into<BackboneFn>) -> Predictor {
-        Predictor {
-            window: Window {
-                index: 0,
-                len: via_model::time::WindowLen::DAY,
-            },
-            pairs: Vec::new(),
-            empirical: Vec::new(),
-            tomography: Tomography::default(),
-            prior,
-            backbone: backbone.into(),
-        }
+        Self::fit_sorted(Vec::new(), prior, backbone.into())
     }
 
     /// Number of empirical cells in the model.
@@ -440,6 +395,7 @@ impl PairView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::Trained;
     use crate::tomography::reference;
     use proptest::prelude::*;
     use std::collections::HashMap;
@@ -744,7 +700,7 @@ mod tests {
             index: window().index + 1,
             ..window()
         };
-        let from_slice = trained.fit(opening, day.prior.clone(), &day.backbone, cfg);
+        let from_slice = trained.fit(opening, day.prior.clone(), &day.backbone);
         assert_eq!(from_slice.empirical_cells(), from_history.empirical_cells());
         assert_eq!(
             from_slice.tomography_segments(),

@@ -127,18 +127,17 @@ impl Default for TomographyConfig {
 /// One observed cell of a training window, as the fits read it.
 pub(crate) type CellRef<'a> = (&'a (KeyPair, RelayOption), &'a MetricStats);
 
-/// The cells of `window` that carried calls, in `(pair, option)` order.
-/// Hash-map iteration order must pick neither the chunking of the parallel
-/// per-cell passes nor the order the solver numbers its unknowns in
-/// (Gauss–Seidel results depend on update order at fixed iteration counts).
-pub(crate) fn sorted_cells(history: &CallHistory, window: Window) -> Vec<CellRef<'_>> {
-    let mut cells = Vec::with_capacity(history.window_len(window));
-    cells.extend(
-        history
-            .window_cells(window)
-            .filter(|(_, stats)| stats.count() > 0),
-    );
-    cells.sort_unstable_by_key(|(k, _)| **k);
+/// The cells a fit reads: sorted by `(pair, option)` — every key is there
+/// once, so any sort will do — and without any that holds no RTT sample (a
+/// non-finite report's). Hash-map and shard order must pick neither the
+/// order the per-cell fits are kept in nor the order the solver numbers its
+/// unknowns in (Gauss–Seidel results depend on update order at fixed
+/// iteration counts). Dropping the empty cells after the sort measured
+/// cheaper than before it.
+pub(crate) fn fit_order<'a>(cells: impl IntoIterator<Item = CellRef<'a>>) -> Vec<CellRef<'a>> {
+    let mut cells: Vec<CellRef<'a>> = cells.into_iter().collect();
+    cells.sort_unstable_by_key(|(key, _)| **key);
+    cells.retain(|(_, stats)| stats.count() > 0);
     cells
 }
 
@@ -380,10 +379,10 @@ impl Tomography {
         backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
         _cfg: &TomographyConfig,
     ) -> Tomography {
-        Self::fit_sorted(sorted_cells(history, window), backbone)
+        Self::fit_sorted(fit_order(history.window_cells(window)), backbone)
     }
 
-    /// [`Tomography::fit`] over cells already in [`sorted_cells`] order,
+    /// [`Tomography::fit`] over cells already in [`fit_order`],
     /// which it drops once their equations are assembled.
     pub(crate) fn fit_sorted(
         cells: Vec<CellRef<'_>>,
@@ -703,7 +702,7 @@ pub(crate) mod reference {
             window: Window,
             backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
         ) -> Tomography {
-            let cells = sorted_cells(history, window);
+            let cells = fit_order(history.window_cells(window));
             let mut index: HashMap<SegmentKey, usize> = HashMap::new();
             let mut keys: Vec<SegmentKey> = Vec::new();
             let obs = observations(&cells, backbone, |k| {

@@ -49,7 +49,7 @@ use serde::{Deserialize, Serialize};
 use via_core::budget::BudgetGate;
 use via_core::history::{GroupedCell, KeyPair, MetricStats};
 use via_core::online::{BackboneFn, CellSnapshot, RefitSnapshot, Trained};
-use via_core::predictor::{GeoPrior, Predictor, PredictorConfig};
+use via_core::predictor::{GeoPrior, Predictor};
 use via_core::selector::{GateState, PairArms, Plan, Selector};
 use via_core::strategy::StrategyKind;
 use via_model::ids::RelayId;
@@ -261,8 +261,7 @@ impl Controller {
         current: Window,
         mut trained: Trained,
     ) -> Controller {
-        let fit_cfg = PredictorConfig::default();
-        let predictor = trained.fit(current, prior.clone(), &backbone, fit_cfg);
+        let predictor = trained.fit(current, prior.clone(), &backbone);
         let epoch = Arc::new(Epoch {
             window: current,
             predictor,
@@ -536,8 +535,7 @@ impl Controller {
             cells.extend_from_slice(&shard.cells);
             refit_lag += shard.pending;
         }
-        let fit_cfg = PredictorConfig::default();
-        let predictor = staged.fit(next, self.prior.clone(), &self.backbone, fit_cfg);
+        let predictor = staged.fit(next, self.prior.clone(), &self.backbone);
         let empirical = predictor.empirical_cells() as u64;
         let segments = predictor.tomography_segments() as u64;
         let epoch = Arc::new(Epoch {
