@@ -18,6 +18,9 @@
 
 use via_model::options::RelayOption;
 
+/// Exploration coefficient (paper: 0.1 under the square root).
+const EXPLORATION_COEF: f64 = 0.1;
+
 /// Per-arm statistics.
 #[derive(Debug, Clone)]
 struct Arm {
@@ -37,8 +40,6 @@ pub struct UcbBandit {
     total: u64,
     /// Normalizer w = mean of top-k Pred_upper values.
     w: f64,
-    /// Exploration coefficient (paper: 0.1 under the square root).
-    pub exploration_coef: f64,
     /// If false, raw costs are used without normalization (the "original
     /// UCB1" ablation of Figure 15).
     pub normalize: bool,
@@ -49,20 +50,7 @@ impl UcbBandit {
     /// normalizer: the mean of the options' upper confidence bounds on the
     /// objective metric (Algorithm 3 line 3).
     pub fn new(options: impl IntoIterator<Item = RelayOption>, w: f64) -> UcbBandit {
-        UcbBandit {
-            arms: options
-                .into_iter()
-                .map(|option| Arm {
-                    option,
-                    n: 0,
-                    cost_sum: 0.0,
-                })
-                .collect(),
-            total: 0,
-            w: if w > 0.0 { w } else { 1.0 },
-            exploration_coef: 0.1,
-            normalize: true,
-        }
+        Self::with_priors(options.into_iter().map(|o| (o, 0.0)), w, 0)
     }
 
     /// Creates a bandit whose arms are warm-started with `virtual_n`
@@ -90,7 +78,6 @@ impl UcbBandit {
                 .collect(),
             total: 0,
             w: if w > 0.0 { w } else { 1.0 },
-            exploration_coef: 0.1,
             normalize: true,
         };
         bandit.total = bandit.arms.len() as u64 * virtual_n;
@@ -129,7 +116,7 @@ impl UcbBandit {
                 return Some(arm.option);
             }
             let mean_cost = arm.cost_sum / (norm * arm.n as f64);
-            let bonus = (self.exploration_coef * t.ln() / arm.n as f64).sqrt();
+            let bonus = (EXPLORATION_COEF * t.ln() / arm.n as f64).sqrt();
             let index = mean_cost - bonus;
             if best.is_none_or(|(b, _)| index < b) {
                 best = Some((index, arm.option));
