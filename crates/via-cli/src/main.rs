@@ -216,6 +216,9 @@ fn cmd_analyze(rest: &[String]) -> CliResult {
     let flags = Flags::parse(rest)?;
     let path = flags.positional("trace file")?;
     let trace = via_trace::load_trace(Path::new(path))?;
+    for (index, record) in (0..).zip(&trace.records) {
+        record.check(index, trace.days, None)?;
+    }
     let thresholds = Thresholds::default();
 
     let s = via_trace::analysis::dataset_summary(&trace);

@@ -82,6 +82,14 @@ pub enum TraceError {
         /// Records actually present.
         actual: u64,
     },
+    /// A record that parsed but means nothing replay or analysis can use:
+    /// see [`crate::CallRecord::check`].
+    BadRecord {
+        /// Absolute index of the offending record.
+        index: u64,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -134,6 +142,7 @@ impl std::fmt::Display for TraceError {
                 f,
                 "trace holds {actual} records but its header promised {expected}"
             ),
+            TraceError::BadRecord { index, reason } => write!(f, "trace record {index}: {reason}"),
         }
     }
 }

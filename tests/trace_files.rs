@@ -8,7 +8,10 @@
 
 use std::path::PathBuf;
 
-use via::model::time::{WindowLen, SECS_PER_DAY};
+use via::core::replay::{ReplayConfig, ReplaySim};
+use via::core::strategy::StrategyKind;
+use via::model::ids::{AsId, CountryId};
+use via::model::time::{SimTime, WindowLen, SECS_PER_DAY};
 use via::netsim::{World, WorldConfig};
 use via::trace::binfmt::RECORD_BYTES;
 use via::trace::stream::{FileSource, TraceRecords};
@@ -115,7 +118,7 @@ impl RecordSource for Claiming<'_> {
 fn row<T: std::fmt::Debug>(
     name: &str,
     outcome: Result<T, TraceError>,
-    expect: fn(&TraceError) -> bool,
+    expect: impl Fn(&TraceError) -> bool,
 ) {
     match outcome {
         Err(e) => assert!(expect(&e), "{name}: wrong variant {e:?}"),
@@ -426,6 +429,124 @@ fn every_reader_and_writer_error_has_its_own_variant() {
         "vbt: write a rating outside 1–5",
         write_to("rating.vbt", claiming(&bad_rating, Some(6))),
         |e| matches!(e, TraceError::BadField(_)),
+    );
+}
+
+/// What replaying `trace`, written to a file called `name`, against `world`
+/// ends in: the calls replayed, or the error.
+fn replay_file(
+    name: &str,
+    trace: &Trace,
+    world: &World,
+    kind: StrategyKind,
+) -> Result<u64, TraceError> {
+    let path = scratch(name);
+    save_trace(trace, &path).unwrap();
+    let cfg = ReplayConfig {
+        seed: 7,
+        workers: 1,
+        collect_calls: false,
+        ..ReplayConfig::default()
+    };
+    let outcome = ReplaySim::streaming(world, cfg)
+        .run_stream(FileSource::open(&path).unwrap(), kind)
+        .map(|out| out.aggregate.calls);
+    std::fs::remove_file(&path).ok();
+    outcome
+}
+
+/// The hostile-input table's expectation for a record refused at `at`.
+fn bad_record(at: u64) -> impl Fn(&TraceError) -> bool {
+    move |e| matches!(e, TraceError::BadRecord { index, .. } if *index == at)
+}
+
+/// Records that parse but that the world they replay against cannot mean:
+/// each is refused with the index of the first such record, before any
+/// worker indexes a table with it. `via analyze` runs the world-free half of
+/// the same check.
+#[test]
+fn every_record_its_world_cannot_mean_is_a_typed_error() {
+    let tiny = World::generate(&WorldConfig::tiny(), 7);
+    let edited = |edit: fn(&mut CallRecord)| {
+        let mut six = six_records();
+        edit(&mut six.records[3]);
+        six
+    };
+
+    // A trace of a larger world replayed against the tiny one.
+    let small = World::generate(&WorldConfig::small(), 5);
+    let foreign = TraceGenerator::new(&small, TraceConfig::tiny(), 5).generate();
+    let first = foreign
+        .records
+        .iter()
+        .position(|r| r.check(0, foreign.days, Some(&tiny)).is_err())
+        .unwrap() as u64;
+    for kind in [StrategyKind::Via, StrategyKind::Default] {
+        row(
+            "another world's trace, replayed",
+            replay_file("foreign.vbt", &foreign, &tiny, kind),
+            bad_record(first),
+        );
+    }
+    row(
+        "jsonl: src_as 4 000 000 000, replayed",
+        replay_file(
+            "as.jsonl",
+            &edited(|r| r.src_as = AsId(4_000_000_000)),
+            &tiny,
+            StrategyKind::Via,
+        ),
+        bad_record(3),
+    );
+    row(
+        "jsonl: src_country 99 999, replayed",
+        replay_file(
+            "country.jsonl",
+            &edited(|r| r.src_country = CountryId(99_999)),
+            &tiny,
+            StrategyKind::Via,
+        ),
+        bad_record(3),
+    );
+    let negative_rtt = edited(|r| r.direct_metrics.rtt_ms = -1e308);
+    row(
+        "jsonl: rtt_ms -1e308, replayed",
+        replay_file("rtt.jsonl", &negative_rtt, &tiny, StrategyKind::Via),
+        bad_record(3),
+    );
+    row(
+        "jsonl: rtt_ms -1e308, analyzed",
+        (0..)
+            .zip(&negative_rtt.records)
+            .try_for_each(|(i, r)| r.check(i, negative_rtt.days, None)),
+        bad_record(3),
+    );
+    row(
+        "vbt: a NaN access loss, replayed",
+        replay_file(
+            "nan.vbt",
+            &edited(|r| r.access_extra.loss_pct = f64::NAN),
+            &tiny,
+            StrategyKind::Via,
+        ),
+        bad_record(3),
+    );
+    row(
+        "jsonl: loss past 100 %, replayed",
+        replay_file(
+            "loss.jsonl",
+            &edited(|r| r.direct_metrics.loss_pct = 100.5),
+            &tiny,
+            StrategyKind::Via,
+        ),
+        bad_record(3),
+    );
+    let mut late = six_records();
+    late.records[5].t = SimTime(late.days * SECS_PER_DAY);
+    row(
+        "vbt: a call past the trace's days, replayed",
+        replay_file("late.vbt", &late, &tiny, StrategyKind::Via),
+        bad_record(5),
     );
 }
 
