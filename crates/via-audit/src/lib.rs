@@ -2,35 +2,41 @@
 //!
 //! The replication's headline property is *determinism*: every figure must
 //! regenerate byte-identically from a seed. This tool enforces the coding
-//! rules that protect it — plus panic-safety and NaN-safety — by walking
-//! `crates/*/src` and `crates/*/benches` and running a registry of lint
-//! passes over each file:
+//! rules that protect it — plus NaN-safety, bounded socket waits and
+//! lock-free hot paths — by walking `crates/*/src` and `crates/*/benches`
+//! and running a registry of lint passes over each file. Every lint is
+//! deny: a finding fails the audit.
 //!
-//! | lint | scope | severity |
-//! |------|-------|----------|
-//! | `nondeterminism` | simulation crates, all code | deny |
-//! | `panic` | simulation + socket crates, non-test lib code | deny (`unwrap`/`expect`), warn (indexing) |
-//! | `nan-cmp` | every crate | deny |
-//! | `lock-contention` | hot-path crates (`via-netsim`, `via-core`) | deny |
-//! | `socket-wait` | socket crates (`via-testbed`), non-test lib code | deny |
-//! | `raw-timing` | hot-path crates (`via-netsim`, `via-core`) | deny |
-//! | `map-iteration-order` | simulation crates, all code | deny |
-//! | `rng-discipline` | simulation crates, non-test code | deny |
-//! | `float-accumulation` | simulation crates, non-test code | deny |
-//! | `cast-truncation` | hot-path + socket crates, non-test lib code | deny |
-//! | `stale-suppression` | everywhere a directive appears | deny |
+//! | lint | scope |
+//! |------|-------|
+//! | `nondeterminism` | simulation crates, all code |
+//! | `nan-cmp` | every crate |
+//! | `lock-contention` | hot-path crates (`via-netsim`, `via-core`) |
+//! | `socket-wait` | socket crates (`via-testbed`, `via-server`), non-test lib code |
+//! | `raw-timing` | hot-path crates (`via-netsim`, `via-core`) |
+//! | `map-iteration-order` | simulation crates, all code |
+//! | `rng-discipline` | simulation crates, non-test code |
+//! | `float-accumulation` | simulation crates, non-test code |
+//! | `cast-truncation` | hot-path + socket crates, non-test lib code |
+//! | `stale-suppression` | everywhere a directive appears |
+//!
+//! Panic-safety is clippy's, not this tool's: the workspace lint table
+//! denies `clippy::unwrap_used` / `expect_used` in library code, and the
+//! files where bytes or ids enter the program (the via-trace readers,
+//! via-server's `wire.rs` / `server.rs`, via-testbed's `protocol.rs`) deny
+//! `clippy::indexing_slicing`.
 //!
 //! Each file is lexed once ([`token`]) into a spanned token stream, comment
 //! list, and code-only rendered lines; a per-file symbol table ([`symbols`])
 //! classifies hash-container / RNG / `f64` bindings; then every applicable
-//! pass in the [`passes::REGISTRY`] runs. The first six lints are
-//! line-based ([`lints`]); the last four are token-aware ([`semantic`]).
+//! pass in the [`passes::REGISTRY`] runs. The first five lints are
+//! line-based ([`lints`]); the next four are token-aware ([`semantic`]).
 //!
 //! Suppression is applied centrally *after* the passes ([`suppress`]):
 //! `// via-audit: allow(lint-name)` with a justification silences findings
 //! on its own or the next line, and every directive is audited — an allow
 //! that suppresses nothing, names an unknown lint, or carries no
-//! justification is itself a deny-level `stale-suppression` finding, so the
+//! justification is itself a `stale-suppression` finding, so the
 //! exception surface can only shrink.
 //!
 //! The `compat/` stand-in crates are not audited: they mirror external
@@ -49,8 +55,8 @@ use std::path::{Path, PathBuf};
 
 use lints::{FileKind, Finding};
 
-/// Crates whose code must stay deterministic and panic-free: everything the
-/// seeded simulation pipeline runs through.
+/// Crates whose code must stay deterministic: everything the seeded
+/// simulation pipeline runs through.
 pub const SIM_CRATES: &[&str] = &[
     "via-core",
     "via-netsim",
@@ -71,14 +77,13 @@ pub const SIM_CRATES: &[&str] = &[
 ///
 /// `via-testbed` is *not* exempt: it escapes the determinism lint (real
 /// sockets and wall-clock timers are its job) via [`SOCKET_CRATES`], but its
-/// library code is held to the panic lint and the `socket-wait` lint — a
-/// hung or panicking harness is exactly the failure mode this PR class
-/// exists to prevent.
+/// library code is held to the `socket-wait` lint — a hung harness is
+/// exactly the failure mode that lint exists to prevent.
 pub const EXEMPT_CRATES: &[&str] = &["via-experiments", "via-audit"];
 
 /// Crates that drive real sockets: exempt from the determinism lint, but
-/// subject to the panic lint and the unbounded-socket-wait lint in non-test
-/// library code.
+/// subject to the unbounded-socket-wait and cast-truncation lints in
+/// non-test library code.
 pub const SOCKET_CRATES: &[&str] = &["via-testbed", "via-server"];
 
 /// Crates on the parallel-replay hot path, where a whole-map `Mutex` is a
@@ -184,8 +189,8 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
         let socket_crate = SOCKET_CRATES.contains(&crate_name);
         let mut files = Vec::new();
         // `src` plus bench targets: benches are exempt from the lib-only
-        // lints (unwrap, panic) via `is_non_lib`, but nondeterminism sources
-        // in sim-crate bench code still need the audit's eye.
+        // lints via `is_non_lib`, but nondeterminism sources in sim-crate
+        // bench code still need the audit's eye.
         for sub in ["src", "benches"] {
             let dir = crate_dir.join(sub);
             if dir.is_dir() {
@@ -222,7 +227,6 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lints::Severity;
 
     #[test]
     fn sim_and_exempt_lists_are_disjoint() {
@@ -254,7 +258,7 @@ mod tests {
 
     #[test]
     fn audit_source_combines_all_lints() {
-        let src = "struct C { m: Mutex<HashMap<u32, u32>> }\nfn f(x: Option<f64>, ys: &mut [f64]) {\n    let mut rng = rand::thread_rng();\n    let t = Instant::now();\n    ys.sort_by(|a, b| a.partial_cmp(b).unwrap());\n    x.unwrap();\n}\n";
+        let src = "struct C { m: Mutex<HashMap<u32, u32>> }\nfn f(ys: &mut [f64]) {\n    let mut rng = rand::thread_rng();\n    let t = Instant::now();\n    ys.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
         let kind = FileKind {
             sim_crate: true,
             lib_code: true,
@@ -262,14 +266,9 @@ mod tests {
             socket_crate: false,
         };
         let f = audit_source("x.rs", src, kind);
-        let denies: Vec<&str> = f
-            .iter()
-            .filter(|x| x.severity == Severity::Deny)
-            .map(|x| x.lint)
-            .collect();
+        let denies: Vec<&str> = f.iter().map(|x| x.lint).collect();
         assert!(denies.contains(&lints::LINT_NONDET));
         assert!(denies.contains(&lints::LINT_NAN));
-        assert!(denies.contains(&lints::LINT_PANIC));
         assert!(denies.contains(&lints::LINT_CONTENTION));
         assert!(denies.contains(&lints::LINT_TIMING));
     }
@@ -288,18 +287,14 @@ mod tests {
             socket_crate: false,
         };
         let f = audit_source("x.rs", src, kind);
-        let denies: Vec<&str> = f
-            .iter()
-            .filter(|x| x.severity == Severity::Deny)
-            .map(|x| x.lint)
-            .collect();
+        let denies: Vec<&str> = f.iter().map(|x| x.lint).collect();
         assert!(denies.contains(&semantic::LINT_MAP_ORDER), "{f:?}");
         assert!(denies.contains(&semantic::LINT_CAST), "{f:?}");
     }
 
     #[test]
     fn stale_allow_is_a_deny_finding() {
-        let src = "// the violation below was fixed long ago. via-audit: allow(panic)\nfn ok() -> u32 { 1 }\n";
+        let src = "// the violation below was fixed long ago. via-audit: allow(nondeterminism)\nfn ok() -> u32 { 1 }\n";
         let kind = FileKind {
             sim_crate: true,
             lib_code: true,
@@ -309,12 +304,11 @@ mod tests {
         let f = audit_source("x.rs", src, kind);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].lint, suppress::LINT_STALE);
-        assert_eq!(f[0].severity, Severity::Deny);
     }
 
     #[test]
     fn non_sim_crates_only_get_the_nan_lint() {
-        let src = "fn f(x: Option<u32>) { let mut rng = rand::thread_rng(); x.unwrap(); }\n";
+        let src = "fn f() { let mut rng = rand::thread_rng(); }\n";
         let kind = FileKind {
             sim_crate: false,
             lib_code: true,
@@ -325,8 +319,9 @@ mod tests {
     }
 
     #[test]
-    fn socket_crates_get_panic_and_socket_lints_but_not_determinism() {
-        let src = "fn f(l: &TcpListener, x: Option<u32>) {\n    let t = Instant::now();\n    let _ = l.accept();\n    x.unwrap();\n}\n";
+    fn socket_crates_get_the_socket_lint_but_not_determinism() {
+        let src =
+            "fn f(l: &TcpListener) {\n    let t = Instant::now();\n    let _ = l.accept();\n}\n";
         let kind = FileKind {
             sim_crate: false,
             lib_code: true,
@@ -334,13 +329,8 @@ mod tests {
             socket_crate: true,
         };
         let f = audit_source("x.rs", src, kind);
-        let lints_hit: Vec<&str> = f
-            .iter()
-            .filter(|x| x.severity == Severity::Deny)
-            .map(|x| x.lint)
-            .collect();
+        let lints_hit: Vec<&str> = f.iter().map(|x| x.lint).collect();
         assert!(lints_hit.contains(&lints::LINT_SOCKET), "{f:?}");
-        assert!(lints_hit.contains(&lints::LINT_PANIC), "{f:?}");
         assert!(
             !lints_hit.contains(&lints::LINT_NONDET),
             "wall-clock reads are the testbed's job: {f:?}"
@@ -360,11 +350,7 @@ mod tests {
             socket_crate: true,
         };
         let f = audit_source("x.rs", src, kind);
-        assert!(
-            f.iter()
-                .any(|x| x.severity == Severity::Deny && x.lint == semantic::LINT_CAST),
-            "{f:?}"
-        );
+        assert!(f.iter().any(|x| x.lint == semantic::LINT_CAST), "{f:?}");
     }
 
     /// Seeded-violation harness: writes a fake workspace with one injected
@@ -383,9 +369,7 @@ mod tests {
         .unwrap();
         let findings = audit_workspace(&root).unwrap();
         assert!(
-            findings
-                .iter()
-                .any(|f| f.severity == Severity::Deny && f.lint == lints::LINT_NONDET),
+            findings.iter().any(|f| f.lint == lints::LINT_NONDET),
             "injected thread_rng must be caught: {findings:?}"
         );
         std::fs::remove_dir_all(&root).ok();

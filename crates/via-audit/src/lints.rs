@@ -5,9 +5,6 @@
 //!   the simulation crates. Applies to test code too: a nondeterministic
 //!   test cannot reproduce its failures. (Hash-container *iteration* is the
 //!   token-aware `map-iteration-order` lint's job — see [`crate::semantic`].)
-//! * `panic` — forbids `.unwrap()` / `.expect(` in shipping library code of
-//!   the simulation crates (test regions exempt) and warns on slice
-//!   indexing.
 //! * `nan-cmp` — flags `partial_cmp(..).unwrap()`-style float comparisons
 //!   anywhere in the workspace, suggesting `f64::total_cmp`.
 //! * `lock-contention` — forbids `Mutex<HashMap<..>>` / `Mutex<BTreeMap<..>>`
@@ -40,8 +37,6 @@ use crate::passes::{FileCtx, PassOutput};
 
 /// Determinism lint name.
 pub const LINT_NONDET: &str = "nondeterminism";
-/// Panic-safety lint name.
-pub const LINT_PANIC: &str = "panic";
 /// NaN-safe comparison lint name.
 pub const LINT_NAN: &str = "nan-cmp";
 /// Map-wide mutex lint name.
@@ -51,16 +46,7 @@ pub const LINT_SOCKET: &str = "socket-wait";
 /// Raw wall-clock read lint name (hot-path crates).
 pub const LINT_TIMING: &str = "raw-timing";
 
-/// Finding severity: denies fail the audit, warnings are informational.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the audit (non-zero exit).
-    Deny,
-    /// Reported but never fails the audit.
-    Warn,
-}
-
-/// One lint finding.
+/// One lint finding; every finding fails the audit.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Path of the offending file, relative to the workspace root.
@@ -69,21 +55,15 @@ pub struct Finding {
     pub line: usize,
     /// Which lint fired.
     pub lint: &'static str,
-    /// Deny or warn.
-    pub severity: Severity,
     /// Human-readable description with a suggested fix.
     pub message: String,
 }
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sev = match self.severity {
-            Severity::Deny => "error",
-            Severity::Warn => "warning",
-        };
         write!(
             f,
-            "{}:{}: {sev}[{}]: {}",
+            "{}:{}: error[{}]: {}",
             self.file, self.line, self.lint, self.message
         )
     }
@@ -99,25 +79,17 @@ pub struct FileKind {
     /// The crate is on the replay hot path (`via-netsim`, `via-core`), where
     /// shared-lock contention patterns are denied.
     pub hot_path: bool,
-    /// The crate drives real sockets (`via-testbed`): unbounded socket waits
-    /// are denied and the panic lint applies even though the crate is not a
-    /// simulation crate.
+    /// The crate drives real sockets (`via-testbed`, `via-server`): unbounded
+    /// socket waits and narrowing casts are denied in its library code even
+    /// though the crate is not a simulation crate.
     pub socket_crate: bool,
 }
 
-fn push(
-    ctx: &FileCtx<'_>,
-    out: &mut PassOutput,
-    line: usize,
-    lint: &'static str,
-    sev: Severity,
-    message: String,
-) {
+fn push(ctx: &FileCtx<'_>, out: &mut PassOutput, line: usize, lint: &'static str, message: String) {
     out.findings.push(Finding {
         file: ctx.file.to_string(),
         line,
         lint,
-        severity: sev,
         message,
     });
 }
@@ -152,65 +124,8 @@ pub fn pass_determinism(ctx: &FileCtx<'_>, out: &mut PassOutput) {
                     out,
                     idx + 1,
                     LINT_NONDET,
-                    Severity::Deny,
                     format!("`{pat}` is nondeterministic: {advice}"),
                 );
-            }
-        }
-    }
-}
-
-/// The panic-safety pass (lib code only; test regions exempt).
-pub fn pass_panic(ctx: &FileCtx<'_>, out: &mut PassOutput) {
-    for (idx, line) in ctx.lines.iter().enumerate() {
-        if ctx.test_mask.get(idx).copied().unwrap_or(false) {
-            continue;
-        }
-        if line.contains(".unwrap()") {
-            push(
-                ctx,
-                out,
-                idx + 1,
-                LINT_PANIC,
-                Severity::Deny,
-                "`.unwrap()` in library code; match, use `unwrap_or*`, or propagate \
-                 with `?`"
-                    .to_string(),
-            );
-        }
-        if line.contains(".expect(") {
-            push(
-                ctx,
-                out,
-                idx + 1,
-                LINT_PANIC,
-                Severity::Deny,
-                "`.expect(..)` in library code; encode the invariant in types or \
-                 handle the `None`/`Err` arm"
-                    .to_string(),
-            );
-        }
-        // Slice/array indexing can panic; warn (heuristic, never fails CI).
-        if !line.trim_start().starts_with('#') {
-            let chars: Vec<char> = line.chars().collect();
-            for (ci, &c) in chars.iter().enumerate() {
-                if c != '[' || ci == 0 {
-                    continue;
-                }
-                let prev = chars[ci - 1];
-                if prev.is_alphanumeric() || prev == '_' || prev == ')' || prev == ']' {
-                    push(
-                        ctx,
-                        out,
-                        idx + 1,
-                        LINT_PANIC,
-                        Severity::Warn,
-                        "slice indexing can panic; prefer `.get(..)` where the index \
-                         is not provably in bounds"
-                            .to_string(),
-                    );
-                    break; // one warning per line is enough
-                }
             }
         }
     }
@@ -233,7 +148,6 @@ pub fn pass_contention(ctx: &FileCtx<'_>, out: &mut PassOutput) {
                     out,
                     idx + 1,
                     LINT_CONTENTION,
-                    Severity::Deny,
                     format!(
                         "`{pat}<..>>` serializes all readers on one lock and destroys \
                          parallel-replay scaling; use a sharded `RwLock` table, dense \
@@ -285,7 +199,6 @@ pub fn pass_socket(ctx: &FileCtx<'_>, out: &mut PassOutput) {
                     out,
                     idx + 1,
                     LINT_SOCKET,
-                    Severity::Deny,
                     format!("`{pat}` is an unbounded socket wait: {advice}"),
                 );
             }
@@ -315,7 +228,6 @@ pub fn pass_timing(ctx: &FileCtx<'_>, out: &mut PassOutput) {
                     out,
                     idx + 1,
                     LINT_TIMING,
-                    Severity::Deny,
                     format!(
                         "raw `{pat}` on the hot path; route timing through \
                          `via_obs::Stopwatch` so it stays in the opt-in timing \
@@ -345,7 +257,6 @@ pub fn pass_nan(ctx: &FileCtx<'_>, out: &mut PassOutput) {
                 out,
                 idx + 1,
                 LINT_NAN,
-                Severity::Deny,
                 "`partial_cmp(..).unwrap()` panics on NaN; use `f64::total_cmp` \
                  for float ordering"
                     .to_string(),
@@ -376,19 +287,15 @@ mod tests {
         socket_crate: true,
     };
 
-    fn denies(f: &[Finding]) -> usize {
-        f.iter().filter(|x| x.severity == Severity::Deny).count()
-    }
-
     #[test]
     fn entropy_sources_are_denied() {
         let f = run_all("fn f() { let mut rng = rand::thread_rng(); }\n", SIM_LIB);
-        assert_eq!(denies(&f), 1);
+        assert_eq!(f.len(), 1);
         assert_eq!(f[0].lint, LINT_NONDET);
         // A clock read on the hot path trips both the determinism lint and
         // the raw-timing lint: two findings, one site.
         let f = run_all("fn f() { let t = std::time::Instant::now(); }\n", SIM_LIB);
-        assert_eq!(denies(&f), 2);
+        assert_eq!(f.len(), 2);
         assert!(f.iter().any(|x| x.lint == LINT_NONDET));
         assert!(f.iter().any(|x| x.lint == LINT_TIMING));
     }
@@ -400,7 +307,7 @@ mod tests {
         let src =
             "// wall timing only. via-audit: allow(nondeterminism)\nlet t = Instant::now();\n";
         let f = run_all(src, SIM_LIB);
-        assert_eq!(denies(&f), 1, "{f:?}");
+        assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].lint, LINT_TIMING);
         assert!(f[0].message.contains("Stopwatch"));
     }
@@ -414,9 +321,9 @@ mod tests {
             hot_path: false,
             socket_crate: false,
         };
-        assert_eq!(denies(&run_all(src, cold)), 0);
+        assert!(run_all(src, cold).is_empty());
         let suppressed = "// facade-internal read. via-audit: allow(raw-timing, nondeterminism)\nlet t = SystemTime::now();\n";
-        assert_eq!(denies(&run_all(suppressed, SIM_LIB)), 0);
+        assert!(run_all(suppressed, SIM_LIB).is_empty());
     }
 
     #[test]
@@ -432,29 +339,7 @@ mod tests {
     #[test]
     fn suppression_comment_silences_a_site() {
         let src = "// deliberate: seeded elsewhere. via-audit: allow(nondeterminism)\nlet mut rng = rand::thread_rng();\n";
-        assert_eq!(denies(&run_all(src, SIM_LIB)), 0);
-    }
-
-    #[test]
-    fn unwrap_in_lib_code_is_denied_but_tests_are_exempt() {
-        let src = "fn lib(x: Option<u32>) -> u32 { x.unwrap() }\n#[cfg(test)]\nmod tests {\n    fn t() { Some(1).unwrap(); }\n}\n";
-        let f = run_all(src, SIM_LIB);
-        assert_eq!(denies(&f), 1);
-        assert_eq!(f[0].line, 1);
-    }
-
-    #[test]
-    fn unwrap_or_variants_are_fine() {
-        let src = "fn lib(x: Option<u32>) -> u32 { x.unwrap_or(0) + x.unwrap_or_default() }\n";
-        assert_eq!(denies(&run_all(src, SIM_LIB)), 0);
-    }
-
-    #[test]
-    fn indexing_warns_without_failing() {
-        let f = run_all("fn lib(xs: &[u32]) -> u32 { xs[0] }\n", SIM_LIB);
-        assert_eq!(denies(&f), 0);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].severity, Severity::Warn);
+        assert!(run_all(src, SIM_LIB).is_empty());
     }
 
     #[test]
@@ -469,7 +354,7 @@ mod tests {
                 socket_crate: false,
             },
         );
-        assert_eq!(denies(&f), 1);
+        assert_eq!(f.len(), 1);
         assert_eq!(f[0].lint, LINT_NAN);
         assert!(f[0].message.contains("total_cmp"));
     }
@@ -477,18 +362,16 @@ mod tests {
     #[test]
     fn total_cmp_is_fine() {
         let src = "xs.sort_by(|a, b| a.total_cmp(b));\nlet o = a.partial_cmp(&b);\n";
-        assert_eq!(
-            denies(&run_all(
-                src,
-                FileKind {
-                    sim_crate: false,
-                    lib_code: false,
-                    hot_path: false,
-                    socket_crate: false,
-                }
-            )),
-            0
-        );
+        assert!(run_all(
+            src,
+            FileKind {
+                sim_crate: false,
+                lib_code: false,
+                hot_path: false,
+                socket_crate: false,
+            }
+        )
+        .is_empty());
     }
 
     #[test]
@@ -499,7 +382,7 @@ mod tests {
             "let c: Mutex< HashMap<u32, u32> > = Mutex::default();\n",
         ] {
             let f = run_all(src, SIM_LIB);
-            assert_eq!(denies(&f), 1, "{src:?} → {f:?}");
+            assert_eq!(f.len(), 1, "{src:?} → {f:?}");
             assert_eq!(f[0].lint, LINT_CONTENTION);
         }
     }
@@ -513,9 +396,9 @@ mod tests {
             hot_path: false,
             socket_crate: false,
         };
-        assert_eq!(denies(&run_all(src, cold)), 0);
+        assert!(run_all(src, cold).is_empty());
         let suppressed = "// cold config table, touched once. via-audit: allow(lock-contention)\nstruct S { cache: Mutex<HashMap<u32, u32>> }\n";
-        assert_eq!(denies(&run_all(suppressed, SIM_LIB)), 0);
+        assert!(run_all(suppressed, SIM_LIB).is_empty());
     }
 
     #[test]
@@ -528,7 +411,7 @@ mod tests {
             "let msg: ClientMsg = read_frame(&mut stream)?;\n",
         ] {
             let f = run_all(src, SOCKET_LIB);
-            assert_eq!(denies(&f), 1, "{src:?} → {f:?}");
+            assert_eq!(f.len(), 1, "{src:?} → {f:?}");
             assert_eq!(f[0].lint, LINT_SOCKET);
         }
     }
@@ -540,25 +423,17 @@ mod tests {
                    stream.set_read_timeout(Some(slice))?;\n\
                    pub fn read_frame<T>(r: &mut impl Read) -> Result<T, FrameError> {\n\
                    let msg = conn.read_deadline(deadline)?;\n";
-        assert_eq!(denies(&run_all(src, SOCKET_LIB)), 0);
+        assert!(run_all(src, SOCKET_LIB).is_empty());
     }
 
     #[test]
     fn socket_waits_in_tests_or_with_suppression_are_exempt() {
         let in_test =
             "#[cfg(test)]\nmod tests {\n    fn t() { let (s, _) = l.accept().unwrap(); }\n}\n";
-        assert_eq!(denies(&run_all(in_test, SOCKET_LIB)), 0);
+        assert!(run_all(in_test, SOCKET_LIB).is_empty());
         let suppressed = "// nonblocking poll, bounded by the caller's deadline. \
                           via-audit: allow(socket-wait)\nmatch listener.accept() {\n";
-        assert_eq!(denies(&run_all(suppressed, SOCKET_LIB)), 0);
-    }
-
-    #[test]
-    fn socket_crates_also_get_the_panic_lint() {
-        let src = "fn lib(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let f = run_all(src, SOCKET_LIB);
-        assert_eq!(denies(&f), 1);
-        assert_eq!(f[0].lint, LINT_PANIC);
+        assert!(run_all(suppressed, SOCKET_LIB).is_empty());
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! CLI entry point: `cargo run -p via-audit [-- --root <dir>] [-v] [--format json|text]`.
+//! CLI entry point: `cargo run -p via-audit [-- --root <dir>] [--format json|text]`.
 //!
-//! Walks `<root>/crates`, runs every registered lint pass, prints findings,
-//! and exits non-zero when any deny-level finding exists. In text mode
-//! warnings are summarized (full detail with `-v`) and never affect the
-//! exit code; in JSON mode the full findings list (warnings included) is
-//! emitted as one document for CI artifact upload.
+//! Walks `<root>/crates`, runs every registered lint pass, prints every
+//! finding (one line each in text mode, one document in JSON mode for CI
+//! artifact upload), and exits non-zero when there is any: a lint is deny
+//! or it does not exist.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use via_audit::lints::Severity;
 use via_audit::report;
 
 enum Format {
@@ -19,7 +17,6 @@ enum Format {
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut verbose = false;
     let mut format = Format::Text;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -44,10 +41,9 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            "-v" | "--verbose" => verbose = true,
             other => {
                 eprintln!(
-                    "unknown argument `{other}`; usage: via-audit [--root <dir>] [-v] [--format json|text]"
+                    "unknown argument `{other}`; usage: via-audit [--root <dir>] [--format json|text]"
                 );
                 return ExitCode::from(2);
             }
@@ -80,42 +76,23 @@ fn main() -> ExitCode {
         }
     };
 
-    let errors = findings
-        .iter()
-        .filter(|f| f.severity == Severity::Deny)
-        .count();
-
     match format {
         Format::Json => print!("{}", report::to_json(&findings)),
         Format::Text => {
-            let mut warnings = 0usize;
             for f in &findings {
-                match f.severity {
-                    Severity::Deny => println!("{f}"),
-                    Severity::Warn => {
-                        warnings += 1;
-                        if verbose {
-                            println!("{f}");
-                        }
-                    }
-                }
+                println!("{f}");
             }
             println!(
-                "via-audit: {errors} error{}, {warnings} warning{}{}",
-                if errors == 1 { "" } else { "s" },
-                if warnings == 1 { "" } else { "s" },
-                if warnings > 0 && !verbose {
-                    " (rerun with -v for warning detail)"
-                } else {
-                    ""
-                }
+                "via-audit: {} finding{}",
+                findings.len(),
+                if findings.len() == 1 { "" } else { "s" }
             );
         }
     }
 
-    if errors > 0 {
-        ExitCode::FAILURE
-    } else {
+    if findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

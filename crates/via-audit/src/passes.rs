@@ -62,10 +62,6 @@ fn sim(k: FileKind) -> bool {
     k.sim_crate
 }
 
-fn sim_or_socket_lib(k: FileKind) -> bool {
-    (k.sim_crate || k.socket_crate) && k.lib_code
-}
-
 fn socket_lib(k: FileKind) -> bool {
     k.socket_crate && k.lib_code
 }
@@ -84,11 +80,6 @@ pub const REGISTRY: &[Pass] = &[
         lint: lints::LINT_NONDET,
         applies: sim,
         run: lints::pass_determinism,
-    },
-    Pass {
-        lint: lints::LINT_PANIC,
-        applies: sim_or_socket_lib,
-        run: lints::pass_panic,
     },
     Pass {
         lint: lints::LINT_NAN,

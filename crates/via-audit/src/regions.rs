@@ -1,8 +1,9 @@
 //! Test-region detection over sanitized source.
 //!
-//! The panic-safety lint only applies to code that ships: anything under a
-//! `#[cfg(test)]` attribute (the workspace convention is a trailing
-//! `mod tests`) or a `#[test]` function is exempt. Regions are found by
+//! The non-test lints (`socket-wait`, `rng-discipline`,
+//! `float-accumulation`, `cast-truncation`) only apply to code that ships:
+//! anything under a `#[cfg(test)]` attribute (the workspace convention is a
+//! trailing `mod tests`) or a `#[test]` function is exempt. Regions are found by
 //! locating the attribute, then brace-matching the item that follows —
 //! sanitized text has no braces inside strings or comments, so counting is
 //! exact.

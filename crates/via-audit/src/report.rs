@@ -4,10 +4,10 @@
 //! artifact upload. The crate is dependency-free on purpose (it lints the
 //! workspace, so it must not depend on the workspace), so the emitter is
 //! hand-written: fields in a fixed order (`file`, `line`, `lint`,
-//! `severity`, `message`), findings in the caller's order (the workspace
+//! `message`), findings in the caller's order (the workspace
 //! walk sorts by file, then line, then lint), strings escaped per RFC 8259.
 
-use crate::lints::{Finding, Severity};
+use crate::lints::Finding;
 
 /// Escapes `s` as the contents of a JSON string literal.
 fn escape_into(out: &mut String, s: &str) {
@@ -32,19 +32,13 @@ fn escape_into(out: &mut String, s: &str) {
 }
 
 /// Renders findings as a pretty-printed JSON document (trailing newline
-/// included).
+/// included). Every finding is an error: `errors` is their count.
 pub fn to_json(findings: &[Finding]) -> String {
-    let errors = findings
-        .iter()
-        .filter(|f| f.severity == Severity::Deny)
-        .count();
-    let warnings = findings.len() - errors;
     let mut out = String::with_capacity(findings.len() * 128 + 128);
     out.push_str("{\n");
     out.push_str("  \"tool\": \"via-audit\",\n");
-    out.push_str("  \"schema_version\": 2,\n");
-    out.push_str(&format!("  \"errors\": {errors},\n"));
-    out.push_str(&format!("  \"warnings\": {warnings},\n"));
+    out.push_str("  \"schema_version\": 3,\n");
+    out.push_str(&format!("  \"errors\": {},\n", findings.len()));
     out.push_str("  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -52,11 +46,6 @@ pub fn to_json(findings: &[Finding]) -> String {
         escape_into(&mut out, &f.file);
         out.push_str(&format!("\", \"line\": {}, \"lint\": \"", f.line));
         escape_into(&mut out, f.lint);
-        out.push_str("\", \"severity\": \"");
-        out.push_str(match f.severity {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        });
         out.push_str("\", \"message\": \"");
         escape_into(&mut out, &f.message);
         out.push_str("\" }");
@@ -72,12 +61,11 @@ pub fn to_json(findings: &[Finding]) -> String {
 mod tests {
     use super::*;
 
-    fn finding(file: &str, line: usize, sev: Severity, msg: &str) -> Finding {
+    fn finding(file: &str, line: usize, msg: &str) -> Finding {
         Finding {
             file: file.to_string(),
             line,
-            lint: "panic",
-            severity: sev,
+            lint: "nan-cmp",
             message: msg.to_string(),
         }
     }
@@ -92,24 +80,18 @@ mod tests {
 
     #[test]
     fn counts_and_field_order_are_stable() {
-        let j = to_json(&[
-            finding("a.rs", 1, Severity::Deny, "x"),
-            finding("b.rs", 2, Severity::Warn, "y"),
-        ]);
-        assert!(j.contains("\"errors\": 1"));
-        assert!(j.contains("\"warnings\": 1"));
+        let j = to_json(&[finding("a.rs", 1, "x"), finding("b.rs", 2, "y")]);
+        assert!(j.contains("\"errors\": 2"));
         let file_pos = j.find("\"file\"").unwrap_or(usize::MAX);
         let line_pos = j.find("\"line\"").unwrap_or(0);
         let lint_pos = j.find("\"lint\"").unwrap_or(0);
-        let sev_pos = j.find("\"severity\"").unwrap_or(0);
         let msg_pos = j.find("\"message\"").unwrap_or(0);
-        assert!(file_pos < line_pos && line_pos < lint_pos);
-        assert!(lint_pos < sev_pos && sev_pos < msg_pos);
+        assert!(file_pos < line_pos && line_pos < lint_pos && lint_pos < msg_pos);
     }
 
     #[test]
     fn strings_are_escaped() {
-        let j = to_json(&[finding("a\\b.rs", 1, Severity::Deny, "say \"hi\"\n\u{1}")]);
+        let j = to_json(&[finding("a\\b.rs", 1, "say \"hi\"\n\u{1}")]);
         assert!(j.contains("a\\\\b.rs"));
         assert!(j.contains("\\\"hi\\\""));
         assert!(j.contains("\\n"));

@@ -24,7 +24,7 @@
 //!   hot-path crates truncate silently on overflow; use `try_from` with an
 //!   explicit fallback, widen the destination, or justify the bound.
 
-use crate::lints::{Finding, Severity};
+use crate::lints::Finding;
 use crate::passes::{FileCtx, PassOutput};
 use crate::token::{Token, TokenKind};
 
@@ -93,7 +93,6 @@ fn finding(ctx: &FileCtx, line: usize, lint: &'static str, message: String) -> F
         file: ctx.file.to_string(),
         line,
         lint,
-        severity: Severity::Deny,
         message,
     }
 }

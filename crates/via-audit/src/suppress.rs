@@ -33,7 +33,7 @@
 //! Markers are audited like allows: an unused marker (shielding no would-be
 //! finding) and an empty marker reason are both deny findings.
 
-use crate::lints::{Finding, Severity};
+use crate::lints::Finding;
 use crate::token::Comment;
 
 /// Lint name for the stale-suppression audit's own findings.
@@ -180,7 +180,6 @@ pub fn apply(
                     file: file.to_string(),
                     line: site.line,
                     lint: LINT_STALE,
-                    severity: Severity::Deny,
                     message: format!(
                         "`allow({lint})` names an unknown lint; known lints: {}",
                         known_lints.join(", ")
@@ -191,7 +190,6 @@ pub fn apply(
                     file: file.to_string(),
                     line: site.line,
                     lint: LINT_STALE,
-                    severity: Severity::Deny,
                     message: format!(
                         "`allow({lint})` suppresses no finding on this or the next \
                          line; remove the stale directive"
@@ -204,7 +202,6 @@ pub fn apply(
                 file: file.to_string(),
                 line: site.line,
                 lint: LINT_STALE,
-                severity: Severity::Deny,
                 message: format!(
                     "`allow({})` carries no justification; state why the \
                      exception is sound in the same comment or the block above",
@@ -220,7 +217,6 @@ pub fn apply(
                 file: file.to_string(),
                 line: m.line,
                 lint: LINT_STALE,
-                severity: Severity::Deny,
                 message: "`ordered-merge()` marker carries no reason; describe the \
                           merge-order contract inside the parentheses"
                     .to_string(),
@@ -230,7 +226,6 @@ pub fn apply(
                 file: file.to_string(),
                 line: m.line,
                 lint: LINT_STALE,
-                severity: Severity::Deny,
                 message: "`ordered-merge(..)` marker shields no float accumulation; \
                           remove the stale marker"
                     .to_string(),
@@ -246,14 +241,13 @@ mod tests {
     use super::*;
     use crate::token::lex;
 
-    const KNOWN: &[&str] = &["nondeterminism", "panic"];
+    const KNOWN: &[&str] = &["nondeterminism", "nan-cmp"];
 
     fn deny(file: &str, line: usize, lint: &'static str) -> Finding {
         Finding {
             file: file.to_string(),
             line,
             lint,
-            severity: Severity::Deny,
             message: "x".to_string(),
         }
     }
@@ -294,9 +288,9 @@ mod tests {
 
     #[test]
     fn bare_allow_without_justification_is_denied() {
-        let l = lex("// via-audit: allow(panic)\nx.unwrap();\n");
+        let l = lex("// via-audit: allow(nan-cmp)\na.partial_cmp(&b).unwrap();\n");
         let d = collect(&l.comments);
-        let out = apply("f.rs", vec![deny("f.rs", 2, "panic")], &d, KNOWN, &[]);
+        let out = apply("f.rs", vec![deny("f.rs", 2, "nan-cmp")], &d, KNOWN, &[]);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("justification"));
     }
@@ -305,18 +299,18 @@ mod tests {
     fn justification_from_contiguous_block_above() {
         let src = "// This wait is bounded by the caller's deadline loop,\n\
                    // re-checked every WouldBlock.\n\
-                   // via-audit: allow(panic)\nx.unwrap();\n";
+                   // via-audit: allow(nan-cmp)\na.partial_cmp(&b).unwrap();\n";
         let l = lex(src);
         let d = collect(&l.comments);
         assert!(!d.allows[0].justification.is_empty());
-        let out = apply("f.rs", vec![deny("f.rs", 4, "panic")], &d, KNOWN, &[]);
+        let out = apply("f.rs", vec![deny("f.rs", 4, "nan-cmp")], &d, KNOWN, &[]);
         assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
     fn trailing_comment_on_code_does_not_justify_a_later_directive() {
         let src =
-            "let a = 1; // unrelated trailing note\n// via-audit: allow(panic)\nx.unwrap();\n";
+            "let a = 1; // unrelated trailing note\n// via-audit: allow(nan-cmp)\na.partial_cmp(&b).unwrap();\n";
         let l = lex(src);
         let d = collect(&l.comments);
         assert!(d.allows[0].justification.is_empty());
@@ -339,7 +333,7 @@ mod tests {
 
     #[test]
     fn doc_comment_examples_are_not_directives() {
-        let src = "//! Suppress with `// via-audit: allow(panic)` on the line.\n\
+        let src = "//! Suppress with `// via-audit: allow(nan-cmp)` on the line.\n\
                    /// Or mark it: `via-audit: ordered-merge(reason)`.\n\
                    fn lib() {}\n";
         let l = lex(src);
@@ -361,8 +355,9 @@ mod tests {
 
     #[test]
     fn multiple_lints_in_one_allow_audit_independently() {
-        let l =
-            lex("// both fire here, honestly. via-audit: allow(nondeterminism, panic)\ncode();\n");
+        let l = lex(
+            "// both fire here, honestly. via-audit: allow(nondeterminism, nan-cmp)\ncode();\n",
+        );
         let d = collect(&l.comments);
         let out = apply(
             "f.rs",
@@ -371,7 +366,7 @@ mod tests {
             KNOWN,
             &[],
         );
-        // `panic` suppressed nothing → one stale finding.
+        // `nan-cmp` suppressed nothing → one stale finding.
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].lint, LINT_STALE);
     }

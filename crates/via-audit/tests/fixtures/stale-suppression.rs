@@ -1,29 +1,29 @@
 // audit-fixture: kind=sim,lib
 //! `stale-suppression` corpus: the audit of the directives themselves.
 
-// Stale: the unwrap this once covered was rewritten as a match long ago.
-// via-audit: allow(panic)
-pub fn positive_stale(x: Option<u32>) -> u32 {
-    match x {
-        Some(v) => v,
-        None => 0,
-    }
+// Stale: the entropy draw this once covered was reseeded long ago.
+// via-audit: allow(nondeterminism)
+pub fn positive_stale(seed: u64) -> u64 {
+    let mut rng = StdRng::seed_from_u64(seed::derive(seed, "fixture"));
+    rng.random()
 }
 
 // Unknown lint name (typo'd): nothing can ever match it.
-// via-audit: allow(panics)
+// via-audit: allow(nondeterminsm)
 pub fn positive_unknown(x: Option<u32>) -> u32 {
     x.map_or(0, |v| v)
 }
 
-pub fn positive_bare(x: Option<u32>) -> u32 {
-    // via-audit: allow(panic)
-    x.unwrap()
+pub fn positive_bare() -> u64 {
+    // via-audit: allow(nondeterminism)
+    let mut rng = rand::thread_rng();
+    rng.random()
 }
 
-pub fn clean_justified(x: Option<u32>) -> u32 {
-    // Keys are inserted for every pair at construction and never removed,
-    // so lookup failure is a construction bug worth crashing on.
-    // via-audit: allow(panic)
-    x.unwrap()
+pub fn clean_justified() -> u8 {
+    // Log-color jitter only: this stream never feeds recorded results,
+    // and the palette resets every run.
+    // via-audit: allow(nondeterminism)
+    let mut palette = rand::thread_rng();
+    palette.random()
 }

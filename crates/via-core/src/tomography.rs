@@ -107,22 +107,12 @@ const ITERATIONS: usize = 25;
 /// stitching off few observations).
 const MIN_REL_SEM: f64 = 0.05;
 
-/// Configuration for the tomography solve: how it is parallelized, never
-/// what it computes.
-#[derive(Debug, Clone, Copy)]
-pub struct TomographyConfig {
-    /// Worker threads, which the fit no longer reads: the per-cell
-    /// linearization is part of the sequential row fill, and the
-    /// Gauss–Seidel sweeps stay sequential — their result depends on update
-    /// order, which determinism pins down.
-    pub workers: usize,
-}
-
-impl Default for TomographyConfig {
-    fn default() -> Self {
-        Self { workers: 1 }
-    }
-}
+/// Configuration for the tomography solve. It has no field: the fit runs
+/// in one order on one thread — the Gauss–Seidel sweeps' result depends on
+/// update order, which determinism pins down. The type stays because
+/// callers pass it to [`Tomography::fit`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TomographyConfig;
 
 /// One observed cell of a training window, as the fits read it.
 pub(crate) type CellRef<'a> = (&'a (KeyPair, RelayOption), &'a MetricStats);
@@ -841,7 +831,7 @@ mod tests {
         push(1, 2);
 
         let bb = |_: RelayId, _: RelayId| PathMetrics::ZERO;
-        let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig::default());
+        let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig);
         let (mean, _) = tomo
             .stitch(3, 4, RelayOption::Bounce(r), &bb)
             .expect("stitched");
@@ -882,7 +872,7 @@ mod tests {
             );
         }
         let bb = |_: RelayId, _: RelayId| PathMetrics::new(40.0, 0.0, 0.0);
-        let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig::default());
+        let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig);
         let (mean, _) = tomo
             .stitch(1, 2, RelayOption::Transit(r1, r2), &bb)
             .expect("stitched");
@@ -894,7 +884,7 @@ mod tests {
         let h = CallHistory::new();
         let window = WindowLen::DAY.window_of(SimTime::ZERO);
         let bb = |_: RelayId, _: RelayId| PathMetrics::ZERO;
-        let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig::default());
+        let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig);
         assert!(tomo.is_empty());
         assert!(tomo
             .stitch(0, 1, RelayOption::Bounce(RelayId(0)), &bb)
@@ -923,7 +913,7 @@ mod tests {
             h.record(window, KeyPair::new(0, 1), RelayOption::Bounce(r), &m);
         }
         let bb = |_: RelayId, _: RelayId| PathMetrics::ZERO;
-        let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig::default());
+        let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig);
         let want = reference::Tomography::fit(&h, window, &bb);
         let bits = |s: &SegmentEstimate| (s.value.map(f64::to_bits), s.sem.map(f64::to_bits));
         for &r in &relays {
@@ -968,7 +958,7 @@ mod tests {
                     }
                 }
             }
-            let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig::default());
+            let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig);
             tomo.segment(0, r).map(|s| s.sem[0])
         };
 

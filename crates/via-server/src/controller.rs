@@ -665,7 +665,7 @@ impl Controller {
     }
 
     /// Ends a session its connection opened (the connection closed).
-    pub fn end_session(&self, _id: u64) {
+    pub fn end_session(&self) {
         self.live_sessions.fetch_sub(1, Ordering::Relaxed);
     }
 

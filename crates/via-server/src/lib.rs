@@ -23,9 +23,10 @@
 //!   never reused) and ends it when it closes.
 //!
 //! Like `via-testbed`, this crate drives real sockets and wall clocks but
-//! is held to the workspace's panic-safety and bounded-socket-wait rules
-//! (via-audit's `panic` and `socket-wait` lints): no `unwrap`/`expect` in
-//! library code, no socket wait without a deadline.
+//! is held to the workspace's panic-safety and bounded-socket-wait rules:
+//! no `unwrap`/`expect` in library code and no slice index in `wire.rs` or
+//! `server.rs`, where request bytes and ids arrive (clippy denies), and no
+//! socket wait without a deadline (via-audit's `socket-wait` lint).
 
 #![warn(missing_docs)]
 

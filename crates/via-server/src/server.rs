@@ -13,6 +13,9 @@
 //! connection, whatever the reason. Checking a request's session takes no
 //! lock.
 
+// Bytes and ids from outside the program enter here: no index may panic.
+#![deny(clippy::indexing_slicing)]
+
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -155,7 +158,7 @@ fn handle_conn(stream: std::net::TcpStream, controller: &Controller, shutdown: &
             break;
         }
     }
-    controller.end_session(session);
+    controller.end_session();
 }
 
 /// The next well-framed request, or `None` when the connection is over: the
@@ -210,7 +213,7 @@ fn handshake(
         Ok(Request::Hello) => {
             let session = controller.open_session();
             if send(conn, &Response::Welcome { session }).is_err() {
-                controller.end_session(session);
+                controller.end_session();
                 return None;
             }
             return Some(session);

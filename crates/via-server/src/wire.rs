@@ -44,6 +44,9 @@
 //! `check_session`). The snapshot *document* inside a `Snapshot` reply stays
 //! JSON: it is also a file format, and it is cold.
 
+// Bytes and ids from outside the program enter here: no index may panic.
+#![deny(clippy::indexing_slicing)]
+
 use serde::{Deserialize, Serialize};
 use via_model::ids::RelayId;
 use via_model::metrics::PathMetrics;

@@ -24,9 +24,9 @@
 //! is the loopback device plus emulated impairment.
 //!
 //! Despite driving real sockets, this crate is held to the workspace's
-//! panic-safety rules: no `unwrap`/`expect` outside `#[cfg(test)]` code
-//! (enforced by the workspace clippy denies *and* via-audit's `panic` lint),
-//! and no unbounded socket wait (via-audit's `socket-wait` lint). Every
+//! panic-safety rules: no `unwrap`/`expect` outside `#[cfg(test)]` code and
+//! no slice index in `protocol.rs`, where frames are read (both clippy
+//! denies), and no unbounded socket wait (via-audit's `socket-wait` lint). Every
 //! failure surfaces as a typed [`TestbedError`] or a per-pair
 //! [`PairFailure`] record.
 

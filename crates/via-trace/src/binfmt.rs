@@ -25,9 +25,31 @@
 //!
 //! Each record is 94 bytes (`RECORD_BYTES`): ids and endpoints as `u32`,
 //! the timestamp as `u64`, two flag/rating bytes, and seven `f64` metric
-//! fields, all little-endian. Decoding is a straight pass over the frame
-//! payload into a caller-reused `Vec<CallRecord>` — no allocation per record,
-//! no intermediate strings.
+//! fields, all little-endian:
+//!
+//! ```text
+//! record (94 bytes)
+//!   0   4  call id
+//!   4   8  start time, seconds
+//!   12  4  source AS
+//!   16  4  destination AS
+//!   20  4  source country
+//!   24  4  destination country
+//!   28  4  caller
+//!   32  4  callee
+//!   36  1  wireless (any nonzero byte is true)
+//!   37  1  rating 1–5, 0xFF for none
+//!   38  8  duration, seconds
+//!   46  8  access RTT, ms
+//!   54  8  access loss, %
+//!   62  8  access jitter, ms
+//!   70  8  direct RTT, ms
+//!   78  8  direct loss, %
+//!   86  8  direct jitter, ms
+//! ```
+//!
+//! Decoding is a straight pass over the frame payload into a caller-reused
+//! `Vec<CallRecord>` — no allocation per record, no intermediate strings.
 //!
 //! Frames are keyed by the *file's* framing window (default 24 h). Readers
 //! re-window the record stream to whatever control period the replay wants
@@ -47,6 +69,9 @@
 //! detect: a flipped bit inside a record payload (or in a frame's window
 //! index, which readers ignore) decodes to a different, well-formed record.
 //! The digest is an unkeyed check on the header, not a checksum of the data.
+
+// Bytes and ids from outside the program enter here: no index may panic.
+#![deny(clippy::indexing_slicing)]
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -72,6 +97,16 @@ pub const HEADER_BYTES: usize = 56;
 pub const FRAME_PREFIX_BYTES: usize = 16;
 /// Sentinel in the rating byte meaning "no rating" (ratings are 1–5).
 const NO_RATING: u8 = 0xFF;
+
+/// The `N` bytes of `buf` starting at `at`, or zeros where `buf` ends
+/// first. Every caller reads a fixed-size array at constant offsets inside
+/// it, so the zeros are never returned.
+fn le<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
+    buf.get(at..)
+        .and_then(<[u8]>::first_chunk)
+        .copied()
+        .unwrap_or([0; N])
+}
 
 /// FNV-1a 64-bit over a byte slice — the header integrity digest. Chosen for
 /// zero dependencies and total determinism, not cryptographic strength.
@@ -120,12 +155,8 @@ impl BinHeader {
         if buf[0..8] != MAGIC {
             return Err(TraceError::BadMagic);
         }
-        let u32_at = |o: usize| u32::from_le_bytes([buf[o], buf[o + 1], buf[o + 2], buf[o + 3]]);
-        let u64_at = |o: usize| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&buf[o..o + 8]);
-            u64::from_le_bytes(b)
-        };
+        let u32_at = |o| u32::from_le_bytes(le(buf, o));
+        let u64_at = |o| u64::from_le_bytes(le(buf, o));
         let version = u32_at(8);
         if version != SCHEMA_VERSION {
             return Err(TraceError::BadVersion(version));
@@ -178,16 +209,11 @@ fn encode_record(r: &CallRecord, out: &mut Vec<u8>) -> Result<(), TraceError> {
     Ok(())
 }
 
-/// Decodes one record from a [`RECORD_BYTES`]-sized window of `buf`.
-fn decode_record(buf: &[u8]) -> CallRecord {
-    debug_assert_eq!(buf.len(), RECORD_BYTES);
-    let u32_at = |o: usize| u32::from_le_bytes([buf[o], buf[o + 1], buf[o + 2], buf[o + 3]]);
-    let u64_at = |o: usize| {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&buf[o..o + 8]);
-        u64::from_le_bytes(b)
-    };
-    let f64_at = |o: usize| f64::from_bits(u64_at(o));
+/// Decodes one encoded record.
+fn decode_record(buf: &[u8; RECORD_BYTES]) -> CallRecord {
+    let u32_at = |o| u32::from_le_bytes(le(buf, o));
+    let u64_at = |o| u64::from_le_bytes(le(buf, o));
+    let f64_at = |o| f64::from_bits(u64_at(o));
     CallRecord {
         id: CallId(u32_at(0)),
         t: SimTime(u64_at(4)),
@@ -383,27 +409,25 @@ impl BinReader {
         read_exact_or(&mut self.file, &mut self.payload, "frame payload")?;
         self.bytes_read += (FRAME_PREFIX_BYTES + payload_len as usize) as u64;
         self.read_records = read_records;
-        let out = &mut self.frame;
-        out.clear();
+        let (records, _) = self.payload.as_chunks::<RECORD_BYTES>();
+        self.frame.clear();
+        self.frame.extend(records.iter().map(decode_record));
         self.pos = 0;
-        out.reserve(count as usize);
-        for chunk in self.payload.chunks_exact(RECORD_BYTES) {
-            out.push(decode_record(chunk));
-        }
         Ok(true)
     }
 }
 
 impl RecordSource for BinReader {
     fn next_record(&mut self) -> Result<Option<CallRecord>, TraceError> {
-        while self.pos >= self.frame.len() {
+        loop {
+            if let Some(r) = self.frame.get(self.pos).cloned() {
+                self.pos += 1;
+                return Ok(Some(r));
+            }
             if !self.next_frame()? {
                 return Ok(None);
             }
         }
-        let r = self.frame[self.pos].clone();
-        self.pos += 1;
-        Ok(Some(r))
     }
 
     fn seed(&self) -> u64 {
@@ -525,8 +549,113 @@ mod tests {
         r.access_extra.jitter_ms = f64::MIN_POSITIVE;
         let mut buf = Vec::new();
         encode_record(&r, &mut buf).unwrap();
-        assert_eq!(buf.len(), RECORD_BYTES);
+        let buf: [u8; RECORD_BYTES] = buf.try_into().unwrap();
         assert_eq!(decode_record(&buf), r);
+    }
+
+    /// The record rows of the module doc's layout, in order: each field's
+    /// name and width in bytes.
+    const RECORD_LAYOUT: [(&str, usize); 17] = [
+        ("call id", 4),
+        ("start time", 8),
+        ("source AS", 4),
+        ("destination AS", 4),
+        ("source country", 4),
+        ("destination country", 4),
+        ("caller", 4),
+        ("callee", 4),
+        ("wireless", 1),
+        ("rating", 1),
+        ("duration", 8),
+        ("access RTT", 8),
+        ("access loss", 8),
+        ("access jitter", 8),
+        ("direct RTT", 8),
+        ("direct loss", 8),
+        ("direct jitter", 8),
+    ];
+
+    /// Every field of `r` as bits, in [`RECORD_LAYOUT`]'s order.
+    fn field_bits(r: &CallRecord) -> [u64; 17] {
+        [
+            r.id.0.into(),
+            r.t.secs(),
+            r.src_as.0.into(),
+            r.dst_as.0.into(),
+            r.src_country.0.into(),
+            r.dst_country.0.into(),
+            r.caller.0.into(),
+            r.callee.0.into(),
+            r.wireless.into(),
+            r.rating.map_or(u64::MAX, u64::from),
+            r.duration_s.to_bits(),
+            r.access_extra.rtt_ms.to_bits(),
+            r.access_extra.loss_pct.to_bits(),
+            r.access_extra.jitter_ms.to_bits(),
+            r.direct_metrics.rtt_ms.to_bits(),
+            r.direct_metrics.loss_pct.to_bits(),
+            r.direct_metrics.jitter_ms.to_bits(),
+        ]
+    }
+
+    /// Flipping any one byte of an encoded record changes exactly the field
+    /// the layout puts that byte in. A round trip misses an offset or a
+    /// decode rule that happens to give the chosen value back (two equal
+    /// fields swapped, a flag read as `== 1`); this pins every byte.
+    #[test]
+    fn each_record_byte_decodes_into_the_field_the_layout_gives_it() {
+        let mut r = sample_trace().records[0].clone();
+        // Values every all-bits flip visibly moves: `wireless` decodes any
+        // nonzero byte as true, and the metric clamps send a flipped sign
+        // to 0 or 100, so none of these may sit on a clamp.
+        r.wireless = false;
+        r.rating = Some(3);
+        r.duration_s = 93.5;
+        r.access_extra = AccessExtra {
+            rtt_ms: 12.5,
+            loss_pct: 0.75,
+            jitter_ms: 3.25,
+        };
+        r.direct_metrics = PathMetrics::new(123.5, 2.25, 7.75);
+        let mut buf = Vec::new();
+        encode_record(&r, &mut buf).unwrap();
+        let buf: [u8; RECORD_BYTES] = buf.try_into().unwrap();
+        let want = field_bits(&r);
+
+        let owners: Vec<usize> = RECORD_LAYOUT
+            .iter()
+            .enumerate()
+            .flat_map(|(f, &(_, width))| std::iter::repeat_n(f, width))
+            .collect();
+        assert_eq!(owners.len(), RECORD_BYTES, "the layout covers the record");
+        for (byte, &owner) in owners.iter().enumerate() {
+            let mut flipped = buf;
+            flipped[byte] ^= 0xFF;
+            let got = field_bits(&decode_record(&flipped));
+            for (f, (w, g)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    w != g,
+                    f == owner,
+                    "byte {byte} belongs to {}, its flip {} {}",
+                    RECORD_LAYOUT[owner].0,
+                    if w == g { "left unchanged" } else { "changed" },
+                    RECORD_LAYOUT[f].0
+                );
+            }
+        }
+
+        let rating_at = owners.iter().position(|&f| RECORD_LAYOUT[f].0 == "rating");
+        let mut unrated = buf;
+        unrated[rating_at.unwrap()] = NO_RATING;
+        let decoded = decode_record(&unrated);
+        assert_eq!(decoded.rating, None);
+        assert_eq!(
+            CallRecord {
+                rating: Some(3),
+                ..decoded
+            },
+            r
+        );
     }
 
     #[test]

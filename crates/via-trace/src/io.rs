@@ -13,6 +13,9 @@
 //! [`crate::stream::FileSource`] and written through [`crate::write_trace`];
 //! every failure is a [`TraceError`] variant.
 
+// Bytes and ids from outside the program enter here: no index may panic.
+#![deny(clippy::indexing_slicing)]
+
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;

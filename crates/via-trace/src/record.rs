@@ -10,6 +10,9 @@
 //! whom, when, and the client-side access extras — and re-sample path metrics
 //! for whichever relaying option a strategy assigns.
 
+// Bytes and ids from outside the program enter here: no index may panic.
+#![deny(clippy::indexing_slicing)]
+
 use serde::{Deserialize, Serialize};
 use via_model::ids::{AsId, CallId, ClientId, CountryId};
 use via_model::metrics::PathMetrics;
@@ -180,7 +183,7 @@ impl Trace {
     pub fn is_chronological(&self) -> bool {
         *self
             .chronology
-            .get_or_init(|| self.records.windows(2).all(|w| w[0].t <= w[1].t))
+            .get_or_init(|| self.records.is_sorted_by_key(|r| r.t))
     }
 }
 

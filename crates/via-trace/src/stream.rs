@@ -15,6 +15,9 @@
 //! up-front O(n) scan a materialized trace gets. An out-of-order record is a
 //! hard error ([`TraceError::NotChronological`]), never silently re-sorted.
 
+// Bytes and ids from outside the program enter here: no index may panic.
+#![deny(clippy::indexing_slicing)]
+
 use std::path::Path;
 
 use via_model::time::{SimTime, Window, WindowLen};
