@@ -2,35 +2,42 @@
 //!
 //! The replication's headline property is *determinism*: every figure must
 //! regenerate byte-identically from a seed. This tool enforces the coding
-//! rules that protect it — plus NaN-safety, bounded socket waits and
-//! lock-free hot paths — by walking `crates/*/src` and `crates/*/benches`
-//! and running a registry of lint passes over each file. Every lint is
-//! deny: a finding fails the audit.
+//! rules that protect it which no type can see — hash iteration order, RNG
+//! stream discipline, float merge order — plus NaN-safety and lock-free hot
+//! paths, by walking `crates/*/src` and `crates/*/benches` and running a
+//! registry of lint passes over each file. Every lint is deny: a finding
+//! fails the audit.
 //!
 //! | lint | scope |
 //! |------|-------|
-//! | `nondeterminism` | simulation crates, all code |
 //! | `nan-cmp` | every crate |
-//! | `lock-contention` | hot-path crates (`via-netsim`, `via-core`) |
-//! | `socket-wait` | socket crates (`via-testbed`, `via-server`), non-test lib code |
-//! | `raw-timing` | hot-path crates (`via-netsim`, `via-core`) |
+//! | `lock-contention` | hot-path crates (`via-netsim`, `via-core`) and files |
 //! | `map-iteration-order` | simulation crates, all code |
 //! | `rng-discipline` | simulation crates, non-test code |
 //! | `float-accumulation` | simulation crates, non-test code |
-//! | `cast-truncation` | hot-path + socket crates, non-test lib code |
 //! | `stale-suppression` | everywhere a directive appears |
 //!
-//! Panic-safety is clippy's, not this tool's: the workspace lint table
-//! denies `clippy::unwrap_used` / `expect_used` in library code, and the
-//! files where bytes or ids enter the program (the via-trace readers,
-//! via-server's `wire.rs` / `server.rs`, via-testbed's `protocol.rs`) deny
-//! `clippy::indexing_slicing`.
+//! A rule the compiler can resolve by name or type is clippy's, not this
+//! tool's:
+//! * panic-safety — the workspace lint table denies `clippy::unwrap_used` /
+//!   `expect_used` in library code, and the files where bytes or ids enter
+//!   the program (the via-trace readers, via-server's `wire.rs` /
+//!   `server.rs`, via-testbed's `protocol.rs`) deny
+//!   `clippy::indexing_slicing`;
+//! * the clock rule — `crates/clippy.toml` disallows `Instant::now` and
+//!   `SystemTime::now` outside the `via_obs::Stopwatch` facade;
+//! * the socket rule — via-testbed's and via-server's `clippy.toml` disallow
+//!   blocking `connect` / `accept`, the deadline-free `read_frame` and the
+//!   socket timeout setters;
+//! * the cast rule — via-core, via-netsim, via-server, via-testbed and the
+//!   per-record files of via-trace and via-media deny
+//!   `clippy::cast_possible_truncation` outside tests.
 //!
 //! Each file is lexed once ([`token`]) into a spanned token stream, comment
 //! list, and code-only rendered lines; a per-file symbol table ([`symbols`])
 //! classifies hash-container / RNG / `f64` bindings; then every applicable
-//! pass in the [`passes::REGISTRY`] runs. The first five lints are
-//! line-based ([`lints`]); the next four are token-aware ([`semantic`]).
+//! pass in the [`passes::REGISTRY`] runs. The first two lints are
+//! line-based ([`lints`]); the next three are token-aware ([`semantic`]).
 //!
 //! Suppression is applied centrally *after* the passes ([`suppress`]):
 //! `// via-audit: allow(lint-name)` with a justification silences findings
@@ -65,8 +72,7 @@ pub const SIM_CRATES: &[&str] = &[
     "via-quality",
     "via-model",
     // The observability layer's deterministic core is merged into replay
-    // results, so it is held to the same rules; its one sanctioned
-    // wall-clock site (the Stopwatch facade) carries an allow directive.
+    // results, so it is held to the same rules.
     "via-obs",
 ];
 
@@ -74,22 +80,11 @@ pub const SIM_CRATES: &[&str] = &[
 /// * `via-experiments` — fail-fast experiment drivers; a panic is the
 ///   correct response to a broken environment.
 /// * `via-audit` — this tool.
-///
-/// `via-testbed` is *not* exempt: it escapes the determinism lint (real
-/// sockets and wall-clock timers are its job) via [`SOCKET_CRATES`], but its
-/// library code is held to the `socket-wait` lint — a hung harness is
-/// exactly the failure mode that lint exists to prevent.
 pub const EXEMPT_CRATES: &[&str] = &["via-experiments", "via-audit"];
 
-/// Crates that drive real sockets: exempt from the determinism lint, but
-/// subject to the unbounded-socket-wait and cast-truncation lints in
-/// non-test library code.
-pub const SOCKET_CRATES: &[&str] = &["via-testbed", "via-server"];
-
 /// Crates on the parallel-replay hot path, where a whole-map `Mutex` is a
-/// scaling regression (`lock-contention` lint) and narrowing `as` casts are
-/// denied (`cast-truncation` lint): the world model every shard reads and
-/// the decision loop itself.
+/// scaling regression (`lock-contention` lint): the world model every shard
+/// reads and the decision loop itself.
 pub const HOT_PATH_CRATES: &[&str] = &["via-netsim", "via-core"];
 
 /// Individual files held to the hot-path lints inside crates that are
@@ -154,17 +149,6 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// True when the path is a binary / bench / example target rather than
-/// shipping library code.
-fn is_non_lib(path: &Path) -> bool {
-    let in_dir = |d: &str| path.iter().any(|c| c == std::ffi::OsStr::new(d));
-    in_dir("bin")
-        || in_dir("benches")
-        || in_dir("examples")
-        || in_dir("tests")
-        || path.file_name().is_some_and(|f| f == "main.rs")
-}
-
 /// Audits every crate under `<root>/crates`, returning all findings sorted
 /// by file and line.
 ///
@@ -186,11 +170,9 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
         };
         let sim_crate = SIM_CRATES.contains(&crate_name);
         let hot_path = HOT_PATH_CRATES.contains(&crate_name);
-        let socket_crate = SOCKET_CRATES.contains(&crate_name);
         let mut files = Vec::new();
-        // `src` plus bench targets: benches are exempt from the lib-only
-        // lints via `is_non_lib`, but nondeterminism sources in sim-crate
-        // bench code still need the audit's eye.
+        // `src` plus bench targets: sim-crate bench code is held to the
+        // same determinism lints.
         for sub in ["src", "benches"] {
             let dir = crate_dir.join(sub);
             if dir.is_dir() {
@@ -214,8 +196,6 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
             let kind = FileKind {
                 sim_crate,
                 hot_path: hot_path || hot_file,
-                socket_crate,
-                lib_code: !is_non_lib(&file),
             };
             findings.extend(audit_source(&display, &src, kind));
         }
@@ -232,10 +212,6 @@ mod tests {
     fn sim_and_exempt_lists_are_disjoint() {
         for c in SIM_CRATES {
             assert!(!EXEMPT_CRATES.contains(c));
-            assert!(
-                !SOCKET_CRATES.contains(c),
-                "socket crates are not sim crates"
-            );
         }
         for c in HOT_PATH_CRATES {
             assert!(SIM_CRATES.contains(c), "hot-path crates are sim crates");
@@ -248,29 +224,19 @@ mod tests {
             );
             assert!(p.ends_with(".rs"), "hot-path file entries are .rs paths");
         }
-        for c in SOCKET_CRATES {
-            assert!(
-                !EXEMPT_CRATES.contains(c),
-                "socket crates are audited, not exempt"
-            );
-        }
     }
 
     #[test]
     fn audit_source_combines_all_lints() {
-        let src = "struct C { m: Mutex<HashMap<u32, u32>> }\nfn f(ys: &mut [f64]) {\n    let mut rng = rand::thread_rng();\n    let t = Instant::now();\n    ys.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
+        let src = "struct C { m: Mutex<HashMap<u32, u32>> }\nfn f(ys: &mut [f64]) {\n    ys.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
         let kind = FileKind {
             sim_crate: true,
-            lib_code: true,
             hot_path: true,
-            socket_crate: false,
         };
         let f = audit_source("x.rs", src, kind);
         let denies: Vec<&str> = f.iter().map(|x| x.lint).collect();
-        assert!(denies.contains(&lints::LINT_NONDET));
         assert!(denies.contains(&lints::LINT_NAN));
         assert!(denies.contains(&lints::LINT_CONTENTION));
-        assert!(denies.contains(&lints::LINT_TIMING));
     }
 
     #[test]
@@ -278,28 +244,22 @@ mod tests {
         let src = "fn f() {\n\
                    let m: HashMap<u32, u64> = HashMap::new();\n\
                    let total: u64 = m.values().sum();\n\
-                   let tier = total as u8;\n\
                    }\n";
         let kind = FileKind {
             sim_crate: true,
-            lib_code: true,
             hot_path: true,
-            socket_crate: false,
         };
         let f = audit_source("x.rs", src, kind);
         let denies: Vec<&str> = f.iter().map(|x| x.lint).collect();
         assert!(denies.contains(&semantic::LINT_MAP_ORDER), "{f:?}");
-        assert!(denies.contains(&semantic::LINT_CAST), "{f:?}");
     }
 
     #[test]
     fn stale_allow_is_a_deny_finding() {
-        let src = "// the violation below was fixed long ago. via-audit: allow(nondeterminism)\nfn ok() -> u32 { 1 }\n";
+        let src = "// the violation below was fixed long ago. via-audit: allow(nan-cmp)\nfn ok() -> u32 { 1 }\n";
         let kind = FileKind {
             sim_crate: true,
-            lib_code: true,
             hot_path: false,
-            socket_crate: false,
         };
         let f = audit_source("x.rs", src, kind);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -308,49 +268,12 @@ mod tests {
 
     #[test]
     fn non_sim_crates_only_get_the_nan_lint() {
-        let src = "fn f() { let mut rng = rand::thread_rng(); }\n";
+        let src = "fn f() -> StdRng { StdRng::seed_from_u64(42) }\n";
         let kind = FileKind {
             sim_crate: false,
-            lib_code: true,
             hot_path: false,
-            socket_crate: false,
         };
         assert!(audit_source("x.rs", src, kind).is_empty());
-    }
-
-    #[test]
-    fn socket_crates_get_the_socket_lint_but_not_determinism() {
-        let src =
-            "fn f(l: &TcpListener) {\n    let t = Instant::now();\n    let _ = l.accept();\n}\n";
-        let kind = FileKind {
-            sim_crate: false,
-            lib_code: true,
-            hot_path: false,
-            socket_crate: true,
-        };
-        let f = audit_source("x.rs", src, kind);
-        let lints_hit: Vec<&str> = f.iter().map(|x| x.lint).collect();
-        assert!(lints_hit.contains(&lints::LINT_SOCKET), "{f:?}");
-        assert!(
-            !lints_hit.contains(&lints::LINT_NONDET),
-            "wall-clock reads are the testbed's job: {f:?}"
-        );
-    }
-
-    /// Regression for the harness.rs `r as u16` bug: a narrowing cast in
-    /// socket-crate lib code (session ids, relay indexes on the wire) must
-    /// be denied even though the crate is not hot-path.
-    #[test]
-    fn socket_crates_get_the_cast_truncation_lint() {
-        let src = "fn f(r: usize) -> u16 { r as u16 }\n";
-        let kind = FileKind {
-            sim_crate: false,
-            lib_code: true,
-            hot_path: false,
-            socket_crate: true,
-        };
-        let f = audit_source("x.rs", src, kind);
-        assert!(f.iter().any(|x| x.lint == semantic::LINT_CAST), "{f:?}");
     }
 
     /// Seeded-violation harness: writes a fake workspace with one injected
@@ -364,13 +287,13 @@ mod tests {
         std::fs::create_dir_all(&src_dir).unwrap();
         std::fs::write(
             src_dir.join("bad.rs"),
-            "pub fn f() { let mut rng = rand::thread_rng(); }\n",
+            "pub fn f() -> StdRng { StdRng::seed_from_u64(42) }\n",
         )
         .unwrap();
         let findings = audit_workspace(&root).unwrap();
         assert!(
-            findings.iter().any(|f| f.lint == lints::LINT_NONDET),
-            "injected thread_rng must be caught: {findings:?}"
+            findings.iter().any(|f| f.lint == semantic::LINT_RNG),
+            "injected constant seed must be caught: {findings:?}"
         );
         std::fs::remove_dir_all(&root).ok();
     }

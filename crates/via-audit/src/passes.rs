@@ -20,7 +20,7 @@ use crate::token::Token;
 pub struct FileCtx<'a> {
     /// Workspace-relative display path.
     pub file: &'a str,
-    /// File classification (sim / lib / hot-path / socket).
+    /// File classification (sim / hot-path).
     pub kind: FileKind,
     /// The token stream.
     pub tokens: &'a [Token],
@@ -62,25 +62,12 @@ fn sim(k: FileKind) -> bool {
     k.sim_crate
 }
 
-fn socket_lib(k: FileKind) -> bool {
-    k.socket_crate && k.lib_code
-}
-
 fn hot(k: FileKind) -> bool {
     k.hot_path
 }
 
-fn hot_or_socket_lib(k: FileKind) -> bool {
-    (k.hot_path || k.socket_crate) && k.lib_code
-}
-
 /// Every lint pass, in the order they run. One entry per lint name.
 pub const REGISTRY: &[Pass] = &[
-    Pass {
-        lint: lints::LINT_NONDET,
-        applies: sim,
-        run: lints::pass_determinism,
-    },
     Pass {
         lint: lints::LINT_NAN,
         applies: always,
@@ -90,16 +77,6 @@ pub const REGISTRY: &[Pass] = &[
         lint: lints::LINT_CONTENTION,
         applies: hot,
         run: lints::pass_contention,
-    },
-    Pass {
-        lint: lints::LINT_SOCKET,
-        applies: socket_lib,
-        run: lints::pass_socket,
-    },
-    Pass {
-        lint: lints::LINT_TIMING,
-        applies: hot,
-        run: lints::pass_timing,
     },
     Pass {
         lint: semantic::LINT_MAP_ORDER,
@@ -115,16 +92,6 @@ pub const REGISTRY: &[Pass] = &[
         lint: semantic::LINT_FLOAT_ACC,
         applies: sim,
         run: semantic::pass_float_accumulation,
-    },
-    // Cast truncation is denied on the hot path for speed-of-light reasons
-    // and in socket-crate lib code for wire-correctness ones: a silently
-    // truncated relay index or session id becomes a cross-wired session
-    // (the harness.rs `r as u16` bug this scope extension would have
-    // caught).
-    Pass {
-        lint: semantic::LINT_CAST,
-        applies: hot_or_socket_lib,
-        run: semantic::pass_cast_truncation,
     },
 ];
 

@@ -1,7 +1,7 @@
 //! Test-region detection over sanitized source.
 //!
-//! The non-test lints (`socket-wait`, `rng-discipline`,
-//! `float-accumulation`, `cast-truncation`) only apply to code that ships:
+//! The non-test lints (`rng-discipline`, `float-accumulation`) only apply to
+//! code that ships:
 //! anything under a `#[cfg(test)]` attribute (the workspace convention is a
 //! trailing `mod tests`) or a `#[test]` function is exempt. Regions are found by
 //! locating the attribute, then brace-matching the item that follows —

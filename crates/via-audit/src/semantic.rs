@@ -1,6 +1,6 @@
 //! The token-aware semantic lint passes.
 //!
-//! These four lints need token adjacency, per-file symbols, and nesting —
+//! These three lints need token adjacency, per-file symbols, and nesting —
 //! things a line-based substring scan cannot express:
 //!
 //! * [`pass_map_order`] (`map-iteration-order`) — iterating a
@@ -20,9 +20,6 @@
 //!   one sanctioned pairwise helper carries a
 //!   `// via-audit: ordered-merge(reason)` marker (audited for staleness
 //!   like any suppression).
-//! * [`pass_cast_truncation`] (`cast-truncation`) — narrowing `as` casts in
-//!   hot-path crates truncate silently on overflow; use `try_from` with an
-//!   explicit fallback, widen the destination, or justify the bound.
 
 use crate::lints::Finding;
 use crate::passes::{FileCtx, PassOutput};
@@ -34,8 +31,6 @@ pub const LINT_MAP_ORDER: &str = "map-iteration-order";
 pub const LINT_RNG: &str = "rng-discipline";
 /// Float-accumulation lint name.
 pub const LINT_FLOAT_ACC: &str = "float-accumulation";
-/// Cast-truncation lint name.
-pub const LINT_CAST: &str = "cast-truncation";
 
 /// Methods whose iteration order follows the hash seed.
 const UNORDERED_ITER: &[&str] = &[
@@ -552,37 +547,6 @@ fn float_assign_target(ctx: &FileCtx, tokens: &[Token], at: usize) -> Option<Str
     None
 }
 
-/// Integer/float types an `as` cast can silently truncate into.
-const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
-
-/// The `cast-truncation` pass (hot-path and socket crates, non-test code).
-pub fn pass_cast_truncation(ctx: &FileCtx, out: &mut PassOutput) {
-    let tokens = ctx.tokens;
-    for i in 0..tokens.len().saturating_sub(1) {
-        if !tokens[i].is_ident("as") {
-            continue;
-        }
-        let ty = &tokens[i + 1];
-        if ty.kind != TokenKind::Ident || !NARROW_TARGETS.contains(&ty.text.as_str()) {
-            continue;
-        }
-        if in_test(ctx, tokens[i].line) {
-            continue;
-        }
-        out.findings.push(finding(
-            ctx,
-            tokens[i].line,
-            LINT_CAST,
-            format!(
-                "narrowing `as {}` cast truncates silently on overflow; use \
-                 `{}::try_from` with an explicit fallback, widen the destination, \
-                 or justify the bound with an allow",
-                ty.text, ty.text
-            ),
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,9 +555,7 @@ mod tests {
 
     const SIM: FileKind = FileKind {
         sim_crate: true,
-        lib_code: true,
         hot_path: true,
-        socket_crate: false,
     };
 
     fn run(src: &str, pass: fn(&FileCtx, &mut PassOutput)) -> Vec<Finding> {
@@ -739,16 +701,5 @@ mod tests {
         file_ctx_for_test(src, SIM, |ctx| pass_float_accumulation(ctx, &mut out));
         assert!(out.findings.is_empty(), "{:?}", out.findings);
         assert_eq!(out.marker_uses, vec![3]);
-    }
-
-    #[test]
-    fn narrowing_casts_are_denied_outside_tests() {
-        let src = "fn f(n: usize) -> u32 { n as u32 }\nfn g(x: u64) -> u64 { x as u64 }\n";
-        let f = run(src, pass_cast_truncation);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].lint, LINT_CAST);
-        assert_eq!(f[0].line, 1);
-        let test = "#[cfg(test)]\nmod tests {\n    fn t(n: usize) -> u32 { n as u32 }\n}\n";
-        assert!(run(test, pass_cast_truncation).is_empty());
     }
 }

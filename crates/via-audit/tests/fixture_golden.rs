@@ -24,7 +24,8 @@ fn fixtures_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
-/// Parses the `// audit-fixture: kind=sim,hot,socket,lib` header.
+/// Parses the `// audit-fixture: kind=sim,hot` header (an empty list is a
+/// file of neither kind).
 fn fixture_kind(path: &std::path::Path, src: &str) -> FileKind {
     let header = src.lines().next().unwrap_or_default();
     let spec = header
@@ -35,10 +36,14 @@ fn fixture_kind(path: &std::path::Path, src: &str) -> FileKind {
                 path.display()
             )
         });
-    let flags: Vec<&str> = spec.split(',').map(str::trim).collect();
+    let flags: Vec<&str> = spec
+        .split(',')
+        .map(str::trim)
+        .filter(|f| !f.is_empty())
+        .collect();
     for f in &flags {
         assert!(
-            matches!(*f, "sim" | "hot" | "socket" | "lib"),
+            matches!(*f, "sim" | "hot"),
             "{}: unknown fixture kind flag {f:?}",
             path.display()
         );
@@ -46,8 +51,6 @@ fn fixture_kind(path: &std::path::Path, src: &str) -> FileKind {
     FileKind {
         sim_crate: flags.contains(&"sim"),
         hot_path: flags.contains(&"hot"),
-        socket_crate: flags.contains(&"socket"),
-        lib_code: flags.contains(&"lib"),
     }
 }
 

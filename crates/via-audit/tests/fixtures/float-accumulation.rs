@@ -1,4 +1,4 @@
-// audit-fixture: kind=sim,lib
+// audit-fixture: kind=sim
 //! `float-accumulation` corpus: order-sensitive float folds in merge paths.
 
 pub struct Stats {

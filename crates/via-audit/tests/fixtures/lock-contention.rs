@@ -1,4 +1,4 @@
-// audit-fixture: kind=hot,lib
+// audit-fixture: kind=hot
 //! `lock-contention` corpus: whole-map mutexes on the hot path.
 
 pub struct Positive {

@@ -1,4 +1,4 @@
-// audit-fixture: kind=sim,lib
+// audit-fixture: kind=sim
 //! `map-iteration-order` corpus: hash iteration into order-sensitive sinks.
 
 pub fn positive_chain(m: &HashMap<u32, f64>) -> f64 {

@@ -1,4 +1,4 @@
-// audit-fixture: kind=lib
+// audit-fixture: kind=
 //! `nan-cmp` corpus: NaN-unsafe float comparisons (applies to every crate).
 
 pub fn positive(xs: &mut [f64]) {

@@ -1,4 +1,4 @@
-// audit-fixture: kind=sim,lib
+// audit-fixture: kind=sim
 //! `rng-discipline` corpus: constant seeds, xor splitting, RNG clones.
 
 pub fn positive_constant_seed() -> StdRng {

@@ -531,9 +531,9 @@ fn cmd_server_serve(rest: &[String]) -> CliResult {
         n_keys,
         candidates.len()
     );
-    let started = std::time::Instant::now();
+    let started = via_obs::Stopwatch::started();
     while !handle.shutting_down() {
-        if deadline_s > 0 && started.elapsed().as_secs() >= deadline_s {
+        if deadline_s > 0 && started.elapsed_ms() / 1_000.0 >= deadline_s as f64 {
             println!("deadline reached; stopping");
             break;
         }
@@ -569,7 +569,7 @@ fn cmd_server_soak(rest: &[String]) -> CliResult {
     let handle = via_server::serve(controller)?;
     let addr = handle.addr();
     println!("soak: {clients} clients x {calls} calls over {windows} windows against {addr}");
-    let started = std::time::Instant::now();
+    let started = via_obs::Stopwatch::started();
     let workers: Vec<std::thread::JoinHandle<Result<u64, String>>> = (0..clients)
         .map(|c| {
             let candidates = candidates.clone();
@@ -612,7 +612,7 @@ fn cmd_server_soak(rest: &[String]) -> CliResult {
             Err(_) => errors.push("client thread panicked".to_string()),
         }
     }
-    let elapsed = started.elapsed().as_secs_f64();
+    let elapsed = started.elapsed_ms() / 1_000.0;
 
     // Snapshot over the wire (exercises the RPC), then client-initiated
     // shutdown; wait() returns only when the accept loop exited cleanly.

@@ -26,6 +26,10 @@
 //!    when every path is dead before the call ends the report carries the
 //!    same typed [`MergeFailure`] a singlepath relay death produces.
 
+// Runs once per multipath call inside the shard loop: no cast may truncate
+// silently.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use via_model::metrics::PathMetrics;

@@ -36,6 +36,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// A narrowing `as` cast truncates silently; library code says how it rounds.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod catalog;
 pub mod config;

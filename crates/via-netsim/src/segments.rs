@@ -95,9 +95,10 @@ impl SegmentPath {
         segs[..len].copy_from_slice(&segments[..len]);
         Self {
             segs,
-            // `len` is `min`-clamped to `Self::MAX` (= 5) on the line above,
-            // so this narrowing can never truncate.
-            // via-audit: allow(cast-truncation)
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`len` is `min`-clamped to `Self::MAX` (= 5) above, so this narrowing can never truncate"
+            )]
             len: len as u8,
             hops,
         }
@@ -215,7 +216,7 @@ impl EpisodeSeries {
             "episodes",
             segment.seed_code(),
         ));
-        let mut severity = Vec::with_capacity(days as usize);
+        let mut severity = Vec::with_capacity(usize::try_from(days).unwrap_or(0));
         let mut current: f32 = 0.0;
         for _ in 0..days {
             if current == 0.0 {
@@ -240,7 +241,8 @@ impl EpisodeSeries {
         if self.severity.is_empty() {
             return 0.0;
         }
-        let idx = (d as usize).min(self.severity.len() - 1);
+        let last = self.severity.len() - 1;
+        let idx = usize::try_from(d).map_or(last, |d| d.min(last));
         f64::from(self.severity[idx])
     }
 

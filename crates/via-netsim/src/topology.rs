@@ -268,6 +268,10 @@ impl World {
         for country in &countries {
             // Bigger countries host more ASes: scale by sqrt(weight).
             let scale = (country.weight / 3.0).sqrt().clamp(0.5, 2.5);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "rounds to the nearest whole AS count; the scaled count is small and non-negative"
+            )]
             let n = ((config.ases_per_country as f64 * scale).round() as usize).max(1);
             for k in 0..n {
                 let id = AsId(next_as_id);
@@ -455,6 +459,10 @@ pub struct CandidateScratch {
 
 /// How many of each endpoint's nearest relays a pair's transit candidates
 /// are formed from.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the ceiling of the square root of a candidate count is a whole number far below `usize::MAX`"
+)]
 fn transit_prefix(config: &WorldConfig, n_relays: usize) -> usize {
     let k = config.transit_candidates.max(1);
     ((k as f64).sqrt().ceil() as usize + 1).min(n_relays)

@@ -1,11 +1,11 @@
 //! The sanctioned wall-clock facade.
 //!
-//! Hot-path crates must not read `Instant::now()` directly — wall-clock
+//! Crates under `crates/` must not read `Instant::now()` directly — wall-clock
 //! reads are inherently nondeterministic, and scattering them makes it
-//! impossible to audit which results depend on time. The via-audit
-//! `raw-timing` lint enforces this; [`Stopwatch`] is the one blessed way
-//! to measure elapsed time, and everything it measures lands in the
-//! timing layer that serialized snapshots exclude.
+//! impossible to audit which results depend on time. Clippy's
+//! `disallowed_methods` enforces this (`crates/clippy.toml`); [`Stopwatch`]
+//! is the one blessed way to measure elapsed time, and everything it
+//! measures lands in the timing layer that serialized snapshots exclude.
 
 use std::time::Instant;
 
@@ -15,10 +15,12 @@ pub struct Stopwatch(Option<Instant>);
 
 impl Stopwatch {
     /// Starts a stopwatch reading the real clock.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the single sanctioned wall-clock read: everything it feeds stays in the nondeterministic timing layer"
+    )]
     pub fn started() -> Stopwatch {
-        // The single sanctioned wall-clock read: everything it feeds stays
-        // in the nondeterministic timing layer.
-        Stopwatch(Some(Instant::now())) // via-audit: allow(nondeterminism)
+        Stopwatch(Some(Instant::now()))
     }
 
     /// A stopwatch that never ran; `elapsed_ms` reports 0. Lets callers

@@ -379,7 +379,8 @@ impl Controller {
 
     fn shard_of(&self, pair: KeyPair) -> usize {
         let h = splitmix64((u64::from(pair.lo) << 32) | u64::from(pair.hi));
-        (h % self.shards.len() as u64) as usize
+        // The remainder is below `shards.len()`, so it always fits.
+        usize::try_from(h % self.shards.len() as u64).unwrap_or(0)
     }
 
     /// The accumulating window: every shard's outside a roll. (There is
@@ -617,10 +618,12 @@ impl Controller {
             sink.inc("server_gate_calls_total", g.total());
             // Stored as parts-per-million so the gauge stays integral (span
             // and counter values are u64 by design).
-            sink.inc(
-                "server_gate_relayed_ppm",
-                (g.relayed_fraction() * 1e6).round() as u64,
-            );
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "rounds a fraction in [0, 1] to the nearest part per million"
+            )]
+            let ppm = (g.relayed_fraction() * 1e6).round() as u64;
+            sink.inc("server_gate_relayed_ppm", ppm);
         }
         sink.merge(&lock(&self.roll).obs);
         sink

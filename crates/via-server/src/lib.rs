@@ -26,9 +26,12 @@
 //! is held to the workspace's panic-safety and bounded-socket-wait rules:
 //! no `unwrap`/`expect` in library code and no slice index in `wire.rs` or
 //! `server.rs`, where request bytes and ids arrive (clippy denies), and no
-//! socket wait without a deadline (via-audit's `socket-wait` lint).
+//! socket wait without a deadline (clippy's `disallowed_methods`, through
+//! this crate's `clippy.toml`).
 
 #![warn(missing_docs)]
+// A narrowing `as` cast truncates silently; library code says how it rounds.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod client;
 pub mod controller;

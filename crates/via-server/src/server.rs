@@ -3,7 +3,7 @@
 //! One thread accepts connections (deadline-polled so shutdown is always
 //! observed within a poll slice); each connection gets a handler thread
 //! reading frames through [`FrameConn::next_body`] — never an unbounded
-//! socket wait, per the workspace's `socket-wait` lint — and decoding them
+//! socket wait, per this crate's `clippy.toml` socket rule — and decoding them
 //! with the binary codec in [`crate::wire`]. A connection owns one candidate
 //! `Vec` and, inside its `FrameConn`, one receive and one send buffer; a
 //! steady-state `Select` or `Report` allocates nothing here. A session is its

@@ -578,6 +578,10 @@ impl<'a> Reader<'a> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "frames are read back from an in-memory buffer"
+)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

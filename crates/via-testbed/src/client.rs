@@ -94,6 +94,7 @@ pub fn run_client_with(
     mut cfg: ClientConfig,
 ) -> Result<(), TestbedError> {
     let udp = UdpSocket::bind("127.0.0.1:0")?;
+    #[expect(clippy::disallowed_methods, reason = "a bounded 50 ms read timeout")]
     udp.set_read_timeout(Some(Duration::from_millis(50)))?;
 
     let (echo_tx, echo_rx) = bounded::<EchoEvent>(4_096);
@@ -398,6 +399,10 @@ fn measure_call(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test sockets set bounded read timeouts"
+)]
 mod tests {
     use super::*;
     use crate::impair::ImpairParams;

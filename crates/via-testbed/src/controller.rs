@@ -638,6 +638,10 @@ fn place_call(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test peers block on loopback; the test runner is the deadline"
+)]
 mod tests {
     use super::*;
     use crate::protocol::{read_frame, write_frame};

@@ -196,7 +196,12 @@ impl RetryPolicy {
             .saturating_mul(1u64 << attempt.min(16))
             .min(self.max_ms);
         let jitter = 0.5 + 0.5 * rng.random::<f64>();
-        Duration::from_millis(((exp as f64) * jitter).round() as u64)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "rounds to the nearest millisecond; `exp · jitter` is at most `max_ms`"
+        )]
+        let ms = ((exp as f64) * jitter).round() as u64;
+        Duration::from_millis(ms)
     }
 }
 

@@ -71,7 +71,12 @@ impl ImpairParams {
         let u2: f64 = rng.random();
         let gauss = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         let delay = (self.delay_ms + self.jitter_ms * gauss).max(0.0);
-        Some(Duration::from_micros((delay * 1_000.0) as u64))
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "truncates toward zero to whole microseconds; `delay` is non-negative and `as` saturates"
+        )]
+        let micros = (delay * 1_000.0) as u64;
+        Some(Duration::from_micros(micros))
     }
 
     /// Series composition of two legs: delays add, jitter adds in
@@ -219,6 +224,10 @@ impl Drop for DelayLine {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test sockets set bounded read timeouts"
+)]
 mod tests {
     use super::*;
 

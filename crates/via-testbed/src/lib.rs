@@ -26,11 +26,14 @@
 //! Despite driving real sockets, this crate is held to the workspace's
 //! panic-safety rules: no `unwrap`/`expect` outside `#[cfg(test)]` code and
 //! no slice index in `protocol.rs`, where frames are read (both clippy
-//! denies), and no unbounded socket wait (via-audit's `socket-wait` lint). Every
+//! denies), and no unbounded socket wait (clippy's `disallowed_methods`,
+//! through this crate's `clippy.toml`). Every
 //! failure surfaces as a typed [`TestbedError`] or a per-pair
 //! [`PairFailure`] record.
 
 #![warn(missing_docs)]
+// A narrowing `as` cast truncates silently; library code says how it rounds.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod client;
 pub mod controller;

@@ -255,14 +255,16 @@ pub fn connect_deadline(addr: SocketAddr, timeout: Duration) -> io::Result<TcpSt
 ///
 /// # Errors
 /// Propagates listener I/O failures.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the listener is non-blocking, so `accept` returns `WouldBlock` at once and the loop checks the deadline"
+)]
 pub fn accept_deadline(
     listener: &TcpListener,
     deadline: Instant,
 ) -> io::Result<Option<(TcpStream, SocketAddr)>> {
     listener.set_nonblocking(true)?;
     loop {
-        // Non-blocking listener: returns WouldBlock instantly when idle.
-        // via-audit: allow(socket-wait)
         match listener.accept() {
             Ok((stream, peer)) => {
                 stream.set_nonblocking(false)?;
@@ -317,6 +319,7 @@ impl FrameConn {
         // Control frames are small request/response pairs; Nagle coalescing
         // only adds delayed-ACK latency to them.
         stream.set_nodelay(true)?;
+        #[expect(clippy::disallowed_methods, reason = "a bounded write timeout")]
         stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         Ok(FrameConn {
             stream,
@@ -378,6 +381,7 @@ impl FrameConn {
             // Far from its deadline every read waits one `POLL_SLICE`, so the
             // option is set once per connection, not once per read.
             if self.read_timeout != Some(wait) {
+                #[expect(clippy::disallowed_methods, reason = "`wait` is at most `POLL_SLICE`")]
                 self.stream.set_read_timeout(Some(wait))?;
                 self.read_timeout = Some(wait);
             }
@@ -430,6 +434,10 @@ impl FrameConn {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test peers block on loopback or in-memory buffers; the test runner is the deadline"
+)]
 mod tests {
     use super::*;
     use std::io::Cursor;

@@ -87,6 +87,7 @@ impl RelayHandle {
     /// Spawns a relay bound to an ephemeral loopback port.
     pub fn spawn(seed: u64) -> std::io::Result<RelayHandle> {
         let socket = UdpSocket::bind("127.0.0.1:0")?;
+        #[expect(clippy::disallowed_methods, reason = "a bounded 50 ms read timeout")]
         socket.set_read_timeout(Some(Duration::from_millis(50)))?;
         let addr = socket.local_addr()?;
         let out = socket.try_clone()?;
@@ -217,6 +218,10 @@ impl Drop for RelayHandle {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test sockets set bounded read timeouts"
+)]
 mod tests {
     use super::*;
     use crate::probe::ProbePacket;

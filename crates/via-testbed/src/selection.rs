@@ -112,8 +112,12 @@ pub fn evaluate_via_selection(reports: &[ReportRecord], objective: Metric) -> Fi
                         || &candidates[..],
                     );
                     if let RelayOption::Bounce(rid) = decision.option {
-                        let pick = rid.0 as RelayIndex;
-                        if let Some(&via_value) = values.get(&pick) {
+                        // An id that does not fit a `RelayIndex` was never
+                        // measured: like a pick with no value, it is not scored.
+                        let value = RelayIndex::try_from(rid.0)
+                            .ok()
+                            .and_then(|pick| values.get(&pick));
+                        if let Some(&via_value) = value {
                             let best = values.values().fold(f64::INFINITY, |acc, &v| acc.min(v));
                             if best > 0.0 && best.is_finite() {
                                 suboptimality.push((via_value - best) / best);
@@ -121,10 +125,7 @@ pub fn evaluate_via_selection(reports: &[ReportRecord], objective: Metric) -> Fi
                                 if (via_value - best).abs() < 1e-12 {
                                     best_picks += 1;
                                 }
-                                pick_history.push((
-                                    RelayOption::Bounce(RelayId(u32::from(pick))),
-                                    via_value,
-                                ));
+                                pick_history.push((decision.option, via_value));
                             }
                         }
                     }

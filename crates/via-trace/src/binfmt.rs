@@ -72,6 +72,8 @@
 
 // Bytes and ids from outside the program enter here: no index may panic.
 #![deny(clippy::indexing_slicing)]
+// The streamed replay's per-record path: no cast may truncate silently.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
