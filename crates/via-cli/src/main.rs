@@ -219,7 +219,6 @@ fn cmd_analyze(rest: &[String]) -> CliResult {
     for (index, record) in (0..).zip(&trace.records) {
         record.check(index, trace.days, None)?;
     }
-    let thresholds = Thresholds::default();
 
     let s = via_trace::analysis::dataset_summary(&trace);
     println!("calls: {}", s.calls);
@@ -245,11 +244,11 @@ fn cmd_analyze(rest: &[String]) -> CliResult {
             cdf.quantile(0.5),
             cdf.quantile(0.9),
             cdf.quantile(0.99),
-            100.0 * cdf.fraction_at_or_above(thresholds.for_metric(metric)),
+            100.0 * cdf.fraction_at_or_above(Thresholds.for_metric(metric)),
         );
     }
 
-    let scope = via_trace::analysis::pnr_by_scope(&trace, &thresholds);
+    let scope = via_trace::analysis::pnr_by_scope(&trace);
     println!(
         "\nPNR(any): international {:.1}% vs domestic {:.1}%",
         100.0 * scope.international.any,

@@ -47,8 +47,7 @@
 //! let cfg = ReplayConfig::default();
 //! let default = ReplaySim::new(&world, &trace, cfg.clone()).run(StrategyKind::Default);
 //! let via = ReplaySim::new(&world, &trace, cfg).run(StrategyKind::Via);
-//! let t = Default::default();
-//! assert!(via.pnr_any(&t) <= default.pnr_any(&t) + 0.05);
+//! assert!(via.pnr_any() <= default.pnr_any() + 0.05);
 //! ```
 
 #![warn(missing_docs)]

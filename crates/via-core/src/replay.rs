@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use via_media::merge::MergeConfig;
 use via_model::ids::{AsId, RelayId};
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 use via_model::options::RelayOption;
 use via_model::seed;
 use via_model::table::Table;
@@ -290,7 +290,6 @@ struct EngineState {
     outcomes: Vec<CallOutcome>,
     /// Running trace-order aggregate — always populated.
     aggregate: ReplayAggregate,
-    thresholds: Thresholds,
     /// Built once per run: the controller's static knowledge (geography and
     /// inter-relay metrics) does not change across windows.
     prior: GeoPrior,
@@ -418,7 +417,6 @@ impl<'a> ReplaySim<'a> {
             window_out: Vec::new(),
             outcomes: Vec::new(),
             aggregate: ReplayAggregate::default(),
-            thresholds: Thresholds::default(),
             prior,
             backbone,
         }
@@ -567,7 +565,6 @@ impl<'a> ReplaySim<'a> {
             window_out,
             outcomes,
             aggregate,
-            thresholds,
             prior,
             backbone,
             ..
@@ -790,7 +787,7 @@ impl<'a> ReplaySim<'a> {
         // when the config asks for per-call outcomes.
         let mut filled = 0usize;
         for co in window_out.iter().flatten() {
-            aggregate.update(co, thresholds);
+            aggregate.update(co);
             if self.cfg.collect_calls {
                 outcomes.push(*co);
             }
@@ -1289,15 +1286,10 @@ mod tests {
     fn via_lands_between_default_and_oracle() {
         let (world, trace) = setup();
         let cfg = ReplayConfig::default();
-        let thresholds = Thresholds::default();
         let d = ReplaySim::new(&world, &trace, cfg.clone()).run(StrategyKind::Default);
         let o = ReplaySim::new(&world, &trace, cfg.clone()).run(StrategyKind::Oracle);
         let v = ReplaySim::new(&world, &trace, cfg).run(StrategyKind::Via);
-        let (dp, op, vp) = (
-            d.pnr(&thresholds).rtt,
-            o.pnr(&thresholds).rtt,
-            v.pnr(&thresholds).rtt,
-        );
+        let (dp, op, vp) = (d.pnr().rtt, o.pnr().rtt, v.pnr().rtt);
         assert!(
             op <= vp + 0.02,
             "oracle {op:.3} must lower-bound via {vp:.3}"
@@ -1438,9 +1430,8 @@ mod tests {
         let (world, trace) = setup();
         let out =
             ReplaySim::new(&world, &trace, ReplayConfig::default()).run(StrategyKind::Default);
-        let thresholds = Thresholds::default();
-        let intl = out.pnr_where(&trace, &thresholds, CallRecord::is_international);
-        let dom = out.pnr_where(&trace, &thresholds, |r| !r.is_international());
+        let intl = out.pnr_where(&trace, CallRecord::is_international);
+        let dom = out.pnr_where(&trace, |r| !r.is_international());
         assert_eq!(intl.calls + dom.calls, trace.len());
     }
 }

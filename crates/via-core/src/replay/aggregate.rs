@@ -26,10 +26,8 @@ pub struct CallOutcome {
 /// invariant by construction and byte-identical between the streamed and
 /// materialized engines. It is the whole summary when
 /// [`ReplayConfig::collect_calls`] is off (the bounded-memory paper-scale
-/// mode, where materializing a `Vec<CallOutcome>` would defeat streaming).
-///
-/// PNR counters use [`Thresholds::default`]; runs needing custom thresholds
-/// keep `collect_calls` on and use [`Outcome::pnr`].
+/// mode, where materializing a `Vec<CallOutcome>` would defeat streaming);
+/// [`Outcome::pnr`] reads its PNR counters either way.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplayAggregate {
     /// Calls replayed.
@@ -40,7 +38,7 @@ pub struct ReplayAggregate {
     pub bounce: u64,
     /// Calls sent through two relays.
     pub transit: u64,
-    /// Calls with poor RTT (default thresholds).
+    /// Calls with poor RTT (the [`Thresholds`] of §2.2).
     pub poor_rtt: u64,
     /// Calls with poor loss.
     pub poor_loss: u64,
@@ -94,7 +92,7 @@ impl Default for ReplayAggregate {
 impl ReplayAggregate {
     /// Folds one call outcome in. Must be called in trace order — the
     /// digest is order-sensitive on purpose.
-    pub(super) fn update(&mut self, co: &CallOutcome, thresholds: &Thresholds) {
+    pub(super) fn update(&mut self, co: &CallOutcome) {
         self.calls += 1;
         if co.option == RelayOption::Direct {
             self.direct += 1;
@@ -105,15 +103,15 @@ impl ReplayAggregate {
         }
         let m = &co.metrics;
         let mut any = false;
-        if thresholds.is_poor(m, Metric::Rtt) {
+        if Thresholds.is_poor(m, Metric::Rtt) {
             self.poor_rtt += 1;
             any = true;
         }
-        if thresholds.is_poor(m, Metric::Loss) {
+        if Thresholds.is_poor(m, Metric::Loss) {
             self.poor_loss += 1;
             any = true;
         }
-        if thresholds.is_poor(m, Metric::Jitter) {
+        if Thresholds.is_poor(m, Metric::Jitter) {
             self.poor_jitter += 1;
             any = true;
         }
@@ -132,7 +130,7 @@ impl ReplayAggregate {
         self.digest = h;
     }
 
-    /// The default-threshold PNR this aggregate counted.
+    /// The PNR this aggregate counted.
     pub fn pnr(&self) -> PnrReport {
         let n = self.calls.max(1) as f64;
         PnrReport {

@@ -2,7 +2,7 @@
 //! [`ReplayStats`].
 
 use serde::{Deserialize, Serialize};
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 use via_obs::MetricsSnapshot;
 use via_quality::PnrReport;
 use via_trace::{CallRecord, Trace};
@@ -114,14 +114,15 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// PNR report over all calls.
-    pub fn pnr(&self, thresholds: &Thresholds) -> PnrReport {
-        PnrReport::from_calls(self.calls.iter().map(|c| &c.metrics), thresholds)
+    /// PNR report over all calls. Read from [`Outcome::aggregate`], so it
+    /// holds with [`ReplayConfig::collect_calls`] off.
+    pub fn pnr(&self) -> PnrReport {
+        self.aggregate.pnr()
     }
 
     /// Fraction of calls with at least one poor metric.
-    pub fn pnr_any(&self, thresholds: &Thresholds) -> f64 {
-        self.pnr(thresholds).any
+    pub fn pnr_any(&self) -> f64 {
+        self.pnr().any
     }
 
     /// Values of one metric across calls (for percentile analysis).
@@ -147,18 +148,12 @@ impl Outcome {
 
     /// PNR over a subset of calls selected by a predicate on the trace
     /// record (e.g. international-only for Figure 13).
-    pub fn pnr_where(
-        &self,
-        trace: &Trace,
-        thresholds: &Thresholds,
-        pred: impl Fn(&CallRecord) -> bool,
-    ) -> PnrReport {
+    pub fn pnr_where(&self, trace: &Trace, pred: impl Fn(&CallRecord) -> bool) -> PnrReport {
         PnrReport::from_calls(
             self.calls
                 .iter()
                 .filter(|c| pred(&trace.records[c.call_index as usize]))
                 .map(|c| &c.metrics),
-            thresholds,
         )
     }
 }

@@ -2,7 +2,7 @@
 
 use via_core::replay::{ReplayConfig, ReplaySim, SpatialGranularity};
 use via_core::strategy::StrategyKind;
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 use via_model::time::WindowLen;
 use via_netsim::{World, WorldConfig};
 use via_trace::{Trace, TraceConfig, TraceGenerator};
@@ -22,7 +22,7 @@ fn empty_trace_produces_empty_outcome() {
     ] {
         let out = ReplaySim::new(&w, &trace, ReplayConfig::default()).run(kind);
         assert!(out.calls.is_empty());
-        assert_eq!(out.pnr(&Thresholds::default()).calls, 0);
+        assert_eq!(out.pnr().calls, 0);
         assert_eq!(out.relayed_fraction(), 0.0);
     }
 }
@@ -48,10 +48,9 @@ fn six_hour_windows_still_converge() {
         window: WindowLen::hours(6),
         ..ReplayConfig::default()
     };
-    let t = Thresholds::default();
     let via = ReplaySim::new(&w, &trace, cfg.clone()).run(StrategyKind::Via);
     let default = ReplaySim::new(&w, &trace, cfg).run(StrategyKind::Default);
-    assert!(via.pnr(&t).rtt <= default.pnr(&t).rtt);
+    assert!(via.pnr().rtt <= default.pnr().rtt);
 }
 
 #[test]
@@ -130,13 +129,12 @@ fn country_granularity_shares_state_across_as_pairs() {
 fn budget_one_behaves_like_unbudgeted() {
     let w = world();
     let trace = TraceGenerator::new(&w, TraceConfig::tiny(), 10).generate();
-    let t = Thresholds::default();
     let budgeted = ReplaySim::new(&w, &trace, ReplayConfig::default())
         .run(StrategyKind::ViaBudgeted { budget: 1.0 });
     let plain = ReplaySim::new(&w, &trace, ReplayConfig::default()).run(StrategyKind::Via);
     // With budget = 1.0 only the benefit>0 precondition differs; PNR should
     // be close.
-    let b = budgeted.pnr(&t).rtt;
-    let p = plain.pnr(&t).rtt;
+    let b = budgeted.pnr().rtt;
+    let p = plain.pnr().rtt;
     assert!((b - p).abs() < 0.05, "budget=1 {b} vs plain {p}");
 }

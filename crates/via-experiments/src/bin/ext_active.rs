@@ -16,7 +16,7 @@ use serde::Serialize;
 use via_core::replay::{ReplayConfig, SpatialGranularity};
 use via_core::strategy::StrategyKind;
 use via_experiments::{build_env, header, row, write_json, Args};
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 use via_quality::relative_improvement;
 
 #[derive(Serialize)]
@@ -28,13 +28,9 @@ struct ExtActive {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
     let objective = Metric::Rtt;
 
-    let default_pnr = env
-        .run(StrategyKind::Default, objective)
-        .pnr(&thresholds)
-        .any;
+    let default_pnr = env.run(StrategyKind::Default, objective).pnr().any;
     println!("# §7 extension: active measurements (probes per window, /24-like granularity)\n");
     println!("default PNR (any, all calls) = {default_pnr:.3}\n");
     header(&["probes/window", "VIA PNR (any)", "reduction vs default"]);
@@ -49,7 +45,7 @@ fn main() {
             granularity: SpatialGranularity::SubAs { buckets: 8 },
             ..ReplayConfig::default()
         };
-        let pnr = env.run_with(StrategyKind::Via, cfg).pnr(&thresholds).any;
+        let pnr = env.run_with(StrategyKind::Via, cfg).pnr().any;
         if probes == 0 {
             baseline_pnr = Some(pnr);
         }

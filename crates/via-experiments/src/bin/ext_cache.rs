@@ -13,7 +13,7 @@
 use serde::Serialize;
 use via_core::strategy::StrategyKind;
 use via_experiments::{build_env, header, pnr_masked, row, write_json, Args};
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 
 #[derive(Serialize)]
 struct Point {
@@ -33,12 +33,11 @@ struct ExtCache {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
     let mask = env.eligible(args.scale);
     let objective = Metric::Rtt;
 
     let via = env.run(StrategyKind::Via, objective);
-    let via_pnr = pnr_masked(&via, &mask, &thresholds).any;
+    let via_pnr = pnr_masked(&via, &mask).any;
     println!("# §7 extension: client-side decision caching\n");
     println!(
         "plain VIA: {} controller contacts (one per call), PNR {via_pnr:.3}\n",
@@ -49,7 +48,7 @@ fn main() {
     let mut points = Vec::new();
     for ttl_hours in [1u64, 3, 6, 12, 24, 72] {
         let out = env.run(StrategyKind::ViaCached { ttl_hours }, objective);
-        let pnr = pnr_masked(&out, &mask, &thresholds).any;
+        let pnr = pnr_masked(&out, &mask).any;
         let saved = 1.0 - out.controller_contacts as f64 / via.controller_contacts as f64;
         row(&[
             format!("{ttl_hours}h"),

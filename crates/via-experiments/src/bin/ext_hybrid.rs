@@ -13,7 +13,7 @@
 use serde::Serialize;
 use via_core::strategy::StrategyKind;
 use via_experiments::{build_env, header, pnr_masked, row, write_json, Args};
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 
 #[derive(Serialize)]
 struct Point {
@@ -32,17 +32,11 @@ struct ExtHybrid {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
     let mask = env.eligible(args.scale);
     let objective = Metric::Rtt;
 
-    let via_pnr = pnr_masked(&env.run(StrategyKind::Via, objective), &mask, &thresholds).any;
-    let oracle_pnr = pnr_masked(
-        &env.run(StrategyKind::Oracle, objective),
-        &mask,
-        &thresholds,
-    )
-    .any;
+    let via_pnr = pnr_masked(&env.run(StrategyKind::Via, objective), &mask).any;
+    let oracle_pnr = pnr_masked(&env.run(StrategyKind::Oracle, objective), &mask).any;
 
     println!("# §7 extension: hybrid racing over the pruned top-k\n");
     println!("plain VIA PNR = {via_pnr:.3}; oracle = {oracle_pnr:.3}\n");
@@ -51,7 +45,7 @@ fn main() {
     let mut points = Vec::new();
     for k in [1usize, 2, 3, 5] {
         let out = env.run(StrategyKind::HybridRacing { k }, objective);
-        let pnr = pnr_masked(&out, &mask, &thresholds).any;
+        let pnr = pnr_masked(&out, &mask).any;
         let per_call = out.race_probes as f64 / out.calls.len().max(1) as f64;
         row(&[k.to_string(), format!("{pnr:.3}"), format!("{per_call:.1}")]);
         points.push(Point {

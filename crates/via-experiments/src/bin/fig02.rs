@@ -25,7 +25,6 @@ struct Fig02 {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
 
     println!("# Figure 2: distribution of network metrics on default paths\n");
     header(&[
@@ -46,7 +45,7 @@ fn main() {
         let cdf = metric_cdf(&env.trace, metric).expect("non-empty trace");
         let qs = [0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99];
         let quantiles: Vec<(f64, f64)> = qs.iter().map(|&q| (q, cdf.quantile(q))).collect();
-        let threshold = thresholds.for_metric(metric);
+        let threshold = Thresholds.for_metric(metric);
         let beyond = cdf.fraction_at_or_above(threshold);
 
         row(&[

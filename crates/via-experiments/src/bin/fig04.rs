@@ -11,7 +11,6 @@
 
 use serde::Serialize;
 use via_experiments::{build_env, header, pct, row, write_json, Args, Scale};
-use via_model::metrics::Thresholds;
 use via_quality::PnrReport;
 use via_trace::analysis::{pnr_by_country, pnr_by_scope};
 
@@ -27,8 +26,7 @@ struct Fig04 {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
-    let scope = pnr_by_scope(&env.trace, &thresholds);
+    let scope = pnr_by_scope(&env.trace);
 
     println!("# Figure 4a: PNR by scope\n");
     header(&[
@@ -62,7 +60,7 @@ fn main() {
         Scale::Small => 200,
         Scale::Paper => 1000,
     };
-    let ranked = pnr_by_country(&env.trace, &thresholds, min_calls);
+    let ranked = pnr_by_country(&env.trace, min_calls);
 
     println!("# Figure 4b: international-call PNR by country (worst first)\n");
     header(&[

@@ -11,7 +11,6 @@
 
 use serde::Serialize;
 use via_experiments::{build_env, header, pct, row, write_json, Args};
-use via_model::metrics::Thresholds;
 use via_trace::analysis::worst_pair_concentration;
 
 #[derive(Serialize)]
@@ -24,7 +23,7 @@ struct Fig05 {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let conc = worst_pair_concentration(&env.trace, &Thresholds::default());
+    let conc = worst_pair_concentration(&env.trace);
     assert!(
         !conc.is_empty(),
         "trace has no poor calls — world miscalibrated"

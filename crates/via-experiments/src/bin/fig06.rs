@@ -13,7 +13,6 @@
 
 use serde::Serialize;
 use via_experiments::{build_env, header, pct, row, write_json, Args, Scale};
-use via_model::metrics::Thresholds;
 use via_model::stats::Cdf;
 
 #[derive(Serialize)]
@@ -33,7 +32,7 @@ fn main() {
         Scale::Small => 4,
         Scale::Paper => 10,
     };
-    let tp = via_trace::analysis::temporal_patterns(&env.trace, &Thresholds::default(), min_calls);
+    let tp = via_trace::analysis::temporal_patterns(&env.trace, min_calls);
     assert!(!tp.prevalence.is_empty(), "no qualifying pairs");
 
     let persistence = Cdf::from_samples(tp.persistence.iter().copied()).expect("non-empty");

@@ -14,7 +14,7 @@
 use serde::Serialize;
 use via_core::strategy::StrategyKind;
 use via_experiments::{build_env, header, row, write_json, Args};
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 use via_model::stats::percentile;
 use via_quality::relative_improvement;
 
@@ -28,11 +28,10 @@ struct Fig08 {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
     let ps = [25.0, 50.0, 75.0, 90.0, 95.0, 99.0];
 
     let default_run = env.run(StrategyKind::Default, Metric::Rtt);
-    let default_pnr = default_run.pnr(&thresholds);
+    let default_pnr = default_run.pnr();
 
     println!("# Figure 8a: oracle improvement on metric percentiles\n");
     header(&["metric", "p25", "p50", "p75", "p90", "p95", "p99"]);
@@ -58,7 +57,7 @@ fn main() {
         row(&cells);
         pct_improvements.push((metric.to_string(), per_p));
 
-        let o_pnr = oracle.pnr(&thresholds);
+        let o_pnr = oracle.pnr();
         pnr_reduction.push((
             metric.to_string(),
             relative_improvement(default_pnr.for_metric(metric), o_pnr.for_metric(metric)),

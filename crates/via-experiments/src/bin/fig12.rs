@@ -14,7 +14,7 @@
 use serde::Serialize;
 use via_core::strategy::StrategyKind;
 use via_experiments::{build_env, header, metric_values_masked, pnr_masked, row, write_json, Args};
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 use via_model::stats::percentile;
 use via_quality::relative_improvement;
 
@@ -31,7 +31,6 @@ struct Fig12 {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
 
     let strategies = [
         StrategyKind::PredictionOnly,
@@ -48,7 +47,7 @@ fn main() {
     );
 
     let default_run = env.run(StrategyKind::Default, Metric::Rtt);
-    let default_pnr = pnr_masked(&default_run, &mask, &thresholds);
+    let default_pnr = pnr_masked(&default_run, &mask);
 
     let mut pnr_reduction = Vec::new();
     let mut any_reduction = Vec::new();
@@ -62,7 +61,7 @@ fn main() {
         let mut worst_any = f64::MIN;
         for metric in Metric::ALL {
             let out = env.run(kind, metric);
-            let pnr = pnr_masked(&out, &mask, &thresholds);
+            let pnr = pnr_masked(&out, &mask);
             per_metric.push((
                 metric.to_string(),
                 relative_improvement(default_pnr.for_metric(metric), pnr.for_metric(metric)),

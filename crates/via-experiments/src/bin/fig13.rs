@@ -12,7 +12,7 @@ use serde::Serialize;
 use via_core::strategy::StrategyKind;
 use via_core::Outcome;
 use via_experiments::{build_env, header, pct, row, write_json, Args};
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 use via_quality::PnrReport;
 use via_trace::Trace;
 
@@ -23,12 +23,7 @@ struct Fig13 {
     rows: Vec<(String, f64, f64)>,
 }
 
-fn pnr_split(
-    out: &Outcome,
-    trace: &Trace,
-    mask: &[bool],
-    thresholds: &Thresholds,
-) -> (PnrReport, PnrReport) {
+fn pnr_split(out: &Outcome, trace: &Trace, mask: &[bool]) -> (PnrReport, PnrReport) {
     let masked = |intl: bool| {
         PnrReport::from_calls(
             out.calls
@@ -38,7 +33,6 @@ fn pnr_split(
                         && trace.records[c.call_index as usize].is_international() == intl
                 })
                 .map(|c| &c.metrics),
-            thresholds,
         )
     };
     (masked(true), masked(false))
@@ -47,7 +41,6 @@ fn pnr_split(
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
     let mask = env.eligible(args.scale);
 
     println!("# Figure 13: PNR (at least one bad) on international vs domestic calls\n");
@@ -64,7 +57,7 @@ fn main() {
         let mut worst_dom = f64::MIN;
         for metric in Metric::ALL {
             let out = env.run(kind, metric);
-            let (intl, dom) = pnr_split(&out, &env.trace, &mask, &thresholds);
+            let (intl, dom) = pnr_split(&out, &env.trace, &mask);
             worst_intl = worst_intl.max(intl.any);
             worst_dom = worst_dom.max(dom.any);
             if kind == StrategyKind::Default {

@@ -40,7 +40,6 @@ fn by_country(
     env: &via_experiments::Env,
     mask: &[bool],
     metric: Metric,
-    thresholds: &Thresholds,
 ) -> HashMap<CountryId, (usize, usize)> {
     let mut acc: HashMap<CountryId, (usize, usize)> = HashMap::new();
     for c in &out.calls {
@@ -48,7 +47,7 @@ fn by_country(
         if !mask[c.call_index as usize] || !r.is_international() {
             continue;
         }
-        let poor = thresholds.is_poor(&c.metrics, metric);
+        let poor = Thresholds.is_poor(&c.metrics, metric);
         for country in [r.src_country, r.dst_country] {
             let e = acc.entry(country).or_default();
             e.0 += 1;
@@ -63,7 +62,6 @@ fn by_country(
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
     let mask = env.eligible(args.scale);
 
     let mut results = Vec::new();
@@ -72,9 +70,9 @@ fn main() {
         let via_run = env.run(StrategyKind::Via, metric);
         let oracle_run = env.run(StrategyKind::Oracle, metric);
 
-        let d = by_country(&default_run, &env, &mask, metric, &thresholds);
-        let v = by_country(&via_run, &env, &mask, metric, &thresholds);
-        let o = by_country(&oracle_run, &env, &mask, metric, &thresholds);
+        let d = by_country(&default_run, &env, &mask, metric);
+        let v = by_country(&via_run, &env, &mask, metric);
+        let o = by_country(&oracle_run, &env, &mask, metric);
 
         // Global default PNR on this metric (the red line of Figure 14).
         let (g_calls, g_poor) = d

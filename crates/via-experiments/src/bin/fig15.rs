@@ -14,7 +14,7 @@
 use serde::Serialize;
 use via_core::strategy::StrategyKind;
 use via_experiments::{build_env, header, pnr_masked, row, write_json, Args};
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 use via_quality::relative_improvement;
 
 #[derive(Serialize)]
@@ -26,11 +26,10 @@ struct Fig15 {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
     let mask = env.eligible(args.scale);
 
     let default_run = env.run(StrategyKind::Default, Metric::Rtt);
-    let default_pnr = pnr_masked(&default_run, &mask, &thresholds);
+    let default_pnr = pnr_masked(&default_run, &mask);
 
     let variants = [
         ("via (dynamic top-k + normalized)", StrategyKind::Via),
@@ -48,7 +47,7 @@ fn main() {
         let mut worst_any = f64::MIN;
         for (i, metric) in Metric::ALL.into_iter().enumerate() {
             let out = env.run(kind, metric);
-            let pnr = pnr_masked(&out, &mask, &thresholds);
+            let pnr = pnr_masked(&out, &mask);
             per[i] = relative_improvement(default_pnr.for_metric(metric), pnr.for_metric(metric));
             worst_any = worst_any.max(pnr.any);
         }

@@ -16,7 +16,7 @@
 use serde::Serialize;
 use via_core::strategy::StrategyKind;
 use via_experiments::{build_env, header, pnr_masked, row, write_json, Args};
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 
 #[derive(Serialize)]
 struct Point {
@@ -38,24 +38,13 @@ struct Fig16 {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
     let mask = env.eligible(args.scale);
     let objective = Metric::Rtt;
 
-    let default_pnr = pnr_masked(
-        &env.run(StrategyKind::Default, objective),
-        &mask,
-        &thresholds,
-    )
-    .any;
+    let default_pnr = pnr_masked(&env.run(StrategyKind::Default, objective), &mask).any;
     let via_full = env.run(StrategyKind::Via, objective);
-    let unbudgeted_pnr = pnr_masked(&via_full, &mask, &thresholds).any;
-    let oracle_pnr = pnr_masked(
-        &env.run(StrategyKind::Oracle, objective),
-        &mask,
-        &thresholds,
-    )
-    .any;
+    let unbudgeted_pnr = pnr_masked(&via_full, &mask).any;
+    let oracle_pnr = pnr_masked(&env.run(StrategyKind::Oracle, objective), &mask).any;
 
     println!("# Figure 16: PNR (at least one bad) vs relaying budget\n");
     println!(
@@ -79,9 +68,9 @@ fn main() {
         let unaware = env.run(StrategyKind::ViaBudgetUnaware { budget }, objective);
         let p = Point {
             budget,
-            aware_pnr: pnr_masked(&aware, &mask, &thresholds).any,
+            aware_pnr: pnr_masked(&aware, &mask).any,
             aware_relayed: aware.relayed_fraction(),
-            unaware_pnr: pnr_masked(&unaware, &mask, &thresholds).any,
+            unaware_pnr: pnr_masked(&unaware, &mask).any,
             unaware_relayed: unaware.relayed_fraction(),
         };
         row(&[

@@ -19,7 +19,7 @@ use via_core::replay::{ReplayConfig, SpatialGranularity};
 use via_core::strategy::StrategyKind;
 use via_experiments::{build_env, header, pnr_masked, row, write_json, Args};
 use via_model::ids::RelayId;
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 use via_model::time::WindowLen;
 
 #[derive(Serialize)]
@@ -33,7 +33,6 @@ struct Fig17 {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
     let mask = env.eligible(args.scale);
     let objective = Metric::Rtt;
 
@@ -42,12 +41,7 @@ fn main() {
         seed: env.seed,
         ..ReplayConfig::default()
     };
-    let default_pnr = pnr_masked(
-        &env.run(StrategyKind::Default, objective),
-        &mask,
-        &thresholds,
-    )
-    .any;
+    let default_pnr = pnr_masked(&env.run(StrategyKind::Default, objective), &mask).any;
     println!("default PNR (at least one bad) = {default_pnr:.3}\n");
 
     // (a) Spatial granularity.
@@ -70,7 +64,7 @@ fn main() {
             granularity: g,
             ..base_cfg.clone()
         };
-        let pnr = pnr_masked(&env.run_with(StrategyKind::Via, cfg), &mask, &thresholds).any;
+        let pnr = pnr_masked(&env.run_with(StrategyKind::Via, cfg), &mask).any;
         row(&[label.to_string(), format!("{pnr:.3}")]);
         spatial.push((label.to_string(), pnr));
     }
@@ -84,7 +78,7 @@ fn main() {
             window: WindowLen::hours(hours),
             ..base_cfg.clone()
         };
-        let pnr = pnr_masked(&env.run_with(StrategyKind::Via, cfg), &mask, &thresholds).any;
+        let pnr = pnr_masked(&env.run_with(StrategyKind::Via, cfg), &mask).any;
         row(&[hours.to_string(), format!("{pnr:.3}")]);
         temporal.push((format!("{hours}h"), pnr));
     }
@@ -103,7 +97,7 @@ fn main() {
     ranked.sort_by_key(|r| std::cmp::Reverse(usage.get(r).copied().unwrap_or(0)));
 
     header(&["fleet", "VIA PNR (any)"]);
-    let full_pnr = pnr_masked(&full, &mask, &thresholds).any;
+    let full_pnr = pnr_masked(&full, &mask).any;
     row(&["all relays".into(), format!("{full_pnr:.3}")]);
     let mut relay_ablation = vec![("all relays".to_string(), full_pnr)];
     for keep_frac in [0.75, 0.5, 0.25] {
@@ -112,7 +106,7 @@ fn main() {
             allowed_relays: Some(ranked[..keep].to_vec()),
             ..base_cfg.clone()
         };
-        let pnr = pnr_masked(&env.run_with(StrategyKind::Via, cfg), &mask, &thresholds).any;
+        let pnr = pnr_masked(&env.run_with(StrategyKind::Via, cfg), &mask).any;
         let label = format!("top {:.0}% most-used ({keep})", keep_frac * 100.0);
         row(&[label.clone(), format!("{pnr:.3}")]);
         relay_ablation.push((label, pnr));

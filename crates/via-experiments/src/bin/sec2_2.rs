@@ -28,7 +28,6 @@ struct Sec22 {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
     let sample = match args.scale {
         Scale::Tiny => 2_000,
         Scale::Small => 10_000,
@@ -43,7 +42,7 @@ fn main() {
         // before the mean call duration.
         let duration = r.duration_s.min(90.0);
         let report = simulate_call(&r.direct_metrics, duration, u64::from(r.id.0));
-        if thresholds.any_poor(&r.direct_metrics) {
+        if Thresholds.any_poor(&r.direct_metrics) {
             poor_mos.push(report.mos);
         } else {
             nonpoor_mos.push(report.mos);

@@ -13,7 +13,7 @@ use serde::Serialize;
 use via_core::replay::ReplayConfig;
 use via_core::strategy::StrategyKind;
 use via_experiments::{build_env, header, pnr_masked, row, write_json, write_metrics, Args};
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 use via_quality::relative_improvement;
 
 #[derive(Serialize)]
@@ -29,7 +29,6 @@ struct Sec52 {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
     let mask = env.eligible(args.scale);
     let objective = Metric::Rtt;
 
@@ -82,18 +81,12 @@ fn main() {
                         && env.trace.records[c.call_index as usize].is_international()
                 })
                 .map(|c| &c.metrics),
-            &thresholds,
         )
         .any
     };
     let pnr_with = pnr_intl(&with_transit);
     let pnr_without = pnr_intl(&bounce_only);
-    let default_pnr = pnr_masked(
-        &env.run(StrategyKind::Default, objective),
-        &mask,
-        &thresholds,
-    )
-    .any;
+    let default_pnr = pnr_masked(&env.run(StrategyKind::Default, objective), &mask).any;
 
     println!("# §5.2: option mix and the value of transit relaying\n");
     header(&["statistic", "synthetic", "paper"]);

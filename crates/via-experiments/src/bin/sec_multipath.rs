@@ -17,7 +17,7 @@ use serde::Serialize;
 use via_core::strategy::{MultipathMode, StrategyKind};
 use via_core::Outcome;
 use via_experiments::{build_env, header, pnr_masked, row, write_json, write_metrics, Args};
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
 
 #[derive(Serialize)]
 struct SecMultipath {
@@ -50,7 +50,6 @@ fn mean_mos(out: &Outcome, mask: &[bool]) -> f64 {
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
-    let thresholds = Thresholds::default();
     let mask = env.eligible(args.scale);
     let objective = Metric::Rtt;
 
@@ -75,7 +74,7 @@ fn main() {
     );
     let oracle = env.run(StrategyKind::Oracle, objective);
 
-    let pnr = |out: &Outcome| pnr_masked(out, &mask, &thresholds).any;
+    let pnr = |out: &Outcome| pnr_masked(out, &mask).any;
     let pnr_via = pnr(&via);
     let pnr_mp = pnr(&multipath);
     let pnr_mp_budgeted = pnr(&budgeted);

@@ -254,18 +254,13 @@ impl Env {
 }
 
 /// PNR of an outcome restricted to the eligible mask.
-pub fn pnr_masked(
-    outcome: &Outcome,
-    mask: &[bool],
-    thresholds: &via_model::Thresholds,
-) -> via_quality::PnrReport {
+pub fn pnr_masked(outcome: &Outcome, mask: &[bool]) -> via_quality::PnrReport {
     via_quality::PnrReport::from_calls(
         outcome
             .calls
             .iter()
             .filter(|c| mask[c.call_index as usize])
             .map(|c| &c.metrics),
-        thresholds,
     )
 }
 

@@ -134,36 +134,27 @@ impl fmt::Display for PathMetrics {
 /// Poor-performance thresholds from §2.2 of the paper.
 ///
 /// A metric value is *poor* when it is greater than or equal to the threshold.
-/// The defaults (320 ms RTT, 1.2 % loss, 12 ms jitter) were chosen in the paper
-/// so that roughly the worst 15 % of default-routed calls cross each one, and
-/// align with ITU G.114 / industry guidance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Thresholds {
-    /// RTT poor threshold in milliseconds.
-    pub rtt_ms: f64,
-    /// Loss poor threshold in percent.
-    pub loss_pct: f64,
-    /// Jitter poor threshold in milliseconds.
-    pub jitter_ms: f64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Self {
-            rtt_ms: 320.0,
-            loss_pct: 1.2,
-            jitter_ms: 12.0,
-        }
-    }
-}
+/// The paper chose them (320 ms RTT, 1.2 % loss, 12 ms jitter) so that
+/// roughly the worst 15 % of default-routed calls cross each one, and they
+/// align with ITU G.114 / industry guidance. They are constants: every PNR in
+/// the workspace counts against the same three.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Thresholds;
 
 impl Thresholds {
+    /// RTT poor threshold in milliseconds.
+    pub const RTT_MS: f64 = 320.0;
+    /// Loss poor threshold in percent.
+    pub const LOSS_PCT: f64 = 1.2;
+    /// Jitter poor threshold in milliseconds.
+    pub const JITTER_MS: f64 = 12.0;
+
     /// Threshold for a single metric axis.
     pub fn for_metric(&self, m: Metric) -> f64 {
         match m {
-            Metric::Rtt => self.rtt_ms,
-            Metric::Loss => self.loss_pct,
-            Metric::Jitter => self.jitter_ms,
+            Metric::Rtt => Self::RTT_MS,
+            Metric::Loss => Self::LOSS_PCT,
+            Metric::Jitter => Self::JITTER_MS,
         }
     }
 
@@ -176,14 +167,6 @@ impl Thresholds {
     /// criterion the paper calls "at least one bad" (§2.2, Figure 8b).
     pub fn any_poor(&self, metrics: &PathMetrics) -> bool {
         Metric::ALL.iter().any(|&m| self.is_poor(metrics, m))
-    }
-
-    /// Number of poor axes (0–3); used by diagnostics and tests.
-    pub fn poor_count(&self, metrics: &PathMetrics) -> usize {
-        Metric::ALL
-            .iter()
-            .filter(|&&m| self.is_poor(metrics, m))
-            .count()
     }
 }
 
@@ -210,32 +193,28 @@ mod tests {
     }
 
     #[test]
-    fn default_thresholds_match_paper() {
-        let t = Thresholds::default();
-        assert_eq!(t.rtt_ms, 320.0);
-        assert_eq!(t.loss_pct, 1.2);
-        assert_eq!(t.jitter_ms, 12.0);
+    fn thresholds_match_paper() {
+        assert_eq!(Thresholds.for_metric(Metric::Rtt), 320.0);
+        assert_eq!(Thresholds.for_metric(Metric::Loss), 1.2);
+        assert_eq!(Thresholds.for_metric(Metric::Jitter), 12.0);
     }
 
     #[test]
     fn poor_is_inclusive_at_threshold() {
-        let t = Thresholds::default();
         let at = PathMetrics::new(320.0, 0.0, 0.0);
-        assert!(t.is_poor(&at, Metric::Rtt));
+        assert!(Thresholds.is_poor(&at, Metric::Rtt));
         let below = PathMetrics::new(319.999, 0.0, 0.0);
-        assert!(!t.is_poor(&below, Metric::Rtt));
+        assert!(!Thresholds.is_poor(&below, Metric::Rtt));
     }
 
     #[test]
-    fn any_poor_and_count() {
-        let t = Thresholds::default();
+    fn any_poor() {
         let good = PathMetrics::new(50.0, 0.1, 2.0);
-        assert!(!t.any_poor(&good));
-        assert_eq!(t.poor_count(&good), 0);
-
-        let poor_two = PathMetrics::new(400.0, 2.0, 2.0);
-        assert!(t.any_poor(&poor_two));
-        assert_eq!(t.poor_count(&poor_two), 2);
+        assert!(!Thresholds.any_poor(&good));
+        let poor_loss = PathMetrics::new(50.0, 2.0, 2.0);
+        assert!(Thresholds.any_poor(&poor_loss));
+        let poor_jitter = PathMetrics::new(50.0, 0.1, 12.0);
+        assert!(Thresholds.any_poor(&poor_jitter));
     }
 
     #[test]

@@ -26,10 +26,7 @@ pub struct PnrReport {
 
 impl PnrReport {
     /// Computes the PNR of a population of per-call metrics.
-    pub fn from_calls<'a>(
-        calls: impl IntoIterator<Item = &'a PathMetrics>,
-        thresholds: &Thresholds,
-    ) -> PnrReport {
+    pub fn from_calls<'a>(calls: impl IntoIterator<Item = &'a PathMetrics>) -> PnrReport {
         let mut n = 0usize;
         let mut poor = [0usize; 3];
         let mut any = 0usize;
@@ -37,7 +34,7 @@ impl PnrReport {
             n += 1;
             let mut this_any = false;
             for (i, &metric) in Metric::ALL.iter().enumerate() {
-                if thresholds.is_poor(m, metric) {
+                if Thresholds.is_poor(m, metric) {
                     poor[i] += 1;
                     this_any = true;
                 }
@@ -121,7 +118,7 @@ mod tests {
 
     #[test]
     fn pnr_counts_each_axis() {
-        let r = PnrReport::from_calls(calls().iter(), &Thresholds::default());
+        let r = PnrReport::from_calls(calls().iter());
         assert_eq!(r.calls, 4);
         assert_eq!(r.rtt, 0.5);
         assert_eq!(r.loss, 0.5);
@@ -131,7 +128,7 @@ mod tests {
 
     #[test]
     fn any_is_at_least_max_axis() {
-        let r = PnrReport::from_calls(calls().iter(), &Thresholds::default());
+        let r = PnrReport::from_calls(calls().iter());
         for m in Metric::ALL {
             assert!(r.any >= r.for_metric(m));
         }
@@ -139,7 +136,7 @@ mod tests {
 
     #[test]
     fn empty_population() {
-        let r = PnrReport::from_calls([].iter(), &Thresholds::default());
+        let r = PnrReport::from_calls([].iter());
         assert_eq!(r.calls, 0);
         assert_eq!(r.any, 0.0);
     }

@@ -29,7 +29,7 @@ use via_obs::{MetricSink, LATENCY_MS};
 
 use crate::client::COLLECT_CEILING_MS;
 use crate::error::TestbedError;
-use crate::fault::{FrameFate, FrameFaults, RetryPolicy};
+use crate::fault::{backoff, FrameFate, FrameFaults};
 use crate::protocol::{
     accept_deadline, ClientMsg, ControllerMsg, FrameConn, FrameError, RelayIndex,
 };
@@ -58,7 +58,7 @@ pub struct PairSpec {
     pub relays: Vec<(RelayIndex, SocketAddr)>,
 }
 
-/// Deadlines, retry policy, and backoff seeding for the control plane.
+/// Deadlines and backoff seeding for the control plane.
 #[derive(Debug, Clone)]
 pub struct ControlTiming {
     /// Longest the controller waits for client registrations before
@@ -68,8 +68,6 @@ pub struct ControlTiming {
     /// (probe send phase + collection ceiling, doubled for the direct
     /// fallback) to absorb scheduler noise.
     pub call_margin: Duration,
-    /// Bounded retries with seeded jittered backoff for lost call frames.
-    pub retry: RetryPolicy,
     /// Hard wall-clock ceiling on the whole orchestration.
     pub global: Duration,
     /// Seed for backoff jitter (per-caller streams are derived from it).
@@ -81,7 +79,6 @@ impl Default for ControlTiming {
         ControlTiming {
             registration: Duration::from_secs(10),
             call_margin: Duration::from_secs(3),
-            retry: RetryPolicy::default(),
             global: Duration::from_secs(180),
             seed: 0,
         }
@@ -99,7 +96,7 @@ pub struct ControllerConfig {
     pub gap_ms: u64,
     /// The pair plan.
     pub pairs: Vec<PairSpec>,
-    /// Deadline / retry / backoff policy.
+    /// Deadlines and backoff seeding.
     pub timing: ControlTiming,
 }
 
@@ -213,13 +210,16 @@ fn call_attempt_budget(probes: u16, gap_ms: u64, margin: Duration) -> Duration {
     Duration::from_millis(2 * (send_ms + COLLECT_CEILING_MS)) + margin
 }
 
+/// Attempts per call exchange, the first included: a lost `Call` frame is
+/// re-sent after a seeded, jittered [`backoff`].
+const CALL_ATTEMPTS: u32 = 3;
+
 /// Shared, read-only context for the per-caller orchestration threads.
 struct CallerCtx<'a> {
     rounds: u32,
     probes: u16,
     gap_ms: u64,
     budget: Duration,
-    retry: RetryPolicy,
     seed: u64,
     global_deadline: Instant,
     sessions: &'a HashMap<(usize, RelayIndex), u16>,
@@ -352,7 +352,6 @@ pub fn run_controller(
         probes: cfg.probes,
         gap_ms: cfg.gap_ms,
         budget: call_attempt_budget(cfg.probes, cfg.gap_ms, cfg.timing.call_margin),
-        retry: cfg.timing.retry,
         seed: cfg.timing.seed,
         global_deadline,
         sessions: &session_of,
@@ -575,10 +574,10 @@ fn place_call(
         return Err(TestbedError::Protocol("place_call needs a Call".into()));
     };
     let (want_relay, want_round) = (*relay, *round);
-    for attempt in 0..ctx.retry.attempts.max(1) {
+    for attempt in 0..CALL_ATTEMPTS {
         if attempt > 0 {
             obs.inc("testbed_call_retries_total", 1);
-            std::thread::sleep(ctx.retry.backoff(attempt - 1, rng));
+            std::thread::sleep(backoff(attempt - 1, rng));
         }
         match faults.as_mut().map_or(
             FrameFate::Deliver { duplicate: false },

@@ -164,45 +164,26 @@ impl FrameFaults {
     }
 }
 
-/// Bounded-retry policy with seeded exponential backoff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included); at least 1 is always made.
-    pub attempts: u32,
-    /// Base backoff before the second attempt, ms.
-    pub base_ms: u64,
-    /// Backoff ceiling, ms.
-    pub max_ms: u64,
-}
+/// Backoff before the second call attempt, ms.
+const BACKOFF_BASE_MS: u64 = 100;
+/// Backoff ceiling, ms.
+const BACKOFF_MAX_MS: u64 = 2_000;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 3,
-            base_ms: 100,
-            max_ms: 2_000,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff to sleep after failed attempt number `attempt` (0-based):
-    /// `base · 2^attempt`, capped at `max_ms`, jittered into `[0.5, 1.0]×`
-    /// by the seeded RNG — deterministic per connection, decorrelated across
-    /// connections.
-    pub fn backoff(&self, attempt: u32, rng: &mut StdRng) -> Duration {
-        let exp = self
-            .base_ms
-            .saturating_mul(1u64 << attempt.min(16))
-            .min(self.max_ms);
-        let jitter = 0.5 + 0.5 * rng.random::<f64>();
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "rounds to the nearest millisecond; `exp · jitter` is at most `max_ms`"
-        )]
-        let ms = ((exp as f64) * jitter).round() as u64;
-        Duration::from_millis(ms)
-    }
+/// The backoff to sleep after failed call attempt number `attempt`
+/// (0-based): `BACKOFF_BASE_MS · 2^attempt`, capped at `BACKOFF_MAX_MS`,
+/// jittered into `[0.5, 1.0]×` by the seeded RNG — deterministic per
+/// connection, decorrelated across connections.
+pub(crate) fn backoff(attempt: u32, rng: &mut StdRng) -> Duration {
+    let exp = BACKOFF_BASE_MS
+        .saturating_mul(1u64 << attempt.min(16))
+        .min(BACKOFF_MAX_MS);
+    let jitter = 0.5 + 0.5 * rng.random::<f64>();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "rounds to the nearest millisecond; `exp · jitter` is at most `BACKOFF_MAX_MS`"
+    )]
+    let ms = ((exp as f64) * jitter).round() as u64;
+    Duration::from_millis(ms)
 }
 
 #[cfg(test)]
@@ -262,15 +243,12 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let policy = RetryPolicy {
-            attempts: 5,
-            base_ms: 100,
-            max_ms: 500,
-        };
+        // Attempts 0–4 double from the base; 5 and 6 sit at the cap.
+        const { assert!(BACKOFF_BASE_MS << 5 > BACKOFF_MAX_MS) };
         let mut rng = StdRng::seed_from_u64(3);
-        for attempt in 0..6 {
-            let b = policy.backoff(attempt, &mut rng);
-            let exp = (100u64 << attempt).min(500);
+        for attempt in 0..7 {
+            let b = backoff(attempt, &mut rng);
+            let exp = (BACKOFF_BASE_MS << attempt).min(BACKOFF_MAX_MS);
             assert!(
                 b >= Duration::from_millis(exp / 2),
                 "attempt {attempt}: {b:?}"
@@ -278,7 +256,8 @@ mod tests {
             assert!(b <= Duration::from_millis(exp), "attempt {attempt}: {b:?}");
         }
         // Huge attempt numbers must not overflow the shift.
-        let _ = policy.backoff(u32::MAX, &mut rng);
+        let b = backoff(u32::MAX, &mut rng);
+        assert!(b <= Duration::from_millis(BACKOFF_MAX_MS), "{b:?}");
     }
 
     #[test]

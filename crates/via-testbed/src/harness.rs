@@ -53,7 +53,7 @@ pub struct TestbedConfig {
     pub seed: u64,
     /// Failures to inject (default: none).
     pub fault: FaultPlan,
-    /// Control-plane deadlines and retry policy.
+    /// Control-plane deadlines and backoff seeding.
     pub timing: ControlTiming,
 }
 

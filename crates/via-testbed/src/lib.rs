@@ -52,7 +52,7 @@ pub use controller::{
     PairSpec, ReportRecord,
 };
 pub use error::TestbedError;
-pub use fault::{FaultPlan, FrameFate, FrameFaults, RelayKill, RetryPolicy};
+pub use fault::{FaultPlan, FrameFate, FrameFaults, RelayKill};
 pub use harness::{run_testbed, TestbedConfig, TestbedResult};
 pub use impair::ImpairParams;
 pub use relay::{RelayHandle, Session};

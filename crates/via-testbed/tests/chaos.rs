@@ -6,9 +6,7 @@
 //! producing byte-identical summaries.
 
 use std::time::{Duration, Instant};
-use via_testbed::{
-    run_testbed, ControlTiming, FaultPlan, RelayKill, RetryPolicy, TestbedConfig, TestbedResult,
-};
+use via_testbed::{run_testbed, ControlTiming, FaultPlan, RelayKill, TestbedConfig, TestbedResult};
 
 /// The chaos scenario. All three pairs share caller `client-0`, so the
 /// controller runs a single orchestration thread and the call schedule —
@@ -43,7 +41,6 @@ fn chaos_config() -> TestbedConfig {
     cfg.timing = ControlTiming {
         registration: Duration::from_secs(2),
         call_margin: Duration::from_millis(800),
-        retry: RetryPolicy::default(),
         global: Duration::from_secs(60),
         seed: 0, // the harness derives the backoff seed from fault.seed
     };

@@ -8,9 +8,7 @@
 //! at a known position.
 
 use std::time::Duration;
-use via_testbed::{
-    run_testbed, ControlTiming, FaultPlan, RelayKill, RetryPolicy, TestbedConfig, TestbedResult,
-};
+use via_testbed::{run_testbed, ControlTiming, FaultPlan, RelayKill, TestbedConfig, TestbedResult};
 
 /// Two pairs (client-0→1, client-0→2) over two relays, two rounds:
 /// 8 planned calls, all placed by the single orchestration thread of
@@ -27,7 +25,6 @@ fn base_config() -> TestbedConfig {
     cfg.timing = ControlTiming {
         registration: Duration::from_secs(2),
         call_margin: Duration::from_millis(800),
-        retry: RetryPolicy::default(),
         global: Duration::from_secs(60),
         seed: 0, // the harness derives the backoff seed from fault.seed
     };

@@ -165,7 +165,7 @@ pub struct ScopePnr {
 }
 
 /// Computes Figure 4a (and the inter/intra-AS variant mentioned in §2.3).
-pub fn pnr_by_scope(trace: &Trace, thresholds: &Thresholds) -> ScopePnr {
+pub fn pnr_by_scope(trace: &Trace) -> ScopePnr {
     let part = |pred: &dyn Fn(&crate::record::CallRecord) -> bool| {
         PnrReport::from_calls(
             trace
@@ -173,7 +173,6 @@ pub fn pnr_by_scope(trace: &Trace, thresholds: &Thresholds) -> ScopePnr {
                 .iter()
                 .filter(|r| pred(r))
                 .map(|r| &r.direct_metrics),
-            thresholds,
         )
     };
     ScopePnr {
@@ -187,11 +186,7 @@ pub fn pnr_by_scope(trace: &Trace, thresholds: &Thresholds) -> ScopePnr {
 /// Figure 4b: PNR of international calls grouped by the country of one side,
 /// sorted worst-first. Only countries with at least `min_calls` international
 /// calls are reported.
-pub fn pnr_by_country(
-    trace: &Trace,
-    thresholds: &Thresholds,
-    min_calls: usize,
-) -> Vec<(CountryId, PnrReport)> {
+pub fn pnr_by_country(trace: &Trace, min_calls: usize) -> Vec<(CountryId, PnrReport)> {
     let mut per_country: HashMap<CountryId, Vec<&via_model::PathMetrics>> = HashMap::new();
     for r in trace.records.iter().filter(|r| r.is_international()) {
         per_country
@@ -206,7 +201,7 @@ pub fn pnr_by_country(
     let mut out: Vec<(CountryId, PnrReport)> = per_country
         .into_iter()
         .filter(|(_, calls)| calls.len() >= min_calls)
-        .map(|(c, calls)| (c, PnrReport::from_calls(calls, thresholds)))
+        .map(|(c, calls)| (c, PnrReport::from_calls(calls)))
         .collect();
     out.sort_by(|a, b| b.1.any.total_cmp(&a.1.any));
     out
@@ -215,11 +210,11 @@ pub fn pnr_by_country(
 /// Figure 5: cumulative share of poor calls contributed by the worst `n` AS
 /// pairs, for each `n`. Returns `(rank, cumulative_fraction)` points where
 /// rank runs over AS pairs sorted by their poor-call count, descending.
-pub fn worst_pair_concentration(trace: &Trace, thresholds: &Thresholds) -> Vec<(usize, f64)> {
+pub fn worst_pair_concentration(trace: &Trace) -> Vec<(usize, f64)> {
     let mut poor_by_pair: HashMap<AsPair, usize> = HashMap::new();
     let mut total_poor = 0usize;
     for r in &trace.records {
-        if thresholds.any_poor(&r.direct_metrics) {
+        if Thresholds.any_poor(&r.direct_metrics) {
             *poor_by_pair.entry(r.as_pair()).or_default() += 1;
             total_poor += 1;
         }
@@ -258,18 +253,14 @@ pub struct TemporalPatterns {
 }
 
 /// Computes Figure 6 statistics.
-pub fn temporal_patterns(
-    trace: &Trace,
-    thresholds: &Thresholds,
-    min_calls_per_day: usize,
-) -> TemporalPatterns {
+pub fn temporal_patterns(trace: &Trace, min_calls_per_day: usize) -> TemporalPatterns {
     let day_len = WindowLen::DAY;
     // (pair, day) → (poor, total)
     let mut cells: HashMap<(AsPair, u64), (usize, usize)> = HashMap::new();
     let mut day_totals: HashMap<u64, (usize, usize)> = HashMap::new();
     for r in &trace.records {
         let day = day_len.window_of(r.t).index;
-        let poor = thresholds.any_poor(&r.direct_metrics);
+        let poor = Thresholds.any_poor(&r.direct_metrics);
         let cell = cells.entry((r.as_pair(), day)).or_default();
         cell.1 += 1;
         if poor {
@@ -379,7 +370,7 @@ mod tests {
     #[test]
     fn scope_pnr_shows_international_penalty() {
         let (_, tr) = trace();
-        let s = pnr_by_scope(&tr, &Thresholds::default());
+        let s = pnr_by_scope(&tr);
         assert!(
             s.international.any > s.domestic.any,
             "international {:.3} vs domestic {:.3}",
@@ -392,7 +383,7 @@ mod tests {
     #[test]
     fn country_ranking_sorted_desc() {
         let (_, tr) = trace();
-        let ranked = pnr_by_country(&tr, &Thresholds::default(), 50);
+        let ranked = pnr_by_country(&tr, 50);
         assert!(ranked.len() >= 5);
         for w in ranked.windows(2) {
             assert!(w[0].1.any >= w[1].1.any);
@@ -402,7 +393,7 @@ mod tests {
     #[test]
     fn concentration_is_monotone_to_one() {
         let (_, tr) = trace();
-        let conc = worst_pair_concentration(&tr, &Thresholds::default());
+        let conc = worst_pair_concentration(&tr);
         assert!(!conc.is_empty());
         for w in conc.windows(2) {
             assert!(w[0].1 <= w[1].1);
@@ -419,7 +410,7 @@ mod tests {
     #[test]
     fn temporal_patterns_have_mass() {
         let (_, tr) = trace();
-        let tp = temporal_patterns(&tr, &Thresholds::default(), 3);
+        let tp = temporal_patterns(&tr, 3);
         assert!(
             tp.prevalence.len() >= 10,
             "only {} pairs",
@@ -438,8 +429,8 @@ mod tests {
         let tr = Trace::new(0, 0, vec![]);
         let s = dataset_summary(&tr);
         assert_eq!(s.calls, 0);
-        assert!(worst_pair_concentration(&tr, &Thresholds::default()).is_empty());
-        let tp = temporal_patterns(&tr, &Thresholds::default(), 1);
+        assert!(worst_pair_concentration(&tr).is_empty());
+        let tp = temporal_patterns(&tr, 1);
         assert!(tp.persistence.is_empty());
     }
 }

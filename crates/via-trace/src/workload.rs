@@ -23,22 +23,29 @@ use crate::record::{AccessExtra, CallRecord, Trace};
 const MEAN_DURATION_S: f64 = 180.0;
 /// Number of distinct users per unit of AS weight.
 const USERS_PER_WEIGHT: usize = 400;
+/// Fraction of calls that are international (§2.1: 46.6 %).
+const INTERNATIONAL_FRACTION: f64 = 0.466;
+/// Fraction of calls that are inter-AS (§2.1: 80.7 %).
+const INTER_AS_FRACTION: f64 = 0.807;
+/// Fraction of calls with a wireless last hop (§2.1: 83 %).
+const WIRELESS_FRACTION: f64 = 0.83;
+/// User rating model (drives the PCR analysis). Every generated call is
+/// rated: the synthetic trace plays the role of the *rated subsample* of the
+/// paper's dataset. `maybe_rate` draws even at probability 1.0, and that
+/// draw is part of every trace's RNG stream.
+const RATING: RatingModel = RatingModel {
+    offset: 0.3,
+    rating_probability: 1.0,
+};
 
-/// Workload parameters.
+/// Workload size. The call mix is the paper's (§2.1) and is not a
+/// parameter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceConfig {
     /// Mean calls per simulated day.
     pub calls_per_day: usize,
     /// Days to generate; capped by the world's episode horizon.
     pub days: u64,
-    /// Target fraction of international calls (paper: 0.466).
-    pub international_fraction: f64,
-    /// Target fraction of inter-AS calls (paper: 0.807).
-    pub inter_as_fraction: f64,
-    /// Fraction of calls with a wireless last hop (paper: 0.83).
-    pub wireless_fraction: f64,
-    /// User rating model (drives the PCR analysis).
-    pub rating: RatingModel,
 }
 
 impl TraceConfig {
@@ -47,7 +54,6 @@ impl TraceConfig {
         Self {
             calls_per_day: 1_000,
             days: 8,
-            ..Self::default()
         }
     }
 
@@ -58,7 +64,6 @@ impl TraceConfig {
         Self {
             calls_per_day: 10_000,
             days: 21,
-            ..Self::default()
         }
     }
 
@@ -67,25 +72,6 @@ impl TraceConfig {
         Self {
             calls_per_day: 40_000,
             days: 56,
-            ..Self::default()
-        }
-    }
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self {
-            calls_per_day: 1_000,
-            days: 14,
-            international_fraction: 0.466,
-            inter_as_fraction: 0.807,
-            wireless_fraction: 0.83,
-            rating: RatingModel {
-                // Rate every generated call: the synthetic trace plays the
-                // role of the *rated subsample* of the paper's dataset.
-                rating_probability: 1.0,
-                ..RatingModel::default()
-            },
         }
     }
 }
@@ -242,7 +228,7 @@ impl<'w> TraceGenerator<'w> {
             let src = &self.world.ases[src_idx];
             let dst = &self.world.ases[dst_idx];
 
-            let wireless = rng.random::<f64>() < self.config.wireless_fraction;
+            let wireless = rng.random::<f64>() < WIRELESS_FRACTION;
             let access_extra = if wireless {
                 AccessExtra {
                     rtt_ms: rng.random_range(2.0..15.0),
@@ -265,7 +251,7 @@ impl<'w> TraceGenerator<'w> {
 
             let caller = self.sample_user(src_idx, rng);
             let callee = self.sample_user(dst_idx, rng);
-            let rating = self.config.rating.maybe_rate(&direct_metrics, rng);
+            let rating = RATING.maybe_rate(&direct_metrics, rng);
 
             out.push(CallRecord {
                 id: call_id,
@@ -342,7 +328,7 @@ impl<'w> TraceGenerator<'w> {
     /// Picks a callee AS honoring the international / inter-AS mix.
     fn sample_callee(&self, src_idx: usize, rng: &mut StdRng) -> usize {
         let src_country = self.world.ases[src_idx].country.index();
-        let want_intl = rng.random::<f64>() < self.config.international_fraction;
+        let want_intl = rng.random::<f64>() < INTERNATIONAL_FRACTION;
         if want_intl {
             if let Some(s) = &self.intl_by_country[src_country] {
                 return s.sample(rng);
@@ -351,9 +337,7 @@ impl<'w> TraceGenerator<'w> {
         // Domestic: decide intra-AS vs other AS in the same country so the
         // overall inter-AS fraction comes out right:
         // P(intra) = (1 − inter_as) / (1 − international).
-        let p_intra = ((1.0 - self.config.inter_as_fraction)
-            / (1.0 - self.config.international_fraction))
-            .clamp(0.0, 1.0);
+        let p_intra = ((1.0 - INTER_AS_FRACTION) / (1.0 - INTERNATIONAL_FRACTION)).clamp(0.0, 1.0);
         if rng.random::<f64>() < p_intra {
             return src_idx;
         }
@@ -573,8 +557,8 @@ mod tests {
     }
 
     #[test]
-    fn most_calls_are_rated_under_default_config() {
-        // TraceConfig defaults set rating_probability = 1.0.
+    fn every_call_is_rated() {
+        // RATING's rating_probability is 1.0.
         let t = gen_trace(10);
         let rated = t.records.iter().filter(|r| r.rating.is_some()).count();
         assert_eq!(rated, t.len());

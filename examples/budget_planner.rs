@@ -16,7 +16,6 @@
 
 use via::core::replay::{ReplayConfig, ReplaySim};
 use via::core::strategy::StrategyKind;
-use via::model::metrics::Thresholds;
 use via::netsim::{World, WorldConfig};
 use via::trace::{TraceConfig, TraceGenerator};
 
@@ -24,7 +23,6 @@ fn main() {
     let seed = 23;
     let world = World::generate(&WorldConfig::tiny(), seed);
     let trace = TraceGenerator::new(&world, TraceConfig::tiny(), seed).generate();
-    let thresholds = Thresholds::default();
     let cfg = ReplayConfig {
         seed,
         ..ReplayConfig::default()
@@ -32,9 +30,9 @@ fn main() {
 
     let default_pnr = ReplaySim::new(&world, &trace, cfg.clone())
         .run(StrategyKind::Default)
-        .pnr_any(&thresholds);
+        .pnr_any();
     let unbounded = ReplaySim::new(&world, &trace, cfg.clone()).run(StrategyKind::Via);
-    let max_benefit = default_pnr - unbounded.pnr_any(&thresholds);
+    let max_benefit = default_pnr - unbounded.pnr_any();
     println!(
         "default PNR = {:.1}%; unbudgeted VIA removes {:.1} points while relaying {:.0}% of calls\n",
         100.0 * default_pnr,
@@ -48,7 +46,7 @@ fn main() {
     for budget in [0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8] {
         let out =
             ReplaySim::new(&world, &trace, cfg.clone()).run(StrategyKind::ViaBudgeted { budget });
-        let pnr = out.pnr_any(&thresholds);
+        let pnr = out.pnr_any();
         let captured = (default_pnr - pnr) / max_benefit.max(1e-9);
         let efficiency = captured / budget;
         println!(

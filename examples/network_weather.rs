@@ -23,7 +23,6 @@ fn main() {
     // Pick a *flaky* pair — poor for part of the horizon, fine otherwise —
     // the kind §2.4 shows dominates (most pairs are bad less than 30% of
     // days, for under a day at a stretch).
-    let thresholds_probe = Thresholds::default();
     let mut best_pick = (f64::INFINITY, world.ases[0].id, world.ases[1].id);
     for i in (0..world.ases.len()).step_by(3) {
         for j in ((i + 1)..world.ases.len()).step_by(5) {
@@ -36,7 +35,7 @@ fn main() {
                         RelayOption::Direct,
                         SimTime::from_hours(d * 24 + 12),
                     );
-                    thresholds_probe.any_poor(&m)
+                    Thresholds.any_poor(&m)
                 })
                 .count();
             // Closest to being poor half the time.
@@ -53,7 +52,6 @@ fn main() {
         world.countries[world.ases[dst.index()].country.index()].name,
     );
 
-    let thresholds = Thresholds::default();
     println!("hourly direct-path weather, 14 days (each char = 2h):");
     println!("  . good   - degraded   # poor (any metric beyond threshold)\n");
     for day in 0..14u64 {
@@ -61,10 +59,10 @@ fn main() {
         for slot in 0..12u64 {
             let t = SimTime::from_hours(day * 24 + slot * 2);
             let m = world.perf().option_mean(src, dst, RelayOption::Direct, t);
-            let poor = thresholds.any_poor(&m);
-            let degraded = m.rtt_ms > 0.7 * thresholds.rtt_ms
-                || m.loss_pct > 0.7 * thresholds.loss_pct
-                || m.jitter_ms > 0.7 * thresholds.jitter_ms;
+            let poor = Thresholds.any_poor(&m);
+            let degraded = m.rtt_ms > 0.7 * Thresholds::RTT_MS
+                || m.loss_pct > 0.7 * Thresholds::LOSS_PCT
+                || m.jitter_ms > 0.7 * Thresholds::JITTER_MS;
             strip.push(if poor {
                 '#'
             } else if degraded {

@@ -11,7 +11,6 @@
 
 use via::core::replay::{ReplayConfig, ReplaySim};
 use via::core::strategy::StrategyKind;
-use via::model::metrics::Thresholds;
 use via::netsim::{World, WorldConfig};
 use via::trace::{TraceConfig, TraceGenerator};
 
@@ -30,7 +29,6 @@ fn main() {
         trace.days
     );
 
-    let thresholds = Thresholds::default();
     println!("| strategy | PNR RTT | PNR loss | PNR jitter | PNR any | relayed |");
     println!("|---|---|---|---|---|---|");
     for kind in [
@@ -43,7 +41,7 @@ fn main() {
             ..ReplayConfig::default()
         };
         let out = ReplaySim::new(&world, &trace, cfg).run(kind);
-        let pnr = out.pnr(&thresholds);
+        let pnr = out.pnr();
         println!(
             "| {} | {:.1}% | {:.1}% | {:.1}% | {:.1}% | {:.0}% |",
             kind.name(),

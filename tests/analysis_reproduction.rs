@@ -38,7 +38,7 @@ fn observation_1_network_performance_impacts_experience() {
 #[test]
 fn observation_2_wide_area_calls_suffer_more() {
     let (_, tr) = trace();
-    let scope = analysis::pnr_by_scope(&tr, &Thresholds::default());
+    let scope = analysis::pnr_by_scope(&tr);
     let ratio = scope.international.any / scope.domestic.any.max(1e-9);
     assert!(
         (1.5..=5.0).contains(&ratio),
@@ -50,7 +50,7 @@ fn observation_2_wide_area_calls_suffer_more() {
 #[test]
 fn observation_3a_poor_calls_are_spatially_spread() {
     let (_, tr) = trace();
-    let conc = analysis::worst_pair_concentration(&tr, &Thresholds::default());
+    let conc = analysis::worst_pair_concentration(&tr);
     // The single worst pair must hold only a small share of poor calls.
     assert!(
         conc[0].1 < 0.2,
@@ -69,7 +69,7 @@ fn observation_3a_poor_calls_are_spatially_spread() {
 #[test]
 fn observation_3b_poor_performance_is_temporally_skewed() {
     let (_, tr) = trace();
-    let tp = analysis::temporal_patterns(&tr, &Thresholds::default(), 4);
+    let tp = analysis::temporal_patterns(&tr, 4);
     assert!(tp.prevalence.len() >= 20, "too few qualifying pairs");
     let chronic =
         tp.prevalence.iter().filter(|&&p| p > 0.9).count() as f64 / tp.prevalence.len() as f64;
@@ -85,7 +85,7 @@ fn thresholds_capture_the_worst_tail() {
     let (_, tr) = trace();
     for metric in Metric::ALL {
         let cdf = analysis::metric_cdf(&tr, metric).unwrap();
-        let beyond = cdf.fraction_at_or_above(Thresholds::default().for_metric(metric));
+        let beyond = cdf.fraction_at_or_above(Thresholds.for_metric(metric));
         assert!(
             (0.05..=0.40).contains(&beyond),
             "{metric}: {beyond:.2} of calls beyond threshold (paper: ~0.15)"

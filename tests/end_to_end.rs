@@ -3,7 +3,7 @@
 
 use via::core::replay::{ReplayConfig, ReplaySim};
 use via::core::strategy::StrategyKind;
-use via::model::metrics::{Metric, Thresholds};
+use via::model::metrics::Metric;
 use via::netsim::{World, WorldConfig};
 use via::quality::PnrImprovement;
 use via::trace::{TraceConfig, TraceGenerator};
@@ -17,16 +17,15 @@ fn env() -> (World, via::trace::Trace) {
 #[test]
 fn full_pipeline_orders_strategies_correctly() {
     let (world, trace) = env();
-    let thresholds = Thresholds::default();
     let cfg = ReplayConfig::default();
 
     let default = ReplaySim::new(&world, &trace, cfg.clone()).run(StrategyKind::Default);
     let via = ReplaySim::new(&world, &trace, cfg.clone()).run(StrategyKind::Via);
     let oracle = ReplaySim::new(&world, &trace, cfg).run(StrategyKind::Oracle);
 
-    let d = default.pnr(&thresholds);
-    let v = via.pnr(&thresholds);
-    let o = oracle.pnr(&thresholds);
+    let d = default.pnr();
+    let v = via.pnr();
+    let o = oracle.pnr();
 
     // On the optimized metric the ordering oracle ≤ via ≤ default must hold
     // (small tolerances for exploration overhead).
@@ -70,7 +69,6 @@ fn every_strategy_produces_one_outcome_per_call() {
 #[test]
 fn objectives_change_what_gets_optimized() {
     let (world, trace) = env();
-    let thresholds = Thresholds::default();
 
     let mut per_objective = Vec::new();
     for metric in Metric::ALL {
@@ -79,7 +77,7 @@ fn objectives_change_what_gets_optimized() {
             ..ReplayConfig::default()
         };
         let out = ReplaySim::new(&world, &trace, cfg).run(StrategyKind::Oracle);
-        per_objective.push((metric, out.pnr(&thresholds)));
+        per_objective.push((metric, out.pnr()));
     }
     // Optimizing a metric should do at least as well on that metric as the
     // runs optimizing the other two.
@@ -159,26 +157,24 @@ fn cached_decisions_cut_controller_load() {
         plain.controller_contacts
     );
     // Staleness costs some quality but not catastrophically.
-    let t = Thresholds::default();
-    let c = cached.pnr(&t).rtt;
-    let p = plain.pnr(&t).rtt;
+    let c = cached.pnr().rtt;
+    let p = plain.pnr().rtt;
     assert!(c <= p * 2.0 + 0.05, "cached {c} vs plain {p}");
 }
 
 #[test]
 fn hybrid_racing_beats_via_at_a_probe_cost() {
     let (world, trace) = env();
-    let t = Thresholds::default();
     let racing = ReplaySim::new(&world, &trace, ReplayConfig::default())
         .run(StrategyKind::HybridRacing { k: 3 });
     let via = ReplaySim::new(&world, &trace, ReplayConfig::default()).run(StrategyKind::Via);
     let oracle = ReplaySim::new(&world, &trace, ReplayConfig::default()).run(StrategyKind::Oracle);
     assert!(
-        racing.pnr(&t).rtt <= via.pnr(&t).rtt + 0.01,
+        racing.pnr().rtt <= via.pnr().rtt + 0.01,
         "racing should not lose to plain VIA on the objective"
     );
     assert!(
-        racing.pnr(&t).rtt + 0.02 >= oracle.pnr(&t).rtt,
+        racing.pnr().rtt + 0.02 >= oracle.pnr().rtt,
         "racing cannot beat the oracle by much"
     );
     assert!(

@@ -29,7 +29,7 @@
 
 use std::path::{Path, PathBuf};
 use via::core::strategy::{MultipathMode, StrategyKind};
-use via::model::metrics::{Metric, Thresholds};
+use via::model::metrics::Metric;
 use via_experiments::{build_env, pnr_masked, Args, Env, Scale};
 
 /// The one environment every golden derives from: tiny scale, the SIGCOMM
@@ -142,7 +142,6 @@ fn prometheus_exposition_matches_golden() {
 #[test]
 fn experiment_summary_matches_golden() {
     let env = golden_env();
-    let thresholds = Thresholds::default();
     let mask = env.eligible(Scale::Tiny);
 
     let via_out = env.run_observed(StrategyKind::Via, Metric::Rtt);
@@ -163,8 +162,8 @@ fn experiment_summary_matches_golden() {
         }
     }
     let denom = n.max(1) as f64;
-    let pnr_via = pnr_masked(&via_out, &mask, &thresholds).any;
-    let pnr_default = pnr_masked(&default_out, &mask, &thresholds).any;
+    let pnr_via = pnr_masked(&via_out, &mask).any;
+    let pnr_default = pnr_masked(&default_out, &mask).any;
     let snap = via_out.obs.as_ref().expect("metrics recorded");
 
     let summary = format!(
@@ -192,7 +191,6 @@ fn experiment_summary_matches_golden() {
 #[test]
 fn multipath_experiment_summary_matches_golden() {
     let env = golden_env();
-    let thresholds = Thresholds::default();
     let mask = env.eligible(Scale::Tiny);
     let dup2 = |budget: f64| StrategyKind::Multipath {
         k: 2,
@@ -205,7 +203,7 @@ fn multipath_experiment_summary_matches_golden() {
     let budgeted_out = env.run_observed(dup2(0.3), Metric::Rtt);
     let oracle_out = env.run(StrategyKind::Oracle, Metric::Rtt);
 
-    let pnr = |out: &via::core::Outcome| pnr_masked(out, &mask, &thresholds).any;
+    let pnr = |out: &via::core::Outcome| pnr_masked(out, &mask).any;
     let snap = mp_out.obs.as_ref().expect("metrics recorded");
     let budgeted_snap = budgeted_out.obs.as_ref().expect("metrics recorded");
 

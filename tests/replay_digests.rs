@@ -116,7 +116,6 @@ fn small_world_digests_match_pinned_constants() {
     let trace_cfg = TraceConfig {
         calls_per_day: 1_500,
         days: 4,
-        ..TraceConfig::default()
     };
     let trace = TraceGenerator::new(&world, trace_cfg, SEED).generate();
     assert_eq!(trace.len() as u64, CALLS);
@@ -178,7 +177,6 @@ fn active_probe_digest_matches_pinned_constant() {
     let trace_cfg = TraceConfig {
         calls_per_day: 1_500,
         days: 4,
-        ..TraceConfig::default()
     };
     let trace = TraceGenerator::new(&world, trace_cfg, SEED).generate();
     for workers in [1usize, 2] {
@@ -234,7 +232,6 @@ fn default_metrics_snapshot_matches_pinned_constant() {
     let trace_cfg = TraceConfig {
         calls_per_day: 1_500,
         days: 4,
-        ..TraceConfig::default()
     };
     let trace = TraceGenerator::new(&world, trace_cfg, SEED).generate();
     let kind = StrategyKind::Default;
