@@ -18,9 +18,9 @@ use via_core::replay::{ReplayConfig, ReplaySim};
 use via_core::strategy::{MultipathMode, StrategyKind};
 use via_model::metrics::{Metric, Thresholds};
 use via_model::time::WindowLen;
-use via_netsim::{World, WorldConfig};
+use via_netsim::World;
 use via_trace::stream::{FileSource, RecordSource};
-use via_trace::{write_trace, TraceConfig, TraceGenerator};
+use via_trace::{write_trace, Scale, TraceGenerator};
 
 const USAGE: &str = "\
 via — predictive relay selection for Internet telephony (SIGCOMM 2016 reproduction)
@@ -116,15 +116,6 @@ fn write_metrics(
     Ok(())
 }
 
-fn scale_configs(scale: &str) -> Result<(WorldConfig, TraceConfig), String> {
-    match scale {
-        "tiny" => Ok((WorldConfig::tiny(), TraceConfig::tiny())),
-        "small" => Ok((WorldConfig::small(), TraceConfig::small())),
-        "paper" => Ok((WorldConfig::paper_scale(), TraceConfig::paper_scale())),
-        other => Err(format!("unknown scale '{other}' (tiny|small|paper)")),
-    }
-}
-
 /// On-disk framing window for `.vbt` outputs (`--frame-hours`, default 24).
 fn frame_len(flags: &Flags) -> Result<WindowLen, Box<dyn std::error::Error>> {
     let hours = flags.u64_or("frame-hours", 24)?;
@@ -153,9 +144,9 @@ fn cmd_trace_gen(rest: &[String], default_out: &str) -> CliResult {
     let scale = flags.str_or("scale", "small");
     let out = flags.str_or("out", default_out).to_string();
     let frame = frame_len(&flags)?;
-    let (wc, tc) = scale_configs(scale)?;
-    let world = World::generate(&wc, seed);
-    let generator = TraceGenerator::new(&world, tc, seed);
+    let scale = Scale::parse(scale)?;
+    let world = World::generate(&scale.world_config(), seed);
+    let generator = TraceGenerator::new(&world, scale.trace_config(), seed);
     let n = write_trace(generator.stream(), Path::new(&out), frame)?;
     println!(
         "streamed {n} calls over {} days ({} ASes, {} relays, seed {seed}) -> {out}",
@@ -342,8 +333,8 @@ fn cmd_replay(rest: &[String]) -> CliResult {
     let trace_file = flags.str_opt("trace").map(str::to_string);
     let streamed = flags.bool_or("stream", false)? || trace_file.is_some();
 
-    let (wc, tc) = scale_configs(scale)?;
-    let world = World::generate(&wc, seed);
+    let scale = Scale::parse(scale)?;
+    let world = World::generate(&scale.world_config(), seed);
     let cfg = ReplayConfig {
         objective,
         seed,
@@ -355,10 +346,10 @@ fn cmd_replay(rest: &[String]) -> CliResult {
     let out = if let Some(file) = &trace_file {
         ReplaySim::streaming(&world, cfg).run_stream(FileSource::open(Path::new(file))?, kind)?
     } else if streamed {
-        let generator = TraceGenerator::new(&world, tc, seed);
+        let generator = TraceGenerator::new(&world, scale.trace_config(), seed);
         ReplaySim::streaming(&world, cfg).run_stream(generator.stream(), kind)?
     } else {
-        let trace = TraceGenerator::new(&world, tc, seed).generate();
+        let trace = TraceGenerator::new(&world, scale.trace_config(), seed).generate();
         ReplaySim::new(&world, &trace, cfg).run(kind)
     };
     let pnr = out.aggregate.pnr();
@@ -475,8 +466,8 @@ fn build_server(flags: &Flags) -> Result<BuiltServer, Box<dyn std::error::Error>
     use via_model::options::RelayOption;
 
     let seed = flags.u64_or("seed", 7)?;
-    let (world_cfg, _) = scale_configs(flags.str_or("scale", "tiny"))?;
-    let world = World::generate(&world_cfg, seed);
+    let scale = Scale::parse(flags.str_or("scale", "tiny"))?;
+    let world = World::generate(&scale.world_config(), seed);
     // One key per AS.
     let n_keys = u32::try_from(world.ases.len())?;
     let (prior, backbone) = via_core::SpatialGranularity::As.controller_inputs(&world);
@@ -494,7 +485,6 @@ fn build_server(flags: &Flags) -> Result<BuiltServer, Box<dyn std::error::Error>
             Some(parse_budget(budget)?)
         },
         shards: usize::try_from(flags.u64_or("shards", 8)?)?,
-        start: via_model::time::SimTime::ZERO,
     };
     // Candidate set offered on every call: direct, a bounce through each of
     // up to 8 relays, and one transit pair when the fleet allows it.
@@ -714,15 +704,5 @@ mod tests {
         assert_eq!(parse_objective("loss").unwrap(), Metric::Loss);
         assert_eq!(parse_objective("jitter").unwrap(), Metric::Jitter);
         assert!(parse_objective("bandwidth").is_err());
-    }
-
-    #[test]
-    fn scales_resolve_to_configs() {
-        for scale in ["tiny", "small", "paper"] {
-            let (wc, tc) = scale_configs(scale).unwrap();
-            assert!(wc.n_countries >= 2);
-            assert!(tc.calls_per_day > 0);
-        }
-        assert!(scale_configs("enormous").is_err());
     }
 }

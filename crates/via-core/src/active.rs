@@ -13,10 +13,11 @@
 //! through tomography).
 
 use std::collections::{HashMap, HashSet};
-use via_model::ids::RelayId;
 use via_model::options::RelayOption;
 
+use crate::history::KeyPair;
 use crate::predictor::{PredictionSource, Predictor};
+use crate::tomography::{equations, SegmentKey};
 
 /// One planned probe: make a mock call between the two keys over the option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,13 +31,10 @@ pub struct Probe {
 }
 
 /// The client-side tomography segments a probe of `option` between keys
-/// `(a, b)` would measure.
-fn segments_of(a: u32, b: u32, option: RelayOption) -> Vec<(u32, RelayId)> {
-    match option.canonical() {
-        RelayOption::Direct => vec![],
-        RelayOption::Bounce(r) => vec![(a, r), (b, r)],
-        RelayOption::Transit(r1, r2) => vec![(a, r1), (b, r2), (a, r2), (b, r1)],
-    }
+/// `(a, b)` would measure: both ends of every equation the tomography fit
+/// would add for it.
+fn segments_of(a: u32, b: u32, option: RelayOption) -> impl Iterator<Item = SegmentKey> {
+    equations(KeyPair::new(a, b), option).flat_map(|(s, t)| [s, t])
 }
 
 /// Plans up to `budget` probes for the given demand set.
@@ -57,7 +55,7 @@ pub fn plan_probes(
 
     // Collect holes and segment demand frequencies.
     let mut holes: Vec<Probe> = Vec::new();
-    let mut seg_demand: HashMap<(u32, RelayId), u32> = HashMap::new();
+    let mut seg_demand: HashMap<SegmentKey, u32> = HashMap::new();
     for (a, b, options) in demands {
         let view = predictor.pair(*a, *b);
         for &option in options {
@@ -82,7 +80,7 @@ pub fn plan_probes(
 
     // Greedy: repeatedly take the probe covering the most not-yet-covered
     // segment demand.
-    let mut covered: HashSet<(u32, RelayId)> = HashSet::new();
+    let mut covered: HashSet<SegmentKey> = HashSet::new();
     let mut plan = Vec::with_capacity(budget.min(holes.len()));
     let mut remaining: Vec<Probe> = holes;
     while plan.len() < budget && !remaining.is_empty() {
@@ -91,7 +89,6 @@ pub fn plan_probes(
             .enumerate()
             .map(|(i, p)| {
                 let score: u32 = segments_of(p.a, p.b, p.option)
-                    .into_iter()
                     .filter(|seg| !covered.contains(seg))
                     .map(|seg| seg_demand.get(&seg).copied().unwrap_or(0))
                     .sum();
@@ -120,6 +117,7 @@ mod tests {
     use crate::online::BackboneFn;
     use crate::predictor::{GeoPrior, PredictorConfig};
     use std::sync::Arc;
+    use via_model::ids::RelayId;
     use via_model::metrics::PathMetrics;
     use via_model::time::{SimTime, WindowLen};
     use via_netsim::GeoPoint;

@@ -172,6 +172,7 @@ impl Vivaldi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use via_model::seed::{fnv1a, FNV_BASIS};
 
     /// Synthetic ground truth: nodes on a line, RTT = |i − j| × 20 ms + 4 ms
     /// of per-node height.
@@ -264,13 +265,11 @@ mod tests {
         // take the random kick off the shared origin), folded FNV-1a into
         // one constant.
         let v = train(8, 2_000, 3);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_BASIS;
         for i in 0..v.len() {
             let c = v.coord(i);
             for value in [c.x[0], c.x[1], c.height, c.error] {
-                for byte in value.to_bits().to_le_bytes() {
-                    h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-                }
+                h = fnv1a(h, &value.to_bits().to_le_bytes());
             }
         }
         assert_eq!(h, 0xb745_c082_46ac_fb01, "Vivaldi bits moved");

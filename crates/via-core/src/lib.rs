@@ -47,7 +47,9 @@
 //! let cfg = ReplayConfig::default();
 //! let default = ReplaySim::new(&world, &trace, cfg.clone()).run(StrategyKind::Default);
 //! let via = ReplaySim::new(&world, &trace, cfg).run(StrategyKind::Via);
-//! assert!(via.pnr_any() <= default.pnr_any() + 0.05);
+//! // Population figures (PNR, option mix, relayed fraction) are read from
+//! // the aggregate, which every run fills.
+//! assert!(via.aggregate.pnr().any <= default.aggregate.pnr().any + 0.05);
 //! ```
 
 #![warn(missing_docs)]

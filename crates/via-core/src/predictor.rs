@@ -400,6 +400,7 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
     use via_model::metrics::PathMetrics;
+    use via_model::seed::{fnv1a, FNV_BASIS};
     use via_model::time::{SimTime, WindowLen};
 
     fn window() -> Window {
@@ -635,11 +636,9 @@ mod tests {
     fn prediction_bits(day: &PaperDay, fitted: &Predictor) -> u64 {
         let mut scratch = via_netsim::CandidateScratch::default();
         let mut options = Vec::new();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_BASIS;
         let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h = fnv1a(h, &v.to_le_bytes());
         };
         for &(src, dst) in &day.pairs {
             day.world

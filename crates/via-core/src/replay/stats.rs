@@ -4,8 +4,6 @@
 use serde::{Deserialize, Serialize};
 use via_model::metrics::Metric;
 use via_obs::MetricsSnapshot;
-use via_quality::PnrReport;
-use via_trace::{CallRecord, Trace};
 
 #[cfg(doc)]
 use super::ReplayConfig;
@@ -80,7 +78,11 @@ impl ReplayStats {
     }
 }
 
-/// Outcome of a whole replay run.
+/// Outcome of a whole replay run: plain data, with no methods. Every
+/// population figure (PNR, option mix, relayed fraction) is read from
+/// [`Outcome::aggregate`]; a figure over a subset of calls reads
+/// [`Outcome::calls`], which only a run with
+/// [`ReplayConfig::collect_calls`] on keeps.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Outcome {
     /// Strategy display name.
@@ -88,10 +90,11 @@ pub struct Outcome {
     /// Objective metric the run optimized.
     pub objective: Metric,
     /// Per-call outcomes, in trace order. Empty when
-    /// [`ReplayConfig::collect_calls`] is off — use [`Outcome::aggregate`].
+    /// [`ReplayConfig::collect_calls`] is off, so a reader of a subset must
+    /// check that it holds `aggregate.calls` entries.
     pub calls: Vec<CallOutcome>,
     /// Sequential-merge aggregate over every replayed call (PNR counters,
-    /// option mix, metric sums, order-sensitive digest). Always populated,
+    /// option mix, order-sensitive digest). Always populated,
     /// and byte-identical across worker counts and across the streamed and
     /// materialized engines.
     pub aggregate: ReplayAggregate,
@@ -111,49 +114,4 @@ pub struct Outcome {
     /// [`MetricsSnapshot`]).
     #[serde(skip)]
     pub obs: Option<MetricsSnapshot>,
-}
-
-impl Outcome {
-    /// PNR report over all calls. Read from [`Outcome::aggregate`], so it
-    /// holds with [`ReplayConfig::collect_calls`] off.
-    pub fn pnr(&self) -> PnrReport {
-        self.aggregate.pnr()
-    }
-
-    /// Fraction of calls with at least one poor metric.
-    pub fn pnr_any(&self) -> f64 {
-        self.pnr().any
-    }
-
-    /// Values of one metric across calls (for percentile analysis).
-    pub fn metric_values(&self, m: Metric) -> Vec<f64> {
-        self.calls.iter().map(|c| c.metrics[m]).collect()
-    }
-
-    /// Fractions of calls sent direct / bounced / transited (§5.2 reports
-    /// 8 % / 54 % / 38 % for VIA). Read from [`Outcome::aggregate`], so it
-    /// holds with [`ReplayConfig::collect_calls`] off.
-    pub fn option_mix(&self) -> (f64, f64, f64) {
-        self.aggregate.option_mix()
-    }
-
-    /// Fraction of calls relayed (non-direct); zero for an empty outcome.
-    pub fn relayed_fraction(&self) -> f64 {
-        if self.aggregate.calls == 0 {
-            return 0.0;
-        }
-        let (direct, _, _) = self.option_mix();
-        1.0 - direct
-    }
-
-    /// PNR over a subset of calls selected by a predicate on the trace
-    /// record (e.g. international-only for Figure 13).
-    pub fn pnr_where(&self, trace: &Trace, pred: impl Fn(&CallRecord) -> bool) -> PnrReport {
-        PnrReport::from_calls(
-            self.calls
-                .iter()
-                .filter(|c| pred(&trace.records[c.call_index as usize]))
-                .map(|c| &c.metrics),
-        )
-    }
 }

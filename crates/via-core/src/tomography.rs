@@ -136,7 +136,10 @@ pub(crate) fn fit_order<'a>(cells: impl IntoIterator<Item = CellRef<'a>>) -> Vec
 /// egress cannot be told apart in the aggregate, so both orientations are
 /// recorded (at half weight — with symmetric client legs this is the
 /// least-biased linear attribution).
-fn equations(pair: KeyPair, option: RelayOption) -> impl Iterator<Item = (SegmentKey, SegmentKey)> {
+pub(crate) fn equations(
+    pair: KeyPair,
+    option: RelayOption,
+) -> impl Iterator<Item = (SegmentKey, SegmentKey)> {
     let seg = |key, relay| SegmentKey { key, relay };
     let (first, second) = match option.canonical() {
         RelayOption::Direct => (None, None),

@@ -22,8 +22,8 @@ fn empty_trace_produces_empty_outcome() {
     ] {
         let out = ReplaySim::new(&w, &trace, ReplayConfig::default()).run(kind);
         assert!(out.calls.is_empty());
-        assert_eq!(out.pnr().calls, 0);
-        assert_eq!(out.relayed_fraction(), 0.0);
+        assert_eq!(out.aggregate.pnr().calls, 0);
+        assert_eq!(out.aggregate.relayed_fraction(), 0.0);
     }
 }
 
@@ -50,7 +50,7 @@ fn six_hour_windows_still_converge() {
     };
     let via = ReplaySim::new(&w, &trace, cfg.clone()).run(StrategyKind::Via);
     let default = ReplaySim::new(&w, &trace, cfg).run(StrategyKind::Default);
-    assert!(via.pnr().rtt <= default.pnr().rtt);
+    assert!(via.aggregate.pnr().rtt <= default.aggregate.pnr().rtt);
 }
 
 #[test]
@@ -66,7 +66,7 @@ fn extreme_epsilon_values_are_safe() {
         assert_eq!(out.calls.len(), trace.len());
         if epsilon == 1.0 {
             // Pure random over candidates: a healthy share must be relayed.
-            assert!(out.relayed_fraction() > 0.5);
+            assert!(out.aggregate.relayed_fraction() > 0.5);
         }
     }
 }
@@ -134,7 +134,7 @@ fn budget_one_behaves_like_unbudgeted() {
     let plain = ReplaySim::new(&w, &trace, ReplayConfig::default()).run(StrategyKind::Via);
     // With budget = 1.0 only the benefit>0 precondition differs; PNR should
     // be close.
-    let b = budgeted.pnr().rtt;
-    let p = plain.pnr().rtt;
+    let b = budgeted.aggregate.pnr().rtt;
+    let p = plain.aggregate.pnr().rtt;
     assert!((b - p).abs() < 0.05, "budget=1 {b} vs plain {p}");
 }

@@ -276,7 +276,7 @@ fn uncollected_calls_leave_aggregate_identical() {
         "collect_calls=false must not materialize"
     );
     assert_eq!(full.aggregate, lean.aggregate);
-    assert_eq!(full.pnr(), lean.pnr());
+    assert_eq!(full.aggregate.pnr(), lean.aggregate.pnr());
     assert_eq!(full.controller_contacts, lean.controller_contacts);
     assert_eq!(full.race_probes, lean.race_probes);
 }

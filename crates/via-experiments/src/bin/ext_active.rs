@@ -30,7 +30,11 @@ fn main() {
     let env = build_env(args);
     let objective = Metric::Rtt;
 
-    let default_pnr = env.run(StrategyKind::Default, objective).pnr().any;
+    let default_pnr = env
+        .run(StrategyKind::Default, objective)
+        .aggregate
+        .pnr()
+        .any;
     println!("# §7 extension: active measurements (probes per window, /24-like granularity)\n");
     println!("default PNR (any, all calls) = {default_pnr:.3}\n");
     header(&["probes/window", "VIA PNR (any)", "reduction vs default"]);
@@ -45,7 +49,7 @@ fn main() {
             granularity: SpatialGranularity::SubAs { buckets: 8 },
             ..ReplayConfig::default()
         };
-        let pnr = env.run_with(StrategyKind::Via, cfg).pnr().any;
+        let pnr = env.run_with(StrategyKind::Via, cfg).aggregate.pnr().any;
         if probes == 0 {
             baseline_pnr = Some(pnr);
         }

@@ -46,7 +46,7 @@ fn main() {
     for k in [1usize, 2, 3, 5] {
         let out = env.run(StrategyKind::HybridRacing { k }, objective);
         let pnr = pnr_masked(&out, &mask).any;
-        let per_call = out.race_probes as f64 / out.calls.len().max(1) as f64;
+        let per_call = out.race_probes as f64 / out.aggregate.calls.max(1) as f64;
         row(&[k.to_string(), format!("{pnr:.3}"), format!("{per_call:.1}")]);
         points.push(Point {
             k,

@@ -13,7 +13,8 @@
 
 use serde::Serialize;
 use via_core::strategy::StrategyKind;
-use via_experiments::{build_env, header, row, write_json, Args};
+use via_core::Outcome;
+use via_experiments::{build_env, header, per_call, row, write_json, Args};
 use via_model::metrics::Metric;
 use via_model::stats::percentile;
 use via_quality::relative_improvement;
@@ -25,13 +26,18 @@ struct Fig08 {
     pnr_reduction_any_conservative: f64,
 }
 
+/// Values of one metric over every call of a run.
+fn metric_values(out: &Outcome, metric: Metric) -> Vec<f64> {
+    per_call(out).iter().map(|c| c.metrics[metric]).collect()
+}
+
 fn main() {
     let args = Args::parse();
     let env = build_env(args);
     let ps = [25.0, 50.0, 75.0, 90.0, 95.0, 99.0];
 
     let default_run = env.run(StrategyKind::Default, Metric::Rtt);
-    let default_pnr = default_run.pnr();
+    let default_pnr = default_run.aggregate.pnr();
 
     println!("# Figure 8a: oracle improvement on metric percentiles\n");
     header(&["metric", "p25", "p50", "p75", "p90", "p95", "p99"]);
@@ -42,8 +48,8 @@ fn main() {
 
     for metric in Metric::ALL {
         let oracle = env.run(StrategyKind::Oracle, metric);
-        let base_vals = default_run.metric_values(metric);
-        let oracle_vals = oracle.metric_values(metric);
+        let base_vals = metric_values(&default_run, metric);
+        let oracle_vals = metric_values(&oracle, metric);
 
         let mut per_p = Vec::new();
         let mut cells = vec![metric.to_string()];
@@ -57,7 +63,7 @@ fn main() {
         row(&cells);
         pct_improvements.push((metric.to_string(), per_p));
 
-        let o_pnr = oracle.pnr();
+        let o_pnr = oracle.aggregate.pnr();
         pnr_reduction.push((
             metric.to_string(),
             relative_improvement(default_pnr.for_metric(metric), o_pnr.for_metric(metric)),

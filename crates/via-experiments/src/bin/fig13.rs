@@ -11,7 +11,7 @@
 use serde::Serialize;
 use via_core::strategy::StrategyKind;
 use via_core::Outcome;
-use via_experiments::{build_env, header, pct, row, write_json, Args};
+use via_experiments::{build_env, header, pct, per_call, row, write_json, Args};
 use via_model::metrics::Metric;
 use via_quality::PnrReport;
 use via_trace::Trace;
@@ -26,7 +26,7 @@ struct Fig13 {
 fn pnr_split(out: &Outcome, trace: &Trace, mask: &[bool]) -> (PnrReport, PnrReport) {
     let masked = |intl: bool| {
         PnrReport::from_calls(
-            out.calls
+            per_call(out)
                 .iter()
                 .filter(|c| {
                     mask[c.call_index as usize]

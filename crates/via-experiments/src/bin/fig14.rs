@@ -13,9 +13,10 @@ use serde::Serialize;
 use std::collections::HashMap;
 use via_core::strategy::StrategyKind;
 use via_core::Outcome;
-use via_experiments::{build_env, header, pct, row, write_json, Args};
+use via_experiments::{build_env, header, pct, per_call, row, write_json, Args};
 use via_model::ids::CountryId;
-use via_model::metrics::{Metric, Thresholds};
+use via_model::metrics::Metric;
+use via_quality::PoorAxes;
 
 #[derive(Serialize)]
 struct CountryRow {
@@ -42,12 +43,12 @@ fn by_country(
     metric: Metric,
 ) -> HashMap<CountryId, (usize, usize)> {
     let mut acc: HashMap<CountryId, (usize, usize)> = HashMap::new();
-    for c in &out.calls {
+    for c in per_call(out) {
         let r = &env.trace.records[c.call_index as usize];
         if !mask[c.call_index as usize] || !r.is_international() {
             continue;
         }
-        let poor = Thresholds.is_poor(&c.metrics, metric);
+        let poor = PoorAxes::of(&c.metrics).on(metric);
         for country in [r.src_country, r.dst_country] {
             let e = acc.entry(country).or_default();
             e.0 += 1;

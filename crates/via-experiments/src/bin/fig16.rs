@@ -51,7 +51,7 @@ fn main() {
         "default = {:.3}, unbudgeted VIA = {:.3} (relays {:.0}% of calls), oracle = {:.3}\n",
         default_pnr,
         unbudgeted_pnr,
-        100.0 * via_full.relayed_fraction(),
+        100.0 * via_full.aggregate.relayed_fraction(),
         oracle_pnr
     );
     header(&[
@@ -69,9 +69,9 @@ fn main() {
         let p = Point {
             budget,
             aware_pnr: pnr_masked(&aware, &mask).any,
-            aware_relayed: aware.relayed_fraction(),
+            aware_relayed: aware.aggregate.relayed_fraction(),
             unaware_pnr: pnr_masked(&unaware, &mask).any,
-            unaware_relayed: unaware.relayed_fraction(),
+            unaware_relayed: unaware.aggregate.relayed_fraction(),
         };
         row(&[
             format!("{budget:.2}"),

@@ -17,7 +17,7 @@ use serde::Serialize;
 use std::collections::HashMap;
 use via_core::replay::{ReplayConfig, SpatialGranularity};
 use via_core::strategy::StrategyKind;
-use via_experiments::{build_env, header, pnr_masked, row, write_json, Args};
+use via_experiments::{build_env, header, per_call, pnr_masked, row, write_json, Args};
 use via_model::ids::RelayId;
 use via_model::metrics::Metric;
 use via_model::time::WindowLen;
@@ -88,7 +88,7 @@ fn main() {
     println!("\n# Figure 17c: dropping the least-used relays\n");
     let full = env.run_with(StrategyKind::Via, base_cfg.clone());
     let mut usage: HashMap<RelayId, usize> = HashMap::new();
-    for c in &full.calls {
+    for c in per_call(&full) {
         for r in c.option.relays() {
             *usage.entry(r).or_default() += 1;
         }

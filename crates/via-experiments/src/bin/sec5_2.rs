@@ -12,7 +12,9 @@
 use serde::Serialize;
 use via_core::replay::ReplayConfig;
 use via_core::strategy::StrategyKind;
-use via_experiments::{build_env, header, pnr_masked, row, write_json, write_metrics, Args};
+use via_experiments::{
+    build_env, header, per_call, pnr_masked, row, write_json, write_metrics, Args,
+};
 use via_model::metrics::Metric;
 use via_quality::relative_improvement;
 
@@ -41,7 +43,7 @@ fn main() {
         let mut b = 0usize;
         let mut tr = 0usize;
         let mut n = 0usize;
-        for c in &with_transit.calls {
+        for c in per_call(&with_transit) {
             let idx = c.call_index as usize;
             if !mask[idx] || !pred(idx) {
                 continue;
@@ -74,7 +76,7 @@ fn main() {
     // that used both kinds).
     let pnr_intl = |out: &via_core::Outcome| {
         via_quality::PnrReport::from_calls(
-            out.calls
+            per_call(out)
                 .iter()
                 .filter(|c| {
                     mask[c.call_index as usize]

@@ -16,7 +16,9 @@
 use serde::Serialize;
 use via_core::strategy::{MultipathMode, StrategyKind};
 use via_core::Outcome;
-use via_experiments::{build_env, header, pnr_masked, row, write_json, write_metrics, Args};
+use via_experiments::{
+    build_env, header, per_call, pnr_masked, row, write_json, write_metrics, Args,
+};
 use via_model::metrics::Metric;
 
 #[derive(Serialize)]
@@ -38,7 +40,7 @@ struct SecMultipath {
 fn mean_mos(out: &Outcome, mask: &[bool]) -> f64 {
     let mut sum = 0.0;
     let mut n = 0usize;
-    for c in &out.calls {
+    for c in per_call(out) {
         if mask[c.call_index as usize] {
             sum += via_quality::mos(&c.metrics);
             n += 1;

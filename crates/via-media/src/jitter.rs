@@ -135,6 +135,7 @@ impl Default for JitterBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use via_model::seed::{fnv1a, FNV_BASIS};
 
     #[test]
     fn constant_spacing_yields_zero_jitter() {
@@ -251,14 +252,12 @@ mod tests {
         // is mid-flight at every switch; every depth and verdict folded
         // FNV-1a into one constant.
         let mut b = JitterBuffer::new();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_BASIS;
         for jitter in [0.0, 4.9, 5.0, 5.1, 40.0, 99.9, 100.0, 100.1, 500.0, 3.0] {
             for i in 0..40u32 {
                 let played = b.offer(f64::from(i % 8) * 6.0, jitter);
-                h = (h ^ u64::from(played)).wrapping_mul(0x100_0000_01b3);
-                for byte in b.depth_ms().to_bits().to_le_bytes() {
-                    h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-                }
+                h = fnv1a(h, &[u8::from(played)]);
+                h = fnv1a(h, &b.depth_ms().to_bits().to_le_bytes());
             }
         }
         assert_eq!((b.played(), b.late()), (275, 125));

@@ -14,6 +14,10 @@
 //!
 //! Mixing uses the SplitMix64 finalizer, which is a well-studied bijective
 //! avalanche function; it is *not* cryptographic and does not need to be.
+//!
+//! The module also holds the workspace's one FNV-1a 64-bit digest
+//! ([`fnv1a`]): the `.vbt` header check, the replay outcome digest and every
+//! test that pins a run's bits fold their bytes through it.
 
 /// SplitMix64 finalization step: a bijective mixer with full avalanche.
 #[inline]
@@ -51,6 +55,23 @@ pub fn derive_indexed(parent: u64, label: &str, index: u64) -> u64 {
 #[inline]
 pub fn derive_indexed_from(base: u64, index: u64) -> u64 {
     splitmix64(base ^ splitmix64(index))
+}
+
+/// FNV-1a 64-bit offset basis: the digest of no bytes, where every fold
+/// through [`fnv1a`] starts.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64-bit digest `h`; start from
+/// [`FNV_BASIS`]. Folding two slices in turn equals folding their
+/// concatenation. Chosen for zero dependencies and total determinism, not
+/// cryptographic strength.
+#[inline]
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 #[cfg(test)]
@@ -106,6 +127,17 @@ mod tests {
         // bijection so no two inputs may map to the same output.
         let outs: HashSet<u64> = (0..10_000u64).map(splitmix64).collect();
         assert_eq!(outs.len(), 10_000);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors_and_folds_in_pieces() {
+        assert_eq!(fnv1a(FNV_BASIS, b""), FNV_BASIS);
+        assert_eq!(fnv1a(FNV_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_BASIS, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_BASIS, b"foo"), b"bar"),
+            0x8594_4171_f739_67e8
+        );
     }
 
     #[test]

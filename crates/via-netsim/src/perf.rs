@@ -707,9 +707,7 @@ impl std::hash::Hasher for SegMemoHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
+        self.0 = seed::fnv1a(self.0, bytes);
     }
 
     fn write_u8(&mut self, v: u8) {
@@ -757,6 +755,7 @@ mod tests {
     use super::*;
     use crate::config::WorldConfig;
     use crate::topology::World;
+    use via_model::seed::{fnv1a, FNV_BASIS};
     use via_model::stats::OnlineStats;
 
     fn world() -> World {
@@ -1026,7 +1025,7 @@ mod tests {
             RelayOption::Bounce(RelayId(2)),
             RelayOption::Transit(RelayId(0), RelayId(3)),
         ];
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_BASIS;
         for day in [0u64, 3, 3, 8] {
             let t = SimTime::from_days(day);
             for &opt in &options {
@@ -1048,9 +1047,7 @@ mod tests {
                         b.loss_pct,
                         b.jitter_ms,
                     ] {
-                        for byte in v.to_bits().to_le_bytes() {
-                            h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-                        }
+                        h = fnv1a(h, &v.to_bits().to_le_bytes());
                     }
                 }
             }

@@ -84,6 +84,7 @@ pub fn mos(m: &PathMetrics) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use via_model::seed::{fnv1a, FNV_BASIS};
 
     #[test]
     fn perfect_network_is_toll_quality() {
@@ -144,14 +145,12 @@ mod tests {
         // The goldens see MOS only through buckets; this is every bit of it
         // over a grid that crosses the 177.3 ms knee, the 0.2 late-loss cap
         // and both MOS clamps, folded FNV-1a into one constant.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_BASIS;
         for rtt in [0.0, 40.0, 150.0, 320.0, 600.0, 1200.0] {
             for loss in [0.0, 0.3, 1.2, 5.0, 40.0, 100.0] {
                 for jitter in [0.0, 2.0, 12.0, 40.0, 90.0, 200.0] {
                     let s = mos(&PathMetrics::new(rtt, loss, jitter));
-                    for byte in s.to_bits().to_le_bytes() {
-                        h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-                    }
+                    h = fnv1a(h, &s.to_bits().to_le_bytes());
                 }
             }
         }

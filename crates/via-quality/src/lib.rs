@@ -27,5 +27,5 @@ pub mod pnr;
 pub mod rating;
 
 pub use emodel::mos;
-pub use pnr::{relative_improvement, PnrImprovement, PnrReport};
+pub use pnr::{relative_improvement, PnrImprovement, PnrReport, PoorAxes};
 pub use rating::RatingModel;

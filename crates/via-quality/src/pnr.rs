@@ -9,6 +9,48 @@
 use serde::{Deserialize, Serialize};
 use via_model::metrics::{Metric, PathMetrics, Thresholds};
 
+/// Which of one call's metrics cross the §2.2 poor thresholds: the one
+/// per-call rule every PNR in the workspace is counted with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoorAxes {
+    /// RTT at or above [`Thresholds::RTT_MS`].
+    pub rtt: bool,
+    /// Loss at or above [`Thresholds::LOSS_PCT`].
+    pub loss: bool,
+    /// Jitter at or above [`Thresholds::JITTER_MS`].
+    pub jitter: bool,
+}
+
+impl PoorAxes {
+    /// The poor axes of one call's metrics.
+    #[inline]
+    pub fn of(m: &PathMetrics) -> PoorAxes {
+        let poor = |metric| Thresholds.is_poor(m, metric);
+        PoorAxes {
+            rtt: poor(Metric::Rtt),
+            loss: poor(Metric::Loss),
+            jitter: poor(Metric::Jitter),
+        }
+    }
+
+    /// Whether the call is poor on one axis.
+    #[inline]
+    pub fn on(self, m: Metric) -> bool {
+        match m {
+            Metric::Rtt => self.rtt,
+            Metric::Loss => self.loss,
+            Metric::Jitter => self.jitter,
+        }
+    }
+
+    /// Whether the call is poor on at least one axis (the combined
+    /// "at least one bad" criterion).
+    #[inline]
+    pub fn any(self) -> bool {
+        self.rtt || self.loss || self.jitter
+    }
+}
+
 /// PNR of a call population, per metric and combined.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PnrReport {
@@ -27,31 +69,34 @@ pub struct PnrReport {
 impl PnrReport {
     /// Computes the PNR of a population of per-call metrics.
     pub fn from_calls<'a>(calls: impl IntoIterator<Item = &'a PathMetrics>) -> PnrReport {
-        let mut n = 0usize;
-        let mut poor = [0usize; 3];
-        let mut any = 0usize;
+        let mut n = 0u64;
+        let mut poor = [0u64; 3];
+        let mut any = 0u64;
         for m in calls {
+            let axes = PoorAxes::of(m);
             n += 1;
-            let mut this_any = false;
-            for (i, &metric) in Metric::ALL.iter().enumerate() {
-                if Thresholds.is_poor(m, metric) {
-                    poor[i] += 1;
-                    this_any = true;
-                }
+            for (count, metric) in poor.iter_mut().zip(Metric::ALL) {
+                *count += u64::from(axes.on(metric));
             }
-            if this_any {
-                any += 1;
-            }
+            any += u64::from(axes.any());
         }
-        if n == 0 {
+        PnrReport::from_counts(n, poor, any)
+    }
+
+    /// The PNR of `calls` calls of which `poor[i]` were poor on
+    /// `Metric::ALL[i]` and `any` on at least one metric: each count over
+    /// `calls`, and all zeros when there are no calls.
+    pub fn from_counts(calls: u64, poor: [u64; 3], any: u64) -> PnrReport {
+        if calls == 0 {
             return PnrReport::default();
         }
-        let f = |c: usize| c as f64 / n as f64;
+        let f = |c: u64| c as f64 / calls as f64;
+        let [rtt, loss, jitter] = poor;
         PnrReport {
-            calls: n,
-            rtt: f(poor[0]),
-            loss: f(poor[1]),
-            jitter: f(poor[2]),
+            calls: usize::try_from(calls).unwrap_or(usize::MAX),
+            rtt: f(rtt),
+            loss: f(loss),
+            jitter: f(jitter),
             any: f(any),
         }
     }

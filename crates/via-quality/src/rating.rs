@@ -95,6 +95,7 @@ fn erf(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use via_model::seed::{fnv1a, FNV_BASIS};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)
@@ -185,7 +186,7 @@ mod tests {
         // terrible, folded FNV-1a into one constant.
         let m = RatingModel::default();
         let mut r = rng();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_BASIS;
         for (rtt, loss, jitter) in [
             (40.0, 0.05, 1.0),
             (150.0, 0.5, 5.0),
@@ -194,11 +195,9 @@ mod tests {
             (900.0, 12.0, 60.0),
         ] {
             let metrics = PathMetrics::new(rtt, loss, jitter);
-            for byte in m.poor_probability(&metrics).to_bits().to_le_bytes() {
-                h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-            }
+            h = fnv1a(h, &m.poor_probability(&metrics).to_bits().to_le_bytes());
             for _ in 0..200 {
-                h = (h ^ u64::from(m.rate(&metrics, &mut r))).wrapping_mul(0x100_0000_01b3);
+                h = fnv1a(h, &[m.rate(&metrics, &mut r)]);
             }
         }
         assert_eq!(h, 0x8a4c_ab1c_0013_c101, "rating model bits moved");

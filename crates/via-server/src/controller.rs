@@ -76,9 +76,10 @@ pub struct ServerConfig {
     pub budget: Option<f64>,
     /// Number of pair shards (clamped to at least 1).
     pub shards: usize,
-    /// Simulation clock at startup; decides the first accumulating window.
-    pub start: SimTime,
 }
+
+/// Simulation clock at startup; decides the first accumulating window.
+const START: SimTime = SimTime::ZERO;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -89,7 +90,6 @@ impl Default for ServerConfig {
             epsilon: 0.05,
             budget: None,
             shards: 8,
-            start: SimTime::ZERO,
         }
     }
 }
@@ -243,12 +243,11 @@ fn names_fleet_relays(n_relays: usize, option: RelayOption) -> bool {
 }
 
 impl Controller {
-    /// Builds a controller serving from `cfg.start`. Before the first
-    /// rollover it serves what the batch engine would at the same window:
-    /// a predictor fitted on the (empty) preceding window, or the prior-only
-    /// cold predictor when starting at window 0.
+    /// Builds a controller serving from time zero. Before the first
+    /// rollover it serves what the batch engine serves at window 0: the
+    /// prior-only cold predictor.
     pub fn new(cfg: ServerConfig, prior: GeoPrior, backbone: BackboneFn) -> Controller {
-        let start = cfg.window.window_of(cfg.start);
+        let start = cfg.window.window_of(START);
         Controller::opening(cfg, prior, backbone, start, Trained::default())
     }
 
@@ -387,7 +386,7 @@ impl Controller {
     /// always a shard; the start window would stand in for none.)
     fn current_window(&self) -> Window {
         self.shards.first().map_or_else(
-            || self.cfg.window.window_of(self.cfg.start),
+            || self.cfg.window.window_of(START),
             |shard| lock(shard).epoch.window,
         )
     }

@@ -44,7 +44,6 @@ fn config() -> ServerConfig {
         epsilon: 0.1,
         budget: Some(0.5),
         shards: 4,
-        start: SimTime::ZERO,
     }
 }
 
@@ -137,7 +136,7 @@ struct BatchReference {
 
 impl BatchReference {
     fn new(cfg: ServerConfig, prior: GeoPrior, backbone: BackboneFn) -> BatchReference {
-        let start = cfg.window.window_of(cfg.start);
+        let start = cfg.window.window_of(SimTime::ZERO);
         let predictor = match start.prev() {
             Some(training) => Predictor::fit(
                 &CallHistory::new(),

@@ -64,10 +64,6 @@ pub struct ControlTiming {
     /// Longest the controller waits for client registrations before
     /// proceeding with whoever arrived.
     pub registration: Duration,
-    /// Slack added on top of the analytic per-call-attempt budget
-    /// (probe send phase + collection ceiling, doubled for the direct
-    /// fallback) to absorb scheduler noise.
-    pub call_margin: Duration,
     /// Hard wall-clock ceiling on the whole orchestration.
     pub global: Duration,
     /// Seed for backoff jitter (per-caller streams are derived from it).
@@ -78,7 +74,6 @@ impl Default for ControlTiming {
     fn default() -> Self {
         ControlTiming {
             registration: Duration::from_secs(10),
-            call_margin: Duration::from_secs(3),
             global: Duration::from_secs(180),
             seed: 0,
         }
@@ -202,12 +197,16 @@ pub struct ControlHooks<'a> {
     pub before_call: Option<&'a BeforeCallFn<'a>>,
 }
 
+/// Slack added on top of the analytic per-call-attempt budget to absorb
+/// scheduler noise.
+const CALL_MARGIN: Duration = Duration::from_secs(3);
+
 /// Worst-case wall-clock for one call attempt: the probe send phase plus the
 /// echo-collection ceiling, doubled because a degraded call measures twice
-/// (the dead relay attempt, then the direct fallback), plus margin.
-fn call_attempt_budget(probes: u16, gap_ms: u64, margin: Duration) -> Duration {
+/// (the dead relay attempt, then the direct fallback), plus [`CALL_MARGIN`].
+fn call_attempt_budget(probes: u16, gap_ms: u64) -> Duration {
     let send_ms = u64::from(probes.max(1)) * gap_ms;
-    Duration::from_millis(2 * (send_ms + COLLECT_CEILING_MS)) + margin
+    Duration::from_millis(2 * (send_ms + COLLECT_CEILING_MS)) + CALL_MARGIN
 }
 
 /// Attempts per call exchange, the first included: a lost `Call` frame is
@@ -351,7 +350,7 @@ pub fn run_controller(
         rounds: cfg.rounds,
         probes: cfg.probes,
         gap_ms: cfg.gap_ms,
-        budget: call_attempt_budget(cfg.probes, cfg.gap_ms, cfg.timing.call_margin),
+        budget: call_attempt_budget(cfg.probes, cfg.gap_ms),
         seed: cfg.timing.seed,
         global_deadline,
         sessions: &session_of,
@@ -695,8 +694,8 @@ mod tests {
 
     #[test]
     fn call_budget_covers_the_degraded_double_measurement() {
-        let b = call_attempt_budget(10, 2, Duration::from_millis(500));
-        assert!(b >= Duration::from_millis(2 * (20 + COLLECT_CEILING_MS) + 500));
+        let b = call_attempt_budget(10, 2);
+        assert!(b >= Duration::from_millis(2 * (20 + COLLECT_CEILING_MS)) + CALL_MARGIN);
     }
 
     #[test]

@@ -47,8 +47,6 @@ pub struct TestbedConfig {
     pub probes: u16,
     /// Inter-probe gap, ms.
     pub gap_ms: u64,
-    /// World supplying geography + impairments.
-    pub world: WorldConfig,
     /// Seed for everything.
     pub seed: u64,
     /// Failures to inject (default: none).
@@ -67,7 +65,6 @@ impl TestbedConfig {
             rounds: 3,
             probes: 15,
             gap_ms: 2,
-            world: WorldConfig::tiny(),
             seed: 18,
             fault: FaultPlan::none(),
             timing: ControlTiming::default(),
@@ -84,7 +81,6 @@ impl TestbedConfig {
             rounds: 4,
             probes: 25,
             gap_ms: 4,
-            world: WorldConfig::tiny(),
             seed: 55,
             fault: FaultPlan::none(),
             timing: ControlTiming {
@@ -219,7 +215,9 @@ fn validate(cfg: &TestbedConfig, world: &World) -> Result<(), TestbedError> {
 /// violations). Injected faults and mid-run failures surface as
 /// [`TestbedResult::failures`] / [`TestbedResult::client_errors`] instead.
 pub fn run_testbed(cfg: &TestbedConfig) -> Result<TestbedResult, TestbedError> {
-    let world = World::generate(&cfg.world, cfg.seed);
+    // Geography and impairments come from the tiny world: it holds enough
+    // ASes and relays for every testbed preset (`validate` checks).
+    let world = World::generate(&WorldConfig::tiny(), cfg.seed);
     validate(cfg, &world)?;
 
     // Spread clients across ASes (and hence countries).

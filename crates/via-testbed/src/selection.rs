@@ -168,6 +168,7 @@ fn prediction_from(mean: f64, sem: f64, n: u64) -> Prediction {
 mod tests {
     use super::*;
     use via_model::metrics::PathMetrics;
+    use via_model::seed::{fnv1a, FNV_BASIS};
 
     /// Synthesizes reports where relay 1 is clearly best.
     fn synthetic_reports(rounds: u32, jitter: f64) -> Vec<ReportRecord> {
@@ -265,11 +266,9 @@ mod tests {
             ),
         ] {
             let res = evaluate_via_selection(&noisy_reports(), objective);
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut h = FNV_BASIS;
             for s in &res.suboptimality {
-                for byte in s.to_bits().to_le_bytes() {
-                    h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-                }
+                h = fnv1a(h, &s.to_bits().to_le_bytes());
             }
             assert_eq!(res.decisions, decisions, "{objective:?}");
             assert_eq!(res.best_pick_fraction.to_bits(), best_bits, "{objective:?}");

@@ -24,7 +24,6 @@ fn base_config() -> TestbedConfig {
     cfg.seed = 21;
     cfg.timing = ControlTiming {
         registration: Duration::from_secs(2),
-        call_margin: Duration::from_millis(800),
         global: Duration::from_secs(60),
         seed: 0, // the harness derives the backoff seed from fault.seed
     };

@@ -81,6 +81,7 @@ use std::path::Path;
 
 use via_model::ids::{AsId, CallId, ClientId, CountryId};
 use via_model::metrics::PathMetrics;
+use via_model::seed::{fnv1a, FNV_BASIS};
 use via_model::time::{SimTime, WindowLen};
 
 use crate::error::TraceError;
@@ -110,17 +111,6 @@ fn le<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
         .unwrap_or([0; N])
 }
 
-/// FNV-1a 64-bit over a byte slice — the header integrity digest. Chosen for
-/// zero dependencies and total determinism, not cryptographic strength.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Decoded binary trace header: provenance and layout of the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinHeader {
@@ -148,7 +138,7 @@ impl BinHeader {
         buf[24..32].copy_from_slice(&self.days.to_le_bytes());
         buf[32..40].copy_from_slice(&self.records.to_le_bytes());
         buf[40..48].copy_from_slice(&self.frame_len.secs().to_le_bytes());
-        let digest = fnv1a(&buf[0..48]);
+        let digest = fnv1a(FNV_BASIS, &buf[0..48]);
         buf[48..56].copy_from_slice(&digest.to_le_bytes());
         buf
     }
@@ -164,7 +154,7 @@ impl BinHeader {
             return Err(TraceError::BadVersion(version));
         }
         let stored = u64_at(48);
-        let computed = fnv1a(&buf[0..48]);
+        let computed = fnv1a(FNV_BASIS, &buf[0..48]);
         if stored != computed {
             return Err(TraceError::BadDigest { stored, computed });
         }
@@ -837,7 +827,7 @@ mod tests {
         write_binary(&trace, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8] = 99; // version
-        let digest = fnv1a(&bytes[0..48]);
+        let digest = fnv1a(FNV_BASIS, &bytes[0..48]);
         bytes[48..56].copy_from_slice(&digest.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(load_err(&path), TraceError::BadVersion(99)));

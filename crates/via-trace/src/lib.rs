@@ -45,7 +45,7 @@ pub mod workload;
 pub use error::TraceError;
 pub use record::{AccessExtra, CallRecord, Trace};
 pub use stream::{RecordSource, WindowBatch, WindowStream};
-pub use workload::{TraceConfig, TraceGenerator};
+pub use workload::{Scale, TraceConfig, TraceGenerator};
 
 use std::path::Path;
 

@@ -14,7 +14,7 @@ use via_model::ids::{AsId, CallId, ClientId, CountryId};
 use via_model::options::RelayOption;
 use via_model::seed;
 use via_model::time::{SimTime, SECS_PER_DAY};
-use via_netsim::World;
+use via_netsim::{World, WorldConfig};
 use via_quality::RatingModel;
 
 use crate::record::{AccessExtra, CallRecord, Trace};
@@ -72,6 +72,48 @@ impl TraceConfig {
         Self {
             calls_per_day: 40_000,
             days: 56,
+        }
+    }
+}
+
+/// A run's size: the world preset and the trace preset that go together,
+/// named on the command line of `via` and of every experiment binary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// Seconds: CI smoke runs.
+    Tiny,
+    /// Tens of seconds: the default.
+    Small,
+    /// Minutes: full paper-shaped run (~1 M calls).
+    Paper,
+}
+
+impl Scale {
+    /// Parses `tiny|small|paper`.
+    pub fn parse(s: &str) -> Result<Scale, String> {
+        match s {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "paper" => Ok(Scale::Paper),
+            other => Err(format!("unknown scale '{other}' (tiny|small|paper)")),
+        }
+    }
+
+    /// World preset for this scale.
+    pub fn world_config(self) -> WorldConfig {
+        match self {
+            Scale::Tiny => WorldConfig::tiny(),
+            Scale::Small => WorldConfig::small(),
+            Scale::Paper => WorldConfig::paper_scale(),
+        }
+    }
+
+    /// Trace preset for this scale.
+    pub fn trace_config(self) -> TraceConfig {
+        match self {
+            Scale::Tiny => TraceConfig::tiny(),
+            Scale::Small => TraceConfig::small(),
+            Scale::Paper => TraceConfig::paper_scale(),
         }
     }
 }
@@ -488,7 +530,23 @@ impl Iterator for GenRecords<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use via_netsim::WorldConfig;
+
+    #[test]
+    fn scales_parse_and_resolve_to_configs() {
+        for (name, scale) in [
+            ("tiny", Scale::Tiny),
+            ("small", Scale::Small),
+            ("paper", Scale::Paper),
+        ] {
+            assert_eq!(Scale::parse(name), Ok(scale));
+            assert!(scale.world_config().n_countries >= 2);
+            assert!(scale.trace_config().calls_per_day > 0);
+        }
+        assert_eq!(
+            Scale::parse("enormous"),
+            Err("unknown scale 'enormous' (tiny|small|paper)".to_string())
+        );
+    }
 
     fn gen_trace(seed: u64) -> Trace {
         let world = World::generate(&WorldConfig::tiny(), seed);

@@ -30,14 +30,16 @@ fn main() {
 
     let default_pnr = ReplaySim::new(&world, &trace, cfg.clone())
         .run(StrategyKind::Default)
-        .pnr_any();
+        .aggregate
+        .pnr()
+        .any;
     let unbounded = ReplaySim::new(&world, &trace, cfg.clone()).run(StrategyKind::Via);
-    let max_benefit = default_pnr - unbounded.pnr_any();
+    let max_benefit = default_pnr - unbounded.aggregate.pnr().any;
     println!(
         "default PNR = {:.1}%; unbudgeted VIA removes {:.1} points while relaying {:.0}% of calls\n",
         100.0 * default_pnr,
         100.0 * max_benefit,
-        100.0 * unbounded.relayed_fraction()
+        100.0 * unbounded.aggregate.relayed_fraction()
     );
 
     println!("| budget | relayed | PNR (any) | benefit captured | benefit per point of budget |");
@@ -46,12 +48,12 @@ fn main() {
     for budget in [0.05, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8] {
         let out =
             ReplaySim::new(&world, &trace, cfg.clone()).run(StrategyKind::ViaBudgeted { budget });
-        let pnr = out.pnr_any();
+        let pnr = out.aggregate.pnr().any;
         let captured = (default_pnr - pnr) / max_benefit.max(1e-9);
         let efficiency = captured / budget;
         println!(
             "| {budget:.2} | {:.0}% | {:.1}% | {:.0}% | {efficiency:.1} |",
-            100.0 * out.relayed_fraction(),
+            100.0 * out.aggregate.relayed_fraction(),
             100.0 * pnr,
             100.0 * captured,
         );

@@ -41,7 +41,7 @@ fn main() {
             ..ReplayConfig::default()
         };
         let out = ReplaySim::new(&world, &trace, cfg).run(kind);
-        let pnr = out.pnr();
+        let pnr = out.aggregate.pnr();
         println!(
             "| {} | {:.1}% | {:.1}% | {:.1}% | {:.1}% | {:.0}% |",
             kind.name(),
@@ -49,7 +49,7 @@ fn main() {
             100.0 * pnr.loss,
             100.0 * pnr.jitter,
             100.0 * pnr.any,
-            100.0 * out.relayed_fraction(),
+            100.0 * out.aggregate.relayed_fraction(),
         );
     }
     println!("\nLower is better; the oracle is the foresight bound VIA approaches.");

@@ -33,7 +33,8 @@
 //! let trace = TraceGenerator::new(&world, TraceConfig::tiny(), 42).generate();
 //! let mut sim = ReplaySim::new(&world, &trace, ReplayConfig::default());
 //! let outcome = sim.run(StrategyKind::Via);
-//! println!("PNR(any poor) = {:.3}", outcome.pnr_any());
+//! // Population figures live in the run's aggregate.
+//! println!("PNR(any poor) = {:.3}", outcome.aggregate.pnr().any);
 //! ```
 
 pub use via_core as core;

@@ -23,9 +23,9 @@ fn full_pipeline_orders_strategies_correctly() {
     let via = ReplaySim::new(&world, &trace, cfg.clone()).run(StrategyKind::Via);
     let oracle = ReplaySim::new(&world, &trace, cfg).run(StrategyKind::Oracle);
 
-    let d = default.pnr();
-    let v = via.pnr();
-    let o = oracle.pnr();
+    let d = default.aggregate.pnr();
+    let v = via.aggregate.pnr();
+    let o = oracle.aggregate.pnr();
 
     // On the optimized metric the ordering oracle ≤ via ≤ default must hold
     // (small tolerances for exploration overhead).
@@ -77,7 +77,7 @@ fn objectives_change_what_gets_optimized() {
             ..ReplayConfig::default()
         };
         let out = ReplaySim::new(&world, &trace, cfg).run(StrategyKind::Oracle);
-        per_objective.push((metric, out.pnr()));
+        per_objective.push((metric, out.aggregate.pnr()));
     }
     // Optimizing a metric should do at least as well on that metric as the
     // runs optimizing the other two.
@@ -101,12 +101,15 @@ fn budgeted_via_relays_less_than_unbudgeted() {
         .run(StrategyKind::ViaBudgeted { budget: 0.1 });
     let loose = ReplaySim::new(&world, &trace, ReplayConfig::default()).run(StrategyKind::Via);
     assert!(
-        tight.relayed_fraction() < loose.relayed_fraction(),
+        tight.aggregate.relayed_fraction() < loose.aggregate.relayed_fraction(),
         "tight {} vs loose {}",
-        tight.relayed_fraction(),
-        loose.relayed_fraction()
+        tight.aggregate.relayed_fraction(),
+        loose.aggregate.relayed_fraction()
     );
-    assert!(tight.relayed_fraction() <= 0.2, "budget overshoot");
+    assert!(
+        tight.aggregate.relayed_fraction() <= 0.2,
+        "budget overshoot"
+    );
 }
 
 #[test]
@@ -157,8 +160,8 @@ fn cached_decisions_cut_controller_load() {
         plain.controller_contacts
     );
     // Staleness costs some quality but not catastrophically.
-    let c = cached.pnr().rtt;
-    let p = plain.pnr().rtt;
+    let c = cached.aggregate.pnr().rtt;
+    let p = plain.aggregate.pnr().rtt;
     assert!(c <= p * 2.0 + 0.05, "cached {c} vs plain {p}");
 }
 
@@ -170,11 +173,11 @@ fn hybrid_racing_beats_via_at_a_probe_cost() {
     let via = ReplaySim::new(&world, &trace, ReplayConfig::default()).run(StrategyKind::Via);
     let oracle = ReplaySim::new(&world, &trace, ReplayConfig::default()).run(StrategyKind::Oracle);
     assert!(
-        racing.pnr().rtt <= via.pnr().rtt + 0.01,
+        racing.aggregate.pnr().rtt <= via.aggregate.pnr().rtt + 0.01,
         "racing should not lose to plain VIA on the objective"
     );
     assert!(
-        racing.pnr().rtt + 0.02 >= oracle.pnr().rtt,
+        racing.aggregate.pnr().rtt + 0.02 >= oracle.aggregate.pnr().rtt,
         "racing cannot beat the oracle by much"
     );
     assert!(

@@ -20,6 +20,7 @@
 
 use via::core::replay::{ReplayConfig, ReplaySim};
 use via::core::strategy::{MultipathMode, StrategyKind};
+use via::model::seed::{fnv1a, FNV_BASIS};
 use via::netsim::{World, WorldConfig};
 use via::trace::stream::TraceRecords;
 use via::trace::{TraceConfig, TraceGenerator};
@@ -144,8 +145,8 @@ fn small_world_digests_match_pinned_constants() {
                 .expect("in-memory stream");
             assert!(streamed.calls.is_empty());
             assert_eq!(
-                (streamed.option_mix(), streamed.relayed_fraction()),
-                (materialized.option_mix(), materialized.relayed_fraction()),
+                (streamed.aggregate.option_mix(), streamed.aggregate.relayed_fraction()),
+                (materialized.aggregate.option_mix(), materialized.aggregate.relayed_fraction()),
                 "{kind} at {workers} workers: option mix / relayed fraction without collected calls"
             );
             for (driver, out) in [("materialized", &materialized), ("streamed", &streamed)] {
@@ -211,13 +212,6 @@ fn active_probe_digest_matches_pinned_constant() {
     );
 }
 
-/// FNV-1a over a serialized metrics snapshot.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// `Default`'s metrics snapshot: the one plan that keeps no per-pair state,
 /// whose window walk is free to differ from the learning plans'. Its pair
 /// groups are still counted (`replay_pair_groups_total`, the `replay.window`
@@ -249,10 +243,10 @@ fn default_metrics_snapshot_matches_pinned_constant() {
             let bytes = serde_json::to_string(out.obs.as_ref().expect("metrics on"))
                 .expect("snapshot serializes");
             assert_eq!(
-                fnv1a(bytes.as_bytes()),
+                fnv1a(FNV_BASIS, bytes.as_bytes()),
                 DEFAULT_SNAPSHOT_FNV,
                 "{driver} at {workers} workers: snapshot {:#018x}",
-                fnv1a(bytes.as_bytes())
+                fnv1a(FNV_BASIS, bytes.as_bytes())
             );
             assert_eq!(
                 out.aggregate.digest, DEFAULT_DIGEST,

@@ -42,7 +42,7 @@ fn gated_rows_are_byte_identical_across_workers_and_sources() {
     ] {
         let baseline = ReplaySim::new(&world, &trace, cfg(1)).run(kind);
         assert!(
-            baseline.relayed_fraction() > 0.0,
+            baseline.aggregate.relayed_fraction() > 0.0,
             "{kind}: relays something"
         );
         let baseline = outcome_json(&baseline);

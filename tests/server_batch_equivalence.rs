@@ -62,7 +62,6 @@ fn config() -> ServerConfig {
         epsilon: 0.1,
         budget: Some(0.5),
         shards: 4,
-        start: SimTime::ZERO,
     }
 }
 

@@ -37,7 +37,7 @@ use via::core::BackboneFn;
 use via::model::ids::RelayId;
 use via::model::metrics::{Metric, PathMetrics};
 use via::model::options::RelayOption;
-use via::model::seed;
+use via::model::seed::{self, fnv1a, FNV_BASIS};
 use via::model::time::{SimTime, Window, WindowLen};
 use via::netsim::GeoPoint;
 use via::server::{Controller, Selection, SelectionSnapshot, ServerConfig};
@@ -54,7 +54,6 @@ fn config(shards: usize) -> ServerConfig {
         epsilon: 0.05,
         budget: Some(0.3),
         shards,
-        start: SimTime::ZERO,
     }
 }
 
@@ -110,9 +109,7 @@ struct Fnv(u64);
 
 impl Fnv {
     fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, bytes);
     }
 }
 
@@ -136,7 +133,7 @@ fn restart(
 fn schedule_digest(shards: usize) -> (u64, [u64; 3]) {
     let cands = candidates();
     let mut ctrl = Controller::new(config(shards), prior(), backbone());
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv(FNV_BASIS);
     let mut rng = StdRng::seed_from_u64(2026);
     let mut paths = [0u64; 3];
     let per_window = 150u64;

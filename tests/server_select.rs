@@ -22,7 +22,7 @@ use via::core::BackboneFn;
 use via::model::ids::RelayId;
 use via::model::metrics::{Metric, PathMetrics};
 use via::model::options::RelayOption;
-use via::model::seed;
+use via::model::seed::{self, fnv1a, FNV_BASIS};
 use via::model::time::{SimTime, WindowLen};
 use via::netsim::GeoPoint;
 use via::server::{Controller, ServerConfig};
@@ -40,7 +40,6 @@ fn config(budget: Option<f64>, epsilon: f64) -> ServerConfig {
         epsilon,
         budget,
         shards: 4,
-        start: SimTime::ZERO,
     }
 }
 
@@ -98,9 +97,7 @@ struct Fnv(u64);
 
 impl Fnv {
     fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, bytes);
     }
 }
 
@@ -172,7 +169,7 @@ fn run(budget: Option<f64>, epsilon: f64, h: &mut Fnv) -> Paths {
 
 #[test]
 fn the_select_stream_digest_is_pinned() {
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut h = Fnv(FNV_BASIS);
     for budget in [None, Some(1.0), Some(0.3)] {
         for epsilon in [0.05, 1.0] {
             let p = run(budget, epsilon, &mut h);

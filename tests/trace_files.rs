@@ -11,6 +11,7 @@ use std::path::PathBuf;
 use via::core::replay::{ReplayConfig, ReplaySim};
 use via::core::strategy::StrategyKind;
 use via::model::ids::{AsId, CountryId};
+use via::model::seed::{fnv1a, FNV_BASIS};
 use via::model::time::{SimTime, WindowLen, SECS_PER_DAY};
 use via::netsim::{World, WorldConfig};
 use via::trace::binfmt::RECORD_BYTES;
@@ -57,14 +58,6 @@ fn load_bytes(name: &str, bytes: &[u8]) -> Result<usize, TraceError> {
     outcome
 }
 
-/// The `.vbt` header digest: FNV-1a over bytes 0..48, recomputable by
-/// anyone — which is why the reader checks counts against the file too.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// A digest-valid `.vbt` header with the given schema version, record count
 /// and framing window.
 fn vbt_header(version: u32, records: u64, frame_secs: u64) -> Vec<u8> {
@@ -75,7 +68,7 @@ fn vbt_header(version: u32, records: u64, frame_secs: u64) -> Vec<u8> {
     h.extend_from_slice(&1u64.to_le_bytes());
     h.extend_from_slice(&records.to_le_bytes());
     h.extend_from_slice(&frame_secs.to_le_bytes());
-    let digest = fnv1a(&h);
+    let digest = fnv1a(FNV_BASIS, &h);
     h.extend_from_slice(&digest.to_le_bytes());
     h
 }
@@ -660,7 +653,7 @@ fn a_vbt_claiming_more_than_the_file_holds_is_a_typed_error() {
     // Behind a header re-digested to promise the claim: the 72-byte file
     // cannot hold it.
     file[32..40].copy_from_slice(&u64::from(claim).to_le_bytes());
-    let digest = fnv1a(&file[0..48]);
+    let digest = fnv1a(FNV_BASIS, &file[0..48]);
     file[48..56].copy_from_slice(&digest.to_le_bytes());
     assert_eq!(file.len(), 72);
     std::fs::write(&path, &file).unwrap();
