@@ -105,7 +105,7 @@ macro_rules! tuple_strategy {
             impl<$($name: Strategy),+> Strategy for ($($name,)+) {
                 type Value = ($($name::Value,)+);
 
-                #[allow(non_snake_case)]
+                #[allow(non_snake_case, reason = "the tuple's type parameter names bind its parts")]
                 fn generate(&self, rng: &mut StdRng) -> Self::Value {
                     let ($($name,)+) = self;
                     ($($name.generate(rng),)+)

@@ -11,7 +11,7 @@
 //! `thread_rng`, no `from_entropy`, and no OS entropy source at all — the
 //! only way to build a generator is from an explicit seed. That property is
 //! load-bearing for the replay methodology (common random numbers, §5.1 of
-//! the VIA paper) and is enforced workspace-wide by `via-audit`.
+//! the VIA paper), and it holds because this crate has nothing else to call.
 
 pub mod distr;
 pub mod rngs;

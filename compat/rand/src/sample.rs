@@ -41,7 +41,10 @@ impl StandardSample for bool {
 macro_rules! impl_standard_int {
     ($($t:ty),+) => {$(
         impl StandardSample for $t {
-            #[allow(clippy::cast_possible_truncation)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "a standard draw keeps the low bits of a 64-bit word"
+            )]
             fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
                 rng.next_u64() as $t
             }
@@ -80,7 +83,10 @@ pub trait SampleUniform: Sized + PartialOrd {
 macro_rules! impl_uniform_int {
     ($($t:ty),+) => {$(
         impl SampleUniform for $t {
-            #[allow(clippy::cast_possible_truncation)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "the draw lies in [lo, hi], so it fits the range's type"
+            )]
             fn sample_range<R: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self {
                 let (lo, hi) = (i128::from(lo), i128::from(hi));
                 assert!(lo < hi, "cannot sample from empty range");
@@ -88,7 +94,10 @@ macro_rules! impl_uniform_int {
                 (lo + draw) as $t
             }
 
-            #[allow(clippy::cast_possible_truncation)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "the draw lies in [lo, hi], so it fits the range's type"
+            )]
             fn sample_range_inclusive<R: RngCore + ?Sized>(
                 lo: Self,
                 hi: Self,
@@ -117,12 +126,18 @@ impl SampleUniform for usize {
 }
 
 impl SampleUniform for isize {
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "the draw lies in [lo, hi], so it fits the range's type"
+    )]
     fn sample_range<R: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self {
         i64::sample_range(lo as i64, hi as i64, rng) as isize
     }
 
-    #[allow(clippy::cast_possible_truncation)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "the draw lies in [lo, hi], so it fits the range's type"
+    )]
     fn sample_range_inclusive<R: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self {
         i64::sample_range_inclusive(lo as i64, hi as i64, rng) as isize
     }
@@ -131,14 +146,20 @@ impl SampleUniform for isize {
 macro_rules! impl_uniform_float {
     ($($t:ty),+) => {$(
         impl SampleUniform for $t {
-            #[allow(clippy::cast_possible_truncation)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "a unit draw in f64 narrows to the range's float type"
+            )]
             fn sample_range<R: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self {
                 assert!(lo < hi, "cannot sample from empty range");
                 let u = unit_f64(rng) as $t;
                 lo + u * (hi - lo)
             }
 
-            #[allow(clippy::cast_possible_truncation)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "a unit draw in f64 narrows to the range's float type"
+            )]
             fn sample_range_inclusive<R: RngCore + ?Sized>(
                 lo: Self,
                 hi: Self,

@@ -22,7 +22,11 @@ impl<'de> Deserialize<'de> for bool {
 macro_rules! impl_serde_int {
     ($($t:ty),+) => {$(
         impl Serialize for $t {
-            #[allow(clippy::cast_lossless, clippy::cast_possible_wrap)]
+            #[allow(
+                clippy::cast_lossless,
+                clippy::cast_possible_wrap,
+                reason = "the macro covers every int type; i128 holds each of them"
+            )]
             fn serialize_value(&self) -> Value {
                 // u64 values above i64::MAX need the U64 variant; everything
                 // else fits I64.
@@ -36,7 +40,11 @@ macro_rules! impl_serde_int {
         }
 
         impl<'de> Deserialize<'de> for $t {
-            #[allow(clippy::cast_possible_truncation, clippy::float_cmp)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                clippy::float_cmp,
+                reason = "only an integral float below 2^63 is cast, and its range is checked after"
+            )]
             fn deserialize_value(value: &Value) -> Result<Self, DeError> {
                 let wide: i128 = match value {
                     Value::I64(v) => i128::from(*v),
@@ -61,14 +69,18 @@ impl_serde_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 macro_rules! impl_serde_float {
     ($($t:ty),+) => {$(
         impl Serialize for $t {
-            #[allow(clippy::cast_lossless)]
+            #[allow(clippy::cast_lossless, reason = "the macro covers f32 and f64 alike")]
             fn serialize_value(&self) -> Value {
                 Value::F64(*self as f64)
             }
         }
 
         impl<'de> Deserialize<'de> for $t {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                clippy::cast_precision_loss,
+                reason = "JSON numbers are f64; an f32 field takes the nearest value"
+            )]
             fn deserialize_value(value: &Value) -> Result<Self, DeError> {
                 match value {
                     Value::F64(f) => Ok(*f as $t),

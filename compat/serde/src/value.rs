@@ -4,8 +4,8 @@
 /// (de)serialization in this workspace flows through.
 ///
 /// Maps preserve insertion order (they are association lists, not hash
-/// maps), so serialized output is deterministic — a property `via-audit`
-/// demands of everything on the simulation path.
+/// maps), so serialized output is deterministic, as everything on the
+/// simulation path must be.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.

@@ -1,7 +1,11 @@
 //! `#[serde(skip)]` derive support: skipped fields are omitted when
 //! serializing and refilled from `Default::default()` when deserializing.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a test fails by panicking"
+)]
 
 use serde::{Deserialize, Serialize};
 

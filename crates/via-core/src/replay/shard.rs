@@ -561,7 +561,7 @@ impl<'a> ReplaySim<'a> {
     /// Books a realized call: the hot metrics (into the shard's sink, which
     /// keeps them only in a run that collects metrics), the feedback to the
     /// pair's arms and history cells, and the outcome.
-    #[allow(clippy::too_many_arguments)] // the shard loop's third step
+    #[expect(clippy::too_many_arguments, reason = "the shard loop's third step")]
     fn record(
         &self,
         ctx: &WindowCtx<'_>,

@@ -220,7 +220,7 @@ impl From<StrategyKind> for Plan {
 pub struct GateState(Admission);
 
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // one per run, never moved
+#[expect(clippy::large_enum_variant, reason = "one per run, never moved")]
 enum Admission {
     Open,
     Percentile {

@@ -9,9 +9,10 @@
 //! window framing, file decoding, or the streamed prefetch driver shows up
 //! as a JSON diff here before it shows up as a wrong paper figure.
 
-// Test code: panicking on a broken fixture or a failed serialization is the
-// right behavior.
-#![allow(clippy::expect_used)]
+#![allow(
+    clippy::expect_used,
+    reason = "test code: a broken fixture or a failed serialization panics"
+)]
 
 use std::path::PathBuf;
 use via_core::replay::{ReplayConfig, ReplaySim};

@@ -7,7 +7,7 @@
 
 // Experiment driver: aborting with the underlying error is the right
 // response to a broken fixture or output path — no caller to recover.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "fail-fast binary")]
 
 use serde::Serialize;
 use via_experiments::{build_env, header, pct, row, write_json, Args};

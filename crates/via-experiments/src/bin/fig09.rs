@@ -8,10 +8,10 @@
 
 // Experiment driver: aborting with the underlying error is the right
 // response to a broken fixture or output path — no caller to recover.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "fail-fast binary")]
 
 use serde::Serialize;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use via_experiments::{build_env, header, pct, row, write_json, Args};
 use via_model::metrics::Metric;
 use via_model::stats::Cdf;
@@ -32,7 +32,7 @@ fn main() {
     let objective = Metric::Rtt;
 
     // Unique AS pairs seen in the trace.
-    let pairs: HashSet<(via_model::AsId, via_model::AsId)> = env
+    let pairs: BTreeSet<(via_model::AsId, via_model::AsId)> = env
         .trace
         .records
         .iter()

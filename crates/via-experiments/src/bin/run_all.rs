@@ -6,7 +6,7 @@
 
 // Experiment driver: aborting with the underlying error is the right
 // response to a broken fixture or output path — no caller to recover.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "fail-fast binary")]
 
 use std::process::Command;
 

@@ -13,9 +13,8 @@
 
 // Experiment-driver code: a failure to create the output directory or write
 // a result file should abort the run with the OS error — there is no caller
-// to recover. The unwrap/expect denies target the simulation libraries;
-// via-audit exempts this crate too (see crates/via-audit/src/lib.rs).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// to recover. The unwrap/expect denies target the simulation libraries.
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "bins fail fast")]
 
 use serde::Serialize;
 use std::path::{Path, PathBuf};

@@ -7,8 +7,7 @@
 //! to the same stream). `simulate_set` inherits the permutation invariance
 //! because every per-path draw comes from the path's own keyed stream.
 
-// Test code: panicking on a broken fixture is the right behavior.
-#![allow(clippy::expect_used)]
+#![allow(clippy::expect_used, reason = "test code: a broken fixture panics")]
 
 use proptest::prelude::*;
 use via_media::merge::{

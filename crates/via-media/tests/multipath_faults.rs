@@ -8,8 +8,7 @@
 //! kill both and the set fails with the *same* typed cause as a singlepath
 //! relay death, so upstream failure handling never needs a multipath case.
 
-// Test code: panicking on a broken fixture is the right behavior.
-#![allow(clippy::expect_used)]
+#![allow(clippy::expect_used, reason = "test code: a broken fixture panics")]
 
 use via_media::merge::{
     simulate_set, MergeConfig, MergeFailure, MergeMode, MergeReport, MergeScratch, PathSpec,

@@ -49,9 +49,9 @@ impl OnlineStats {
 
     /// Merges another accumulator into this one (Chan et al. parallel
     /// variance update). Allows per-shard aggregation followed by combination.
-    // Float order is fixed: every caller combines shards in shard-index
-    // order, so the operation sequence is deterministic per shard count.
-    // via-audit: ordered-merge(Chan pairwise update, applied in shard-index order)
+    // Float addition is not associative, so the result depends on merge
+    // order; every caller combines shards in shard-index order, which fixes
+    // the operation sequence for a given shard count.
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.n == 0 {
             return;

@@ -594,7 +594,7 @@ impl PerfModel {
     /// the baseline shares the call's own luck instead of drawing an
     /// independent realization. `option` is scored first, so the access legs
     /// the two paths share are instant-memo hits for the baseline.
-    #[allow(clippy::too_many_arguments)] // the paired hot-path entry point
+    #[expect(clippy::too_many_arguments, reason = "the paired hot-path entry point")]
     pub fn sample_option_paired(
         &self,
         src: AsId,

@@ -24,9 +24,10 @@
 //! (enumerate each touched AS pair once, every reader sees the same set);
 //! [`racing_first_touch_enumerates_each_pair_once`] races it the same way.
 
-// Test-harness helpers outside #[test] fns: panicking on a broken schedule
-// generator is the correct behavior here, as in any test.
-#![allow(clippy::expect_used)]
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside `#[test]` fns: a broken schedule generator panics"
+)]
 
 use std::sync::{Arc, Barrier};
 

@@ -12,9 +12,11 @@
 //! Socket ≡ in-process is pinned in the root `tests/server_batch_equivalence.rs`,
 //! where tier-1 `cargo test -q` runs it.
 
-// Test code: panicking on a broken fixture or a failed round trip is the
-// right behavior.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: a broken fixture or a failed round trip panics"
+)]
 
 use std::collections::HashMap;
 use std::sync::Arc;

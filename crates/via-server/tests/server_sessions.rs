@@ -3,9 +3,11 @@
 //! cross-wiring bug class fixed in `via-testbed`'s allocator), and clean
 //! client-initiated shutdown.
 
-// Test code: panicking on a failed connect or round trip is the right
-// behavior.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: a failed connect or round trip panics"
+)]
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -294,7 +294,10 @@ fn probe_ssrc(session: u16, round: u32, leg: PathLeg) -> u32 {
 /// lost, and arrival timestamps are measured from the earliest probe that
 /// actually went out (falling back to the call start). Only a call where
 /// *no* probe could be sent is an error.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one probe stream: its sockets, target, session and shape"
+)]
 fn measure_call(
     udp: &UdpSocket,
     echo_rx: &Receiver<EchoEvent>,

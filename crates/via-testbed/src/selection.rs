@@ -133,6 +133,10 @@ pub fn evaluate_via_selection(reports: &[ReportRecord], objective: Metric) -> Fi
             }
             // Fold this round's full sweep into history (back-to-back calls
             // are all observed, as in the paper's controlled experiment).
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "each relay's value goes to that relay's own accumulator"
+            )]
             for (&relay, &v) in values.iter() {
                 stats.entry(relay).or_default().push(v);
             }

@@ -275,9 +275,10 @@ pub fn temporal_patterns(trace: &Trace, min_calls_per_day: usize) -> TemporalPat
 
     // Pair → sorted list of (day, high?)
     let mut per_pair: HashMap<AsPair, Vec<(u64, bool)>> = HashMap::new();
-    // Order-insensitive: each pair's day list is re-sorted by day before
-    // use below, so the push order into `per_pair` cannot reach results.
-    // via-audit: allow(map-iteration-order)
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "each pair's day list is re-sorted by day before use below"
+    )]
     for ((pair, day), (poor, total)) in cells {
         if total < min_calls_per_day {
             continue;

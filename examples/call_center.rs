@@ -10,9 +10,11 @@
 //! cargo run --release --example call_center
 //! ```
 
-// Example code: terse unwraps keep the walkthrough readable, and an
-// abort with the underlying error is acceptable in a demo binary.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "example code: terse unwraps keep the walkthrough readable"
+)]
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -79,7 +81,7 @@ fn main() {
         let (best, best_m) = options
             .iter()
             .map(|&o| (o, world.perf().option_mean(us.id, india.id, o, t)))
-            .min_by(|a, b| a.1.rtt_ms.partial_cmp(&b.1.rtt_ms).unwrap())
+            .min_by(|a, b| a.1.rtt_ms.total_cmp(&b.1.rtt_ms))
             .unwrap();
         if last_best.is_some() && last_best != Some(best) {
             switches += 1;

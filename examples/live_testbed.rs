@@ -7,9 +7,11 @@
 //! cargo run --release --example live_testbed
 //! ```
 
-// Example code: terse unwraps keep the walkthrough readable, and an
-// abort with the underlying error is acceptable in a demo binary.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "example code: terse unwraps keep the walkthrough readable"
+)]
 
 use via::model::metrics::Metric;
 use via::model::stats::Cdf;

@@ -9,9 +9,11 @@
 //! cargo run --release --example network_weather
 //! ```
 
-// Example code: terse unwraps keep the walkthrough readable, and an
-// abort with the underlying error is acceptable in a demo binary.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "example code: terse unwraps keep the walkthrough readable"
+)]
 
 use via::model::metrics::{Metric, Thresholds};
 use via::model::time::SimTime;
@@ -79,7 +81,7 @@ fn main() {
             .min_by(|&x, &y| {
                 let mx = world.perf().option_mean(src, dst, x, t_mid)[Metric::Rtt];
                 let my = world.perf().option_mean(src, dst, y, t_mid)[Metric::Rtt];
-                mx.partial_cmp(&my).unwrap()
+                mx.total_cmp(&my)
             })
             .expect("candidates exist");
         println!("day {day:>2}  {strip}   oracle: {best}");

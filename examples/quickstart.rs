@@ -5,9 +5,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
-// Example code: terse unwraps keep the walkthrough readable, and an
-// abort with the underlying error is acceptable in a demo binary.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "example code: terse unwraps keep the walkthrough readable"
+)]
 
 use via::core::replay::{ReplayConfig, ReplaySim};
 use via::core::strategy::StrategyKind;

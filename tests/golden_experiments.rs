@@ -23,9 +23,11 @@
 //! Commit the updated fixtures together with the change that explains them.
 //! Never regenerate to silence a mismatch you cannot explain.
 
-// Test driver: panicking on a missing fixture or unwritable path is the
-// desired failure mode.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: a missing fixture or an unwritable path panics"
+)]
 
 use std::path::{Path, PathBuf};
 use via::core::strategy::{MultipathMode, StrategyKind};

@@ -4,7 +4,7 @@
 //! sharded or sourced, and the same replay with `metrics: false` — workers
 //! holding sinks with no slots — must change nothing but `obs`.
 
-#![allow(clippy::expect_used)]
+#![allow(clippy::expect_used, reason = "test code: a broken fixture panics")]
 
 use via::core::replay::{Outcome, ReplayConfig, ReplaySim};
 use via::core::strategy::{MultipathMode, StrategyKind};

@@ -16,7 +16,7 @@
 //!
 //! [`ReplayAggregate`]: via::core::replay::ReplayAggregate
 
-#![allow(clippy::expect_used)]
+#![allow(clippy::expect_used, reason = "test code: a broken fixture panics")]
 
 use via::core::replay::{ReplayConfig, ReplaySim};
 use via::core::strategy::{MultipathMode, StrategyKind};

@@ -9,7 +9,7 @@
 //! so this is where a gate or shard-loop change that depends on the worker
 //! count or the record source shows first.
 
-#![allow(clippy::expect_used)]
+#![allow(clippy::expect_used, reason = "test code: a broken fixture panics")]
 
 use via::core::replay::{Outcome, ReplayConfig, ReplaySim};
 use via::core::strategy::{MultipathMode, StrategyKind};

@@ -24,7 +24,7 @@
 //! snapshot/restore are pinned in
 //! `crates/via-server/tests/server_determinism.rs`.
 
-#![allow(clippy::expect_used)]
+#![allow(clippy::expect_used, reason = "test code: a broken fixture panics")]
 
 use std::collections::HashMap;
 use std::io::{Read, Write};

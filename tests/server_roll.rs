@@ -22,7 +22,11 @@
 //! its cells as refused, and four threads racing selects and reports across
 //! twenty-odd rolls lose and double-count no report.
 
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "test code: a broken fixture panics"
+)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};

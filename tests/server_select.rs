@@ -11,7 +11,7 @@
 //! An in-process caller's candidate naming a relay outside the fleet is
 //! dropped before the arms are built, so not even ε exploration returns it.
 
-#![allow(clippy::expect_used)]
+#![allow(clippy::expect_used, reason = "test code: a broken fixture panics")]
 
 use std::sync::Arc;
 

@@ -3,8 +3,10 @@
 //! claiming gigabytes, a truncated JSONL body — refused with a typed error
 //! instead of an abort or a silently shorter trace.
 
-// Test driver: a fixture that cannot be written is the failure.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "test code: a fixture that cannot be written is the failure"
+)]
 
 use std::path::PathBuf;
 
