@@ -740,6 +740,123 @@ mod tests {
         joiner.join().unwrap();
     }
 
+    /// A second `Register` for a client already registered is a protocol
+    /// violation, like every other bad registration: it must not silently
+    /// replace the first registrant's connection.
+    #[test]
+    fn rejects_a_second_register_for_one_client() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let joiners: Vec<_> = (0..2)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let mut s = TcpStream::connect(addr).unwrap();
+                    write_frame(
+                        &mut s,
+                        &ClientMsg::Register {
+                            name: "real".into(),
+                            udp_port: 1,
+                        },
+                    )
+                    .unwrap();
+                    // A `Welcome`, or an error once the controller gives up.
+                    let _ = read_frame::<ControllerMsg>(&mut s);
+                })
+            })
+            .collect();
+        let cfg = ControllerConfig {
+            rounds: 1,
+            probes: 1,
+            gap_ms: 1,
+            pairs: Vec::new(),
+            timing: ControlTiming {
+                registration: Duration::from_millis(500),
+                ..ControlTiming::default()
+            },
+        };
+        let got = run_controller(
+            listener,
+            cfg,
+            2,
+            |_, _, _, _, _| {},
+            &ControlHooks::default(),
+        );
+        assert!(
+            matches!(got, Err(TestbedError::Protocol(_))),
+            "{:?}",
+            got.map(|o| o.failures)
+        );
+        for j in joiners {
+            j.join().unwrap();
+        }
+    }
+
+    /// Session ids go to runnable pairs in plan order and to each pair's
+    /// relays in order, from 1; a pair naming an absent client gets none.
+    /// The relay's per-session sway is seeded by this id, so the allocation
+    /// is part of every testbed measurement.
+    #[test]
+    fn session_ids_follow_runnable_pairs_then_relays() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Clients 0, 1 and 2 register and wait for `Finished`; 3 never comes.
+        let joiners: Vec<_> = ["client-0", "client-1", "client-2"]
+            .into_iter()
+            .map(|name| {
+                std::thread::spawn(move || {
+                    let mut s = TcpStream::connect(addr).unwrap();
+                    write_frame(
+                        &mut s,
+                        &ClientMsg::Register {
+                            name: name.into(),
+                            udp_port: 1,
+                        },
+                    )
+                    .unwrap();
+                    while let Ok(msg) = read_frame::<ControllerMsg>(&mut s) {
+                        if msg == ControllerMsg::Finished {
+                            break;
+                        }
+                    }
+                })
+            })
+            .collect();
+        let relay: SocketAddr = "127.0.0.1:5000".parse().unwrap();
+        let pair = |callee: &str| PairSpec {
+            caller: "client-0".into(),
+            callee: callee.into(),
+            relays: vec![(0, relay), (1, relay)],
+        };
+        let cfg = ControllerConfig {
+            rounds: 1,
+            probes: 1,
+            gap_ms: 1,
+            pairs: vec![pair("client-1"), pair("client-2"), pair("client-3")],
+            // No call is answered: the global deadline ends the run early.
+            timing: ControlTiming {
+                registration: Duration::from_millis(300),
+                global: Duration::from_millis(600),
+                ..ControlTiming::default()
+            },
+        };
+        let granted = std::cell::RefCell::new(Vec::new());
+        run_controller(
+            listener,
+            cfg,
+            4,
+            |pair_idx, relay, session, _, _| granted.borrow_mut().push((pair_idx, relay, session)),
+            &ControlHooks::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            granted.into_inner(),
+            [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)]
+        );
+        for j in joiners {
+            j.join().unwrap();
+        }
+    }
+
     /// A client that never registers degrades into per-pair failures rather
     /// than aborting the run (partial-results contract).
     #[test]
