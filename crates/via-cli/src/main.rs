@@ -426,15 +426,15 @@ fn cmd_testbed(rest: &[String]) -> CliResult {
         for f in &result.failures {
             let relay = f.relay.map_or_else(|| "-".to_string(), |r| r.to_string());
             println!(
-                "  {}->{} relay {relay}: {}",
+                "  client-{}->client-{} relay {relay}: {}",
                 f.caller,
                 f.callee,
                 f.cause.kind()
             );
         }
     }
-    for e in &result.client_errors {
-        println!("client error: {e}");
+    for (client, e) in &result.client_errors {
+        println!("client error: client-{client}: {e}");
     }
     let eval = via_testbed::evaluate_via_selection(&result.reports, Metric::Rtt);
     println!(

@@ -47,15 +47,6 @@ pub struct ClientConfig {
     pub faults: Option<FrameFaults>,
 }
 
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            idle_timeout: Duration::from_secs(120),
-            faults: None,
-        }
-    }
-}
-
 /// An echo received by the media socket, forwarded to the measurement loop.
 #[derive(Debug, Clone)]
 struct EchoEvent {
@@ -89,7 +80,7 @@ struct CallSample {
 /// including [`TestbedError::Timeout`] when the controller goes silent past
 /// `cfg.idle_timeout`.
 pub fn run_client_with(
-    name: &str,
+    client: usize,
     controller: SocketAddr,
     mut cfg: ClientConfig,
 ) -> Result<(), TestbedError> {
@@ -103,7 +94,7 @@ pub fn run_client_with(
 
     // Run the control loop, then stop the responder on *every* exit path so
     // an error return can never leak the media thread.
-    let result = control_loop(name, controller, &mut cfg, &udp, &echo_rx);
+    let result = control_loop(client, controller, &mut cfg, &udp, &echo_rx);
     stop.store(true, Ordering::Relaxed);
     let _ = responder.join();
     result
@@ -111,7 +102,7 @@ pub fn run_client_with(
 
 /// The client's control-plane loop: register, serve calls, disconnect.
 fn control_loop(
-    name: &str,
+    client: usize,
     controller: SocketAddr,
     cfg: &mut ClientConfig,
     udp: &UdpSocket,
@@ -120,7 +111,7 @@ fn control_loop(
     let stream = connect_deadline(controller, CONNECT_TIMEOUT)?;
     let mut conn = FrameConn::new(stream)?;
     conn.write(&ClientMsg::Register {
-        name: name.to_string(),
+        client,
         udp_port: udp.local_addr()?.port(),
     })?;
     let welcome: ControllerMsg = conn.read_deadline(Instant::now() + cfg.idle_timeout)?;
@@ -135,7 +126,7 @@ fn control_loop(
             Ok(m) => m,
             Err(FrameError::Timeout) => {
                 return Err(TestbedError::Timeout(format!(
-                    "client {name}: no controller frame within {:?}",
+                    "no controller frame within {:?}",
                     cfg.idle_timeout
                 )))
             }
@@ -154,7 +145,6 @@ fn control_loop(
                 round,
                 probes,
                 gap_ms,
-                callee,
             } => {
                 let relay_sock: SocketAddr = relay_addr.parse().map_err(|e| {
                     TestbedError::Protocol(format!("bad relay addr {relay_addr}: {e}"))
@@ -191,8 +181,6 @@ fn control_loop(
                     (sample.metrics, false)
                 };
                 let report = ClientMsg::Report {
-                    caller: name.to_string(),
-                    callee,
                     relay,
                     round,
                     metrics,
@@ -223,9 +211,7 @@ fn control_loop(
     }
 
     // Best-effort: the controller may already have torn the stream down.
-    let _ = conn.write(&ClientMsg::Done {
-        name: name.to_string(),
-    });
+    let _ = conn.write(&ClientMsg::Done);
     Ok(())
 }
 
@@ -409,7 +395,8 @@ fn measure_call(
 mod tests {
     use super::*;
     use crate::impair::ImpairParams;
-    use crate::relay::{RelayHandle, Session};
+    use crate::relay::tests::steady;
+    use crate::relay::RelayHandle;
 
     /// End-to-end measurement through a real relay with known impairment.
     #[test]
@@ -437,7 +424,7 @@ mod tests {
 
         relay.register_session(
             1,
-            Session::steady(
+            steady(
                 caller.local_addr().unwrap(),
                 callee.local_addr().unwrap(),
                 ImpairParams {

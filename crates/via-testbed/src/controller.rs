@@ -15,12 +15,15 @@
 //! [`PairFailure`], not a dead run. A hard global deadline caps the whole
 //! orchestration. The controller therefore returns *partial* results — every
 //! report it did collect plus a typed cause for every call it could not.
+//!
+//! The controller injects its share of the [`FaultPlan`] itself: each
+//! caller's `ctrl-call` frame stream and the [`RelayKill`], on the relay
+//! handles it holds.
 
 use parking_lot::Mutex;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 use via_model::metrics::PathMetrics;
@@ -29,10 +32,11 @@ use via_obs::{MetricSink, LATENCY_MS};
 
 use crate::client::COLLECT_CEILING_MS;
 use crate::error::TestbedError;
-use crate::fault::{backoff, FrameFate, FrameFaults};
+use crate::fault::{backoff, FaultPlan, FrameFate, FrameFaults, RelayKill};
 use crate::protocol::{
     accept_deadline, ClientMsg, ControllerMsg, FrameConn, FrameError, RelayIndex,
 };
+use crate::relay::RelayHandle;
 
 /// The relay-session id of a run's `n`th allocation (1-based). A run
 /// allocates one id per (pair, relay) and never frees one, so ids run 1, 2,
@@ -50,15 +54,15 @@ fn session_id(n: usize) -> Result<u16, TestbedError> {
 /// One caller–callee pair and its relaying options.
 #[derive(Debug, Clone)]
 pub struct PairSpec {
-    /// Caller client name.
-    pub caller: String,
-    /// Callee client name.
-    pub callee: String,
+    /// Caller client index.
+    pub caller: usize,
+    /// Callee client index.
+    pub callee: usize,
     /// Relay options: (index for reporting, relay UDP address).
     pub relays: Vec<(RelayIndex, SocketAddr)>,
 }
 
-/// Deadlines and backoff seeding for the control plane.
+/// Deadlines for the control plane.
 #[derive(Debug, Clone)]
 pub struct ControlTiming {
     /// Longest the controller waits for client registrations before
@@ -66,8 +70,6 @@ pub struct ControlTiming {
     pub registration: Duration,
     /// Hard wall-clock ceiling on the whole orchestration.
     pub global: Duration,
-    /// Seed for backoff jitter (per-caller streams are derived from it).
-    pub seed: u64,
 }
 
 impl Default for ControlTiming {
@@ -75,33 +77,36 @@ impl Default for ControlTiming {
         ControlTiming {
             registration: Duration::from_secs(10),
             global: Duration::from_secs(180),
-            seed: 0,
         }
     }
 }
 
 /// Orchestration parameters.
-#[derive(Debug, Clone)]
-pub struct ControllerConfig {
+pub struct ControllerConfig<'a> {
     /// Back-to-back sweeps per pair (paper: 4–5).
     pub rounds: u32,
     /// Probe packets per call.
     pub probes: u16,
     /// Gap between probes, ms.
     pub gap_ms: u64,
-    /// The pair plan.
+    /// The pair plan; a pair is its index in it.
     pub pairs: Vec<PairSpec>,
-    /// Deadlines and backoff seeding.
+    /// Deadlines.
     pub timing: ControlTiming,
+    /// Read for each caller's `ctrl-call` frame stream, the relay kill and
+    /// the backoff seed.
+    pub fault: &'a FaultPlan,
+    /// The relays by index, for the kill.
+    pub relays: &'a [RelayHandle],
 }
 
 /// One collected measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReportRecord {
-    /// Caller name.
-    pub caller: String,
-    /// Callee name.
-    pub callee: String,
+    /// Caller client index.
+    pub caller: usize,
+    /// Callee client index.
+    pub callee: usize,
     /// Relay used.
     pub relay: RelayIndex,
     /// Sweep index.
@@ -109,7 +114,7 @@ pub struct ReportRecord {
     /// Measured metrics.
     pub metrics: PathMetrics,
     /// True when the relay leg was dead and the metrics were measured over
-    /// the direct fallback path instead (see `client`).
+    /// the direct fallback path instead.
     pub degraded: bool,
 }
 
@@ -118,8 +123,8 @@ pub struct ReportRecord {
 pub enum FailureCause {
     /// A participant never registered within the registration deadline.
     Unregistered {
-        /// The missing client's name.
-        name: String,
+        /// The missing client's index.
+        client: usize,
     },
     /// Every retry of the call exhausted its deadline without a report.
     CallTimeout,
@@ -149,16 +154,29 @@ impl FailureCause {
 /// One planned call (or pair) that produced no report, with its cause.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PairFailure {
-    /// Caller name.
-    pub caller: String,
-    /// Callee name.
-    pub callee: String,
+    /// Caller client index.
+    pub caller: usize,
+    /// Callee client index.
+    pub callee: usize,
     /// Relay of the failed call; `None` when the whole pair failed.
     pub relay: Option<RelayIndex>,
     /// Round of the failed call; `None` when the whole pair failed.
     pub round: Option<u32>,
     /// Why it failed.
     pub cause: FailureCause,
+}
+
+impl PairFailure {
+    /// The whole pair `caller → callee` failed.
+    fn whole(caller: usize, callee: usize, cause: FailureCause) -> PairFailure {
+        PairFailure {
+            caller,
+            callee,
+            relay: None,
+            round: None,
+            cause,
+        }
+    }
 }
 
 /// Everything the controller returns: partial results plus typed failures.
@@ -180,23 +198,6 @@ pub struct ControllerOutcome {
     pub obs: MetricSink,
 }
 
-/// Per-caller factory for the fault stream applied to outgoing `Call`
-/// frames (`None` means no faults for that caller).
-pub type CallerFaultsFn<'a> = dyn Fn(&str) -> Option<FrameFaults> + Sync + 'a;
-
-/// Hook invoked just before each call is placed, with
-/// `(caller, pair_idx, relay, round)` — the kill-switch trigger point.
-pub type BeforeCallFn<'a> = dyn Fn(&str, usize, RelayIndex, u32) + Sync + 'a;
-
-/// Fault-injection hooks threaded into the controller by the harness.
-#[derive(Default)]
-pub struct ControlHooks<'a> {
-    /// Per-caller fault-stream factory (`None` hook means no faults).
-    pub caller_faults: Option<&'a CallerFaultsFn<'a>>,
-    /// Pre-call kill-switch trigger point.
-    pub before_call: Option<&'a BeforeCallFn<'a>>,
-}
-
 /// Slack added on top of the analytic per-call-attempt budget to absorb
 /// scheduler noise.
 const CALL_MARGIN: Duration = Duration::from_secs(3);
@@ -213,39 +214,48 @@ fn call_attempt_budget(probes: u16, gap_ms: u64) -> Duration {
 /// re-sent after a seeded, jittered [`backoff`].
 const CALL_ATTEMPTS: u32 = 3;
 
+/// A runnable pair as its caller's thread drives it.
+struct Planned {
+    /// Index in the plan: what a [`RelayKill`] names.
+    idx: usize,
+    callee: usize,
+    callee_addr: SocketAddr,
+    /// Each relay option with the session id installed for it.
+    relays: Vec<(RelayIndex, SocketAddr, u16)>,
+}
+
 /// Shared, read-only context for the per-caller orchestration threads.
 struct CallerCtx<'a> {
     rounds: u32,
     probes: u16,
     gap_ms: u64,
     budget: Duration,
-    seed: u64,
+    /// Parent of every caller's backoff stream.
+    backoff_seed: u64,
     global_deadline: Instant,
-    sessions: &'a HashMap<(usize, RelayIndex), u16>,
-    udp_addr_of: &'a HashMap<String, SocketAddr>,
-    before_call: Option<&'a BeforeCallFn<'a>>,
+    kill: Option<RelayKill>,
+    relays: &'a [RelayHandle],
     reports: &'a Mutex<Vec<ReportRecord>>,
     failures: &'a Mutex<Vec<PairFailure>>,
 }
 
-/// Runs the controller: waits (bounded) for up to `expected_clients`
-/// registrations on `listener`, installs sessions via `registrar` — a
-/// callback invoked as `(pair_idx, relay, session_id, caller_addr,
-/// callee_addr)` before any calls are placed — orchestrates all calls with
-/// deadlines and retries, releases the clients, and returns the partial
-/// results.
+/// Runs the controller: waits (bounded) for the `n_clients` clients to
+/// register on `listener`, installs sessions via `registrar` — a callback
+/// invoked as `(pair_idx, relay, session_id, caller_addr, callee_addr)`
+/// before any calls are placed — orchestrates all calls with deadlines and
+/// retries, releases the clients, and returns the partial results.
 ///
 /// # Errors
 /// Only *setup* failures (listener I/O, a protocol violation during
-/// registration, or a plan naming a client that does not exist even though
-/// every expected client registered) abort the run. Per-call and per-pair
-/// failures are returned in [`ControllerOutcome::failures`] instead.
+/// registration — a client index out of range or registered twice — or a
+/// plan naming a client that does not exist even though every expected
+/// client registered) abort the run. Per-call and per-pair failures are
+/// returned in [`ControllerOutcome::failures`] instead.
 pub fn run_controller(
     listener: TcpListener,
-    cfg: ControllerConfig,
-    expected_clients: usize,
+    cfg: ControllerConfig<'_>,
+    n_clients: usize,
     registrar: impl Fn(usize, RelayIndex, u16, SocketAddr, SocketAddr),
-    hooks: &ControlHooks<'_>,
 ) -> Result<ControllerOutcome, TestbedError> {
     let start = Instant::now();
     let global_deadline = start + cfg.timing.global;
@@ -253,10 +263,11 @@ pub fn run_controller(
     let mut obs = MetricSink::with_timing();
     let t_registration = obs.start();
 
-    // Phase 1: registration, bounded by the registration deadline.
-    let mut conns: HashMap<String, FrameConn> = HashMap::new();
-    let mut udp_addr_of: HashMap<String, SocketAddr> = HashMap::new();
-    while conns.len() < expected_clients {
+    // Phase 1: registration, bounded by the registration deadline. A client
+    // is its index: one slot each.
+    let mut clients: Vec<Option<(FrameConn, SocketAddr)>> = (0..n_clients).map(|_| None).collect();
+    let mut registered = 0;
+    while registered < n_clients {
         let Some((stream, peer)) = accept_deadline(&listener, reg_deadline)? else {
             break; // deadline passed: proceed with whoever arrived
         };
@@ -266,96 +277,101 @@ pub fn run_controller(
             Err(FrameError::Timeout) => break, // connected but silent
             Err(e) => return Err(e.into()),
         };
-        match msg {
-            ClientMsg::Register { name, udp_port } => {
-                let udp_addr = SocketAddr::new(peer.ip(), udp_port);
-                conn.write(&ControllerMsg::Welcome)?;
-                udp_addr_of.insert(name.clone(), udp_addr);
-                conns.insert(name, conn);
-            }
-            other => {
+        let ClientMsg::Register { client, udp_port } = msg else {
+            return Err(TestbedError::Protocol(format!(
+                "expected Register, got {msg:?}"
+            )));
+        };
+        match clients.get_mut(client) {
+            None => {
                 return Err(TestbedError::Protocol(format!(
-                    "expected Register, got {other:?}"
+                    "Register for client {client}, but the run has {n_clients} clients"
                 )))
             }
-        }
-    }
-    let all_registered = conns.len() >= expected_clients;
-    obs.time("testbed.registration", t_registration);
-    obs.inc("testbed_clients_registered_total", conns.len() as u64);
-
-    // Partition the plan into runnable pairs and pre-failed ones. A plan
-    // that names a client *nobody has ever heard of* while every expected
-    // client registered is a configuration bug and fails loudly (the old
-    // silent `127.0.0.1:0` fallback measured nothing); a merely absent
-    // client degrades into per-pair `Unregistered` failures.
-    let mut failures: Vec<PairFailure> = Vec::new();
-    let mut runnable: Vec<(usize, PairSpec)> = Vec::new();
-    for (idx, pair) in cfg.pairs.iter().enumerate() {
-        let missing = [&pair.caller, &pair.callee]
-            .into_iter()
-            .find(|name| !udp_addr_of.contains_key(*name));
-        match missing {
-            Some(name) if all_registered => {
+            Some(Some(_)) => {
                 return Err(TestbedError::Protocol(format!(
-                    "pair plan names unknown client {name}"
-                )));
+                    "a second Register for client {client}"
+                )))
             }
-            Some(name) => failures.push(PairFailure {
-                caller: pair.caller.clone(),
-                callee: pair.callee.clone(),
-                relay: None,
-                round: None,
-                cause: FailureCause::Unregistered { name: name.clone() },
-            }),
-            None => runnable.push((idx, pair.clone())),
+            Some(slot) => {
+                conn.write(&ControllerMsg::Welcome)?;
+                *slot = Some((conn, SocketAddr::new(peer.ip(), udp_port)));
+                registered += 1;
+            }
         }
     }
+    let all_registered = registered == n_clients;
+    obs.time("testbed.registration", t_registration);
+    obs.inc("testbed_clients_registered_total", registered as u64);
+    let udp_addr_of: Vec<Option<SocketAddr>> = clients
+        .iter()
+        .map(|c| c.as_ref().map(|&(_, addr)| addr))
+        .collect();
+    let mut conns: Vec<Option<FrameConn>> = clients
+        .into_iter()
+        .map(|c| c.map(|(conn, _)| conn))
+        .collect();
+    let addr_of = |client: usize| udp_addr_of.get(client).copied().flatten();
 
-    // Phase 2: session installation. One session id per (pair, relay),
-    // numbered by a count of allocations, not by `session_of.len()`: a plan
-    // that lists a relay twice for one pair would repeat that length.
-    let mut session_of: HashMap<(usize, RelayIndex), u16> = HashMap::new();
+    // Phase 2: split the plan into runnable pairs and pre-failed ones, and
+    // install sessions for the runnable ones. A plan that names a client
+    // *nobody has ever heard of* while every expected client registered is
+    // a configuration bug and fails loudly; a merely absent client degrades
+    // into a per-pair `Unregistered` failure. Session ids count allocations
+    // — runnable pairs in plan order, each pair's relays in order — so a
+    // plan that lists a relay twice for one pair gets two ids.
+    let mut failures: Vec<PairFailure> = Vec::new();
+    let mut by_caller: Vec<Vec<Planned>> = (0..n_clients).map(|_| Vec::new()).collect();
     let mut allocated = 0;
-    for (pair_idx, pair) in &runnable {
-        let caller_addr = *udp_addr_of
-            .get(&pair.caller)
-            .ok_or_else(|| TestbedError::Protocol(format!("unknown caller {}", pair.caller)))?;
-        let callee_addr = *udp_addr_of
-            .get(&pair.callee)
-            .ok_or_else(|| TestbedError::Protocol(format!("unknown callee {}", pair.callee)))?;
-        for &(relay, _) in &pair.relays {
+    for (idx, pair) in cfg.pairs.iter().enumerate() {
+        let (caller_addr, callee_addr) = match (addr_of(pair.caller), addr_of(pair.callee)) {
+            (Some(a), Some(b)) => (a, b),
+            (a, _) => {
+                let client = if a.is_none() {
+                    pair.caller
+                } else {
+                    pair.callee
+                };
+                if all_registered {
+                    return Err(TestbedError::Protocol(format!(
+                        "pair plan names unknown client {client}"
+                    )));
+                }
+                let cause = FailureCause::Unregistered { client };
+                failures.push(PairFailure::whole(pair.caller, pair.callee, cause));
+                continue;
+            }
+        };
+        let mut relays = Vec::with_capacity(pair.relays.len());
+        for &(relay, relay_addr) in &pair.relays {
             allocated += 1;
             let id = session_id(allocated)?;
-            registrar(*pair_idx, relay, id, caller_addr, callee_addr);
-            session_of.insert((*pair_idx, relay), id);
+            registrar(idx, relay, id, caller_addr, callee_addr);
+            relays.push((relay, relay_addr, id));
+        }
+        if let Some(calls) = by_caller.get_mut(pair.caller) {
+            calls.push(Planned {
+                idx,
+                callee: pair.callee,
+                callee_addr,
+                relays,
+            });
         }
     }
 
-    // Phase 3: orchestration, one scoped thread per caller. Callers are
-    // sorted so thread start order (and thus failure attribution on join)
-    // is deterministic.
+    // Phase 3: orchestration, one scoped thread per caller, started and
+    // joined in caller order.
     let reports: Mutex<Vec<ReportRecord>> = Mutex::new(Vec::new());
     let failures_sink: Mutex<Vec<PairFailure>> = Mutex::new(Vec::new());
-    let mut by_caller: Vec<(String, Vec<(usize, PairSpec)>)> = Vec::new();
-    for (idx, pair) in runnable {
-        match by_caller.iter_mut().find(|(c, _)| *c == pair.caller) {
-            Some((_, list)) => list.push((idx, pair)),
-            None => by_caller.push((pair.caller.clone(), vec![(idx, pair)])),
-        }
-    }
-    by_caller.sort_by(|a, b| a.0.cmp(&b.0));
-
     let ctx = CallerCtx {
         rounds: cfg.rounds,
         probes: cfg.probes,
         gap_ms: cfg.gap_ms,
         budget: call_attempt_budget(cfg.probes, cfg.gap_ms),
-        seed: cfg.timing.seed,
+        backoff_seed: seed::derive(cfg.fault.seed, "backoff"),
         global_deadline,
-        sessions: &session_of,
-        udp_addr_of: &udp_addr_of,
-        before_call: hooks.before_call,
+        kill: cfg.fault.kill_relay,
+        relays: cfg.relays,
         reports: &reports,
         failures: &failures_sink,
     };
@@ -364,40 +380,39 @@ pub fn run_controller(
     let mut finished_conns: Vec<FrameConn> = Vec::new();
     std::thread::scope(|s| {
         let mut handles = Vec::new();
-        for (caller, pairs) in by_caller {
-            let Some(conn) = conns.remove(&caller) else {
+        for (caller, pairs) in by_caller.iter().enumerate() {
+            if pairs.is_empty() {
+                continue;
+            }
+            let Some(mut conn) = conns.get_mut(caller).and_then(Option::take) else {
                 continue; // unreachable: runnable pairs have registered callers
             };
-            let faults = hooks.caller_faults.and_then(|f| f(&caller));
+            let faults = cfg.fault.frame_faults("ctrl-call", caller as u64);
             let ctx = &ctx;
             handles.push((
-                caller.clone(),
+                caller,
+                pairs,
                 s.spawn(move || {
-                    let mut conn = conn;
-                    let sink = drive_caller(ctx, &caller, &pairs, &mut conn, faults);
+                    let sink = drive_caller(ctx, caller, pairs, &mut conn, faults);
                     (conn, sink)
                 }),
             ));
         }
-        // Join in caller-name order (handles were spawned sorted), so the
-        // per-caller sinks merge in a fixed order — and the merge algebra is
-        // order-independent anyway, mirroring the replay engine's
-        // per-worker sinks folding at the window barrier.
-        for (caller, handle) in handles {
+        // The per-caller sinks merge in caller order — and the merge
+        // algebra is order-independent anyway, mirroring the replay
+        // engine's per-worker sinks folding at the window barrier.
+        for (caller, pairs, handle) in handles {
             match handle.join() {
                 Ok((conn, sink)) => {
                     obs.merge(&sink);
                     finished_conns.push(conn);
                 }
-                Err(_) => failures_sink.lock().push(PairFailure {
-                    caller,
-                    callee: String::new(),
-                    relay: None,
-                    round: None,
-                    cause: FailureCause::Stream {
-                        detail: "orchestration thread panicked".into(),
-                    },
-                }),
+                // The thread's reports went with it: each of its pairs fails
+                // whole, as when its stream is lost.
+                Err(_) => failures_sink.lock().extend(pairs.iter().map(|p| {
+                    let detail = "orchestration thread panicked".into();
+                    PairFailure::whole(caller, p.callee, FailureCause::Stream { detail })
+                })),
             }
         }
     });
@@ -406,25 +421,15 @@ pub fn run_controller(
     // Release every client (callers and idle callees), best-effort: a
     // client that already vanished must not wedge teardown.
     let teardown_deadline = Instant::now() + Duration::from_millis(500);
-    for conn in finished_conns.iter_mut().chain(conns.values_mut()) {
+    for conn in finished_conns.iter_mut().chain(conns.iter_mut().flatten()) {
         let _ = conn.write(&ControllerMsg::Finished);
         let _ = conn.read_deadline::<ClientMsg>(teardown_deadline);
     }
 
     let mut reports = reports.into_inner();
-    reports.sort_by(|a, b| {
-        (&a.caller, &a.callee, a.relay, a.round).cmp(&(&b.caller, &b.callee, b.relay, b.round))
-    });
+    reports.sort_by_key(|r| (r.caller, r.callee, r.relay, r.round));
     failures.extend(failures_sink.into_inner());
-    failures.sort_by(|a, b| {
-        (&a.caller, &a.callee, a.relay, a.round, a.cause.kind()).cmp(&(
-            &b.caller,
-            &b.callee,
-            b.relay,
-            b.round,
-            b.cause.kind(),
-        ))
-    });
+    failures.sort_by_key(|f| (f.caller, f.callee, f.relay, f.round, f.cause.kind()));
 
     // Outcome counters derive from the final sorted lists, so every report
     // and every typed failure — including pre-run `Unregistered` pairs and
@@ -457,96 +462,74 @@ pub fn run_controller(
 /// control-plane counters, merged by the controller after join.
 fn drive_caller(
     ctx: &CallerCtx<'_>,
-    caller: &str,
-    pairs: &[(usize, PairSpec)],
+    caller: usize,
+    pairs: &[Planned],
     conn: &mut FrameConn,
     mut faults: Option<FrameFaults>,
 ) -> MetricSink {
     let mut obs = MetricSink::new();
-    let mut rng = StdRng::seed_from_u64(seed::derive(ctx.seed, caller));
+    // The label is the seed's, fixed since clients had names.
+    let mut rng =
+        StdRng::seed_from_u64(seed::derive(ctx.backoff_seed, &format!("client-{caller}")));
     for round in 0..ctx.rounds {
-        for (pair_idx, pair) in pairs {
-            for &(relay, relay_addr) in &pair.relays {
+        for pair in pairs {
+            for &(relay, relay_addr, session) in &pair.relays {
+                let failure = |cause| PairFailure {
+                    caller,
+                    callee: pair.callee,
+                    relay: Some(relay),
+                    round: Some(round),
+                    cause,
+                };
                 if Instant::now() >= ctx.global_deadline {
                     obs.inc("testbed_global_deadline_skips_total", 1);
-                    ctx.failures.lock().push(PairFailure {
-                        caller: caller.to_string(),
-                        callee: pair.callee.clone(),
-                        relay: Some(relay),
-                        round: Some(round),
-                        cause: FailureCause::GlobalDeadline,
-                    });
+                    ctx.failures
+                        .lock()
+                        .push(failure(FailureCause::GlobalDeadline));
                     continue; // keep recording (cheap: no I/O past this point)
                 }
-                if let Some(hook) = ctx.before_call {
-                    hook(caller, *pair_idx, relay, round);
+                if ctx.kill
+                    == Some(RelayKill {
+                        relay,
+                        pair_idx: pair.idx,
+                        round,
+                    })
+                {
+                    if let Some(r) = ctx.relays.get(usize::from(relay)) {
+                        r.kill();
+                    }
                 }
-                let (Some(&session), Some(callee_addr)) = (
-                    ctx.sessions.get(&(*pair_idx, relay)),
-                    ctx.udp_addr_of.get(&pair.callee),
-                ) else {
-                    ctx.failures.lock().push(PairFailure {
-                        caller: caller.to_string(),
-                        callee: pair.callee.clone(),
-                        relay: Some(relay),
-                        round: Some(round),
-                        cause: FailureCause::Stream {
-                            detail: "missing session or callee address".into(),
-                        },
-                    });
-                    continue;
-                };
                 let call = ControllerMsg::Call {
-                    callee_addr: callee_addr.to_string(),
+                    callee_addr: pair.callee_addr.to_string(),
                     relay_addr: relay_addr.to_string(),
                     relay,
                     session,
                     round,
                     probes: ctx.probes,
                     gap_ms: ctx.gap_ms,
-                    callee: pair.callee.clone(),
                 };
                 obs.inc("testbed_calls_placed_total", 1);
                 match place_call(ctx, conn, &call, &mut faults, &mut rng, &mut obs) {
                     Ok(Some((metrics, degraded))) => ctx.reports.lock().push(ReportRecord {
-                        caller: caller.to_string(),
-                        callee: pair.callee.clone(),
+                        caller,
+                        callee: pair.callee,
                         relay,
                         round,
                         metrics,
                         degraded,
                     }),
-                    Ok(None) => ctx.failures.lock().push(PairFailure {
-                        caller: caller.to_string(),
-                        callee: pair.callee.clone(),
-                        relay: Some(relay),
-                        round: Some(round),
-                        cause: FailureCause::CallTimeout,
-                    }),
+                    Ok(None) => ctx.failures.lock().push(failure(FailureCause::CallTimeout)),
                     Err(e) => {
                         // The stream is unusable: fail this call, mark every
                         // pair of this caller as cut off, and stop.
                         let mut sink = ctx.failures.lock();
-                        sink.push(PairFailure {
-                            caller: caller.to_string(),
-                            callee: pair.callee.clone(),
-                            relay: Some(relay),
-                            round: Some(round),
-                            cause: FailureCause::Stream {
-                                detail: e.to_string(),
-                            },
-                        });
-                        for (_, p) in pairs {
-                            sink.push(PairFailure {
-                                caller: caller.to_string(),
-                                callee: p.callee.clone(),
-                                relay: None,
-                                round: None,
-                                cause: FailureCause::Stream {
-                                    detail: "caller control stream lost".into(),
-                                },
-                            });
-                        }
+                        sink.push(failure(FailureCause::Stream {
+                            detail: e.to_string(),
+                        }));
+                        sink.extend(pairs.iter().map(|p| {
+                            let detail = "caller control stream lost".into();
+                            PairFailure::whole(caller, p.callee, FailureCause::Stream { detail })
+                        }));
                         return obs;
                     }
                 }
@@ -608,7 +591,6 @@ fn place_call(
                     round,
                     metrics,
                     degraded,
-                    ..
                 }) => {
                     if relay == want_relay && round == want_round {
                         return Ok(Some((metrics, degraded)));
@@ -644,22 +626,49 @@ mod tests {
     use super::*;
     use crate::protocol::{read_frame, write_frame};
     use std::net::TcpStream;
+    use std::thread::JoinHandle;
 
-    #[test]
-    fn pair_spec_and_config_are_cloneable() {
-        let p = PairSpec {
-            caller: "a".into(),
-            callee: "b".into(),
+    /// A peer that registers as `client`, then reads until `Finished` or
+    /// until the controller drops the stream.
+    fn peer(addr: SocketAddr, client: usize) -> JoinHandle<()> {
+        std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            let register = ClientMsg::Register {
+                client,
+                udp_port: 1,
+            };
+            write_frame(&mut s, &register).unwrap();
+            while let Ok(msg) = read_frame::<ControllerMsg>(&mut s) {
+                if msg == ControllerMsg::Finished {
+                    break;
+                }
+            }
+        })
+    }
+
+    /// One round of one 1-ms probe per call, no faults and no relays to kill.
+    fn config(
+        fault: &FaultPlan,
+        pairs: Vec<PairSpec>,
+        timing: ControlTiming,
+    ) -> ControllerConfig<'_> {
+        ControllerConfig {
+            rounds: 1,
+            probes: 1,
+            gap_ms: 1,
+            pairs,
+            timing,
+            fault,
+            relays: &[],
+        }
+    }
+
+    fn pair(caller: usize, callee: usize) -> PairSpec {
+        PairSpec {
+            caller,
+            callee,
             relays: vec![(0, "127.0.0.1:5000".parse().unwrap())],
-        };
-        let cfg = ControllerConfig {
-            rounds: 2,
-            probes: 10,
-            gap_ms: 5,
-            pairs: vec![p.clone()],
-            timing: ControlTiming::default(),
-        };
-        assert_eq!(cfg.pairs[0].caller, p.caller);
+        }
     }
 
     /// Ids run 1, 2, … and the 65 536th allocation is a typed error, never
@@ -678,7 +687,7 @@ mod tests {
     #[test]
     fn failure_causes_have_stable_kinds() {
         assert_eq!(
-            FailureCause::Unregistered { name: "x".into() }.kind(),
+            FailureCause::Unregistered { client: 0 }.kind(),
             "unregistered"
         );
         assert_eq!(FailureCause::CallTimeout.kind(), "call-timeout");
@@ -701,93 +710,44 @@ mod tests {
     #[test]
     fn rejects_unknown_caller_in_plan() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // One registering client named "real".
-        let joiner = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            write_frame(
-                &mut s,
-                &ClientMsg::Register {
-                    name: "real".into(),
-                    udp_port: 1,
-                },
-            )
-            .unwrap();
-            let _: ControllerMsg = read_frame(&mut s).unwrap();
-            // Keep the connection open until the controller errors out.
-            std::thread::sleep(std::time::Duration::from_millis(200));
-        });
-        let cfg = ControllerConfig {
-            rounds: 1,
-            probes: 1,
-            gap_ms: 1,
-            pairs: vec![PairSpec {
-                caller: "ghost".into(),
-                callee: "real".into(),
-                relays: vec![(0, "127.0.0.1:5000".parse().unwrap())],
-            }],
-            timing: ControlTiming::default(),
-        };
-        let err = run_controller(
-            listener,
-            cfg,
-            1,
-            |_, _, _, _, _| {},
-            &ControlHooks::default(),
-        )
-        .unwrap_err();
+        // The run's one client registers; the plan's caller 5 does not exist.
+        let joiner = peer(listener.local_addr().unwrap(), 0);
+        let fault = FaultPlan::none();
+        let cfg = config(&fault, vec![pair(5, 0)], ControlTiming::default());
+        let err = run_controller(listener, cfg, 1, |_, _, _, _, _| {}).unwrap_err();
         assert!(matches!(err, TestbedError::Protocol(_)));
         joiner.join().unwrap();
     }
 
     /// A second `Register` for a client already registered is a protocol
     /// violation, like every other bad registration: it must not silently
-    /// replace the first registrant's connection.
+    /// replace the first registrant's connection. So is an index past the
+    /// run's client count.
     #[test]
     fn rejects_a_second_register_for_one_client() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let joiners: Vec<_> = (0..2)
-            .map(|_| {
-                std::thread::spawn(move || {
-                    let mut s = TcpStream::connect(addr).unwrap();
-                    write_frame(
-                        &mut s,
-                        &ClientMsg::Register {
-                            name: "real".into(),
-                            udp_port: 1,
-                        },
-                    )
-                    .unwrap();
-                    // A `Welcome`, or an error once the controller gives up.
-                    let _ = read_frame::<ControllerMsg>(&mut s);
-                })
-            })
-            .collect();
-        let cfg = ControllerConfig {
-            rounds: 1,
-            probes: 1,
-            gap_ms: 1,
-            pairs: Vec::new(),
-            timing: ControlTiming {
+        for (row, clients) in [("twice", [0, 0]), ("out of range", [0, 2])] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let joiners = clients.map(|client| peer(addr, client));
+            let fault = FaultPlan::none();
+            let timing = ControlTiming {
                 registration: Duration::from_millis(500),
                 ..ControlTiming::default()
-            },
-        };
-        let got = run_controller(
-            listener,
-            cfg,
-            2,
-            |_, _, _, _, _| {},
-            &ControlHooks::default(),
-        );
-        assert!(
-            matches!(got, Err(TestbedError::Protocol(_))),
-            "{:?}",
-            got.map(|o| o.failures)
-        );
-        for j in joiners {
-            j.join().unwrap();
+            };
+            let got = run_controller(
+                listener,
+                config(&fault, Vec::new(), timing),
+                2,
+                |_, _, _, _, _| {},
+            );
+            assert!(
+                matches!(got, Err(TestbedError::Protocol(_))),
+                "{row}: {:?}",
+                got.map(|o| o.failures)
+            );
+            for j in joiners {
+                j.join().unwrap();
+            }
         }
     }
 
@@ -800,53 +760,24 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         // Clients 0, 1 and 2 register and wait for `Finished`; 3 never comes.
-        let joiners: Vec<_> = ["client-0", "client-1", "client-2"]
-            .into_iter()
-            .map(|name| {
-                std::thread::spawn(move || {
-                    let mut s = TcpStream::connect(addr).unwrap();
-                    write_frame(
-                        &mut s,
-                        &ClientMsg::Register {
-                            name: name.into(),
-                            udp_port: 1,
-                        },
-                    )
-                    .unwrap();
-                    while let Ok(msg) = read_frame::<ControllerMsg>(&mut s) {
-                        if msg == ControllerMsg::Finished {
-                            break;
-                        }
-                    }
-                })
-            })
-            .collect();
+        let joiners = [0, 1, 2].map(|client| peer(addr, client));
         let relay: SocketAddr = "127.0.0.1:5000".parse().unwrap();
-        let pair = |callee: &str| PairSpec {
-            caller: "client-0".into(),
-            callee: callee.into(),
+        let pair = |callee| PairSpec {
+            caller: 0,
+            callee,
             relays: vec![(0, relay), (1, relay)],
         };
-        let cfg = ControllerConfig {
-            rounds: 1,
-            probes: 1,
-            gap_ms: 1,
-            pairs: vec![pair("client-1"), pair("client-2"), pair("client-3")],
-            // No call is answered: the global deadline ends the run early.
-            timing: ControlTiming {
-                registration: Duration::from_millis(300),
-                global: Duration::from_millis(600),
-                ..ControlTiming::default()
-            },
+        let fault = FaultPlan::none();
+        // No call is answered: the global deadline ends the run early.
+        let timing = ControlTiming {
+            registration: Duration::from_millis(300),
+            global: Duration::from_millis(600),
         };
+        let cfg = config(&fault, vec![pair(1), pair(2), pair(3)], timing);
         let granted = std::cell::RefCell::new(Vec::new());
-        run_controller(
-            listener,
-            cfg,
-            4,
-            |pair_idx, relay, session, _, _| granted.borrow_mut().push((pair_idx, relay, session)),
-            &ControlHooks::default(),
-        )
+        run_controller(listener, cfg, 4, |pair_idx, relay, session, _, _| {
+            granted.borrow_mut().push((pair_idx, relay, session));
+        })
         .unwrap();
         assert_eq!(
             granted.into_inner(),
@@ -862,51 +793,20 @@ mod tests {
     #[test]
     fn missing_client_yields_partial_failures_not_abort() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let joiner = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            write_frame(
-                &mut s,
-                &ClientMsg::Register {
-                    name: "real".into(),
-                    udp_port: 1,
-                },
-            )
-            .unwrap();
-            let _: ControllerMsg = read_frame(&mut s).unwrap();
-            // Wait for Finished so the controller's teardown write succeeds.
-            let _: Result<ControllerMsg, _> = read_frame(&mut s);
-        });
-        let cfg = ControllerConfig {
-            rounds: 1,
-            probes: 1,
-            gap_ms: 1,
-            pairs: vec![PairSpec {
-                caller: "real".into(),
-                callee: "absent".into(),
-                relays: vec![(0, "127.0.0.1:5000".parse().unwrap())],
-            }],
-            timing: ControlTiming {
-                registration: Duration::from_millis(300),
-                ..ControlTiming::default()
-            },
+        let joiner = peer(listener.local_addr().unwrap(), 0);
+        let fault = FaultPlan::none();
+        let timing = ControlTiming {
+            registration: Duration::from_millis(300),
+            ..ControlTiming::default()
         };
-        // Expect two clients; only one arrives before the deadline.
-        let outcome = run_controller(
-            listener,
-            cfg,
-            2,
-            |_, _, _, _, _| {},
-            &ControlHooks::default(),
-        )
-        .unwrap();
+        // Expect two clients; only client 0 arrives before the deadline.
+        let cfg = config(&fault, vec![pair(0, 1)], timing);
+        let outcome = run_controller(listener, cfg, 2, |_, _, _, _, _| {}).unwrap();
         assert!(outcome.reports.is_empty());
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(
             outcome.failures[0].cause,
-            FailureCause::Unregistered {
-                name: "absent".into()
-            }
+            FailureCause::Unregistered { client: 1 }
         );
         joiner.join().unwrap();
     }

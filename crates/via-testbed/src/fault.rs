@@ -2,7 +2,7 @@
 //!
 //! A production relay-selection service must absorb relays dying mid-call,
 //! clients that never register, and a lossy control plane. This module
-//! describes those failures as data — a [`FaultPlan`] — so the harness can
+//! describes those failures as data — a [`FaultPlan`] — so the testbed can
 //! inject them deterministically: every random decision draws from an RNG
 //! derived from the plan seed and a stable per-connection label, so two runs
 //! with the same plan inject byte-identical fault schedules.
@@ -92,27 +92,17 @@ impl FaultPlan {
         }
     }
 
-    /// True when the plan injects no faults at all.
-    pub fn is_none(&self) -> bool {
-        self.frame_drop_pct <= 0.0
-            && self.frame_dup_pct <= 0.0
-            && self.frame_delay_ms == 0
-            && self.kill_relay.is_none()
-            && self.blackhole.is_none()
-            && self.partition_client.is_none()
-    }
-
     /// True when any call-plane frame fault (drop / duplicate / delay) is
     /// enabled.
-    pub fn has_frame_faults(&self) -> bool {
+    fn has_frame_faults(&self) -> bool {
         self.frame_drop_pct > 0.0 || self.frame_dup_pct > 0.0 || self.frame_delay_ms > 0
     }
 
     /// The frame-fault stream for one connection, identified by a stable
-    /// `role` label and `index` (e.g. `("client-report", 2)`). Returns `None`
-    /// when the plan has no frame faults, so the fault-free path costs
-    /// nothing.
-    pub fn frame_faults(&self, role: &str, index: u64) -> Option<FrameFaults> {
+    /// `role` label and the client's index (e.g. `("client-report", 2)`).
+    /// Returns `None` when the plan has no frame faults, so the fault-free
+    /// path costs nothing.
+    pub(crate) fn frame_faults(&self, role: &str, index: u64) -> Option<FrameFaults> {
         self.has_frame_faults()
             .then(|| FrameFaults::new(self, role, index))
     }
@@ -193,7 +183,10 @@ mod tests {
     #[test]
     fn none_plan_is_inert() {
         let plan = FaultPlan::none();
-        assert!(plan.is_none());
+        assert_eq!(
+            (plan.kill_relay, plan.blackhole, plan.partition_client),
+            (None, None, None)
+        );
         assert!(!plan.has_frame_faults());
         assert!(plan.frame_faults("x", 0).is_none());
     }

@@ -6,17 +6,17 @@
 //! relay forwarders, and the controller orchestrating back-to-back probe
 //! calls over every relaying option.
 //!
-//! The harness also owns fault injection: a [`FaultPlan`] in the config can
-//! partition a client (never started), blackhole a probe leg (sessions
-//! installed with 100% loss), kill a relay at a schedule point (via the
-//! controller's `before_call` hook), and drop/duplicate/delay call-plane
-//! control frames on both ends. Runs complete with partial results — see
+//! A [`FaultPlan`] in the config can partition a client (never started),
+//! blackhole a probe leg (sessions installed with 100% loss), kill a relay
+//! at a schedule point, and drop/duplicate/delay call-plane control frames
+//! on both ends; the harness applies the first two, the controller reads the
+//! rest from the plan itself. Runs complete with partial results — see
 //! [`TestbedResult::failures`] — and [`TestbedResult::summary`] renders a
 //! deterministic, metrics-free digest that two same-seed runs reproduce
 //! byte-identically even under injected chaos.
 
 use std::collections::HashMap;
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
 use via_model::ids::{AsId, RelayId};
 use via_model::metrics::PathMetrics;
 use via_model::time::SimTime;
@@ -24,12 +24,12 @@ use via_netsim::{World, WorldConfig};
 
 use crate::client::{run_client_with, ClientConfig};
 use crate::controller::{
-    run_controller, ControlHooks, ControlTiming, ControllerConfig, PairFailure, PairSpec,
-    ReportRecord,
+    run_controller, ControlTiming, ControllerConfig, PairFailure, PairSpec, ReportRecord,
 };
 use crate::error::TestbedError;
 use crate::fault::FaultPlan;
 use crate::impair::ImpairParams;
+use crate::protocol::RelayIndex;
 use crate::relay::{RelayHandle, Session};
 
 /// Testbed parameters.
@@ -51,7 +51,7 @@ pub struct TestbedConfig {
     pub seed: u64,
     /// Failures to inject (default: none).
     pub fault: FaultPlan,
-    /// Control-plane deadlines and backoff seeding.
+    /// Control-plane deadlines.
     pub timing: ControlTiming,
 }
 
@@ -95,17 +95,17 @@ impl TestbedConfig {
 #[derive(Debug)]
 pub struct TestbedResult {
     /// All measurements collected by the controller (possibly partial under
-    /// injected faults), sorted by (caller, callee, relay, round).
+    /// injected faults), sorted by (caller, callee, relay, round) index.
     pub reports: Vec<ReportRecord>,
     /// Every planned call or pair that produced no report, with its cause.
     pub failures: Vec<PairFailure>,
-    /// Errors returned by client threads (e.g. an idle timeout after the
-    /// controller cut a stream). Text may embed OS error strings, so this is
-    /// excluded from [`TestbedResult::summary`].
-    pub client_errors: Vec<String>,
-    /// The impairment-derived expected metrics per (caller, callee, relay):
-    /// ground truth for validating measurements.
-    pub expected: HashMap<(String, String, u16), PathMetrics>,
+    /// Errors returned by client threads, by client index (e.g. an idle
+    /// timeout after the controller cut a stream). Text may embed OS error
+    /// strings, so this is excluded from [`TestbedResult::summary`].
+    pub client_errors: Vec<(usize, String)>,
+    /// The impairment-derived expected metrics per (caller, callee, relay)
+    /// index: ground truth for validating measurements.
+    pub expected: HashMap<(usize, usize, RelayIndex), PathMetrics>,
     /// Total packets forwarded by all relays.
     pub forwarded: u64,
     /// Total packets dropped by impairment.
@@ -135,7 +135,7 @@ impl TestbedResult {
             .map(|r| {
                 let status = if r.degraded { "degraded" } else { "ok" };
                 format!(
-                    "call {}->{} relay {} round {}: {status}",
+                    "call client-{}->client-{} relay {} round {}: {status}",
                     r.caller, r.callee, r.relay, r.round
                 )
             })
@@ -144,7 +144,7 @@ impl TestbedResult {
             let relay = f.relay.map_or_else(|| "-".to_string(), |r| r.to_string());
             let round = f.round.map_or_else(|| "-".to_string(), |r| r.to_string());
             format!(
-                "fail {}->{} relay {relay} round {round}: {}",
+                "fail client-{}->client-{} relay {relay} round {round}: {}",
                 f.caller,
                 f.callee,
                 f.cause.kind()
@@ -220,62 +220,69 @@ pub fn run_testbed(cfg: &TestbedConfig) -> Result<TestbedResult, TestbedError> {
     let world = World::generate(&WorldConfig::tiny(), cfg.seed);
     validate(cfg, &world)?;
 
-    // Spread clients across ASes (and hence countries).
+    // Spread clients across ASes (and hence countries). A client is its
+    // index in this list.
     let client_as: Vec<AsId> = (0..cfg.n_clients)
         .map(|i| world.ases[(i * world.ases.len()) / cfg.n_clients].id)
         .collect();
-    let client_names: Vec<String> = (0..cfg.n_clients).map(|i| format!("client-{i}")).collect();
 
-    // Relays.
+    // Relays, and every pair's options over them.
     let relays: Vec<RelayHandle> = (0..cfg.n_relays)
         .map(|i| RelayHandle::spawn(cfg.seed + i as u64))
         .collect::<Result<_, _>>()?;
+    let options: Vec<(RelayIndex, SocketAddr)> = relays
+        .iter()
+        .enumerate()
+        .map(|(r, relay)| {
+            let idx = RelayIndex::try_from(r).map_err(|_| {
+                TestbedError::Config(format!("relay index {r} exceeds the u16 wire range"))
+            })?;
+            Ok((idx, relay.addr()))
+        })
+        .collect::<Result<_, TestbedError>>()?;
 
     // Pair plan: round-robin over distinct (caller, callee) combinations.
     let mut pairs = Vec::new();
-    let mut k = 0usize;
-    'outer: for i in 0..cfg.n_clients {
-        for j in (i + 1)..cfg.n_clients {
+    'outer: for caller in 0..cfg.n_clients {
+        for callee in (caller + 1)..cfg.n_clients {
             pairs.push(PairSpec {
-                caller: client_names[i].clone(),
-                callee: client_names[j].clone(),
-                relays: (0..cfg.n_relays)
-                    .map(|r| {
-                        let idx = u16::try_from(r).map_err(|_| {
-                            TestbedError::Config(format!(
-                                "relay index {r} exceeds the u16 wire range"
-                            ))
-                        })?;
-                        Ok((idx, relays[r].addr()))
-                    })
-                    .collect::<Result<_, TestbedError>>()?,
+                caller,
+                callee,
+                relays: options.clone(),
             });
-            k += 1;
-            if k >= cfg.n_pairs {
+            if pairs.len() >= cfg.n_pairs {
                 break 'outer;
             }
         }
     }
 
+    // Each (pair, relay) session's impairment, caller → callee and back:
+    // the two client–relay legs chained.
+    let legs: Vec<Vec<(ImpairParams, ImpairParams)>> = pairs
+        .iter()
+        .map(|pair| {
+            let relay_id = |r: RelayIndex| RelayId(u32::from(r));
+            let (ca, cb) = (client_as[pair.caller], client_as[pair.callee]);
+            pair.relays
+                .iter()
+                .map(|&(r, _)| {
+                    let leg_a = leg_params(&world, ca, relay_id(r));
+                    let leg_b = leg_params(&world, cb, relay_id(r));
+                    (leg_a.chain(&leg_b), leg_b.chain(&leg_a))
+                })
+                .collect()
+        })
+        .collect();
+
     // Expected (ground-truth) per-(pair, relay) metrics from the impairment
     // parameters: caller→relay→callee and back.
-    let as_of: HashMap<&str, AsId> = client_names
-        .iter()
-        .map(String::as_str)
-        .zip(client_as.iter().copied())
-        .collect();
     let mut expected = HashMap::new();
-    for pair in &pairs {
-        let ca = as_of[pair.caller.as_str()];
-        let cb = as_of[pair.callee.as_str()];
-        for &(r, _) in &pair.relays {
-            let leg_a = leg_params(&world, ca, RelayId(u32::from(r)));
-            let leg_b = leg_params(&world, cb, RelayId(u32::from(r)));
-            let one_way = leg_a.chain(&leg_b);
+    for (pair, pair_legs) in pairs.iter().zip(&legs) {
+        for (&(r, _), (one_way, _)) in pair.relays.iter().zip(pair_legs) {
             // Echo path doubles delay; loss applies on both crossings.
-            let rt = one_way.chain(&one_way);
+            let rt = one_way.chain(one_way);
             expected.insert(
-                (pair.caller.clone(), pair.callee.clone(), r),
+                (pair.caller, pair.callee, r),
                 PathMetrics::new(rt.delay_ms, rt.loss_pct, rt.jitter_ms),
             );
         }
@@ -284,40 +291,25 @@ pub fn run_testbed(cfg: &TestbedConfig) -> Result<TestbedResult, TestbedError> {
     // The session registrar wires controller-assigned sessions into relays
     // with the impairments of the two legs; the controller hands it the pair
     // index explicitly, so skipped (failed) pairs cannot shift the mapping.
-    // Pair participants are resolved by name from this parallel list.
-    let pair_names: Vec<(String, String)> = pairs
-        .iter()
-        .map(|p| (p.caller.clone(), p.callee.clone()))
-        .collect();
-    let registrar_world = &world;
-    let registrar_relays = &relays;
-    let registrar_as_of = &as_of;
-    let blackhole = cfg.fault.blackhole;
     // Per-session temporal sway (deterministic in the seed + session order):
     // effective delay oscillates ±25% with a period comparable to a sweep,
     // so consecutive rounds can disagree about the best relay.
-    let sway_seed = cfg.seed;
-    let registrar = move |pair_idx: usize,
-                          relay: crate::protocol::RelayIndex,
-                          session: u16,
-                          caller_addr: std::net::SocketAddr,
-                          callee_addr: std::net::SocketAddr| {
-        let (a_to_b, b_to_a) = if blackhole == Some((pair_idx, relay)) {
+    let registrar = |pair_idx: usize,
+                     relay: RelayIndex,
+                     session: u16,
+                     caller_addr: SocketAddr,
+                     callee_addr: SocketAddr| {
+        let (a_to_b, b_to_a) = if cfg.fault.blackhole == Some((pair_idx, relay)) {
             (ImpairParams::BLACKHOLE, ImpairParams::BLACKHOLE)
         } else {
-            match pair_names.get(pair_idx) {
-                Some((caller, callee)) => {
-                    let ca = registrar_as_of[caller.as_str()];
-                    let cb = registrar_as_of[callee.as_str()];
-                    let leg_a = leg_params(registrar_world, ca, RelayId(u32::from(relay)));
-                    let leg_b = leg_params(registrar_world, cb, RelayId(u32::from(relay)));
-                    (leg_a.chain(&leg_b), leg_b.chain(&leg_a))
-                }
-                None => (ImpairParams::CLEAN, ImpairParams::CLEAN),
-            }
+            // A pair's options are every relay, in index order.
+            legs.get(pair_idx)
+                .and_then(|l| l.get(usize::from(relay)))
+                .copied()
+                .unwrap_or((ImpairParams::CLEAN, ImpairParams::CLEAN))
         };
-        let mix = via_model::seed::derive_indexed(sway_seed, "sway", u64::from(session));
-        registrar_relays[usize::from(relay)].register_session(
+        let mix = via_model::seed::derive_indexed(cfg.seed, "sway", u64::from(session));
+        relays[usize::from(relay)].register_session(
             session,
             Session {
                 a: caller_addr,
@@ -331,82 +323,47 @@ pub fn run_testbed(cfg: &TestbedConfig) -> Result<TestbedResult, TestbedError> {
         );
     };
 
-    // Fault hooks: the relay kill-switch fires deterministically just before
-    // the targeted (pair, relay, round) call is placed; control-frame fault
-    // streams are derived per connection from the plan seed.
-    let kill = cfg.fault.kill_relay;
-    let hook_relays = &relays;
-    let before_call =
-        move |_caller: &str, pair_idx: usize, relay: crate::protocol::RelayIndex, round: u32| {
-            if let Some(k) = kill {
-                if k.pair_idx == pair_idx && k.relay == relay && k.round == round {
-                    if let Some(r) = hook_relays.get(usize::from(relay)) {
-                        r.kill();
-                    }
-                }
-            }
-        };
-    let client_index: HashMap<String, u64> = client_names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), i as u64))
-        .collect();
-    let fault_plan = cfg.fault.clone();
-    let caller_faults = move |caller: &str| {
-        client_index
-            .get(caller)
-            .and_then(|&i| fault_plan.frame_faults("ctrl-call", i))
-    };
-    let hooks = ControlHooks {
-        caller_faults: Some(&caller_faults),
-        before_call: Some(&before_call),
-    };
-
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let controller_addr = listener.local_addr()?;
-    let mut timing = cfg.timing.clone();
-    timing.seed = via_model::seed::derive(cfg.fault.seed, "backoff");
+
+    // Clients run on their own threads; a partitioned client is simply
+    // never started, so it never registers.
+    let mut client_threads = Vec::new();
+    for i in 0..cfg.n_clients {
+        if cfg.fault.partition_client == Some(i) {
+            continue;
+        }
+        let client_cfg = ClientConfig {
+            // Callees idle for the entire run; only a controller death
+            // should time them out.
+            idle_timeout: cfg.timing.global + std::time::Duration::from_secs(5),
+            faults: cfg.fault.frame_faults("client-report", i as u64),
+        };
+        let handle = std::thread::Builder::new()
+            .name(format!("via-client-{i}"))
+            .spawn(move || run_client_with(i, controller_addr, client_cfg))
+            .map_err(TestbedError::Io)?;
+        client_threads.push((i, handle));
+    }
+
+    let t_run = via_obs::Stopwatch::started();
     let controller_cfg = ControllerConfig {
         rounds: cfg.rounds,
         probes: cfg.probes,
         gap_ms: cfg.gap_ms,
         pairs,
-        timing: timing.clone(),
+        timing: cfg.timing.clone(),
+        fault: &cfg.fault,
+        relays: &relays,
     };
-
-    // Clients run on their own threads; a partitioned client is simply
-    // never started, so it never registers.
-    let mut client_threads = Vec::new();
-    for (i, name) in client_names.iter().enumerate() {
-        if cfg.fault.partition_client == Some(i) {
-            continue;
-        }
-        let name = name.clone();
-        let client_cfg = ClientConfig {
-            // Callees idle for the entire run; only a controller death
-            // should time them out.
-            idle_timeout: timing.global + std::time::Duration::from_secs(5),
-            faults: cfg.fault.frame_faults("client-report", i as u64),
-        };
-        let handle = std::thread::Builder::new()
-            .name(format!("via-{name}"))
-            .spawn({
-                let name = name.clone();
-                move || run_client_with(&name, controller_addr, client_cfg)
-            })
-            .map_err(TestbedError::Io)?;
-        client_threads.push((name, handle));
-    }
-
-    let t_run = via_obs::Stopwatch::started();
-    let outcome = run_controller(listener, controller_cfg, cfg.n_clients, registrar, &hooks)?;
+    let outcome = run_controller(listener, controller_cfg, cfg.n_clients, registrar)?;
 
     let mut client_errors = Vec::new();
-    for (name, t) in client_threads {
+    for (i, t) in client_threads {
         match t.join() {
             Ok(Ok(())) => {}
-            Ok(Err(e)) => client_errors.push(format!("{name}: {e}")),
-            Err(_) => client_errors.push(format!("{name}: client thread panicked")),
+            Ok(Err(e)) => client_errors.push((i, e.to_string())),
+            Err(_) => client_errors.push((i, "client thread panicked".into())),
         }
     }
 
@@ -452,7 +409,7 @@ mod tests {
         // Measurements should land in the ballpark of the emulated paths.
         let mut checked = 0;
         for rec in &result.reports {
-            let key = (rec.caller.clone(), rec.callee.clone(), rec.relay);
+            let key = (rec.caller, rec.callee, rec.relay);
             let exp = &result.expected[&key];
             if rec.metrics.loss_pct < 50.0 {
                 // RTT within a loose factor (loopback scheduling noise).
@@ -489,21 +446,19 @@ mod tests {
     fn summary_is_sorted_and_metrics_free() {
         let result = TestbedResult {
             reports: vec![ReportRecord {
-                caller: "client-0".into(),
-                callee: "client-1".into(),
+                caller: 0,
+                callee: 1,
                 relay: 1,
                 round: 0,
                 metrics: PathMetrics::new(10.0, 0.0, 1.0),
                 degraded: true,
             }],
             failures: vec![PairFailure {
-                caller: "client-0".into(),
-                callee: "client-2".into(),
+                caller: 0,
+                callee: 2,
                 relay: None,
                 round: None,
-                cause: crate::controller::FailureCause::Unregistered {
-                    name: "client-2".into(),
-                },
+                cause: crate::controller::FailureCause::Unregistered { client: 2 },
             }],
             client_errors: vec![],
             expected: HashMap::new(),

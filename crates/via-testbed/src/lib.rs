@@ -2,23 +2,24 @@
 //!
 //! The paper deployed modified Skype clients on 14 machines across five
 //! countries, a controller on Azure, and used Skype's production relays.
-//! This crate rebuilds that system on loopback with real sockets:
+//! This crate rebuilds that system on loopback with real sockets: a
+//! controller on TCP, session-based UDP relay forwarders with netem-like
+//! per-leg impairment (parameterized from a `via-netsim` world so the
+//! emulated geography matches the simulation experiments), and instrumented
+//! clients that send RTP-carrying probe streams, echo them, and report
+//! RTT / loss / jitter, falling back to the direct path when a relay leg is
+//! dead.
 //!
-//! * [`protocol`] — length-prefixed JSON control plane over TCP.
-//! * [`probe`] — RTP-carrying probe/echo packets on UDP.
-//! * [`relay`] — session-based UDP forwarders (the dumb data plane).
-//! * [`impair`] — netem-like per-leg impairment (delay / jitter / loss)
-//!   applied at the relay, parameterized from a `via-netsim` world so the
-//!   emulated geography matches the simulation experiments.
-//! * [`client`] — instrumented clients: probe sender, echo responder,
-//!   RTT/loss/jitter measurement, reporting, direct-path fallback.
-//! * [`controller`] — registration, session setup, back-to-back call
-//!   orchestration with deadlines/retries, partial-result collection.
-//! * [`fault`] — seeded fault injection: relay kills, control-frame
-//!   drop/duplicate/delay, probe-leg blackholes, client partitions.
-//! * [`harness`] — one-call assembly of the whole testbed.
-//! * [`selection`] — the Figure 18 controlled experiment: VIA's heuristic
-//!   evaluated against per-round ground truth (sub-optimality CDF).
+//! One door leads in: [`run_testbed`] assembles and runs the whole testbed
+//! from a [`TestbedConfig`] (with its [`ControlTiming`] deadlines and a
+//! seeded [`FaultPlan`]) and returns a [`TestbedResult`] of
+//! [`ReportRecord`]s and typed [`PairFailure`]s; [`evaluate_via_selection`]
+//! scores VIA's heuristic on those reports (Figure 18). A client is its
+//! index in the harness (`0..n_clients`) and a pair its index in the plan,
+//! from the config to the result; the text `client-{i}` is made only where a
+//! person reads it, in [`TestbedResult::summary`]. The [`protocol`] module's
+//! framing half ([`protocol::FrameConn`] and its helpers) is public because
+//! `via-server` frames its own sockets with it.
 //!
 //! Everything binds to 127.0.0.1 with ephemeral ports; the only "network"
 //! is the loopback device plus emulated impairment.
@@ -35,25 +36,19 @@
 // A narrowing `as` cast truncates silently; library code says how it rounds.
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-pub mod client;
-pub mod controller;
-pub mod error;
-pub mod fault;
-pub mod harness;
-pub mod impair;
-pub mod probe;
+mod client;
+mod controller;
+mod error;
+mod fault;
+mod harness;
+mod impair;
+mod probe;
 pub mod protocol;
-pub mod relay;
-pub mod selection;
+mod relay;
+mod selection;
 
-pub use client::ClientConfig;
-pub use controller::{
-    ControlHooks, ControlTiming, ControllerConfig, ControllerOutcome, FailureCause, PairFailure,
-    PairSpec, ReportRecord,
-};
+pub use controller::{ControlTiming, FailureCause, PairFailure, ReportRecord};
 pub use error::TestbedError;
-pub use fault::{FaultPlan, FrameFate, FrameFaults, RelayKill};
+pub use fault::{FaultPlan, RelayKill};
 pub use harness::{run_testbed, TestbedConfig, TestbedResult};
-pub use impair::ImpairParams;
-pub use relay::{RelayHandle, Session};
 pub use selection::{evaluate_via_selection, Fig18Result};

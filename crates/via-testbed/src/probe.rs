@@ -76,13 +76,6 @@ impl ProbePacket {
         }
     }
 
-    /// Builds an echo of a probe (same RTP header, flipped kind).
-    pub fn echo(session: u16, seq: u16, ssrc: u32) -> ProbePacket {
-        let mut p = Self::probe(session, seq, ssrc);
-        p.kind = ProbeKind::Echo;
-        p
-    }
-
     /// Turns a received probe into its echo.
     pub fn to_echo(&self) -> ProbePacket {
         ProbePacket {
@@ -135,7 +128,8 @@ mod tests {
 
     #[test]
     fn roundtrip_probe_and_echo() {
-        for p in [ProbePacket::probe(7, 42, 99), ProbePacket::echo(7, 42, 99)] {
+        let probe = ProbePacket::probe(7, 42, 99);
+        for p in [probe.to_echo(), probe] {
             let back = ProbePacket::decode(&p.encode()).unwrap();
             assert_eq!(back, p);
         }

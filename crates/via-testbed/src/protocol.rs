@@ -8,8 +8,9 @@
 //!
 //! Two things live here, and only the first is JSON:
 //!
-//! * the testbed's message set ([`ClientMsg`] / [`ControllerMsg`]): one cold
-//!   round trip per probe call, carrying names and addresses as strings;
+//! * the testbed's message set (`ClientMsg` / `ControllerMsg`, private to
+//!   this crate): one cold round trip per probe call. A client is its
+//!   harness index, and a message carries only what its reader reads;
 //! * the framing itself — the length prefix, [`MAX_FRAME`], and
 //!   [`FrameConn`], the deadline-bounded connection every framed socket in the
 //!   workspace reads and writes through. [`FrameConn::next_body`] and
@@ -18,7 +19,8 @@
 //!   [`FrameConn::write`] are the JSON wrappers over those two that the
 //!   testbed uses. A frame's prefix is checked against [`MAX_FRAME`] in one
 //!   place on the read side (`body_len`) and one on the write side
-//!   (`build_frame`).
+//!   (`build_frame`). [`read_frame`] is kept for in-memory readers: the
+//!   repository benchmark times it.
 
 // Bytes and ids from outside the program enter here: no index may panic.
 #![deny(clippy::indexing_slicing)]
@@ -39,20 +41,17 @@ pub type RelayIndex = u16;
 
 /// Client → controller messages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ClientMsg {
+pub(crate) enum ClientMsg {
     /// Announce this client and the UDP port it receives probes on.
     Register {
-        /// Client name (unique per testbed).
-        name: String,
+        /// The client's harness index, below the run's client count.
+        client: usize,
         /// UDP port the client's media socket is bound to.
         udp_port: u16,
     },
-    /// Measured metrics of one probe call.
+    /// Measured metrics of one probe call; `relay` and `round` tell a
+    /// stale report from the one the controller waits for.
     Report {
-        /// Caller name.
-        caller: String,
-        /// Callee name.
-        callee: String,
         /// Relay used.
         relay: RelayIndex,
         /// Round number (back-to-back sweep index).
@@ -64,15 +63,12 @@ pub enum ClientMsg {
         degraded: bool,
     },
     /// The client is done with its assignments.
-    Done {
-        /// Client name.
-        name: String,
-    },
+    Done,
 }
 
 /// Controller → client messages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ControllerMsg {
+pub(crate) enum ControllerMsg {
     /// Registration accepted.
     Welcome,
     /// Make one probe call.
@@ -91,8 +87,6 @@ pub enum ControllerMsg {
         probes: u16,
         /// Inter-probe gap in milliseconds.
         gap_ms: u64,
-        /// Callee name (for reporting).
-        callee: String,
     },
     /// No more work; disconnect.
     Finished,
@@ -446,20 +440,16 @@ mod tests {
     fn roundtrip_client_messages() {
         let msgs = vec![
             ClientMsg::Register {
-                name: "sg-1".into(),
+                client: 1,
                 udp_port: 4001,
             },
             ClientMsg::Report {
-                caller: "sg-1".into(),
-                callee: "uk-1".into(),
                 relay: 3,
                 round: 2,
                 metrics: PathMetrics::new(123.0, 0.5, 4.2),
                 degraded: false,
             },
-            ClientMsg::Done {
-                name: "sg-1".into(),
-            },
+            ClientMsg::Done,
         ];
         let mut buf = Vec::new();
         for m in &msgs {
@@ -482,7 +472,6 @@ mod tests {
             round: 0,
             probes: 50,
             gap_ms: 20,
-            callee: "uk-1".into(),
         };
         let mut buf = Vec::new();
         write_frame(&mut buf, &m).unwrap();

@@ -42,24 +42,6 @@ pub struct Session {
 }
 
 impl Session {
-    /// A session with no temporal sway.
-    pub fn steady(
-        a: SocketAddr,
-        b: SocketAddr,
-        a_to_b: ImpairParams,
-        b_to_a: ImpairParams,
-    ) -> Session {
-        Session {
-            a,
-            b,
-            a_to_b,
-            b_to_a,
-            sway_amp: 0.0,
-            sway_period_s: 1.0,
-            sway_phase: 0.0,
-        }
-    }
-
     /// The sway multiplier at `elapsed_s` seconds since relay start.
     fn sway_factor(&self, elapsed_s: f64) -> f64 {
         if self.sway_amp == 0.0 {
@@ -179,11 +161,6 @@ impl RelayHandle {
         self.sessions.write().insert(id, session);
     }
 
-    /// Removes a session.
-    pub fn remove_session(&self, id: u16) {
-        self.sessions.write().remove(&id);
-    }
-
     /// Packets forwarded so far.
     pub fn forwarded(&self) -> u64 {
         self.forwarded.load(Ordering::Relaxed)
@@ -204,11 +181,6 @@ impl RelayHandle {
             let _ = t.join();
         }
     }
-
-    /// True until [`RelayHandle::kill`] has reaped the forwarder thread.
-    pub fn is_alive(&self) -> bool {
-        self.thread.lock().is_some()
-    }
 }
 
 impl Drop for RelayHandle {
@@ -222,9 +194,27 @@ impl Drop for RelayHandle {
     clippy::disallowed_methods,
     reason = "test sockets set bounded read timeouts"
 )]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::probe::ProbePacket;
+
+    /// A session with no temporal sway.
+    pub(crate) fn steady(
+        a: SocketAddr,
+        b: SocketAddr,
+        a_to_b: ImpairParams,
+        b_to_a: ImpairParams,
+    ) -> Session {
+        Session {
+            a,
+            b,
+            a_to_b,
+            b_to_a,
+            sway_amp: 0.0,
+            sway_period_s: 1.0,
+            sway_phase: 0.0,
+        }
+    }
 
     fn bind() -> UdpSocket {
         let s = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -239,7 +229,7 @@ mod tests {
         let b = bind();
         relay.register_session(
             7,
-            Session::steady(
+            steady(
                 a.local_addr().unwrap(),
                 b.local_addr().unwrap(),
                 ImpairParams::CLEAN,
@@ -265,14 +255,14 @@ mod tests {
         let b = bind();
         relay.register_session(
             1,
-            Session::steady(
+            steady(
                 a.local_addr().unwrap(),
                 b.local_addr().unwrap(),
                 ImpairParams::CLEAN,
                 ImpairParams::CLEAN,
             ),
         );
-        let pkt = ProbePacket::echo(1, 9, 42).encode();
+        let pkt = ProbePacket::probe(1, 9, 42).to_echo().encode();
         b.send_to(&pkt, relay.addr()).unwrap();
         let mut buf = [0u8; 2048];
         let (n, _) = a.recv_from(&mut buf).unwrap();
@@ -297,7 +287,7 @@ mod tests {
         let b = bind();
         relay.register_session(
             5,
-            Session::steady(
+            steady(
                 a.local_addr().unwrap(),
                 b.local_addr().unwrap(),
                 ImpairParams {
@@ -325,7 +315,7 @@ mod tests {
         let b = bind();
         relay.register_session(
             3,
-            Session::steady(
+            steady(
                 a.local_addr().unwrap(),
                 b.local_addr().unwrap(),
                 ImpairParams {
@@ -359,7 +349,7 @@ mod tests {
         let b = bind();
         relay.register_session(
             4,
-            Session::steady(
+            steady(
                 a.local_addr().unwrap(),
                 b.local_addr().unwrap(),
                 ImpairParams::CLEAN,
@@ -370,37 +360,16 @@ mod tests {
             .unwrap();
         let mut buf = [0u8; 2048];
         b.recv_from(&mut buf).unwrap();
-        assert!(relay.is_alive());
+        assert!(relay.thread.lock().is_some(), "the forwarder runs");
 
         relay.kill();
         relay.kill(); // second kill is a no-op
-        assert!(!relay.is_alive());
+        assert!(relay.thread.lock().is_none(), "kill reaped the forwarder");
         let forwarded_at_death = relay.forwarded();
         // Packets sent after death go nowhere.
         a.send_to(&ProbePacket::probe(4, 1, 1).encode(), relay.addr())
             .unwrap();
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(relay.forwarded(), forwarded_at_death);
-    }
-
-    #[test]
-    fn session_can_be_removed() {
-        let relay = RelayHandle::spawn(5).unwrap();
-        let a = bind();
-        let b = bind();
-        relay.register_session(
-            2,
-            Session::steady(
-                a.local_addr().unwrap(),
-                b.local_addr().unwrap(),
-                ImpairParams::CLEAN,
-                ImpairParams::CLEAN,
-            ),
-        );
-        relay.remove_session(2);
-        a.send_to(&ProbePacket::probe(2, 0, 1).encode(), relay.addr())
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(relay.forwarded(), 0);
     }
 }

@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use via_core::selector::{Plan, Selector};
 use via_core::strategy::StrategyKind;
 use via_core::Prediction;
@@ -41,9 +41,9 @@ pub struct Fig18Result {
 /// `objective`. Rounds without full coverage or the first round of a pair
 /// (no history yet) are skipped.
 pub fn evaluate_via_selection(reports: &[ReportRecord], objective: Metric) -> Fig18Result {
-    // (pair) → round → relay → value.
-    let mut table: HashMap<(String, String), HashMap<u32, HashMap<RelayIndex, f64>>> =
-        HashMap::new();
+    // (caller, callee) → round → relay → value; pairs and rounds in order.
+    let mut table: BTreeMap<(usize, usize), BTreeMap<u32, HashMap<RelayIndex, f64>>> =
+        BTreeMap::new();
     for r in reports {
         if r.degraded {
             // A degraded report measured the *direct fallback* path, not the
@@ -52,7 +52,7 @@ pub fn evaluate_via_selection(reports: &[ReportRecord], objective: Metric) -> Fi
             continue;
         }
         table
-            .entry((r.caller.clone(), r.callee.clone()))
+            .entry((r.caller, r.callee))
             .or_default()
             .entry(r.round)
             .or_default()
@@ -66,13 +66,7 @@ pub fn evaluate_via_selection(reports: &[ReportRecord], objective: Metric) -> Fi
     // is never built.
     let mut selector = Selector::new(Plan::from(StrategyKind::Via), objective, 0.0);
 
-    // Deterministic iteration order.
-    let mut pairs: Vec<_> = table.into_iter().collect();
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-
-    for (_pair, rounds_map) in pairs {
-        let mut rounds: Vec<_> = rounds_map.into_iter().collect();
-        rounds.sort_by_key(|(r, _)| *r);
+    for rounds in table.into_values() {
         if rounds.len() < 2 {
             continue;
         }
@@ -81,7 +75,7 @@ pub fn evaluate_via_selection(reports: &[ReportRecord], objective: Metric) -> Fi
         let mut stats: HashMap<RelayIndex, OnlineStats> = HashMap::new();
         let mut pick_history: Vec<(RelayOption, f64)> = Vec::new();
 
-        for (round_idx, (_, values)) in rounds.iter().enumerate() {
+        for (round_idx, values) in rounds.values().enumerate() {
             if round_idx > 0 && values.len() >= 2 {
                 // Build predictions from history.
                 let mut known: Vec<_> = stats.iter().collect();
@@ -187,8 +181,8 @@ mod tests {
                 };
                 let wobble = jitter * ((round as f64 * 7.3 + f64::from(relay) * 3.1).sin());
                 out.push(ReportRecord {
-                    caller: "a".into(),
-                    callee: "b".into(),
+                    caller: 0,
+                    callee: 1,
                     relay,
                     round,
                     metrics: PathMetrics::new(base + wobble, 0.1, 1.0),
@@ -225,11 +219,11 @@ mod tests {
     }
 
     /// 3 pairs × 10 rounds × 4 relays under ±15 ms jitter, each pair with
-    /// its own RTT and loss ranking; pair `a→c` loses one report to
-    /// degradation and pair `b→c` misses relay 2 in round 5.
+    /// its own RTT and loss ranking; pair `0→2` loses one report to
+    /// degradation and pair `1→2` misses relay 2 in round 5.
     fn noisy_reports() -> Vec<ReportRecord> {
         let mut out = Vec::new();
-        for (p, (caller, callee)) in [("a", "b"), ("a", "c"), ("b", "c")].into_iter().enumerate() {
+        for (p, (caller, callee)) in [(0, 1), (0, 2), (1, 2)].into_iter().enumerate() {
             for round in 0..10u32 {
                 for relay in 0..4u16 {
                     if (p, round, relay) == (2, 5, 2) {
@@ -240,8 +234,8 @@ mod tests {
                     let rtt = 60.0 + 25.0 * rank as f64 + 15.0 * phase.sin();
                     let loss = 0.2 + 0.4 * ((rank + 2) % 4) as f64 + 0.3 * phase.cos();
                     out.push(ReportRecord {
-                        caller: caller.into(),
-                        callee: callee.into(),
+                        caller,
+                        callee,
                         relay,
                         round,
                         metrics: PathMetrics::new(rtt, loss, 2.0),

@@ -41,7 +41,6 @@ fn chaos_config() -> TestbedConfig {
     cfg.timing = ControlTiming {
         registration: Duration::from_secs(2),
         global: Duration::from_secs(60),
-        seed: 0, // the harness derives the backoff seed from fault.seed
     };
     cfg
 }
@@ -71,7 +70,7 @@ fn chaos_soak_degrades_gracefully_and_is_deterministic() {
         result
             .failures
             .iter()
-            .any(|f| f.callee == "client-3" && f.cause.kind() == "unregistered"),
+            .any(|f| f.callee == 3 && f.cause.kind() == "unregistered"),
         "partitioned client-3 should yield an unregistered failure: {:?}",
         result.failures
     );
@@ -94,7 +93,7 @@ fn chaos_soak_degrades_gracefully_and_is_deterministic() {
     let blackholed: Vec<_> = result
         .reports
         .iter()
-        .filter(|r| r.callee == "client-1" && r.relay == 0)
+        .filter(|r| r.callee == 1 && r.relay == 0)
         .collect();
     assert!(
         !blackholed.is_empty(),
@@ -112,7 +111,7 @@ fn chaos_soak_degrades_gracefully_and_is_deterministic() {
     // call scheduled before the kill point — (pair 0, relay 1, round 0) —
     // is healthy; every relay-1 call from the kill point on is degraded.
     for r in result.reports.iter().filter(|r| r.relay == 1) {
-        let before_kill = r.callee == "client-1" && r.round == 0;
+        let before_kill = r.callee == 1 && r.round == 0;
         assert_eq!(
             r.degraded, !before_kill,
             "relay-1 call on the wrong side of the kill point: {r:?}"
@@ -123,7 +122,7 @@ fn chaos_soak_degrades_gracefully_and_is_deterministic() {
     for r in result
         .reports
         .iter()
-        .filter(|r| r.callee == "client-2" && r.relay == 0)
+        .filter(|r| r.callee == 2 && r.relay == 0)
     {
         assert!(!r.degraded, "healthy leg reported degraded: {r:?}");
     }

@@ -25,7 +25,6 @@ fn base_config() -> TestbedConfig {
     cfg.timing = ControlTiming {
         registration: Duration::from_secs(2),
         global: Duration::from_secs(60),
-        seed: 0, // the harness derives the backoff seed from fault.seed
     };
     cfg
 }
@@ -168,7 +167,7 @@ fn blackhole_degrades_exactly_the_targeted_leg() {
     assert_eq!(r.reports.len(), PLANNED, "{:?}", r.failures);
     assert!(r.failures.is_empty(), "{:?}", r.failures);
     for rec in &r.reports {
-        let expect_degraded = rec.callee == "client-1" && rec.relay == 0;
+        let expect_degraded = rec.callee == 1 && rec.relay == 0;
         assert_eq!(
             rec.degraded, expect_degraded,
             "degradation must hit exactly the blackholed leg: {rec:?}"
@@ -199,15 +198,12 @@ fn partition_fails_exactly_the_pairs_naming_the_absent_client() {
     assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
     let f = &r.failures[0];
     assert_eq!(f.cause.kind(), "unregistered");
-    assert_eq!(
-        (f.caller.as_str(), f.callee.as_str()),
-        ("client-0", "client-2")
-    );
+    assert_eq!((f.caller, f.callee), (0, 2));
     assert_eq!(f.relay, None, "the whole pair fails, not individual calls");
 
     // The healthy pair still produces its full schedule, clean.
     assert_eq!(r.reports.len(), 2 /* relays */ * 2 /* rounds */);
-    assert!(r.reports.iter().all(|rec| rec.callee == "client-1"));
+    assert!(r.reports.iter().all(|rec| rec.callee == 1));
     assert_eq!(r.degraded_count(), 0);
 
     assert_eq!(r.obs.counter("testbed_clients_registered_total"), 2);

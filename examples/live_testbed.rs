@@ -34,10 +34,10 @@ fn main() {
 
     // Measured RTT per (pair, relay), averaged over rounds.
     println!("mean measured RTT (ms) per pair and relay:");
-    let mut pairs: Vec<(String, String)> = result
+    let mut pairs: Vec<(usize, usize)> = result
         .reports
         .iter()
-        .map(|r| (r.caller.clone(), r.callee.clone()))
+        .map(|r| (r.caller, r.callee))
         .collect();
     pairs.sort();
     pairs.dedup();
@@ -51,13 +51,13 @@ fn main() {
         print!("---|");
     }
     println!();
-    for (caller, callee) in &pairs {
-        print!("| {caller}->{callee} |");
+    for &(caller, callee) in &pairs {
+        print!("| client-{caller}->client-{callee} |");
         for relay in 0..cfg.n_relays as u16 {
             let vals: Vec<f64> = result
                 .reports
                 .iter()
-                .filter(|r| &r.caller == caller && &r.callee == callee && r.relay == relay)
+                .filter(|r| r.caller == caller && r.callee == callee && r.relay == relay)
                 .map(|r| r.metrics.rtt_ms)
                 .collect();
             if vals.is_empty() {
