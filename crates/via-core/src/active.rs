@@ -19,33 +19,33 @@ use crate::history::KeyPair;
 use crate::predictor::{PredictionSource, Predictor};
 use crate::tomography::{equations, SegmentKey};
 
-/// One planned probe: make a mock call between the two keys over the option.
+/// One planned probe: make a mock call between the pair's keys over the
+/// option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Probe {
-    /// Source spatial key.
-    pub a: u32,
-    /// Destination spatial key.
-    pub b: u32,
+    /// The pair of spatial keys to probe between.
+    pub pair: KeyPair,
     /// Option to exercise.
     pub option: RelayOption,
 }
 
-/// The client-side tomography segments a probe of `option` between keys
-/// `(a, b)` would measure: both ends of every equation the tomography fit
-/// would add for it.
-fn segments_of(a: u32, b: u32, option: RelayOption) -> impl Iterator<Item = SegmentKey> {
-    equations(KeyPair::new(a, b), option).flat_map(|(s, t)| [s, t])
+impl Probe {
+    /// The client-side tomography segments this probe would measure: both
+    /// ends of every equation the tomography fit would add for it.
+    fn segments(&self) -> impl Iterator<Item = SegmentKey> {
+        equations(self.pair, self.option).flat_map(|(s, t)| [s, t])
+    }
 }
 
 /// Plans up to `budget` probes for the given demand set.
 ///
-/// `demands` lists (source key, destination key, candidate options) for the
-/// pairs expected to carry calls. A candidate is a *hole* when the
+/// `demands` lists (pair of spatial keys, candidate options) for the pairs
+/// expected to carry calls. A candidate is a *hole* when the
 /// predictor's answer is prior-sourced. The planner scores each hole probe
 /// by how many distinct holes share its segments (set-cover greedy) and
 /// returns the best `budget` probes.
 pub fn plan_probes(
-    demands: &[(u32, u32, Vec<RelayOption>)],
+    demands: &[(KeyPair, Vec<RelayOption>)],
     predictor: &Predictor,
     budget: usize,
 ) -> Vec<Probe> {
@@ -56,21 +56,18 @@ pub fn plan_probes(
     // Collect holes and segment demand frequencies.
     let mut holes: Vec<Probe> = Vec::new();
     let mut seg_demand: HashMap<SegmentKey, u32> = HashMap::new();
-    for (a, b, options) in demands {
-        let view = predictor.pair(*a, *b);
+    for &(pair, ref options) in demands {
+        let view = predictor.pair(pair);
         for &option in options {
             if !option.is_relayed() {
                 continue; // direct paths cannot be stitched (tomography is relay-based)
             }
             if view.predict(option).source == PredictionSource::Prior {
-                holes.push(Probe {
-                    a: *a,
-                    b: *b,
-                    option,
-                });
-                for seg in segments_of(*a, *b, option) {
+                let hole = Probe { pair, option };
+                for seg in hole.segments() {
                     *seg_demand.entry(seg).or_default() += 1;
                 }
+                holes.push(hole);
             }
         }
     }
@@ -88,7 +85,8 @@ pub fn plan_probes(
             .iter()
             .enumerate()
             .map(|(i, p)| {
-                let score: u32 = segments_of(p.a, p.b, p.option)
+                let score: u32 = p
+                    .segments()
                     .filter(|seg| !covered.contains(seg))
                     .map(|seg| seg_demand.get(&seg).copied().unwrap_or(0))
                     .sum();
@@ -102,9 +100,7 @@ pub fn plan_probes(
             break; // every remaining probe only re-measures covered segments
         }
         let probe = remaining.swap_remove(best_idx);
-        for seg in segments_of(probe.a, probe.b, probe.option) {
-            covered.insert(seg);
-        }
+        covered.extend(probe.segments());
         plan.push(probe);
     }
     plan
@@ -135,13 +131,13 @@ mod tests {
         Predictor::cold(prior, backbone)
     }
 
-    fn demands(n_pairs: u32, relays: u32) -> Vec<(u32, u32, Vec<RelayOption>)> {
+    fn demands(n_pairs: u32, relays: u32) -> Vec<(KeyPair, Vec<RelayOption>)> {
         (0..n_pairs)
             .map(|i| {
                 let options = (0..relays)
                     .map(|r| RelayOption::Bounce(RelayId(r)))
                     .collect();
-                (i, i + 1, options)
+                (KeyPair::new(i, i + 1), options)
             })
             .collect()
     }
@@ -178,15 +174,13 @@ mod tests {
         // key 0 covers the hot segment. The first chosen probe must involve
         // key 0.
         let p = cold_predictor(5, 1);
-        let d = vec![
-            (0, 1, vec![RelayOption::Bounce(RelayId(0))]),
-            (0, 2, vec![RelayOption::Bounce(RelayId(0))]),
-            (0, 3, vec![RelayOption::Bounce(RelayId(0))]),
-            (4, 3, vec![RelayOption::Bounce(RelayId(0))]),
-        ];
+        let bounce = vec![RelayOption::Bounce(RelayId(0))];
+        let d: Vec<_> = [(0, 1), (0, 2), (0, 3), (4, 3)]
+            .map(|(a, b)| (KeyPair::new(a, b), bounce.clone()))
+            .into();
         let plan = plan_probes(&d, &p, 1);
         assert_eq!(plan.len(), 1);
-        assert!(plan[0].a == 0 || plan[0].b == 0, "should probe the hot key");
+        assert_eq!(plan[0].pair.lo, 0, "should probe the hot key");
     }
 
     #[test]
@@ -195,15 +189,10 @@ mod tests {
         let window = WindowLen::DAY.window_of(SimTime::ZERO);
         let mut h = CallHistory::new();
         let d = demands(3, 2);
-        for (a, b, options) in &d {
+        for (pair, options) in &d {
             for &o in options {
                 for _ in 0..5 {
-                    h.record(
-                        window,
-                        crate::history::KeyPair::new(*a, *b),
-                        o,
-                        &PathMetrics::new(120.0, 0.3, 4.0),
-                    );
+                    h.record(window, *pair, o, &PathMetrics::new(120.0, 0.3, 4.0));
                 }
             }
         }
@@ -219,7 +208,7 @@ mod tests {
     #[test]
     fn direct_options_are_never_probed() {
         let p = cold_predictor(3, 1);
-        let d = vec![(0, 1, vec![RelayOption::Direct])];
+        let d = vec![(KeyPair::new(0, 1), vec![RelayOption::Direct])];
         assert!(plan_probes(&d, &p, 5).is_empty());
     }
 }

@@ -192,9 +192,9 @@ impl GeoPrior {
 
     /// Prior fiber-bound RTT of an option, ms; `None` if a key or relay is
     /// outside the geography this prior was built from.
-    fn path_rtt_floor(&self, a: u32, b: u32, option: RelayOption) -> Option<f64> {
+    fn path_rtt_floor(&self, pair: KeyPair, option: RelayOption) -> Option<f64> {
         let t = &*self.tables;
-        let (a, b) = (a as usize, b as usize);
+        let (a, b) = (pair.lo as usize, pair.hi as usize);
         let leg = |key: usize, r: RelayId| t.key_relay_ms.get(key, r.index()).copied();
         Some(match option.canonical() {
             RelayOption::Direct => t.key_pos.get(a)?.min_rtt_ms(t.key_pos.get(b)?),
@@ -208,12 +208,12 @@ impl GeoPrior {
         })
     }
 
-    /// The prior's prediction of `option` between keys `a` and `b`: the
-    /// inflated fiber bound (250 ms outside the geography) and the constant
-    /// loss and jitter, all with the prior's wide SEM.
-    fn predict(&self, a: u32, b: u32, option: RelayOption) -> Prediction {
+    /// The prior's prediction of `option` for `pair`: the inflated fiber
+    /// bound (250 ms outside the geography) and the constant loss and
+    /// jitter, all with the prior's wide SEM.
+    fn predict(&self, pair: KeyPair, option: RelayOption) -> Prediction {
         let rtt = self
-            .path_rtt_floor(a, b, option)
+            .path_rtt_floor(pair, option)
             .map(|floor| floor * PRIOR_INFLATION + 20.0)
             .unwrap_or(250.0);
         let (rtt, rtt_sem) = prior_slot(Metric::Rtt, rtt);
@@ -318,32 +318,31 @@ impl Predictor {
 
     /// Resolves what depends only on the pair of spatial keys — its fitted
     /// cells and both keys' solved segments, slotted by relay — so that
-    /// scoring the pair's candidates looks nothing up twice. The keys keep
-    /// the order given: a transit stitch breaks its orientation tie by it.
-    pub fn pair(&self, a: u32, b: u32) -> PairView<'_> {
-        let pair = KeyPair::new(a, b);
+    /// scoring the pair's candidates looks nothing up twice. A pair is
+    /// unordered, so both ends of a call see one view.
+    pub fn pair(&self, pair: KeyPair) -> PairView<'_> {
         let from = self.pairs.partition_point(|p| *p < pair);
         let to = self.pairs.partition_point(|p| *p <= pair);
-        let row_a = self.tomography.row(a);
+        let row_lo = self.tomography.row(pair.lo);
         PairView {
             predictor: self,
-            a,
-            b,
+            pair,
             cells: self.empirical.get(from..to).unwrap_or_default(),
-            row_a,
-            row_b: if a == b {
-                row_a
+            row_lo,
+            row_hi: if pair.lo == pair.hi {
+                row_lo
             } else {
-                self.tomography.row(b)
+                self.tomography.row(pair.hi)
             },
         }
     }
 
-    /// Predicts performance of `option` between spatial keys `a` and `b`.
-    /// Always succeeds: falls back to the geographic prior. One-shot form of
-    /// [`Predictor::pair`]; score several options of a pair through one view.
+    /// Predicts performance of `option` between spatial keys `a` and `b`, in
+    /// either order. Always succeeds: falls back to the geographic prior.
+    /// One-shot form of [`Predictor::pair`]; score several options of a pair
+    /// through one view.
     pub fn predict(&self, a: u32, b: u32, option: RelayOption) -> Prediction {
-        self.pair(a, b).predict(option)
+        self.pair(KeyPair::new(a, b)).predict(option)
     }
 }
 
@@ -352,13 +351,12 @@ impl Predictor {
 #[derive(Debug, Clone, Copy)]
 pub struct PairView<'a> {
     predictor: &'a Predictor,
-    a: u32,
-    b: u32,
+    pair: KeyPair,
     /// The pair's fitted cells, sorted by option.
     cells: &'a [FittedCell],
     /// Both keys' rows, slotted by relay: a stitch is two or four loads.
-    row_a: KeyRow<'a>,
-    row_b: KeyRow<'a>,
+    row_lo: KeyRow<'a>,
+    row_hi: KeyRow<'a>,
 }
 
 impl PairView<'_> {
@@ -380,7 +378,7 @@ impl PairView<'_> {
             }
         }
         if let Some((lin_mean, lin_sem)) =
-            stitch_rows(&self.row_a, &self.row_b, option, &*predictor.backbone)
+            stitch_rows(&self.row_lo, &self.row_hi, option, &*predictor.backbone)
         {
             return Prediction::from_linear(lin_mean, lin_sem, PredictionSource::Tomography);
         }
@@ -388,7 +386,7 @@ impl PairView<'_> {
         if let Some(p) = cell {
             return p;
         }
-        predictor.prior.predict(self.a, self.b, option)
+        predictor.prior.predict(self.pair, option)
     }
 }
 
@@ -466,7 +464,7 @@ mod tests {
                     }
                 }
             }
-            if let Some((lin_mean, lin_sem)) = self.tomography.stitch(a, b, option, &*self.backbone)
+            if let Some((lin_mean, lin_sem)) = self.tomography.stitch(pair, option, &*self.backbone)
             {
                 return Prediction::from_linear(lin_mean, lin_sem, PredictionSource::Tomography);
             }
@@ -475,7 +473,7 @@ mod tests {
             }
             let rtt = self
                 .prior
-                .path_rtt_floor(a, b, option)
+                .path_rtt_floor(pair, option)
                 .map(|floor| floor * PRIOR_INFLATION + 20.0)
                 .unwrap_or(250.0);
             let mut lin_mean = [0.0; 3];
@@ -529,7 +527,7 @@ mod tests {
         /// Every option of a pair, through one view and through the one-shot
         /// wrapper, against the reference, bit for bit.
         fn check(&self, a: u32, b: u32, options: &[RelayOption]) {
-            let view = self.new.pair(a, b);
+            let view = self.new.pair(KeyPair::new(a, b));
             for &option in options {
                 let want = self.old.predict(a, b, option);
                 for got in [view.predict(option), self.new.predict(a, b, option)] {
@@ -621,7 +619,7 @@ mod tests {
         for &(src, dst) in &pairs {
             world.candidate_options_into(src, dst, &mut scratch, &mut options);
             both.check(src.0, dst.0, &options);
-            // The callee's side of the same pair: same cells, rows swapped.
+            // The callee's side of the same pair: the same view.
             both.check(dst.0, src.0, &options);
             for &option in &options {
                 rungs[match fitted.predict(src.0, dst.0, option).source {
@@ -635,8 +633,8 @@ mod tests {
         assert!(rungs.iter().all(|&n| n > 1_000), "{rungs:?} of {fitted:?}");
     }
 
-    /// FNV-1a over the bits of every candidate's prediction, both sides of
-    /// every pair of `day`, in pair order.
+    /// FNV-1a over the bits of every candidate's prediction, every pair of
+    /// `day` in pair order.
     fn prediction_bits(day: &PaperDay, fitted: &Predictor) -> u64 {
         let mut scratch = via_netsim::CandidateScratch::default();
         let mut options = Vec::new();
@@ -647,28 +645,27 @@ mod tests {
         for &(src, dst) in &day.pairs {
             day.world
                 .candidate_options_into(src, dst, &mut scratch, &mut options);
-            for (a, b) in [(src.0, dst.0), (dst.0, src.0)] {
-                let view = fitted.pair(a, b);
-                for &option in &options {
-                    let p = view.predict(option);
-                    p.lin_mean
-                        .iter()
-                        .chain(&p.lin_sem)
-                        .for_each(|v| fold(v.to_bits()));
-                    fold(match p.source {
-                        PredictionSource::Empirical(n) => n,
-                        PredictionSource::Tomography => u64::MAX,
-                        PredictionSource::Prior => u64::MAX - 1,
-                    });
-                }
+            let view = fitted.pair(KeyPair::new(src.0, dst.0));
+            for &option in &options {
+                let p = view.predict(option);
+                p.lin_mean
+                    .iter()
+                    .chain(&p.lin_sem)
+                    .for_each(|v| fold(v.to_bits()));
+                fold(match p.source {
+                    PredictionSource::Empirical(n) => n,
+                    PredictionSource::Tomography => u64::MAX,
+                    PredictionSource::Prior => u64::MAX - 1,
+                });
             }
         }
         h
     }
 
     /// Captured at the commit before `Predictor::fit` grew a second way to
-    /// be handed its cells; every way must reproduce it.
-    const PAPER_DAY_PREDICTION_BITS: u64 = 0xc4a4_56c4_7479_3f4a;
+    /// be handed its cells, and re-captured when a pair became one view
+    /// (`Predictor::pair` takes a `KeyPair`); every way must reproduce it.
+    const PAPER_DAY_PREDICTION_BITS: u64 = 0x2ef5_1eee_3f62_4bf7;
 
     #[test]
     #[cfg_attr(miri, ignore = "a paper-scale window: tens of thousands of calls")]
@@ -862,7 +859,7 @@ mod tests {
             for b in &world.ases {
                 world.candidate_options_into(a.id, b.id, &mut scratch, &mut options);
                 for &opt in &options {
-                    let table = prior.path_rtt_floor(a.id.0, b.id.0, opt);
+                    let table = prior.path_rtt_floor(KeyPair::new(a.id.0, b.id.0), opt);
                     let trig = path_rtt_floor_trig(&key_pos, &relay_pos, a.id.0, b.id.0, opt);
                     assert_eq!(
                         table.map(f64::to_bits),
@@ -882,10 +879,11 @@ mod tests {
     fn rtt_floor_is_none_outside_the_geography() {
         let p = prior(); // 3 keys, 2 relays
         let (r0, r1, r_out) = (RelayId(0), RelayId(1), RelayId(2));
-        assert!(p.path_rtt_floor(0, 1, RelayOption::Direct).is_some());
-        assert!(p.path_rtt_floor(0, 1, RelayOption::Bounce(r1)).is_some());
+        let pair = KeyPair::new(0, 1);
+        assert!(p.path_rtt_floor(pair, RelayOption::Direct).is_some());
+        assert!(p.path_rtt_floor(pair, RelayOption::Bounce(r1)).is_some());
         assert!(p
-            .path_rtt_floor(0, 1, RelayOption::Transit(r0, r1))
+            .path_rtt_floor(pair, RelayOption::Transit(r0, r1))
             .is_some());
         for (a, b) in [(3, 0), (0, 3), (u32::MAX, u32::MAX)] {
             for opt in [
@@ -893,7 +891,8 @@ mod tests {
                 RelayOption::Bounce(r0),
                 RelayOption::Transit(r0, r1),
             ] {
-                assert_eq!(p.path_rtt_floor(a, b, opt), None, "keys ({a}, {b}) {opt}");
+                let keys = KeyPair::new(a, b);
+                assert_eq!(p.path_rtt_floor(keys, opt), None, "keys ({a}, {b}) {opt}");
             }
         }
         // Relay 2 of a 2-relay fleet: under raw stride math (key 0, relay 2)
@@ -903,7 +902,7 @@ mod tests {
             RelayOption::Transit(r0, r_out),
             RelayOption::Bounce(RelayId(u32::MAX)),
         ] {
-            assert_eq!(p.path_rtt_floor(0, 1, opt), None, "{opt}");
+            assert_eq!(p.path_rtt_floor(pair, opt), None, "{opt}");
         }
         // The prediction still answers, from the 250 ms fallback.
         let cold = Predictor::cold(p, bb());

@@ -309,8 +309,6 @@ pub struct ReplaySim<'a> {
     /// option, so the base is computed once here and mixed with
     /// [`seed::derive_indexed_from`] on the hot path (bit-identical seeds).
     realize_base: u64,
-    /// Hoisted `seed::derive(cfg.seed, "call")`, same reasoning.
-    call_base: u64,
 }
 
 impl<'a> ReplaySim<'a> {
@@ -332,13 +330,11 @@ impl<'a> ReplaySim<'a> {
     /// no materialized trace exists, records arrive window by window.
     pub fn streaming(world: &'a World, cfg: ReplayConfig) -> Self {
         let realize_base = seed::derive(cfg.seed, "realize");
-        let call_base = seed::derive(cfg.seed, "call");
         Self {
             world,
             trace: None,
             cfg,
             realize_base,
-            call_base,
         }
     }
 
@@ -392,7 +388,8 @@ impl<'a> ReplaySim<'a> {
         let hot_ids = HotIds::new();
         let worker_slots: Vec<WorkerSlot> = (0..workers)
             .map(|_| {
-                let selector = Selector::new(plan, self.cfg.objective, self.cfg.epsilon);
+                let cfg = &self.cfg;
+                let selector = Selector::new(plan, cfg.objective, cfg.epsilon, cfg.seed);
                 WorkerSlot::new(&hot_ids, self.cfg.metrics, selector)
             })
             .collect();
@@ -589,14 +586,14 @@ impl<'a> ReplaySim<'a> {
             // calls into the training window, and refit.
             if self.cfg.active_probes_per_window > 0 && window.prev().is_some() {
                 let scratch = &mut worker_slots[0].scratch;
-                let mut demand_list: Vec<(u32, u32, Vec<RelayOption>)> = demands
+                let mut demand_list: Vec<(KeyPair, Vec<RelayOption>)> = demands
                     .iter()
-                    .map(|(kp, &(sa, sb))| {
+                    .map(|(&pair, &(sa, sb))| {
                         self.candidates_into(sa, sb, &mut scratch.topo, &mut scratch.cand);
-                        (kp.lo, kp.hi, scratch.cand.clone())
+                        (pair, scratch.cand.clone())
                     })
                     .collect();
-                demand_list.sort_by_key(|d| (d.0, d.1));
+                demand_list.sort_by_key(|d| d.0);
                 let plan = crate::active::plan_probes(
                     &demand_list,
                     &fitted,
@@ -609,8 +606,7 @@ impl<'a> ReplaySim<'a> {
                         window.index,
                     ));
                     for probe in plan {
-                        let kp = KeyPair::new(probe.a, probe.b);
-                        let Some(&(sa, sb)) = demands.get(&kp) else {
+                        let Some(&(sa, sb)) = demands.get(&probe.pair) else {
                             continue;
                         };
                         let m = self.world.perf().sample_option(
@@ -622,7 +618,7 @@ impl<'a> ReplaySim<'a> {
                         );
                         // A mock call is recorded as a real one of the
                         // window before would have been.
-                        trained.record(kp, probe.option, &m);
+                        trained.record(probe.pair, probe.option, &m);
                     }
                     fitted = trained.fit(window, prior.clone(), backbone);
                     stats.predictor_fits += 1;
@@ -658,7 +654,7 @@ impl<'a> ReplaySim<'a> {
         if plan.keeps_pair_state() || self.cfg.metrics {
             let granularity = self.cfg.granularity;
             grouped.regroup(batch.iter().map(|call| {
-                (
+                KeyPair::new(
                     granularity.key_of(self.world, call.src_as, call.caller.0),
                     granularity.key_of(self.world, call.dst_as, call.callee.0),
                 )
@@ -692,8 +688,8 @@ impl<'a> ReplaySim<'a> {
                     for g in chunk {
                         if let Some(&i) = call_idx.get(g.start) {
                             // A gated plan never decides a lone call alone.
-                            let keys = (g.ka, g.kb);
-                            let arms = self.build_arms(pred, hot_ids, keys, false, &batch[i], slot);
+                            let arms =
+                                self.build_arms(pred, hot_ids, g.pair, false, &batch[i], slot);
                             g.state = Some(arms);
                         }
                     }

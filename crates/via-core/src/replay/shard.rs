@@ -23,10 +23,6 @@ use crate::strategy::MultipathMode;
 /// the pair.
 pub(super) struct PairGroup {
     pub(super) pair: KeyPair,
-    /// Spatial keys in the orientation of the pair's first call (the state
-    /// exemplar, matching the lazily-built state of the sequential engine).
-    pub(super) ka: u32,
-    pub(super) kb: u32,
     /// The pair's calls this window are `call_idx[start..start + len]`.
     pub(super) start: usize,
     len: usize,
@@ -47,11 +43,9 @@ pub(super) struct PairGroup {
 }
 
 impl PairGroup {
-    fn new(pair: KeyPair, (ka, kb): (u32, u32), start: usize, len: usize) -> PairGroup {
+    fn new(pair: KeyPair, start: usize, len: usize) -> PairGroup {
         PairGroup {
             pair,
-            ka,
-            kb,
             start,
             len,
             shard: 0,
@@ -100,16 +94,15 @@ pub(super) struct WindowGroups {
 }
 
 impl WindowGroups {
-    /// Groups a batch, given each call's `(ka, kb)` in batch order, in one
-    /// pass over the pair index and one counting-sort scatter.
-    pub(super) fn regroup(&mut self, keys: impl Iterator<Item = (u32, u32)>) {
+    /// Groups a batch, given each call's pair in batch order, in one pass
+    /// over the pair index and one counting-sort scatter.
+    pub(super) fn regroup(&mut self, pairs: impl Iterator<Item = KeyPair>) {
         self.index.clear();
         self.groups.clear();
         self.group_of_call.clear();
-        for (ka, kb) in keys {
-            let pair = KeyPair::new(ka, kb);
+        for pair in pairs {
             let g = *self.index.entry(pair).or_insert_with(|| {
-                self.groups.push(PairGroup::new(pair, (ka, kb), 0, 0));
+                self.groups.push(PairGroup::new(pair, 0, 0));
                 self.groups.len() - 1
             });
             self.groups[g].len += 1;
@@ -132,8 +125,8 @@ impl WindowGroups {
     /// Splits a batch of `n` calls into at most `parts` contiguous runs of
     /// near-equal length, one group each, with `call_idx` the identity: the
     /// fill for a plan that keeps no per-pair state, whose shards then read
-    /// their calls and write their outcomes in trace order. A run's pair and
-    /// keys are placeholders: nothing such a plan does reads them.
+    /// their calls and write their outcomes in trace order. A run's pair is
+    /// a placeholder: nothing such a plan does reads it.
     pub(super) fn chunk(&mut self, n: usize, parts: usize) {
         self.groups.clear();
         self.group_of_call.clear();
@@ -144,7 +137,7 @@ impl WindowGroups {
             let (start, end) = (r * n / parts, (r + 1) * n / parts);
             if start < end {
                 let g = self.groups.len();
-                let run = PairGroup::new(KeyPair::new(0, 0), (0, 0), start, end - start);
+                let run = PairGroup::new(KeyPair::new(0, 0), start, end - start);
                 self.groups.push(run);
                 self.group_of_call.resize(end, g);
             }
@@ -248,16 +241,6 @@ impl WorkerSlot {
     }
 }
 impl<'a> ReplaySim<'a> {
-    /// Per-call decision RNG, derived from the call's trace index: the
-    /// stream a call sees is independent of every other call, so decisions
-    /// are identical no matter which shard (or how many shards) carried it.
-    fn call_rng(&self, call: &CallRecord) -> StdRng {
-        StdRng::seed_from_u64(seed::derive_indexed_from(
-            self.call_base,
-            u64::from(call.id.0),
-        ))
-    }
-
     /// The call's candidate with the least `cost` (first wins ties; the
     /// direct path when none is finite) — the oracle's per-(pair, window)
     /// decision.
@@ -289,7 +272,7 @@ impl<'a> ReplaySim<'a> {
         &self,
         pred: &Predictor,
         ids: &HotIds,
-        keys: (u32, u32),
+        pair: KeyPair,
         lone: bool,
         exemplar: &CallRecord,
         slot: &mut WorkerSlot,
@@ -301,7 +284,7 @@ impl<'a> ReplaySim<'a> {
             ..
         } = slot;
         self.candidates_into(exemplar.src_as, exemplar.dst_as, topo, cand);
-        let view = pred.pair(keys.0, keys.1);
+        let view = pred.pair(pair);
         let built = selector.arms(|o| view.predict(o), cand, lone);
         for width in selector.ci_widths() {
             hot.observe(ids.ci_width, width);
@@ -388,10 +371,10 @@ impl<'a> ReplaySim<'a> {
                         slot.out.contacts += 1;
                         slot.hot.inc(ids.cache_misses, 1);
                     }
-                    let (keys, lone) = ((g.ka, g.kb), g.len == 1);
+                    let (pair, lone) = (g.pair, g.len == 1);
                     let st = &*g
                         .state
-                        .get_or_insert_with(|| self.build_arms(pred, ids, keys, lone, call, slot));
+                        .get_or_insert_with(|| self.build_arms(pred, ids, pair, lone, call, slot));
                     let option = if let Some(width) = plan.race {
                         // §7 hybrid racing: race the leading arms in parallel
                         // at call setup and keep the best. The race
@@ -414,9 +397,9 @@ impl<'a> ReplaySim<'a> {
                         best.map_or(RelayOption::Direct, |(_, o)| o)
                     } else {
                         // Budget verdicts were computed in the sequential
-                        // gate pass; they arrive as per-call flags. General
-                        // exploration re-enumerates the call's own
-                        // candidates.
+                        // gate pass; they arrive as per-call flags. The ε
+                        // coin is the call's own, and general exploration
+                        // re-enumerates the call's own candidates.
                         let WorkerSlot {
                             selector,
                             scratch: Scratch { topo, cand, .. },
@@ -425,7 +408,7 @@ impl<'a> ReplaySim<'a> {
                         let d = selector.decide(
                             st,
                             ctx.gated.is_some_and(|flags| flags[i]),
-                            || self.call_rng(call),
+                            u64::from(call.id.0),
                             || {
                                 self.candidates_into(call.src_as, call.dst_as, topo, cand);
                                 cand
@@ -649,17 +632,17 @@ mod tests {
     /// A window's pair groups as `engine_window` formed them before the flat
     /// groups — a `HashMap` from pair to slot and one member `Vec` per group
     /// — over each call's `(ka, kb)`: groups in first-seen order, each the
-    /// pair, the first call's keys as given, and the members' batch indices.
-    fn reference_groups(keys: &[(u32, u32)]) -> Vec<(KeyPair, (u32, u32), Vec<usize>)> {
+    /// pair and the members' batch indices.
+    fn reference_groups(keys: &[(u32, u32)]) -> Vec<(KeyPair, Vec<usize>)> {
         let mut slot_of_pair: HashMap<KeyPair, usize> = HashMap::new();
-        let mut groups: Vec<(KeyPair, (u32, u32), Vec<usize>)> = Vec::new();
+        let mut groups: Vec<(KeyPair, Vec<usize>)> = Vec::new();
         for (i, &(ka, kb)) in keys.iter().enumerate() {
             let pair = KeyPair::new(ka, kb);
             let slot = *slot_of_pair.entry(pair).or_insert_with(|| {
-                groups.push((pair, (ka, kb), Vec::new()));
+                groups.push((pair, Vec::new()));
                 groups.len() - 1
             });
-            groups[slot].2.push(i);
+            groups[slot].1.push(i);
         }
         groups
     }
@@ -668,7 +651,7 @@ mod tests {
     /// `parts` workers, on arrays a pair walk filled first.
     fn check_chunk(n: usize, parts: usize) {
         let mut flat = WindowGroups::default();
-        flat.regroup((0..n as u32).map(|i| (i % 7, i % 3)));
+        flat.regroup((0..n as u32).map(|i| KeyPair::new(i % 7, i % 3)));
         flat.chunk(n, parts);
         assert_eq!(flat.groups.len(), n.min(parts), "one run per worker");
         assert!(flat.call_idx.iter().copied().eq(0..n), "identity call_idx");
@@ -719,37 +702,35 @@ mod tests {
             // in the same order — twice, since the arrays are reused.
             let mut flat = WindowGroups::default();
             for _ in 0..2 {
-                flat.regroup(keys.iter().copied());
+                flat.regroup(keys.iter().map(|&(ka, kb)| KeyPair::new(ka, kb)));
                 let got: Vec<_> = flat
                     .groups
                     .iter()
-                    .map(|g| (g.pair, (g.ka, g.kb), flat.call_idx[g.start..g.start + g.len].to_vec()))
+                    .map(|g| (g.pair, flat.call_idx[g.start..g.start + g.len].to_vec()))
                     .collect();
                 proptest::prop_assert_eq!(&got, &groups);
-                for (g, (_, _, members)) in groups.iter().enumerate() {
+                for (g, (_, members)) in groups.iter().enumerate() {
                     proptest::prop_assert!(members.iter().all(|&i| flat.group_of_call[i] == g));
                 }
             }
             let mut seen = vec![0usize; keys.len()];
-            for (g, (pair, exemplar, members)) in groups.iter().enumerate() {
+            for (g, (pair, members)) in groups.iter().enumerate() {
                 proptest::prop_assert!(!members.is_empty());
                 proptest::prop_assert!(members.windows(2).all(|w| w[0] < w[1]), "ascending");
-                // The orientation is the first member's, not the canonical one.
-                proptest::prop_assert_eq!(*exemplar, keys[members[0]]);
                 for &i in members {
                     let (ka, kb) = keys[i];
                     proptest::prop_assert_eq!(KeyPair::new(ka, kb), *pair);
                     seen[i] += 1;
                 }
                 // One group per pair, in first-seen order.
-                proptest::prop_assert!(groups[..g].iter().all(|(p, _, _)| p != pair));
-                proptest::prop_assert!(groups[..g].iter().all(|(_, _, m)| m[0] < members[0]));
+                proptest::prop_assert!(groups[..g].iter().all(|(p, _)| p != pair));
+                proptest::prop_assert!(groups[..g].iter().all(|(_, m)| m[0] < members[0]));
             }
             proptest::prop_assert!(seen.iter().all(|&n| n == 1), "a partition of the batch");
             // (a, b) and (b, a) share a group, (a, a) is a pair like any other.
             for (i, &(a, b)) in keys.iter().enumerate() {
                 for (j, &(c, d)) in keys.iter().enumerate() {
-                    let together = groups.iter().any(|(_, _, m)| m.contains(&i) && m.contains(&j));
+                    let together = groups.iter().any(|(_, m)| m.contains(&i) && m.contains(&j));
                     proptest::prop_assert_eq!(together, (a, b) == (c, d) || (a, b) == (d, c));
                 }
             }

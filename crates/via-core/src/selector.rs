@@ -20,16 +20,22 @@
 //! `Multipath { k: 1, budget: 1.0, .. }` and `Via` resolve to *equal* plans:
 //! a one-path set is the singlepath decision by construction.
 //!
+//! A call's ε coin is one rule for every driver: its stream is derived from
+//! the run's seed and the call's id ([`Selector::decide`]), so a call flips
+//! the same coin whichever plane decides it and whichever worker or shard
+//! carries it.
+//!
 //! What stays with the caller: the per-pair [`PairArms`] store (replay keeps
 //! a pair's arms in its window group, the server in a per-shard map), the
 //! order calls reach the gate (replay walks a window in trace order, the
-//! server locks the gate per select), the RNG (each driver derives its
-//! per-call stream under its own label), the §7 decision cache and the setup
+//! server locks the gate per select), the §7 decision cache and the setup
 //! race (both need the driver's clock and realizations).
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use via_model::metrics::Metric;
 use via_model::options::RelayOption;
+use via_model::seed;
 
 use crate::bandit::UcbBandit;
 use crate::budget::BudgetGate;
@@ -385,16 +391,23 @@ impl PairArms {
     }
 }
 
+/// The label of every call's ε stream: the live controller's from before
+/// the replay shared its rule, kept so the controller's coins are unchanged.
+const COIN: &str = "server.select";
+
 /// One shard's per-call pipeline: the plan, objective and ε it runs, the
-/// arm-building buffers and the decided path set. One per replay worker,
-/// server shard and testbed evaluation; each driver keeps its own per-pair
-/// [`PairArms`] store and hands the pair's arms in. The buffers are reused,
-/// so building a pair's arms allocates nothing but the arms.
+/// root of its ε coins, the arm-building buffers and the decided path set.
+/// One per replay worker, server shard and testbed evaluation; each driver
+/// keeps its own per-pair [`PairArms`] store and hands the pair's arms in.
+/// The buffers are reused, so building a pair's arms allocates nothing but
+/// the arms.
 #[derive(Debug)]
 pub struct Selector {
     plan: Plan,
     objective: Metric,
     epsilon: f64,
+    /// `seed::derive(seed, COIN)`, hoisted: a call's coin mixes only its id.
+    coin: u64,
     /// Candidate scores, in candidate order.
     scored: Vec<ScoredOption>,
     /// The top-k sort permutation.
@@ -406,12 +419,14 @@ pub struct Selector {
 }
 
 impl Selector {
-    /// A selector running `plan` for `objective` with the caller's ε.
-    pub fn new(plan: Plan, objective: Metric, epsilon: f64) -> Selector {
+    /// A selector running `plan` for `objective` with the caller's ε, its
+    /// coins drawn from the run's `seed`.
+    pub fn new(plan: Plan, objective: Metric, epsilon: f64, seed: u64) -> Selector {
         Selector {
             plan,
             objective,
             epsilon,
+            coin: seed::derive(seed, COIN),
             scored: Vec::new(),
             order: Vec::new(),
             selected: Vec::new(),
@@ -537,14 +552,15 @@ impl Selector {
     /// never depends on `k`) and the bandit's `choose_set(k)` — `Via` is
     /// the `k = 1` row of the same code.
     ///
-    /// `rng` and `candidates` are lazy: the per-call RNG is built only for
-    /// admitted calls of plans with an ε stage, and the candidate set is
+    /// The ε draw is the coin of `call`: a stream seeded from the run's
+    /// seed and the call's id alone, built only for admitted calls of plans
+    /// with an ε stage. `candidates` is lazy: the candidate set is
     /// enumerated only when the explore fires.
-    pub fn decide<'c, R: Rng>(
+    pub fn decide<'c>(
         &mut self,
         arms: &PairArms,
         gated: bool,
-        rng: impl FnOnce() -> R,
+        call: u64,
         candidates: impl FnOnce() -> &'c [RelayOption],
     ) -> Decision {
         let (plan, out) = (&self.plan, &mut self.set);
@@ -563,7 +579,7 @@ impl Selector {
         };
         let mut explore = None;
         if epsilon > 0.0 {
-            let mut rng = rng();
+            let mut rng = StdRng::seed_from_u64(seed::derive_indexed_from(self.coin, call));
             if rng.random::<f64>() < epsilon {
                 explore = Some(if over_candidates {
                     let pool = candidates();
@@ -878,7 +894,7 @@ mod tests {
     /// A selector running `kind` at ε, and the arms it builds over
     /// [`candidates`] for a pair with more than one call.
     fn build(kind: StrategyKind, epsilon: f64) -> (Selector, PairArms) {
-        let mut selector = Selector::new(Plan::from(kind), Metric::Rtt, epsilon);
+        let mut selector = Selector::new(Plan::from(kind), Metric::Rtt, epsilon, 5);
         let arms = selector.arms(predict, &candidates(), false);
         (selector, arms)
     }
@@ -909,26 +925,20 @@ mod tests {
     #[test]
     fn decide_gates_explores_and_fills_the_set() {
         let cands = candidates();
-        let rng = || StdRng::seed_from_u64(5);
 
         let (mut selector, arms) = build(StrategyKind::Via, 1.0);
-        let d = selector.decide(&arms, true, rng, || &cands[..]);
+        let d = selector.decide(&arms, true, 0, || &cands[..]);
         assert!(d.gated && !d.explored && d.option == RelayOption::Direct);
         assert!(selector.set().is_empty());
 
         // ε = 1 always explores over the full candidate set.
-        let d = selector.decide(&arms, false, rng, || &cands[..]);
+        let d = selector.decide(&arms, false, 0, || &cands[..]);
         assert!(d.explored && cands.contains(&d.option));
         assert_eq!(selector.set(), [d.option]);
 
-        // ε = 0 never builds the RNG or touches the candidates.
+        // ε = 0 never touches the candidates.
         selector.epsilon = 0.0;
-        let d = selector.decide(
-            &arms,
-            false,
-            || -> StdRng { unreachable!("no ε stage at ε = 0") },
-            || unreachable!("no explore at ε = 0"),
-        );
+        let d = selector.decide(&arms, false, 0, || unreachable!("no explore at ε = 0"));
         assert_eq!((d.option, d.explored, d.gated), (bounce(0), false, false));
         assert_eq!(selector.set(), [bounce(0)]);
 
@@ -942,25 +952,22 @@ mod tests {
             },
             1.0,
         );
-        let d = selector.decide(&arms, false, rng, || &cands[..]);
+        let d = selector.decide(&arms, false, 0, || &cands[..]);
         assert!(d.explored);
         let set = selector.set();
         assert_eq!(set.len(), 2);
         assert_eq!(set[0], d.option);
         assert_ne!(set[0], set[1]);
         selector.epsilon = 0.0;
-        let d = selector.decide(&arms, false, rng, || &cands[..]);
+        let d = selector.decide(&arms, false, 0, || &cands[..]);
         assert_eq!(selector.set(), [bounce(0), bounce(1)]);
         assert_eq!(d.option, bounce(0));
 
         // The §7 wrappers carry no ε stage at all.
         let (mut selector, arms) = build(StrategyKind::ViaCached { ttl_hours: 1 }, 1.0);
-        let d = selector.decide(
-            &arms,
-            false,
-            || -> StdRng { unreachable!("cached plans never explore") },
-            || unreachable!("cached plans never explore"),
-        );
+        let d = selector.decide(&arms, false, 0, || {
+            unreachable!("cached plans never explore")
+        });
         assert_eq!((d.option, d.explored), (bounce(0), false));
 
         // The ε-greedy strawman ignores the caller's ε and explores over its
@@ -969,12 +976,9 @@ mod tests {
         let explored = (0..200u64)
             .filter(|&i| {
                 selector
-                    .decide(
-                        &arms,
-                        false,
-                        || StdRng::seed_from_u64(i),
-                        || unreachable!("the explore pool is the arm list"),
-                    )
+                    .decide(&arms, false, i, || {
+                        unreachable!("the explore pool is the arm list")
+                    })
                     .explored
             })
             .count();
@@ -1062,6 +1066,7 @@ mod tests {
             before_direct_at in 0usize..16,
             metric in 0usize..3,
             seed in proptest::any::<u64>(),
+            call in proptest::any::<u64>(),
         ) {
             let (cands, preds) = scored_set(&slots, direct_at);
             let (before_cands, before_preds) = scored_set(&before, before_direct_at);
@@ -1083,19 +1088,18 @@ mod tests {
                 StrategyKind::ViaCached { ttl_hours: 1 },
             ] {
                 for epsilon in [0.0, 0.3, 1.0] {
-                    let rng = || StdRng::seed_from_u64(seed);
-                    let mut full = Selector::new(Plan::from(kind), objective, epsilon);
-                    let mut lone = Selector::new(Plan::from(kind), objective, epsilon);
+                    let mut full = Selector::new(Plan::from(kind), objective, epsilon, seed);
+                    let mut lone = Selector::new(Plan::from(kind), objective, epsilon, seed);
                     for (selector, order) in [(&mut full, [false, true]), (&mut lone, [true, false])] {
                         for lone_before in order {
                             let arms = selector.arms(predict_before, &before_cands, lone_before);
-                            selector.decide(&arms, false, rng, || &before_cands[..]);
+                            selector.decide(&arms, false, call, || &before_cands[..]);
                         }
                     }
                     let arms = full.arms(predict, &cands, false);
-                    let want = full.decide(&arms, false, rng, || &cands[..]);
+                    let want = full.decide(&arms, false, call, || &cands[..]);
                     let alone = lone.arms(predict, &cands, true);
-                    let got = lone.decide(&alone, false, rng, || &cands[..]);
+                    let got = lone.decide(&alone, false, call, || &cands[..]);
                     let case = format!("{kind} ε {epsilon} {slots:?} direct at {direct_at}, after {before:?}");
                     proptest::prop_assert_eq!(got, want, "{}", case);
                     proptest::prop_assert_eq!(lone.set(), full.set(), "{}", case);
@@ -1115,11 +1119,7 @@ mod tests {
     #[test]
     fn learn_moves_the_bandit_off_a_bad_arm() {
         let (mut selector, mut arms) = build(StrategyKind::Via, 0.0);
-        let mut pick = |arms: &PairArms| {
-            selector
-                .decide(arms, false, || StdRng::seed_from_u64(0), || &[])
-                .option
-        };
+        let mut pick = |arms: &PairArms| selector.decide(arms, false, 0, || &[]).option;
         assert_eq!(pick(&arms), bounce(0));
         for _ in 0..20 {
             arms.learn(bounce(0), 400.0);

@@ -483,34 +483,34 @@ impl Tomography {
         self.row(key).get(relay)
     }
 
-    /// Stitched prediction for a relayed option between spatial keys `a` and
-    /// `b`, in linearized space: `(mean, sem)` per metric. Returns `None` for
-    /// the direct option (tomography is relay-based) or when a needed
-    /// segment is unsolved.
+    /// Stitched prediction for a relayed option between the keys of `pair`,
+    /// in linearized space: `(mean, sem)` per metric. Returns `None` for the
+    /// direct option (tomography is relay-based) or when a needed segment is
+    /// unsolved.
     pub fn stitch(
         &self,
-        a: u32,
-        b: u32,
+        pair: KeyPair,
         option: RelayOption,
         backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
     ) -> Option<([f64; 3], [f64; 3])> {
-        stitch_rows(&self.row(a), &self.row(b), option, backbone)
+        stitch_rows(&self.row(pair.lo), &self.row(pair.hi), option, backbone)
     }
 }
 
-/// [`Tomography::stitch`] over the two endpoints' rows, for a caller that
-/// resolved them once and scores many options.
+/// [`Tomography::stitch`] over the rows of a pair's lower and higher key,
+/// for a caller that resolved them once and scores many options. A transit
+/// covered equally in both orientations is stitched `lo`-side first.
 pub(crate) fn stitch_rows(
-    row_a: &KeyRow<'_>,
-    row_b: &KeyRow<'_>,
+    row_lo: &KeyRow<'_>,
+    row_hi: &KeyRow<'_>,
     option: RelayOption,
     backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
 ) -> Option<([f64; 3], [f64; 3])> {
     match option.canonical() {
         RelayOption::Direct => None,
         RelayOption::Bounce(r) => {
-            let sa = row_a.get(r)?;
-            let sb = row_b.get(r)?;
+            let sa = row_lo.get(r)?;
+            let sb = row_hi.get(r)?;
             let mut mean = [0.0; 3];
             let mut sem = [0.0; 3];
             for m in 0..3 {
@@ -521,8 +521,8 @@ pub(crate) fn stitch_rows(
         }
         RelayOption::Transit(r1, r2) => {
             // Try both orientations; use the better-covered one.
-            let fwd = row_a.get(r1).zip(row_b.get(r2));
-            let rev = row_a.get(r2).zip(row_b.get(r1));
+            let fwd = row_lo.get(r1).zip(row_hi.get(r2));
+            let rev = row_lo.get(r2).zip(row_hi.get(r1));
             let (sa, sb) = match (fwd, rev) {
                 (Some(f), Some(r)) => {
                     if f.0.n_obs + f.1.n_obs >= r.0.n_obs + r.1.n_obs {
@@ -712,11 +712,11 @@ pub(crate) mod reference {
 
         pub(crate) fn stitch(
             &self,
-            a: u32,
-            b: u32,
+            pair: KeyPair,
             option: RelayOption,
             backbone: &dyn Fn(RelayId, RelayId) -> PathMetrics,
         ) -> Option<([f64; 3], [f64; 3])> {
+            let (a, b) = (pair.lo, pair.hi);
             match option.canonical() {
                 RelayOption::Direct => None,
                 RelayOption::Bounce(r) => {
@@ -836,7 +836,7 @@ mod tests {
         let bb = |_: RelayId, _: RelayId| PathMetrics::ZERO;
         let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig);
         let (mean, _) = tomo
-            .stitch(3, 4, RelayOption::Bounce(r), &bb)
+            .stitch(KeyPair::new(3, 4), RelayOption::Bounce(r), &bb)
             .expect("stitched");
         let expected = truth(3) + truth(4);
         assert!(
@@ -877,7 +877,7 @@ mod tests {
         let bb = |_: RelayId, _: RelayId| PathMetrics::new(40.0, 0.0, 0.0);
         let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig);
         let (mean, _) = tomo
-            .stitch(1, 2, RelayOption::Transit(r1, r2), &bb)
+            .stitch(KeyPair::new(1, 2), RelayOption::Transit(r1, r2), &bb)
             .expect("stitched");
         assert!((mean[0] - 120.0).abs() < 3.0, "got {}", mean[0]);
     }
@@ -890,7 +890,7 @@ mod tests {
         let tomo = Tomography::fit(&h, window, &bb, &TomographyConfig);
         assert!(tomo.is_empty());
         assert!(tomo
-            .stitch(0, 1, RelayOption::Bounce(RelayId(0)), &bb)
+            .stitch(KeyPair::new(0, 1), RelayOption::Bounce(RelayId(0)), &bb)
             .is_none());
     }
 
@@ -898,7 +898,9 @@ mod tests {
     fn direct_paths_are_not_stitched() {
         let tomo = Tomography::default();
         let bb = |_: RelayId, _: RelayId| PathMetrics::ZERO;
-        assert!(tomo.stitch(0, 1, RelayOption::Direct, &bb).is_none());
+        assert!(tomo
+            .stitch(KeyPair::new(0, 1), RelayOption::Direct, &bb)
+            .is_none());
     }
 
     #[test]
@@ -931,9 +933,9 @@ mod tests {
             assert!(tomo.segment(2, r).is_none());
             let option = RelayOption::Bounce(r);
             assert_eq!(
-                tomo.stitch(1, 0, option, &bb)
+                tomo.stitch(KeyPair::new(1, 0), option, &bb)
                     .map(|(m, s)| (m.map(f64::to_bits), s.map(f64::to_bits))),
-                want.stitch(1, 0, option, &bb)
+                want.stitch(KeyPair::new(1, 0), option, &bb)
                     .map(|(m, s)| (m.map(f64::to_bits), s.map(f64::to_bits))),
             );
         }

@@ -32,19 +32,25 @@
 //! epoch's predictor and whose [`Selector::decide`] plays them; a report
 //! teaches them through [`PairArms::learn`]. `select` admits through the
 //! same [`GateState`] the replay engine walks, whose non-finite-benefit rule
-//! (admit, charge nothing) is the one both planes share. What stays here:
-//! the per-pair arms map, the one gate behind its mutex, the per-call RNG,
-//! and dropping candidates from outside the fleet before arms are built.
-//! The regression tests in `tests/server_determinism.rs` pin selections
-//! against an independent reference loop built on `Predictor::fit`.
+//! (admit, charge nothing) is the one both planes share. A pair is viewed
+//! through the predictor as one unordered [`KeyPair`], and a call's ε coin is
+//! the selector's, drawn from the seed and the call id. What stays here: the
+//! per-pair arms map, the one gate behind its mutex, and dropping candidates
+//! from outside the fleet before arms are built.
+//!
+//! So the controller decides what the replay decides for the same stream:
+//! sent a trace's calls, each followed by a report of what the replay
+//! realized for it, it selects the replay's option for every call, at any
+//! shard and worker count, gated or not (`tests/plane_agreement.rs` at the
+//! workspace root pins it). The regression tests in
+//! `tests/server_determinism.rs` pin selections against an independent
+//! reference loop built on `Predictor::fit`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use via_core::budget::BudgetGate;
 use via_core::history::{GroupedCell, KeyPair, MetricStats};
@@ -55,7 +61,7 @@ use via_core::strategy::StrategyKind;
 use via_model::ids::RelayId;
 use via_model::metrics::{Metric, PathMetrics};
 use via_model::options::RelayOption;
-use via_model::seed::{self, splitmix64};
+use via_model::seed::splitmix64;
 use via_model::time::{SimTime, Window, WindowLen};
 
 use crate::lock::lock;
@@ -276,7 +282,7 @@ impl Controller {
             backbone,
             shards: (0..n_shards)
                 .map(|_| {
-                    let selector = Selector::new(plan, cfg.objective, cfg.epsilon);
+                    let selector = Selector::new(plan, cfg.objective, cfg.epsilon, cfg.seed);
                     Mutex::new(Shard::new(Arc::clone(&epoch), selector))
                 })
                 .collect(),
@@ -406,8 +412,8 @@ impl Controller {
         lock(shard)
     }
 
-    /// Decides the relay option for one call. `call_id` seeds the
-    /// ε-exploration RNG, so identical request streams select identically.
+    /// Decides the relay option for one call. `call_id` picks the call's ε
+    /// coin, so identical request streams select identically.
     /// A candidate naming a relay outside the fleet is dropped first: the
     /// predictor could score it only from the prior's fallback.
     pub fn select(
@@ -443,22 +449,11 @@ impl Controller {
             };
         }
         let arms = pairs.entry(pair).or_insert_with(|| {
-            let view = epoch.predictor.pair(pair.lo, pair.hi);
+            let view = epoch.predictor.pair(pair);
             selector.arms(|o| view.predict(o), candidates, false)
         });
         let admitted = lock(&self.gate).admit(arms.benefit());
-        let decision = selector.decide(
-            arms,
-            !admitted,
-            || {
-                StdRng::seed_from_u64(seed::derive_indexed(
-                    self.cfg.seed,
-                    "server.select",
-                    call_id,
-                ))
-            },
-            || candidates,
-        );
+        let decision = selector.decide(arms, !admitted, call_id, || candidates);
         let micros = started.elapsed().as_secs_f64() * 1e6;
         shard.latency.record(micros);
         self.selections.fetch_add(1, Ordering::Relaxed);

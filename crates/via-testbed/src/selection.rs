@@ -10,8 +10,6 @@
 //! *sub-optimality* of that relay's measured performance within the round:
 //! `(perf_VIA − perf_best) / perf_best`.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use via_core::selector::{Plan, Selector};
@@ -62,9 +60,9 @@ pub fn evaluate_via_selection(reports: &[ReportRecord], objective: Metric) -> Fi
     let mut suboptimality = Vec::new();
     let mut best_picks = 0usize;
     let mut decisions = 0usize;
-    // ε = 0: the controlled experiment scores the exploit step, so the RNG
-    // is never built.
-    let mut selector = Selector::new(Plan::from(StrategyKind::Via), objective, 0.0);
+    // ε = 0: the controlled experiment scores the exploit step, so no coin
+    // is flipped and the seed is never read.
+    let mut selector = Selector::new(Plan::from(StrategyKind::Via), objective, 0.0, 0);
 
     for rounds in table.into_values() {
         if rounds.len() < 2 {
@@ -99,12 +97,7 @@ pub fn evaluate_via_selection(reports: &[ReportRecord], objective: Metric) -> Fi
                     for &(opt, value) in &pick_history {
                         arms.learn(opt, value);
                     }
-                    let decision = selector.decide(
-                        &arms,
-                        false,
-                        || StdRng::seed_from_u64(0),
-                        || &candidates[..],
-                    );
+                    let decision = selector.decide(&arms, false, 0, || &candidates[..]);
                     if let RelayOption::Bounce(rid) = decision.option {
                         // An id that does not fit a `RelayIndex` was never
                         // measured: like a pick with no value, it is not scored.

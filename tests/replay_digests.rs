@@ -10,7 +10,10 @@
 //! Each constant was captured from the commit *before* the change it guards
 //! (precomputed geometry tables for the first four rows, the shared decision
 //! core for the rest); any later change to the selection pipeline's cost or
-//! structure must keep them.
+//! structure must keep them. Every row that predicts or flips an ε coin was
+//! re-captured when the replay took the live controller's decision rules —
+//! one view of an unordered pair and one ε coin per call id — which is what
+//! `plane_agreement.rs` checks; `Default` and `Oracle` did not move.
 //! A digest covers every call's index, option and realized metric bits in
 //! trace order, so one flipped tie-break anywhere in the run changes it.
 //!
@@ -48,7 +51,7 @@ const fn pin(kind: StrategyKind, digest: u64) -> Pin {
     }
 }
 
-const VIA_DIGEST: u64 = 0x3bb3_5473_2074_b5dc;
+const VIA_DIGEST: u64 = 0xff4c_fb53_5ea3_2e65;
 const DEFAULT_DIGEST: u64 = 0x0561_64be_68f9_c2c8;
 
 /// Every `StrategyKind` variant, with the values read at the parent commit.
@@ -59,7 +62,7 @@ const PINNED: [Pin; 14] = [
     pin(StrategyKind::Via, VIA_DIGEST),
     pin(
         StrategyKind::ViaBudgeted { budget: 0.3 },
-        0x23f5_22b0_2a1f_5680,
+        0x8fc9_0d2e_0fd1_faaa,
     ),
     pin(
         StrategyKind::Multipath {
@@ -67,29 +70,29 @@ const PINNED: [Pin; 14] = [
             mode: MultipathMode::Duplicate,
             budget: 0.3,
         },
-        0xa372_128e_e43d_0428,
+        0x0829_fe55_2591_f3e4,
     ),
-    pin(StrategyKind::PredictionOnly, 0x1f52_3542_0a9e_4ad8),
+    pin(StrategyKind::PredictionOnly, 0xaf7a_89d2_529a_2820),
     pin(StrategyKind::Default, DEFAULT_DIGEST),
     pin(StrategyKind::Oracle, 0x3c45_a7be_3b13_3c97),
-    pin(StrategyKind::ExplorationOnly, 0x331e_b043_a158_38c3),
+    pin(StrategyKind::ExplorationOnly, 0x5842_6412_b549_f9ab),
     pin(
         StrategyKind::ViaBudgetUnaware { budget: 0.3 },
-        0x43af_5f45_a728_0e09,
+        0x55d0_1a6f_831a_c1ce,
     ),
-    pin(StrategyKind::ViaFixedTopK { k: 2 }, 0x5e8b_94a9_5479_716c),
-    pin(StrategyKind::ViaRawReward, 0x941b_c7af_5205_f8df),
+    pin(StrategyKind::ViaFixedTopK { k: 2 }, 0xa6f5_fd2d_b411_92a0),
+    pin(StrategyKind::ViaRawReward, 0xe4e5_9334_d493_a1a3),
     Pin {
         kind: StrategyKind::ViaCached { ttl_hours: 6 },
-        digest: 0xc886_4119_1af2_5d96,
+        digest: 0xf6fe_30a8_3ee7_60bf,
         controller_contacts: 3_327,
         race_probes: 0,
     },
     Pin {
         kind: StrategyKind::HybridRacing { k: 3 },
-        digest: 0xad5f_2acc_b42d_8932,
+        digest: 0x052d_4bf3_e5a6_d9f8,
         controller_contacts: CALLS,
-        race_probes: 17_874,
+        race_probes: 17_761,
     },
     // A one-path duplicate set at budget 1.0 is Via.
     pin(
@@ -106,7 +109,7 @@ const PINNED: [Pin; 14] = [
             mode: MultipathMode::Stripe,
             budget: 1.0,
         },
-        0xe6ef_d846_3688_fbed,
+        0x06f8_be4b_eda7_ae65,
     ),
 ];
 
@@ -169,8 +172,9 @@ fn small_world_digests_match_pinned_constants() {
 /// The §7 active-probe path is the only writer into the *trained* window
 /// after a barrier (mock calls are folded into the window the refit reads,
 /// then it refits), and none of the rows above turns it on. Captured at the
-/// commit before the engine stopped keeping a `CallHistory`.
-const ACTIVE_PROBES_DIGEST: u64 = 0x6edb_2fe1_0223_a56b;
+/// commit before the engine stopped keeping a `CallHistory`, re-captured
+/// with the rows above.
+const ACTIVE_PROBES_DIGEST: u64 = 0xcbd3_3889_db2c_4209;
 
 #[test]
 fn active_probe_digest_matches_pinned_constant() {

@@ -161,7 +161,12 @@ struct BatchReference {
 impl BatchReference {
     fn new(cfg: ServerConfig) -> BatchReference {
         BatchReference {
-            selector: Selector::new(Plan::from(StrategyKind::Via), cfg.objective, cfg.epsilon),
+            selector: Selector::new(
+                Plan::from(StrategyKind::Via),
+                cfg.objective,
+                cfg.epsilon,
+                cfg.seed,
+            ),
             history: CallHistory::new(),
             window: 0,
             predictor: Predictor::cold(prior(), boxed(&backbone())),
@@ -191,7 +196,7 @@ impl BatchReference {
     fn select(&mut self, call: &Call, cands: &[RelayOption]) -> Selection {
         self.ensure_window(self.cfg.window.window_of(call.t));
         let pair = KeyPair::new(call.src, call.dst);
-        let (cfg, predictor, selector) = (&self.cfg, &self.predictor, &mut self.selector);
+        let (predictor, selector) = (&self.predictor, &mut self.selector);
         let arms = self.pairs.entry(pair).or_insert_with(|| {
             selector.arms(|o| predictor.predict(pair.lo, pair.hi, o), cands, false)
         });
@@ -200,12 +205,7 @@ impl BatchReference {
             Some(gate) if benefit.is_finite() => gate.admit(benefit),
             _ => true,
         };
-        let d = selector.decide(
-            arms,
-            !admitted,
-            || StdRng::seed_from_u64(seed::derive_indexed(cfg.seed, "server.select", call.id)),
-            || cands,
-        );
+        let d = selector.decide(arms, !admitted, call.id, || cands);
         Selection {
             option: d.option,
             admitted,
