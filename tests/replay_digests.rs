@@ -21,7 +21,7 @@
 
 #![allow(clippy::expect_used, reason = "test code: a broken fixture panics")]
 
-use via::core::replay::{ReplayConfig, ReplaySim};
+use via::core::replay::{ReplayConfig, ReplaySim, SpatialGranularity};
 use via::core::strategy::{MultipathMode, StrategyKind};
 use via::model::seed::{fnv1a, FNV_BASIS};
 use via::netsim::{World, WorldConfig};
@@ -254,6 +254,47 @@ fn default_metrics_snapshot_matches_pinned_constant() {
             );
             assert_eq!(
                 out.aggregate.digest, DEFAULT_DIGEST,
+                "{driver} at {workers} workers: digest {:#018x}",
+                out.aggregate.digest
+            );
+        }
+    }
+}
+
+/// `Via` keyed finer than an AS: 16 client buckets per AS, so the spatial
+/// keys run past 255 and every ordering the refit does on them crosses an
+/// 8-bit digit, which the AS-keyed rows above never do. Captured at the
+/// commit before the refit ordered its cells and segments by digits.
+const SUB_AS_VIA_DIGEST: u64 = 0x7cad_bb30_2965_4f8a;
+
+#[test]
+fn sub_as_via_digest_matches_pinned_constant() {
+    let world = World::generate(&WorldConfig::small(), SEED);
+    let trace_cfg = TraceConfig {
+        calls_per_day: 1_500,
+        days: 4,
+    };
+    let trace = TraceGenerator::new(&world, trace_cfg, SEED).generate();
+    let granularity = SpatialGranularity::SubAs { buckets: 16 };
+    assert!(
+        granularity.key_positions(&world).len() > 256,
+        "the keys must cross an 8-bit digit"
+    );
+    let kind = StrategyKind::Via;
+    for workers in [1usize, 2] {
+        let cfg = ReplayConfig {
+            workers,
+            granularity,
+            ..ReplayConfig::default()
+        };
+        let materialized = ReplaySim::new(&world, &trace, cfg.clone()).run(kind);
+        let streamed = ReplaySim::streaming(&world, cfg)
+            .run_stream(TraceRecords::new(&trace), kind)
+            .expect("in-memory stream");
+        for (driver, out) in [("materialized", &materialized), ("streamed", &streamed)] {
+            assert_eq!(out.aggregate.calls, CALLS);
+            assert_eq!(
+                out.aggregate.digest, SUB_AS_VIA_DIGEST,
                 "{driver} at {workers} workers: digest {:#018x}",
                 out.aggregate.digest
             );
