@@ -26,7 +26,7 @@ use via_model::time::Window;
 
 use crate::history::{record_grouped, GroupedCell, KeyPair, MetricStats};
 use crate::predictor::{GeoPrior, Predictor};
-use crate::tomography::fit_order;
+use crate::tomography::{fit_order, FitScratch};
 
 /// Shared inter-relay backbone metrics closure. `Arc` so every refitted
 /// predictor holds a handle to the same table instead of cloning it.
@@ -39,6 +39,8 @@ pub struct Trained {
     /// The window the cells were recorded in; `None` before any closed.
     window: Option<Window>,
     cells: Vec<GroupedCell>,
+    /// The refit's sort buffers, kept from one refit to the next.
+    scratch: FitScratch,
 }
 
 impl Trained {
@@ -66,8 +68,8 @@ impl Trained {
             self.close(training);
         }
         // The cells arrive in no order; the fit reads them in `fit_order`.
-        let cells = fit_order(self.cells.iter().map(|(key, stats)| (key, stats)));
-        Predictor::fit_sorted(cells, prior, backbone)
+        let cells = fit_order(&self.cells, |(key, stats)| (key, stats), &mut self.scratch);
+        Predictor::fit_sorted(cells, prior, backbone, &mut self.scratch)
     }
 
     /// Folds one mock call into the held window, as a report of that window
@@ -103,6 +105,7 @@ impl Trained {
         Trained {
             window: Some(snap.window),
             cells,
+            scratch: FitScratch::default(),
         }
     }
 }

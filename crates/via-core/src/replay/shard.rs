@@ -286,8 +286,10 @@ impl<'a> ReplaySim<'a> {
         self.candidates_into(exemplar.src_as, exemplar.dst_as, topo, cand);
         let view = pred.pair(pair);
         let built = selector.arms(|o| view.predict(o), cand, lone);
-        for width in selector.ci_widths() {
-            hot.observe(ids.ci_width, width);
+        if hot.keeps_records() {
+            for width in selector.ci_widths() {
+                hot.observe(ids.ci_width, width);
+            }
         }
         built
     }

@@ -412,8 +412,13 @@ pub struct Selector {
     scored: Vec<ScoredOption>,
     /// The top-k sort permutation.
     order: Vec<usize>,
-    /// The scores of the arms the last build kept.
+    /// The scores of the arms the last build kept, unless it decided alone
+    /// under the CI closure (see `lone_closure`).
     selected: Vec<ScoredOption>,
+    /// The last build decided alone under the CI closure and listed no kept
+    /// arms: they are the closure of `scored`, which only
+    /// [`Selector::ci_widths`] reads, so it computes them.
+    lone_closure: bool,
     /// The path set the last decision left, primary first.
     set: Vec<RelayOption>,
 }
@@ -430,6 +435,7 @@ impl Selector {
             scored: Vec::new(),
             order: Vec::new(),
             selected: Vec::new(),
+            lone_closure: false,
             set: Vec::new(),
         }
     }
@@ -455,6 +461,7 @@ impl Selector {
         if lone && self.plan.decides_alone() {
             return self.alone(predict, candidates);
         }
+        self.lone_closure = false;
         let Selector {
             plan,
             objective,
@@ -504,7 +511,7 @@ impl Selector {
     /// argmin over all candidates is in the closure: its lower bound is at
     /// most its mean, at most the seed's mean and so at most the seed's
     /// upper bound. The closure's members, which only the CI widths read,
-    /// come from a sort-free fixpoint.
+    /// are left for [`Selector::ci_widths`] to find.
     fn alone(
         &mut self,
         predict: impl Fn(RelayOption) -> Prediction,
@@ -513,18 +520,11 @@ impl Selector {
         let (scored, selected) = (&mut self.scored, &mut self.selected);
         let direct_mean = score(predict, candidates, self.objective, scored);
         selected.clear();
+        self.lone_closure = !matches!(self.plan.prune, Prune::FixedK(_));
         let first = if let Prune::FixedK(k) = self.plan.prune {
             best_k(scored, k, selected);
             selected.first().copied()
         } else {
-            // Algorithm 2's closure bound, raised to an upper bound above it
-            // of an option within it until there is none: the least such
-            // fixpoint, which `top_k_into`'s sorted walk also ends on.
-            let mut bound = scored.iter().map(|s| s.upper).fold(f64::INFINITY, f64::min);
-            while let Some(s) = scored.iter().find(|s| s.lower <= bound && s.upper > bound) {
-                bound = s.upper;
-            }
-            selected.extend(scored.iter().filter(|s| s.lower <= bound));
             scored
                 .iter()
                 .min_by(|a, b| a.mean.total_cmp(&b.mean).then(a.lower.total_cmp(&b.lower)))
@@ -539,9 +539,24 @@ impl Selector {
     }
 
     /// Confidence-interval widths (`upper − lower`) of the arms the last
-    /// build kept, for the obs layer; none for unscored arms.
+    /// build kept, for the obs layer, in candidate order; none for unscored
+    /// arms. After a lone build under the CI closure the kept arms are found
+    /// here, for the one reader that wants them: Algorithm 2's closure bound,
+    /// raised to an upper bound above it of an option within it until there
+    /// is none — the least such fixpoint, which `top_k_into`'s sorted walk
+    /// also ends on — keeps every option whose lower bound is within it.
     pub(crate) fn ci_widths(&self) -> impl Iterator<Item = f64> + '_ {
-        self.selected.iter().map(|s| s.upper - s.lower)
+        let scored = &self.scored;
+        let bound = self.lone_closure.then(|| {
+            let mut bound = scored.iter().map(|s| s.upper).fold(f64::INFINITY, f64::min);
+            while let Some(s) = scored.iter().find(|s| s.lower <= bound && s.upper > bound) {
+                bound = s.upper;
+            }
+            bound
+        });
+        let kept = bound.map_or(&self.selected, |_| scored);
+        let in_closure = move |s: &&ScoredOption| bound.is_none_or(|b| s.lower <= b);
+        kept.iter().filter(in_closure).map(|s| s.upper - s.lower)
     }
 
     /// Stage 4 of Algorithm 1 for one call of the pair `arms` serves: fills

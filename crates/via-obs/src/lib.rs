@@ -274,7 +274,8 @@ impl HotSchema {
 
 /// A slot-indexed recorder for the per-call hot loop: counters are plain
 /// `u64` bumps, histogram records go straight to the preset's bucket LUT.
-/// No names, no map lookups, no enabled flag for a call site to test.
+/// No names, no map lookups, no enabled flag for a call site to test; a site
+/// whose record costs work to compute may ask [`HotSink::keeps_records`].
 /// Whether anything is recorded is decided by the sink itself: one cut from
 /// a [`HotSchema`] has a slot per registered metric, the [`Default`] one has
 /// none, and a record that finds no slot — every record into the default
@@ -302,6 +303,12 @@ impl HotSink {
         if let Some(h) = self.hists.get_mut(slot) {
             h.record(v);
         }
+    }
+
+    /// True when the sink has a slot to record into (false for the
+    /// [`Default`] sink, which drops every record).
+    pub fn keeps_records(&self) -> bool {
+        !(self.counters.is_empty() && self.hists.is_empty())
     }
 
     /// Resets every slot to empty so the sink can be reused for the next
@@ -437,6 +444,7 @@ mod tests {
         let calls = schema.counter("calls");
         let lat = schema.histogram("lat", LATENCY_MS);
         let mut off = HotSink::default();
+        assert!(!off.keeps_records() && schema.make_sink().keeps_records());
         off.inc(calls, 1);
         off.observe(lat, 40.0);
         off.clear();
